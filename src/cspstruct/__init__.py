@@ -13,11 +13,9 @@ from .boolean import (
     BooleanFormula,
     ClassMismatchError,
     Clause,
-    ClosedLanguage,
     Literal,
     SchaeferClass,
     SchaeferClassification,
-    SchaeferLanguage,
     UnsupportedQueryError,
     classify_schaefer,
     complement_conjunction,
@@ -67,13 +65,11 @@ from .model import (
     CspInstance,
     Relation,
     SearchSpace,
-    enumerate_space,
 )
 from .oracle import (
     KINDS,
     OracleVerdict,
     PropertyQuery,
-    Transformation,
     all_queries,
     check_dependent,
     check_determined,
@@ -84,10 +80,8 @@ from .oracle import (
     check_irrelevant,
     check_removable,
     check_substitutable,
-    count_solutions,
     enumerate_solutions,
     evaluate,
-    is_solution_preserving,
     satisfiable,
     solution_table,
 )

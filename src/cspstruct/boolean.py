@@ -9,7 +9,6 @@ property checks built on two closure operations: instantiate-and-project
 
 from __future__ import annotations
 
-import abc
 import enum
 import itertools
 from collections.abc import Iterable, Mapping, Sequence
@@ -402,10 +401,11 @@ def _solve_affine(
 
 def _dispatch_sat(
     cls: SchaeferClass,
-    clauses: Sequence[Clause],
-    equations: Sequence[AffineEquation],
+    constraints: Sequence[BooleanConstraint],
     variables: Sequence[str],
 ) -> dict[str, bool] | None:
+    clauses = [c for c in constraints if isinstance(c, Clause)]
+    equations = [c for c in constraints if isinstance(c, AffineEquation)]
     if cls is SchaeferClass.AFFINE:
         if clauses:
             raise ClassMismatchError("affine solver cannot take clauses")
@@ -428,7 +428,7 @@ def sat_restricted(
     witness model, or None when unsatisfiable."""
     cls = _as_class(cls)
     _require_member(formula, cls)
-    return _dispatch_sat(cls, formula.clauses, formula.equations, formula.variables)
+    return _dispatch_sat(cls, formula.constraints, formula.variables)
 
 
 # ---------------------------------------------------------------------------
@@ -468,53 +468,6 @@ def complement_conjunction(
     return (AffineEquation(constraint.variables, not constraint.parity),)
 
 
-class ClosedLanguage(abc.ABC):
-    """A constraint language with tractable satisfiability that stays inside
-    itself under instantiation and complementation."""
-
-    @abc.abstractmethod
-    def satisfiable(
-        self, constraints: Sequence[BooleanConstraint], variables: Sequence[str]
-    ) -> bool:
-        """Decide satisfiability of a conjunction of language constraints."""
-
-    @abc.abstractmethod
-    def instantiate(
-        self, constraint: BooleanConstraint, variable: str, value: bool
-    ) -> tuple[BooleanConstraint, ...]:
-        """Rewrite one constraint with a variable pinned, as a conjunction."""
-
-    @abc.abstractmethod
-    def complement(
-        self, constraint: BooleanConstraint
-    ) -> tuple[BooleanConstraint, ...]:
-        """Rewrite the negation of one constraint as a conjunction."""
-
-
-class SchaeferLanguage(ClosedLanguage):
-    """The four boolean Schaefer classes as closed languages."""
-
-    def __init__(self, cls: SchaeferClass | str):
-        cls = _as_class(cls)
-        if cls is SchaeferClass.UNRESTRICTED:
-            raise ClassMismatchError("unrestricted is not a closed tractable language")
-        self.schaefer_class = cls
-
-    def satisfiable(self, constraints, variables):
-        clauses = [c for c in constraints if isinstance(c, Clause)]
-        equations = [c for c in constraints if isinstance(c, AffineEquation)]
-        return (
-            _dispatch_sat(self.schaefer_class, clauses, equations, tuple(variables))
-            is not None
-        )
-
-    def instantiate(self, constraint, variable, value):
-        return instantiate_project(constraint, variable, value)
-
-    def complement(self, constraint):
-        return complement_conjunction(constraint)
-
-
 # ---------------------------------------------------------------------------
 # Tractable property checks
 # ---------------------------------------------------------------------------
@@ -546,8 +499,7 @@ def _inconsistent(
     formula: BooleanFormula, cls: SchaeferClass, x: str, a: bool
 ) -> bool:
     remaining = tuple(v for v in formula.variables if v != x)
-    language = SchaeferLanguage(cls)
-    return not language.satisfiable(_instantiated(formula, x, a), remaining)
+    return _dispatch_sat(cls, _instantiated(formula, x, a), remaining) is None
 
 
 @lru_cache(maxsize=8192)
@@ -557,7 +509,6 @@ def _substitutable(
     # Not substitutable iff for some constraint c the instantiated problem at
     # a admits a solution violating c instantiated at b.
     remaining = tuple(v for v in formula.variables if v != x)
-    language = SchaeferLanguage(cls)
     base = _instantiated(formula, x, a)
     for c in formula.constraints:
         parts = instantiate_project(c, x, b)
@@ -565,8 +516,8 @@ def _substitutable(
             continue  # instantiation is true; its complement cannot be met
         if len(parts) > 1:
             raise ClassMismatchError("instantiation did not stay a single constraint")
-        negated = language.complement(parts[0])
-        if language.satisfiable(base + negated, remaining):
+        negated = complement_conjunction(parts[0])
+        if _dispatch_sat(cls, base + negated, remaining) is not None:
             return False
     return True
 
@@ -574,9 +525,8 @@ def _substitutable(
 @lru_cache(maxsize=8192)
 def _determined(formula: BooleanFormula, cls: SchaeferClass, x: str) -> bool:
     remaining = tuple(v for v in formula.variables if v != x)
-    language = SchaeferLanguage(cls)
     joint = _instantiated(formula, x, True) + _instantiated(formula, x, False)
-    return not language.satisfiable(joint, remaining)
+    return _dispatch_sat(cls, joint, remaining) is None
 
 
 def tract_check(
@@ -688,9 +638,3 @@ def _parity_of(combo: tuple[str, ...]) -> bool:
 def formula_space(formula: BooleanFormula) -> SearchSpace:
     return SearchSpace.full(to_extensional(formula))
 
-
-def clear_caches() -> None:
-    _instantiated.cache_clear()
-    _inconsistent.cache_clear()
-    _substitutable.cache_clear()
-    _determined.cache_clear()

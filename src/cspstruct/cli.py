@@ -6,18 +6,14 @@ arguments), ``simplify`` (run the reduction loop and print its step log),
 relationship catalog; nonzero exit on violations), ``gen`` (emit generated
 instances) and ``classify`` (Schaefer classification of a boolean file).
 
-Exit codes: 0 success, 1 check violations, 2 bad input or usage.  The
-``CSPSTRUCT_WORKERS`` environment variable caps the thread pool used for
-independent queries; report order is canonical regardless.
+Exit codes: 0 success, 1 check violations, 2 bad input or usage.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import boolean, hierarchy, local, oracle, report, simplify
@@ -63,22 +59,6 @@ def _load(path: str) -> tuple[CspInstance, SearchSpace, BooleanFormula | None, s
     return instance, SearchSpace.full(instance), formula, text
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("CSPSTRUCT_WORKERS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _run_queries(tasks, evaluate):
-    workers = _worker_count()
-    if workers == 1:
-        return [evaluate(task) for task in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(evaluate, tasks))
-
-
 def _guard_space(space: SearchSpace, cap: int) -> None:
     if space.size() > cap:
         raise _UsageError(
@@ -108,7 +88,7 @@ def _oracle_findings(instance, space, dep_max):
             elapsed,
         )
 
-    return _run_queries(queries, evaluate)
+    return [evaluate(query) for query in queries]
 
 
 def _local_findings(instance, space, group_size, dep_max):
@@ -130,7 +110,7 @@ def _local_findings(instance, space, group_size, dep_max):
             elapsed,
         )
 
-    return _run_queries(queries, evaluate)
+    return [evaluate(query) for query in queries]
 
 
 def _tractable_findings(formula, instance, space, dep_max):
@@ -155,7 +135,7 @@ def _tractable_findings(formula, instance, space, dep_max):
             elapsed,
         )
 
-    return _run_queries(queries, evaluate)
+    return [evaluate(query) for query in queries]
 
 
 def _cmd_analyze(args) -> int:
@@ -291,6 +271,7 @@ def _cmd_check(args) -> int:
     problems = []
     if args.corpus:
         for number, (instance, space) in enumerate(_parse_corpus_spec(args.corpus), 1):
+            _guard_space(space, args.max_space)
             found = _check_instance(
                 instance, space, None, args.group_size, args.dep_max, catalog
             )

@@ -119,9 +119,8 @@ class Relation:
 class Constraint:
     """A relation attached to an ordered list of scope variables.
 
-    The scope may not repeat variables.  Empty scopes are legal for values
-    produced by the relational algebra (projection to nothing); instances
-    only ever hold constraints with at least one scope variable.
+    The scope may not repeat variables.  An empty scope is legal here, but
+    instances only ever hold constraints with at least one scope variable.
     """
 
     name: str
@@ -156,35 +155,6 @@ class Constraint:
                 f"tuple does not bind scope variable {exc.args[0]!r} of {self.name!r}"
             ) from None
         return projected in self.relation.rows
-
-    def select(self, variable: str, value: str, mode: str = "eq") -> "Constraint":
-        """Keep rows whose column for ``variable`` equals (``eq``) or differs
-        from (``neq``) the given value."""
-        if mode not in ("eq", "neq"):
-            raise ValueError(f"selection mode must be 'eq' or 'neq', got {mode!r}")
-        i = self.column(variable)
-        if mode == "eq":
-            rows = frozenset(r for r in self.relation.rows if r[i] == value)
-        else:
-            rows = frozenset(r for r in self.relation.rows if r[i] != value)
-        return Constraint(self.name, self.scope, Relation(self.relation.arity, rows))
-
-    def project(self, variables: Iterable[str]) -> "Constraint":
-        """Restrict every row to the given scope subset (duplicates collapse)."""
-        wanted = tuple(variables)
-        extra = [v for v in wanted if v not in self.scope]
-        if extra:
-            raise ValueError(f"cannot project onto non-scope variable(s) {extra}")
-        positions = tuple(self.scope.index(v) for v in wanted)
-        rows = frozenset(tuple(r[p] for p in positions) for r in self.relation.rows)
-        return Constraint(self.name, wanted, Relation(len(wanted), rows))
-
-    def complement(self, domain: Iterable[str]) -> "Constraint":
-        """All rows over the domain that are not in this relation."""
-        dom = tuple(domain)
-        everything = set(itertools.product(dom, repeat=self.relation.arity))
-        rows = frozenset(everything - self.relation.rows)
-        return Constraint(self.name, self.scope, Relation(self.relation.arity, rows))
 
 
 @dataclass(frozen=True)
@@ -358,10 +328,3 @@ def iter_rows(space: SearchSpace) -> Iterator[Row]:
     """Raw value rows of the space, in (variable order, value order)."""
     return itertools.product(*(values for _, values in space.entries))
 
-
-def enumerate_space(space: SearchSpace) -> Iterator[AssignmentTuple]:
-    """Yield every tuple of the space exactly once, lexicographically by
-    variable declaration order and active value order."""
-    names = space.variables
-    for row in iter_rows(space):
-        yield AssignmentTuple(zip(names, row))

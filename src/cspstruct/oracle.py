@@ -5,17 +5,14 @@ or propagated, so the answers are trustworthy (if exponential) and every
 faster detector in this package is validated against them.  Checks stop at
 the first counterexample; since enumeration follows declaration order, a
 reported counterexample is always the lexicographically least one.
-
 Value quantifiers ("some other value b", "every value a") range over the
-variable's *active* values by default.  Pass ``values_from_domain=True`` to
-quantify over the whole domain instead; on the full search space the two
-conventions coincide.
+variable's active values.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -118,23 +115,19 @@ class PropertyQuery:
 class SolutionTable:
     """Cached exhaustive enumeration of Sol(C) within a search space."""
 
-    __slots__ = ("order", "index", "actives", "domain", "rows", "members", "checks")
+    __slots__ = ("order", "index", "actives", "rows", "members")
 
     def __init__(
         self,
         order: tuple[str, ...],
         actives: tuple[tuple[str, ...], ...],
-        domain: tuple[str, ...],
         rows: tuple[Row, ...],
-        checks: tuple[tuple[tuple[int, ...], frozenset[Row]], ...],
     ):
         self.order = order
         self.index = {v: i for i, v in enumerate(order)}
         self.actives = actives
-        self.domain = domain
         self.rows = rows
         self.members = frozenset(rows)
-        self.checks = checks
 
     def wrap(self, row: Row) -> AssignmentTuple:
         return AssignmentTuple(zip(self.order, row))
@@ -145,160 +138,91 @@ def _require_cover(instance: CspInstance, space: SearchSpace) -> None:
         raise ValueError("search space must cover exactly the instance variables")
 
 
-@lru_cache(maxsize=512)
-def solution_table(instance: CspInstance, space: SearchSpace) -> SolutionTable:
-    """Enumerate all solutions inside the space once and cache the result."""
+def _solution_rows(instance: CspInstance, space: SearchSpace) -> Iterator[Row]:
+    """Every row of the space that satisfies all constraints, in enumeration
+    order: a plain product over the space, each row checked in full."""
     _require_cover(instance, space)
     checks = tuple(
         (pos, c.relation.rows)
         for c, pos in zip(instance.constraints, instance.scope_positions)
     )
-    rows = []
     for raw in iter_rows(space):
-        ok = True
         for pos, members in checks:
             if tuple([raw[p] for p in pos]) not in members:
-                ok = False
                 break
-        if ok:
-            rows.append(raw)
+        else:
+            yield raw
+
+
+@lru_cache(maxsize=512)
+def solution_table(instance: CspInstance, space: SearchSpace) -> SolutionTable:
+    """Enumerate all solutions inside the space once and cache the result."""
+    rows = tuple(_solution_rows(instance, space))
     actives = tuple(space.values(v) for v in instance.variables)
-    return SolutionTable(instance.variables, actives, instance.domain, tuple(rows), checks)
+    return SolutionTable(instance.variables, actives, rows)
 
 
 def enumerate_solutions(
     instance: CspInstance, space: SearchSpace
 ) -> Iterator[AssignmentTuple]:
     """Stream the solutions inside the space, in enumeration order."""
-    _require_cover(instance, space)
-    checks = tuple(
-        (pos, c.relation.rows)
-        for c, pos in zip(instance.constraints, instance.scope_positions)
-    )
     names = instance.variables
-    for raw in iter_rows(space):
-        ok = True
-        for pos, members in checks:
-            if tuple([raw[p] for p in pos]) not in members:
-                ok = False
-                break
-        if ok:
-            yield AssignmentTuple(zip(names, raw))
+    for raw in _solution_rows(instance, space):
+        yield AssignmentTuple(zip(names, raw))
 
 
 def satisfiable(instance: CspInstance, space: SearchSpace) -> bool:
     """Brute-force satisfiability inside the space (early exit on success)."""
-    _require_cover(instance, space)
-    checks = tuple(
-        (pos, c.relation.rows)
-        for c, pos in zip(instance.constraints, instance.scope_positions)
-    )
-    for raw in iter_rows(space):
-        ok = True
-        for pos, members in checks:
-            if tuple([raw[p] for p in pos]) not in members:
-                ok = False
-                break
-        if ok:
-            return True
-    return False
+    return next(_solution_rows(instance, space), None) is not None
 
 
-def count_solutions(instance: CspInstance, space: SearchSpace) -> int:
-    return len(solution_table(instance, space).rows)
+def _falsifying_rows(tbl: SolutionTable, query: PropertyQuery) -> Iterator[Row]:
+    """The solution rows that falsify the query, lazily and in table order
+    (for interchangeability, the a->b failures before the b->a ones); the
+    property holds iff there are none.  A row may repeat.  Every rewritten
+    row stays inside the space, so Sol(C) membership is a set lookup."""
+    i = tbl.index[query.variable]
+    active = tbl.actives[i]
+    rows = tbl.rows
+    members = tbl.members
+
+    def solution_with(row: Row, value: str) -> bool:
+        return row[:i] + (value,) + row[i + 1 :] in members
+
+    def not_substitutable(a: str, b: str) -> Iterator[Row]:
+        return (row for row in rows if row[i] == a and not solution_with(row, b))
+
+    kind = query.kind
+    if kind == "substitutable":
+        return not_substitutable(*query.values)
+    if kind == "interchangeable":
+        a, b = query.values
+        return itertools.chain(not_substitutable(a, b), not_substitutable(b, a))
+    if kind == "determined":
+        return (
+            row for row in rows for b in active if b != row[i] and solution_with(row, b)
+        )
+    if kind == "irrelevant":
+        return (row for row in rows for b in active if not solution_with(row, b))
+    (a,) = query.values
+    if kind == "fixable":
+        return (row for row in rows if row[i] != a and not solution_with(row, a))
+    if kind == "removable":
+        others = tuple(b for b in active if b != a)
+        return (
+            row
+            for row in rows
+            if row[i] == a and not any(solution_with(row, b) for b in others)
+        )
+    if kind == "inconsistent":
+        return (row for row in rows if row[i] == a)
+    return (row for row in rows if row[i] != a)  # implied
 
 
-def _is_solution_row(tbl: SolutionTable, row: Row) -> bool:
-    # Membership in Sol(C) regardless of the space; rows inside the space
-    # resolve via the cached set, others via direct constraint evaluation.
-    if row in tbl.members:
-        return True
-    for i, value in enumerate(row):
-        if value not in tbl.actives[i]:
-            for pos, members in tbl.checks:
-                if tuple([row[p] for p in pos]) not in members:
-                    return False
-            return True
-    return False
-
-
-def _rewrite(row: Row, i: int, value: str) -> Row:
-    return row[:i] + (value,) + row[i + 1 :]
-
-
-def _candidates(tbl: SolutionTable, i: int, from_domain: bool) -> tuple[str, ...]:
-    return tbl.domain if from_domain else tbl.actives[i]
-
-
-# Each _check_* returns (holds, witness_rows); a witness is the first
-# solution row (pair, for dependence) falsifying the property.
-
-
-def _check_fixable(tbl: SolutionTable, x: str, a: str) -> tuple[bool, tuple[Row, ...]]:
-    i = tbl.index[x]
-    for row in tbl.rows:
-        if row[i] == a:
-            continue
-        if not _is_solution_row(tbl, _rewrite(row, i, a)):
-            return False, (row,)
-    return True, ()
-
-
-def _check_substitutable(
-    tbl: SolutionTable, x: str, a: str, b: str
-) -> tuple[bool, tuple[Row, ...]]:
-    i = tbl.index[x]
-    for row in tbl.rows:
-        if row[i] == a and not _is_solution_row(tbl, _rewrite(row, i, b)):
-            return False, (row,)
-    return True, ()
-
-
-def _check_removable(
-    tbl: SolutionTable, x: str, a: str, from_domain: bool
-) -> tuple[bool, tuple[Row, ...]]:
-    i = tbl.index[x]
-    alternatives = tuple(v for v in _candidates(tbl, i, from_domain) if v != a)
-    for row in tbl.rows:
-        if row[i] != a:
-            continue
-        if not any(_is_solution_row(tbl, _rewrite(row, i, b)) for b in alternatives):
-            return False, (row,)
-    return True, ()
-
-
-def _check_inconsistent(
-    tbl: SolutionTable, x: str, a: str
-) -> tuple[bool, tuple[Row, ...]]:
-    i = tbl.index[x]
-    for row in tbl.rows:
-        if row[i] == a:
-            return False, (row,)
-    return True, ()
-
-
-def _check_implied(tbl: SolutionTable, x: str, a: str) -> tuple[bool, tuple[Row, ...]]:
-    i = tbl.index[x]
-    for row in tbl.rows:
-        if row[i] != a:
-            return False, (row,)
-    return True, ()
-
-
-def _check_determined(
-    tbl: SolutionTable, x: str, from_domain: bool
-) -> tuple[bool, tuple[Row, ...]]:
-    i = tbl.index[x]
-    for row in tbl.rows:
-        for b in _candidates(tbl, i, from_domain):
-            if b != row[i] and _is_solution_row(tbl, _rewrite(row, i, b)):
-                return False, (row,)
-    return True, ()
-
-
-def _check_dependent(
+def _dependence_pair(
     tbl: SolutionTable, over: tuple[str, ...], y: str
-) -> tuple[bool, tuple[Row, ...]]:
+) -> tuple[Row, ...]:
+    """The first two solution rows that agree on ``over`` but not on y."""
     iy = tbl.index[y]
     positions = tuple(tbl.index[v] for v in over)
     seen: dict[Row, Row] = {}
@@ -308,19 +232,8 @@ def _check_dependent(
         if first is None:
             seen[key] = row
         elif first[iy] != row[iy]:
-            return False, (first, row)
-    return True, ()
-
-
-def _check_irrelevant(
-    tbl: SolutionTable, x: str, from_domain: bool
-) -> tuple[bool, tuple[Row, ...]]:
-    i = tbl.index[x]
-    for row in tbl.rows:
-        for a in _candidates(tbl, i, from_domain):
-            if a != row[i] and not _is_solution_row(tbl, _rewrite(row, i, a)):
-                return False, (row,)
-    return True, ()
+            return first, row
+    return ()
 
 
 def _validate_variable(instance: CspInstance, variable: str) -> None:
@@ -340,12 +253,11 @@ class OracleVerdict:
 
 
 def evaluate(
-    instance: CspInstance,
-    space: SearchSpace,
-    query: PropertyQuery,
-    values_from_domain: bool = False,
+    instance: CspInstance, space: SearchSpace, query: PropertyQuery
 ) -> OracleVerdict:
-    """Decide one property query exhaustively, with counterexample evidence."""
+    """Decide one property query exhaustively, with counterexample evidence:
+    the first falsifying solution row in enumeration order (the first
+    falsifying pair, for dependence)."""
     _require_cover(instance, space)
     _validate_variable(instance, query.variable)
     for v in query.over:
@@ -353,30 +265,13 @@ def evaluate(
     for value in query.values:
         _validate_value(space, query.variable, value)
     tbl = solution_table(instance, space)
-    kind = query.kind
-    x = query.variable
-    if kind == "fixable":
-        holds, witness = _check_fixable(tbl, x, query.values[0])
-    elif kind == "substitutable":
-        holds, witness = _check_substitutable(tbl, x, *query.values)
-    elif kind == "interchangeable":
-        a, b = query.values
-        holds, witness = _check_substitutable(tbl, x, a, b)
-        if holds:
-            holds, witness = _check_substitutable(tbl, x, b, a)
-    elif kind == "removable":
-        holds, witness = _check_removable(tbl, x, query.values[0], values_from_domain)
-    elif kind == "inconsistent":
-        holds, witness = _check_inconsistent(tbl, x, query.values[0])
-    elif kind == "implied":
-        holds, witness = _check_implied(tbl, x, query.values[0])
-    elif kind == "determined":
-        holds, witness = _check_determined(tbl, x, values_from_domain)
-    elif kind == "dependent":
-        holds, witness = _check_dependent(tbl, query.over, x)
-    else:
-        holds, witness = _check_irrelevant(tbl, x, values_from_domain)
-    return OracleVerdict(query, holds, tuple(tbl.wrap(r) for r in witness))
+    if query.kind == "dependent":
+        witness = _dependence_pair(tbl, query.over, query.variable)
+        return OracleVerdict(query, not witness, tuple(map(tbl.wrap, witness)))
+    witness = next(_falsifying_rows(tbl, query), None)
+    if witness is None:
+        return OracleVerdict(query, True)
+    return OracleVerdict(query, False, (tbl.wrap(witness),))
 
 
 def check_fixable(
@@ -398,15 +293,9 @@ def check_interchangeable(
 
 
 def check_removable(
-    instance: CspInstance,
-    space: SearchSpace,
-    x: str,
-    a: str,
-    values_from_domain: bool = False,
+    instance: CspInstance, space: SearchSpace, x: str, a: str
 ) -> bool:
-    return evaluate(
-        instance, space, PropertyQuery.removable(x, a), values_from_domain
-    ).holds
+    return evaluate(instance, space, PropertyQuery.removable(x, a)).holds
 
 
 def check_inconsistent(
@@ -419,15 +308,8 @@ def check_implied(instance: CspInstance, space: SearchSpace, x: str, a: str) -> 
     return evaluate(instance, space, PropertyQuery.implied(x, a)).holds
 
 
-def check_determined(
-    instance: CspInstance,
-    space: SearchSpace,
-    x: str,
-    values_from_domain: bool = False,
-) -> bool:
-    return evaluate(
-        instance, space, PropertyQuery.determined(x), values_from_domain
-    ).holds
+def check_determined(instance: CspInstance, space: SearchSpace, x: str) -> bool:
+    return evaluate(instance, space, PropertyQuery.determined(x)).holds
 
 
 def check_dependent(
@@ -436,124 +318,8 @@ def check_dependent(
     return evaluate(instance, space, PropertyQuery.dependent(over, y)).holds
 
 
-def check_irrelevant(
-    instance: CspInstance,
-    space: SearchSpace,
-    x: str,
-    values_from_domain: bool = False,
-) -> bool:
-    return evaluate(
-        instance, space, PropertyQuery.irrelevant(x), values_from_domain
-    ).holds
-
-
-class Transformation:
-    """A total self-map of the search space.
-
-    Canonical forms: pin a variable to one value, replace one value by
-    another, or swap two values; arbitrary maps are given as tables.
-    """
-
-    ASSIGN = "assign"
-    REPLACE = "replace"
-    SWAP = "swap"
-    IDENTITY = "identity"
-    TABLE = "table"
-
-    __slots__ = ("kind", "variable", "values", "table")
-
-    def __init__(self, kind, variable=None, values=(), table=None):
-        self.kind = kind
-        self.variable = variable
-        self.values = tuple(values)
-        self.table = table
-
-    @classmethod
-    def assign_value(cls, x: str, a: str) -> "Transformation":
-        """t -> t[x := a]."""
-        return cls(cls.ASSIGN, x, (a,))
-
-    @classmethod
-    def replace_value(cls, x: str, a: str, b: str) -> "Transformation":
-        """t -> t[x := b] when t binds x to a, else t."""
-        return cls(cls.REPLACE, x, (a, b))
-
-    @classmethod
-    def swap_values(cls, x: str, a: str, b: str) -> "Transformation":
-        """t -> t with a and b exchanged on x, else t."""
-        return cls(cls.SWAP, x, (a, b))
-
-    @classmethod
-    def identity(cls) -> "Transformation":
-        return cls(cls.IDENTITY)
-
-    @classmethod
-    def from_table(
-        cls, table: Mapping[AssignmentTuple, AssignmentTuple]
-    ) -> "Transformation":
-        return cls(cls.TABLE, table=dict(table))
-
-    def apply(self, t: AssignmentTuple) -> AssignmentTuple:
-        if self.kind == self.IDENTITY:
-            return t
-        if self.kind == self.ASSIGN:
-            return t.assign(self.variable, self.values[0])
-        if self.kind == self.REPLACE:
-            a, b = self.values
-            return t.assign(self.variable, b) if t[self.variable] == a else t
-        if self.kind == self.SWAP:
-            a, b = self.values
-            if t[self.variable] == a:
-                return t.assign(self.variable, b)
-            if t[self.variable] == b:
-                return t.assign(self.variable, a)
-            return t
-        image = self.table.get(t)
-        if image is None:
-            raise ValueError(f"transformation table is partial: no image for {t!r}")
-        return image
-
-    def _apply_row(self, row: Row, i: int) -> Row:
-        if self.kind == self.ASSIGN:
-            return _rewrite(row, i, self.values[0])
-        if self.kind == self.REPLACE:
-            a, b = self.values
-            return _rewrite(row, i, b) if row[i] == a else row
-        a, b = self.values
-        if row[i] == a:
-            return _rewrite(row, i, b)
-        if row[i] == b:
-            return _rewrite(row, i, a)
-        return row
-
-
-def is_solution_preserving(
-    instance: CspInstance, space: SearchSpace, transform: Transformation
-) -> bool:
-    """True iff the transformation maps every solution in the space to a
-    solution."""
-    _require_cover(instance, space)
-    if transform.kind == Transformation.IDENTITY:
-        return True
-    tbl = solution_table(instance, space)
-    if transform.kind == Transformation.TABLE:
-        space_vars = set(space.variables)
-        for row in tbl.rows:
-            image = transform.apply(tbl.wrap(row))
-            if set(image.variables) != space_vars or not space.contains(image):
-                raise ValueError("transformation image leaves the search space")
-            if image.values_over(tbl.order) not in tbl.members:
-                return False
-        return True
-    x = transform.variable
-    _validate_variable(instance, x)
-    for value in transform.values:
-        _validate_value(space, x, value)
-    i = tbl.index[x]
-    for row in tbl.rows:
-        if transform._apply_row(row, i) not in tbl.members:
-            return False
-    return True
+def check_irrelevant(instance: CspInstance, space: SearchSpace, x: str) -> bool:
+    return evaluate(instance, space, PropertyQuery.irrelevant(x)).holds
 
 
 def all_queries(
@@ -602,7 +368,3 @@ def all_queries(
                     )
     return queries
 
-
-def clear_caches() -> None:
-    """Drop the memoized solution tables (mostly useful in long test runs)."""
-    solution_table.cache_clear()

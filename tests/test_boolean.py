@@ -10,7 +10,6 @@ from cspstruct.boolean import (
     Clause,
     Literal,
     SchaeferClass,
-    SchaeferLanguage,
     UnsupportedQueryError,
     classify_schaefer,
     clause_of,
@@ -278,19 +277,6 @@ def _boolean_queries(formula):
                 yield Q.interchangeable(x, a, b)
         yield Q.determined(x)
         yield Q.irrelevant(x)
-
-
-class TestClosedLanguage:
-    def test_unrestricted_rejected(self):
-        with pytest.raises(ClassMismatchError):
-            SchaeferLanguage(SchaeferClass.UNRESTRICTED)
-
-    def test_language_round_trip(self):
-        language = SchaeferLanguage("horn")
-        c = clause(("a", False), ("b", True))
-        assert language.instantiate(c, "a", True) == (clause(("b", True)),)
-        assert language.complement(c) == (clause(("a", True)), clause(("b", False)))
-        assert language.satisfiable((c,), ("a", "b"))
 
 
 class TestToExtensional:

@@ -54,12 +54,6 @@ class TestAnalyze:
         assert isinstance(parsed, AnalysisReport)
         assert to_json(parsed) == out.rstrip("\n")
 
-    def test_worker_cap_keeps_canonical_order(self, capsys, monkeypatch):
-        _, sequential, _ = run(capsys, "analyze", str(data_path("coloring_isolated.csp")), "--method", "oracle")
-        monkeypatch.setenv("CSPSTRUCT_WORKERS", "4")
-        _, parallel, _ = run(capsys, "analyze", str(data_path("coloring_isolated.csp")), "--method", "oracle")
-        assert sequential == parallel
-
     def test_space_cap_refusal(self, capsys, tmp_path):
         big = tmp_path / "big.csp"
         big.write_text("csp 1\nvars: " + " ".join(f"x{i}" for i in range(30)) + "\ndomain: 0 1\n")
@@ -123,6 +117,11 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--corpus", "seeds=1..40")
         assert code == 0
         assert "all checks passed" in out
+
+    def test_corpus_space_cap_refusal(self, capsys):
+        code, _, err = run(capsys, "check", "--corpus", "seeds=1..1", "--max-space", "100")
+        assert code == 2
+        assert "cap" in err
 
     def test_default_corpus_spec_matches_standard_corpus(self):
         from cspstruct.cli import _parse_corpus_spec

@@ -10,10 +10,8 @@ from cspstruct.model import (
     CspInstance,
     Relation,
     SearchSpace,
-    enumerate_space,
+    iter_rows,
 )
-
-NE_ROWS = [(a, b) for a in "RGB" for b in "RGB" if a != b]
 
 
 def make_constraint(name, scope, rows):
@@ -24,11 +22,6 @@ def make_constraint(name, scope, rows):
 def c1():
     # first table of the substitutability fixture
     return make_constraint("c1", "xy", [("0", "1"), ("1", "2"), ("2", "1"), ("2", "2")])
-
-
-@pytest.fixture
-def c2():
-    return make_constraint("c2", "xz", [("1", "0"), ("1", "2"), ("2", "0"), ("2", "2")])
 
 
 class TestAssignmentTuple:
@@ -81,105 +74,23 @@ class TestSatisfies:
             c1.satisfied_by(AssignmentTuple({"x": "1"}))
 
 
-class TestSelect:
-    def test_eq(self, c2):
-        assert c2.select("x", "1").relation.rows == {("1", "0"), ("1", "2")}
-
-    def test_eq_empty(self, c2):
-        assert c2.select("x", "0").relation.rows == frozenset()
-
-    def test_partition(self, c2):
-        eq = c2.select("x", "1").relation.rows
-        neq = c2.select("x", "1", mode="neq").relation.rows
-        assert eq | neq == c2.relation.rows
-        assert not eq & neq
-
-    def test_bad_mode_and_bad_variable(self, c2):
-        with pytest.raises(ValueError, match="mode"):
-            c2.select("x", "1", mode="lt")
-        with pytest.raises(ValueError, match="not in the scope"):
-            c2.select("y", "1")
-
-
-class TestProject:
-    def test_single_column(self, c2):
-        assert c2.project(["z"]).relation.rows == {("0",), ("2",)}
-
-    def test_identity(self, c2):
-        assert c2.project(c2.scope).relation == c2.relation
-
-    def test_empty_projection_of_nonempty(self, c2):
-        projected = c2.project([])
-        assert projected.relation.arity == 0
-        assert projected.relation.rows == {()}
-
-    def test_non_scope_variable(self, c2):
-        with pytest.raises(ValueError, match="non-scope"):
-            c2.project(["y"])
-
-
-class TestComplement:
-    def test_not_equal_complement_is_diagonal(self):
-        ne = make_constraint("NE", ["u", "v"], NE_ROWS)
-        assert ne.complement("RGB").relation.rows == {
-            ("R", "R"),
-            ("G", "G"),
-            ("B", "B"),
-        }
-
-    def test_involution(self, c1):
-        assert c1.complement("012").complement("012").relation == c1.relation
-
-    def test_empty_relation(self):
-        empty = make_constraint("none", "xy", [])
-        assert len(empty.complement("01").relation.rows) == 4
-
-
-@st.composite
-def small_relations(draw):
-    domain = tuple("0123"[: draw(st.integers(1, 4))])
-    arity = draw(st.integers(1, 3))
-    universe = list(itertools.product(domain, repeat=arity))
-    rows = draw(st.sets(st.sampled_from(universe)))
-    scope = tuple(f"v{i}" for i in range(arity))
-    return domain, Constraint("r", scope, Relation.of(arity, rows))
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_relations(), st.data())
-def test_partition_property(relation_case, data):
-    domain, constraint = relation_case
-    x = data.draw(st.sampled_from(constraint.scope))
-    a = data.draw(st.sampled_from(domain))
-    eq = constraint.select(x, a).relation.rows
-    neq = constraint.select(x, a, mode="neq").relation.rows
-    assert eq | neq == constraint.relation.rows and not eq & neq
-
-
-@settings(max_examples=60, deadline=None)
-@given(relation_case=small_relations())
-def test_complement_involution_property(relation_case):
-    domain, constraint = relation_case
-    assert constraint.complement(domain).complement(domain).relation == constraint.relation
-
-
 class TestSearchSpace:
     def test_full_and_size(self, tiny_instance=None):
         inst = CspInstance(tuple(f"x{i}" for i in range(5)), ("R", "G", "B"))
         space = SearchSpace.full(inst)
         assert space.size() == 243
-        assert sum(1 for _ in enumerate_space(space)) == 243
+        assert sum(1 for _ in iter_rows(space)) == 243
 
     def test_singletons_give_one_tuple(self):
         inst = CspInstance(("a", "b"), ("0", "1"))
         space = SearchSpace.over(inst, {"a": ["1"], "b": ["0"]})
-        assert [dict(t) for t in enumerate_space(space)] == [{"a": "1", "b": "0"}]
+        assert list(iter_rows(space)) == [("1", "0")]
 
     def test_enumeration_is_deterministic(self):
         inst = CspInstance(("a", "b", "c"), ("0", "1", "2"))
         space = SearchSpace.full(inst)
-        first = [t.values_over(inst.variables) for t in enumerate_space(space)]
-        second = [t.values_over(inst.variables) for t in enumerate_space(space)]
+        first = list(iter_rows(space))
+        second = list(iter_rows(space))
         assert first == second
         assert first[0] == ("0", "0", "0") and first[-1] == ("2", "2", "2")
 
@@ -225,7 +136,7 @@ def test_enumeration_cardinality(var_count, dom_size, data):
     for v in inst.variables:
         expected *= len(space.values(v))
     assert space.size() == expected
-    assert sum(1 for _ in enumerate_space(space)) == expected
+    assert sum(1 for _ in iter_rows(space)) == expected
 
 
 class TestInstanceValidation:

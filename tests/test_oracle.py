@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -12,7 +13,6 @@ from cspstruct.model import (
 )
 from cspstruct.oracle import (
     PropertyQuery,
-    Transformation,
     all_queries,
     check_dependent,
     check_determined,
@@ -23,11 +23,10 @@ from cspstruct.oracle import (
     check_irrelevant,
     check_removable,
     check_substitutable,
-    count_solutions,
     enumerate_solutions,
     evaluate,
-    is_solution_preserving,
     satisfiable,
+    solution_table,
 )
 
 
@@ -51,12 +50,63 @@ def independent_coloring_count():
     return count
 
 
+def reference_solutions(inst, space):
+    """Sol(C) inside the space, straight from the product of active sets."""
+    names = space.variables
+    product = itertools.product(*(space.values(v) for v in names))
+    tuples = (AssignmentTuple(zip(names, row)) for row in product)
+    return [t for t in tuples if inst.is_solution(t)]
+
+
+def reference_verdict(inst, space, solutions, query):
+    """(holds, counterexamples) from the definitions: the witness is the
+    first solution falsifying the property, in enumeration order."""
+    x = query.variable
+    active = space.values(x)
+
+    def solution_with(t, value):
+        return inst.is_solution(t.assign(x, value))
+
+    if query.kind == "dependent":
+        for t in solutions:
+            first = next(u for u in solutions if all(u[v] == t[v] for v in query.over))
+            if first[x] != t[x]:
+                return False, (first, t)
+        return True, ()
+    if query.kind in ("substitutable", "interchangeable"):
+        a, b = query.values
+        directions = [(a, b), (b, a)] if query.kind == "interchangeable" else [(a, b)]
+        falsifiers = [
+            lambda t, a=a, b=b: t[x] == a and not solution_with(t, b) for a, b in directions
+        ]
+    elif query.kind == "determined":
+        falsifiers = [lambda t: any(solution_with(t, b) for b in active if b != t[x])]
+    elif query.kind == "irrelevant":
+        falsifiers = [lambda t: not all(solution_with(t, b) for b in active)]
+    else:
+        (a,) = query.values
+        falsifiers = [
+            {
+                "fixable": lambda t: not solution_with(t, a),
+                "removable": lambda t: t[x] == a
+                and not any(solution_with(t, b) for b in active if b != a),
+                "inconsistent": lambda t: t[x] == a,
+                "implied": lambda t: t[x] != a,
+            }[query.kind]
+        ]
+    for falsifies in falsifiers:
+        for t in solutions:
+            if falsifies(t):
+                return False, (t,)
+    return True, ()
+
+
 class TestEnumerateSolutions:
     def test_coloring_count_against_independent_enumeration(self, coloring):
         inst, space = coloring
         sols = list(enumerate_solutions(inst, space))
         assert len(sols) == 3 * independent_coloring_count() == 36
-        assert count_solutions(inst, space) == 36
+        assert len(solution_table(inst, space).rows) == 36
 
     def test_no_constraints_yields_whole_space(self):
         inst = free_instance()
@@ -122,7 +172,6 @@ class TestVacuity:
                     assert check_substitutable(inst, space, x, a, b)
                     assert check_interchangeable(inst, space, x, a, b)
         assert check_dependent(inst, space, ("a",), "b")
-        assert is_solution_preserving(inst, space, Transformation.assign_value("a", "0"))
 
     def test_implied_everywhere_simultaneously(self):
         inst = unsat_instance()
@@ -169,7 +218,7 @@ class TestDependence:
 
     def test_unique_solution_instance_fully_dependent(self, removability_trap):
         inst, space = removability_trap
-        assert count_solutions(inst, space) == 1
+        assert len(solution_table(inst, space).rows) == 1
         for y in inst.variables:
             rest = tuple(v for v in inst.variables if v != y)
             assert check_dependent(inst, space, rest, y)
@@ -191,8 +240,6 @@ class TestImpliedInconsistentLink:
 
 class TestMonotonicity:
     def test_restricting_other_variables_preserves_inconsistency(self, corpus):
-        import random
-
         rng = random.Random(7)
         for inst, space in corpus[:60]:
             x = inst.variables[0]
@@ -203,50 +250,6 @@ class TestMonotonicity:
             keep = rng.sample(space.values(y), 2)
             narrowed = SearchSpace.over(inst, {y: keep})
             assert check_inconsistent(inst, narrowed, x, a)
-
-
-class TestTransformations:
-    def test_identity_always_preserves(self, coloring):
-        inst, space = coloring
-        assert is_solution_preserving(inst, space, Transformation.identity())
-
-    def test_swap_on_isolated_node(self, coloring):
-        inst, space = coloring
-        assert is_solution_preserving(
-            inst, space, Transformation.swap_values("x1", "R", "G")
-        )
-
-    def test_canonical_equivalences_on_corpus(self, corpus):
-        for inst, space in corpus:
-            for x in inst.variables:
-                active = space.values(x)
-                for a in active:
-                    assert is_solution_preserving(
-                        inst, space, Transformation.assign_value(x, a)
-                    ) == check_fixable(inst, space, x, a)
-                for a, b in itertools.combinations(active, 2):
-                    assert is_solution_preserving(
-                        inst, space, Transformation.replace_value(x, a, b)
-                    ) == check_substitutable(inst, space, x, a, b)
-                    assert is_solution_preserving(
-                        inst, space, Transformation.swap_values(x, a, b)
-                    ) == check_interchangeable(inst, space, x, a, b)
-
-    def test_partial_table_rejected(self):
-        inst = free_instance()
-        space = SearchSpace.full(inst)
-        table = {AssignmentTuple({"a": "0", "b": "0"}): AssignmentTuple({"a": "0", "b": "0"})}
-        with pytest.raises(ValueError, match="partial"):
-            is_solution_preserving(inst, space, Transformation.from_table(table))
-
-    def test_table_transformation(self):
-        inst = free_instance()
-        space = SearchSpace.full(inst)
-        flip = {
-            t: t.assign("a", "1" if t["a"] == "0" else "0")
-            for t in (AssignmentTuple({"a": a, "b": b}) for a in "01" for b in "01")
-        }
-        assert is_solution_preserving(inst, space, Transformation.from_table(flip))
 
 
 class TestEvidence:
@@ -262,6 +265,20 @@ class TestEvidence:
         verdict = evaluate(inst, space, PropertyQuery.dependent(("x2",), "x5"))
         assert not verdict.holds
         assert len(verdict.counterexamples) == 2
+
+    def test_every_kind_matches_definition_reference(self, corpus):
+        rng = random.Random(11)
+        for inst, full in corpus[:40]:
+            narrowed = full
+            for x in rng.sample(inst.variables, 2):
+                if len(narrowed.values(x)) > 1:
+                    narrowed = narrowed.remove(x, rng.choice(narrowed.values(x)))
+            for space in (full, narrowed):
+                solutions = reference_solutions(inst, space)
+                for query in all_queries(inst, space, dep_max=2):
+                    verdict = evaluate(inst, space, query)
+                    expected = reference_verdict(inst, space, solutions, query)
+                    assert (verdict.holds, verdict.counterexamples) == expected, query
 
 
 class TestPreconditions:
@@ -291,26 +308,6 @@ class TestPreconditions:
             PropertyQuery("fixable", "x", ())
         with pytest.raises(ValueError, match="unknown property kind"):
             PropertyQuery("magic", "x")
-
-
-class TestDomainQuantificationFlag:
-    def test_coincides_on_full_space(self, corpus):
-        for inst, space in corpus[:25]:
-            for x in inst.variables:
-                assert check_determined(inst, space, x) == check_determined(
-                    inst, space, x, values_from_domain=True
-                )
-                assert check_irrelevant(inst, space, x) == check_irrelevant(
-                    inst, space, x, values_from_domain=True
-                )
-
-    def test_domain_witness_outside_active_set(self):
-        # A removal witness that exists in the domain but not in the space.
-        keep = Constraint("keep", ("a",), Relation.of(1, [("0",), ("2",)]))
-        inst = CspInstance(("a",), ("0", "1", "2"), (keep,))
-        space = SearchSpace.over(inst, {"a": ["0", "1"]})
-        assert not check_removable(inst, space, "a", "0")
-        assert check_removable(inst, space, "a", "0", values_from_domain=True)
 
 
 class TestAllQueries:
