@@ -154,6 +154,8 @@ def _cmd_analyze(args) -> int:
             _guard_space(space, args.max_space)
             findings.extend(_oracle_findings(instance, space, args.dep_max))
         elif method == "local":
+            if args.group_size > 1:
+                _guard_space(space, args.max_space)
             findings.extend(_local_findings(instance, space, args.group_size, args.dep_max))
         else:
             findings.extend(_tractable_findings(formula, instance, space, args.dep_max))
@@ -169,6 +171,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_simplify(args) -> int:
     instance, space, formula, _text = _load(args.file)
+    if args.mode == "test" or args.group_size > 1:
+        _guard_space(space, args.max_space)
     result = simplify.simplify_fixpoint(
         instance, space, mode=args.mode, formula=formula, group_size=args.group_size
     )
@@ -374,6 +378,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simp.add_argument("file")
     simp.add_argument("--mode", choices=("production", "test"), default="production")
     simp.add_argument("--group-size", type=int, default=1)
+    simp.add_argument("--max-space", type=int, default=DEFAULT_MAX_SPACE)
     simp.add_argument("--out")
     simp.set_defaults(handler=_cmd_simplify)
 

@@ -8,14 +8,16 @@ value active for every variable.
 
 Everything here is an immutable value and every operation is a pure
 function, so instances, spaces and assignment tuples can be shared freely
-between threads.  Iteration always follows declaration order (variables as
-declared, values in domain order), which keeps enumeration, counterexamples
-and emitted files reproducible from run to run.
+between threads.  Instances and spaces compute their hash once, on first
+use, and leave it out of equality, ``repr`` and pickled state.  Iteration
+always follows declaration order (variables as declared, values in domain
+order), which keeps enumeration, counterexamples and emitted files
+reproducible from run to run.
 """
 
 from __future__ import annotations
 
-import itertools
+import dataclasses
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
@@ -89,6 +91,25 @@ class AssignmentTuple(Mapping[str, str]):
     def __repr__(self) -> str:
         inner = ", ".join(f"{v}={a}" for v, a in self._bindings.items())
         return "{" + inner + "}"
+
+
+def _hash_once(self) -> int:
+    """The generated dataclass hash (over the fields), computed on first use
+    and kept on the instance; instances and spaces are cache keys, hashed
+    on every lookup."""
+    cached = self.__dict__.get("_hash")
+    if cached is None:
+        cached = hash(tuple(getattr(self, f.name) for f in dataclasses.fields(self)))
+        object.__setattr__(self, "_hash", cached)
+    return cached
+
+
+def _state_without_hash(self) -> dict:
+    # String hashes differ between processes, so a pickled hash would be
+    # wrong where it is loaded.
+    state = dict(self.__dict__)
+    state.pop("_hash", None)
+    return state
 
 
 @dataclass(frozen=True)
@@ -218,6 +239,9 @@ class CspInstance:
     def with_constraints(self, constraints: Iterable[Constraint]) -> "CspInstance":
         return CspInstance(self.variables, self.domain, tuple(constraints))
 
+    __hash__ = _hash_once
+    __getstate__ = _state_without_hash
+
 
 @dataclass(frozen=True)
 class SearchSpace:
@@ -323,8 +347,5 @@ class SearchSpace:
     def is_full(self, domain: tuple[str, ...]) -> bool:
         return all(values == domain for _, values in self.entries)
 
-
-def iter_rows(space: SearchSpace) -> Iterator[Row]:
-    """Raw value rows of the space, in (variable order, value order)."""
-    return itertools.product(*(values for _, values in space.entries))
-
+    __hash__ = _hash_once
+    __getstate__ = _state_without_hash

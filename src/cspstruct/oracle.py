@@ -1,10 +1,12 @@
 """Exhaustive reference checks for the structural CSP properties.
 
-Every check here enumerates the search space directly.  Nothing is pruned
-or propagated, so the answers are trustworthy (if exponential) and every
-faster detector in this package is validated against them.  Checks stop at
-the first counterexample; since enumeration follows declaration order, a
-reported counterexample is always the lexicographically least one.
+Every check here enumerates the solutions inside the search space
+exactly, by backtracking in declaration order: each constraint is tested
+as soon as its last scope variable is bound, and nothing is propagated.
+The answers are trustworthy (if exponential) and every faster detector in
+this package is validated against them.  Checks stop at the first
+counterexample; since enumeration follows declaration order, a reported
+counterexample is always the lexicographically least one.
 Value quantifiers ("some other value b", "every value a") range over the
 variable's active values.
 """
@@ -15,8 +17,9 @@ import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 
-from .model import AssignmentTuple, CspInstance, Row, SearchSpace, iter_rows
+from .model import AssignmentTuple, CspInstance, Row, SearchSpace
 
 KINDS = (
     "fixable",
@@ -140,18 +143,46 @@ def _require_cover(instance: CspInstance, space: SearchSpace) -> None:
 
 def _solution_rows(instance: CspInstance, space: SearchSpace) -> Iterator[Row]:
     """Every row of the space that satisfies all constraints, in enumeration
-    order: a plain product over the space, each row checked in full."""
+    order (variables as declared, values in active order).
+
+    Backtracking with an explicit stack of value iterators, one per bound
+    variable.  A constraint is tested once, when the last of its scope
+    variables is bound, so a failed test skips every row that extends the
+    partial assignment; the rows come out exactly as a product scan that
+    checked each row in full would yield them.
+    """
     _require_cover(instance, space)
-    checks = tuple(
-        (pos, c.relation.rows)
-        for c, pos in zip(instance.constraints, instance.scope_positions)
-    )
-    for raw in iter_rows(space):
-        for pos, members in checks:
-            if tuple([raw[p] for p in pos]) not in members:
-                break
+    domains = tuple(values for _, values in space.entries)
+    if not domains:
+        yield ()
+        return
+    # tests[k]: (projection, allowed) for each constraint whose last scope
+    # variable is k; a unary projection gives a value, not a 1-tuple.
+    tests: list[list[tuple[itemgetter, frozenset]]] = [[] for _ in domains]
+    for c, pos in zip(instance.constraints, instance.scope_positions):
+        allowed = c.relation.rows
+        if len(pos) == 1:
+            allowed = frozenset(row[0] for row in allowed)
+        tests[max(pos)].append((itemgetter(*pos), allowed))
+    last = len(domains) - 1
+    row: list[str] = [""] * len(domains)
+    stack = [iter(domains[0])]
+    while stack:
+        depth = len(stack) - 1
+        checks = tests[depth]
+        for value in stack[-1]:
+            row[depth] = value
+            for project, allowed in checks:
+                if project(row) not in allowed:
+                    break
+            else:
+                if depth == last:
+                    yield tuple(row)
+                else:
+                    stack.append(iter(domains[depth + 1]))
+                    break
         else:
-            yield raw
+            stack.pop()
 
 
 @lru_cache(maxsize=512)

@@ -1,3 +1,4 @@
+import itertools
 from pathlib import Path
 
 import pytest
@@ -47,3 +48,9 @@ def boolean_corpora():
 
 def data_path(name: str) -> Path:
     return DATA / name
+
+
+def iter_rows(space):
+    """Raw value rows of the space, in (variable order, value order): the
+    plain product that the oracle's enumerator must agree with."""
+    return itertools.product(*(values for _, values in space.entries))

@@ -92,6 +92,68 @@ class TestSimplify:
         assert space.values("x") == ("true",)
 
 
+class TestSpaceBudget:
+    """Every route that can run the oracle over the whole space honours
+    --max-space; under the cap the output is unchanged."""
+
+    COLORING_TEST_MODE = (
+        "FIX x1=R BY local-fixable\n"
+        "REMOVE x5!=R BY oracle-removable\n"
+        "fixpoint after 2 step(s); space 243 -> 54\n"
+    )
+    COLORING_GROUPS_OF_TWO = (
+        "FIX x1=R BY local-fixable\n"
+        "fixpoint after 1 step(s); space 243 -> 81\n"
+    )
+    TRAP_LOCAL_GROUPS_OF_TWO = (
+        "inconsistent x 1 ESTABLISHED\n"
+        "inconsistent x 3 ESTABLISHED\n"
+        "implied x 2 ESTABLISHED\n"
+        "determined x ESTABLISHED\n"
+        "determined y ESTABLISHED\n"
+        "dependent x on(y) ESTABLISHED\n"
+        "dependent y on(x) ESTABLISHED\n"
+        "# instance 149c84c14c64: ESTABLISHED=7\n"
+    )
+
+    def assert_refused(self, capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "above the cap of" in err
+
+    def test_simplify_test_mode(self, capsys):
+        path = str(data_path("coloring_isolated.csp"))
+        self.assert_refused(capsys, "simplify", path, "--mode", "test", "--max-space", "242")
+        code, out, _ = run(capsys, "simplify", path, "--mode", "test", "--max-space", "243")
+        assert code == 0
+        assert out == self.COLORING_TEST_MODE
+
+    def test_simplify_group_size(self, capsys):
+        path = str(data_path("coloring_isolated.csp"))
+        self.assert_refused(capsys, "simplify", path, "--group-size", "2", "--max-space", "242")
+        code, out, _ = run(capsys, "simplify", path, "--group-size", "2")
+        assert code == 0
+        assert out == self.COLORING_GROUPS_OF_TWO
+
+    def test_simplify_production_singletons_unguarded(self, capsys):
+        # Per-constraint local checks never enumerate the whole space.
+        code, out, _ = run(
+            capsys, "simplify", str(data_path("coloring_isolated.csp")), "--max-space", "1"
+        )
+        assert code == 0
+        assert out.endswith("space 243 -> 81\n")
+
+    def test_analyze_local_group_size(self, capsys):
+        path = str(data_path("removability_trap.csp"))
+        self.assert_refused(
+            capsys, "analyze", path, "--method", "local", "--group-size", "2", "--max-space", "8"
+        )
+        code, out, _ = run(capsys, "analyze", path, "--method", "local", "--group-size", "2")
+        assert code == 0
+        assert out == self.TRAP_LOCAL_GROUPS_OF_TWO
+
+
 class TestCheck:
     def test_fixture_passes(self, capsys):
         code, out, _ = run(capsys, "check", str(data_path("coloring_isolated.csp")))

@@ -1,4 +1,9 @@
+import dataclasses
 import itertools
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -10,8 +15,9 @@ from cspstruct.model import (
     CspInstance,
     Relation,
     SearchSpace,
-    iter_rows,
 )
+
+from conftest import iter_rows
 
 
 def make_constraint(name, scope, rows):
@@ -161,3 +167,79 @@ class TestInstanceValidation:
     def test_arity_mismatch(self):
         with pytest.raises(ValueError, match="arity"):
             Constraint("c", ("a", "b"), Relation.of(1, [("0",)]))
+
+
+def build_instance(extra=()):
+    ne = make_constraint("ne", "xy", [("0", "1"), ("1", "0")])
+    return CspInstance(("x", "y", "z"), ("0", "1"), (ne, *extra))
+
+
+class TestCachedHash:
+    def test_equal_builds_hash_equal(self):
+        a, b = build_instance(), build_instance()
+        assert a is not b and a == b and hash(a) == hash(b)
+        sa, sb = SearchSpace.full(a), SearchSpace.full(b)
+        assert sa is not sb and sa == sb and hash(sa) == hash(sb)
+
+    def test_hash_is_the_field_hash(self):
+        inst = build_instance()
+        assert hash(inst) == hash((inst.variables, inst.domain, inst.constraints))
+        space = SearchSpace.full(inst)
+        assert hash(space) == hash((space.entries,))
+
+    def test_derived_values_hash_like_fresh_builds(self):
+        inst = build_instance()
+        hash(inst)
+        unary = make_constraint("one", "z", [("1",)])
+        assert hash(inst.with_constraints((*inst.constraints, unary))) == hash(
+            build_instance((unary,))
+        )
+        assert hash(dataclasses.replace(inst, constraints=())) == hash(
+            CspInstance(("x", "y", "z"), ("0", "1"))
+        )
+        space = SearchSpace.full(inst)
+        hash(space)
+        pinned = SearchSpace.over(inst, {"z": ["1"]})
+        narrowed = SearchSpace.over(inst, {"x": ["1"]})
+        assert space.assign("z", "1") == pinned and hash(space.assign("z", "1")) == hash(pinned)
+        assert space.remove("x", "0") == narrowed and hash(space.remove("x", "0")) == hash(narrowed)
+
+    def test_cache_stays_out_of_repr_and_equality(self):
+        for hashed, fresh in (
+            (build_instance(), build_instance()),
+            (SearchSpace.full(build_instance()), SearchSpace.full(build_instance())),
+        ):
+            hash(hashed)
+            assert repr(hashed) == repr(fresh)
+            object.__setattr__(fresh, "_hash", hash(hashed) + 1)
+            assert hashed == fresh
+
+    def test_pickle_drops_the_cached_hash(self):
+        inst = build_instance()
+        space = SearchSpace.full(inst).remove("y", "1")
+        for value in (inst, space):
+            hash(value)
+            loaded = pickle.loads(pickle.dumps(value))
+            assert "_hash" not in loaded.__dict__
+            assert loaded == value and hash(loaded) == hash(value)
+
+    def test_pickled_values_hash_right_under_another_hash_seed(self):
+        inst = build_instance()
+        space = SearchSpace.full(inst)
+        hash(inst), hash(space)
+        script = (
+            "import pickle, sys\n"
+            "from cspstruct.model import CspInstance, SearchSpace\n"
+            "inst, space = pickle.loads(sys.stdin.buffer.read())\n"
+            "fresh = CspInstance(inst.variables, inst.domain, inst.constraints)\n"
+            "assert hash(inst) == hash(fresh)\n"
+            "assert hash(space) == hash(SearchSpace.full(fresh))\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED="12345", PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", script],
+            input=pickle.dumps((inst, space)),
+            env=env,
+            capture_output=True,
+        )
+        assert done.returncode == 0, done.stderr.decode()

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cspstruct import oracle
 from cspstruct.model import (
@@ -29,6 +31,8 @@ from cspstruct.oracle import (
     solution_table,
 )
 
+from conftest import iter_rows
+
 
 def unsat_instance():
     dead = Constraint("dead", ("a",), Relation.of(1, []))
@@ -53,8 +57,7 @@ def independent_coloring_count():
 def reference_solutions(inst, space):
     """Sol(C) inside the space, straight from the product of active sets."""
     names = space.variables
-    product = itertools.product(*(space.values(v) for v in names))
-    tuples = (AssignmentTuple(zip(names, row)) for row in product)
+    tuples = (AssignmentTuple(zip(names, row)) for row in iter_rows(space))
     return [t for t in tuples if inst.is_solution(t)]
 
 
@@ -117,6 +120,90 @@ class TestEnumerateSolutions:
         inst, space = backbone
         for t in enumerate_solutions(inst, space):
             assert t["x"] == t["y"] == t["q"] == t["r"] == "true"
+
+
+def assert_enumerator_matches_product(inst, space):
+    """Table rows, streamed solutions and satisfiability all agree with the
+    plain product scan, order included."""
+    expected = [t.values_over(inst.variables) for t in reference_solutions(inst, space)]
+    assert list(solution_table(inst, space).rows) == expected
+    streamed = list(enumerate_solutions(inst, space))
+    assert [t.values_over(inst.variables) for t in streamed] == expected
+    assert all(t.variables == inst.variables for t in streamed)
+    assert satisfiable(inst, space) is bool(expected)
+
+
+@st.composite
+def instances_with_spaces(draw):
+    names = tuple(f"x{i}" for i in range(draw(st.integers(0, 5))))
+    domain = tuple(str(v) for v in range(draw(st.integers(1, 3))))
+    constraints = []
+    if names:
+        for k in range(draw(st.integers(0, 4))):
+            # A permutation prefix: scopes come out of declaration order.
+            scope = draw(st.permutations(names))[: draw(st.integers(1, min(3, len(names))))]
+            rows = list(itertools.product(domain, repeat=len(scope)))
+            kept = draw(st.lists(st.sampled_from(rows), unique=True)) if rows else []
+            constraints.append(Constraint(f"c{k}", tuple(scope), Relation.of(len(scope), kept)))
+    inst = CspInstance(names, domain, tuple(constraints))
+    active = {
+        v: draw(st.sets(st.sampled_from(domain), min_size=1)) for v in names
+    }
+    return inst, SearchSpace.over(inst, active)
+
+
+class TestEnumerator:
+    @settings(max_examples=300, deadline=None)
+    @given(instances_with_spaces())
+    def test_matches_product_reference(self, case):
+        assert_enumerator_matches_product(*case)
+
+    def test_zero_variable_instance_has_one_empty_solution(self):
+        inst = CspInstance((), ("0",))
+        space = SearchSpace.full(inst)
+        assert_enumerator_matches_product(inst, space)
+        assert solution_table(inst, space).rows == ((),)
+
+    def test_out_of_order_scopes_unary_and_empty_relations(self):
+        lt = Constraint("lt", ("c", "a"), Relation.of(2, [("1", "0"), ("2", "0"), ("2", "1")]))
+        odd = Constraint("odd", ("b",), Relation.of(1, [("1",)]))
+        wide = Constraint(
+            "wide",
+            ("c", "b", "a"),
+            Relation.of(3, [r for r in itertools.product("012", repeat=3) if r[0] != r[2]]),
+        )
+        inst = CspInstance(("a", "b", "c"), ("0", "1", "2"), (lt, odd, wide))
+        space = SearchSpace.full(inst)
+        assert_enumerator_matches_product(inst, space)
+        assert_enumerator_matches_product(inst, space.remove("c", "2"))
+        dead = Constraint("dead", ("c",), Relation.of(1, []))
+        assert_enumerator_matches_product(inst.with_constraints((lt, dead)), space)
+
+    def test_restricted_and_fully_pinned_spaces(self, coloring, removability_trap):
+        inst, space = coloring
+        restricted = space.remove("x2", "R").remove("x4", "B")
+        assert_enumerator_matches_product(inst, restricted)
+        for colors in ("RGBRG", "RGBGG"):  # one solution, then none
+            pinned = space
+            for x, a in zip(inst.variables, colors):
+                pinned = pinned.assign(x, a)
+            assert_enumerator_matches_product(inst, pinned)
+        inst, space = removability_trap
+        assert_enumerator_matches_product(inst, space.assign("x", "2").assign("y", "2"))
+
+    def test_pruning_finds_the_one_solution_behind_a_dead_first_value(self):
+        # The product scan meets 2**39 rows with x1=0 before any solution;
+        # the enumerator rejects x1=0 at once and follows the chain.
+        names = tuple(f"x{i}" for i in range(1, 41))
+        not_zero = Constraint("not0", ("x1",), Relation.of(1, [("1",)]))
+        equal = Relation.of(2, [("0", "0"), ("1", "1")])
+        chain = tuple(
+            Constraint(f"eq{i}", (names[i], names[i + 1]), equal) for i in range(39)
+        )
+        inst = CspInstance(names, ("0", "1"), (not_zero, *chain))
+        space = SearchSpace.full(inst)
+        assert satisfiable(inst, space)
+        assert solution_table(inst, space).rows == (("1",) * 40,)
 
 
 class TestColoringProperties:
