@@ -1,10 +1,32 @@
 """Boolean formulas in the tractable Schaefer fragments.
 
-Supports clause sets (Horn, dual Horn, 2CNF) and affine XOR-equation sets,
-with polynomial satisfiability for each fragment and exact polynomial
-property checks built on two closure operations: instantiate-and-project
-(substitute a value into one constraint) and complement-as-conjunction
-(negate one constraint inside the same language).
+Supports clause sets (Horn, dual Horn, 2CNF) and affine XOR-equation sets:
+syntactic classification, polynomial satisfiability with a witness model
+for each fragment (``sat_restricted``), and two closure operations that
+keep a formula in its fragment: instantiate-and-project (substitute a
+value into one constraint) and complement-as-conjunction (negate one
+constraint inside the same language).
+
+Property checks run on a ``CompiledFormula``, built once per (formula,
+class) by ``compile_formula``, the module's one cache.  Compiling checks
+class membership and decides the formula's own satisfiability once; every
+value query is then SAT(F AND A) for a few extra constraints A of F's own
+language:
+
+- Horn, dual Horn and 2CNF share one counter-based unit propagator over
+  integer literals with occurrence lists.  F's unit clauses are propagated
+  at compile time; a query copies that state, assumes its unit clauses
+  and propagates on.  No conflict means satisfiable, once F is.
+- Affine keeps F's reduced basis over GF(2); a query reduces its one or
+  two extra equations against it.
+
+inconsistent(x, a) is not SAT(F AND x=a) and implied(x, a) is inconsistent
+at the other value.  substitutable(x, a, b) asks, for each constraint c on
+x that x=b does not satisfy, whether F AND x=a AND not(c with x=b) is
+unsatisfiable; fixable, removable, interchangeable and irrelevant are
+built from it and it is memoised per (x, a, b) on the compiled formula.
+determined(x) is one restricted SAT solve over two copies of F, at x=true
+and at x=false.
 """
 
 from __future__ import annotations
@@ -15,7 +37,14 @@ from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .model import Constraint, CspInstance, Relation, SearchSpace
+from .model import (
+    Constraint,
+    CspInstance,
+    Relation,
+    SearchSpace,
+    _hash_once,
+    _state_without_hash,
+)
 from .oracle import PropertyQuery
 
 FALSE_VALUE = "false"
@@ -160,6 +189,9 @@ class BooleanFormula:
             if unknown:
                 raise ValueError(f"equation mentions undeclared variable(s) {sorted(unknown)}")
 
+    __hash__ = _hash_once
+    __getstate__ = _state_without_hash
+
     @property
     def is_clausal(self) -> bool:
         return not self.equations
@@ -203,24 +235,26 @@ class SchaeferClassification:
     applicable: tuple[SchaeferClass, ...]
 
 
+def _member(formula: BooleanFormula, cls: SchaeferClass) -> bool:
+    if cls is SchaeferClass.AFFINE:
+        return not formula.clauses
+    if formula.equations:
+        return False
+    if cls is SchaeferClass.HORN:
+        return all(c.positive_count <= 1 for c in formula.clauses)
+    if cls is SchaeferClass.DUAL_HORN:
+        return all(c.negative_count <= 1 for c in formula.clauses)
+    if cls is SchaeferClass.TWO_CNF:
+        return all(len(c.literals) <= 2 for c in formula.clauses)
+    return False
+
+
 def classify_schaefer(formula: BooleanFormula) -> SchaeferClassification:
     """Syntactic classification; several tags may apply, the primary one is
     the first in the fixed order Horn, dual Horn, 2CNF, affine."""
-    applicable = []
-    if not formula.equations:
-        if all(c.positive_count <= 1 for c in formula.clauses):
-            applicable.append(SchaeferClass.HORN)
-        if all(c.negative_count <= 1 for c in formula.clauses):
-            applicable.append(SchaeferClass.DUAL_HORN)
-        if all(len(c.literals) <= 2 for c in formula.clauses):
-            applicable.append(SchaeferClass.TWO_CNF)
-    if not formula.clauses:
-        applicable.append(SchaeferClass.AFFINE)
-    primary = next(
-        (cls for cls in _CANONICAL_ORDER if cls in applicable),
-        SchaeferClass.UNRESTRICTED,
-    )
-    return SchaeferClassification(primary, tuple(applicable))
+    applicable = tuple(cls for cls in _CANONICAL_ORDER if _member(formula, cls))
+    primary = applicable[0] if applicable else SchaeferClass.UNRESTRICTED
+    return SchaeferClassification(primary, applicable)
 
 
 def _as_class(cls: SchaeferClass | str) -> SchaeferClass:
@@ -230,7 +264,7 @@ def _as_class(cls: SchaeferClass | str) -> SchaeferClass:
 def _require_member(formula: BooleanFormula, cls: SchaeferClass) -> None:
     if cls is SchaeferClass.UNRESTRICTED:
         raise ClassMismatchError("unrestricted formulas have no tractable solver")
-    if cls not in classify_schaefer(formula).applicable:
+    if not _member(formula, cls):
         raise ClassMismatchError(f"formula is not in class {cls.value}")
 
 
@@ -239,44 +273,89 @@ def _require_member(formula: BooleanFormula, cls: SchaeferClass) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _assign(value: list[bool | None], lit: int, queue: list[int]) -> bool:
+    # Make a literal true; False when its variable holds the other value.
+    current = value[lit >> 1]
+    if current is None:
+        value[lit >> 1] = not lit & 1
+        queue.append(lit)
+        return True
+    return current == (not lit & 1)
+
+
+class _UnitPropagation:
+    """Clauses over integer literals (2*i for variable i, 2*i+1 for its
+    negation) with occurrence lists, propagated from their unit clauses.
+
+    ``value`` holds each variable's propagated value or None, ``left[k]``
+    the number of literals of clause k not propagated as false, and
+    ``consistent`` whether that propagation met no conflict.
+    """
+
+    def __init__(self, clauses: Iterable[Clause], index: Mapping[str, int]):
+        self.index = index
+        self.clauses = [tuple(map(self.code, c.literals)) for c in clauses]
+        self.occurs: list[list[int]] = [[] for _ in range(2 * len(index))]
+        for k, lits in enumerate(self.clauses):
+            for lit in lits:
+                self.occurs[lit].append(k)
+        self.value: list[bool | None] = [None] * len(index)
+        self.left = [len(lits) for lits in self.clauses]
+        units = [lits[0] for lits in self.clauses if len(lits) == 1]
+        self.consistent = all(self.clauses) and self._propagate(
+            self.value, self.left, units
+        )
+
+    def code(self, lit: Literal) -> int:
+        return 2 * self.index[lit.variable] + (not lit.positive)
+
+    def consistent_with(self, literals: Iterable[int]) -> bool:
+        """No conflict when the literals are added to the propagated state."""
+        return self.consistent and self._propagate(
+            list(self.value), list(self.left), literals
+        )
+
+    def _propagate(
+        self, value: list[bool | None], left: list[int], literals: Iterable[int]
+    ) -> bool:
+        # Updates value and left in place.  When a count drops to one, the
+        # clause's last literal not known false is true already, or is made
+        # true, or is false after all (a conflict); no later count change
+        # can touch that clause again.
+        queue: list[int] = []
+        for lit in literals:
+            if not _assign(value, lit, queue):
+                return False
+        clauses, occurs = self.clauses, self.occurs
+        while queue:
+            for k in occurs[queue.pop() ^ 1]:
+                left[k] -= 1
+                if left[k] > 1:
+                    continue
+                for other in clauses[k]:
+                    current = value[other >> 1]
+                    if current is None:
+                        value[other >> 1] = not other & 1
+                        queue.append(other)
+                        break
+                    if current != bool(other & 1):
+                        break  # already true
+                else:
+                    return False
+        return True
+
+
 def _solve_clausal_default(
     clauses: Sequence[Clause], variables: Sequence[str], default: bool
 ) -> dict[str, bool] | None:
     # Unit propagation to fixpoint, then the class default for what is left:
     # complete for Horn with default false and dual Horn with default true.
-    assignment: dict[str, bool] = {}
-    work = [clause.literals for clause in clauses]
-    while True:
-        changed = False
-        remaining = []
-        for lits in work:
-            satisfied = False
-            undecided = []
-            for lit in lits:
-                value = assignment.get(lit.variable)
-                if value is None:
-                    undecided.append(lit)
-                elif value == lit.positive:
-                    satisfied = True
-                    break
-            if satisfied:
-                continue
-            if not undecided:
-                return None
-            if len(undecided) == 1:
-                unit = undecided[0]
-                assignment[unit.variable] = unit.positive
-                changed = True
-            else:
-                remaining.append(frozenset(undecided))
-        work = remaining
-        if not changed:
-            break
-    model = {v: assignment.get(v, default) for v in variables}
-    for clause in clauses:
-        if not any(model[l.variable] == l.positive for l in clause.literals):
-            return None
-    return model
+    units = _UnitPropagation(clauses, {v: i for i, v in enumerate(variables)})
+    if not units.consistent:
+        return None
+    return {
+        v: default if value is None else value for v, value in zip(variables, units.value)
+    }
 
 
 def _solve_two_cnf(
@@ -361,21 +440,34 @@ def _solve_two_cnf(
     return model
 
 
-def _solve_affine(
-    equations: Sequence[AffineEquation], variables: Sequence[str]
-) -> dict[str, bool] | None:
-    index = {v: i for i, v in enumerate(variables)}
-    # Gauss-Jordan over GF(2); a basis row is (mask, rhs, lead bit).
-    basis: list[tuple[int, bool, int]] = []
+Basis = list[tuple[int, bool, int]]
+
+
+def _equation_mask(eq: AffineEquation, index: Mapping[str, int]) -> int:
+    mask = 0
+    for v in eq.variables:
+        mask |= 1 << index[v]
+    return mask
+
+
+def _reduce(rows: Basis, mask: int, rhs: bool) -> tuple[int, bool]:
+    # One pass suffices: a reduced basis holds each lead bit in one row
+    # only, and a row appended after it holds no earlier lead bit.
+    for row_mask, row_rhs, lead in rows:
+        if (mask >> lead) & 1:
+            mask ^= row_mask
+            rhs ^= row_rhs
+    return mask, rhs
+
+
+def _affine_basis(
+    equations: Iterable[AffineEquation], index: Mapping[str, int]
+) -> Basis | None:
+    """Gauss-Jordan over GF(2): the reduced basis as (mask, rhs, lead bit)
+    rows, or None when the equations are inconsistent."""
+    basis: Basis = []
     for eq in equations:
-        mask = 0
-        for v in eq.variables:
-            mask |= 1 << index[v]
-        rhs = eq.parity
-        for bmask, brhs, lead in basis:
-            if (mask >> lead) & 1:
-                mask ^= bmask
-                rhs ^= brhs
+        mask, rhs = _reduce(basis, _equation_mask(eq, index), eq.parity)
         if mask == 0:
             if rhs:
                 return None
@@ -386,8 +478,17 @@ def _solve_affine(
             for bm, br, bl in basis
         ]
         basis.append((mask, rhs, lead))
+    return basis
+
+
+def _solve_affine(
+    equations: Sequence[AffineEquation], variables: Sequence[str]
+) -> dict[str, bool] | None:
+    basis = _affine_basis(equations, {v: i for i, v in enumerate(variables)})
+    if basis is None:
+        return None
     model = {v: False for v in variables}
-    for mask, rhs, lead in basis:
+    for _mask, rhs, lead in basis:
         # In reduced form the non-lead bits are all free variables (false).
         model[variables[lead]] = rhs
     for eq in equations:
@@ -484,57 +585,124 @@ TRACTABLE_KINDS = (
 )
 
 
-@lru_cache(maxsize=8192)
-def _instantiated(
-    formula: BooleanFormula, variable: str, value: bool
-) -> tuple[BooleanConstraint, ...]:
-    parts: list[BooleanConstraint] = []
-    for c in formula.constraints:
-        parts.extend(instantiate_project(c, variable, value))
-    return tuple(parts)
+class CompiledFormula:
+    """One formula prepared once for many queries in one Schaefer class.
 
+    Every value query reduces to ``consistent_with``: is the formula
+    satisfiable together with a few extra constraints of its own language?
+    The clausal classes answer it by unit propagation of unit-clause
+    assumptions from the formula's own propagated units; affine answers it
+    by reducing extra equations against the formula's reduced basis.
+    """
 
-@lru_cache(maxsize=8192)
-def _inconsistent(
-    formula: BooleanFormula, cls: SchaeferClass, x: str, a: bool
-) -> bool:
-    remaining = tuple(v for v in formula.variables if v != x)
-    return _dispatch_sat(cls, _instantiated(formula, x, a), remaining) is None
+    def __init__(self, formula: BooleanFormula, cls: SchaeferClass | str):
+        cls = _as_class(cls)
+        _require_member(formula, cls)
+        self.formula = formula
+        self.cls = cls
+        self._index = {v: i for i, v in enumerate(formula.variables)}
+        self._mentioning: dict[str, list[BooleanConstraint]] = {
+            v: [] for v in formula.variables
+        }
+        for c in formula.constraints:
+            for v in c.variables:
+                self._mentioning[v].append(c)
+        self._substitutable: dict[tuple[str, bool, bool], bool] = {}
+        if cls is SchaeferClass.AFFINE:
+            self._basis = _affine_basis(formula.equations, self._index)
+            self.satisfiable = self._basis is not None
+            return
+        self._units = _UnitPropagation(formula.clauses, self._index)
+        satisfiable = self._units.consistent
+        if satisfiable and cls is SchaeferClass.TWO_CNF:
+            # Propagation misses 2CNF conflicts like (a|b)(a|-b)(-a|b)(-a|-b).
+            satisfiable = _solve_two_cnf(formula.clauses, formula.variables) is not None
+        self.satisfiable = satisfiable
 
+    def consistent_with(self, assumptions: Sequence[BooleanConstraint]) -> bool:
+        """SAT(formula AND assumptions), for unit clauses (clausal classes)
+        or equations (affine).
 
-@lru_cache(maxsize=8192)
-def _substitutable(
-    formula: BooleanFormula, cls: SchaeferClass, x: str, a: bool, b: bool
-) -> bool:
-    # Not substitutable iff for some constraint c the instantiated problem at
-    # a admits a solution violating c instantiated at b.
-    remaining = tuple(v for v in formula.variables if v != x)
-    base = _instantiated(formula, x, a)
-    for c in formula.constraints:
-        parts = instantiate_project(c, x, b)
-        if not parts:
-            continue  # instantiation is true; its complement cannot be met
-        if len(parts) > 1:
-            raise ClassMismatchError("instantiation did not stay a single constraint")
-        negated = complement_conjunction(parts[0])
-        if _dispatch_sat(cls, base + negated, remaining) is not None:
+        Clausal classes: when propagation meets no conflict, each clause it
+        leaves unsatisfied has two or more open literals.  Under Horn that
+        includes a negative one, so all-false completes the assignment;
+        dual Horn likewise with all-true.  Under 2CNF such a clause is an
+        untouched original clause over open variables, so any model of the
+        formula completes it.  Hence the answer is exact once the formula
+        itself is satisfiable.
+        """
+        if not self.satisfiable:
             return False
-    return True
+        if self.cls is SchaeferClass.AFFINE:
+            rows = self._basis
+            for eq in assumptions:
+                if not isinstance(eq, AffineEquation):
+                    raise ClassMismatchError("affine assumptions must be equations")
+                mask, rhs = _reduce(rows, _equation_mask(eq, self._index), eq.parity)
+                if mask == 0:
+                    if rhs:
+                        return False
+                    continue
+                rows = rows + [(mask, rhs, (mask & -mask).bit_length() - 1)]
+            return True
+        literals = []
+        for c in assumptions:
+            if not isinstance(c, Clause) or len(c.literals) != 1:
+                raise ClassMismatchError("clausal assumptions must be unit clauses")
+            (lit,) = c.literals
+            literals.append(self._units.code(lit))
+        return self._units.consistent_with(literals)
+
+    def _pin(self, x: str, a: bool) -> BooleanConstraint:
+        if self.cls is SchaeferClass.AFFINE:
+            return AffineEquation(frozenset((x,)), a)
+        return Clause(frozenset((Literal(x, a),)))
+
+    def inconsistent(self, x: str, a: bool) -> bool:
+        return not self.consistent_with((self._pin(x, a),))
+
+    def substitutable(self, x: str, a: bool, b: bool) -> bool:
+        """Every model with x=a stays a model with x=b: no constraint c on x
+        has a model of formula AND x=a that violates c with x=b.  A
+        constraint that does not mention x holds in every such model."""
+        key = (x, a, b)
+        memo = self._substitutable.get(key)
+        if memo is None:
+            pin = self._pin(x, a)
+            memo = not any(
+                self.consistent_with((pin, *complement_conjunction(part)))
+                for c in self._mentioning[x]
+                for part in instantiate_project(c, x, b)
+            )
+            self._substitutable[key] = memo
+        return memo
+
+    def determined(self, x: str) -> bool:
+        # Two copies of the formula, at x=true and x=false, sharing every
+        # other variable: unsatisfiable iff the others fix x.  Constraints
+        # without x are the same in both copies and go in once.
+        joint = [c for c in self.formula.constraints if x not in c.variables]
+        for value in (True, False):
+            for c in self._mentioning[x]:
+                joint.extend(instantiate_project(c, x, value))
+        remaining = tuple(v for v in self.formula.variables if v != x)
+        return _dispatch_sat(self.cls, joint, remaining) is None
 
 
-@lru_cache(maxsize=8192)
-def _determined(formula: BooleanFormula, cls: SchaeferClass, x: str) -> bool:
-    remaining = tuple(v for v in formula.variables if v != x)
-    joint = _instantiated(formula, x, True) + _instantiated(formula, x, False)
-    return _dispatch_sat(cls, joint, remaining) is None
+@lru_cache(maxsize=16)
+def compile_formula(
+    formula: BooleanFormula, cls: SchaeferClass | str
+) -> CompiledFormula:
+    """The compiled form of a formula in a class, built once and reused by
+    every query on it; raises ClassMismatchError outside the class."""
+    return CompiledFormula(formula, cls)
 
 
 def tract_check(
     formula: BooleanFormula, cls: SchaeferClass | str, query: PropertyQuery
 ) -> bool:
-    """Exact polynomial property check by reduction to restricted SAT."""
-    cls = _as_class(cls)
-    _require_member(formula, cls)
+    """Exact polynomial property check on the formula's compiled form."""
+    compiled = compile_formula(formula, cls)
     if query.kind == "dependent":
         raise UnsupportedQueryError("no tractable method is known for dependence")
     if query.kind not in TRACTABLE_KINDS:
@@ -544,30 +712,26 @@ def tract_check(
         raise ValueError(f"unknown variable {x!r}")
     values = tuple(name_bool(v) for v in query.values)
     if query.kind == "inconsistent":
-        return _inconsistent(formula, cls, x, values[0])
+        return compiled.inconsistent(x, values[0])
     if query.kind == "implied":
-        return _inconsistent(formula, cls, x, not values[0])
+        return compiled.inconsistent(x, not values[0])
     if query.kind == "substitutable":
-        a, b = values
-        return a == b or _substitutable(formula, cls, x, a, b)
+        return compiled.substitutable(x, *values)
     if query.kind == "interchangeable":
         a, b = values
-        return a == b or (
-            _substitutable(formula, cls, x, a, b)
-            and _substitutable(formula, cls, x, b, a)
-        )
+        return compiled.substitutable(x, a, b) and compiled.substitutable(x, b, a)
     if query.kind == "fixable":
         b = values[0]
-        return _substitutable(formula, cls, x, not b, b)
+        return compiled.substitutable(x, not b, b)
     if query.kind == "irrelevant":
-        return _substitutable(formula, cls, x, False, True) and _substitutable(
-            formula, cls, x, True, False
+        return compiled.substitutable(x, False, True) and compiled.substitutable(
+            x, True, False
         )
     if query.kind == "determined":
-        return _determined(formula, cls, x)
+        return compiled.determined(x)
     # removable: on booleans, removable(v) iff v is substitutable by not v
     v = values[0]
-    return _substitutable(formula, cls, x, v, not v)
+    return compiled.substitutable(x, v, not v)
 
 
 # ---------------------------------------------------------------------------

@@ -6,14 +6,24 @@ arguments), ``simplify`` (run the reduction loop and print its step log),
 relationship catalog; nonzero exit on violations), ``gen`` (emit generated
 instances) and ``classify`` (Schaefer classification of a boolean file).
 
-Exit codes: 0 success, 1 check violations, 2 bad input or usage.
+Exit codes:
+
+- 0: success;
+- 1: ``check`` found violations;
+- 2: bad input or usage: an unreadable or malformed file, a formula with
+  no variables, an invalid option value, a search space over
+  ``--max-space``;
+- 3: internal error, reported as ``internal error:`` and a traceback on
+  stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from . import boolean, hierarchy, local, oracle, report, simplify
@@ -43,6 +53,20 @@ class _UsageError(Exception):
     pass
 
 
+def _positive(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1")
+    return value
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}")
+
+
 def _load(path: str) -> tuple[CspInstance, SearchSpace, BooleanFormula | None, str]:
     try:
         text = Path(path).read_text()
@@ -51,11 +75,16 @@ def _load(path: str) -> tuple[CspInstance, SearchSpace, BooleanFormula | None, s
     stripped = [
         line for line in (l.split("#", 1)[0].strip() for l in text.splitlines()) if line
     ]
-    if stripped and stripped[0].startswith("csp"):
-        instance, space = parse_csp(text)
-        return instance, space, None, text
-    formula = parse_dimacs(text)
-    instance = to_extensional(formula)
+    try:
+        if stripped and stripped[0].startswith("csp"):
+            instance, space = parse_csp(text)
+            return instance, space, None, text
+        formula = parse_dimacs(text)
+        instance = to_extensional(formula)  # refuses a formula with no variables
+    except ParseError:
+        raise
+    except ValueError as exc:
+        raise _UsageError(f"{path}: {exc}")
     return instance, SearchSpace.full(instance), formula, text
 
 
@@ -187,7 +216,7 @@ def _cmd_simplify(args) -> int:
             f"space {space.size()} -> {result.final_space.size()}"
         )
     if args.out:
-        Path(args.out).write_text(emit_csp(instance, result.final_space))
+        _write(args.out, emit_csp(instance, result.final_space))
     return 0
 
 
@@ -241,37 +270,43 @@ def _parse_corpus_spec(spec: str):
         "density": 0.5,
         "seeds": (1, 1000),
     }
-    if spec != "default":
-        for part in spec.split(","):
-            key, _, value = part.partition("=")
-            key = key.strip()
-            if key == "seeds":
-                first, _, last = value.partition("..")
-                settings["seeds"] = (int(first), int(last))
-            elif key in ("vars", "dom", "cons", "arity"):
-                settings[key] = int(value)
-            elif key == "density":
-                settings["density"] = float(value)
-            else:
-                raise _UsageError(f"unknown corpus setting {key!r}")
-    first, last = settings["seeds"]
-    for seed in range(first, last + 1):
-        yield gen_random(
-            RandomSpec(
-                settings["vars"],
-                settings["dom"],
-                settings["cons"],
-                settings["arity"],
-                settings["density"],
-                seed,
-            )
+    try:
+        if spec != "default":
+            for part in spec.split(","):
+                key, _, value = part.partition("=")
+                key = key.strip()
+                if key == "seeds":
+                    first, _, last = value.partition("..")
+                    settings["seeds"] = (int(first), int(last))
+                elif key in ("vars", "dom", "cons", "arity"):
+                    settings[key] = int(value)
+                elif key == "density":
+                    settings["density"] = float(value)
+                else:
+                    raise _UsageError(f"unknown corpus setting {key!r}")
+        first, last = settings["seeds"]
+        template = RandomSpec(
+            settings["vars"],
+            settings["dom"],
+            settings["cons"],
+            settings["arity"],
+            settings["density"],
         )
+    except ValueError as exc:
+        raise _UsageError(f"bad corpus spec {spec!r}: {exc}")
+    return (
+        gen_random(dataclasses.replace(template, seed=seed))
+        for seed in range(first, last + 1)
+    )
 
 
 def _cmd_check(args) -> int:
     catalog = None
     if args.reverse_edge:
-        catalog = hierarchy.reverse_edge(args.reverse_edge)
+        try:
+            catalog = hierarchy.reverse_edge(args.reverse_edge)
+        except ValueError as exc:
+            raise _UsageError(str(exc))
     problems = []
     if args.corpus:
         for number, (instance, space) in enumerate(_parse_corpus_spec(args.corpus), 1):
@@ -308,10 +343,22 @@ def _parse_edges(text: str) -> tuple[tuple[int, int], ...]:
 
 
 def _cmd_gen(args) -> int:
+    try:
+        text = _generate(args)
+    except ValueError as exc:
+        raise _UsageError(str(exc))
+    if args.out:
+        _write(args.out, text)
+    else:
+        print(text, end="")
+    return 0
+
+
+def _generate(args) -> str:
     if args.family == "coloring":
         instance = gen_coloring(Graph(args.nodes, _parse_edges(args.edges)), args.colors)
-        text = emit_csp(instance, comments=(f"{args.colors}-coloring, {args.nodes} nodes",))
-    elif args.family == "factoring":
+        return emit_csp(instance, comments=(f"{args.colors}-coloring, {args.nodes} nodes",))
+    if args.family == "factoring":
         spec = FactoringSpec(args.number, args.base, args.ordering)
         instance = gen_factoring(spec)
         notes = [
@@ -322,24 +369,18 @@ def _cmd_gen(args) -> int:
             notes.append("s<j>_<t> are partial sums of column j, chunked")
         if args.ordering:
             notes.append("ordering X < Y enforced")
-        text = emit_csp(instance, comments=notes)
-    else:
-        instance, space = gen_random(
-            RandomSpec(
-                args.vars,
-                args.domain_size,
-                args.constraints,
-                args.max_arity,
-                args.density,
-                args.seed,
-            )
+        return emit_csp(instance, comments=notes)
+    instance, space = gen_random(
+        RandomSpec(
+            args.vars,
+            args.domain_size,
+            args.constraints,
+            args.max_arity,
+            args.density,
+            args.seed,
         )
-        text = emit_csp(instance, space, comments=(f"random instance, seed {args.seed}",))
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        print(text, end="")
-    return 0
+    )
+    return emit_csp(instance, space, comments=(f"random instance, seed {args.seed}",))
 
 
 def _cmd_classify(args) -> int:
@@ -367,7 +408,7 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument(
         "--method", choices=("oracle", "local", "tractable", "all"), default="all"
     )
-    analyze.add_argument("--group-size", type=int, default=1)
+    analyze.add_argument("--group-size", type=_positive, default=1)
     analyze.add_argument("--dep-max", type=int, default=2)
     analyze.add_argument("--max-space", type=int, default=DEFAULT_MAX_SPACE)
     analyze.add_argument("--json", action="store_true")
@@ -377,7 +418,7 @@ def _build_parser() -> argparse.ArgumentParser:
     simp = sub.add_parser("simplify", help="apply satisfiability-preserving reductions")
     simp.add_argument("file")
     simp.add_argument("--mode", choices=("production", "test"), default="production")
-    simp.add_argument("--group-size", type=int, default=1)
+    simp.add_argument("--group-size", type=_positive, default=1)
     simp.add_argument("--max-space", type=int, default=DEFAULT_MAX_SPACE)
     simp.add_argument("--out")
     simp.set_defaults(handler=_cmd_simplify)
@@ -385,7 +426,7 @@ def _build_parser() -> argparse.ArgumentParser:
     check = sub.add_parser("check", help="cross-validate detectors against the oracle")
     check.add_argument("file", nargs="?")
     check.add_argument("--corpus", help="'default' or k=v list (seeds=A..B, vars=, ...)")
-    check.add_argument("--group-size", type=int, default=1)
+    check.add_argument("--group-size", type=_positive, default=1)
     check.add_argument("--dep-max", type=int, default=2)
     check.add_argument("--max-space", type=int, default=DEFAULT_MAX_SPACE)
     check.add_argument(
@@ -429,9 +470,15 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except (_UsageError, ValueError) as exc:
+    except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # Input and option errors were turned into the two cases above, so
+        # anything else is a fault in the program, not in its input.
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 from . import oracle
 from .boolean import BooleanFormula, Literal
-from .model import Constraint, CspInstance, SearchSpace
+from .model import Constraint, CspInstance, Row, SearchSpace
 from .oracle import PropertyQuery
 
 AND_KINDS = frozenset({"substitutable", "interchangeable", "fixable", "irrelevant"})
@@ -114,12 +114,12 @@ def local_check(
     for value in query.values:
         if value not in space.values(query.variable):
             raise ValueError(f"value {value!r} is not active for {query.variable!r}")
+    rows = _active_rows(instance, space)
     results = []
     for group in covering.groups:
         if len(group) == 1:
-            ok = _single_constraint_check(
-                instance.constraints[group[0]], space, query
-            )
+            (i,) = group
+            ok = _single_constraint_check(instance.constraints[i], rows[i], space, query)
         else:
             sub = _subinstance(instance, tuple(group))
             ok = oracle.evaluate(sub, space, query).holds
@@ -128,20 +128,31 @@ def local_check(
     return LocalVerdict(query, established, tuple(results))
 
 
-def _active_rows(constraint: Constraint, space: SearchSpace) -> list[tuple[str, ...]]:
-    actives = [frozenset(space.values(v)) for v in constraint.scope]
-    return [
-        row
-        for row in constraint.relation.rows
-        if all(value in actives[i] for i, value in enumerate(row))
-    ]
+@lru_cache(maxsize=4)
+def _active_rows(
+    instance: CspInstance, space: SearchSpace
+) -> tuple[tuple[Row, ...], ...]:
+    """Per constraint, the relation rows that survive the active sets; every
+    query on one space shares them, so only a few spaces are kept."""
+    active = {v: frozenset(values) for v, values in space.entries}
+    return tuple(
+        tuple(
+            row
+            for row in constraint.relation.rows
+            if all(value in active[v] for v, value in zip(constraint.scope, row))
+        )
+        for constraint in instance.constraints
+    )
 
 
 def _single_constraint_check(
-    constraint: Constraint, space: SearchSpace, query: PropertyQuery
+    constraint: Constraint,
+    active: tuple[Row, ...],
+    space: SearchSpace,
+    query: PropertyQuery,
 ) -> bool:
     # Exact evaluation on the one-constraint subproblem, straight off the
-    # relation rows that survive the active sets.
+    # relation rows that survive the active sets (``active``).
     kind = query.kind
     x = query.variable
     scope = constraint.scope
@@ -154,16 +165,16 @@ def _single_constraint_check(
         i = scope.index(x)
         return all(
             row[:i] + (b,) + row[i + 1 :] in rows
-            for row in _active_rows(constraint, space)
+            for row in active
             if row[i] == a
         )
     if kind == "interchangeable":
         a, b = query.values
         forward = _single_constraint_check(
-            constraint, space, PropertyQuery.substitutable(x, a, b)
+            constraint, active, space, PropertyQuery.substitutable(x, a, b)
         )
         return forward and _single_constraint_check(
-            constraint, space, PropertyQuery.substitutable(x, b, a)
+            constraint, active, space, PropertyQuery.substitutable(x, b, a)
         )
     if kind == "fixable":
         b = query.values[0]
@@ -172,7 +183,7 @@ def _single_constraint_check(
         i = scope.index(x)
         return all(
             row[:i] + (b,) + row[i + 1 :] in rows
-            for row in _active_rows(constraint, space)
+            for row in active
         )
     if kind == "irrelevant":
         if x not in scope:
@@ -180,19 +191,17 @@ def _single_constraint_check(
         i = scope.index(x)
         return all(
             row[:i] + (a,) + row[i + 1 :] in rows
-            for row in _active_rows(constraint, space)
+            for row in active
             for a in space.values(x)
         )
     if kind == "inconsistent":
         a = query.values[0]
-        active = _active_rows(constraint, space)
         if x not in scope:
             return not active
         i = scope.index(x)
         return all(row[i] != a for row in active)
     if kind == "implied":
         a = query.values[0]
-        active = _active_rows(constraint, space)
         if not active:
             return True
         if x not in scope:
@@ -200,7 +209,6 @@ def _single_constraint_check(
         i = scope.index(x)
         return all(row[i] == a for row in active)
     if kind == "determined":
-        active = _active_rows(constraint, space)
         if not active:
             return True
         if x not in scope:
@@ -214,7 +222,6 @@ def _single_constraint_check(
         return True
     # dependent
     y = x
-    active = _active_rows(constraint, space)
     if not active:
         return True
     if y not in scope:

@@ -115,7 +115,12 @@ def replay(
 
 class _DetectorSet:
     """The sound detector families, each answering: does anything justify
-    fixing (x, a) or removing (x, a) in the current space?"""
+    fixing (x, a) or removing (x, a) in the current space?
+
+    ``effective`` is the formula with every pinned variable instantiated
+    away and ``tractable_class`` its primary Schaefer class (None when it
+    has none); ``advance`` brings both up to date with a space.
+    """
 
     def __init__(
         self,
@@ -126,20 +131,38 @@ class _DetectorSet:
     ):
         self.instance = instance
         self.families = families
-        self.formula = formula
         self.covering = covering
+        self.effective = formula
+        self.tractable_class = self._classify(formula)
 
-    def effective_formula(self, space: SearchSpace) -> BooleanFormula | None:
-        if self.formula is None:
-            return None
+    def advance(self, space: SearchSpace) -> None:
+        """Instantiate the variables pinned since the last call.
+
+        Spaces only shrink and instantiation commutes, so this equals
+        instantiating every pinned variable of the original formula; the
+        class is recomputed because pinning can make a formula tractable or
+        move it to another class.
+        """
+        if self.effective is None:
+            return
         pinned = {
             v: boolean.name_bool(space.values(v)[0])
-            for v in self.instance.variables
+            for v in self.effective.variables
             if len(space.values(v)) == 1
         }
-        return boolean.assume(self.formula, pinned)
+        if pinned:
+            self.effective = boolean.assume(self.effective, pinned)
+            self.tractable_class = self._classify(self.effective)
 
-    def justify_fix(self, space, effective, x, a):
+    @staticmethod
+    def _classify(formula: BooleanFormula | None) -> SchaeferClass | None:
+        if formula is None:
+            return None
+        primary = classify_schaefer(formula).primary
+        return None if primary is SchaeferClass.UNRESTRICTED else primary
+
+    def justify_fix(self, space, x, a):
+        effective = self.effective
         for family in self.families:
             if family == "pure-value":
                 if (
@@ -164,7 +187,7 @@ class _DetectorSet:
                 ).established:
                     return "local-implied", "established on some covering subset"
             elif family == "tractable":
-                cls = self._tractable_class(effective)
+                cls = self.tractable_class
                 if cls is not None and x in effective.variables:
                     if boolean.tract_check(effective, cls, PropertyQuery.implied(x, a)):
                         return "tractable-implied", f"{cls.value} reduction"
@@ -173,8 +196,9 @@ class _DetectorSet:
                     return "oracle-fixable", "exhaustive check"
         return None
 
-    def justify_removal(self, space, effective, x, a):
+    def justify_removal(self, space, x, a):
         # Returns (detector, evidence, witness, is_inconsistency_proof).
+        effective = self.effective
         active = space.values(x)
         for family in self.families:
             if family == "local":
@@ -199,7 +223,7 @@ class _DetectorSet:
                                 False,
                             )
             elif family == "tractable":
-                cls = self._tractable_class(effective)
+                cls = self.tractable_class
                 if cls is not None and x in effective.variables:
                     if boolean.tract_check(
                         effective, cls, PropertyQuery.inconsistent(x, a)
@@ -218,13 +242,6 @@ class _DetectorSet:
                 ):
                     return "oracle-removable", "exhaustive check", None, False
         return None
-
-    @staticmethod
-    def _tractable_class(effective) -> SchaeferClass | None:
-        if effective is None:
-            return None
-        primary = classify_schaefer(effective).primary
-        return None if primary is SchaeferClass.UNRESTRICTED else primary
 
 
 def _resolve_families(
@@ -282,14 +299,14 @@ def simplify_fixpoint(
     steps: list[SimplificationStep] = []
     current = space
     while True:
-        effective = detector_set.effective_formula(current)
+        detector_set.advance(current)
         applied = False
         for x in instance.variables:
             active = current.values(x)
             if len(active) == 1:
                 continue
             for a in active:
-                justification = detector_set.justify_fix(current, effective, x, a)
+                justification = detector_set.justify_fix(current, x, a)
                 if justification is None:
                     continue
                 detector, _evidence = justification
@@ -308,7 +325,7 @@ def simplify_fixpoint(
             continue
         for x in instance.variables:
             for a in current.values(x):
-                found = detector_set.justify_removal(current, effective, x, a)
+                found = detector_set.justify_removal(current, x, a)
                 if found is None:
                     continue
                 detector, _evidence, witness, is_proof = found

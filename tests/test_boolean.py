@@ -1,8 +1,11 @@
 import itertools
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cspstruct import oracle
+from cspstruct import boolean, oracle
 from cspstruct.boolean import (
     AffineEquation,
     BooleanFormula,
@@ -13,6 +16,7 @@ from cspstruct.boolean import (
     UnsupportedQueryError,
     classify_schaefer,
     clause_of,
+    compile_formula,
     complement_conjunction,
     instantiate_project,
     sat_restricted,
@@ -302,3 +306,209 @@ class TestToExtensional:
             ("false", "true"),
             ("true", "false"),
         }
+
+
+# ---------------------------------------------------------------------------
+# The compiled engine
+# ---------------------------------------------------------------------------
+
+CLAUSAL_KINDS = ("horn", "dual-horn", "2cnf")
+
+
+@st.composite
+def formulas(draw, kind):
+    """A formula of the given class over at most 8 variables."""
+    n = draw(st.integers(1, 8))
+    variables = tuple(f"v{i}" for i in range(1, n + 1))
+    names = st.sampled_from(variables)
+    count = draw(st.integers(0, 12))
+    if kind == "affine":
+        equations = tuple(
+            AffineEquation(draw(st.frozensets(names, max_size=3)), draw(st.booleans()))
+            for _ in range(count)
+        )
+        return BooleanFormula(variables, (), equations)
+    width = min(2 if kind == "2cnf" else 3, n)
+    shortest = draw(st.integers(1, width))  # often no unit clauses at all
+    clauses = []
+    for _ in range(count):
+        chosen = draw(st.lists(names, min_size=shortest, max_size=width, unique=True))
+        if kind == "2cnf":
+            signs = [draw(st.booleans()) for _ in chosen]
+        else:
+            odd = draw(st.integers(-1, len(chosen) - 1))  # the one other-polarity slot
+            signs = [(i == odd) == (kind == "horn") for i in range(len(chosen))]
+        clauses.append(Clause(frozenset(map(Literal, chosen, signs))))
+    return BooleanFormula(variables, tuple(clauses))
+
+
+@st.composite
+def formulas_with_assumptions(draw):
+    kind = draw(st.sampled_from(CLAUSAL_KINDS + ("affine",)))
+    formula = draw(formulas(kind))
+    names = st.sampled_from(formula.variables)
+    if kind == "affine":
+        assumptions = draw(
+            st.lists(
+                st.builds(AffineEquation, st.frozensets(names, max_size=3), st.booleans()),
+                max_size=2,
+            )
+        )
+    else:
+        assumptions = draw(
+            st.lists(st.builds(unit, names, st.booleans()), max_size=4)
+        )
+    return kind, formula, tuple(assumptions)
+
+
+def unit(variable, value):
+    return Clause(frozenset((Literal(variable, value),)))
+
+
+def brute_force_consistent(formula, assumptions):
+    extended = BooleanFormula(
+        formula.variables,
+        formula.clauses + tuple(a for a in assumptions if isinstance(a, Clause)),
+        formula.equations + tuple(a for a in assumptions if isinstance(a, AffineEquation)),
+    )
+    return bool(brute_force_models(extended))
+
+
+class TestCompiledEngine:
+    @settings(max_examples=400, deadline=None)
+    @given(formulas_with_assumptions())
+    def test_sat_under_assumptions_matches_brute_force(self, case):
+        kind, formula, assumptions = case
+        compiled = compile_formula(formula, kind)
+        assert compiled.satisfiable == bool(brute_force_models(formula))
+        assert compiled.consistent_with(assumptions) == brute_force_consistent(
+            formula, assumptions
+        )
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(CLAUSAL_KINDS + ("affine",)).flatmap(
+        lambda kind: st.tuples(st.just(kind), formulas(kind))
+    ))
+    def test_every_query_matches_oracle(self, case):
+        kind, formula = case
+        expanded = to_extensional(formula)
+        space = SearchSpace.full(expanded)
+        for query in _boolean_queries(formula):
+            assert tract_check(formula, kind, query) == oracle.evaluate(
+                expanded, space, query
+            ).holds, query
+
+    def test_unsatisfiable_two_cnf_without_propagation_conflict(self):
+        a, b = ("a", True), ("b", True)
+        na, nb = ("a", False), ("b", False)
+        f = BooleanFormula(
+            ("a", "b"), (clause(a, b), clause(a, nb), clause(na, b), clause(na, nb))
+        )
+        compiled = compile_formula(f, "2cnf")
+        assert not compiled.satisfiable
+        assert not compiled.consistent_with(())
+        assert not compiled.consistent_with((unit("a", True),))
+        for value in ("false", "true"):
+            assert tract_check(f, "2cnf", Q.inconsistent("a", value))
+            assert tract_check(f, "2cnf", Q.implied("b", value))
+        assert tract_check(f, "2cnf", Q.determined("a"))
+
+    @pytest.mark.parametrize("kind", CLAUSAL_KINDS)
+    def test_empty_clause(self, kind):
+        f = BooleanFormula(("a", "b"), (Clause(frozenset()), clause(("a", True))))
+        compiled = compile_formula(f, kind)
+        assert not compiled.satisfiable
+        assert not compiled.consistent_with(())
+        assert tract_check(f, kind, Q.inconsistent("a", "true"))
+        assert tract_check(f, kind, Q.substitutable("b", "true", "false"))
+
+    def test_false_equation(self):
+        f = BooleanFormula(("a",), (), (AffineEquation(frozenset(), True),))
+        compiled = compile_formula(f, "affine")
+        assert not compiled.satisfiable
+        assert not compiled.consistent_with(())
+        assert tract_check(f, "affine", Q.inconsistent("a", "false"))
+        assert tract_check(f, "affine", Q.determined("a"))
+
+    @pytest.mark.parametrize("kind", CLAUSAL_KINDS)
+    def test_unit_only_formula(self, kind):
+        f = BooleanFormula(("a", "b", "c"), (clause(("a", True)), clause(("b", False))))
+        compiled = compile_formula(f, kind)
+        assert compiled.satisfiable
+        assert compiled.consistent_with((unit("a", True), unit("c", False)))
+        assert not compiled.consistent_with((unit("a", False),))
+        assert not compiled.consistent_with((unit("c", True), unit("c", False)))
+        assert tract_check(f, kind, Q.implied("a", "true"))
+        assert tract_check(f, kind, Q.implied("b", "false"))
+        assert tract_check(f, kind, Q.irrelevant("c"))
+        assert not tract_check(f, kind, Q.determined("c"))
+        assert tract_check(f, kind, Q.fixable("a", "true"))
+        assert not tract_check(f, kind, Q.removable("a", "true"))
+
+    @pytest.mark.parametrize("kind", CLAUSAL_KINDS + ("affine",))
+    def test_zero_constraint_formula(self, kind):
+        f = BooleanFormula(("a", "b"))
+        compiled = compile_formula(f, kind)
+        assert compiled.satisfiable
+        assert compiled.consistent_with(())
+        for x in f.variables:
+            assert tract_check(f, kind, Q.irrelevant(x))
+            assert not tract_check(f, kind, Q.determined(x))
+            assert not tract_check(f, kind, Q.inconsistent(x, "true"))
+            assert tract_check(f, kind, Q.interchangeable(x, "false", "true"))
+
+    def test_assumptions_outside_the_language_rejected(self):
+        horn = compile_formula(BooleanFormula(("a", "b")), "horn")
+        with pytest.raises(ClassMismatchError):
+            horn.consistent_with((clause(("a", True), ("b", False)),))
+        affine = compile_formula(BooleanFormula(("a",)), "affine")
+        with pytest.raises(ClassMismatchError):
+            affine.consistent_with((unit("a", True),))
+
+    def test_compiled_once_per_formula(self):
+        f = BooleanFormula(("x", "y"), (clause(("x", False), ("y", True)),))
+        compile_formula.cache_clear()
+        for query in _boolean_queries(f):
+            tract_check(f, "horn", query)
+        info = compile_formula.cache_info()
+        assert info.misses == 1 and info.hits == len(list(_boolean_queries(f))) - 1
+
+    def test_no_other_module_cache(self):
+        caches = [n for n, v in vars(boolean).items() if hasattr(v, "cache_clear")]
+        assert caches == ["compile_formula"]
+
+
+class TestTractCheckErrorOrder:
+    """Class mismatch, then dependence, then unknown kind, unknown variable,
+    non-boolean value."""
+
+    horn = BooleanFormula(("x",), (clause(("x", True)),))
+    not_horn = BooleanFormula(("x", "y"), (clause(("x", True), ("y", True)),))
+
+    @staticmethod
+    def query(kind, variable="nope", values=("maybe",)):
+        # Stands in for a PropertyQuery, which refuses unknown kinds itself.
+        return SimpleNamespace(kind=kind, variable=variable, values=values, over=())
+
+    def test_class_mismatch_first(self):
+        for kind in ("dependent", "bogus", "implied"):
+            with pytest.raises(ClassMismatchError):
+                tract_check(self.not_horn, "horn", self.query(kind))
+        with pytest.raises(ClassMismatchError):
+            tract_check(self.horn, "unrestricted", self.query("dependent"))
+
+    def test_dependence_before_kind_variable_and_value(self):
+        with pytest.raises(UnsupportedQueryError, match="dependence"):
+            tract_check(self.horn, "horn", self.query("dependent"))
+
+    def test_kind_before_variable_and_value(self):
+        with pytest.raises(UnsupportedQueryError, match="unsupported property kind"):
+            tract_check(self.horn, "horn", self.query("bogus"))
+
+    def test_variable_before_value(self):
+        with pytest.raises(ValueError, match="unknown variable"):
+            tract_check(self.horn, "horn", self.query("implied"))
+
+    def test_value_last(self):
+        with pytest.raises(ValueError, match="boolean"):
+            tract_check(self.horn, "horn", self.query("implied", variable="x"))

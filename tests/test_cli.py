@@ -1,3 +1,6 @@
+import pytest
+
+from cspstruct import boolean
 from cspstruct.cli import main
 from cspstruct.instances import parse_csp
 from cspstruct.report import AnalysisReport, Finding, from_json, make_report, to_json
@@ -265,3 +268,65 @@ class TestClassify:
     def test_non_boolean_input_fails(self, capsys):
         code, _, err = run(capsys, "classify", str(data_path("coloring_isolated.csp")))
         assert code == 2
+
+
+class TestExitCodes:
+    """2 for anything the input or the options got wrong, 3 for faults."""
+
+    @pytest.mark.parametrize("command", ["analyze", "simplify", "check"])
+    def test_group_size_zero_is_usage(self, capsys, command):
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, str(data_path("coloring_isolated.csp")), "--group-size", "0"])
+        assert exit_info.value.code == 2
+        assert "--group-size: must be at least 1" in capsys.readouterr().err
+
+    def test_formula_without_variables(self, capsys, tmp_path):
+        empty = tmp_path / "empty.cnf"
+        empty.write_text("p cnf 0 0\n")
+        for command in ("analyze", "simplify", "check"):
+            code, out, err = run(capsys, command, str(empty))
+            assert (code, out) == (2, "")
+            assert err == f"error: {empty}: cannot expand a formula without variables\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("check", "--corpus", "seeds=a..b"),
+            ("check", "--corpus", "vars=0,seeds=1..2"),
+            ("check", "--corpus", "colour=3"),
+            ("check", str(data_path("coloring_isolated.csp")), "--reverse-edge", "nope"),
+            ("gen", "coloring", "--nodes", "0"),
+            ("gen", "coloring", "--nodes", "2", "--edges", "1-x"),
+            ("gen", "factoring", "--number", "3"),
+            ("gen", "random", "--vars", "2", "--domain-size", "2", "--constraints", "1",
+             "--seed", "1", "--density", "2"),
+        ],
+    )
+    def test_bad_option_values(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+
+    def test_unwritable_output(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.csp"
+        for argv in (
+            ("simplify", str(data_path("coloring_isolated.csp")), "--out", str(target)),
+            ("gen", "coloring", "--nodes", "2", "--out", str(target)),
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 2
+            assert err.startswith(f"error: cannot write {target}")
+
+    @pytest.mark.parametrize("fault", [ValueError, KeyError, RuntimeError])
+    def test_fault_is_internal_error(self, capsys, monkeypatch, tmp_path, fault):
+        def broken(*args):
+            raise fault("engine fault")
+
+        horn = tmp_path / "horn.cnf"
+        horn.write_text("p cnf 2 2\n-1 2 0\n1 0\n")
+        monkeypatch.setattr(boolean, "tract_check", broken)
+        code, out, err = run(capsys, "analyze", str(horn), "--method", "tractable")
+        assert (code, out) == (3, "")
+        assert err.startswith(f"internal error: {fault.__name__}: ")
+        assert "engine fault" in err.splitlines()[0]
+        assert "Traceback" in err

@@ -1,10 +1,24 @@
+import hashlib
+
 import pytest
 
 from cspstruct import oracle
-from cspstruct.boolean import BooleanFormula, Clause, Literal, to_extensional
+from cspstruct.boolean import (
+    BooleanFormula,
+    Clause,
+    Literal,
+    SchaeferClass,
+    assume,
+    classify_schaefer,
+    name_bool,
+    to_extensional,
+)
+from cspstruct.local import default_covering
 from cspstruct.model import Constraint, CspInstance, Relation, SearchSpace
 from cspstruct.simplify import (
     ProvedUnsatisfiable,
+    _DetectorSet,
+    _resolve_families,
     apply_fix,
     apply_remove,
     replay,
@@ -179,3 +193,86 @@ class TestOracleDetectors:
         assert result.steps
         assert oracle.satisfiable(inst, result.final_space)
         assert result.steps[0].render() == "FIX x1=R BY oracle-fixable"
+
+
+# sha256 of the step logs and outcomes below, recorded when the simplifier
+# still re-instantiated every pinned variable of the original formula on
+# every iteration.
+STEP_LOG_DIGEST = "3b9cdd9df97e68cda781c162b591f52e5c1839a2d86f21c623f2ac13fd482c02"
+
+
+def corpus_slices(boolean_corpora):
+    for kind in ("horn", "dual-horn", "2cnf", "affine"):
+        yield from boolean_corpora[kind][:30]
+
+
+class TestIncrementalEffectiveFormula:
+    @staticmethod
+    def trajectory(formula):
+        """Detector set, instance and the spaces a formula-backed run sees."""
+        inst = to_extensional(formula)
+        space = SearchSpace.full(inst)
+        result = simplify_fixpoint(inst, space, formula=formula)
+        detectors = _DetectorSet(
+            inst,
+            _resolve_families("production", None, formula),
+            formula,
+            default_covering(inst),
+        )
+        spaces = [replay(space, result.steps[:n]) for n in range(len(result.steps) + 1)]
+        return detectors, inst, spaces
+
+    @staticmethod
+    def assert_matches_full_assume(detectors, inst, formula, space):
+        detectors.advance(space)
+        pinned = {
+            v: name_bool(space.values(v)[0])
+            for v in inst.variables
+            if len(space.values(v)) == 1
+        }
+        expected = assume(formula, pinned)
+        assert detectors.effective == expected
+        primary = classify_schaefer(expected).primary
+        expected_class = None if primary is SchaeferClass.UNRESTRICTED else primary
+        assert detectors.tractable_class is expected_class
+
+    def test_equals_assume_of_every_pin_at_every_step(self, boolean_corpora):
+        steps = 0
+        for formula in corpus_slices(boolean_corpora):
+            detectors, inst, spaces = self.trajectory(formula)
+            for space in spaces:
+                self.assert_matches_full_assume(detectors, inst, formula, space)
+            steps += len(spaces) - 1
+            # Several variables pinned since the last call.
+            jumper, _, _ = self.trajectory(formula)
+            for space in spaces[::3] + spaces[-1:]:
+                self.assert_matches_full_assume(jumper, inst, formula, space)
+        assert steps > 100
+
+    def test_class_follows_the_pins(self):
+        # (a)(a|b|c)(-a|-b|-c) is in no tractable class; once a is pinned
+        # the rest, (-b|-c), is Horn.
+        f = BooleanFormula(
+            ("a", "b", "c"),
+            (
+                clause(("a", True)),
+                clause(("a", True), ("b", True), ("c", True)),
+                clause(("a", False), ("b", False), ("c", False)),
+            ),
+        )
+        detectors, inst, spaces = self.trajectory(f)
+        classes = []
+        for space in spaces:
+            self.assert_matches_full_assume(detectors, inst, f, space)
+            classes.append(detectors.tractable_class)
+        assert classes[0] is None and classes[-1] is SchaeferClass.HORN
+
+    def test_step_logs_are_pinned(self, boolean_corpora):
+        digest = hashlib.sha256()
+        for formula in corpus_slices(boolean_corpora):
+            inst = to_extensional(formula)
+            result = simplify_fixpoint(inst, SearchSpace.full(inst), formula=formula)
+            outcome = (result.fixpoint, result.proved_unsatisfiable, result.conflict)
+            digest.update(result.log().encode() + b"\n")
+            digest.update(repr(outcome).encode() + b"\n")
+        assert digest.hexdigest() == STEP_LOG_DIGEST
