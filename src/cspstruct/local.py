@@ -26,6 +26,7 @@ from .oracle import PropertyQuery
 
 AND_KINDS = frozenset({"substitutable", "interchangeable", "fixable", "irrelevant"})
 OR_KINDS = frozenset({"inconsistent", "implied", "determined", "dependent"})
+_KINDS = AND_KINDS | OR_KINDS
 
 
 class UnsoundLocalCheckError(ValueError):
@@ -82,7 +83,10 @@ def _subinstance(instance: CspInstance, indices: tuple[int, ...]) -> CspInstance
     )
 
 
+@lru_cache(maxsize=8)
 def _validate_covering(instance: CspInstance, covering: Covering) -> None:
+    """Raise unless the covering's groups index and cover every constraint;
+    only a passing check is cached, so a bad covering raises every time."""
     count = len(instance.constraints)
     seen: set[int] = set()
     for group in covering.groups:
@@ -107,7 +111,7 @@ def local_check(
             "removable in every constraint taken alone yet required globally, "
             "and removing it may make a satisfiable instance unsatisfiable"
         )
-    if query.kind not in AND_KINDS | OR_KINDS:
+    if query.kind not in _KINDS:
         raise ValueError(f"unsupported property kind {query.kind!r}")
     _validate_covering(instance, covering)
     instance.var_index(query.variable)
@@ -160,21 +164,11 @@ def _single_constraint_check(
 
     if kind == "substitutable":
         a, b = query.values
-        if x not in scope:
-            return True
-        i = scope.index(x)
-        return all(
-            row[:i] + (b,) + row[i + 1 :] in rows
-            for row in active
-            if row[i] == a
-        )
+        return _substitutable(scope, rows, active, x, a, b)
     if kind == "interchangeable":
         a, b = query.values
-        forward = _single_constraint_check(
-            constraint, active, space, PropertyQuery.substitutable(x, a, b)
-        )
-        return forward and _single_constraint_check(
-            constraint, active, space, PropertyQuery.substitutable(x, b, a)
+        return _substitutable(scope, rows, active, x, a, b) and _substitutable(
+            scope, rows, active, x, b, a
         )
     if kind == "fixable":
         b = query.values[0]
@@ -234,6 +228,21 @@ def _single_constraint_check(
         if groups.setdefault(key, row[iy]) != row[iy]:
             return False
     return True
+
+
+def _substitutable(
+    scope: tuple[str, ...],
+    rows: frozenset[Row],
+    active: tuple[Row, ...],
+    x: str,
+    a: str,
+    b: str,
+) -> bool:
+    """Every active row with x = a stays in the relation with x = b."""
+    if x not in scope:
+        return True
+    i = scope.index(x)
+    return all(row[:i] + (b,) + row[i + 1 :] in rows for row in active if row[i] == a)
 
 
 def pure_value_fixable(formula: BooleanFormula, x: str) -> bool | None:

@@ -7,6 +7,8 @@ The answers are trustworthy (if exponential) and every faster detector in
 this package is validated against them.  Checks stop at the first
 counterexample; since enumeration follows declaration order, a reported
 counterexample is always the lexicographically least one.
+Each query is decided once per cached solution table: the verdict is kept
+on the table, and the query is validated only when it is first decided.
 Value quantifiers ("some other value b", "every value a") range over the
 variable's active values.
 """
@@ -116,9 +118,10 @@ class PropertyQuery:
 
 
 class SolutionTable:
-    """Cached exhaustive enumeration of Sol(C) within a search space."""
+    """Cached exhaustive enumeration of Sol(C) within a search space, plus
+    the verdicts decided on it so far (``evaluate`` fills ``verdicts``)."""
 
-    __slots__ = ("order", "index", "actives", "rows", "members")
+    __slots__ = ("order", "index", "actives", "rows", "members", "verdicts")
 
     def __init__(
         self,
@@ -131,6 +134,7 @@ class SolutionTable:
         self.actives = actives
         self.rows = rows
         self.members = frozenset(rows)
+        self.verdicts: dict[PropertyQuery, OracleVerdict] = {}
 
     def wrap(self, row: Row) -> AssignmentTuple:
         return AssignmentTuple(zip(self.order, row))
@@ -267,13 +271,15 @@ def _dependence_pair(
     return ()
 
 
-def _validate_variable(instance: CspInstance, variable: str) -> None:
-    instance.var_index(variable)
-
-
-def _validate_value(space: SearchSpace, variable: str, value: str) -> None:
-    if value not in space.values(variable):
-        raise ValueError(f"value {value!r} is not active for {variable!r}")
+def _validate(instance: CspInstance, space: SearchSpace, query: PropertyQuery) -> None:
+    # The space covers the instance and query.variable is known: check the
+    # conditioning variables, then the values.
+    for v in query.over:
+        instance.var_index(v)
+    active = space.values(query.variable)
+    for value in query.values:
+        if value not in active:
+            raise ValueError(f"value {value!r} is not active for {query.variable!r}")
 
 
 @dataclass(frozen=True)
@@ -283,19 +289,7 @@ class OracleVerdict:
     counterexamples: tuple[AssignmentTuple, ...] = ()
 
 
-def evaluate(
-    instance: CspInstance, space: SearchSpace, query: PropertyQuery
-) -> OracleVerdict:
-    """Decide one property query exhaustively, with counterexample evidence:
-    the first falsifying solution row in enumeration order (the first
-    falsifying pair, for dependence)."""
-    _require_cover(instance, space)
-    _validate_variable(instance, query.variable)
-    for v in query.over:
-        _validate_variable(instance, v)
-    for value in query.values:
-        _validate_value(space, query.variable, value)
-    tbl = solution_table(instance, space)
+def _decide(tbl: SolutionTable, query: PropertyQuery) -> OracleVerdict:
     if query.kind == "dependent":
         witness = _dependence_pair(tbl, query.over, query.variable)
         return OracleVerdict(query, not witness, tuple(map(tbl.wrap, witness)))
@@ -303,6 +297,29 @@ def evaluate(
     if witness is None:
         return OracleVerdict(query, True)
     return OracleVerdict(query, False, (tbl.wrap(witness),))
+
+
+def evaluate(
+    instance: CspInstance, space: SearchSpace, query: PropertyQuery
+) -> OracleVerdict:
+    """Decide one property query exhaustively, with counterexample evidence:
+    the first falsifying solution row in enumeration order (the first
+    falsifying pair, for dependence).
+
+    The verdict is kept on the cached solution table, so an equal query on
+    the same (instance, space) costs the table lookup plus one dict lookup
+    and skips validation: the stored query was validated against that key.
+    """
+    if query.variable not in instance.variables:
+        # Fail before any enumeration, with the cover error first.
+        _require_cover(instance, space)
+        instance.var_index(query.variable)
+    tbl = solution_table(instance, space)  # checks the cover on a miss
+    verdict = tbl.verdicts.get(query)
+    if verdict is None:
+        _validate(instance, space, query)
+        verdict = tbl.verdicts[query] = _decide(tbl, query)
+    return verdict
 
 
 def check_fixable(

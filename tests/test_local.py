@@ -71,9 +71,17 @@ class TestLocalCheck:
 
     def test_covering_must_cover(self, triple_tables):
         inst, space = triple_tables
-        partial = Covering(((0,), (1,)))
-        with pytest.raises(ValueError, match="cover every constraint"):
-            local_check(inst, space, partial, Q.fixable("z", "2"))
+        bad = [
+            (Covering(((0,), (1,))), "cover every constraint"),
+            (Covering(((0,), (1,), (2, 7))), "covering index 7 out of range"),
+        ]
+        # A passing covering check is cached; a failing one must raise on
+        # every call, also once a valid covering of the instance was used.
+        for _ in range(2):
+            for covering, message in bad:
+                with pytest.raises(ValueError, match=message):
+                    local_check(inst, space, covering, Q.fixable("z", "2"))
+            local_check(inst, space, default_covering(inst), Q.fixable("z", "2"))
         with pytest.raises(ValueError, match="nonempty"):
             Covering(((0,), ()))
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -395,6 +396,110 @@ class TestPreconditions:
             PropertyQuery("fixable", "x", ())
         with pytest.raises(ValueError, match="unknown property kind"):
             PropertyQuery("magic", "x")
+
+
+def fresh_verdict(inst, space, query):
+    solution_table.cache_clear()
+    return evaluate(inst, space, query)
+
+
+def same_verdict(got, want):
+    return (got.query, got.holds, got.counterexamples) == (
+        want.query,
+        want.holds,
+        want.counterexamples,
+    )
+
+
+class TestVerdictMemo:
+    @settings(max_examples=80, deadline=None)
+    @given(instances_with_spaces(), st.randoms(use_true_random=False))
+    def test_repeated_queries_match_fresh_evaluation(self, case, rng):
+        inst, space = case
+        queries = all_queries(inst, space, dep_max=2)
+        # Every query at least once, a third of them again as equal but
+        # distinct objects, in a shuffled order.
+        asked = queries + [
+            PropertyQuery(q.kind, q.variable, q.values, q.over)
+            for q in rng.sample(queries, len(queries) // 3)
+        ]
+        rng.shuffle(asked)
+        solution_table.cache_clear()
+        answers = [evaluate(inst, space, q) for q in asked]
+        for query, got in zip(asked, answers):
+            assert same_verdict(got, fresh_verdict(inst, space, query)), query
+
+    def test_invalid_queries_raise_on_every_call(self, coloring):
+        inst, space = coloring
+        narrowed = space.remove("x1", "B")
+        partial = SearchSpace(space.entries[:3])
+        other = SearchSpace.full(CspInstance(("q",), ("0",)))
+        cases = [
+            (
+                lambda: evaluate(inst, narrowed, PropertyQuery.fixable("x1", "B")),
+                "value 'B' is not active for 'x1'",
+            ),
+            (
+                lambda: evaluate(inst, space, PropertyQuery.determined("nope")),
+                "unknown variable 'nope'",
+            ),
+            (
+                lambda: evaluate(inst, space, PropertyQuery.dependent(("x2", "nope"), "x5")),
+                "unknown variable 'nope'",
+            ),
+            (
+                lambda: evaluate(inst, space, PropertyQuery.dependent(("x2", "x5"), "x5")),
+                "dependence target must not occur in the variable set",
+            ),
+            (
+                lambda: evaluate(inst, partial, PropertyQuery.irrelevant("x1")),
+                "search space must cover exactly the instance variables",
+            ),
+            # The cover error comes before the unknown variable.
+            (
+                lambda: evaluate(inst, other, PropertyQuery.irrelevant("q")),
+                "search space must cover exactly the instance variables",
+            ),
+        ]
+        solution_table.cache_clear()
+        with pytest.raises(ValueError, match="unknown variable 'nope'"):
+            evaluate(inst, space, PropertyQuery.determined("nope"))
+        assert solution_table.cache_info().currsize == 0  # nothing enumerated
+        for _ in range(2):
+            for ask, message in cases:
+                for _ in range(2):
+                    with pytest.raises(ValueError, match=re.escape(message)):
+                        ask()
+            # Fill the memos of both valid spaces, then ask again.
+            for valid in (space, narrowed):
+                for query in all_queries(inst, valid, dep_max=1):
+                    evaluate(inst, valid, query)
+            assert solution_table(inst, narrowed).verdicts
+
+    def test_each_space_keeps_its_own_verdict(self, coloring):
+        inst, full = coloring
+        pinned = full.assign("x1", "G")
+        query = PropertyQuery.implied("x1", "G")
+        expected = {
+            space: fresh_verdict(inst, space, query) for space in (full, pinned)
+        }
+        assert not expected[full].holds and expected[pinned].holds
+        for order in ((full, pinned), (pinned, full)):
+            solution_table.cache_clear()
+            for space in order * 2:
+                assert same_verdict(evaluate(inst, space, query), expected[space])
+
+    def test_cache_clear_drops_every_verdict(self, coloring):
+        inst, space = coloring
+        query = PropertyQuery.fixable("x1", "R")
+        evaluate(inst, space, query)
+        before = solution_table(inst, space)
+        assert query in before.verdicts
+        solution_table.cache_clear()
+        after = solution_table(inst, space)
+        assert after is not before and after.verdicts == {}
+        assert same_verdict(evaluate(inst, space, query), before.verdicts[query])
+        assert query in after.verdicts
 
 
 class TestAllQueries:
