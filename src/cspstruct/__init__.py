@@ -57,7 +57,6 @@ from .local import (
     default_covering,
     local_check,
     pure_value_fixable,
-    subproblem,
 )
 from .model import (
     AssignmentTuple,

@@ -7,6 +7,14 @@ irrelevance; OR for inconsistency, implication, determinacy and
 dependence).  A satisfied combinator *establishes* the global property;
 anything else stays *unknown* — local reasoning never refutes.
 
+Every group, one constraint or many, is decided the same way: on the
+group's solutions over the union of its scopes, enumerated by the oracle's
+backtracking enumerator and scanned by the oracle's own falsifier and
+dependence checks.  A variable outside that union is free in the group's
+subproblem, so a query on it follows from its active values alone.  A
+group's solutions are kept per group and per active sets on its scope, so
+a narrowed space rebuilds only the groups whose variables it touched.
+
 Removability is the one value property this approach cannot support:
 per-constraint removability does not imply global removability, and acting
 on it can turn a satisfiable instance unsatisfiable.  Removability queries
@@ -15,13 +23,12 @@ are therefore rejected outright.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache
 
 from . import oracle
 from .boolean import BooleanFormula, Literal
-from .model import Constraint, CspInstance, Row, SearchSpace
+from .model import CspInstance, SearchSpace
 from .oracle import PropertyQuery
 
 AND_KINDS = frozenset({"substitutable", "interchangeable", "fixable", "irrelevant"})
@@ -71,22 +78,12 @@ def default_covering(instance: CspInstance, group_size: int = 1) -> Covering:
     return Covering(groups)
 
 
-def subproblem(instance: CspInstance, indices: tuple[int, ...]) -> CspInstance:
-    """The instance restricted to a constraint subset; variables all stay."""
-    return _subinstance(instance, tuple(indices))
-
-
-@lru_cache(maxsize=1024)
-def _subinstance(instance: CspInstance, indices: tuple[int, ...]) -> CspInstance:
-    return dataclasses.replace(
-        instance, constraints=tuple(instance.constraints[i] for i in indices)
-    )
-
-
 @lru_cache(maxsize=8)
-def _validate_covering(instance: CspInstance, covering: Covering) -> None:
-    """Raise unless the covering's groups index and cover every constraint;
-    only a passing check is cached, so a bad covering raises every time."""
+def _groups(instance: CspInstance, covering: Covering) -> tuple[CspInstance, ...]:
+    """Per covering group, the subproblem projected onto the union of its
+    scopes (variables in declaration order).  Raises unless the groups index
+    and cover every constraint; only a passing covering is cached, so a bad
+    one raises every time."""
     count = len(instance.constraints)
     seen: set[int] = set()
     for group in covering.groups:
@@ -96,6 +93,38 @@ def _validate_covering(instance: CspInstance, covering: Covering) -> None:
             seen.add(i)
     if seen != set(range(count)):
         raise ValueError("covering subsets must jointly cover every constraint")
+    projected = []
+    for group in covering.groups:
+        constraints = tuple(instance.constraints[i] for i in group)
+        scope = {v for c in constraints for v in c.scope}
+        names = tuple(v for v in instance.variables if v in scope)
+        projected.append(CspInstance(names, instance.domain, constraints))
+    return tuple(projected)
+
+
+@lru_cache(maxsize=4)
+def _tables(
+    instance: CspInstance, covering: Covering, space: SearchSpace
+) -> tuple[oracle.SolutionTable, ...]:
+    """Per covering group, its solutions on its own scope inside the space;
+    every query on one space shares them, so only a few spaces are kept."""
+    groups = _groups(instance, covering)
+    oracle._require_cover(instance, space)
+    return tuple(
+        _group_table(group, tuple(map(space.values, group.variables)))
+        for group in groups
+    )
+
+
+@lru_cache(maxsize=1024)
+def _group_table(
+    group: CspInstance, actives: tuple[tuple[str, ...], ...]
+) -> oracle.SolutionTable:
+    # Keyed by the group's own active sets: a step that narrows a variable
+    # outside the group's scope rebuilds nothing here.
+    space = SearchSpace(tuple(zip(group.variables, actives)))
+    rows = tuple(oracle._solution_rows(group, space))
+    return oracle.SolutionTable(group.variables, actives, rows)
 
 
 def local_check(
@@ -113,136 +142,40 @@ def local_check(
         )
     if query.kind not in _KINDS:
         raise ValueError(f"unsupported property kind {query.kind!r}")
-    _validate_covering(instance, covering)
+    tables = _tables(instance, covering, space)
     instance.var_index(query.variable)
+    for v in query.over:
+        instance.var_index(v)
+    active = space.values(query.variable)
     for value in query.values:
-        if value not in space.values(query.variable):
+        if value not in active:
             raise ValueError(f"value {value!r} is not active for {query.variable!r}")
-    rows = _active_rows(instance, space)
-    results = []
-    for group in covering.groups:
-        if len(group) == 1:
-            (i,) = group
-            ok = _single_constraint_check(instance.constraints[i], rows[i], space, query)
-        else:
-            sub = _subinstance(instance, tuple(group))
-            ok = oracle.evaluate(sub, space, query).holds
-        results.append(ok)
+    results = tuple(_holds(tbl, active, query) for tbl in tables)
     established = all(results) if query.kind in AND_KINDS else any(results)
-    return LocalVerdict(query, established, tuple(results))
+    return LocalVerdict(query, established, results)
 
 
-@lru_cache(maxsize=4)
-def _active_rows(
-    instance: CspInstance, space: SearchSpace
-) -> tuple[tuple[Row, ...], ...]:
-    """Per constraint, the relation rows that survive the active sets; every
-    query on one space shares them, so only a few spaces are kept."""
-    active = {v: frozenset(values) for v, values in space.entries}
-    return tuple(
-        tuple(
-            row
-            for row in constraint.relation.rows
-            if all(value in active[v] for v, value in zip(constraint.scope, row))
-        )
-        for constraint in instance.constraints
-    )
-
-
-def _single_constraint_check(
-    constraint: Constraint,
-    active: tuple[Row, ...],
-    space: SearchSpace,
-    query: PropertyQuery,
+def _holds(
+    tbl: oracle.SolutionTable, active: tuple[str, ...], query: PropertyQuery
 ) -> bool:
-    # Exact evaluation on the one-constraint subproblem, straight off the
-    # relation rows that survive the active sets (``active``).
+    """Decide the query exactly on one group's subproblem: on the group's
+    own solutions when the queried variable is in its scope, and otherwise
+    with that variable free (every value active in ``active`` extends each
+    group solution)."""
     kind = query.kind
     x = query.variable
-    scope = constraint.scope
-    rows = constraint.relation.rows
-
-    if kind == "substitutable":
-        a, b = query.values
-        return _substitutable(scope, rows, active, x, a, b)
-    if kind == "interchangeable":
-        a, b = query.values
-        return _substitutable(scope, rows, active, x, a, b) and _substitutable(
-            scope, rows, active, x, b, a
-        )
-    if kind == "fixable":
-        b = query.values[0]
-        if x not in scope:
-            return True
-        i = scope.index(x)
-        return all(
-            row[:i] + (b,) + row[i + 1 :] in rows
-            for row in active
-        )
-    if kind == "irrelevant":
-        if x not in scope:
-            return True
-        i = scope.index(x)
-        return all(
-            row[:i] + (a,) + row[i + 1 :] in rows
-            for row in active
-            for a in space.values(x)
-        )
+    if x in tbl.index:
+        if kind == "dependent":
+            over = tuple(v for v in query.over if v in tbl.index)
+            return not oracle._dependence_pair(tbl, over, x)
+        return next(oracle._falsifying_rows(tbl, query), None) is None
+    if kind in AND_KINDS or not tbl.rows:
+        return True
     if kind == "inconsistent":
-        a = query.values[0]
-        if x not in scope:
-            return not active
-        i = scope.index(x)
-        return all(row[i] != a for row in active)
+        return False
     if kind == "implied":
-        a = query.values[0]
-        if not active:
-            return True
-        if x not in scope:
-            return space.values(x) == (a,)
-        i = scope.index(x)
-        return all(row[i] == a for row in active)
-    if kind == "determined":
-        if not active:
-            return True
-        if x not in scope:
-            return len(space.values(x)) == 1
-        i = scope.index(x)
-        seen: dict[tuple[str, ...], str] = {}
-        for row in active:
-            key = row[:i] + row[i + 1 :]
-            if seen.setdefault(key, row[i]) != row[i]:
-                return False
-        return True
-    # dependent
-    y = x
-    if not active:
-        return True
-    if y not in scope:
-        return len(space.values(y)) == 1
-    iy = scope.index(y)
-    positions = tuple(scope.index(v) for v in query.over if v in scope)
-    groups: dict[tuple[str, ...], str] = {}
-    for row in active:
-        key = tuple(row[p] for p in positions)
-        if groups.setdefault(key, row[iy]) != row[iy]:
-            return False
-    return True
-
-
-def _substitutable(
-    scope: tuple[str, ...],
-    rows: frozenset[Row],
-    active: tuple[Row, ...],
-    x: str,
-    a: str,
-    b: str,
-) -> bool:
-    """Every active row with x = a stays in the relation with x = b."""
-    if x not in scope:
-        return True
-    i = scope.index(x)
-    return all(row[:i] + (b,) + row[i + 1 :] in rows for row in active if row[i] == a)
+        return active == (query.values[0],)
+    return len(active) == 1  # determined, dependent
 
 
 def pure_value_fixable(formula: BooleanFormula, x: str) -> bool | None:

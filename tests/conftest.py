@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from pathlib import Path
 
@@ -54,3 +55,11 @@ def iter_rows(space):
     """Raw value rows of the space, in (variable order, value order): the
     plain product that the oracle's enumerator must agree with."""
     return itertools.product(*(values for _, values in space.entries))
+
+
+def subproblem(instance, indices):
+    """The instance restricted to a constraint subset, every variable kept:
+    the subproblem whose exact verdict a covering group must report."""
+    return dataclasses.replace(
+        instance, constraints=tuple(instance.constraints[i] for i in indices)
+    )

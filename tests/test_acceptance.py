@@ -12,9 +12,11 @@ from cspstruct import boolean, local, oracle, simplify
 from cspstruct.boolean import to_extensional
 from cspstruct.hierarchy import validate_hierarchy
 from cspstruct.instances import FactoringSpec, decode_factors, factoring_space, gen_factoring
-from cspstruct.local import UnsoundLocalCheckError, default_covering, local_check, subproblem
+from cspstruct.local import UnsoundLocalCheckError, default_covering, local_check
 from cspstruct.model import SearchSpace
 from cspstruct.oracle import PropertyQuery as Q
+
+from conftest import subproblem
 
 
 def _report(number: int, name: str) -> None:

@@ -1,8 +1,8 @@
 import pytest
 
-from cspstruct import oracle
+from cspstruct import local, oracle
 from cspstruct.boolean import BooleanFormula, Clause, Literal, to_extensional
-from cspstruct.instances import gen_random_boolean
+from cspstruct.instances import gen_random_boolean, parse_csp
 from cspstruct.local import (
     AND_KINDS,
     OR_KINDS,
@@ -11,10 +11,11 @@ from cspstruct.local import (
     default_covering,
     local_check,
     pure_value_fixable,
-    subproblem,
 )
 from cspstruct.model import Constraint, CspInstance, Relation, SearchSpace
 from cspstruct.oracle import PropertyQuery as Q
+
+from conftest import data_path, subproblem
 
 
 class TestDefaultCovering:
@@ -85,6 +86,22 @@ class TestLocalCheck:
         with pytest.raises(ValueError, match="nonempty"):
             Covering(((0,), ()))
 
+    @pytest.mark.parametrize("group_size", [1, 2])
+    def test_bad_space_or_variable_rejected_at_every_group_size(
+        self, triple_tables, group_size
+    ):
+        inst, space = triple_tables
+        covering = default_covering(inst, group_size)
+        lacking = SearchSpace(space.entries[:2])
+        extra = SearchSpace(space.entries + (("w", ("0",)),))
+        for bad in (lacking, extra):
+            with pytest.raises(ValueError, match="must cover exactly the instance variables"):
+                local_check(inst, bad, covering, Q.fixable("z", "2"))
+        with pytest.raises(ValueError, match="unknown variable 'w'"):
+            local_check(inst, space, covering, Q.dependent(("w",), "x"))
+        with pytest.raises(ValueError, match="unknown variable 'w'"):
+            local_check(inst, space, covering, Q.fixable("w", "0"))
+
     def test_overlapping_covering_accepted(self, triple_tables):
         inst, space = triple_tables
         overlapping = Covering(((0, 1), (1, 2), (0, 2)))
@@ -104,30 +121,95 @@ def _corpus_queries(inst, space):
     return oracle.all_queries(inst, space, tuple(AND_KINDS | OR_KINDS), dep_max=2)
 
 
+def _coverings(inst):
+    """Groups of 1, 2, 3 and |C| constraints, plus an overlapping covering
+    that pairs each constraint with the next one."""
+    count = len(inst.constraints)
+    coverings = [default_covering(inst, size) for size in sorted({1, 2, 3, count})]
+    coverings.append(Covering(tuple((i, (i + 1) % count) for i in range(count))))
+    return coverings
+
+
+def _assert_groups_exact(inst, space):
+    for covering in _coverings(inst):
+        subs = [subproblem(inst, group) for group in covering.groups]
+        for query in _corpus_queries(inst, space):
+            verdict = local_check(inst, space, covering, query)
+            expected = tuple(oracle.evaluate(sub, space, query).holds for sub in subs)
+            assert verdict.per_group == expected, (covering, query.describe())
+
+
 class TestExactnessOfFastPaths:
+    # Every covering group reports the oracle's verdict on its subproblem
+    # (the group's constraints over every variable of the instance).
     def test_singleton_fast_path_equals_subproblem_oracle(self, corpus):
         for inst, space in corpus[:40]:
-            covering = default_covering(inst, 1)
-            for query in _corpus_queries(inst, space):
-                verdict = local_check(inst, space, covering, query)
-                for position, group in enumerate(covering.groups):
-                    sub = subproblem(inst, group)
-                    assert verdict.per_group[position] == oracle.evaluate(
-                        sub, space, query
-                    ).holds
+            _assert_groups_exact(inst, space)
 
     def test_fast_path_with_restricted_space(self, corpus):
         for inst, space in corpus[:15]:
             narrowed = space.remove(inst.variables[0], inst.domain[0])
             narrowed = narrowed.remove(inst.variables[2], inst.domain[2])
-            covering = default_covering(inst, 1)
-            for query in _corpus_queries(inst, narrowed):
-                verdict = local_check(inst, narrowed, covering, query)
-                for position, group in enumerate(covering.groups):
-                    sub = subproblem(inst, group)
-                    assert verdict.per_group[position] == oracle.evaluate(
-                        sub, narrowed, query
-                    ).holds
+            _assert_groups_exact(inst, narrowed)
+
+
+def _clear_local_caches():
+    for value in vars(local).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+
+
+class TestLocality:
+    def test_free_variables_are_never_enumerated(self, monkeypatch):
+        # Twenty variables, two binary constraints: each group is decided on
+        # its own scope, so no query may reach the oracle's whole-space table.
+        inst, space = parse_csp(data_path("free20.csp").read_text())
+
+        def refuse(*args):
+            raise AssertionError("local reasoning consulted the oracle")
+
+        monkeypatch.setattr(oracle, "solution_table", refuse)
+        monkeypatch.setattr(oracle, "evaluate", refuse)
+        _clear_local_caches()
+        for group_size in (1, 2):
+            covering = default_covering(inst, group_size)
+            for query in _corpus_queries(inst, space):
+                local_check(inst, space, covering, query)
+            assert local_check(inst, space, covering, Q.irrelevant("v5")).established
+            assert local_check(inst, space, covering, Q.fixable("v2", "1")).established
+            assert not local_check(inst, space, covering, Q.determined("v5")).established
+
+    def test_assignment_rebuilds_only_the_groups_it_touches(self, corpus, monkeypatch):
+        built = []
+        enumerate_rows = oracle._solution_rows
+
+        def recording(instance, space):
+            built.append(instance.constraints)
+            return enumerate_rows(instance, space)
+
+        monkeypatch.setattr(oracle, "_solution_rows", recording)
+        _clear_local_caches()
+        rebuilt = 0
+        for inst, space in corpus[:10]:
+            query = Q.fixable(inst.variables[0], space.values(inst.variables[0])[0])
+            for group_size in (1, 2):
+                covering = default_covering(inst, group_size)
+                local_check(inst, space, covering, query)
+                for v in inst.variables[1:]:
+                    if len(space.values(v)) == 1:
+                        continue
+                    built.clear()
+                    local_check(inst, space.assign(v, space.values(v)[0]), covering, query)
+                    touched = {
+                        tuple(inst.constraints[i] for i in group)
+                        for group in covering.groups
+                        if any(v in inst.constraints[i].scope for i in group)
+                    }
+                    # A group equal to one already built (by another instance
+                    # of the corpus, say) may be a hit: "may miss", not "must".
+                    assert set(built) <= touched, (group_size, v)
+                    rebuilt += len(built)
+        assert rebuilt > 0
 
 
 class TestSoundness:
