@@ -72,11 +72,10 @@ def _load(path: str) -> tuple[CspInstance, SearchSpace, BooleanFormula | None, s
         text = Path(path).read_text()
     except OSError as exc:
         raise _UsageError(f"cannot read {path}: {exc}")
-    stripped = [
-        line for line in (l.split("#", 1)[0].strip() for l in text.splitlines()) if line
-    ]
+    meaningful = (line.split("#", 1)[0].strip() for line in text.splitlines())
+    first = next(filter(None, meaningful), "")
     try:
-        if stripped and stripped[0].startswith("csp"):
+        if first.startswith("csp"):
             instance, space = parse_csp(text)
             return instance, space, None, text
         formula = parse_dimacs(text)

@@ -61,18 +61,13 @@ def forced_for_every_assignment(
     tbl = solution_table(instance, space)
     iy = tbl.index[y]
     positions = tuple(tbl.index[v] for v in group)
-    value_sets = tuple(space.values(v) for v in group)
-    for combo in itertools.product(*value_sets):
-        seen: str | None = None
-        for row in tbl.rows:
-            for k, p in enumerate(positions):
-                if row[p] != combo[k]:
-                    break
-            else:
-                if seen is None:
-                    seen = row[iy]
-                elif row[iy] != seen:
-                    return False
+    # Every row lies in the space, so the restrictions that keep a solution
+    # are exactly the rows' projections onto the group.
+    forced: dict[tuple[str, ...], str] = {}
+    for row in tbl.rows:
+        key = tuple(row[p] for p in positions)
+        if forced.setdefault(key, row[iy]) != row[iy]:
+            return False
     return True
 
 

@@ -96,6 +96,7 @@ def parse_csp(text: str) -> tuple[CspInstance, SearchSpace]:
             if len(set(values)) != len(values):
                 raise ParseError("duplicate domain value", line_no)
             domain = tuple(values)
+            domain_set = set(values)
             continue
         if variables is None or domain is None:
             raise ParseError("vars and domain must precede this line", line_no)
@@ -134,27 +135,37 @@ def parse_csp(text: str) -> tuple[CspInstance, SearchSpace]:
                 )
         if len(set(scope)) != len(scope):
             raise ParseError(f"constraint {name!r} repeats a scope variable", line_no)
-        leftovers = _TUPLE.sub("", rows_part).strip()
+        # One pass: the tuples' contents sit at the odd places, the text
+        # between them at the even places.
+        pieces = _TUPLE.split(rows_part)
+        leftovers = "".join(pieces[::2]).strip()
         if leftovers:
             raise ParseError(
                 f"constraint {name!r} has stray text {leftovers!r}", line_no
             )
-        rows = set()
-        for group in _TUPLE.findall(rows_part):
-            items = tuple(s.strip() for s in group.split(",")) if group.strip() else ()
-            if len(items) != len(scope):
-                raise ParseError(
-                    f"constraint {name!r}: tuple {group!r} does not match "
-                    f"arity {len(scope)}",
-                    line_no,
-                )
-            for value in items:
-                if value not in domain:
+        groups = pieces[1::2]
+        joined = "".join(groups)
+        if joined.split(None, 1) != [joined]:  # whitespace inside a tuple
+            rows = {tuple(map(str.strip, group.split(","))) for group in groups}
+        else:
+            rows = set(map(tuple, map(str.split, groups, itertools.repeat(","))))
+        # An empty tuple splits to ("",), which no domain value equals.
+        cells = itertools.chain.from_iterable(rows)
+        if not (set(map(len, rows)) <= {len(scope)} and domain_set.issuperset(cells)):
+            for group in groups:  # name the first bad tuple in text order
+                items = tuple(s.strip() for s in group.split(",")) if group.strip() else ()
+                if len(items) != len(scope):
                     raise ParseError(
-                        f"constraint {name!r}: value {value!r} is outside the domain",
+                        f"constraint {name!r}: tuple {group!r} does not match "
+                        f"arity {len(scope)}",
                         line_no,
                     )
-            rows.add(items)
+                for value in items:
+                    if value not in domain_set:
+                        raise ParseError(
+                            f"constraint {name!r}: value {value!r} is outside the domain",
+                            line_no,
+                        )
         constraints.append(Constraint(name, scope, Relation(len(scope), frozenset(rows))))
     if not header_seen:
         raise ParseError("empty input: expected header 'csp 1'", 1)

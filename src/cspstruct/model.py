@@ -18,6 +18,7 @@ reproducible from run to run.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
@@ -124,9 +125,10 @@ class Relation:
             raise ValueError("relation arity cannot be negative")
         if not isinstance(self.rows, frozenset):
             object.__setattr__(self, "rows", frozenset(self.rows))
-        for row in self.rows:
-            if len(row) != self.arity:
-                raise ValueError(f"row {row!r} does not match arity {self.arity}")
+        if not set(map(len, self.rows)) <= {self.arity}:
+            for row in self.rows:
+                if len(row) != self.arity:
+                    raise ValueError(f"row {row!r} does not match arity {self.arity}")
 
     @classmethod
     def of(cls, arity: int, rows: Iterable[Iterable[str]]) -> "Relation":
@@ -207,12 +209,13 @@ class CspInstance:
                     raise ValueError(
                         f"constraint {c.name!r} mentions unknown variable {v!r}"
                     )
-            for row in c.relation.rows:
-                for a in row:
-                    if a not in dom:
-                        raise ValueError(
-                            f"constraint {c.name!r} uses value {a!r} outside the domain"
-                        )
+            if not dom.issuperset(itertools.chain.from_iterable(c.relation.rows)):
+                for row in c.relation.rows:
+                    for a in row:
+                        if a not in dom:
+                            raise ValueError(
+                                f"constraint {c.name!r} uses value {a!r} outside the domain"
+                            )
         object.__setattr__(self, "_vindex", {v: i for i, v in enumerate(self.variables)})
         object.__setattr__(
             self,

@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from cspstruct import boolean_corpus, parse_csp, parse_dimacs, standard_corpus
+from cspstruct.oracle import solution_table
 
 DATA = Path(__file__).parent / "data"
 
@@ -63,3 +64,17 @@ def subproblem(instance, indices):
     return dataclasses.replace(
         instance, constraints=tuple(instance.constraints[i] for i in indices)
     )
+
+
+def forced_by_product(instance, space, group, y):
+    """The dependence edge's right-hand side by its definition: for every
+    combination of the group's active values, the solutions that agree with
+    it share one value of ``y``."""
+    tbl = solution_table(instance, space)
+    iy = tbl.index[y]
+    positions = tuple(tbl.index[v] for v in group)
+    for combo in itertools.product(*(space.values(v) for v in group)):
+        ys = {row[iy] for row in tbl.rows if tuple(row[p] for p in positions) == combo}
+        if len(ys) > 1:
+            return False
+    return True

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -10,8 +11,16 @@ from cspstruct.hierarchy import (
     reverse_edge,
     validate_hierarchy,
 )
-from cspstruct.instances import FactoringSpec, factoring_space, gen_factoring
+from cspstruct.instances import (
+    FactoringSpec,
+    RandomSpec,
+    factoring_space,
+    gen_factoring,
+    gen_random,
+)
 from cspstruct.model import Constraint, CspInstance, Relation, SearchSpace
+
+from conftest import forced_by_product
 
 EDGE_NAMES = [
     "dependence-determinacy",
@@ -109,6 +118,27 @@ def test_forced_for_every_assignment_matches_naive_route(corpus):
                         naive = False
                         break
                 assert fast == naive
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_forced_for_every_assignment_matches_product_definition(seed):
+    # The one-pass grouping against the per-combination scan it replaced,
+    # on random instances over full and narrowed spaces.
+    rng = random.Random(seed)
+    for number in range(30):
+        spec = RandomSpec(rng.randint(2, 5), rng.randint(2, 3), rng.randint(1, 5), 3, 0.6, number)
+        inst, full = gen_random(spec)
+        narrowed = full
+        for v in inst.variables:
+            if rng.random() < 0.4:
+                narrowed = narrowed.remove(v, rng.choice(narrowed.values(v)))
+        for space in (full, narrowed):
+            for y in inst.variables:
+                for size in range(len(inst.variables)):
+                    group = tuple(rng.sample(inst.variables, size))
+                    assert forced_for_every_assignment(
+                        inst, space, group, y
+                    ) == forced_by_product(inst, space, group, y)
 
 
 def test_dependence_edge_rejects_the_determined_reading():

@@ -62,11 +62,52 @@ class TestCspRoundTrip:
         assert parse_csp(text)[0] == instance
 
 
+class TestTupleWhitespace:
+    COMPACT = "csp 1\nvars: x y\ndomain: 0 1 2\ncon c(x,y): (0,1) (1,2) (2,0)\n"
+
+    @pytest.mark.parametrize(
+        "tuples",
+        [
+            "( 0 , 1 ) ( 1 , 2 ) ( 2 , 0 )",
+            "(0,\t1)\t(1 ,2)  (2,0 )",
+            "(0,1)  (1,2)  (2,0)",
+            "(0,1)\t(1,2) (2,0) (0,1)",
+        ],
+    )
+    def test_spacing_inside_and_between_tuples(self, tuples):
+        text = self.COMPACT.replace("(0,1) (1,2) (2,0)", tuples)
+        assert parse_csp(text) == parse_csp(self.COMPACT)
+
+
 class TestParseErrors:
     def test_arity_mismatch_names_line(self):
         text = "csp 1\nvars: x y\ndomain: 0 1\ncon c(x,y): (0,1) (1)\n"
         with pytest.raises(ParseError, match="line 4.*does not match"):
             parse_csp(text)
+
+    @pytest.mark.parametrize(
+        "tuples, message",
+        [
+            ("(0,1) (1) (7,0)", "tuple '1' does not match arity 2"),
+            ("(0,1) (7,0) (1)", "value '7' is outside the domain"),
+            ("(0,1) (0, 8) (9,0)", "value '8' is outside the domain"),
+            ("(0,1) () (1,1)", "tuple '' does not match arity 2"),
+            ("(0,1) ( ) (1,1)", "tuple ' ' does not match arity 2"),
+        ],
+    )
+    def test_first_bad_tuple_in_text_order_is_named(self, tuples, message):
+        text = f"csp 1\nvars: x y\ndomain: 0 1\ncon c(x,y): {tuples}\n"
+        with pytest.raises(ParseError) as error:
+            parse_csp(text)
+        assert str(error.value) == f"line 4: constraint 'c': {message}"
+
+    def test_arity_error_wins_over_domain_error_within_a_tuple(self):
+        text = "csp 1\nvars: x y\ndomain: 0 1\ncon c(x,y): (0,1) (7,8,9)\n"
+        with pytest.raises(ParseError) as error:
+            parse_csp(text)
+        assert str(error.value) == (
+            "line 4: constraint 'c': tuple '7,8,9' does not match arity 2"
+        )
 
     def test_unknown_scope_variable(self):
         text = "csp 1\nvars: x\ndomain: 0\ncon c(z): (0)\n"

@@ -169,6 +169,29 @@ class TestInstanceValidation:
             Constraint("c", ("a", "b"), Relation.of(1, [("0",)]))
 
 
+class TestRelationMessages:
+    def test_wrong_arity_row_is_named(self):
+        with pytest.raises(ValueError) as error:
+            Relation.of(2, [("0", "1"), ("0", "1", "2")])
+        assert str(error.value) == "row ('0', '1', '2') does not match arity 2"
+
+    def test_out_of_domain_value_is_named(self):
+        c = make_constraint("c", ["a", "b"], [("0", "0"), ("0", "9")])
+        with pytest.raises(ValueError) as error:
+            CspInstance(("a", "b"), ("0", "1"), (c,))
+        assert str(error.value) == "constraint 'c' uses value '9' outside the domain"
+
+    def test_bad_rows_are_caught_among_many_good_ones(self):
+        good = list(itertools.product("01", repeat=3))
+        with pytest.raises(ValueError, match=r"row \('1',\) does not match arity 3"):
+            Relation.of(3, [*good, ("1",)])
+        c = make_constraint("c", "xyz", [*good, ("1", "1", "2")])
+        with pytest.raises(ValueError, match="value '2' outside the domain"):
+            CspInstance(("x", "y", "z"), ("0", "1"), (c,))
+        valid = make_constraint("c", "xyz", good)
+        assert CspInstance(("x", "y", "z"), ("0", "1"), (valid,)).constraints == (valid,)
+
+
 def build_instance(extra=()):
     ne = make_constraint("ne", "xy", [("0", "1"), ("1", "0")])
     return CspInstance(("x", "y", "z"), ("0", "1"), (ne, *extra))
