@@ -11,7 +11,8 @@ Exit codes:
 - 0: success;
 - 1: ``check`` found violations;
 - 2: bad input or usage: an unreadable or malformed file, a formula with
-  no variables, an invalid option value, a search space over
+  no variables, an invalid option value, a search space (or, for local
+  analysis with ``--group-size`` above 1, a covering group's space) over
   ``--max-space``;
 - 3: internal error, reported as ``internal error:`` and a traceback on
   stderr.
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import sys
 import time
 import traceback
@@ -93,6 +95,20 @@ def _guard_space(space: SearchSpace, cap: int) -> None:
             f"search space holds {space.size()} tuples, above the cap of {cap}; "
             "exhaustive analysis refused (raise --max-space to override)"
         )
+
+
+def _guard_groups(
+    instance: CspInstance, space: SearchSpace, group_size: int, cap: int
+) -> None:
+    # A covering group enumerates only the active values on its own scope.
+    for group in local.default_covering(instance, group_size).groups:
+        scope = {v for i in group for v in instance.constraints[i].scope}
+        size = math.prod(len(space.values(v)) for v in scope)
+        if size > cap:
+            raise _UsageError(
+                f"a covering group spans {size} tuples on its scope, above the cap "
+                f"of {cap}; local analysis refused (raise --max-space to override)"
+            )
 
 
 def _oracle_findings(instance, space, dep_max):
@@ -183,7 +199,7 @@ def _cmd_analyze(args) -> int:
             findings.extend(_oracle_findings(instance, space, args.dep_max))
         elif method == "local":
             if args.group_size > 1:
-                _guard_space(space, args.max_space)
+                _guard_groups(instance, space, args.group_size, args.max_space)
             findings.extend(_local_findings(instance, space, args.group_size, args.dep_max))
         else:
             findings.extend(_tractable_findings(formula, instance, space, args.dep_max))
@@ -199,8 +215,10 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_simplify(args) -> int:
     instance, space, formula, _text = _load(args.file)
-    if args.mode == "test" or args.group_size > 1:
+    if args.mode == "test":
         _guard_space(space, args.max_space)
+    elif args.group_size > 1:
+        _guard_groups(instance, space, args.group_size, args.max_space)
     result = simplify.simplify_fixpoint(
         instance, space, mode=args.mode, formula=formula, group_size=args.group_size
     )
@@ -220,6 +238,11 @@ def _cmd_simplify(args) -> int:
 
 
 def _check_instance(instance, space, formula, group_size, dep_max, catalog):
+    # The oracle's verdicts come first: the catalog then finds most of the
+    # verdicts it asks for already decided, and the local detectors are
+    # compared with them.
+    queries = oracle.all_queries(instance, space, LOCAL_KINDS, dep_max)
+    truths = [oracle.evaluate(instance, space, query).holds for query in queries]
     problems = []
     for violation in hierarchy.validate_hierarchy(instance, space, catalog, dep_max):
         problems.append(violation.describe())
@@ -229,9 +252,8 @@ def _check_instance(instance, space, formula, group_size, dep_max, catalog):
     for size in sizes:
         covering = local.default_covering(instance, size)
         whole = size >= len(instance.constraints)
-        for query in oracle.all_queries(instance, space, LOCAL_KINDS, dep_max):
+        for query, truth in zip(queries, truths):
             verdict = local.local_check(instance, space, covering, query)
-            truth = oracle.evaluate(instance, space, query).holds
             if verdict.established and not truth:
                 problems.append(f"local({size}) established a false fact: {query.describe()}")
             if whole and verdict.established != truth:
@@ -395,14 +417,7 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="cspstruct",
-        description="Structural-property engine for finite-domain CSPs",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    analyze = sub.add_parser("analyze", help="evaluate properties on an instance")
+def _fill_analyze(analyze: argparse.ArgumentParser) -> None:
     analyze.add_argument("file")
     analyze.add_argument(
         "--method", choices=("oracle", "local", "tractable", "all"), default="all"
@@ -414,7 +429,8 @@ def _build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--all", action="store_true", help="list negative findings too")
     analyze.set_defaults(handler=_cmd_analyze)
 
-    simp = sub.add_parser("simplify", help="apply satisfiability-preserving reductions")
+
+def _fill_simplify(simp: argparse.ArgumentParser) -> None:
     simp.add_argument("file")
     simp.add_argument("--mode", choices=("production", "test"), default="production")
     simp.add_argument("--group-size", type=_positive, default=1)
@@ -422,7 +438,8 @@ def _build_parser() -> argparse.ArgumentParser:
     simp.add_argument("--out")
     simp.set_defaults(handler=_cmd_simplify)
 
-    check = sub.add_parser("check", help="cross-validate detectors against the oracle")
+
+def _fill_check(check: argparse.ArgumentParser) -> None:
     check.add_argument("file", nargs="?")
     check.add_argument("--corpus", help="'default' or k=v list (seeds=A..B, vars=, ...)")
     check.add_argument("--group-size", type=_positive, default=1)
@@ -434,7 +451,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     check.set_defaults(handler=_cmd_check)
 
-    gen = sub.add_parser("gen", help="generate an instance")
+
+def _fill_gen(gen: argparse.ArgumentParser) -> None:
     gen_sub = gen.add_subparsers(dest="family", required=True)
     coloring = gen_sub.add_parser("coloring")
     coloring.add_argument("--nodes", type=int, required=True)
@@ -455,15 +473,45 @@ def _build_parser() -> argparse.ArgumentParser:
         sub_parser.add_argument("--out")
     gen.set_defaults(handler=_cmd_gen)
 
-    classify = sub.add_parser("classify", help="Schaefer classification of a boolean file")
+
+def _fill_classify(classify: argparse.ArgumentParser) -> None:
     classify.add_argument("file")
     classify.set_defaults(handler=_cmd_classify)
+
+
+# Subcommand name: (help line, function that adds its arguments).
+_SUBCOMMANDS = {
+    "analyze": ("evaluate properties on an instance", _fill_analyze),
+    "simplify": ("apply satisfiability-preserving reductions", _fill_simplify),
+    "check": ("cross-validate detectors against the oracle", _fill_check),
+    "gen": ("generate an instance", _fill_gen),
+    "classify": ("Schaefer classification of a boolean file", _fill_classify),
+}
+
+
+def _build_parser(argv) -> argparse.ArgumentParser:
+    """The parser for one command line.  Every subcommand is listed, so
+    usage lines and choice errors read the same, but only the subcommand
+    that ``argv`` names gets its arguments (all do when it names none):
+    building the others' arguments would cost a command more than its
+    own parse."""
+    parser = argparse.ArgumentParser(
+        prog="cspstruct",
+        description="Structural-property engine for finite-domain CSPs",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    for name, (help_line, fill) in _SUBCOMMANDS.items():
+        sub_parser = sub.add_parser(name, help=help_line)
+        if named is None or name == named:
+            fill(sub_parser)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _build_parser(argv).parse_args(argv)
     try:
         return args.handler(args)
     except ParseError as exc:

@@ -11,9 +11,11 @@ Every group, one constraint or many, is decided the same way: on the
 group's solutions over the union of its scopes, enumerated by the oracle's
 backtracking enumerator and scanned by the oracle's own falsifier and
 dependence checks.  A variable outside that union is free in the group's
-subproblem, so a query on it follows from its active values alone.  A
-group's solutions are kept per group and per active sets on its scope, so
-a narrowed space rebuilds only the groups whose variables it touched.
+subproblem, so a query on it follows from its active values alone, and
+only the groups that hold the queried variable are decided.  A group's
+solutions, and the verdicts decided on them, are kept per group and per
+active sets on its scope, so a narrowed space rebuilds and re-decides only
+the groups whose variables it touched.
 
 Removability is the one value property this approach cannot support:
 per-constraint removability does not imply global removability, and acting
@@ -79,11 +81,14 @@ def default_covering(instance: CspInstance, group_size: int = 1) -> Covering:
 
 
 @lru_cache(maxsize=8)
-def _groups(instance: CspInstance, covering: Covering) -> tuple[CspInstance, ...]:
+def _groups(
+    instance: CspInstance, covering: Covering
+) -> tuple[tuple[CspInstance, ...], dict[str, tuple[int, ...]]]:
     """Per covering group, the subproblem projected onto the union of its
-    scopes (variables in declaration order).  Raises unless the groups index
-    and cover every constraint; only a passing covering is cached, so a bad
-    one raises every time."""
+    scopes (variables in declaration order), and per variable the indices
+    of the groups whose scope holds it.  Raises unless the groups index and
+    cover every constraint; only a passing covering is cached, so a bad one
+    raises every time."""
     count = len(instance.constraints)
     seen: set[int] = set()
     for group in covering.groups:
@@ -94,26 +99,32 @@ def _groups(instance: CspInstance, covering: Covering) -> tuple[CspInstance, ...
     if seen != set(range(count)):
         raise ValueError("covering subsets must jointly cover every constraint")
     projected = []
-    for group in covering.groups:
+    holding: dict[str, list[int]] = {}
+    for g, group in enumerate(covering.groups):
         constraints = tuple(instance.constraints[i] for i in group)
         scope = {v for c in constraints for v in c.scope}
         names = tuple(v for v in instance.variables if v in scope)
         projected.append(CspInstance(names, instance.domain, constraints))
-    return tuple(projected)
+        for v in names:
+            holding.setdefault(v, []).append(g)
+    return tuple(projected), {v: tuple(gs) for v, gs in holding.items()}
 
 
 @lru_cache(maxsize=4)
 def _tables(
     instance: CspInstance, covering: Covering, space: SearchSpace
-) -> tuple[oracle.SolutionTable, ...]:
-    """Per covering group, its solutions on its own scope inside the space;
-    every query on one space shares them, so only a few spaces are kept."""
-    groups = _groups(instance, covering)
+) -> tuple[tuple[oracle.SolutionTable, ...], tuple[bool, ...], dict]:
+    """Per covering group, its solutions on its own scope inside the space
+    and whether there are none; then, per variable, the groups that hold
+    it.  Every query on one space shares them, so only a few spaces are
+    kept."""
+    groups, holding = _groups(instance, covering)
     oracle._require_cover(instance, space)
-    return tuple(
+    tables = tuple(
         _group_table(group, tuple(map(space.values, group.variables)))
         for group in groups
     )
+    return tables, tuple(not tbl.rows for tbl in tables), holding
 
 
 @lru_cache(maxsize=1024)
@@ -121,7 +132,8 @@ def _group_table(
     group: CspInstance, actives: tuple[tuple[str, ...], ...]
 ) -> oracle.SolutionTable:
     # Keyed by the group's own active sets: a step that narrows a variable
-    # outside the group's scope rebuilds nothing here.
+    # outside the group's scope rebuilds nothing here, and keeps the
+    # verdicts decided on the table.
     space = SearchSpace(tuple(zip(group.variables, actives)))
     rows = tuple(oracle._solution_rows(group, space))
     return oracle.SolutionTable(group.variables, actives, rows)
@@ -133,49 +145,65 @@ def local_check(
     covering: Covering,
     query: PropertyQuery,
 ) -> LocalVerdict:
-    """Combine exact per-subset verdicts into an established/unknown answer."""
-    if query.kind == "removable":
+    """Combine exact per-subset verdicts into an established/unknown answer.
+
+    Only the groups whose scope holds the queried variable are decided; in
+    every other group that variable is free, so the verdict follows from
+    its active values and the group's emptiness alone."""
+    kind = query.kind
+    if kind == "removable":
         raise UnsoundLocalCheckError(
             "local reasoning cannot establish removability: a value can be "
             "removable in every constraint taken alone yet required globally, "
             "and removing it may make a satisfiable instance unsatisfiable"
         )
-    if query.kind not in _KINDS:
-        raise ValueError(f"unsupported property kind {query.kind!r}")
-    tables = _tables(instance, covering, space)
-    instance.var_index(query.variable)
+    if kind not in _KINDS:
+        raise ValueError(f"unsupported property kind {kind!r}")
+    tables, empty, holding = _tables(instance, covering, space)
+    x = query.variable
+    # The space covers the instance, so it knows exactly its variables.
+    active = space.values(x)
     for v in query.over:
         instance.var_index(v)
-    active = space.values(query.variable)
     for value in query.values:
         if value not in active:
-            raise ValueError(f"value {value!r} is not active for {query.variable!r}")
-    results = tuple(_holds(tbl, active, query) for tbl in tables)
-    established = all(results) if query.kind in AND_KINDS else any(results)
-    return LocalVerdict(query, established, results)
+            raise ValueError(f"value {value!r} is not active for {x!r}")
+    # A free variable: the AND kinds hold, and an empty group table makes
+    # every OR kind hold; otherwise inconsistency fails, implication holds
+    # iff a is the only active value, and determinacy and dependence hold
+    # iff one value is active.
+    if kind in AND_KINDS:
+        free = True
+    elif kind == "inconsistent":
+        free = False
+    elif kind == "implied":
+        free = active == (query.values[0],)
+    else:  # determined, dependent
+        free = len(active) == 1
+    results = [True] * len(tables) if free else list(empty)
+    for g in holding.get(x, ()):
+        results[g] = _holds(tables[g], query)
+    per_group = tuple(results)
+    established = all(per_group) if kind in AND_KINDS else any(per_group)
+    return LocalVerdict(query, established, per_group)
 
 
-def _holds(
-    tbl: oracle.SolutionTable, active: tuple[str, ...], query: PropertyQuery
-) -> bool:
-    """Decide the query exactly on one group's subproblem: on the group's
-    own solutions when the queried variable is in its scope, and otherwise
-    with that variable free (every value active in ``active`` extends each
-    group solution)."""
-    kind = query.kind
-    x = query.variable
-    if x in tbl.index:
-        if kind == "dependent":
-            over = tuple(v for v in query.over if v in tbl.index)
-            return not oracle._dependence_pair(tbl, over, x)
-        return next(oracle._falsifying_rows(tbl, query), None) is None
-    if kind in AND_KINDS or not tbl.rows:
-        return True
-    if kind == "inconsistent":
-        return False
-    if kind == "implied":
-        return active == (query.values[0],)
-    return len(active) == 1  # determined, dependent
+def _holds(tbl: oracle.SolutionTable, query: PropertyQuery) -> bool:
+    """Decide the query exactly on the solutions of a group whose scope
+    holds the queried variable, once per table: the verdict is kept on the
+    table under (kind, variable, values, the ``over`` variables in scope)."""
+    over = query.over
+    if over:
+        over = tuple(v for v in over if v in tbl.index)
+    key = (query.kind, query.variable, query.values, over)
+    holds = tbl.verdicts.get(key)
+    if holds is None:
+        if query.kind == "dependent":
+            holds = not oracle._dependence_pair(tbl, over, query.variable)
+        else:
+            holds = next(oracle._falsifying_rows(tbl, query), None) is None
+        tbl.verdicts[key] = holds
+    return holds
 
 
 def pure_value_fixable(formula: BooleanFormula, x: str) -> bool | None:

@@ -98,11 +98,12 @@ def _hash_once(self) -> int:
     """The generated dataclass hash (over the fields), computed on first use
     and kept on the instance; instances and spaces are cache keys, hashed
     on every lookup."""
-    cached = self.__dict__.get("_hash")
-    if cached is None:
+    try:
+        return self._hash  # type: ignore[attr-defined]
+    except AttributeError:
         cached = hash(tuple(getattr(self, f.name) for f in dataclasses.fields(self)))
         object.__setattr__(self, "_hash", cached)
-    return cached
+        return cached
 
 
 def _state_without_hash(self) -> dict:

@@ -8,7 +8,8 @@ this package is validated against them.  Checks stop at the first
 counterexample; since enumeration follows declaration order, a reported
 counterexample is always the lexicographically least one.
 Each query is decided once per cached solution table: the verdict is kept
-on the table, and the query is validated only when it is first decided.
+on the table under a plain tuple key, and the query object is built and
+validated only when it is first decided.
 Value quantifiers ("some other value b", "every value a") range over the
 variable's active values.
 """
@@ -119,7 +120,9 @@ class PropertyQuery:
 
 class SolutionTable:
     """Cached exhaustive enumeration of Sol(C) within a search space, plus
-    the verdicts decided on it so far (``evaluate`` fills ``verdicts``)."""
+    the verdicts decided on it so far, keyed by (kind, variable, values,
+    over): ``evaluate`` keeps an OracleVerdict there, and the local checks
+    keep a bool on a covering group's table."""
 
     __slots__ = ("order", "index", "actives", "rows", "members", "verdicts")
 
@@ -134,7 +137,7 @@ class SolutionTable:
         self.actives = actives
         self.rows = rows
         self.members = frozenset(rows)
-        self.verdicts: dict[PropertyQuery, OracleVerdict] = {}
+        self.verdicts: dict[tuple, OracleVerdict | bool] = {}
 
     def wrap(self, row: Row) -> AssignmentTuple:
         return AssignmentTuple(zip(self.order, row))
@@ -306,68 +309,88 @@ def evaluate(
     the first falsifying solution row in enumeration order (the first
     falsifying pair, for dependence).
 
-    The verdict is kept on the cached solution table, so an equal query on
-    the same (instance, space) costs the table lookup plus one dict lookup
-    and skips validation: the stored query was validated against that key.
+    The verdict is kept on the cached solution table under the plain key
+    ``(kind, variable, values, over)``, so an equal query on the same
+    (instance, space) costs the table lookup plus one dict lookup and skips
+    validation: the stored query was validated against that key.
     """
-    if query.variable not in instance.variables:
+    key = (query.kind, query.variable, query.values, query.over)
+    return _verdict(instance, space, key, query)
+
+
+def _verdict(
+    instance: CspInstance,
+    space: SearchSpace,
+    key: tuple,
+    query: PropertyQuery | None = None,
+) -> OracleVerdict:
+    """The verdict stored under ``key``, deciding it on a miss.  The check_*
+    helpers pass the key alone, so a repeated ask builds no query object:
+    only a miss builds (and so checks) one."""
+    x = key[1]
+    if x not in instance.variables:
         # Fail before any enumeration, with the cover error first.
         _require_cover(instance, space)
-        instance.var_index(query.variable)
+        instance.var_index(x)
     tbl = solution_table(instance, space)  # checks the cover on a miss
-    verdict = tbl.verdicts.get(query)
+    verdict = tbl.verdicts.get(key)
     if verdict is None:
+        if query is None:
+            query = PropertyQuery(*key)
         _validate(instance, space, query)
-        verdict = tbl.verdicts[query] = _decide(tbl, query)
+        verdict = tbl.verdicts[key] = _decide(tbl, query)
     return verdict
 
 
 def check_fixable(
     instance: CspInstance, space: SearchSpace, x: str, a: str
 ) -> bool:
-    return evaluate(instance, space, PropertyQuery.fixable(x, a)).holds
+    return _verdict(instance, space, ("fixable", x, (a,), ())).holds
 
 
 def check_substitutable(
     instance: CspInstance, space: SearchSpace, x: str, a: str, b: str
 ) -> bool:
-    return evaluate(instance, space, PropertyQuery.substitutable(x, a, b)).holds
+    return _verdict(instance, space, ("substitutable", x, (a, b), ())).holds
 
 
 def check_interchangeable(
     instance: CspInstance, space: SearchSpace, x: str, a: str, b: str
 ) -> bool:
-    return evaluate(instance, space, PropertyQuery.interchangeable(x, a, b)).holds
+    return _verdict(instance, space, ("interchangeable", x, (a, b), ())).holds
 
 
 def check_removable(
     instance: CspInstance, space: SearchSpace, x: str, a: str
 ) -> bool:
-    return evaluate(instance, space, PropertyQuery.removable(x, a)).holds
+    return _verdict(instance, space, ("removable", x, (a,), ())).holds
 
 
 def check_inconsistent(
     instance: CspInstance, space: SearchSpace, x: str, a: str
 ) -> bool:
-    return evaluate(instance, space, PropertyQuery.inconsistent(x, a)).holds
+    return _verdict(instance, space, ("inconsistent", x, (a,), ())).holds
 
 
 def check_implied(instance: CspInstance, space: SearchSpace, x: str, a: str) -> bool:
-    return evaluate(instance, space, PropertyQuery.implied(x, a)).holds
+    return _verdict(instance, space, ("implied", x, (a,), ())).holds
 
 
 def check_determined(instance: CspInstance, space: SearchSpace, x: str) -> bool:
-    return evaluate(instance, space, PropertyQuery.determined(x)).holds
+    return _verdict(instance, space, ("determined", x, (), ())).holds
 
 
 def check_dependent(
     instance: CspInstance, space: SearchSpace, over: Iterable[str], y: str
 ) -> bool:
-    return evaluate(instance, space, PropertyQuery.dependent(over, y)).holds
+    over = tuple(over)
+    if y in over:
+        PropertyQuery.dependent(over, y)  # raises, before any other check
+    return _verdict(instance, space, ("dependent", y, (), over)).holds
 
 
 def check_irrelevant(instance: CspInstance, space: SearchSpace, x: str) -> bool:
-    return evaluate(instance, space, PropertyQuery.irrelevant(x)).holds
+    return _verdict(instance, space, ("irrelevant", x, (), ())).holds
 
 
 def all_queries(

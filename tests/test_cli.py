@@ -1,6 +1,8 @@
+import json
+
 import pytest
 
-from cspstruct import boolean
+from cspstruct import boolean, cli
 from cspstruct.cli import main
 from cspstruct.instances import parse_csp
 from cspstruct.report import AnalysisReport, Finding, from_json, make_report, to_json
@@ -133,11 +135,16 @@ class TestSpaceBudget:
         assert out == self.COLORING_TEST_MODE
 
     def test_simplify_group_size(self, capsys):
+        # Groups of two constraints span x2,x3,x4 and x2,x4,x5: 27 tuples
+        # each, of a 243-tuple space.
         path = str(data_path("coloring_isolated.csp"))
-        self.assert_refused(capsys, "simplify", path, "--group-size", "2", "--max-space", "242")
-        code, out, _ = run(capsys, "simplify", path, "--group-size", "2")
-        assert code == 0
-        assert out == self.COLORING_GROUPS_OF_TWO
+        self.assert_refused(capsys, "simplify", path, "--group-size", "2", "--max-space", "26")
+        for cap in ("27", "242", str(cli.DEFAULT_MAX_SPACE)):
+            code, out, _ = run(
+                capsys, "simplify", path, "--group-size", "2", "--max-space", cap
+            )
+            assert code == 0
+            assert out == self.COLORING_GROUPS_OF_TWO
 
     def test_simplify_production_singletons_unguarded(self, capsys):
         # Per-constraint local checks never enumerate the whole space.
@@ -152,9 +159,45 @@ class TestSpaceBudget:
         self.assert_refused(
             capsys, "analyze", path, "--method", "local", "--group-size", "2", "--max-space", "8"
         )
-        code, out, _ = run(capsys, "analyze", path, "--method", "local", "--group-size", "2")
+        code, out, _ = run(
+            capsys, "analyze", path, "--method", "local", "--group-size", "2", "--max-space", "9"
+        )
         assert code == 0
         assert out == self.TRAP_LOCAL_GROUPS_OF_TWO
+
+    def test_local_groups_guarded_by_their_own_scope(self, capsys):
+        # free20: 2^20 tuples, but the one group of both constraints spans
+        # four variables, 16 tuples.
+        argv = ("analyze", str(data_path("free20.csp")), "--method", "local",
+                "--group-size", "2", "--dep-max", "1", "--all", "--json")
+        code, uncapped, _ = run(capsys, *argv)
+        assert code == 0
+        code, capped, err = run(capsys, *argv, "--max-space", "100000")
+        assert (code, err) == (0, "")
+
+        def masked(text):
+            payload = json.loads(text)
+            for finding in payload["findings"]:
+                finding["elapsed_ms"] = None
+            return payload
+
+        assert masked(capped) == masked(uncapped)
+        code, out, err = run(capsys, *argv, "--max-space", "15")
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: a covering group spans 16 tuples on its scope, above the cap of 15; "
+            "local analysis refused (raise --max-space to override)\n"
+        )
+        # The simplifier's groups are guarded the same way; test mode runs the
+        # oracle over the whole space and keeps the whole-space guard.
+        path = str(data_path("free20.csp"))
+        code, _, _ = run(capsys, "simplify", path, "--group-size", "2", "--max-space", "16")
+        assert code == 0
+        self.assert_refused(capsys, "simplify", path, "--group-size", "2", "--max-space", "15")
+        self.assert_refused(
+            capsys, "simplify", path, "--mode", "test", "--group-size", "2",
+            "--max-space", "100000",
+        )
 
 
 class TestCheck:
@@ -268,6 +311,37 @@ class TestClassify:
     def test_non_boolean_input_fails(self, capsys):
         code, _, err = run(capsys, "classify", str(data_path("coloring_isolated.csp")))
         assert code == 2
+
+
+class TestParser:
+    """A command fills in only its own subcommand's arguments; what argparse
+    prints and returns is the same as with every subcommand filled in."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            *([command, "-h"] for command in ("analyze", "simplify", "check", "gen", "classify")),
+            ["gen", "coloring", "-h"],
+            ["check", "--bogus", "x"],
+            ["simplify", "x", "--mode", "nope"],
+            ["analyze"],
+            ["gen", "coloring"],
+            ["gen", "nope"],
+            ["bogus"],
+            ["-h"],
+            [],
+        ],
+    )
+    def test_usage_and_errors_match_the_full_parser(self, capsys, argv):
+        def outcome(parse):
+            with pytest.raises(SystemExit) as exit_info:
+                parse(argv)
+            captured = capsys.readouterr()
+            return exit_info.value.code, captured.out, captured.err
+
+        full = outcome(cli._build_parser([]).parse_args)
+        assert outcome(main) == full
+        assert full[0] in (0, 2) and (full[1] or full[2])
 
 
 class TestExitCodes:

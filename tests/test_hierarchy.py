@@ -166,3 +166,33 @@ def test_fixability_edge_as_derived_detector(corpus):
 def test_validation_on_corpus_sample(corpus):
     for inst, space in corpus[:60]:
         assert validate_hierarchy(inst, space) == []
+
+
+def test_warm_validation_builds_no_query_object_and_reuses_every_table(
+    coloring, monkeypatch
+):
+    # The catalog asks through the check_* helpers: a memo hit builds no
+    # PropertyQuery, and each ask makes one table lookup, hit or miss.
+    inst, full = coloring
+    catalog = reverse_edge("implication-fixability")
+    calls = []
+    cached = oracle.solution_table
+
+    def counting(instance, space):
+        calls.append(space)
+        return cached(instance, space)
+
+    monkeypatch.setattr(oracle, "solution_table", counting)
+    spaces = (full, full.remove("x2", "G"))
+    cached.cache_clear()
+    cold = [validate_hierarchy(inst, space, catalog) for space in spaces]
+    cold_calls = len(calls)
+    assert cold[0]
+
+    def refuse(self):
+        raise AssertionError(f"built a query object for {self.describe()}")
+
+    monkeypatch.setattr(oracle.PropertyQuery, "__post_init__", refuse)
+    calls.clear()
+    assert [validate_hierarchy(inst, space, catalog) for space in spaces] == cold
+    assert len(calls) == cold_calls

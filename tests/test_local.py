@@ -1,8 +1,10 @@
+import random
+
 import pytest
 
 from cspstruct import local, oracle
 from cspstruct.boolean import BooleanFormula, Clause, Literal, to_extensional
-from cspstruct.instances import gen_random_boolean, parse_csp
+from cspstruct.instances import RandomSpec, gen_random, gen_random_boolean, parse_csp
 from cspstruct.local import (
     AND_KINDS,
     OR_KINDS,
@@ -210,6 +212,98 @@ class TestLocality:
                     assert set(built) <= touched, (group_size, v)
                     rebuilt += len(built)
         assert rebuilt > 0
+
+
+def _narrowing_chain(inst, space, rng, steps):
+    """Spaces the simplifier could visit: each one assigns a variable or
+    removes one of its values, so the spaces only shrink."""
+    chain = [space]
+    for _ in range(steps):
+        open_vars = [v for v in inst.variables if len(space.values(v)) > 1]
+        if not open_vars:
+            break
+        v = rng.choice(open_vars)
+        value = rng.choice(space.values(v))
+        space = space.assign(v, value) if rng.random() < 0.5 else space.remove(v, value)
+        chain.append(space)
+    return chain
+
+
+class TestGroupVerdictMemo:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_warm_memo_along_a_narrowing_chain_equals_subproblem_oracle(self, seed):
+        # Verdicts decided on earlier spaces stay on the tables of groups
+        # that a step left untouched; each must still be the exact verdict
+        # on the group's subproblem in the narrowed space.
+        rng = random.Random(f"chain/{seed}")
+        _clear_local_caches()
+        checked = 0
+        for number in range(8):
+            inst, space = gen_random(
+                RandomSpec(
+                    rng.randint(2, 5),
+                    rng.randint(2, 3),
+                    rng.randint(1, 5),
+                    max_arity=3,
+                    density=rng.choice((0.4, 0.6, 0.8)),
+                    seed=rng.randrange(10**6),
+                )
+            )
+            coverings = _coverings(inst)
+            for narrowed in _narrowing_chain(inst, space, rng, 4):
+                for covering in coverings:
+                    subs = [subproblem(inst, group) for group in covering.groups]
+                    for query in _corpus_queries(inst, narrowed):
+                        verdict = local_check(inst, narrowed, covering, query)
+                        expected = tuple(
+                            oracle.evaluate(sub, narrowed, query).holds for sub in subs
+                        )
+                        assert verdict.per_group == expected, (
+                            seed, number, narrowed, covering, query.describe()
+                        )
+                        checked += 1
+        assert checked > 1000
+
+    def test_only_groups_holding_the_variable_are_scanned_and_only_once(
+        self, corpus, monkeypatch
+    ):
+        scanned = []
+        falsifying_rows = oracle._falsifying_rows
+        dependence_pair = oracle._dependence_pair
+
+        def recording_rows(tbl, query):
+            scanned.append(tbl)
+            return falsifying_rows(tbl, query)
+
+        def recording_pair(tbl, over, y):
+            scanned.append(tbl)
+            return dependence_pair(tbl, over, y)
+
+        monkeypatch.setattr(oracle, "_falsifying_rows", recording_rows)
+        monkeypatch.setattr(oracle, "_dependence_pair", recording_pair)
+        _clear_local_caches()
+        for inst, space in corpus[:12]:
+            pinned = inst.variables[-1]
+            narrowed = space.assign(pinned, space.values(pinned)[0])
+            for covering in _coverings(inst):
+                for current in (space, narrowed):
+                    for query in _corpus_queries(inst, current):
+                        scanned.clear()
+                        local_check(inst, current, covering, query)
+                        assert all(query.variable in tbl.index for tbl in scanned), (
+                            covering, query.describe()
+                        )
+                        first = list(scanned)
+                        scanned.clear()
+                        local_check(inst, current, covering, query)
+                        assert scanned == [], query.describe()
+                        # Every query on the narrowed space was asked on the
+                        # full one: a group outside the assigned variable's
+                        # scope keeps its table and its verdicts.
+                        if current is narrowed:
+                            assert all(pinned in tbl.index for tbl in first), (
+                                covering, query.describe()
+                            )
 
 
 class TestSoundness:

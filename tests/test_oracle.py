@@ -492,14 +492,122 @@ class TestVerdictMemo:
     def test_cache_clear_drops_every_verdict(self, coloring):
         inst, space = coloring
         query = PropertyQuery.fixable("x1", "R")
+        # Verdicts are kept under the plain key (kind, variable, values, over).
+        key = ("fixable", "x1", ("R",), ())
         evaluate(inst, space, query)
         before = solution_table(inst, space)
-        assert query in before.verdicts
+        assert key in before.verdicts
         solution_table.cache_clear()
         after = solution_table(inst, space)
         assert after is not before and after.verdicts == {}
-        assert same_verdict(evaluate(inst, space, query), before.verdicts[query])
-        assert query in after.verdicts
+        assert same_verdict(evaluate(inst, space, query), before.verdicts[key])
+        assert key in after.verdicts
+
+
+def every_ask(inst, space, dep_max=2):
+    """Every check_* helper call on the space, with the query it asks as a
+    plain (kind, variable, values, over) tuple."""
+    for x in inst.variables:
+        active = space.values(x)
+        yield check_determined, (x,), ("determined", x, (), ())
+        yield check_irrelevant, (x,), ("irrelevant", x, (), ())
+        for a in active:
+            yield check_fixable, (x, a), ("fixable", x, (a,), ())
+            yield check_removable, (x, a), ("removable", x, (a,), ())
+            yield check_inconsistent, (x, a), ("inconsistent", x, (a,), ())
+            yield check_implied, (x, a), ("implied", x, (a,), ())
+            for b in active:
+                yield check_substitutable, (x, a, b), ("substitutable", x, (a, b), ())
+                yield check_interchangeable, (x, a, b), ("interchangeable", x, (a, b), ())
+        others = [v for v in inst.variables if v != x]
+        for size in range(dep_max + 1):
+            for combo in itertools.combinations(others, size):
+                yield check_dependent, (combo, x), ("dependent", x, (), combo)
+
+
+class TestAskPath:
+    """The check_* helpers ask the table's verdict memo with a plain key:
+    one table lookup per ask, and a query object only on a miss."""
+
+    def test_each_ask_looks_the_table_up_once_and_matches_evaluate(
+        self, coloring, monkeypatch
+    ):
+        inst, full = coloring
+        calls = []
+        cached = oracle.solution_table
+
+        def counting(instance, space):
+            calls.append(space)
+            return cached(instance, space)
+
+        monkeypatch.setattr(oracle, "solution_table", counting)
+        for space in (full, full.remove("x1", "B").assign("x4", "G")):
+            expected = {
+                query: fresh_verdict(inst, space, PropertyQuery(*query)).holds
+                for _, _, query in every_ask(inst, space)
+            }
+            cached.cache_clear()
+            for _ in range(2):  # a miss, then a memo hit
+                for check, args, query in every_ask(inst, space):
+                    calls.clear()
+                    assert check(inst, space, *args) == expected[query], query
+                    assert calls == [space], query
+
+    def test_warm_asks_build_no_query_object(self, coloring, monkeypatch):
+        inst, full = coloring
+        spaces = (full, full.assign("x2", "R"))
+        solution_table.cache_clear()
+        answers = [
+            check(inst, space, *args)
+            for space in spaces
+            for check, args, _ in every_ask(inst, space)
+        ]
+
+        def refuse(self):
+            raise AssertionError(f"built a query object for {self.describe()}")
+
+        monkeypatch.setattr(PropertyQuery, "__post_init__", refuse)
+        assert answers == [
+            check(inst, space, *args)
+            for space in spaces
+            for check, args, _ in every_ask(inst, space)
+        ]
+
+    def test_invalid_asks_raise_in_order_on_every_call(self, coloring):
+        inst, space = coloring
+        narrowed = space.remove("x1", "B")
+        partial = SearchSpace(space.entries[:3])
+        other = SearchSpace.full(CspInstance(("q",), ("0",)))
+        target = "dependence target must not occur in the variable set"
+        cover = "search space must cover exactly the instance variables"
+        cases = [
+            (lambda: check_fixable(inst, narrowed, "x1", "B"), "value 'B' is not active for 'x1'"),
+            (lambda: check_substitutable(inst, narrowed, "x1", "R", "B"), "value 'B' is not active"),
+            (lambda: check_determined(inst, space, "nope"), "unknown variable 'nope'"),
+            # The unknown variable comes before the inactive value.
+            (lambda: check_fixable(inst, space, "nope", "Z"), "unknown variable 'nope'"),
+            (lambda: check_dependent(inst, space, ("x2", "nope"), "x5"), "unknown variable 'nope'"),
+            (lambda: check_dependent(inst, space, ("x2", "x5"), "x5"), target),
+            # The dependence target error comes first of all, then the cover.
+            (lambda: check_dependent(inst, partial, ("x2", "x5"), "x5"), target),
+            (lambda: check_dependent(inst, partial, ("nope",), "x1"), cover),
+            (lambda: check_irrelevant(inst, partial, "x1"), cover),
+            (lambda: check_irrelevant(inst, other, "q"), cover),
+        ]
+        solution_table.cache_clear()
+        with pytest.raises(ValueError, match="unknown variable 'nope'"):
+            check_determined(inst, space, "nope")
+        assert solution_table.cache_info().currsize == 0  # nothing enumerated
+        for _ in range(2):
+            for ask, message in cases:
+                for _ in range(2):
+                    with pytest.raises(ValueError, match=re.escape(message)):
+                        ask()
+            # Fill the memos of both valid spaces, then ask again.
+            for valid in (space, narrowed):
+                for check, args, _ in every_ask(inst, valid, dep_max=1):
+                    check(inst, valid, *args)
+            assert solution_table(inst, narrowed).verdicts
 
 
 class TestAllQueries:
