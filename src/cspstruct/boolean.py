@@ -10,23 +10,25 @@ constraint inside the same language).
 Property checks run on a ``CompiledFormula``, built once per (formula,
 class) by ``compile_formula``, the module's one cache.  Compiling checks
 class membership and decides the formula's own satisfiability once; every
-value query is then SAT(F AND A) for a few extra constraints A of F's own
-language:
+answer is then a lookup or one propagation or reduction on that state:
 
 - Horn, dual Horn and 2CNF share one counter-based unit propagator over
   integer literals with occurrence lists.  F's unit clauses are propagated
-  at compile time; a query copies that state, assumes its unit clauses
-  and propagates on.  No conflict means satisfiable, once F is.
-- Affine keeps F's reduced basis over GF(2); a query reduces its one or
-  two extra equations against it.
+  at compile time; a query copies that state, assumes a few literals and
+  propagates on.  No conflict means satisfiable, once F is.
+- Affine keeps F's reduced basis over GF(2), the variables it fixes (the
+  rows that hold one variable) and the mask of the variables its equations
+  mention; every affine answer is a lookup in those.
 
 inconsistent(x, a) is not SAT(F AND x=a) and implied(x, a) is inconsistent
-at the other value.  substitutable(x, a, b) asks, for each constraint c on
-x that x=b does not satisfy, whether F AND x=a AND not(c with x=b) is
-unsatisfiable; fixable, removable, interchangeable and irrelevant are
-built from it and it is memoised per (x, a, b) on the compiled formula.
-determined(x) is one restricted SAT solve over two copies of F, at x=true
-and at x=false.
+at the other value.  substitutable(x, a, b) asks, for each clause holding
+x=not b, whether F AND x=a AND the negated rest of that clause is
+unsatisfiable; under affine, with a != b, it is inconsistency at a unless no
+equation mentions x.  determined(x) is F AND the remainders of x's clauses
+(each clause minus x's literal) being unsatisfiable; under affine it is
+some equation mentioning x.  fixable, removable, interchangeable and irrelevant
+are built from substitutable, memoised per (x, a, b).  ``pinned`` derives
+the compiled form of F with some variables pinned from F's own state.
 """
 
 from __future__ import annotations
@@ -108,7 +110,17 @@ class Clause:
 
     @property
     def variables(self) -> frozenset[str]:
-        return frozenset(lit.variable for lit in self.literals)
+        # Built on first use and kept off the fields, so equality, the hash
+        # and the pickled state stay those of the literals alone.
+        try:
+            return self._variables  # type: ignore[attr-defined]
+        except AttributeError:
+            variables = frozenset(lit.variable for lit in self.literals)
+            object.__setattr__(self, "_variables", variables)
+            return variables
+
+    def __getstate__(self) -> dict:
+        return {"literals": self.literals}
 
     @property
     def positive_count(self) -> int:
@@ -283,6 +295,14 @@ def _assign(value: list[bool | None], lit: int, queue: list[int]) -> bool:
     return current == (not lit & 1)
 
 
+def _shallow_copy(obj):
+    # copy.copy goes through the pickle protocol, which costs more than the
+    # rest of a simplifier step's derivation on small formulas.
+    child = object.__new__(type(obj))
+    child.__dict__.update(obj.__dict__)
+    return child
+
+
 class _UnitPropagation:
     """Clauses over integer literals (2*i for variable i, 2*i+1 for its
     negation) with occurrence lists, propagated from their unit clauses.
@@ -309,11 +329,45 @@ class _UnitPropagation:
     def code(self, lit: Literal) -> int:
         return 2 * self.index[lit.variable] + (not lit.positive)
 
-    def consistent_with(self, literals: Iterable[int]) -> bool:
-        """No conflict when the literals are added to the propagated state."""
-        return self.consistent and self._propagate(
-            list(self.value), list(self.left), literals
+    def consistent_with(
+        self, literals: Iterable[int], extra: Sequence[Sequence[int]] = ()
+    ) -> bool:
+        """No conflict when the literals, and then the extra clauses, are
+        added to the propagated state.  The extra clauses are rescanned
+        until none of them is unit, as they have no occurrence lists."""
+        if not self.consistent:
+            return False
+        value, left = list(self.value), list(self.left)
+        if not self._propagate(value, left, literals):
+            return False
+        changed = bool(extra)
+        while changed:
+            changed = False
+            for lits in extra:
+                open_lit = None
+                for lit in lits:
+                    current = value[lit >> 1]
+                    if current is None:
+                        if open_lit is not None:
+                            break  # two open literals
+                        open_lit = lit
+                    elif current != bool(lit & 1):
+                        break  # already true
+                else:
+                    if open_lit is None or not self._propagate(value, left, (open_lit,)):
+                        return False
+                    changed = True
+        return True
+
+    def pinned(self, literals: Iterable[int]) -> "_UnitPropagation":
+        """The same clauses propagated further from this state under the
+        literals; the clause lists are shared, not copied."""
+        child = _shallow_copy(self)
+        child.value, child.left = list(self.value), list(self.left)
+        child.consistent = self.consistent and self._propagate(
+            child.value, child.left, literals
         )
+        return child
 
     def _propagate(
         self, value: list[bool | None], left: list[int], literals: Iterable[int]
@@ -460,25 +514,42 @@ def _reduce(rows: Basis, mask: int, rhs: bool) -> tuple[int, bool]:
     return mask, rhs
 
 
+def _add_row(basis: Basis, mask: int, rhs: bool) -> Basis | None:
+    """The reduced basis with one more equation (the same list when the
+    basis implies it), or None when it contradicts the basis."""
+    mask, rhs = _reduce(basis, mask, rhs)
+    if mask == 0:
+        return None if rhs else basis
+    lead = (mask & -mask).bit_length() - 1
+    basis = [
+        (bm ^ mask, br ^ rhs, bl) if (bm >> lead) & 1 else (bm, br, bl)
+        for bm, br, bl in basis
+    ]
+    basis.append((mask, rhs, lead))
+    return basis
+
+
 def _affine_basis(
     equations: Iterable[AffineEquation], index: Mapping[str, int]
 ) -> Basis | None:
     """Gauss-Jordan over GF(2): the reduced basis as (mask, rhs, lead bit)
     rows, or None when the equations are inconsistent."""
-    basis: Basis = []
+    basis: Basis | None = []
     for eq in equations:
-        mask, rhs = _reduce(basis, _equation_mask(eq, index), eq.parity)
-        if mask == 0:
-            if rhs:
-                return None
-            continue
-        lead = (mask & -mask).bit_length() - 1
-        basis = [
-            (bm ^ mask, br ^ rhs, bl) if (bm >> lead) & 1 else (bm, br, bl)
-            for bm, br, bl in basis
-        ]
-        basis.append((mask, rhs, lead))
+        basis = _add_row(basis, _equation_mask(eq, index), eq.parity)
+        if basis is None:
+            return None
     return basis
+
+
+def _fixed_values(basis: Basis | None) -> dict[int, bool]:
+    """The variables a reduced basis fixes, by bit: those with a row of
+    their own.  Reducing the unit equation of x leaves the row that leads
+    with x, minus x, or x itself; the rest of that row holds no lead bit,
+    so x's value is implied only when the row is x alone."""
+    if basis is None:
+        return {}
+    return {lead: rhs for mask, rhs, lead in basis if mask == 1 << lead}
 
 
 def _solve_affine(
@@ -573,44 +644,35 @@ def complement_conjunction(
 # Tractable property checks
 # ---------------------------------------------------------------------------
 
-TRACTABLE_KINDS = (
-    "inconsistent",
-    "implied",
-    "substitutable",
-    "interchangeable",
-    "fixable",
-    "irrelevant",
-    "determined",
-    "removable",
-)
-
-
 class CompiledFormula:
     """One formula prepared once for many queries in one Schaefer class.
 
-    Every value query reduces to ``consistent_with``: is the formula
-    satisfiable together with a few extra constraints of its own language?
-    The clausal classes answer it by unit propagation of unit-clause
-    assumptions from the formula's own propagated units; affine answers it
-    by reducing extra equations against the formula's reduced basis.
+    The clausal classes keep the formula's clauses as integer literals with
+    occurrence lists and the state of unit propagation from its unit
+    clauses; a query copies that state, adds a few literals (and, for
+    determinacy under Horn and dual Horn, a few clauses of the same class)
+    and propagates on; a variable the units fix needs no propagation at
+    all.  Affine keeps the reduced GF(2) basis, the variables it fixes and
+    the mask of the variables the equations mention, and answers every
+    query by a lookup in them.  ``pinned`` derives the compiled form of the
+    formula with some variables pinned from this state, so a caller that
+    pins variables one step at a time compiles once.
     """
 
     def __init__(self, formula: BooleanFormula, cls: SchaeferClass | str):
         cls = _as_class(cls)
         _require_member(formula, cls)
-        self.formula = formula
         self.cls = cls
         self._index = {v: i for i, v in enumerate(formula.variables)}
-        self._mentioning: dict[str, list[BooleanConstraint]] = {
-            v: [] for v in formula.variables
-        }
-        for c in formula.constraints:
-            for v in c.variables:
-                self._mentioning[v].append(c)
+        self._free = frozenset(self._index)  # the variables not pinned
         self._substitutable: dict[tuple[str, bool, bool], bool] = {}
         if cls is SchaeferClass.AFFINE:
             self._basis = _affine_basis(formula.equations, self._index)
             self.satisfiable = self._basis is not None
+            self._fixed = _fixed_values(self._basis)
+            self._mentioned = 0
+            for eq in formula.equations:
+                self._mentioned |= _equation_mask(eq, self._index)
             return
         self._units = _UnitPropagation(formula.clauses, self._index)
         satisfiable = self._units.consistent
@@ -618,6 +680,10 @@ class CompiledFormula:
             # Propagation misses 2CNF conflicts like (a|b)(a|-b)(-a|b)(-a|-b).
             satisfiable = _solve_two_cnf(formula.clauses, formula.variables) is not None
         self.satisfiable = satisfiable
+
+    def __contains__(self, x: str) -> bool:
+        """Whether x is a variable of the formula and not pinned."""
+        return x in self._free
 
     def consistent_with(self, assumptions: Sequence[BooleanConstraint]) -> bool:
         """SAT(formula AND assumptions), for unit clauses (clausal classes)
@@ -653,40 +719,104 @@ class CompiledFormula:
             literals.append(self._units.code(lit))
         return self._units.consistent_with(literals)
 
-    def _pin(self, x: str, a: bool) -> BooleanConstraint:
-        if self.cls is SchaeferClass.AFFINE:
-            return AffineEquation(frozenset((x,)), a)
-        return Clause(frozenset((Literal(x, a),)))
-
     def inconsistent(self, x: str, a: bool) -> bool:
-        return not self.consistent_with((self._pin(x, a),))
+        if not self.satisfiable:
+            return True
+        i = self._index[x]
+        if self.cls is SchaeferClass.AFFINE:
+            return self._fixed.get(i, a) != a
+        propagated = self._units.value[i]
+        if propagated is not None:
+            return propagated != a
+        return not self._units.consistent_with((2 * i + (not a),))
 
     def substitutable(self, x: str, a: bool, b: bool) -> bool:
-        """Every model with x=a stays a model with x=b: no constraint c on x
-        has a model of formula AND x=a that violates c with x=b.  A
-        constraint that does not mention x holds in every such model."""
+        """Every model with x=a stays a model with x=b: flipping x to b can
+        break only a constraint holding x's literal at not b, so none of
+        those has a model of formula AND x=a that violates it with x=b."""
         key = (x, a, b)
         memo = self._substitutable.get(key)
         if memo is None:
-            pin = self._pin(x, a)
-            memo = not any(
-                self.consistent_with((pin, *complement_conjunction(part)))
-                for c in self._mentioning[x]
-                for part in instantiate_project(c, x, b)
-            )
-            self._substitutable[key] = memo
+            memo = self._substitutable[key] = self._decide_substitutable(x, a, b)
         return memo
 
+    def _decide_substitutable(self, x: str, a: bool, b: bool) -> bool:
+        i = self._index[x]
+        if self.cls is SchaeferClass.AFFINE:
+            # With a != b every equation on x breaks, so only a model with
+            # x=a could fail; with a == b nothing changes.
+            return a == b or not (self._mentioned >> i) & 1 or self.inconsistent(x, a)
+        if not self.satisfiable:
+            return True
+        units = self._units
+        pin, miss = 2 * i + (not a), 2 * i + b
+        clauses = units.clauses
+        return not any(
+            units.consistent_with((pin, *(lit ^ 1 for lit in clauses[k] if lit != miss)))
+            for k in units.occurs[miss]
+        )
+
     def determined(self, x: str) -> bool:
-        # Two copies of the formula, at x=true and x=false, sharing every
-        # other variable: unsatisfiable iff the others fix x.  Constraints
-        # without x are the same in both copies and go in once.
-        joint = [c for c in self.formula.constraints if x not in c.variables]
-        for value in (True, False):
-            for c in self._mentioning[x]:
-                joint.extend(instantiate_project(c, x, value))
-        remaining = tuple(v for v in self.formula.variables if v != x)
-        return _dispatch_sat(self.cls, joint, remaining) is None
+        """No two models differ at x alone.
+
+        Affine: flipping x breaks exactly the equations that mention it.
+        Clausal: the models at x=true and at x=false share their other
+        values iff the formula is consistent with the remainders of x's
+        clauses (each clause minus x's literal).  An empty remainder
+        refutes it at once and unit remainders are assumed literals; the
+        longer ones, Horn or dual Horn clauses of the formula's own class,
+        are propagated too, which stays exact for the reason
+        ``consistent_with`` gives.
+        """
+        if not self.satisfiable:
+            return True
+        i = self._index[x]
+        if self.cls is SchaeferClass.AFFINE:
+            return bool((self._mentioned >> i) & 1)
+        units = self._units
+        if units.value[i] is not None:
+            return True  # the formula fixes x
+        assumed: list[int] = []
+        extra: list[tuple[int, ...]] = []
+        for own in (2 * i, 2 * i + 1):
+            for k in units.occurs[own]:
+                rest = tuple(lit for lit in units.clauses[k] if lit != own)
+                if not rest:
+                    return True
+                if len(rest) == 1:
+                    assumed.append(rest[0])
+                else:
+                    extra.append(rest)
+        return not units.consistent_with(assumed, extra)
+
+    def pinned(self, assignments: Mapping[str, bool]) -> "CompiledFormula":
+        """The compiled form of ``assume(formula, assignments)`` in the same
+        class, derived from this state: the clausal classes propagate the
+        pins on from the propagated units, affine folds each pin into the
+        reduced basis.  Pinning keeps a formula in its class, and propagation
+        from a satisfiable formula stays exact, so every answer on a
+        variable left free equals that of compiling the assumed formula."""
+        for v in assignments:
+            if v not in self._free:
+                raise ValueError(f"unknown or pinned variable {v!r}")
+        child = _shallow_copy(self)
+        child._free = self._free.difference(assignments)
+        child._substitutable = {}
+        if self.cls is SchaeferClass.AFFINE:
+            basis = self._basis
+            for v, value in assignments.items():
+                if basis is None:
+                    break
+                basis = _add_row(basis, 1 << self._index[v], value)
+            child._basis = basis
+            child.satisfiable = basis is not None
+            child._fixed = _fixed_values(basis)
+            return child
+        child._units = self._units.pinned(
+            [2 * self._index[v] + (not value) for v, value in assignments.items()]
+        )
+        child.satisfiable = self.satisfiable and child._units.consistent
+        return child
 
 
 @lru_cache(maxsize=16)
@@ -698,40 +828,44 @@ def compile_formula(
     return CompiledFormula(formula, cls)
 
 
+# Each kind's answer on a compiled formula, from the variable and its values.
+_ANSWERS = {
+    "inconsistent": lambda c, x, a: c.inconsistent(x, a),
+    "implied": lambda c, x, a: c.inconsistent(x, not a),
+    "substitutable": lambda c, x, a, b: c.substitutable(x, a, b),
+    "interchangeable": lambda c, x, a, b: c.substitutable(x, a, b)
+    and c.substitutable(x, b, a),
+    "fixable": lambda c, x, b: c.substitutable(x, not b, b),
+    "irrelevant": lambda c, x: c.substitutable(x, False, True)
+    and c.substitutable(x, True, False),
+    "determined": lambda c, x: c.determined(x),
+    # On booleans, removable(v) iff v is substitutable by not v.
+    "removable": lambda c, x, v: c.substitutable(x, v, not v),
+}
+
+TRACTABLE_KINDS = tuple(_ANSWERS)
+
+
 def tract_check(
-    formula: BooleanFormula, cls: SchaeferClass | str, query: PropertyQuery
+    formula: BooleanFormula,
+    cls: SchaeferClass | str,
+    query: PropertyQuery,
+    compiled: CompiledFormula | None = None,
 ) -> bool:
-    """Exact polynomial property check on the formula's compiled form."""
-    compiled = compile_formula(formula, cls)
-    if query.kind == "dependent":
-        raise UnsupportedQueryError("no tractable method is known for dependence")
-    if query.kind not in TRACTABLE_KINDS:
+    """Exact polynomial property check on the formula's compiled form, or
+    on ``compiled`` when the caller holds it already (as a simplifier
+    does, deriving it step by step with ``CompiledFormula.pinned``)."""
+    if compiled is None:
+        compiled = compile_formula(formula, cls)
+    answer = _ANSWERS.get(query.kind)
+    if answer is None:
+        if query.kind == "dependent":
+            raise UnsupportedQueryError("no tractable method is known for dependence")
         raise UnsupportedQueryError(f"unsupported property kind {query.kind!r}")
     x = query.variable
-    if x not in formula.variables:
+    if x not in compiled._free:
         raise ValueError(f"unknown variable {x!r}")
-    values = tuple(name_bool(v) for v in query.values)
-    if query.kind == "inconsistent":
-        return compiled.inconsistent(x, values[0])
-    if query.kind == "implied":
-        return compiled.inconsistent(x, not values[0])
-    if query.kind == "substitutable":
-        return compiled.substitutable(x, *values)
-    if query.kind == "interchangeable":
-        a, b = values
-        return compiled.substitutable(x, a, b) and compiled.substitutable(x, b, a)
-    if query.kind == "fixable":
-        b = values[0]
-        return compiled.substitutable(x, not b, b)
-    if query.kind == "irrelevant":
-        return compiled.substitutable(x, False, True) and compiled.substitutable(
-            x, True, False
-        )
-    if query.kind == "determined":
-        return compiled.determined(x)
-    # removable: on booleans, removable(v) iff v is substitutable by not v
-    v = values[0]
-    return compiled.substitutable(x, v, not v)
+    return answer(compiled, x, *map(name_bool, query.values))
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,9 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import math
+import shutil
 import sys
 import time
 import traceback
@@ -454,15 +456,17 @@ def _fill_check(check: argparse.ArgumentParser) -> None:
 
 def _fill_gen(gen: argparse.ArgumentParser) -> None:
     gen_sub = gen.add_subparsers(dest="family", required=True)
-    coloring = gen_sub.add_parser("coloring")
+    # Subparsers do not inherit the formatter; hand the parent's on.
+    formatter = gen.formatter_class
+    coloring = gen_sub.add_parser("coloring", formatter_class=formatter)
     coloring.add_argument("--nodes", type=int, required=True)
     coloring.add_argument("--edges", default="", help="comma list like 2-3,3-4")
     coloring.add_argument("--colors", type=int, default=3)
-    factoring = gen_sub.add_parser("factoring")
+    factoring = gen_sub.add_parser("factoring", formatter_class=formatter)
     factoring.add_argument("--number", type=int, required=True)
     factoring.add_argument("--base", type=int, default=2)
     factoring.add_argument("--ordering", action="store_true")
-    rand = gen_sub.add_parser("random")
+    rand = gen_sub.add_parser("random", formatter_class=formatter)
     rand.add_argument("--vars", type=int, required=True)
     rand.add_argument("--domain-size", type=int, required=True)
     rand.add_argument("--constraints", type=int, required=True)
@@ -489,20 +493,22 @@ _SUBCOMMANDS = {
 }
 
 
-def _build_parser(argv) -> argparse.ArgumentParser:
+def _build_parser(argv, formatter=argparse.HelpFormatter) -> argparse.ArgumentParser:
     """The parser for one command line.  Every subcommand is listed, so
     usage lines and choice errors read the same, but only the subcommand
     that ``argv`` names gets its arguments (all do when it names none):
     building the others' arguments would cost a command more than its
-    own parse."""
+    own parse.  ``formatter`` is the help formatter class of the parser and
+    of every subparser."""
     parser = argparse.ArgumentParser(
         prog="cspstruct",
         description="Structural-property engine for finite-domain CSPs",
+        formatter_class=formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
     named = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     for name, (help_line, fill) in _SUBCOMMANDS.items():
-        sub_parser = sub.add_parser(name, help=help_line)
+        sub_parser = sub.add_parser(name, help=help_line, formatter_class=formatter)
         if named is None or name == named:
             fill(sub_parser)
     return parser
@@ -511,7 +517,11 @@ def _build_parser(argv) -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _build_parser(argv).parse_args(argv)
+    # argparse builds a formatter for every argument it adds, and each one
+    # asks for the terminal width; ask once, with the same correction.
+    width = shutil.get_terminal_size().columns - 2
+    formatter = functools.partial(argparse.HelpFormatter, width=width)
+    args = _build_parser(argv, formatter).parse_args(argv)
     try:
         return args.handler(args)
     except ParseError as exc:

@@ -119,7 +119,10 @@ class _DetectorSet:
 
     ``effective`` is the formula with every pinned variable instantiated
     away and ``tractable_class`` its primary Schaefer class (None when it
-    has none); ``advance`` brings both up to date with a space.
+    has none); ``advance`` brings both up to date with a space.  The
+    tractable detectors ask ``compiled``: the effective formula compiled
+    once, at the first step where it is tractable, and from then on
+    derived from the previous step's form with ``CompiledFormula.pinned``.
     """
 
     def __init__(
@@ -134,6 +137,8 @@ class _DetectorSet:
         self.covering = covering
         self.effective = formula
         self.tractable_class = self._classify(formula)
+        self.compiled: boolean.CompiledFormula | None = None
+        self._pure = self._pure_values(formula)
 
     def advance(self, space: SearchSpace) -> None:
         """Instantiate the variables pinned since the last call.
@@ -141,7 +146,8 @@ class _DetectorSet:
         Spaces only shrink and instantiation commutes, so this equals
         instantiating every pinned variable of the original formula; the
         class is recomputed because pinning can make a formula tractable or
-        move it to another class.
+        move it to another class.  Pinning never takes a formula out of a
+        class, so the compiled form stays in the class it was compiled in.
         """
         if self.effective is None:
             return
@@ -153,6 +159,22 @@ class _DetectorSet:
         if pinned:
             self.effective = boolean.assume(self.effective, pinned)
             self.tractable_class = self._classify(self.effective)
+            self._pure = self._pure_values(self.effective)
+            if self.compiled is not None:
+                self.compiled = self.compiled.pinned(pinned)
+        if (
+            self.compiled is None
+            and self.tractable_class is not None
+            and "tractable" in self.families
+        ):
+            self.compiled = boolean.compile_formula(self.effective, self.tractable_class)
+
+    def _pure_values(self, formula: BooleanFormula | None) -> dict[str, bool | None]:
+        # The pure-value rule's answer for every free variable, read once
+        # per step instead of a scan of every clause per detector call.
+        if "pure-value" in self.families and formula is not None and formula.is_clausal:
+            return local.pure_values(formula)
+        return {}
 
     @staticmethod
     def _classify(formula: BooleanFormula | None) -> SchaeferClass | None:
@@ -162,17 +184,11 @@ class _DetectorSet:
         return None if primary is SchaeferClass.UNRESTRICTED else primary
 
     def justify_fix(self, space, x, a):
-        effective = self.effective
         for family in self.families:
             if family == "pure-value":
-                if (
-                    effective is not None
-                    and effective.is_clausal
-                    and x in effective.variables
-                ):
-                    value = local.pure_value_fixable(effective, x)
-                    if value is not None and boolean.bool_name(value) == a:
-                        return "pure-value", "opposite polarity never occurs"
+                value = self._pure.get(x)
+                if value is not None and boolean.bool_name(value) == a:
+                    return "pure-value", "opposite polarity never occurs"
             elif family == "local":
                 # A vacuous AND over zero subsets establishes nothing worth
                 # acting on; steps need evidence from at least one subset.
@@ -187,9 +203,11 @@ class _DetectorSet:
                 ).established:
                     return "local-implied", "established on some covering subset"
             elif family == "tractable":
-                cls = self.tractable_class
-                if cls is not None and x in effective.variables:
-                    if boolean.tract_check(effective, cls, PropertyQuery.implied(x, a)):
+                compiled = self.compiled
+                if compiled is not None and x in compiled:
+                    cls = self.tractable_class
+                    query = PropertyQuery.implied(x, a)
+                    if boolean.tract_check(self.effective, cls, query, compiled):
                         return "tractable-implied", f"{cls.value} reduction"
             elif family == "oracle":
                 if oracle.check_fixable(self.instance, space, x, a):
@@ -198,7 +216,6 @@ class _DetectorSet:
 
     def justify_removal(self, space, x, a):
         # Returns (detector, evidence, witness, is_inconsistency_proof).
-        effective = self.effective
         active = space.values(x)
         for family in self.families:
             if family == "local":
@@ -223,11 +240,11 @@ class _DetectorSet:
                                 False,
                             )
             elif family == "tractable":
-                cls = self.tractable_class
-                if cls is not None and x in effective.variables:
-                    if boolean.tract_check(
-                        effective, cls, PropertyQuery.inconsistent(x, a)
-                    ):
+                compiled = self.compiled
+                if compiled is not None and x in compiled:
+                    cls = self.tractable_class
+                    query = PropertyQuery.inconsistent(x, a)
+                    if boolean.tract_check(self.effective, cls, query, compiled):
                         return (
                             "tractable-inconsistent",
                             f"{cls.value} reduction",

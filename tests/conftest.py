@@ -5,6 +5,15 @@ from pathlib import Path
 import pytest
 
 from cspstruct import boolean_corpus, parse_csp, parse_dimacs, standard_corpus
+from cspstruct.boolean import (
+    AffineEquation,
+    Clause,
+    Literal,
+    SchaeferClass,
+    _dispatch_sat,
+    complement_conjunction,
+    instantiate_project,
+)
 from cspstruct.oracle import solution_table
 
 DATA = Path(__file__).parent / "data"
@@ -77,4 +86,39 @@ def forced_by_product(instance, space, group, y):
         ys = {row[iy] for row in tbl.rows if tuple(row[p] for p in positions) == combo}
         if len(ys) > 1:
             return False
+    return True
+
+
+def determined_by_joint_solve(formula, cls, x):
+    """Determinacy by its definition as one restricted SAT solve: two copies
+    of the formula, at x=true and at x=false, sharing every other variable,
+    are unsatisfiable iff the other variables fix x.  Constraints without x
+    are the same in both copies and go in once."""
+    joint = [c for c in formula.constraints if x not in c.variables]
+    for value in (True, False):
+        for c in formula.constraints:
+            if x in c.variables:
+                joint.extend(instantiate_project(c, x, value))
+    remaining = tuple(v for v in formula.variables if v != x)
+    return _dispatch_sat(SchaeferClass(cls), joint, remaining) is None
+
+
+def substitutable_by_closure(formula, cls, x, a, b):
+    """Substitutability through the closure operations: no constraint c on
+    x has a model of formula AND x=a that violates c with x=b, where "c with
+    x=b" is instantiate-and-project and its violation is the complement
+    conjunction, each side one restricted SAT solve."""
+    cls = SchaeferClass(cls)
+    if cls is SchaeferClass.AFFINE:
+        pin = AffineEquation(frozenset((x,)), a)
+    else:
+        pin = Clause(frozenset((Literal(x, a),)))
+    for c in formula.constraints:
+        if x not in c.variables:
+            continue
+        for part in instantiate_project(c, x, b):
+            extra = (pin, *complement_conjunction(part))
+            model = _dispatch_sat(cls, formula.constraints + extra, formula.variables)
+            if model is not None:
+                return False
     return True

@@ -11,9 +11,11 @@ from cspstruct.boolean import (
     BooleanFormula,
     ClassMismatchError,
     Clause,
+    CompiledFormula,
     Literal,
     SchaeferClass,
     UnsupportedQueryError,
+    assume,
     classify_schaefer,
     clause_of,
     compile_formula,
@@ -26,6 +28,8 @@ from cspstruct.boolean import (
 from cspstruct.instances import boolean_corpus, gen_random_boolean
 from cspstruct.model import SearchSpace
 from cspstruct.oracle import PropertyQuery as Q
+
+from conftest import determined_by_joint_solve, substitutable_by_closure
 
 
 def clause(*lits):
@@ -476,6 +480,188 @@ class TestCompiledEngine:
     def test_no_other_module_cache(self):
         caches = [n for n, v in vars(boolean).items() if hasattr(v, "cache_clear")]
         assert caches == ["compile_formula"]
+
+
+# ---------------------------------------------------------------------------
+# Answers read off the compiled state, against their definitions
+# ---------------------------------------------------------------------------
+
+ALL_KINDS = CLAUSAL_KINDS + ("affine",)
+BOOLS = (False, True)
+
+
+def brute_force_determined(formula, models, x):
+    return not any(formula.satisfied_by({**model, x: not model[x]}) for model in models)
+
+
+def brute_force_substitutable(formula, models, x, a, b):
+    return all(formula.satisfied_by({**model, x: b}) for model in models if model[x] == a)
+
+
+@st.composite
+def edge_formulas(draw):
+    """A formula of some class, at times with a false constraint (the empty
+    clause or 0 = 1) and with variables that no constraint mentions."""
+    kind = draw(st.sampled_from(ALL_KINDS))
+    formula = draw(formulas(kind))
+    unused = tuple(f"w{i}" for i in range(draw(st.integers(0, 2))))
+    clauses, equations = formula.clauses, formula.equations
+    if draw(st.integers(0, 7)) == 0:
+        if kind == "affine":
+            equations += (AffineEquation(frozenset(), True),)
+        else:
+            clauses += (Clause(frozenset()),)
+    return kind, BooleanFormula(formula.variables + unused, clauses, equations)
+
+
+def mirrored(formula):
+    """The formula with every literal negated: Horn becomes dual Horn."""
+    return BooleanFormula(
+        formula.variables,
+        tuple(Clause(frozenset(l.negated() for l in c.literals)) for c in formula.clauses),
+    )
+
+
+_a, _b, _x = ("a", True), ("b", True), ("x", True)
+_na, _nb, _nx = ("a", False), ("b", False), ("x", False)
+HORN_CASES = {
+    "unsatisfiable": BooleanFormula(("x", "a"), (clause(_a), clause(_na, _x), clause(_nx))),
+    "empty clause": BooleanFormula(("x", "a"), (Clause(frozenset()), clause(_na, _x))),
+    "unit only": BooleanFormula(("x", "a", "b"), (clause(_x), clause(_na))),
+    "zero constraints": BooleanFormula(("x", "a")),
+    "x in no constraint": BooleanFormula(("x", "a", "b"), (clause(_na, _b),)),
+    # Remainders (-a|-b) and (-a|b): with (a) they refute each other, so
+    # x = b is determined; without it a = false satisfies both.
+    "width 3, determined": BooleanFormula(
+        ("x", "a", "b"), (clause(_x, _na, _nb), clause(_nx, _na, _b), clause(_a))
+    ),
+    "width 3, free": BooleanFormula(
+        ("x", "a", "b"), (clause(_x, _na, _nb), clause(_nx, _na, _b))
+    ),
+    # Remainders (-a|-d), scanned first, and (-c|a): only once (c) makes the
+    # second unit does a, through (-a|d), refute the first, so x = a.
+    "width 3, chained": BooleanFormula(
+        ("x", "a", "c", "d"),
+        (
+            clause(_x, _na, ("d", False)),
+            clause(_nx, ("c", False), _a),
+            clause(("c", True)),
+            clause(_na, ("d", True)),
+        ),
+    ),
+}
+
+
+def fixed_cases():
+    for name, formula in HORN_CASES.items():
+        yield pytest.param("horn", formula, id=f"horn-{name}")
+        yield pytest.param("dual-horn", mirrored(formula), id=f"dual-horn-{name}")
+        if all(len(c.literals) <= 2 for c in formula.clauses):
+            yield pytest.param("2cnf", formula, id=f"2cnf-{name}")
+    for name, equations in {
+        "false equation": (AffineEquation(frozenset(), True), AffineEquation({"x"}, True)),
+        "unit only": (AffineEquation({"x"}, True),),
+        "zero constraints": (),
+        "x in no constraint": (AffineEquation({"a", "b"}, False),),
+        "x via a chain": (AffineEquation({"x", "a"}, True), AffineEquation({"a", "b"}, False)),
+    }.items():
+        formula = BooleanFormula(("x", "a", "b"), (), equations)
+        yield pytest.param("affine", formula, id=f"affine-{name}")
+
+
+def assert_read_off_answers_match(kind, formula):
+    compiled = CompiledFormula(formula, kind)
+    models = brute_force_models(formula)
+    for x in formula.variables:
+        expected = brute_force_determined(formula, models, x)
+        assert determined_by_joint_solve(formula, kind, x) == expected, x
+        assert compiled.determined(x) == expected, x
+        for a, b in itertools.product(BOOLS, BOOLS):
+            expected = brute_force_substitutable(formula, models, x, a, b)
+            assert substitutable_by_closure(formula, kind, x, a, b) == expected, (x, a, b)
+            assert compiled.substitutable(x, a, b) == expected, (x, a, b)
+
+
+class TestReadOffAnswers:
+    """determined and substitutable on the compiled state, against the
+    joint-solve and closure references and against brute force."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_formulas())
+    def test_random_formulas(self, case):
+        assert_read_off_answers_match(*case)
+
+    @pytest.mark.parametrize("kind, formula", fixed_cases())
+    def test_fixed_cases(self, kind, formula):
+        assert_read_off_answers_match(kind, formula)
+
+    def test_width_3_remainders_decide_determinacy(self):
+        for kind, mirror in (("horn", lambda f: f), ("dual-horn", mirrored)):
+            for name in ("width 3, determined", "width 3, chained"):
+                assert tract_check(mirror(HORN_CASES[name]), kind, Q.determined("x"))
+            assert not tract_check(mirror(HORN_CASES["width 3, free"]), kind, Q.determined("x"))
+
+
+@st.composite
+def formulas_with_pins(draw):
+    """A formula, and pins on some of its variables in two rounds."""
+    kind, formula = draw(edge_formulas())
+    pinned = draw(st.lists(st.sampled_from(formula.variables), unique=True))
+    values = [draw(st.booleans()) for _ in pinned]
+    cut = draw(st.integers(0, len(pinned)))
+    rounds = dict(zip(pinned[:cut], values[:cut])), dict(zip(pinned[cut:], values[cut:]))
+    return kind, formula, rounds
+
+
+class TestPinnedChild:
+    """``CompiledFormula.pinned`` answers as compiling the assumed formula."""
+
+    @staticmethod
+    def assert_child_matches(kind, formula, rounds):
+        child = CompiledFormula(formula, kind)
+        pins = {}
+        for round_pins in rounds:
+            child = child.pinned(round_pins)
+            pins.update(round_pins)
+        assumed = assume(formula, pins)
+        direct = CompiledFormula(assumed, kind)
+        assert child.satisfiable == direct.satisfiable
+        for x in formula.variables:
+            assert (x in child) == (x not in pins) == (x in direct)
+        for x in assumed.variables:
+            assert child.determined(x) == direct.determined(x), x
+            for a in BOOLS:
+                assert child.inconsistent(x, a) == direct.inconsistent(x, a), (x, a)
+                for b in BOOLS:
+                    assert child.substitutable(x, a, b) == direct.substitutable(x, a, b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(formulas_with_pins())
+    def test_random_pins(self, case):
+        self.assert_child_matches(*case)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_conflicting_pins(self, kind):
+        # a forces b; pinning them apart leaves no model.
+        if kind == "affine":
+            formula = BooleanFormula(("a", "b", "c"), (), (AffineEquation({"a", "b"}, False),))
+        else:
+            formula = BooleanFormula(("a", "b", "c"), (clause(_na, _b),))
+        child = CompiledFormula(formula, kind).pinned({"a": True}).pinned({"b": False})
+        assert not child.satisfiable
+        assert child.inconsistent("c", True) and child.inconsistent("c", False)
+        assert child.determined("c")
+        self.assert_child_matches(kind, formula, ({"a": True}, {"b": False}))
+
+    def test_unknown_or_pinned_variable_rejected(self):
+        compiled = CompiledFormula(BooleanFormula(("a", "b")), "horn")
+        child = compiled.pinned({"a": True})
+        for bad in ("nope", "a"):
+            with pytest.raises(ValueError, match="unknown or pinned variable"):
+                child.pinned({bad: True})
+        with pytest.raises(ValueError, match="unknown variable"):
+            tract_check(None, "horn", Q.implied("a", "true"), child)
+        assert tract_check(None, "horn", Q.irrelevant("b"), child)
 
 
 class TestTractCheckErrorOrder:

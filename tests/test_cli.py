@@ -313,35 +313,52 @@ class TestClassify:
         assert code == 2
 
 
+PARSER_ARGVS = [
+    *([command, "-h"] for command in ("analyze", "simplify", "check", "gen", "classify")),
+    ["gen", "coloring", "-h"],
+    ["check", "--bogus", "x"],
+    ["simplify", "x", "--mode", "nope"],
+    ["analyze"],
+    ["gen", "coloring"],
+    ["gen", "nope"],
+    ["bogus"],
+    ["-h"],
+    [],
+]
+
+
 class TestParser:
-    """A command fills in only its own subcommand's arguments; what argparse
-    prints and returns is the same as with every subcommand filled in."""
+    """A command fills in only its own subcommand's arguments and asks for
+    the terminal width once; what argparse prints and returns is the same
+    as with every subcommand filled in by argparse's own formatter."""
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            *([command, "-h"] for command in ("analyze", "simplify", "check", "gen", "classify")),
-            ["gen", "coloring", "-h"],
-            ["check", "--bogus", "x"],
-            ["simplify", "x", "--mode", "nope"],
-            ["analyze"],
-            ["gen", "coloring"],
-            ["gen", "nope"],
-            ["bogus"],
-            ["-h"],
-            [],
-        ],
-    )
+    @staticmethod
+    def outcome(capsys, parse, argv):
+        with pytest.raises(SystemExit) as exit_info:
+            parse(argv)
+        captured = capsys.readouterr()
+        return exit_info.value.code, captured.out, captured.err
+
+    @pytest.mark.parametrize("argv", PARSER_ARGVS)
     def test_usage_and_errors_match_the_full_parser(self, capsys, argv):
-        def outcome(parse):
-            with pytest.raises(SystemExit) as exit_info:
-                parse(argv)
-            captured = capsys.readouterr()
-            return exit_info.value.code, captured.out, captured.err
-
-        full = outcome(cli._build_parser([]).parse_args)
-        assert outcome(main) == full
+        full = self.outcome(capsys, cli._build_parser([]).parse_args, argv)
+        assert self.outcome(capsys, main, argv) == full
         assert full[0] in (0, 2) and (full[1] or full[2])
+
+    @pytest.mark.parametrize("columns", ["40", "200"])
+    @pytest.mark.parametrize("argv", PARSER_ARGVS)
+    def test_same_bytes_at_any_terminal_width(self, capsys, monkeypatch, columns, argv):
+        monkeypatch.setenv("COLUMNS", columns)
+        full = self.outcome(capsys, cli._build_parser([]).parse_args, argv)
+        assert self.outcome(capsys, main, argv) == full
+
+    def test_the_width_is_honoured(self, capsys, monkeypatch):
+        helps = []
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            helps.append(self.outcome(capsys, main, ["check", "-h"])[1])
+        narrow, wide = (max(map(len, text.splitlines())) for text in helps)
+        assert narrow < wide
 
 
 class TestExitCodes:

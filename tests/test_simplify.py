@@ -10,6 +10,7 @@ from cspstruct.boolean import (
     SchaeferClass,
     assume,
     classify_schaefer,
+    compile_formula,
     name_bool,
     to_extensional,
 )
@@ -276,3 +277,33 @@ class TestIncrementalEffectiveFormula:
             digest.update(result.log().encode() + b"\n")
             digest.update(repr(outcome).encode() + b"\n")
         assert digest.hexdigest() == STEP_LOG_DIGEST
+
+    def test_one_compile_per_run(self, boolean_corpora):
+        # The tractable detectors ask a child of one compiled form per step,
+        # and the step logs stay the ones recorded above.
+        digest = hashlib.sha256()
+        for formula in corpus_slices(boolean_corpora):
+            inst = to_extensional(formula)
+            compile_formula.cache_clear()
+            result = simplify_fixpoint(inst, SearchSpace.full(inst), formula=formula)
+            assert compile_formula.cache_info().misses == 1
+            outcome = (result.fixpoint, result.proved_unsatisfiable, result.conflict)
+            digest.update(result.log().encode() + b"\n")
+            digest.update(repr(outcome).encode() + b"\n")
+        assert digest.hexdigest() == STEP_LOG_DIGEST
+
+    def test_compiled_once_it_turns_tractable(self):
+        # As in test_class_follows_the_pins: tractable only once a is pinned.
+        f = BooleanFormula(
+            ("a", "b", "c"),
+            (
+                clause(("a", True)),
+                clause(("a", True), ("b", True), ("c", True)),
+                clause(("a", False), ("b", False), ("c", False)),
+            ),
+        )
+        inst = to_extensional(f)
+        compile_formula.cache_clear()
+        result = simplify_fixpoint(inst, SearchSpace.full(inst), formula=f)
+        assert compile_formula.cache_info().misses == 1
+        assert result.fixpoint and result.steps
