@@ -254,8 +254,8 @@ def _check_instance(instance, space, formula, group_size, dep_max, catalog):
     for size in sizes:
         covering = local.default_covering(instance, size)
         whole = size >= len(instance.constraints)
-        for query, truth in zip(queries, truths):
-            verdict = local.local_check(instance, space, covering, query)
+        verdicts = local.local_checks(instance, space, covering, queries)
+        for query, truth, verdict in zip(queries, truths, verdicts):
             if verdict.established and not truth:
                 problems.append(f"local({size}) established a false fact: {query.describe()}")
             if whole and verdict.established != truth:

@@ -9,13 +9,18 @@ anything else stays *unknown* — local reasoning never refutes.
 
 Every group, one constraint or many, is decided the same way: on the
 group's solutions over the union of its scopes, enumerated by the oracle's
-backtracking enumerator and scanned by the oracle's own falsifier and
-dependence checks.  A variable outside that union is free in the group's
-subproblem, so a query on it follows from its active values alone, and
-only the groups that hold the queried variable are decided.  A group's
-solutions, and the verdicts decided on them, are kept per group and per
-active sets on its scope, so a narrowed space rebuilds and re-decides only
-the groups whose variables it touched.
+backtracking enumerator.  A group verdict needs no witness, so it is read
+off the queried variable's mask signature on the group's table once there
+is one (see ``oracle._scan``), and is a scan by the oracle's own falsifier
+before that; dependence keeps the oracle's pair scan.  A variable
+outside that union is free in the group's subproblem, so a query on it
+follows from its active values alone, and only the groups that hold the
+queried variable are decided.  A group's solutions, and the verdicts
+decided on them, are kept per group and per active sets on its scope, so
+a narrowed space rebuilds and re-decides only the groups whose variables
+it touched.  ``local_checks`` decides a list of queries on one covering
+with one table lookup, and builds the signature of each variable it asks
+about more than once before it asks.
 
 Removability is the one value property this approach cannot support:
 per-constraint removability does not imply global removability, and acting
@@ -25,13 +30,16 @@ are therefore rejected outright.
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import attrgetter
 from typing import NamedTuple
 
 from . import oracle
 from .boolean import BooleanFormula
-from .model import CspInstance, SearchSpace
+from .model import CspInstance, SearchSpace, _hash_once, _state_without_hash
 from .oracle import PropertyQuery
 
 AND_KINDS = frozenset({"substitutable", "interchangeable", "fixable", "irrelevant"})
@@ -55,6 +63,9 @@ class Covering:
         for group in self.groups:
             if not group:
                 raise ValueError("covering subsets must be nonempty")
+
+    __hash__ = _hash_once
+    __getstate__ = _state_without_hash
 
 
 class LocalVerdict(NamedTuple):
@@ -152,16 +163,54 @@ def local_check(
     Only the groups whose scope holds the queried variable are decided; in
     every other group that variable is free, so the verdict follows from
     its active values and the group's emptiness alone."""
-    kind = query.kind
+    if query.kind not in _KINDS:
+        _reject(query.kind)
+    return _combine(instance, space, _tables(instance, covering, space), query)
+
+
+def local_checks(
+    instance: CspInstance,
+    space: SearchSpace,
+    covering: Covering,
+    queries: Iterable[PropertyQuery],
+) -> list[LocalVerdict]:
+    """``local_check`` for each query in turn, with one lookup of the
+    covering's group tables for the space.  Every kind is checked before
+    the covering and the space, and each query's variable and values just
+    before it is decided, as ``local_check`` does for one query."""
+    queries = tuple(queries)
+    for query in queries:
+        if query.kind not in _KINDS:
+            _reject(query.kind)
+    tables = _tables(instance, covering, space)
+    # The pass knows how often it asks about each variable: where it asks
+    # more than once, every group table holding the variable answers from
+    # its signature from the start.
+    group_tables, _, holding = tables
+    asked = Counter(map(attrgetter("variable"), queries))
+    for x, count in asked.items():
+        if count > 1:
+            for g in holding.get(x, ()):
+                oracle._sign(group_tables[g], x)
+    return [_combine(instance, space, tables, query) for query in queries]
+
+
+def _reject(kind: str) -> None:
     if kind == "removable":
         raise UnsoundLocalCheckError(
             "local reasoning cannot establish removability: a value can be "
             "removable in every constraint taken alone yet required globally, "
             "and removing it may make a satisfiable instance unsatisfiable"
         )
-    if kind not in _KINDS:
-        raise ValueError(f"unsupported property kind {kind!r}")
-    tables, empty, holding = _tables(instance, covering, space)
+    raise ValueError(f"unsupported property kind {kind!r}")
+
+
+def _combine(
+    instance: CspInstance, space: SearchSpace, groups: tuple, query: PropertyQuery
+) -> LocalVerdict:
+    # groups: the covering's tables for the space, as ``_tables`` gives them.
+    tables, empty, holding = groups
+    kind = query.kind
     x = query.variable
     # The space covers the instance, so it knows exactly its variables.
     active = space.values(x)
@@ -192,8 +241,14 @@ def local_check(
 
 def _holds(tbl: oracle.SolutionTable, query: PropertyQuery) -> bool:
     """Decide the query exactly on the solutions of a group whose scope
-    holds the queried variable, once per table: the verdict is kept on the
-    table under (kind, variable, values, the ``over`` variables in scope)."""
+    holds the queried variable.  A verdict needs no witness, so once the
+    variable has a signature it is read off that; before, each verdict is
+    decided once per table and kept there under (kind, variable, values,
+    the ``over`` variables in scope)."""
+    if query.kind != "dependent":
+        answers = tbl.answers.get(query.variable)
+        if answers is not None:
+            return answers[query.kind, query.values]
     over = query.over
     if over:
         over = tuple(v for v in over if v in tbl.index)
@@ -203,7 +258,7 @@ def _holds(tbl: oracle.SolutionTable, query: PropertyQuery) -> bool:
         if query.kind == "dependent":
             holds = not oracle._dependence_pair(tbl, over, query.variable)
         else:
-            holds = next(oracle._falsifying_rows(tbl, query), None) is None
+            holds = oracle._scan(tbl, query) is None
         tbl.verdicts[key] = holds
     return holds
 

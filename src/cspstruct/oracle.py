@@ -10,6 +10,15 @@ counterexample is always the lexicographically least one.
 Each query is decided once per cached solution table: the verdict is kept
 on the table under a plain tuple key, and the query object is built and
 validated only when it is first decided.
+Every property but dependence compares the cofactors of one variable x
+(the solutions with x fixed to a, to b, ...), so it is a relation on x's
+mask signature: the set of distinct masks of x's values that the solution
+rows take once x is left out.  Questions about x on a table are decided
+by scans that stop at the first falsifying row until the scans that held
+(each a pass over every row) have cost about as much as the signature;
+then it is built in one pass and every value and variable answer on x
+filled in, so each later question is a dict lookup.  Rows are scanned
+after that only for the witness of a false verdict.
 Value quantifiers ("some other value b", "every value a") range over the
 variable's active values.
 """
@@ -122,9 +131,13 @@ class SolutionTable:
     """Cached exhaustive enumeration of Sol(C) within a search space, plus
     the verdicts decided on it so far, keyed by (kind, variable, values,
     over): ``evaluate`` keeps an OracleVerdict there, and the local checks
-    keep a bool on a covering group's table."""
+    keep a bool on a covering group's table.  ``answers`` maps a variable
+    to its signature answers, and ``scanned`` the cost, in rows, of the
+    scans about it that held (see ``_scan``)."""
 
-    __slots__ = ("order", "index", "actives", "rows", "members", "verdicts")
+    __slots__ = (
+        "order", "index", "actives", "rows", "members", "verdicts", "answers", "scanned"
+    )
 
     def __init__(
         self,
@@ -138,6 +151,8 @@ class SolutionTable:
         self.rows = rows
         self.members = frozenset(rows)
         self.verdicts: dict[tuple, OracleVerdict | bool] = {}
+        self.answers: dict[str, dict[tuple, bool]] = {}
+        self.scanned: dict[str, int] = {}
 
     def wrap(self, row: Row) -> AssignmentTuple:
         return AssignmentTuple(zip(self.order, row))
@@ -257,6 +272,90 @@ def _falsifying_rows(tbl: SolutionTable, query: PropertyQuery) -> Iterator[Row]:
     return (row for row in rows if row[i] != a)  # implied
 
 
+# The signature pays off only when enough questions about x follow: it costs
+# about a pass over the rows plus filling in every answer, while a false
+# verdict's scan mostly stops a few rows in.  So only the scans that held
+# (each a pass over every row, plus its set-up) are counted, in rows, and
+# the signature is built once they have cost as much as it would: on a
+# table of more than a few dozen rows, at the second scan that holds; on
+# a table of a few rows, or for a variable asked about a few times or
+# mostly falsely (the test-mode simplifier's covering groups, say), later
+# or never.
+_SCAN_SETUP_ROWS = 16
+_SIGNATURE_FILL_ROWS = 64
+
+
+def _scan(tbl: SolutionTable, query: PropertyQuery) -> Row | None:
+    """The first falsifying row of a non-dependence query, None when it
+    holds.  Callers scan only while ``tbl.answers`` has no signature for the
+    query's variable, or for a false verdict's witness.  A scan that holds
+    adds its cost to ``tbl.scanned``, and the one that brings it to the
+    signature's cost builds the signature."""
+    witness = next(_falsifying_rows(tbl, query), None)
+    if witness is None:
+        x = query.variable
+        rows = len(tbl.rows)
+        spent = tbl.scanned[x] = tbl.scanned.get(x, 0) + rows + _SCAN_SETUP_ROWS
+        if spent >= rows + _SIGNATURE_FILL_ROWS:
+            _sign(tbl, x)
+    return witness
+
+
+def _sign(tbl: SolutionTable, x: str) -> None:
+    """Build x's signature on the table unless it has one."""
+    if x not in tbl.answers:
+        tbl.answers[x] = _signature_answers(tbl, x)
+
+
+def _signature_answers(tbl: SolutionTable, x: str) -> dict[tuple, bool]:
+    """Every value and variable answer on x, keyed by (kind, values), from
+    one pass over the rows.  Grouping the rows by the rest of the row (x
+    left out) gives each group the mask of x's values that extend it, and
+    only the set of distinct masks is kept: at most 2**|active(x)| small
+    ints.  On those masks:
+    fixable(a): every mask holds a; removable(a): no mask is a alone;
+    inconsistent(a): no mask holds a; implied(a): every mask is a alone;
+    substitutable(a, b): every mask holding a holds b; interchangeable:
+    substitutable both ways; determined: every mask has one bit;
+    irrelevant: every mask is full."""
+    i = tbl.index[x]
+    active = tbl.actives[i]
+    bits = {a: 1 << k for k, a in enumerate(active)}
+    full = (1 << len(active)) - 1
+    rest = (*range(i), *range(i + 1, len(tbl.order)))
+    project = itemgetter(*rest) if rest else (lambda row: ())
+    by_rest: dict = {}
+    get = by_rest.get
+    for row in tbl.rows:
+        key = project(row)
+        by_rest[key] = get(key, 0) | bits[row[i]]
+    masks = set(by_rest.values())
+    union, common = 0, full
+    # holding[a]: the bits every mask that holds a also holds.
+    holding = dict.fromkeys(active, full)
+    for mask in masks:
+        union |= mask
+        common &= mask
+        for a, bit in bits.items():
+            if mask & bit:
+                holding[a] &= mask
+    answers: dict[tuple, bool] = {
+        ("determined", ()): all(mask & (mask - 1) == 0 for mask in masks),
+        ("irrelevant", ()): masks <= {full},
+    }
+    for a, bit in bits.items():
+        one = (a,)
+        answers["fixable", one] = bool(common & bit)
+        answers["removable", one] = bit not in masks
+        answers["inconsistent", one] = not union & bit
+        answers["implied", one] = union | bit == bit
+        for b, other in bits.items():
+            pair = (a, b)
+            answers["substitutable", pair] = sub = bool(holding[a] & other)
+            answers["interchangeable", pair] = sub and bool(holding[b] & bit)
+    return answers
+
+
 def _dependence_pair(
     tbl: SolutionTable, over: tuple[str, ...], y: str
 ) -> tuple[Row, ...]:
@@ -296,7 +395,12 @@ def _decide(tbl: SolutionTable, query: PropertyQuery) -> OracleVerdict:
     if query.kind == "dependent":
         witness = _dependence_pair(tbl, query.over, query.variable)
         return OracleVerdict(query, not witness, tuple(map(tbl.wrap, witness)))
-    witness = next(_falsifying_rows(tbl, query), None)
+    answers = tbl.answers.get(query.variable)
+    if answers is not None and answers[query.kind, query.values]:
+        return OracleVerdict(query, True)
+    # A false verdict, or no signature yet: scan, for the least falsifying
+    # row.
+    witness = _scan(tbl, query)
     if witness is None:
         return OracleVerdict(query, True)
     return OracleVerdict(query, False, (tbl.wrap(witness),))

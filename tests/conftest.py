@@ -3,6 +3,7 @@ import itertools
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from cspstruct import boolean_corpus, parse_csp, parse_dimacs, standard_corpus
 from cspstruct.boolean import (
@@ -14,6 +15,7 @@ from cspstruct.boolean import (
     complement_conjunction,
     instantiate_project,
 )
+from cspstruct.model import AssignmentTuple, Constraint, CspInstance, Relation, SearchSpace
 from cspstruct.oracle import solution_table
 
 DATA = Path(__file__).parent / "data"
@@ -65,6 +67,75 @@ def iter_rows(space):
     """Raw value rows of the space, in (variable order, value order): the
     plain product that the oracle's enumerator must agree with."""
     return itertools.product(*(values for _, values in space.entries))
+
+
+def reference_solutions(inst, space):
+    """Sol(C) inside the space, straight from the product of active sets."""
+    names = space.variables
+    tuples = (AssignmentTuple(zip(names, row)) for row in iter_rows(space))
+    return [t for t in tuples if inst.is_solution(t)]
+
+
+def reference_verdict(inst, space, solutions, query):
+    """(holds, counterexamples) from the definitions: the witness is the
+    first solution falsifying the property, in enumeration order."""
+    x = query.variable
+    active = space.values(x)
+
+    def solution_with(t, value):
+        return inst.is_solution(t.assign(x, value))
+
+    if query.kind == "dependent":
+        for t in solutions:
+            first = next(u for u in solutions if all(u[v] == t[v] for v in query.over))
+            if first[x] != t[x]:
+                return False, (first, t)
+        return True, ()
+    if query.kind in ("substitutable", "interchangeable"):
+        a, b = query.values
+        directions = [(a, b), (b, a)] if query.kind == "interchangeable" else [(a, b)]
+        falsifiers = [
+            lambda t, a=a, b=b: t[x] == a and not solution_with(t, b) for a, b in directions
+        ]
+    elif query.kind == "determined":
+        falsifiers = [lambda t: any(solution_with(t, b) for b in active if b != t[x])]
+    elif query.kind == "irrelevant":
+        falsifiers = [lambda t: not all(solution_with(t, b) for b in active)]
+    else:
+        (a,) = query.values
+        falsifiers = [
+            {
+                "fixable": lambda t: not solution_with(t, a),
+                "removable": lambda t: t[x] == a
+                and not any(solution_with(t, b) for b in active if b != a),
+                "inconsistent": lambda t: t[x] == a,
+                "implied": lambda t: t[x] != a,
+            }[query.kind]
+        ]
+    for falsifies in falsifiers:
+        for t in solutions:
+            if falsifies(t):
+                return False, (t,)
+    return True, ()
+
+
+@st.composite
+def instances_with_spaces(draw):
+    names = tuple(f"x{i}" for i in range(draw(st.integers(0, 5))))
+    domain = tuple(str(v) for v in range(draw(st.integers(1, 3))))
+    constraints = []
+    if names:
+        for k in range(draw(st.integers(0, 4))):
+            # A permutation prefix: scopes come out of declaration order.
+            scope = draw(st.permutations(names))[: draw(st.integers(1, min(3, len(names))))]
+            rows = list(itertools.product(domain, repeat=len(scope)))
+            kept = draw(st.lists(st.sampled_from(rows), unique=True)) if rows else []
+            constraints.append(Constraint(f"c{k}", tuple(scope), Relation.of(len(scope), kept)))
+    inst = CspInstance(names, domain, tuple(constraints))
+    active = {
+        v: draw(st.sets(st.sampled_from(domain), min_size=1)) for v in names
+    }
+    return inst, SearchSpace.over(inst, active)
 
 
 def subproblem(instance, indices):

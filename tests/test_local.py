@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cspstruct import local, oracle
 from cspstruct.boolean import BooleanFormula, Clause, Literal, to_extensional
@@ -17,7 +19,13 @@ from cspstruct.local import (
 from cspstruct.model import Constraint, CspInstance, Relation, SearchSpace
 from cspstruct.oracle import PropertyQuery as Q
 
-from conftest import data_path, subproblem
+from conftest import (
+    data_path,
+    instances_with_spaces,
+    reference_solutions,
+    reference_verdict,
+    subproblem,
+)
 
 
 class TestDefaultCovering:
@@ -304,6 +312,118 @@ class TestGroupVerdictMemo:
                             assert all(pinned in tbl.index for tbl in first), (
                                 covering, query.describe()
                             )
+
+
+def _group_queries(inst, space):
+    """Every local query, with substitutability and interchangeability over
+    every ordered pair of active values, a == b included."""
+    queries = _corpus_queries(inst, space)
+    for x in inst.variables:
+        for a in space.values(x):
+            queries += [Q.substitutable(x, a, b) for b in space.values(x)]
+            queries += [Q.interchangeable(x, a, b) for b in space.values(x)]
+    return queries
+
+
+def _assert_group_answers_match_references(inst, space, rng):
+    """Every group verdict, asked query by query in a shuffled order on
+    fresh tables (so the asks about a variable scan until the scans that
+    held have cost as much as its signature, and later ones read it),
+    equals the product-enumerating
+    reference on the group's subproblem; every value and variable verdict
+    also equals the falsifier scan on the group's table.  One
+    ``local_checks`` pass per covering, on fresh tables, builds the
+    signature of every variable it asks about twice before it asks, and
+    returns the same verdicts."""
+    queries = _group_queries(inst, space)
+    coverings = _coverings(inst) if inst.constraints else [default_covering(inst)]
+    for covering in coverings:
+        subs = [subproblem(inst, group) for group in covering.groups]
+        solutions = [reference_solutions(sub, space) for sub in subs]
+        order = rng.sample(queries, len(queries))
+        _clear_local_caches()
+        tables = local._tables(inst, covering, space)[0]
+        singles = []
+        for query in order + order[: len(order) // 2]:
+            verdict = local_check(inst, space, covering, query)
+            singles.append(verdict)
+            expected = tuple(
+                reference_verdict(sub, space, sols, query)[0]
+                for sub, sols in zip(subs, solutions)
+            )
+            assert verdict.per_group == expected, (covering, query.describe())
+            if query.kind == "dependent":
+                continue
+            for tbl, holds in zip(tables, verdict.per_group):
+                if query.variable in tbl.index:
+                    scanned = next(oracle._falsifying_rows(tbl, query), None) is None
+                    assert holds == scanned, (covering, query.describe())
+        for tbl in tables:
+            for x in tbl.order:
+                signed = tbl.scanned.get(x, 0) >= len(tbl.rows) + oracle._SIGNATURE_FILL_ROWS
+                assert (x in tbl.answers) is signed, (covering, x)
+        _clear_local_caches()
+        assert local.local_checks(inst, space, covering, order) == singles[: len(order)]
+        for tbl in local._tables(inst, covering, space)[0]:
+            # Read off signatures built before the first query: no scans.
+            assert set(tbl.answers) == set(tbl.order) and not tbl.scanned, covering
+
+
+def _group_answer_cases():
+    """Edge groups: an empty table, one active value, an active value with
+    no support, a variable in no constraint, and dependence on variables
+    outside a group's scope."""
+    less = Constraint(
+        "less", ("a", "b"), Relation.of(2, [("0", "1"), ("0", "2"), ("1", "2")])
+    )
+    same = Constraint("same", ("b", "c"), Relation.of(2, [(v, v) for v in "0123"]))
+    dead = Constraint("dead", ("c",), Relation.of(1, []))
+    inst = CspInstance(("a", "b", "c", "d"), ("0", "1", "2", "3"), (less, same))
+    full = SearchSpace.full(inst)
+    return [
+        (inst, full),
+        (inst, full.assign("a", "0")),
+        (inst, full.remove("b", "1").assign("d", "2")),
+        (inst.with_constraints((less, same, dead)), full),
+    ]
+
+
+class TestGroupAnswers:
+    @settings(max_examples=60, deadline=None)
+    @given(instances_with_spaces(), st.randoms(use_true_random=False))
+    def test_every_group_verdict_matches_scan_and_product(self, case, rng):
+        _assert_group_answers_match_references(*case, rng)
+
+    def test_edge_groups(self):
+        rng = random.Random(3)
+        for inst, space in _group_answer_cases():
+            _assert_group_answers_match_references(inst, space, rng)
+
+    def test_a_pass_builds_signatures_only_for_repeated_variables(self, triple_tables):
+        inst, space = triple_tables
+        covering = default_covering(inst)
+        once = [Q.determined(x) for x in inst.variables]
+        for queries, signed in ((once, False), (once + once[:1], True)):
+            _clear_local_caches()
+            local.local_checks(inst, space, covering, queries)
+            for tbl in local._tables(inst, covering, space)[0]:
+                x = inst.variables[0]
+                if x in tbl.index:
+                    assert (x in tbl.answers) is signed
+                assert set(tbl.answers) <= {x}
+
+    def test_errors_come_in_local_check_order(self, triple_tables):
+        inst, space = triple_tables
+        covering = default_covering(inst)
+        x = inst.variables[0]
+        good = Q.fixable(x, space.values(x)[0])
+        # Every kind is checked first, then the covering and the space.
+        with pytest.raises(UnsoundLocalCheckError):
+            local.local_checks(inst, space, Covering(((0,),)), [good, Q.removable(x, "1")])
+        with pytest.raises(ValueError, match="jointly cover"):
+            local.local_checks(inst, space, Covering(((0,),)), [good, Q.fixable("nope", "1")])
+        with pytest.raises(ValueError, match="unknown variable 'nope'"):
+            local.local_checks(inst, space, covering, [good, Q.fixable("nope", "1")])
 
 
 class TestSoundness:

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cspstruct.local import Covering, default_covering
 from cspstruct.model import (
     AssignmentTuple,
     Constraint,
@@ -245,6 +246,16 @@ class TestCachedHash:
             loaded = pickle.loads(pickle.dumps(value))
             assert "_hash" not in loaded.__dict__
             assert loaded == value and hash(loaded) == hash(value)
+
+    def test_covering_keeps_its_field_hash(self):
+        covering = default_covering(build_instance(), 1)
+        assert "_hash" not in covering.__dict__
+        assert hash(covering) == hash((covering.groups,))
+        assert covering.__dict__["_hash"] == hash(covering)
+        assert covering == Covering([[0]]) and hash(Covering([[0]])) == hash(covering)
+        loaded = pickle.loads(pickle.dumps(covering))
+        assert "_hash" not in loaded.__dict__
+        assert loaded == covering and hash(loaded) == hash(covering)
 
     def test_pickled_values_hash_right_under_another_hash_seed(self):
         inst = build_instance()

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from cspstruct import oracle
 from cspstruct.model import (
-    AssignmentTuple,
     Constraint,
     CspInstance,
     Relation,
@@ -32,7 +31,7 @@ from cspstruct.oracle import (
     solution_table,
 )
 
-from conftest import iter_rows
+from conftest import instances_with_spaces, reference_solutions, reference_verdict
 
 
 def unsat_instance():
@@ -53,56 +52,6 @@ def independent_coloring_count():
         if c2 != c3 and c3 != c4 and c2 != c4 and c4 != c5:
             count += 1
     return count
-
-
-def reference_solutions(inst, space):
-    """Sol(C) inside the space, straight from the product of active sets."""
-    names = space.variables
-    tuples = (AssignmentTuple(zip(names, row)) for row in iter_rows(space))
-    return [t for t in tuples if inst.is_solution(t)]
-
-
-def reference_verdict(inst, space, solutions, query):
-    """(holds, counterexamples) from the definitions: the witness is the
-    first solution falsifying the property, in enumeration order."""
-    x = query.variable
-    active = space.values(x)
-
-    def solution_with(t, value):
-        return inst.is_solution(t.assign(x, value))
-
-    if query.kind == "dependent":
-        for t in solutions:
-            first = next(u for u in solutions if all(u[v] == t[v] for v in query.over))
-            if first[x] != t[x]:
-                return False, (first, t)
-        return True, ()
-    if query.kind in ("substitutable", "interchangeable"):
-        a, b = query.values
-        directions = [(a, b), (b, a)] if query.kind == "interchangeable" else [(a, b)]
-        falsifiers = [
-            lambda t, a=a, b=b: t[x] == a and not solution_with(t, b) for a, b in directions
-        ]
-    elif query.kind == "determined":
-        falsifiers = [lambda t: any(solution_with(t, b) for b in active if b != t[x])]
-    elif query.kind == "irrelevant":
-        falsifiers = [lambda t: not all(solution_with(t, b) for b in active)]
-    else:
-        (a,) = query.values
-        falsifiers = [
-            {
-                "fixable": lambda t: not solution_with(t, a),
-                "removable": lambda t: t[x] == a
-                and not any(solution_with(t, b) for b in active if b != a),
-                "inconsistent": lambda t: t[x] == a,
-                "implied": lambda t: t[x] != a,
-            }[query.kind]
-        ]
-    for falsifies in falsifiers:
-        for t in solutions:
-            if falsifies(t):
-                return False, (t,)
-    return True, ()
 
 
 class TestEnumerateSolutions:
@@ -132,25 +81,6 @@ def assert_enumerator_matches_product(inst, space):
     assert [t.values_over(inst.variables) for t in streamed] == expected
     assert all(t.variables == inst.variables for t in streamed)
     assert satisfiable(inst, space) is bool(expected)
-
-
-@st.composite
-def instances_with_spaces(draw):
-    names = tuple(f"x{i}" for i in range(draw(st.integers(0, 5))))
-    domain = tuple(str(v) for v in range(draw(st.integers(1, 3))))
-    constraints = []
-    if names:
-        for k in range(draw(st.integers(0, 4))):
-            # A permutation prefix: scopes come out of declaration order.
-            scope = draw(st.permutations(names))[: draw(st.integers(1, min(3, len(names))))]
-            rows = list(itertools.product(domain, repeat=len(scope)))
-            kept = draw(st.lists(st.sampled_from(rows), unique=True)) if rows else []
-            constraints.append(Constraint(f"c{k}", tuple(scope), Relation.of(len(scope), kept)))
-    inst = CspInstance(names, domain, tuple(constraints))
-    active = {
-        v: draw(st.sets(st.sampled_from(domain), min_size=1)) for v in names
-    }
-    return inst, SearchSpace.over(inst, active)
 
 
 class TestEnumerator:
@@ -367,6 +297,121 @@ class TestEvidence:
                     verdict = evaluate(inst, space, query)
                     expected = reference_verdict(inst, space, solutions, query)
                     assert (verdict.holds, verdict.counterexamples) == expected, query
+
+
+def signature_keys(active):
+    """Every (kind, values) a variable's signature answers: each kind but
+    dependence, over every active value and every ordered pair, a == b too."""
+    keys = [("determined", ()), ("irrelevant", ())]
+    for a in active:
+        keys += [(kind, (a,)) for kind in ("fixable", "removable", "inconsistent", "implied")]
+        for b in active:
+            keys += [("substitutable", (a, b)), ("interchangeable", (a, b))]
+    return keys
+
+
+def signature_cases():
+    """Tables the signature must get right at the edges: empty, one active
+    value, an active value with no support, a variable in no constraint."""
+    less = Constraint(
+        "less", ("a", "b"), Relation.of(2, [("0", "1"), ("0", "2"), ("1", "2")])
+    )
+    inst = CspInstance(("a", "b", "c"), ("0", "1", "2", "3"), (less,))
+    full = SearchSpace.full(inst)
+    return [
+        (unsat_instance(), SearchSpace.full(unsat_instance())),
+        (free_instance(), SearchSpace.full(free_instance())),
+        (free_instance(), SearchSpace.full(free_instance()).assign("a", "1")),
+        (inst, full),  # a=2, a=3, b=0 and b=3 have no support; c is free
+        (inst, full.assign("c", "3")),
+        (inst, full.assign("a", "0")),
+        (inst, full.remove("b", "2")),
+    ]
+
+
+def assert_signature_matches_references(inst, space):
+    """Every answer of every variable's signature equals the falsifier scan
+    on the table and the product-enumerating reference."""
+    solutions = reference_solutions(inst, space)
+    tbl = solution_table(inst, space)
+    for x in inst.variables:
+        answers = oracle._signature_answers(tbl, x)
+        assert sorted(answers) == sorted(signature_keys(space.values(x)))
+        for (kind, values), holds in answers.items():
+            query = PropertyQuery(kind, x, values)
+            scanned = next(oracle._falsifying_rows(tbl, query), None) is None
+            assert holds == scanned == reference_verdict(inst, space, solutions, query)[0], (
+                query.describe(), space
+            )
+
+
+def assert_asks_match_references(inst, space, rng):
+    """Each value and variable query, asked through ``evaluate`` in a
+    shuffled order on a fresh table: asks about a variable scan until the
+    scans that held (each a pass over every row plus its set-up) have cost
+    a pass plus the filling-in of answers, later ones read its signature,
+    and every verdict (counterexample included) equals the
+    product-enumerating reference."""
+    solutions = reference_solutions(inst, space)
+    queries = [
+        PropertyQuery(kind, x, values)
+        for x in inst.variables
+        for kind, values in signature_keys(space.values(x))
+    ]
+    rng.shuffle(queries)
+    solution_table.cache_clear()
+    tbl = solution_table(inst, space)
+    rows = len(tbl.rows)
+    spent = {}
+    for query in queries:
+        x = query.variable
+        scanned = x not in tbl.answers
+        verdict = evaluate(inst, space, query)
+        expected = reference_verdict(inst, space, solutions, query)
+        assert (verdict.holds, verdict.counterexamples) == expected, query.describe()
+        if scanned and verdict.holds:
+            spent[x] = spent.get(x, 0) + rows + oracle._SCAN_SETUP_ROWS
+        signed = spent.get(x, 0) >= rows + oracle._SIGNATURE_FILL_ROWS
+        assert (x in tbl.answers) is signed, query.describe()
+
+
+class TestSignatureAnswers:
+    @settings(max_examples=200, deadline=None)
+    @given(instances_with_spaces())
+    def test_every_answer_matches_scan_and_product(self, case):
+        assert_signature_matches_references(*case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(instances_with_spaces(), st.randoms(use_true_random=False))
+    def test_first_and_later_asks_match_product(self, case, rng):
+        assert_asks_match_references(*case, rng)
+
+    def test_edge_tables(self):
+        rng = random.Random(5)
+        for inst, space in signature_cases():
+            assert_signature_matches_references(inst, space)
+            assert_asks_match_references(inst, space, rng)
+
+    def test_scans_that_held_pay_for_the_signature(self):
+        # No constraints, so every question holds: 3**5 = 243 rows build the
+        # signature at the second scan, 3 rows only at the fourth.
+        for names, needed in (("abcde", 2), ("a", 4)):
+            inst = CspInstance(tuple(names), ("0", "1", "2"))
+            space = SearchSpace.full(inst)
+            solution_table.cache_clear()
+            tbl = solution_table(inst, space)
+            asks = [PropertyQuery.fixable("a", v) for v in "012"]
+            asks += [PropertyQuery.irrelevant("a"), PropertyQuery.determined("a")]
+            for count, query in enumerate(asks, 1):
+                assert evaluate(inst, space, query).holds is (query.kind != "determined")
+                assert ("a" in tbl.answers) is (count >= needed), (names, count)
+
+    def test_empty_table_holds_everything(self):
+        inst = unsat_instance()
+        tbl = solution_table(inst, SearchSpace.full(inst))
+        assert not tbl.rows
+        for x in inst.variables:
+            assert all(oracle._signature_answers(tbl, x).values())
 
 
 class TestPreconditions:
