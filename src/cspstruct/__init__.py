@@ -18,9 +18,7 @@ from .boolean import (
     SchaeferClassification,
     UnsupportedQueryError,
     classify_schaefer,
-    complement_conjunction,
     instantiate_project,
-    sat_restricted,
     to_extensional,
     tract_check,
 )

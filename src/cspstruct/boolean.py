@@ -1,11 +1,9 @@
 """Boolean formulas in the tractable Schaefer fragments.
 
 Supports clause sets (Horn, dual Horn, 2CNF) and affine XOR-equation sets:
-syntactic classification, polynomial satisfiability with a witness model
-for each fragment (``sat_restricted``), and two closure operations that
-keep a formula in its fragment: instantiate-and-project (substitute a
-value into one constraint) and complement-as-conjunction (negate one
-constraint inside the same language).
+syntactic classification, instantiate-and-project (substitute a value into
+one constraint, keeping it in its fragment), expansion into an extensional
+instance, and exact polynomial property checks.
 
 Property checks run on a ``CompiledFormula``, built once per (formula,
 class) by ``compile_formula``, the module's one cache.  Compiling checks
@@ -43,7 +41,6 @@ from .model import (
     Constraint,
     CspInstance,
     Relation,
-    SearchSpace,
     _hash_once,
     _state_without_hash,
 )
@@ -78,9 +75,6 @@ def name_bool(name: str) -> bool:
 class Literal:
     variable: str
     positive: bool
-
-    def negated(self) -> "Literal":
-        return Literal(self.variable, not self.positive)
 
     def __repr__(self) -> str:
         return self.variable if self.positive else "-" + self.variable
@@ -159,14 +153,6 @@ class AffineEquation:
         if not isinstance(self.variables, frozenset):
             object.__setattr__(self, "variables", frozenset(self.variables))
 
-    @property
-    def is_trivially_true(self) -> bool:
-        return not self.variables and not self.parity
-
-    @property
-    def is_false(self) -> bool:
-        return not self.variables and self.parity
-
     def __repr__(self) -> str:
         if not self.variables:
             return f"(0 = {int(self.parity)})"
@@ -211,18 +197,6 @@ class BooleanFormula:
     @property
     def constraints(self) -> tuple[BooleanConstraint, ...]:
         return self.clauses + self.equations
-
-    def satisfied_by(self, model: Mapping[str, bool]) -> bool:
-        for clause in self.clauses:
-            if not any(model[l.variable] == l.positive for l in clause.literals):
-                return False
-        for eq in self.equations:
-            parity = False
-            for v in eq.variables:
-                parity ^= model[v]
-            if parity != eq.parity:
-                return False
-        return True
 
 
 class SchaeferClass(enum.Enum):
@@ -399,19 +373,6 @@ class _UnitPropagation:
         return True
 
 
-def _solve_clausal_default(
-    clauses: Sequence[Clause], variables: Sequence[str], default: bool
-) -> dict[str, bool] | None:
-    # Unit propagation to fixpoint, then the class default for what is left:
-    # complete for Horn with default false and dual Horn with default true.
-    units = _UnitPropagation(clauses, {v: i for i, v in enumerate(variables)})
-    if not units.consistent:
-        return None
-    return {
-        v: default if value is None else value for v, value in zip(variables, units.value)
-    }
-
-
 def _solve_two_cnf(
     clauses: Sequence[Clause], variables: Sequence[str]
 ) -> dict[str, bool] | None:
@@ -552,59 +513,8 @@ def _fixed_values(basis: Basis | None) -> dict[int, bool]:
     return {lead: rhs for mask, rhs, lead in basis if mask == 1 << lead}
 
 
-def _solve_affine(
-    equations: Sequence[AffineEquation], variables: Sequence[str]
-) -> dict[str, bool] | None:
-    basis = _affine_basis(equations, {v: i for i, v in enumerate(variables)})
-    if basis is None:
-        return None
-    model = {v: False for v in variables}
-    for _mask, rhs, lead in basis:
-        # In reduced form the non-lead bits are all free variables (false).
-        model[variables[lead]] = rhs
-    for eq in equations:
-        parity = False
-        for v in eq.variables:
-            parity ^= model[v]
-        if parity != eq.parity:
-            return None
-    return model
-
-
-def _dispatch_sat(
-    cls: SchaeferClass,
-    constraints: Sequence[BooleanConstraint],
-    variables: Sequence[str],
-) -> dict[str, bool] | None:
-    clauses = [c for c in constraints if isinstance(c, Clause)]
-    equations = [c for c in constraints if isinstance(c, AffineEquation)]
-    if cls is SchaeferClass.AFFINE:
-        if clauses:
-            raise ClassMismatchError("affine solver cannot take clauses")
-        return _solve_affine(equations, variables)
-    if equations:
-        raise ClassMismatchError(f"{cls.value} solver cannot take equations")
-    if cls is SchaeferClass.HORN:
-        return _solve_clausal_default(clauses, variables, default=False)
-    if cls is SchaeferClass.DUAL_HORN:
-        return _solve_clausal_default(clauses, variables, default=True)
-    if cls is SchaeferClass.TWO_CNF:
-        return _solve_two_cnf(clauses, variables)
-    raise ClassMismatchError("unrestricted formulas have no tractable solver")
-
-
-def sat_restricted(
-    formula: BooleanFormula, cls: SchaeferClass | str
-) -> dict[str, bool] | None:
-    """Polynomial satisfiability for a formula in the given class; returns a
-    witness model, or None when unsatisfiable."""
-    cls = _as_class(cls)
-    _require_member(formula, cls)
-    return _dispatch_sat(cls, formula.constraints, formula.variables)
-
-
 # ---------------------------------------------------------------------------
-# Closure operations
+# Instantiate-and-project
 # ---------------------------------------------------------------------------
 
 
@@ -628,18 +538,6 @@ def instantiate_project(
     return (constraint,)
 
 
-def complement_conjunction(
-    constraint: BooleanConstraint,
-) -> tuple[BooleanConstraint, ...]:
-    """Negate one constraint as a conjunction in the same class: a clause
-    becomes unit clauses of its negated literals, an equation flips parity."""
-    if isinstance(constraint, Clause):
-        return tuple(
-            Clause(frozenset((lit.negated(),))) for lit in constraint.sorted_literals()
-        )
-    return (AffineEquation(constraint.variables, not constraint.parity),)
-
-
 # ---------------------------------------------------------------------------
 # Tractable property checks
 # ---------------------------------------------------------------------------
@@ -657,6 +555,13 @@ class CompiledFormula:
     query by a lookup in them.  ``pinned`` derives the compiled form of the
     formula with some variables pinned from this state, so a caller that
     pins variables one step at a time compiles once.
+
+    Propagation is exact once the formula is satisfiable.  When it meets no
+    conflict, each clause it leaves unsatisfied has two or more open
+    literals.  Under Horn that includes a negative one, so all-false
+    completes the assignment; dual Horn likewise with all-true.  Under 2CNF
+    such a clause is an untouched original clause over open variables, so
+    any model of the formula completes it.
     """
 
     def __init__(self, formula: BooleanFormula, cls: SchaeferClass | str):
@@ -684,40 +589,6 @@ class CompiledFormula:
     def __contains__(self, x: str) -> bool:
         """Whether x is a variable of the formula and not pinned."""
         return x in self._free
-
-    def consistent_with(self, assumptions: Sequence[BooleanConstraint]) -> bool:
-        """SAT(formula AND assumptions), for unit clauses (clausal classes)
-        or equations (affine).
-
-        Clausal classes: when propagation meets no conflict, each clause it
-        leaves unsatisfied has two or more open literals.  Under Horn that
-        includes a negative one, so all-false completes the assignment;
-        dual Horn likewise with all-true.  Under 2CNF such a clause is an
-        untouched original clause over open variables, so any model of the
-        formula completes it.  Hence the answer is exact once the formula
-        itself is satisfiable.
-        """
-        if not self.satisfiable:
-            return False
-        if self.cls is SchaeferClass.AFFINE:
-            rows = self._basis
-            for eq in assumptions:
-                if not isinstance(eq, AffineEquation):
-                    raise ClassMismatchError("affine assumptions must be equations")
-                mask, rhs = _reduce(rows, _equation_mask(eq, self._index), eq.parity)
-                if mask == 0:
-                    if rhs:
-                        return False
-                    continue
-                rows = rows + [(mask, rhs, (mask & -mask).bit_length() - 1)]
-            return True
-        literals = []
-        for c in assumptions:
-            if not isinstance(c, Clause) or len(c.literals) != 1:
-                raise ClassMismatchError("clausal assumptions must be unit clauses")
-            (lit,) = c.literals
-            literals.append(self._units.code(lit))
-        return self._units.consistent_with(literals)
 
     def inconsistent(self, x: str, a: bool) -> bool:
         if not self.satisfiable:
@@ -765,8 +636,8 @@ class CompiledFormula:
         clauses (each clause minus x's literal).  An empty remainder
         refutes it at once and unit remainders are assumed literals; the
         longer ones, Horn or dual Horn clauses of the formula's own class,
-        are propagated too, which stays exact for the reason
-        ``consistent_with`` gives.
+        are propagated too, which stays exact for the reason the class
+        docstring gives.
         """
         if not self.satisfiable:
             return True
@@ -842,9 +713,6 @@ _ANSWERS = {
     # On booleans, removable(v) iff v is substitutable by not v.
     "removable": lambda c, x, v: c.substitutable(x, v, not v),
 }
-
-TRACTABLE_KINDS = tuple(_ANSWERS)
-
 
 def tract_check(
     formula: BooleanFormula,
@@ -931,8 +799,4 @@ def _parity_of(combo: tuple[str, ...]) -> bool:
     for value in combo:
         parity ^= name_bool(value)
     return parity
-
-
-def formula_space(formula: BooleanFormula) -> SearchSpace:
-    return SearchSpace.full(to_extensional(formula))
 

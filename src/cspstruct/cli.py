@@ -71,11 +71,15 @@ def _write(path: str, text: str) -> None:
         raise _UsageError(f"cannot write {path}: {exc}")
 
 
-def _load(path: str) -> tuple[CspInstance, SearchSpace, BooleanFormula | None, str]:
+def _read(path: str) -> str:
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        return Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}")
+
+
+def _load(path: str) -> tuple[CspInstance, SearchSpace, BooleanFormula | None, str]:
+    text = _read(path)
     meaningful = (line.split("#", 1)[0].strip() for line in text.splitlines())
     first = next(filter(None, meaningful), "")
     try:
@@ -113,75 +117,40 @@ def _guard_groups(
             )
 
 
-def _oracle_findings(instance, space, dep_max):
-    queries = oracle.all_queries(instance, space, KINDS, dep_max)
-
-    def evaluate(query):
+def _findings(queries, decide, method, render) -> list[report.Finding]:
+    """One finding per query: ``decide`` answers it, timed on its own, and
+    ``render`` turns the answer into the verdict and the evidence."""
+    findings = []
+    for query in queries:
         start = time.perf_counter()
-        verdict = oracle.evaluate(instance, space, query)
+        answer = decide(query)
         elapsed = (time.perf_counter() - start) * 1000.0
-        evidence = None
-        if not verdict.holds and verdict.counterexamples:
-            evidence = "counterexample " + ", ".join(map(repr, verdict.counterexamples))
-        return report.Finding(
-            query.kind,
-            query.variable,
-            query.values,
-            query.over,
-            "TRUE" if verdict.holds else "FALSE",
-            "oracle",
-            evidence,
-            elapsed,
+        verdict, evidence = render(answer)
+        findings.append(
+            report.Finding(
+                query.kind,
+                query.variable,
+                query.values,
+                query.over,
+                verdict,
+                method,
+                evidence,
+                elapsed,
+            )
         )
-
-    return [evaluate(query) for query in queries]
-
-
-def _local_findings(instance, space, group_size, dep_max):
-    covering = local.default_covering(instance, group_size)
-    queries = oracle.all_queries(instance, space, LOCAL_KINDS, dep_max)
-
-    def evaluate(query):
-        start = time.perf_counter()
-        verdict = local.local_check(instance, space, covering, query)
-        elapsed = (time.perf_counter() - start) * 1000.0
-        return report.Finding(
-            query.kind,
-            query.variable,
-            query.values,
-            query.over,
-            "ESTABLISHED" if verdict.established else "UNKNOWN",
-            "local",
-            f"subsets {''.join('+' if ok else '-' for ok in verdict.per_group)}",
-            elapsed,
-        )
-
-    return [evaluate(query) for query in queries]
+    return findings
 
 
-def _tractable_findings(formula, instance, space, dep_max):
-    classification = classify_schaefer(formula)
-    if classification.primary is SchaeferClass.UNRESTRICTED:
-        raise _UsageError("formula is in no tractable class; tractable analysis refused")
-    cls = classification.primary
-    queries = oracle.all_queries(instance, space, TRACTABLE_KINDS, dep_max)
+def _oracle_rendering(verdict):
+    evidence = None
+    if not verdict.holds and verdict.counterexamples:
+        evidence = "counterexample " + ", ".join(map(repr, verdict.counterexamples))
+    return "TRUE" if verdict.holds else "FALSE", evidence
 
-    def evaluate(query):
-        start = time.perf_counter()
-        holds = boolean.tract_check(formula, cls, query)
-        elapsed = (time.perf_counter() - start) * 1000.0
-        return report.Finding(
-            query.kind,
-            query.variable,
-            query.values,
-            query.over,
-            "TRUE" if holds else "FALSE",
-            "tractable",
-            f"{cls.value} reduction",
-            elapsed,
-        )
 
-    return [evaluate(query) for query in queries]
+def _local_rendering(verdict):
+    subsets = "".join("+" if ok else "-" for ok in verdict.per_group)
+    return "ESTABLISHED" if verdict.established else "UNKNOWN", f"subsets {subsets}"
 
 
 def _cmd_analyze(args) -> int:
@@ -198,13 +167,34 @@ def _cmd_analyze(args) -> int:
     for method in methods:
         if method == "oracle":
             _guard_space(space, args.max_space)
-            findings.extend(_oracle_findings(instance, space, args.dep_max))
+            findings += _findings(
+                oracle.all_queries(instance, space, KINDS, args.dep_max),
+                lambda query: oracle.evaluate(instance, space, query),
+                method,
+                _oracle_rendering,
+            )
         elif method == "local":
             if args.group_size > 1:
                 _guard_groups(instance, space, args.group_size, args.max_space)
-            findings.extend(_local_findings(instance, space, args.group_size, args.dep_max))
+            covering = local.default_covering(instance, args.group_size)
+            findings += _findings(
+                oracle.all_queries(instance, space, LOCAL_KINDS, args.dep_max),
+                lambda query: local.local_check(instance, space, covering, query),
+                method,
+                _local_rendering,
+            )
         else:
-            findings.extend(_tractable_findings(formula, instance, space, args.dep_max))
+            cls = classify_schaefer(formula).primary
+            if cls is SchaeferClass.UNRESTRICTED:
+                raise _UsageError(
+                    "formula is in no tractable class; tractable analysis refused"
+                )
+            findings += _findings(
+                oracle.all_queries(instance, space, TRACTABLE_KINDS, args.dep_max),
+                lambda query: boolean.tract_check(formula, cls, query),
+                method,
+                lambda holds: ("TRUE" if holds else "FALSE", f"{cls.value} reduction"),
+            )
     if not args.all:
         findings = [f for f in findings if f.verdict in ("TRUE", "ESTABLISHED")]
     analysis = report.make_report(report.digest_text(text), args.method, findings)
@@ -308,6 +298,8 @@ def _parse_corpus_spec(spec: str):
                 else:
                     raise _UsageError(f"unknown corpus setting {key!r}")
         first, last = settings["seeds"]
+        if last < first:
+            raise ValueError(f"seed range {first}..{last} is empty")
         template = RandomSpec(
             settings["vars"],
             settings["dom"],
@@ -407,11 +399,7 @@ def _generate(args) -> str:
 
 
 def _cmd_classify(args) -> int:
-    try:
-        text = Path(args.file).read_text()
-    except OSError as exc:
-        raise _UsageError(f"cannot read {args.file}: {exc}")
-    formula = parse_dimacs(text)
+    formula = parse_dimacs(_read(args.file))
     classification = classify_schaefer(formula)
     applicable = ", ".join(c.value for c in classification.applicable) or "none"
     print(f"primary: {classification.primary.value}")

@@ -28,8 +28,7 @@ Row = tuple[str, ...]
 class AssignmentTuple(Mapping[str, str]):
     """A total assignment of domain values to a fixed set of variables.
 
-    Behaves as an immutable mapping; ``assign`` and ``restrict`` return new
-    tuples and never mutate the receiver.
+    Behaves as an immutable mapping.
     """
 
     __slots__ = ("_bindings", "_hash")
@@ -50,28 +49,6 @@ class AssignmentTuple(Mapping[str, str]):
     @property
     def variables(self) -> tuple[str, ...]:
         return tuple(self._bindings)
-
-    def assign(self, variable: str, value: str) -> "AssignmentTuple":
-        """Rebind one variable, leaving every other binding untouched."""
-        if variable not in self._bindings:
-            raise ValueError(f"cannot assign unknown variable {variable!r}")
-        if self._bindings[variable] == value:
-            return self
-        fresh = dict(self._bindings)
-        fresh[variable] = value
-        return AssignmentTuple(fresh)
-
-    def restrict(self, variables: Iterable[str]) -> "AssignmentTuple":
-        """Project onto a subset of the bound variables."""
-        wanted = tuple(variables)
-        missing = [v for v in wanted if v not in self._bindings]
-        if missing:
-            raise ValueError(f"restriction to unbound variable(s) {missing}")
-        return AssignmentTuple((v, self._bindings[v]) for v in wanted)
-
-    def values_over(self, order: Iterable[str]) -> Row:
-        """Raw value row in the given variable order."""
-        return tuple(self._bindings[v] for v in order)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, AssignmentTuple):
@@ -162,24 +139,6 @@ class Constraint:
                 f"does not match scope size {len(self.scope)}"
             )
 
-    def column(self, variable: str) -> int:
-        try:
-            return self.scope.index(variable)
-        except ValueError:
-            raise ValueError(
-                f"variable {variable!r} is not in the scope of {self.name!r}"
-            ) from None
-
-    def satisfied_by(self, t: AssignmentTuple) -> bool:
-        """True iff the scope-ordered projection of ``t`` is a relation row."""
-        try:
-            projected = tuple(t[v] for v in self.scope)
-        except KeyError as exc:
-            raise ValueError(
-                f"tuple does not bind scope variable {exc.args[0]!r} of {self.name!r}"
-            ) from None
-        return projected in self.relation.rows
-
 
 @dataclass(frozen=True)
 class CspInstance:
@@ -236,12 +195,6 @@ class CspInstance:
             return self._vindex[variable]  # type: ignore[attr-defined]
         except KeyError:
             raise ValueError(f"unknown variable {variable!r}") from None
-
-    def is_solution(self, t: AssignmentTuple) -> bool:
-        return all(c.satisfied_by(t) for c in self.constraints)
-
-    def with_constraints(self, constraints: Iterable[Constraint]) -> "CspInstance":
-        return CspInstance(self.variables, self.domain, tuple(constraints))
 
     __hash__ = _hash_once
     __getstate__ = _state_without_hash
@@ -339,17 +292,6 @@ class SearchSpace:
         for _, values in self.entries:
             total *= len(values)
         return total
-
-    def as_dict(self) -> dict[str, tuple[str, ...]]:
-        return dict(self.entries)
-
-    def contains(self, t: AssignmentTuple) -> bool:
-        if set(t.variables) != set(self.variables):
-            return False
-        return all(t[name] in values for name, values in self.entries)
-
-    def is_full(self, domain: tuple[str, ...]) -> bool:
-        return all(values == domain for _, values in self.entries)
 
     __hash__ = _hash_once
     __getstate__ = _state_without_hash

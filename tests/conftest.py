@@ -6,15 +6,6 @@ import pytest
 from hypothesis import strategies as st
 
 from cspstruct import boolean_corpus, parse_csp, parse_dimacs, standard_corpus
-from cspstruct.boolean import (
-    AffineEquation,
-    Clause,
-    Literal,
-    SchaeferClass,
-    _dispatch_sat,
-    complement_conjunction,
-    instantiate_project,
-)
 from cspstruct.model import AssignmentTuple, Constraint, CspInstance, Relation, SearchSpace
 from cspstruct.oracle import solution_table
 
@@ -69,11 +60,16 @@ def iter_rows(space):
     return itertools.product(*(values for _, values in space.entries))
 
 
+def is_solution(inst, t):
+    """Every constraint holds the scope-ordered projection of ``t`` as a row."""
+    return all(tuple(t[v] for v in c.scope) in c.relation.rows for c in inst.constraints)
+
+
 def reference_solutions(inst, space):
     """Sol(C) inside the space, straight from the product of active sets."""
     names = space.variables
     tuples = (AssignmentTuple(zip(names, row)) for row in iter_rows(space))
-    return [t for t in tuples if inst.is_solution(t)]
+    return [t for t in tuples if is_solution(inst, t)]
 
 
 def reference_verdict(inst, space, solutions, query):
@@ -83,7 +79,7 @@ def reference_verdict(inst, space, solutions, query):
     active = space.values(x)
 
     def solution_with(t, value):
-        return inst.is_solution(t.assign(x, value))
+        return is_solution(inst, {**t, x: value})
 
     if query.kind == "dependent":
         for t in solutions:
@@ -159,37 +155,3 @@ def forced_by_product(instance, space, group, y):
             return False
     return True
 
-
-def determined_by_joint_solve(formula, cls, x):
-    """Determinacy by its definition as one restricted SAT solve: two copies
-    of the formula, at x=true and at x=false, sharing every other variable,
-    are unsatisfiable iff the other variables fix x.  Constraints without x
-    are the same in both copies and go in once."""
-    joint = [c for c in formula.constraints if x not in c.variables]
-    for value in (True, False):
-        for c in formula.constraints:
-            if x in c.variables:
-                joint.extend(instantiate_project(c, x, value))
-    remaining = tuple(v for v in formula.variables if v != x)
-    return _dispatch_sat(SchaeferClass(cls), joint, remaining) is None
-
-
-def substitutable_by_closure(formula, cls, x, a, b):
-    """Substitutability through the closure operations: no constraint c on
-    x has a model of formula AND x=a that violates c with x=b, where "c with
-    x=b" is instantiate-and-project and its violation is the complement
-    conjunction, each side one restricted SAT solve."""
-    cls = SchaeferClass(cls)
-    if cls is SchaeferClass.AFFINE:
-        pin = AffineEquation(frozenset((x,)), a)
-    else:
-        pin = Clause(frozenset((Literal(x, a),)))
-    for c in formula.constraints:
-        if x not in c.variables:
-            continue
-        for part in instantiate_project(c, x, b):
-            extra = (pin, *complement_conjunction(part))
-            model = _dispatch_sat(cls, formula.constraints + extra, formula.variables)
-            if model is not None:
-                return False
-    return True

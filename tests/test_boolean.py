@@ -19,9 +19,7 @@ from cspstruct.boolean import (
     classify_schaefer,
     clause_of,
     compile_formula,
-    complement_conjunction,
     instantiate_project,
-    sat_restricted,
     to_extensional,
     tract_check,
 )
@@ -29,18 +27,25 @@ from cspstruct.instances import boolean_corpus, gen_random_boolean
 from cspstruct.model import SearchSpace
 from cspstruct.oracle import PropertyQuery as Q
 
-from conftest import determined_by_joint_solve, substitutable_by_closure
-
 
 def clause(*lits):
     return Clause(frozenset(Literal(v, positive) for v, positive in lits))
+
+
+def satisfies(formula, model):
+    """Every clause has a true literal and every equation its parity."""
+    return all(
+        any(model[l.variable] == l.positive for l in c.literals) for c in formula.clauses
+    ) and all(
+        sum(model[v] for v in eq.variables) % 2 == eq.parity for eq in formula.equations
+    )
 
 
 def brute_force_models(formula):
     models = []
     for bits in itertools.product((False, True), repeat=len(formula.variables)):
         model = dict(zip(formula.variables, bits))
-        if formula.satisfied_by(model):
+        if satisfies(formula, model):
             models.append(model)
     return models
 
@@ -102,12 +107,14 @@ class TestClauseInvariants:
 
 
 class TestSatRestricted:
+    """The compiled form's satisfiability against brute force."""
+
     def test_horn_unit_chain_unsat(self):
         f = BooleanFormula(
             ("a", "b"),
             (clause(("a", False), ("b", True)), clause(("a", True)), clause(("b", False))),
         )
-        assert sat_restricted(f, SchaeferClass.HORN) is None
+        assert not compile_formula(f, SchaeferClass.HORN).satisfiable
 
     def test_two_cnf_model(self):
         f = BooleanFormula(
@@ -118,10 +125,11 @@ class TestSatRestricted:
                 clause(("a", True), ("b", False)),
             ),
         )
-        expected = brute_force_models(f)
-        model = sat_restricted(f, "2cnf")
-        assert model in expected
-        assert model == {"a": True, "b": True}
+        assert brute_force_models(f) == [{"a": True, "b": True}]
+        compiled = compile_formula(f, "2cnf")
+        assert compiled.satisfiable
+        assert not compiled.pinned({"a": False}).satisfiable
+        assert compiled.pinned({"b": True}).satisfiable
 
     def test_affine_contradiction(self):
         f = BooleanFormula(
@@ -129,44 +137,38 @@ class TestSatRestricted:
             (),
             (AffineEquation(frozenset("ab"), True), AffineEquation(frozenset("ab"), False)),
         )
-        assert sat_restricted(f, "affine") is None
+        assert not compile_formula(f, "affine").satisfiable
 
     def test_class_mismatch(self):
         f = BooleanFormula(("a", "b", "c"), (clause(("a", True), ("b", True), ("c", True)),))
-        with pytest.raises(ClassMismatchError):
-            sat_restricted(f, SchaeferClass.HORN)
-        with pytest.raises(ClassMismatchError):
-            sat_restricted(f, SchaeferClass.UNRESTRICTED)
+        for cls in (SchaeferClass.HORN, "2cnf", "affine", SchaeferClass.UNRESTRICTED):
+            with pytest.raises(ClassMismatchError):
+                compile_formula(f, cls)
 
     def test_empty_formula_is_satisfiable(self):
         f = BooleanFormula(("a",))
-        assert sat_restricted(f, "horn") == {"a": False}
+        for cls in ("horn", "dual-horn", "2cnf", "affine"):
+            assert compile_formula(f, cls).satisfiable
 
     def test_empty_clause_is_unsatisfiable(self):
         f = BooleanFormula(("a",), (Clause(frozenset()),))
         for cls in ("horn", "dual-horn", "2cnf"):
-            assert sat_restricted(f, cls) is None
+            assert not compile_formula(f, cls).satisfiable
 
     @pytest.mark.parametrize("kind", ["horn", "dual-horn", "2cnf", "affine"])
     def test_agrees_with_brute_force(self, kind):
         for seed in range(1, 80):
             formula = gen_random_boolean(kind, 5, 8, seed)
-            model = sat_restricted(formula, kind)
-            expected = brute_force_models(formula)
-            if model is None:
-                assert not expected, (kind, seed)
-            else:
-                assert formula.satisfied_by(model), (kind, seed)
-                assert expected
+            assert compile_formula(formula, kind).satisfiable == bool(
+                brute_force_models(formula)
+            ), (kind, seed)
 
     @pytest.mark.parametrize("kind", ["horn", "dual-horn", "2cnf", "affine"])
     def test_agrees_with_brute_force_on_corpus_slice(self, kind):
         for formula in itertools.islice(boolean_corpus(kind), 60):
-            model = sat_restricted(formula, kind)
-            if model is None:
-                assert not brute_force_models(formula)
-            else:
-                assert formula.satisfied_by(model)
+            assert compile_formula(formula, kind).satisfiable == bool(
+                brute_force_models(formula)
+            )
 
 
 class TestInstantiateProject:
@@ -204,29 +206,12 @@ class TestInstantiateProject:
                 for item in formula.constraints:
                     for value in (False, True):
                         pieces = instantiate_project(item, "v1", value)
-                        pieces += complement_conjunction(item)
                         clauses = tuple(p for p in pieces if isinstance(p, Clause))
                         equations = tuple(
                             p for p in pieces if isinstance(p, AffineEquation)
                         )
                         rebuilt = BooleanFormula(formula.variables, clauses, equations)
                         assert cls in classify_schaefer(rebuilt).applicable
-
-
-class TestComplement:
-    def test_clause_to_units(self):
-        result = complement_conjunction(clause(("a", True), ("b", False)))
-        assert result == (clause(("a", False)), clause(("b", True)))
-
-    def test_unit_clause(self):
-        assert complement_conjunction(clause(("a", True))) == (clause(("a", False)),)
-
-    def test_equation_parity_flip(self):
-        eq = AffineEquation(frozenset("ab"), True)
-        assert complement_conjunction(eq) == (AffineEquation(frozenset("ab"), False),)
-
-    def test_false_marker_complement_is_empty(self):
-        assert complement_conjunction(Clause(frozenset())) == ()
 
 
 class TestTractCheck:
@@ -347,46 +332,24 @@ def formulas(draw, kind):
 
 
 @st.composite
-def formulas_with_assumptions(draw):
+def formulas_with_unit_pins(draw):
+    """A formula of some class and consistent pins on up to four variables."""
     kind = draw(st.sampled_from(CLAUSAL_KINDS + ("affine",)))
     formula = draw(formulas(kind))
-    names = st.sampled_from(formula.variables)
-    if kind == "affine":
-        assumptions = draw(
-            st.lists(
-                st.builds(AffineEquation, st.frozensets(names, max_size=3), st.booleans()),
-                max_size=2,
-            )
-        )
-    else:
-        assumptions = draw(
-            st.lists(st.builds(unit, names, st.booleans()), max_size=4)
-        )
-    return kind, formula, tuple(assumptions)
-
-
-def unit(variable, value):
-    return Clause(frozenset((Literal(variable, value),)))
-
-
-def brute_force_consistent(formula, assumptions):
-    extended = BooleanFormula(
-        formula.variables,
-        formula.clauses + tuple(a for a in assumptions if isinstance(a, Clause)),
-        formula.equations + tuple(a for a in assumptions if isinstance(a, AffineEquation)),
-    )
-    return bool(brute_force_models(extended))
+    pinned = draw(st.lists(st.sampled_from(formula.variables), unique=True, max_size=4))
+    return kind, formula, {v: draw(st.booleans()) for v in pinned}
 
 
 class TestCompiledEngine:
     @settings(max_examples=400, deadline=None)
-    @given(formulas_with_assumptions())
+    @given(formulas_with_unit_pins())
     def test_sat_under_assumptions_matches_brute_force(self, case):
-        kind, formula, assumptions = case
+        kind, formula, pins = case
         compiled = compile_formula(formula, kind)
-        assert compiled.satisfiable == bool(brute_force_models(formula))
-        assert compiled.consistent_with(assumptions) == brute_force_consistent(
-            formula, assumptions
+        models = brute_force_models(formula)
+        assert compiled.satisfiable == bool(models)
+        assert compiled.pinned(pins).satisfiable == any(
+            all(model[v] == value for v, value in pins.items()) for model in models
         )
 
     @settings(max_examples=60, deadline=None)
@@ -410,8 +373,7 @@ class TestCompiledEngine:
         )
         compiled = compile_formula(f, "2cnf")
         assert not compiled.satisfiable
-        assert not compiled.consistent_with(())
-        assert not compiled.consistent_with((unit("a", True),))
+        assert not compiled.pinned({"a": True}).satisfiable
         for value in ("false", "true"):
             assert tract_check(f, "2cnf", Q.inconsistent("a", value))
             assert tract_check(f, "2cnf", Q.implied("b", value))
@@ -422,7 +384,6 @@ class TestCompiledEngine:
         f = BooleanFormula(("a", "b"), (Clause(frozenset()), clause(("a", True))))
         compiled = compile_formula(f, kind)
         assert not compiled.satisfiable
-        assert not compiled.consistent_with(())
         assert tract_check(f, kind, Q.inconsistent("a", "true"))
         assert tract_check(f, kind, Q.substitutable("b", "true", "false"))
 
@@ -430,7 +391,6 @@ class TestCompiledEngine:
         f = BooleanFormula(("a",), (), (AffineEquation(frozenset(), True),))
         compiled = compile_formula(f, "affine")
         assert not compiled.satisfiable
-        assert not compiled.consistent_with(())
         assert tract_check(f, "affine", Q.inconsistent("a", "false"))
         assert tract_check(f, "affine", Q.determined("a"))
 
@@ -439,9 +399,8 @@ class TestCompiledEngine:
         f = BooleanFormula(("a", "b", "c"), (clause(("a", True)), clause(("b", False))))
         compiled = compile_formula(f, kind)
         assert compiled.satisfiable
-        assert compiled.consistent_with((unit("a", True), unit("c", False)))
-        assert not compiled.consistent_with((unit("a", False),))
-        assert not compiled.consistent_with((unit("c", True), unit("c", False)))
+        assert compiled.pinned({"a": True, "c": False}).satisfiable
+        assert not compiled.pinned({"a": False}).satisfiable
         assert tract_check(f, kind, Q.implied("a", "true"))
         assert tract_check(f, kind, Q.implied("b", "false"))
         assert tract_check(f, kind, Q.irrelevant("c"))
@@ -454,20 +413,11 @@ class TestCompiledEngine:
         f = BooleanFormula(("a", "b"))
         compiled = compile_formula(f, kind)
         assert compiled.satisfiable
-        assert compiled.consistent_with(())
         for x in f.variables:
             assert tract_check(f, kind, Q.irrelevant(x))
             assert not tract_check(f, kind, Q.determined(x))
             assert not tract_check(f, kind, Q.inconsistent(x, "true"))
             assert tract_check(f, kind, Q.interchangeable(x, "false", "true"))
-
-    def test_assumptions_outside_the_language_rejected(self):
-        horn = compile_formula(BooleanFormula(("a", "b")), "horn")
-        with pytest.raises(ClassMismatchError):
-            horn.consistent_with((clause(("a", True), ("b", False)),))
-        affine = compile_formula(BooleanFormula(("a",)), "affine")
-        with pytest.raises(ClassMismatchError):
-            affine.consistent_with((unit("a", True),))
 
     def test_compiled_once_per_formula(self):
         f = BooleanFormula(("x", "y"), (clause(("x", False), ("y", True)),))
@@ -491,11 +441,11 @@ BOOLS = (False, True)
 
 
 def brute_force_determined(formula, models, x):
-    return not any(formula.satisfied_by({**model, x: not model[x]}) for model in models)
+    return not any(satisfies(formula, {**model, x: not model[x]}) for model in models)
 
 
 def brute_force_substitutable(formula, models, x, a, b):
-    return all(formula.satisfied_by({**model, x: b}) for model in models if model[x] == a)
+    return all(satisfies(formula, {**model, x: b}) for model in models if model[x] == a)
 
 
 @st.composite
@@ -518,7 +468,7 @@ def mirrored(formula):
     """The formula with every literal negated: Horn becomes dual Horn."""
     return BooleanFormula(
         formula.variables,
-        tuple(Clause(frozenset(l.negated() for l in c.literals)) for c in formula.clauses),
+        tuple(Clause(frozenset(Literal(l.variable, not l.positive) for l in c.literals)) for c in formula.clauses),
     )
 
 
@@ -574,17 +524,15 @@ def assert_read_off_answers_match(kind, formula):
     models = brute_force_models(formula)
     for x in formula.variables:
         expected = brute_force_determined(formula, models, x)
-        assert determined_by_joint_solve(formula, kind, x) == expected, x
         assert compiled.determined(x) == expected, x
         for a, b in itertools.product(BOOLS, BOOLS):
             expected = brute_force_substitutable(formula, models, x, a, b)
-            assert substitutable_by_closure(formula, kind, x, a, b) == expected, (x, a, b)
             assert compiled.substitutable(x, a, b) == expected, (x, a, b)
 
 
 class TestReadOffAnswers:
-    """determined and substitutable on the compiled state, against the
-    joint-solve and closure references and against brute force."""
+    """determined and substitutable on the compiled state, against brute
+    force."""
 
     @settings(max_examples=300, deadline=None)
     @given(edge_formulas())

@@ -391,12 +391,23 @@ class TestExitCodes:
             ("gen", "factoring", "--number", "3"),
             ("gen", "random", "--vars", "2", "--domain-size", "2", "--constraints", "1",
              "--seed", "1", "--density", "2"),
+            ("check", "--corpus", "seeds=3..1"),
+            ("check", "--corpus", "seeds=3..1", "--reverse-edge", "implication-fixability"),
         ],
     )
     def test_bad_option_values(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize("command", ["analyze", "simplify", "check", "classify"])
+    def test_undecodable_file_is_usage(self, capsys, tmp_path, command):
+        path = tmp_path / "utf16.cnf"
+        path.write_bytes("p cnf 1 1\n1 0\n".encode("utf-16"))
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: cannot read {path}: ")
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
     def test_unwritable_output(self, capsys, tmp_path):
         target = tmp_path / "missing" / "out.csp"

@@ -26,7 +26,7 @@ from cspstruct.instances import (
 )
 from cspstruct.model import AssignmentTuple, SearchSpace
 
-from conftest import data_path
+from conftest import data_path, is_solution
 
 
 class TestCspRoundTrip:
@@ -237,11 +237,11 @@ class TestFactoring:
         broad = SearchSpace.full(instance)
         tight = factoring_space(spec)
         broad_rows = {
-            t.values_over(instance.variables)
+            tuple(t[v] for v in instance.variables)
             for t in oracle.enumerate_solutions(instance, broad)
         }
         tight_rows = {
-            t.values_over(instance.variables)
+            tuple(t[v] for v in instance.variables)
             for t in oracle.enumerate_solutions(instance, tight)
         }
         assert broad_rows == tight_rows
@@ -265,9 +265,9 @@ class TestFactoring:
         instance = gen_factoring(spec)
         assert any(v.startswith("s") for v in instance.variables)
         assignment = AssignmentTuple(encode_solution(spec, 11, 13))
-        assert instance.is_solution(assignment)
+        assert is_solution(instance, assignment)
         assignment = AssignmentTuple(encode_solution(spec, 13, 11))
-        assert instance.is_solution(assignment)
+        assert is_solution(instance, assignment)
 
     def test_encode_rejects_non_factorization(self):
         with pytest.raises(ValueError, match="!="):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -384,7 +385,7 @@ def _group_answer_cases():
         (inst, full),
         (inst, full.assign("a", "0")),
         (inst, full.remove("b", "1").assign("d", "2")),
-        (inst.with_constraints((less, same, dead)), full),
+        (dataclasses.replace(inst, constraints=(less, same, dead)), full),
     ]
 
 

@@ -17,6 +17,7 @@ from cspstruct.model import (
     Relation,
     SearchSpace,
 )
+from cspstruct.oracle import solution_table
 
 from conftest import iter_rows
 
@@ -32,29 +33,6 @@ def c1():
 
 
 class TestAssignmentTuple:
-    def test_assign_rebinding(self):
-        t = AssignmentTuple({"x1": "R", "x2": "G"})
-        assert t.assign("x1", "G") == {"x1": "G", "x2": "G"}
-        assert t == {"x1": "R", "x2": "G"}  # original untouched
-
-    def test_assign_same_value_is_identity(self):
-        t = AssignmentTuple({"x": "1", "y": "2"})
-        assert t.assign("x", "1") is t
-
-    def test_assign_unknown_variable(self):
-        with pytest.raises(ValueError, match="unknown variable"):
-            AssignmentTuple({"x": "1"}).assign("z", "1")
-
-    def test_restrict(self):
-        t = AssignmentTuple({"x": "1", "y": "2", "z": "0"})
-        assert t.restrict(["x", "z"]) == {"x": "1", "z": "0"}
-        assert t.restrict(["x", "y", "z"]) == t
-        assert t.restrict([]) == {}
-
-    def test_restrict_unbound(self):
-        with pytest.raises(ValueError, match="unbound"):
-            AssignmentTuple({"x": "1"}).restrict(["x", "w"])
-
     def test_hash_ignores_order(self):
         a = AssignmentTuple({"x": "1", "y": "2"})
         b = AssignmentTuple({"y": "2", "x": "1"})
@@ -62,23 +40,30 @@ class TestAssignmentTuple:
 
 
 class TestSatisfies:
+    """The assignments that satisfy a constraint are the solutions of an
+    instance that holds it alone."""
+
+    @staticmethod
+    def solutions(constraint, domain):
+        inst = CspInstance(constraint.scope, tuple(domain), (constraint,))
+        return set(solution_table(inst, SearchSpace.full(inst)).rows)
+
     def test_example_rows(self, c1):
-        assert c1.satisfied_by(AssignmentTuple({"x": "1", "y": "2"}))
-        assert not c1.satisfied_by(AssignmentTuple({"x": "0", "y": "0"}))
+        solutions = self.solutions(c1, "012")
+        assert ("1", "2") in solutions and ("0", "0") not in solutions
+        assert solutions == c1.relation.rows
 
     def test_empty_relation_never_satisfied(self):
         empty = make_constraint("none", "xy", [])
-        for a, b in itertools.product("01", repeat=2):
-            assert not empty.satisfied_by(AssignmentTuple({"x": a, "y": b}))
+        assert self.solutions(empty, "01") == set()
 
     def test_full_relation_always_satisfied(self):
         full = make_constraint("full", "xy", itertools.product("01", repeat=2))
-        for a, b in itertools.product("01", repeat=2):
-            assert full.satisfied_by(AssignmentTuple({"x": a, "y": b}))
+        assert self.solutions(full, "01") == set(itertools.product("01", repeat=2))
 
     def test_unbound_scope_variable(self, c1):
-        with pytest.raises(ValueError, match="does not bind"):
-            c1.satisfied_by(AssignmentTuple({"x": "1"}))
+        with pytest.raises(ValueError, match="mentions unknown variable 'y'"):
+            CspInstance(("x",), ("0", "1", "2"), (c1,))
 
 
 class TestSearchSpace:
@@ -215,9 +200,8 @@ class TestCachedHash:
         inst = build_instance()
         hash(inst)
         unary = make_constraint("one", "z", [("1",)])
-        assert hash(inst.with_constraints((*inst.constraints, unary))) == hash(
-            build_instance((unary,))
-        )
+        extended = dataclasses.replace(inst, constraints=(*inst.constraints, unary))
+        assert hash(extended) == hash(build_instance((unary,)))
         assert hash(dataclasses.replace(inst, constraints=())) == hash(
             CspInstance(("x", "y", "z"), ("0", "1"))
         )
