@@ -12,8 +12,9 @@ answer is then a lookup or one propagation or reduction on that state:
 
 - Horn, dual Horn and 2CNF share one counter-based unit propagator over
   integer literals with occurrence lists.  F's unit clauses are propagated
-  at compile time; a query copies that state, assumes a few literals and
-  propagates on.  No conflict means satisfiable, once F is.
+  at compile time; a query assumes a few literals on that state,
+  propagates on and undoes what it propagated.  No conflict means
+  satisfiable, once F is.
 - Affine keeps F's reduced basis over GF(2), the variables it fixes (the
   rows that hold one variable) and the mask of the variables its equations
   mention; every affine answer is a lookup in those.
@@ -25,15 +26,16 @@ unsatisfiable; under affine, with a != b, it is inconsistency at a unless no
 equation mentions x.  determined(x) is F AND the remainders of x's clauses
 (each clause minus x's literal) being unsatisfiable; under affine it is
 some equation mentioning x.  fixable, removable, interchangeable and irrelevant
-are built from substitutable, memoised per (x, a, b).  ``pinned`` derives
-the compiled form of F with some variables pinned from F's own state.
+are built from substitutable, memoised per (x, a, b).  ``pin`` turns a
+``copy`` of F's compiled form into that of F with some variables pinned,
+from F's own state.
 """
 
 from __future__ import annotations
 
 import enum
 import itertools
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -221,24 +223,34 @@ class SchaeferClassification:
     applicable: tuple[SchaeferClass, ...]
 
 
-def _member(formula: BooleanFormula, cls: SchaeferClass) -> bool:
-    if cls is SchaeferClass.AFFINE:
-        return not formula.clauses
-    if formula.equations:
-        return False
-    if cls is SchaeferClass.HORN:
-        return all(c.positive_count <= 1 for c in formula.clauses)
-    if cls is SchaeferClass.DUAL_HORN:
-        return all(c.negative_count <= 1 for c in formula.clauses)
-    if cls is SchaeferClass.TWO_CNF:
-        return all(len(c.literals) <= 2 for c in formula.clauses)
-    return False
+# The clausal classes, in canonical order.
+CLAUSAL_CLASSES = _CANONICAL_ORDER[:3]
+
+
+def outside_clausal(negative: int, positive: int) -> tuple[bool, bool, bool]:
+    """Per class of ``CLAUSAL_CLASSES``, whether a clause with this many
+    negative and positive literals lies outside it."""
+    return positive > 1, negative > 1, negative + positive > 2
+
+
+def _members(formula: BooleanFormula) -> tuple[SchaeferClass, ...]:
+    """The classes of ``_CANONICAL_ORDER`` the formula belongs to, in one
+    pass over its clauses."""
+    inside = [not formula.equations] * len(CLAUSAL_CLASSES)
+    if not formula.equations:
+        for c in formula.clauses:
+            positive = c.positive_count
+            for k, out in enumerate(outside_clausal(len(c.literals) - positive, positive)):
+                if out:
+                    inside[k] = False
+    inside.append(not formula.clauses)  # affine
+    return tuple(cls for cls, member in zip(_CANONICAL_ORDER, inside) if member)
 
 
 def classify_schaefer(formula: BooleanFormula) -> SchaeferClassification:
     """Syntactic classification; several tags may apply, the primary one is
     the first in the fixed order Horn, dual Horn, 2CNF, affine."""
-    applicable = tuple(cls for cls in _CANONICAL_ORDER if _member(formula, cls))
+    applicable = _members(formula)
     primary = applicable[0] if applicable else SchaeferClass.UNRESTRICTED
     return SchaeferClassification(primary, applicable)
 
@@ -250,7 +262,7 @@ def _as_class(cls: SchaeferClass | str) -> SchaeferClass:
 def _require_member(formula: BooleanFormula, cls: SchaeferClass) -> None:
     if cls is SchaeferClass.UNRESTRICTED:
         raise ClassMismatchError("unrestricted formulas have no tractable solver")
-    if not _member(formula, cls):
+    if cls not in _members(formula):
         raise ClassMismatchError(f"formula is not in class {cls.value}")
 
 
@@ -297,22 +309,50 @@ class _UnitPropagation:
         self.left = [len(lits) for lits in self.clauses]
         units = [lits[0] for lits in self.clauses if len(lits) == 1]
         self.consistent = all(self.clauses) and self._propagate(
-            self.value, self.left, units
+            self.value, self.left, units, []
         )
 
     def code(self, lit: Literal) -> int:
         return 2 * self.index[lit.variable] + (not lit.positive)
 
     def consistent_with(
-        self, literals: Iterable[int], extra: Sequence[Sequence[int]] = ()
+        self,
+        literals: Iterable[int],
+        extra: Sequence[Sequence[int]] = (),
+        reads: set[int] | None = None,
     ) -> bool:
         """No conflict when the literals, and then the extra clauses, are
         added to the propagated state.  The extra clauses are rescanned
-        until none of them is unit, as they have no occurrence lists."""
+        until none of them is unit, as they have no occurrence lists.  The
+        query propagates on this state and undoes its changes after, so it
+        costs the propagation it makes, not a copy of the state.
+
+        ``reads``, when given, receives every variable the propagation read:
+        those it assigned and those of each clause whose count it lowered.
+        A state that differs from this one on none of them gives the same
+        answer."""
         if not self.consistent:
             return False
-        value, left = list(self.value), list(self.left)
-        if not self._propagate(value, left, literals):
+        trail: list[int] = []
+        try:
+            return self._extend(literals, extra, trail)
+        finally:
+            value, left, clauses = self.value, self.left, self.clauses
+            for change in trail:
+                if change >= 0:
+                    value[change >> 1] = None
+                else:
+                    left[~change] += 1
+                    if reads is not None:
+                        reads.update(lit >> 1 for lit in clauses[~change])
+            if reads is not None:
+                reads.update(change >> 1 for change in trail if change >= 0)
+
+    def _extend(
+        self, literals: Iterable[int], extra: Sequence[Sequence[int]], trail: list[int]
+    ) -> bool:
+        value, left = self.value, self.left
+        if not self._propagate(value, left, literals, trail):
             return False
         changed = bool(extra)
         while changed:
@@ -328,36 +368,50 @@ class _UnitPropagation:
                     elif current != bool(lit & 1):
                         break  # already true
                 else:
-                    if open_lit is None or not self._propagate(value, left, (open_lit,)):
+                    if open_lit is None or not self._propagate(
+                        value, left, (open_lit,), trail
+                    ):
                         return False
                     changed = True
         return True
 
-    def pinned(self, literals: Iterable[int]) -> "_UnitPropagation":
-        """The same clauses propagated further from this state under the
-        literals; the clause lists are shared, not copied."""
+    def copy(self) -> "_UnitPropagation":
+        """A copy of the state to pin on; the clause lists are shared."""
         child = _shallow_copy(self)
         child.value, child.left = list(self.value), list(self.left)
-        child.consistent = self.consistent and self._propagate(
-            child.value, child.left, literals
-        )
         return child
 
+    def pin(self, literals: Iterable[int]) -> list[int]:
+        """Propagate this state further under the literals, in place, and
+        return the variables the propagation assigned."""
+        trail: list[int] = []
+        self.consistent = self.consistent and self._propagate(
+            self.value, self.left, literals, trail
+        )
+        return [change >> 1 for change in trail if change >= 0]
+
     def _propagate(
-        self, value: list[bool | None], left: list[int], literals: Iterable[int]
+        self,
+        value: list[bool | None],
+        left: list[int],
+        literals: Iterable[int],
+        trail: list[int],
     ) -> bool:
-        # Updates value and left in place.  When a count drops to one, the
-        # clause's last literal not known false is true already, or is made
-        # true, or is false after all (a conflict); no later count change
-        # can touch that clause again.
+        # Updates value and left in place and logs each change on the trail:
+        # a literal made true as itself, a lowered count of clause k as ~k.
+        # When a count drops to one, the clause's last literal not known
+        # false is true already, or is made true, or is false after all (a
+        # conflict); no later count change can touch that clause again.
         queue: list[int] = []
-        for lit in literals:
-            if not _assign(value, lit, queue):
-                return False
+        assigned = all(_assign(value, lit, queue) for lit in literals)
+        trail.extend(queue)
+        if not assigned:
+            return False
         clauses, occurs = self.clauses, self.occurs
         while queue:
             for k in occurs[queue.pop() ^ 1]:
                 left[k] -= 1
+                trail.append(~k)
                 if left[k] > 1:
                     continue
                 for other in clauses[k]:
@@ -365,6 +419,7 @@ class _UnitPropagation:
                     if current is None:
                         value[other >> 1] = not other & 1
                         queue.append(other)
+                        trail.append(other)
                         break
                     if current != bool(other & 1):
                         break  # already true
@@ -455,7 +510,9 @@ def _solve_two_cnf(
     return model
 
 
-Basis = list[tuple[int, bool, int]]
+# A reduced basis over GF(2): per lead bit, the one row that holds it, as
+# (mask, rhs).  No row holds another row's lead bit.
+Basis = dict[int, tuple[int, bool]]
 
 
 def _equation_mask(eq: AffineEquation, index: Mapping[str, int]) -> int:
@@ -465,41 +522,59 @@ def _equation_mask(eq: AffineEquation, index: Mapping[str, int]) -> int:
     return mask
 
 
-def _reduce(rows: Basis, mask: int, rhs: bool) -> tuple[int, bool]:
-    # One pass suffices: a reduced basis holds each lead bit in one row
-    # only, and a row appended after it holds no earlier lead bit.
-    for row_mask, row_rhs, lead in rows:
-        if (mask >> lead) & 1:
-            mask ^= row_mask
-            rhs ^= row_rhs
+def _bits(mask: int) -> Iterator[int]:
+    """The set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
+
+
+def _reduce(basis: Basis, mask: int, rhs: bool) -> tuple[int, bool]:
+    # Only the mask's own bits need a look-up: a row holds no lead bit but
+    # its own, so adding one in brings in none.
+    for bit in _bits(mask):
+        row = basis.get(bit)
+        if row is not None:
+            mask ^= row[0]
+            rhs ^= row[1]
     return mask, rhs
 
 
-def _add_row(basis: Basis, mask: int, rhs: bool) -> Basis | None:
-    """The reduced basis with one more equation (the same list when the
-    basis implies it), or None when it contradicts the basis."""
-    mask, rhs = _reduce(basis, mask, rhs)
-    if mask == 0:
-        return None if rhs else basis
-    lead = (mask & -mask).bit_length() - 1
-    basis = [
-        (bm ^ mask, br ^ rhs, bl) if (bm >> lead) & 1 else (bm, br, bl)
-        for bm, br, bl in basis
-    ]
-    basis.append((mask, rhs, lead))
-    return basis
+def _holders_of(basis: Basis | None) -> dict[int, set[int]]:
+    """Per bit, the leads of the rows that hold it besides their own."""
+    holders: dict[int, set[int]] = {}
+    for lead, (mask, _) in (basis or {}).items():
+        for bit in _bits(mask ^ (1 << lead)):
+            holders.setdefault(bit, set()).add(lead)
+    return holders
 
 
 def _affine_basis(
     equations: Iterable[AffineEquation], index: Mapping[str, int]
 ) -> Basis | None:
-    """Gauss-Jordan over GF(2): the reduced basis as (mask, rhs, lead bit)
-    rows, or None when the equations are inconsistent."""
-    basis: Basis | None = []
+    """Gauss-Jordan over GF(2): the reduced basis, or None when the
+    equations are inconsistent.  Each equation is first brought to echelon
+    form, led by its lowest bit, by the rows leading at its lowest bits;
+    the rows are then reduced from the highest lead down.  So each row
+    costs the rows it meets, not a pass over the basis."""
+    echelon: Basis = {}
     for eq in equations:
-        basis = _add_row(basis, _equation_mask(eq, index), eq.parity)
-        if basis is None:
-            return None
+        mask, rhs = _equation_mask(eq, index), eq.parity
+        while mask:
+            lead = (mask & -mask).bit_length() - 1
+            row = echelon.get(lead)
+            if row is None:
+                echelon[lead] = (mask, rhs)
+                break
+            mask ^= row[0]
+            rhs ^= row[1]
+        else:
+            if rhs:
+                return None
+    basis: Basis = {}
+    for lead in sorted(echelon, reverse=True):
+        basis[lead] = _reduce(basis, *echelon[lead])
     return basis
 
 
@@ -510,7 +585,7 @@ def _fixed_values(basis: Basis | None) -> dict[int, bool]:
     so x's value is implied only when the row is x alone."""
     if basis is None:
         return {}
-    return {lead: rhs for mask, rhs, lead in basis if mask == 1 << lead}
+    return {lead: rhs for lead, (mask, rhs) in basis.items() if mask == 1 << lead}
 
 
 # ---------------------------------------------------------------------------
@@ -547,14 +622,15 @@ class CompiledFormula:
 
     The clausal classes keep the formula's clauses as integer literals with
     occurrence lists and the state of unit propagation from its unit
-    clauses; a query copies that state, adds a few literals (and, for
-    determinacy under Horn and dual Horn, a few clauses of the same class)
-    and propagates on; a variable the units fix needs no propagation at
-    all.  Affine keeps the reduced GF(2) basis, the variables it fixes and
+    clauses; a query adds a few literals to that state (and, for
+    determinacy under Horn and dual Horn, a few clauses of the same class),
+    propagates on and undoes what it propagated; a variable the units fix
+    needs no propagation at all.  Affine keeps the reduced GF(2) basis, the variables it fixes and
     the mask of the variables the equations mention, and answers every
-    query by a lookup in them.  ``pinned`` derives the compiled form of the
-    formula with some variables pinned from this state, so a caller that
-    pins variables one step at a time compiles once.
+    query by a lookup in them.  ``pin`` derives, in place on a ``copy``,
+    the compiled form of the formula with some variables pinned from this
+    state, so a caller that pins variables one step at a time compiles
+    once and copies once.
 
     Propagation is exact once the formula is satisfiable.  When it meets no
     conflict, each clause it leaves unsatisfied has two or more open
@@ -575,6 +651,7 @@ class CompiledFormula:
             self._basis = _affine_basis(formula.equations, self._index)
             self.satisfiable = self._basis is not None
             self._fixed = _fixed_values(self._basis)
+            self._holders = _holders_of(self._basis)
             self._mentioned = 0
             for eq in formula.equations:
                 self._mentioned |= _equation_mask(eq, self._index)
@@ -590,16 +667,22 @@ class CompiledFormula:
         """Whether x is a variable of the formula and not pinned."""
         return x in self._free
 
-    def inconsistent(self, x: str, a: bool) -> bool:
+    def inconsistent(self, x: str, a: bool, reads: set[int] | None = None) -> bool:
+        """No model has x=a.  ``reads``, when given, receives the indices of
+        the variables the answer read: a form pinned further, whose ``pin``
+        returned none of them and that is still satisfiable, gives the same
+        answer."""
         if not self.satisfiable:
             return True
         i = self._index[x]
+        if reads is not None:
+            reads.add(i)
         if self.cls is SchaeferClass.AFFINE:
             return self._fixed.get(i, a) != a
         propagated = self._units.value[i]
         if propagated is not None:
             return propagated != a
-        return not self._units.consistent_with((2 * i + (not a),))
+        return not self._units.consistent_with((2 * i + (not a),), reads=reads)
 
     def substitutable(self, x: str, a: bool, b: bool) -> bool:
         """Every model with x=a stays a model with x=b: flipping x to b can
@@ -660,34 +743,71 @@ class CompiledFormula:
                     extra.append(rest)
         return not units.consistent_with(assumed, extra)
 
-    def pinned(self, assignments: Mapping[str, bool]) -> "CompiledFormula":
-        """The compiled form of ``assume(formula, assignments)`` in the same
-        class, derived from this state: the clausal classes propagate the
-        pins on from the propagated units, affine folds each pin into the
-        reduced basis.  Pinning keeps a formula in its class, and propagation
-        from a satisfiable formula stays exact, so every answer on a
-        variable left free equals that of compiling the assumed formula."""
+    def copy(self) -> "CompiledFormula":
+        """A copy to ``pin``; pinning it leaves this form as it is."""
+        child = _shallow_copy(self)
+        child._free = set(self._free)
+        if self.cls is not SchaeferClass.AFFINE:
+            child._units = self._units.copy()
+        elif self.satisfiable:
+            child._basis, child._fixed = dict(self._basis), dict(self._fixed)
+            child._holders = {bit: set(leads) for bit, leads in self._holders.items()}
+        return child
+
+    def pin(self, assignments: Mapping[str, bool]) -> list[int]:
+        """Make this form, a ``copy``, the compiled form of
+        ``assume(formula, assignments)`` in the same class: the clausal
+        classes propagate the pins on from the propagated units, affine
+        folds each pin into the reduced basis.  Pinning keeps a formula in
+        its class, and propagation from a satisfiable formula stays exact,
+        so every answer on a variable left free equals that of compiling
+        the assumed formula.
+
+        Returns the indices of the variables whose state the pins changed:
+        those propagation assigned, or under affine those the basis newly
+        fixes."""
         for v in assignments:
             if v not in self._free:
                 raise ValueError(f"unknown or pinned variable {v!r}")
-        child = _shallow_copy(self)
-        child._free = self._free.difference(assignments)
-        child._substitutable = {}
-        if self.cls is SchaeferClass.AFFINE:
-            basis = self._basis
-            for v, value in assignments.items():
-                if basis is None:
-                    break
-                basis = _add_row(basis, 1 << self._index[v], value)
-            child._basis = basis
-            child.satisfiable = basis is not None
-            child._fixed = _fixed_values(basis)
-            return child
-        child._units = self._units.pinned(
-            [2 * self._index[v] + (not value) for v, value in assignments.items()]
-        )
-        child.satisfiable = self.satisfiable and child._units.consistent
-        return child
+        self._free.difference_update(assignments)
+        self._substitutable = {}
+        if self.cls is not SchaeferClass.AFFINE:
+            changed = self._units.pin(
+                [2 * self._index[v] + (not value) for v, value in assignments.items()]
+            )
+            self.satisfiable = self.satisfiable and self._units.consistent
+            return changed
+        changed: list[int] = []
+        for v, value in assignments.items():
+            if self.satisfiable and not self._add_unit(self._index[v], value, changed):
+                self.satisfiable, self._basis, self._fixed = False, None, {}
+        return changed
+
+    def _add_unit(self, i: int, value: bool, changed: list[int]) -> bool:
+        """Fold the equation x_i = value into the reduced basis in place,
+        adding the leads it newly fixes to ``changed``; False when it
+        contradicts the basis.  Only the rows that hold the new row's lead
+        change, found through ``_holders``."""
+        basis, holders, fixed = self._basis, self._holders, self._fixed
+        mask, rhs = _reduce(basis, 1 << i, value)
+        if not mask:
+            return not rhs
+        lead, *rest = _bits(mask)
+        for other in holders.pop(lead, ()):
+            row_mask, row_rhs = basis[other]
+            basis[other] = row_mask, row_rhs = row_mask ^ mask, row_rhs ^ rhs
+            for bit in rest:
+                holders.setdefault(bit, set()).symmetric_difference_update((other,))
+            if row_mask == 1 << other:
+                fixed[other] = row_rhs
+                changed.append(other)
+        basis[lead] = mask, rhs
+        for bit in rest:
+            holders.setdefault(bit, set()).add(lead)
+        if not rest:
+            fixed[lead] = rhs
+            changed.append(lead)
+        return True
 
 
 @lru_cache(maxsize=16)
@@ -718,13 +838,9 @@ def tract_check(
     formula: BooleanFormula,
     cls: SchaeferClass | str,
     query: PropertyQuery,
-    compiled: CompiledFormula | None = None,
 ) -> bool:
-    """Exact polynomial property check on the formula's compiled form, or
-    on ``compiled`` when the caller holds it already (as a simplifier
-    does, deriving it step by step with ``CompiledFormula.pinned``)."""
-    if compiled is None:
-        compiled = compile_formula(formula, cls)
+    """Exact polynomial property check on the formula's compiled form."""
+    compiled = compile_formula(formula, cls)
     answer = _ANSWERS.get(query.kind)
     if answer is None:
         if query.kind == "dependent":
@@ -742,19 +858,35 @@ def tract_check(
 
 
 def assume(formula: BooleanFormula, assignments: Mapping[str, bool]) -> BooleanFormula:
-    """Instantiate several variables away, keeping the same class."""
-    constraints: list[BooleanConstraint] = list(formula.constraints)
-    for variable, value in assignments.items():
-        if variable not in formula.variables:
+    """Instantiate several variables away, keeping the same class: the
+    result of ``instantiate_project`` for each assignment in turn, in one
+    pass over the constraints.  A clause holding a literal made true goes,
+    one holding a literal made false loses it (the last one lost leaves the
+    false marker), and an equation drops the assigned variables and flips
+    its parity once per true one."""
+    known = set(formula.variables)
+    for variable in assignments:
+        if variable not in known:
             raise ValueError(f"unknown variable {variable!r}")
-        next_parts: list[BooleanConstraint] = []
-        for c in constraints:
-            next_parts.extend(instantiate_project(c, variable, value))
-        constraints = next_parts
+    clauses = []
+    for c in formula.clauses:
+        kept = [lit for lit in c.literals if lit.variable not in assignments]
+        if len(kept) == len(c.literals):
+            clauses.append(c)
+        elif all(assignments[lit.variable] != lit.positive for lit in c.literals
+                 if lit.variable in assignments):
+            clauses.append(Clause(frozenset(kept)))
+    equations = [
+        AffineEquation(
+            eq.variables.difference(assignments),
+            eq.parity ^ (sum(assignments[v] for v in eq.variables if v in assignments) % 2 == 1),
+        )
+        if not eq.variables.isdisjoint(assignments)
+        else eq
+        for eq in formula.equations
+    ]
     remaining = tuple(v for v in formula.variables if v not in assignments)
-    clauses = tuple(c for c in constraints if isinstance(c, Clause))
-    equations = tuple(c for c in constraints if isinstance(c, AffineEquation))
-    return BooleanFormula(remaining, clauses, equations)
+    return BooleanFormula(remaining, tuple(clauses), tuple(equations))
 
 
 def to_extensional(formula: BooleanFormula) -> CspInstance:
@@ -763,6 +895,7 @@ def to_extensional(formula: BooleanFormula) -> CspInstance:
     if not formula.variables:
         raise ValueError("cannot expand a formula without variables")
     constraints = []
+    position = {v: i for i, v in enumerate(formula.variables)}.__getitem__
     for number, item in enumerate(formula.constraints, 1):
         name = f"c{number}"
         if isinstance(item, Clause):
@@ -771,7 +904,7 @@ def to_extensional(formula: BooleanFormula) -> CspInstance:
                 scope = (formula.variables[0],)
                 constraints.append(Constraint(name, scope, Relation(1, frozenset())))
                 continue
-            scope = tuple(v for v in formula.variables if v in item.variables)
+            scope = tuple(sorted(item.variables, key=position))
             wanted = {lit.variable: lit.positive for lit in item.literals}
             rows = frozenset(
                 combo
@@ -779,7 +912,7 @@ def to_extensional(formula: BooleanFormula) -> CspInstance:
                 if any(name_bool(combo[i]) == wanted[v] for i, v in enumerate(scope))
             )
         else:
-            scope = tuple(v for v in formula.variables if v in item.variables)
+            scope = tuple(sorted(item.variables, key=position))
             if not scope:
                 if item.parity:
                     scope = (formula.variables[0],)

@@ -8,19 +8,25 @@ dependence).  A satisfied combinator *establishes* the global property;
 anything else stays *unknown* — local reasoning never refutes.
 
 Every group, one constraint or many, is decided the same way: on the
-group's solutions over the union of its scopes, enumerated by the oracle's
-backtracking enumerator.  A group verdict needs no witness, so it is read
-off the queried variable's mask signature on the group's table once there
-is one (see ``oracle._scan``), and is a scan by the oracle's own falsifier
-before that; dependence keeps the oracle's pair scan.  A variable
-outside that union is free in the group's subproblem, so a query on it
-follows from its active values alone, and only the groups that hold the
-queried variable are decided.  A group's solutions, and the verdicts
-decided on them, are kept per group and per active sets on its scope, so
-a narrowed space rebuilds and re-decides only the groups whose variables
-it touched.  ``local_checks`` decides a list of queries on one covering
-with one table lookup, and builds the signature of each variable it asks
-about more than once before it asks.
+group's solutions over the union of its scopes.  A one-constraint group's
+first table is its relation's rows with every value active, moved into
+declaration order, so no group at group size 1 enumerates its scope
+product; a larger group's first table comes from the oracle's
+backtracking enumerator.  ``GroupTables.narrow`` turns a copy of the
+tables of a space into those of a space that narrows one variable: only
+the groups that hold the variable change, each keeping the rows of its
+table that take an active value there, in order.  A group verdict needs no
+witness, so it is read off the queried variable's mask signature on the
+group's table once there is one (see ``oracle._scan``), and is a scan by
+the oracle's own falsifier before that; dependence keeps the oracle's pair
+scan.  A variable outside that union is free in the group's subproblem, so
+a query on it follows from its active values alone, and only the groups
+that hold the queried variable are decided.  A group's solutions, and the
+verdicts decided on them, are kept per group and per active sets on its
+scope, so a narrowed space rebuilds and re-decides only the groups whose
+variables it touched.  ``local_checks`` decides a list of queries on one
+covering with one table lookup, and builds the signature of each variable
+it asks about more than once before it asks.
 
 Removability is the one value property this approach cannot support:
 per-constraint removability does not imply global removability, and acting
@@ -31,10 +37,11 @@ are therefore rejected outright.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import attrgetter
+from itertools import compress
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from . import oracle
@@ -116,28 +123,77 @@ def _groups(
     for g, group in enumerate(covering.groups):
         constraints = tuple(instance.constraints[i] for i in group)
         scope = {v for c in constraints for v in c.scope}
-        names = tuple(v for v in instance.variables if v in scope)
+        names = tuple(sorted(scope, key=instance.var_index))
         projected.append(CspInstance(names, instance.domain, constraints))
         for v in names:
             holding.setdefault(v, []).append(g)
     return tuple(projected), {v: tuple(gs) for v, gs in holding.items()}
 
 
+class GroupTables:
+    """A covering's group tables for one space: per group, its solutions on
+    its own scope and whether there are none; per variable, the groups that
+    hold it; and whether any group has no solutions.  ``_tables`` shares
+    one, with the tables in a tuple; ``copy`` gives one to ``narrow``."""
+
+    __slots__ = ("tables", "empty", "holding", "some_empty")
+
+    def __init__(
+        self,
+        tables: Sequence[oracle.SolutionTable],
+        holding: dict[str, tuple[int, ...]],
+    ):
+        self.tables = tables
+        self.empty = [not tbl.rows for tbl in tables]
+        self.holding = holding
+        self.some_empty = any(self.empty)
+
+    def copy(self) -> "GroupTables":
+        return GroupTables(list(self.tables), self.holding)
+
+    def narrow(self, x: str, active: tuple[str, ...]) -> None:
+        """Become the tables of the space that narrows x to ``active`` and
+        changes nothing else.  Each group that holds x keeps the rows of its
+        table whose x value is still active, in order: the rows a cold build
+        finds, so every verdict decided on them is the same too."""
+        keep = frozenset(active).__contains__
+        for g in self.holding.get(x, ()):
+            tbl = self.tables[g]
+            i = tbl.index[x]
+            rows = tuple(compress(tbl.rows, map(keep, map(itemgetter(i), tbl.rows))))
+            actives = (*tbl.actives[:i], active, *tbl.actives[i + 1 :])
+            self.tables[g] = oracle.SolutionTable(tbl.order, actives, rows)
+            self.empty[g] = not rows
+            self.some_empty = self.some_empty or not rows
+
+    def established(self, query: PropertyQuery, active: tuple[str, ...]) -> bool:
+        """``local_check(...).established`` for a valid query whose variable
+        has the active values ``active``, without the per-group verdicts:
+        an AND kind needs every group that holds the variable, an OR kind
+        any group at all.  An empty group makes every OR kind hold, the
+        groups holding the variable included."""
+        tables = self.tables
+        holding = self.holding.get(query.variable, ())
+        held = (_holds(tables[g], query) for g in holding)
+        if query.kind in AND_KINDS:
+            return all(held)
+        free = _free(query.kind, active, query.values) and len(holding) < len(tables)
+        return free or self.some_empty or any(held)
+
+
 @lru_cache(maxsize=4)
 def _tables(
     instance: CspInstance, covering: Covering, space: SearchSpace
-) -> tuple[tuple[oracle.SolutionTable, ...], tuple[bool, ...], dict]:
-    """Per covering group, its solutions on its own scope inside the space
-    and whether there are none; then, per variable, the groups that hold
-    it.  Every query on one space shares them, so only a few spaces are
-    kept."""
+) -> GroupTables:
+    """The covering's group tables for the space.  Every query on one space
+    shares them, so only a few spaces are kept."""
     groups, holding = _groups(instance, covering)
     oracle._require_cover(instance, space)
     tables = tuple(
         _group_table(group, tuple(map(space.values, group.variables)))
         for group in groups
     )
-    return tables, tuple(not tbl.rows for tbl in tables), holding
+    return GroupTables(tables, holding)
 
 
 @lru_cache(maxsize=1024)
@@ -147,9 +203,30 @@ def _group_table(
     # Keyed by the group's own active sets: a step that narrows a variable
     # outside the group's scope rebuilds nothing here, and keeps the
     # verdicts decided on the table.
-    space = SearchSpace(tuple(zip(group.variables, actives)))
-    rows = tuple(oracle._solution_rows(group, space))
+    if len(group.constraints) == 1:
+        rows = _relation_rows(group, actives)
+    else:
+        space = SearchSpace(tuple(zip(group.variables, actives)))
+        rows = tuple(oracle._solution_rows(group, space))
     return oracle.SolutionTable(group.variables, actives, rows)
+
+
+def _relation_rows(
+    group: CspInstance, actives: tuple[tuple[str, ...], ...]
+) -> tuple[tuple[str, ...], ...]:
+    # A one-constraint group's solutions are its relation's rows with every
+    # value active, columns moved from scope order into declaration order.
+    # No witness is read off a group table, so the rows' order is free.
+    relation = group.constraints[0].relation
+    (positions,) = group.scope_positions
+    allowed = tuple(frozenset(actives[p]) for p in positions)
+    columns = sorted(range(len(positions)), key=positions.__getitem__)
+    order = itemgetter(*columns) if len(columns) > 1 else tuple
+    return tuple(
+        order(row)
+        for row in relation.rows
+        if all(a in ok for a, ok in zip(row, allowed))
+    )
 
 
 def local_check(
@@ -186,7 +263,7 @@ def local_checks(
     # The pass knows how often it asks about each variable: where it asks
     # more than once, every group table holding the variable answers from
     # its signature from the start.
-    group_tables, _, holding = tables
+    group_tables, holding = tables.tables, tables.holding
     asked = Counter(map(attrgetter("variable"), queries))
     for x, count in asked.items():
         if count > 1:
@@ -206,10 +283,9 @@ def _reject(kind: str) -> None:
 
 
 def _combine(
-    instance: CspInstance, space: SearchSpace, groups: tuple, query: PropertyQuery
+    instance: CspInstance, space: SearchSpace, groups: GroupTables, query: PropertyQuery
 ) -> LocalVerdict:
-    # groups: the covering's tables for the space, as ``_tables`` gives them.
-    tables, empty, holding = groups
+    tables, empty, holding = groups.tables, groups.empty, groups.holding
     kind = query.kind
     x = query.variable
     # The space covers the instance, so it knows exactly its variables.
@@ -219,24 +295,27 @@ def _combine(
     for value in query.values:
         if value not in active:
             raise ValueError(f"value {value!r} is not active for {x!r}")
-    # A free variable: the AND kinds hold, and an empty group table makes
-    # every OR kind hold; otherwise inconsistency fails, implication holds
-    # iff a is the only active value, and determinacy and dependence hold
-    # iff one value is active.
-    if kind in AND_KINDS:
-        free = True
-    elif kind == "inconsistent":
-        free = False
-    elif kind == "implied":
-        free = active == (query.values[0],)
-    else:  # determined, dependent
-        free = len(active) == 1
-    results = [True] * len(tables) if free else list(empty)
+    results = [True] * len(tables) if _free(kind, active, query.values) else list(empty)
     for g in holding.get(x, ()):
         results[g] = _holds(tables[g], query)
     per_group = tuple(results)
     established = all(per_group) if kind in AND_KINDS else any(per_group)
     return LocalVerdict(query, established, per_group)
+
+
+def _free(kind: str, active: tuple[str, ...], values: tuple[str, ...]) -> bool:
+    """The verdict of a group whose scope leaves the queried variable free,
+    unless its table is empty, which makes every OR kind hold: the AND
+    kinds hold, inconsistency fails, implication holds iff a is the only
+    active value, and determinacy and dependence hold iff one value is
+    active."""
+    if kind in AND_KINDS:
+        return True
+    if kind == "inconsistent":
+        return False
+    if kind == "implied":
+        return active == values
+    return len(active) == 1  # determined, dependent
 
 
 def _holds(tbl: oracle.SolutionTable, query: PropertyQuery) -> bool:
@@ -284,11 +363,15 @@ def pure_values(formula: BooleanFormula) -> dict[str, bool | None]:
     one pass over its clauses."""
     if not formula.is_clausal:
         raise ValueError("the pure value rule applies to clausal formulas only")
-    polarities: dict[str, set[bool]] = {v: set() for v in formula.variables}
+    polarity = {v: [0, 0] for v in formula.variables}
     for clause in formula.clauses:
         for lit in clause.literals:
-            polarities[lit.variable].add(lit.positive)
-    return {
-        v: True if False not in seen else False if True not in seen else None
-        for v, seen in polarities.items()
-    }
+            polarity[lit.variable][lit.positive] += 1
+    return {v: pure_value(*counts) for v, counts in polarity.items()}
+
+
+def pure_value(negative: int, positive: int) -> bool | None:
+    """The value a variable with this many negative and positive
+    occurrences is fixable to by the pure-value rule: true when it never
+    occurs negatively, false when it never occurs positively, else None."""
+    return True if not negative else False if not positive else None

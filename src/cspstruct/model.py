@@ -264,12 +264,7 @@ class SearchSpace:
         """The space with this variable pinned to a single active value."""
         if value not in self.values(variable):
             raise ValueError(f"value {value!r} is not active for {variable!r}")
-        return SearchSpace(
-            tuple(
-                (name, (value,) if name == variable else vals)
-                for name, vals in self.entries
-            )
-        )
+        return self._narrowed(variable, (value,))
 
     def remove(self, variable: str, value: str) -> "SearchSpace":
         """The space with one active value dropped; never empties a variable."""
@@ -280,12 +275,24 @@ class SearchSpace:
             raise ValueError(
                 f"removing {value!r} would leave {variable!r} with no active values"
             )
-        return SearchSpace(
-            tuple(
-                (name, tuple(a for a in vals if a != value) if name == variable else vals)
-                for name, vals in self.entries
-            )
-        )
+        return self._narrowed(variable, tuple(a for a in values if a != value))
+
+    def _narrowed(self, variable: str, values: tuple[str, ...]) -> "SearchSpace":
+        # A nonempty part of a valid active set is valid, so the child skips
+        # the checks of a new space and costs two flat copies.  Each
+        # variable's position is found once per lineage of spaces.
+        positions = self.__dict__.get("_positions")
+        if positions is None:
+            positions = {name: i for i, (name, _) in enumerate(self.entries)}
+        entries = list(self.entries)
+        entries[positions[variable]] = (variable, values)
+        active = dict(self._active)  # type: ignore[attr-defined]
+        active[variable] = values
+        child = object.__new__(SearchSpace)
+        object.__setattr__(child, "entries", tuple(entries))
+        object.__setattr__(child, "_active", active)
+        object.__setattr__(child, "_positions", positions)
+        return child
 
     def size(self) -> int:
         total = 1

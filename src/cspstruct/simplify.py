@@ -8,18 +8,27 @@ the tractable reductions, and (in test mode) the exhaustive oracle.  Local
 removability is never a justification.
 
 The loop scans variables in declaration order and values in domain order,
-applies the first justified fix, then the first justified removal, and
-re-runs the detectors after every change; it stops at a fixpoint or when
-an inconsistency proof would empty a domain, which is reported as a proof
-of unsatisfiability instead of an invalid space.
+applies the first justified fix, else the first justified removal, and
+scans again from the first variable after every change; it stops at a
+fixpoint or when an inconsistency proof would empty a domain, which is
+reported as a proof of unsatisfiability instead of an invalid space.
+
+A step costs what it changes.  The detectors keep their state from step to
+step (the covering's group tables, the effective formula's counts, the
+compiled tractable form) and update it from the variable a step narrows.
+Each detector answer on a variable reads a known set of inputs, so a
+variable a scan found nothing to justify on is skipped by later scans
+until one of those inputs changes: the AC-3 idea (Mackworth 1977) applied
+to the detector loop.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import boolean, local, oracle
-from .boolean import BOOL_VALUES, BooleanFormula, SchaeferClass, classify_schaefer
+from .boolean import BOOL_VALUES, BooleanFormula, SchaeferClass
 from .local import Covering, default_covering
 from .model import CspInstance, SearchSpace
 from .oracle import PropertyQuery
@@ -117,12 +126,34 @@ class _DetectorSet:
     """The sound detector families, each answering: does anything justify
     fixing (x, a) or removing (x, a) in the current space?
 
-    ``effective`` is the formula with every pinned variable instantiated
-    away and ``tractable_class`` its primary Schaefer class (None when it
-    has none); ``advance`` brings both up to date with a space.  The
-    tractable detectors ask ``compiled``: the effective formula compiled
-    once, at the first step where it is tractable, and from then on
-    derived from the previous step's form with ``CompiledFormula.pinned``.
+    ``advance`` brings the state below up to date with each new space, from
+    the variables it narrows alone:
+
+    - ``groups``, the covering's group tables, a copy narrowed in place
+      with ``GroupTables.narrow``: only the groups that hold a narrowed
+      variable change.
+    - The effective formula (every pinned variable instantiated away) as
+      its live clauses, with their literals left per polarity, occurrence
+      lists, the number of live clauses outside each clausal Schaefer
+      class, and each variable's polarity counts over the live clauses.
+      A pin touches only the clauses that hold its variable.
+      ``tractable_class`` is the effective formula's primary class (None
+      when it has none), read off those counts, and the pure-value rule
+      off the polarity counts.  ``effective`` is ``boolean.assume`` of the
+      pins, built when read: once, at the compile.
+    - ``compiled``: a copy of the effective formula compiled once, at the
+      first step where it is tractable, pinned in place from then on with
+      ``CompiledFormula.pin``.
+
+    The answers on x read: for local, the tables of the groups that hold x,
+    x's active values and whether any group is empty; for pure-value, x's
+    polarity counts; for tractable, the compiled variables its propagation
+    read (see ``CompiledFormula.inconsistent``) and whether the formula is
+    satisfiable.  ``first`` scans in declaration order but skips the clean
+    variables: those a scan found nothing to justify on, whose inputs have
+    not changed since.  A change to any input of x makes it dirty again for
+    the fix and the removal scan.  The oracle reads the whole space, so
+    with it among the families no variable stays clean.
     """
 
     def __init__(
@@ -131,84 +162,218 @@ class _DetectorSet:
         families: tuple[str, ...],
         formula: BooleanFormula | None,
         covering: Covering,
+        space: SearchSpace,
     ):
         self.instance = instance
         self.families = families
-        self.covering = covering
-        self.effective = formula
-        self.tractable_class = self._classify(formula)
+        self.groups = (
+            local._tables(instance, covering, space).copy()
+            if "local" in families and covering.groups
+            else None
+        )
+        self._position = {v: p for p, v in enumerate(instance.variables)}
+        # 1 at a variable's declaration position while the fix, or the
+        # removal, scan has to ask about it.
+        self._fix_dirty = bytearray(b"\x01") * len(instance.variables)
+        self._removal_dirty = bytearray(self._fix_dirty)
+        self._stays_dirty = "oracle" in families
+        # Per compiled variable index, the positions of the variables whose
+        # tractable answers read it.
+        self._watchers: dict[int, list[int]] = {}
+        self._formula = formula
+        self._pinned: dict[str, bool] = {}
         self.compiled: boolean.CompiledFormula | None = None
-        self._pure = self._pure_values(formula)
+        self._polarity: dict[str, list[int]] | None = None
+        if formula is not None:
+            # Per clause: its literals' polarities by variable, whether it is
+            # live (not satisfied), and its literals not falsified, as
+            # [negative, positive] counts.
+            self._signs = [
+                {lit.variable: lit.positive for lit in c.literals} for c in formula.clauses
+            ]
+            self._live = [True] * len(self._signs)
+            self._live_count = len(self._signs)
+            self._left = [[c.negative_count, c.positive_count] for c in formula.clauses]
+            self._occurs: dict[str, list[int]] = {v: [] for v in formula.variables}
+            for k, signs in enumerate(self._signs):
+                for v in signs:
+                    self._occurs[v].append(k)
+            # Live clauses outside each of boolean.CLAUSAL_CLASSES.
+            self._outside = [0] * len(boolean.CLAUSAL_CLASSES)
+            for left in self._left:
+                self._count(left, 1)
+            if "pure-value" in families and formula.is_clausal:
+                self._polarity = {v: [0, 0] for v in formula.variables}
+                for signs in self._signs:
+                    for v, positive in signs.items():
+                        self._polarity[v][positive] += 1
+        self._pin(
+            {
+                v: boolean.name_bool(space.values(v)[0])
+                for v in instance.variables
+                if formula is not None and len(space.values(v)) == 1
+            }
+        )
 
-    def advance(self, space: SearchSpace) -> None:
-        """Instantiate the variables pinned since the last call.
+    def advance(self, space: SearchSpace, narrowed: Iterable[str]) -> None:
+        """Catch up with a space that narrows the variables ``narrowed``
+        since the last call and no others.
 
-        Spaces only shrink and instantiation commutes, so this equals
-        instantiating every pinned variable of the original formula; the
-        class is recomputed because pinning can make a formula tractable or
-        move it to another class.  Pinning never takes a formula out of a
-        class, so the compiled form stays in the class it was compiled in.
+        Spaces only shrink and instantiation commutes, so pinning one
+        variable at a time equals instantiating every pinned variable of the
+        original formula.  Pinning never takes a formula out of a class, so
+        the compiled form stays in the class it was compiled in.
         """
-        if self.effective is None:
+        pins = {}
+        for x in narrowed:
+            active = space.values(x)
+            self._touch(x)
+            if self.groups is not None:
+                some_empty = self.groups.some_empty
+                self.groups.narrow(x, active)
+                if self.groups.some_empty and not some_empty:
+                    self._touch_all()
+                for g in self.groups.holding.get(x, ()):
+                    for v in self.groups.tables[g].order:
+                        self._touch(v)
+            if self._formula is not None and len(active) == 1 and x not in self._pinned:
+                pins[x] = boolean.name_bool(active[0])
+        if pins:
+            self._pin(pins)
+
+    def _touch(self, v: str) -> None:
+        p = self._position[v]
+        self._fix_dirty[p] = self._removal_dirty[p] = 1
+
+    def _touch_all(self) -> None:
+        self._fix_dirty[:] = self._removal_dirty[:] = b"\x01" * len(self._fix_dirty)
+        self._watchers.clear()
+
+    def _count(self, left: list[int], delta: int) -> None:
+        outside = self._outside
+        for k, out in enumerate(boolean.outside_clausal(*left)):
+            if out:
+                outside[k] += delta
+
+    def _pin(self, pins: dict[str, bool]) -> None:
+        """Instantiate variables away, in order: a clause holding the
+        literal made true goes, one holding the other loses it."""
+        if self._formula is None:
+            self.tractable_class = None
             return
-        pinned = {
-            v: boolean.name_bool(space.values(v)[0])
-            for v in self.effective.variables
-            if len(space.values(v)) == 1
-        }
-        if pinned:
-            self.effective = boolean.assume(self.effective, pinned)
-            self.tractable_class = self._classify(self.effective)
-            self._pure = self._pure_values(self.effective)
-            if self.compiled is not None:
-                self.compiled = self.compiled.pinned(pinned)
+        for v, value in pins.items():
+            self._pinned[v] = value
+            for k in self._occurs[v]:
+                if not self._live[k]:
+                    continue
+                signs, left = self._signs[k], self._left[k]
+                self._count(left, -1)
+                if signs[v] == value:
+                    self._live[k] = False
+                    self._live_count -= 1
+                    if self._polarity is not None:
+                        for u, positive in signs.items():
+                            if u not in self._pinned:
+                                self._polarity[u][positive] -= 1
+                                self._touch(u)
+                else:
+                    left[signs[v]] -= 1
+                    self._count(left, 1)
+        compiled = self.compiled
+        if pins and compiled is not None:
+            changed = compiled.pin(pins)
+            if not compiled.satisfiable:
+                self._touch_all()
+            for i in changed:
+                for p in self._watchers.pop(i, ()):
+                    self._fix_dirty[p] = self._removal_dirty[p] = 1
+        self.tractable_class = self._classify()
         if (
             self.compiled is None
             and self.tractable_class is not None
             and "tractable" in self.families
         ):
-            self.compiled = boolean.compile_formula(self.effective, self.tractable_class)
+            cls = self.tractable_class
+            self.compiled = boolean.compile_formula(self.effective, cls).copy()
+            self._touch_all()
 
-    def _pure_values(self, formula: BooleanFormula | None) -> dict[str, bool | None]:
-        # The pure-value rule's answer for every free variable, read once
-        # per step instead of a scan of every clause per detector call.
-        if "pure-value" in self.families and formula is not None and formula.is_clausal:
-            return local.pure_values(formula)
-        return {}
+    def _classify(self) -> SchaeferClass | None:
+        # classify_schaefer's primary class, from the counts.
+        if self._formula.equations:
+            return None if self._live_count else SchaeferClass.AFFINE
+        for cls, outside in zip(boolean.CLAUSAL_CLASSES, self._outside):
+            if not outside:
+                return cls
+        return None
 
-    @staticmethod
-    def _classify(formula: BooleanFormula | None) -> SchaeferClass | None:
-        if formula is None:
+    @property
+    def effective(self) -> BooleanFormula | None:
+        """The formula with every pinned variable instantiated away."""
+        if self._formula is None or not self._pinned:
+            return self._formula
+        return boolean.assume(self._formula, self._pinned)
+
+    def _pure(self, x: str) -> bool | None:
+        # The pure-value rule on the effective formula.
+        if self._polarity is None:
             return None
-        primary = classify_schaefer(formula).primary
-        return None if primary is SchaeferClass.UNRESTRICTED else primary
+        return local.pure_value(*self._polarity[x])
+
+    def _inconsistent(self, x: str, value: bool) -> bool:
+        # The compiled form's answer; a false one watches the variables it
+        # read, which a later pin may change.
+        reads: set[int] = set()
+        if self.compiled.inconsistent(x, value, reads):
+            return True
+        p = self._position[x]
+        for i in reads:
+            self._watchers.setdefault(i, []).append(p)
+        return False
+
+    def first(self, space: SearchSpace, action: str):
+        """The first justified step of ``action`` ("fix" or "remove") in
+        scan order among the dirty variables, as (variable, value, *the
+        justification), or None.  Fixes skip the pinned variables.  A
+        variable scanned without one is left clean."""
+        fixing = action == "fix"
+        dirty = self._fix_dirty if fixing else self._removal_dirty
+        justify = self.justify_fix if fixing else self.justify_removal
+        variables = self.instance.variables
+        p = dirty.find(1)
+        while p >= 0:
+            x = variables[p]
+            active = space.values(x)
+            pinned = fixing and len(active) == 1
+            for a in () if pinned else active:
+                found = justify(space, x, a)
+                if found is not None:
+                    return (x, a, *found)
+            if pinned or not self._stays_dirty:
+                dirty[p] = 0
+            p = dirty.find(1, p + 1)
+        return None
 
     def justify_fix(self, space, x, a):
         for family in self.families:
             if family == "pure-value":
-                value = self._pure.get(x)
+                value = self._pure(x)
                 if value is not None and boolean.bool_name(value) == a:
                     return "pure-value", "opposite polarity never occurs"
             elif family == "local":
                 # A vacuous AND over zero subsets establishes nothing worth
                 # acting on; steps need evidence from at least one subset.
-                if not self.covering.groups:
+                if self.groups is None:
                     continue
-                if local.local_check(
-                    self.instance, space, self.covering, PropertyQuery.fixable(x, a)
-                ).established:
+                active = space.values(x)
+                if self.groups.established(PropertyQuery.fixable(x, a), active):
                     return "local-fixable", "established on every covering subset"
-                if local.local_check(
-                    self.instance, space, self.covering, PropertyQuery.implied(x, a)
-                ).established:
+                if self.groups.established(PropertyQuery.implied(x, a), active):
                     return "local-implied", "established on some covering subset"
             elif family == "tractable":
                 compiled = self.compiled
                 if compiled is not None and x in compiled:
-                    cls = self.tractable_class
-                    query = PropertyQuery.implied(x, a)
-                    if boolean.tract_check(self.effective, cls, query, compiled):
-                        return "tractable-implied", f"{cls.value} reduction"
+                    if self._inconsistent(x, not boolean.name_bool(a)):
+                        return "tractable-implied", f"{self.tractable_class.value} reduction"
             elif family == "oracle":
                 if oracle.check_fixable(self.instance, space, x, a):
                     return "oracle-fixable", "exhaustive check"
@@ -219,20 +384,16 @@ class _DetectorSet:
         active = space.values(x)
         for family in self.families:
             if family == "local":
-                if not self.covering.groups:
+                if self.groups is None:
                     continue
-                if local.local_check(
-                    self.instance, space, self.covering, PropertyQuery.inconsistent(x, a)
-                ).established:
+                established = self.groups.established
+                if established(PropertyQuery.inconsistent(x, a), active):
                     return "local-inconsistent", "established on some subset", None, True
                 if len(active) >= 2:
                     for b in active:
-                        if b != a and local.local_check(
-                            self.instance,
-                            space,
-                            self.covering,
-                            PropertyQuery.substitutable(x, a, b),
-                        ).established:
+                        if b != a and established(
+                            PropertyQuery.substitutable(x, a, b), active
+                        ):
                             return (
                                 "local-substitutable",
                                 "established on every covering subset",
@@ -242,12 +403,10 @@ class _DetectorSet:
             elif family == "tractable":
                 compiled = self.compiled
                 if compiled is not None and x in compiled:
-                    cls = self.tractable_class
-                    query = PropertyQuery.inconsistent(x, a)
-                    if boolean.tract_check(self.effective, cls, query, compiled):
+                    if self._inconsistent(x, boolean.name_bool(a)):
                         return (
                             "tractable-inconsistent",
-                            f"{cls.value} reduction",
+                            f"{self.tractable_class.value} reduction",
                             None,
                             True,
                         )
@@ -311,64 +470,35 @@ def simplify_fixpoint(
             raise ValueError("formula-backed simplification needs a boolean domain")
     families = _resolve_families(mode, detectors, formula)
     covering = default_covering(instance, group_size)
-    detector_set = _DetectorSet(instance, families, formula, covering)
+    detector_set = _DetectorSet(instance, families, formula, covering, space)
 
     steps: list[SimplificationStep] = []
     current = space
+    size = space.size()
     while True:
-        detector_set.advance(current)
-        applied = False
-        for x in instance.variables:
-            active = current.values(x)
-            if len(active) == 1:
-                continue
-            for a in active:
-                justification = detector_set.justify_fix(current, x, a)
-                if justification is None:
-                    continue
-                detector, _evidence = justification
-                before = current.size()
-                current = apply_fix(current, x, a)
-                steps.append(
-                    SimplificationStep(
-                        "fix", x, a, detector, None, before, current.size()
-                    )
+        fix = detector_set.first(current, "fix")
+        if fix is not None:
+            x, a, detector, _evidence = fix
+            action, witness, child = "fix", None, apply_fix(current, x, a)
+        else:
+            removal = detector_set.first(current, "remove")
+            if removal is None:
+                return SimplificationResult(
+                    current, tuple(steps), fixpoint=True, proved_unsatisfiable=False
                 )
-                applied = True
-                break
-            if applied:
-                break
-        if applied:
-            continue
-        for x in instance.variables:
-            for a in current.values(x):
-                found = detector_set.justify_removal(current, x, a)
-                if found is None:
-                    continue
-                detector, _evidence, witness, is_proof = found
-                if not is_proof and len(current.values(x)) < 2:
-                    continue
-                before = current.size()
-                try:
-                    current = apply_remove(current, x, a, proved_inconsistent=is_proof)
-                except ProvedUnsatisfiable:
-                    return SimplificationResult(
-                        current,
-                        tuple(steps),
-                        fixpoint=False,
-                        proved_unsatisfiable=True,
-                        conflict=(x, a, detector),
-                    )
-                steps.append(
-                    SimplificationStep(
-                        "remove", x, a, detector, witness, before, current.size()
-                    )
+            x, a, detector, _evidence, witness, is_proof = removal
+            try:
+                child = apply_remove(current, x, a, proved_inconsistent=is_proof)
+            except ProvedUnsatisfiable:
+                return SimplificationResult(
+                    current,
+                    tuple(steps),
+                    fixpoint=False,
+                    proved_unsatisfiable=True,
+                    conflict=(x, a, detector),
                 )
-                applied = True
-                break
-            if applied:
-                break
-        if not applied:
-            return SimplificationResult(
-                current, tuple(steps), fixpoint=True, proved_unsatisfiable=False
-            )
+            action = "remove"
+        after = size // len(current.values(x)) * len(child.values(x))
+        steps.append(SimplificationStep(action, x, a, detector, witness, size, after))
+        current, size = child, after
+        detector_set.advance(current, (x,))

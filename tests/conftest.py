@@ -5,9 +5,10 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from cspstruct import boolean_corpus, parse_csp, parse_dimacs, standard_corpus
+from cspstruct import boolean, boolean_corpus, local, oracle, parse_csp, parse_dimacs, standard_corpus
 from cspstruct.model import AssignmentTuple, Constraint, CspInstance, Relation, SearchSpace
-from cspstruct.oracle import solution_table
+from cspstruct.oracle import PropertyQuery, solution_table
+from cspstruct.simplify import SimplificationResult, SimplificationStep
 
 DATA = Path(__file__).parent / "data"
 
@@ -134,6 +135,28 @@ def instances_with_spaces(draw):
     return inst, SearchSpace.over(inst, active)
 
 
+@st.composite
+def wide_instances(draw):
+    """Up to seven variables, some of them in no constraint, over up to
+    three values, with up to four constraints of arity up to six, each
+    keeping a random part of its scope product; the full space."""
+    names = tuple(f"x{i}" for i in range(draw(st.integers(1, 7))))
+    domain = tuple(str(v) for v in range(draw(st.integers(1, 3))))
+    rng = draw(st.randoms(use_true_random=False))
+    density = draw(st.sampled_from([0.2, 0.5, 0.8, 1.0]))
+    constraints = []
+    for k in range(draw(st.integers(0, 4))):
+        scope = tuple(rng.sample(names, rng.randint(1, min(6, len(names)))))
+        rows = [
+            row
+            for row in itertools.product(domain, repeat=len(scope))
+            if rng.random() < density
+        ]
+        constraints.append(Constraint(f"c{k}", scope, Relation.of(len(scope), rows)))
+    inst = CspInstance(names, domain, tuple(constraints))
+    return inst, SearchSpace.full(inst)
+
+
 def subproblem(instance, indices):
     """The instance restricted to a constraint subset, every variable kept:
     the subproblem whose exact verdict a covering group must report."""
@@ -155,3 +178,116 @@ def forced_by_product(instance, space, group, y):
             return False
     return True
 
+
+
+def clear_caches():
+    """Empty every functools cache of the package's detectors."""
+    for module in (local, oracle, boolean):
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
+
+
+def reference_simplify(instance, space, families, formula=None, group_size=1):
+    """The simplifier by its definition, for comparison with
+    ``simplify_fixpoint``: every step scans from the first variable, asks
+    every family in order on cold caches, and takes the first justified
+    fix, else the first justified removal.  The effective formula is
+    ``assume`` of every pin."""
+    covering = local.default_covering(instance, group_size)
+    steps = []
+    size = space.size()
+    while True:
+        clear_caches()
+        effective = cls = None
+        pure = {}
+        if formula is not None:
+            pins = {
+                v: boolean.name_bool(space.values(v)[0])
+                for v in instance.variables
+                if len(space.values(v)) == 1
+            }
+            effective = boolean.assume(formula, pins)
+            cls = boolean.classify_schaefer(effective).primary
+            if "pure-value" in families and effective.is_clausal:
+                pure = local.pure_values(effective)
+
+        def locally(query):
+            return bool(covering.groups) and local.local_check(
+                instance, space, covering, query
+            ).established
+
+        def tractably(query):
+            return (
+                "tractable" in families
+                and cls is not None
+                and cls is not boolean.SchaeferClass.UNRESTRICTED
+                and query.variable in effective.variables
+                and boolean.tract_check(effective, cls, query)
+            )
+
+        def fix_detector(x, a):
+            for family in families:
+                if family == "pure-value" and x in pure and pure[x] is not None:
+                    if boolean.bool_name(pure[x]) == a:
+                        return "pure-value"
+                elif family == "local":
+                    if locally(PropertyQuery.fixable(x, a)):
+                        return "local-fixable"
+                    if locally(PropertyQuery.implied(x, a)):
+                        return "local-implied"
+                elif family == "tractable" and tractably(PropertyQuery.implied(x, a)):
+                    return "tractable-implied"
+                elif family == "oracle" and oracle.check_fixable(instance, space, x, a):
+                    return "oracle-fixable"
+            return None
+
+        def removal(x, a):
+            # (detector, witness, is_proof) or None.
+            active = space.values(x)
+            for family in families:
+                if family == "local":
+                    if locally(PropertyQuery.inconsistent(x, a)):
+                        return "local-inconsistent", None, True
+                    for b in active:
+                        if b != a and locally(PropertyQuery.substitutable(x, a, b)):
+                            return "local-substitutable", b, False
+                elif family == "tractable" and tractably(PropertyQuery.inconsistent(x, a)):
+                    return "tractable-inconsistent", None, True
+                elif family == "oracle":
+                    if oracle.check_inconsistent(instance, space, x, a):
+                        return "oracle-inconsistent", None, True
+                    if len(active) > 1 and oracle.check_removable(instance, space, x, a):
+                        return "oracle-removable", None, False
+            return None
+
+        step = None
+        for x, a in (
+            (x, a)
+            for x in instance.variables
+            if len(space.values(x)) > 1
+            for a in space.values(x)
+        ):
+            detector = fix_detector(x, a)
+            if detector is not None:
+                step = ("fix", x, a, detector, None, space.assign(x, a))
+                break
+        else:
+            for x, a in ((x, a) for x in instance.variables for a in space.values(x)):
+                found = removal(x, a)
+                if found is None:
+                    continue
+                detector, witness, _proof = found
+                if len(space.values(x)) == 1:
+                    return SimplificationResult(
+                        space, tuple(steps), False, True, (x, a, detector)
+                    )
+                step = ("remove", x, a, detector, witness, space.remove(x, a))
+                break
+        if step is None:
+            return SimplificationResult(space, tuple(steps), True, False)
+        action, x, a, detector, witness, space = step
+        steps.append(
+            SimplificationStep(action, x, a, detector, witness, size, space.size())
+        )
+        size = space.size()

@@ -50,6 +50,13 @@ def brute_force_models(formula):
     return models
 
 
+def pinned(compiled, pins):
+    """A copy of a compiled form with the pins applied."""
+    child = compiled.copy()
+    child.pin(pins)
+    return child
+
+
 class TestClassification:
     def test_horn(self):
         f = BooleanFormula(
@@ -128,8 +135,8 @@ class TestSatRestricted:
         assert brute_force_models(f) == [{"a": True, "b": True}]
         compiled = compile_formula(f, "2cnf")
         assert compiled.satisfiable
-        assert not compiled.pinned({"a": False}).satisfiable
-        assert compiled.pinned({"b": True}).satisfiable
+        assert not pinned(compiled, {"a": False}).satisfiable
+        assert pinned(compiled, {"b": True}).satisfiable
 
     def test_affine_contradiction(self):
         f = BooleanFormula(
@@ -336,8 +343,8 @@ def formulas_with_unit_pins(draw):
     """A formula of some class and consistent pins on up to four variables."""
     kind = draw(st.sampled_from(CLAUSAL_KINDS + ("affine",)))
     formula = draw(formulas(kind))
-    pinned = draw(st.lists(st.sampled_from(formula.variables), unique=True, max_size=4))
-    return kind, formula, {v: draw(st.booleans()) for v in pinned}
+    chosen = draw(st.lists(st.sampled_from(formula.variables), unique=True, max_size=4))
+    return kind, formula, {v: draw(st.booleans()) for v in chosen}
 
 
 class TestCompiledEngine:
@@ -348,7 +355,7 @@ class TestCompiledEngine:
         compiled = compile_formula(formula, kind)
         models = brute_force_models(formula)
         assert compiled.satisfiable == bool(models)
-        assert compiled.pinned(pins).satisfiable == any(
+        assert pinned(compiled, pins).satisfiable == any(
             all(model[v] == value for v, value in pins.items()) for model in models
         )
 
@@ -373,7 +380,7 @@ class TestCompiledEngine:
         )
         compiled = compile_formula(f, "2cnf")
         assert not compiled.satisfiable
-        assert not compiled.pinned({"a": True}).satisfiable
+        assert not pinned(compiled, {"a": True}).satisfiable
         for value in ("false", "true"):
             assert tract_check(f, "2cnf", Q.inconsistent("a", value))
             assert tract_check(f, "2cnf", Q.implied("b", value))
@@ -399,8 +406,8 @@ class TestCompiledEngine:
         f = BooleanFormula(("a", "b", "c"), (clause(("a", True)), clause(("b", False))))
         compiled = compile_formula(f, kind)
         assert compiled.satisfiable
-        assert compiled.pinned({"a": True, "c": False}).satisfiable
-        assert not compiled.pinned({"a": False}).satisfiable
+        assert pinned(compiled, {"a": True, "c": False}).satisfiable
+        assert not pinned(compiled, {"a": False}).satisfiable
         assert tract_check(f, kind, Q.implied("a", "true"))
         assert tract_check(f, kind, Q.implied("b", "false"))
         assert tract_check(f, kind, Q.irrelevant("c"))
@@ -554,22 +561,23 @@ class TestReadOffAnswers:
 def formulas_with_pins(draw):
     """A formula, and pins on some of its variables in two rounds."""
     kind, formula = draw(edge_formulas())
-    pinned = draw(st.lists(st.sampled_from(formula.variables), unique=True))
-    values = [draw(st.booleans()) for _ in pinned]
-    cut = draw(st.integers(0, len(pinned)))
-    rounds = dict(zip(pinned[:cut], values[:cut])), dict(zip(pinned[cut:], values[cut:]))
+    chosen = draw(st.lists(st.sampled_from(formula.variables), unique=True))
+    values = [draw(st.booleans()) for _ in chosen]
+    cut = draw(st.integers(0, len(chosen)))
+    rounds = dict(zip(chosen[:cut], values[:cut])), dict(zip(chosen[cut:], values[cut:]))
     return kind, formula, rounds
 
 
 class TestPinnedChild:
-    """``CompiledFormula.pinned`` answers as compiling the assumed formula."""
+    """``CompiledFormula.pin`` on a copy answers as compiling the assumed
+    formula."""
 
     @staticmethod
     def assert_child_matches(kind, formula, rounds):
         child = CompiledFormula(formula, kind)
         pins = {}
         for round_pins in rounds:
-            child = child.pinned(round_pins)
+            child = pinned(child, round_pins)
             pins.update(round_pins)
         assumed = assume(formula, pins)
         direct = CompiledFormula(assumed, kind)
@@ -588,6 +596,47 @@ class TestPinnedChild:
     def test_random_pins(self, case):
         self.assert_child_matches(*case)
 
+    @settings(max_examples=200, deadline=None)
+    @given(formulas("affine"), st.randoms(use_true_random=False))
+    def test_affine_pins_one_at_a_time(self, formula, rng):
+        # Each pin folds a row into the reduced basis in place; the rows
+        # holding its lead must be found, rows added by earlier pins too.
+        pins = rng.sample(formula.variables, rng.randint(0, len(formula.variables)))
+        rounds = [{v: rng.random() < 0.5} for v in pins]
+        self.assert_child_matches("affine", formula, rounds)
+
+    def test_affine_pin_reduces_a_row_an_earlier_pin_added(self):
+        # Pinning v0 turns v0^v1^v2=0 into the row v1^v2=0 led by v1;
+        # pinning v2 then has to reduce that row, which fixes v1.
+        formula = BooleanFormula(
+            ("v0", "v1", "v2"), (), (AffineEquation(frozenset({"v0", "v1", "v2"}), False),)
+        )
+        self.assert_child_matches("affine", formula, [{"v0": False, "v2": True}])
+        child = pinned(CompiledFormula(formula, "affine"), {"v0": False, "v2": True})
+        assert child.inconsistent("v1", False) and not child.inconsistent("v1", True)
+
+    @settings(max_examples=100, deadline=None)
+    @given(formulas_with_pins())
+    def test_pinning_leaves_the_parent_as_it_was(self, case):
+        # Children are pinned in place on copies, and queries propagate in
+        # place and undo: neither may show in the parent's answers.
+        kind, formula, rounds = case
+
+        def answers(compiled):
+            return [
+                (compiled.determined(x), compiled.inconsistent(x, a),
+                 [compiled.substitutable(x, a, b) for b in BOOLS])
+                for x in formula.variables
+                for a in BOOLS
+            ]
+
+        parent = CompiledFormula(formula, kind)
+        before = answers(parent)
+        child = parent
+        for round_pins in rounds:
+            child = pinned(child, round_pins)
+        assert answers(parent) == before
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_conflicting_pins(self, kind):
         # a forces b; pinning them apart leaves no model.
@@ -595,7 +644,7 @@ class TestPinnedChild:
             formula = BooleanFormula(("a", "b", "c"), (), (AffineEquation({"a", "b"}, False),))
         else:
             formula = BooleanFormula(("a", "b", "c"), (clause(_na, _b),))
-        child = CompiledFormula(formula, kind).pinned({"a": True}).pinned({"b": False})
+        child = pinned(pinned(CompiledFormula(formula, kind), {"a": True}), {"b": False})
         assert not child.satisfiable
         assert child.inconsistent("c", True) and child.inconsistent("c", False)
         assert child.determined("c")
@@ -603,13 +652,61 @@ class TestPinnedChild:
 
     def test_unknown_or_pinned_variable_rejected(self):
         compiled = CompiledFormula(BooleanFormula(("a", "b")), "horn")
-        child = compiled.pinned({"a": True})
+        child = pinned(compiled, {"a": True})
         for bad in ("nope", "a"):
             with pytest.raises(ValueError, match="unknown or pinned variable"):
-                child.pinned({bad: True})
-        with pytest.raises(ValueError, match="unknown variable"):
-            tract_check(None, "horn", Q.implied("a", "true"), child)
-        assert tract_check(None, "horn", Q.irrelevant("b"), child)
+                pinned(child, {bad: True})
+        assert "a" not in child and "b" in child
+        assert child.substitutable("b", False, True) and child.substitutable("b", True, False)
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_pin_returns_the_variables_it_changed(self, kind):
+        # a forces b; c stays open.
+        if kind == "affine":
+            formula = BooleanFormula(("a", "b", "c"), (), (AffineEquation({"a", "b"}, False),))
+        else:
+            formula = BooleanFormula(("a", "b", "c"), (clause(_na, _b),))
+        compiled = CompiledFormula(formula, kind)
+        assert sorted(compiled.copy().pin({"a": True})) == [0, 1]
+        assert compiled.copy().pin({"c": True}) == [2]
+
+
+class TestAssume:
+    """``assume`` in one pass equals ``instantiate_project`` applied for
+    each assignment in turn."""
+
+    @staticmethod
+    def folded(formula, pins):
+        constraints = list(formula.constraints)
+        for v, value in pins.items():
+            constraints = [p for c in constraints for p in instantiate_project(c, v, value)]
+        return BooleanFormula(
+            tuple(v for v in formula.variables if v not in pins),
+            tuple(c for c in constraints if isinstance(c, Clause)),
+            tuple(c for c in constraints if isinstance(c, AffineEquation)),
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(formulas_with_pins())
+    def test_equals_instantiate_project_in_turn(self, case):
+        _kind, formula, rounds = case
+        pins = {**rounds[0], **rounds[1]}
+        assert assume(formula, pins) == self.folded(formula, pins)
+
+    def test_false_marker_and_parity(self):
+        formula = BooleanFormula(
+            ("a", "b", "c"),
+            (clause(("a", True)), clause(("a", False), ("b", True))),
+            (AffineEquation({"a", "b", "c"}, False),),
+        )
+        pins = {"a": False, "b": True}
+        assert assume(formula, pins) == self.folded(formula, pins) == BooleanFormula(
+            ("c",), (Clause(frozenset()),), (AffineEquation({"c"}, True),)
+        )
+
+    def test_unknown_variable(self):
+        with pytest.raises(ValueError, match="unknown variable 'z'"):
+            assume(BooleanFormula(("a",)), {"a": True, "z": False})
 
 
 class TestTractCheckErrorOrder:

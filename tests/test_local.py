@@ -19,6 +19,7 @@ from cspstruct.local import (
 )
 from cspstruct.model import Constraint, CspInstance, Relation, SearchSpace
 from cspstruct.oracle import PropertyQuery as Q
+from cspstruct.simplify import simplify_fixpoint
 
 from conftest import (
     data_path,
@@ -26,6 +27,7 @@ from conftest import (
     reference_solutions,
     reference_verdict,
     subproblem,
+    wide_instances,
 )
 
 
@@ -343,7 +345,7 @@ def _assert_group_answers_match_references(inst, space, rng):
         solutions = [reference_solutions(sub, space) for sub in subs]
         order = rng.sample(queries, len(queries))
         _clear_local_caches()
-        tables = local._tables(inst, covering, space)[0]
+        tables = local._tables(inst, covering, space).tables
         singles = []
         for query in order + order[: len(order) // 2]:
             verdict = local_check(inst, space, covering, query)
@@ -365,7 +367,7 @@ def _assert_group_answers_match_references(inst, space, rng):
                 assert (x in tbl.answers) is signed, (covering, x)
         _clear_local_caches()
         assert local.local_checks(inst, space, covering, order) == singles[: len(order)]
-        for tbl in local._tables(inst, covering, space)[0]:
+        for tbl in local._tables(inst, covering, space).tables:
             # Read off signatures built before the first query: no scans.
             assert set(tbl.answers) == set(tbl.order) and not tbl.scanned, covering
 
@@ -407,7 +409,7 @@ class TestGroupAnswers:
         for queries, signed in ((once, False), (once + once[:1], True)):
             _clear_local_caches()
             local.local_checks(inst, space, covering, queries)
-            for tbl in local._tables(inst, covering, space)[0]:
+            for tbl in local._tables(inst, covering, space).tables:
                 x = inst.variables[0]
                 if x in tbl.index:
                     assert (x in tbl.answers) is signed
@@ -522,3 +524,60 @@ class TestPureValue:
 
 def _pure_both_ways(formula, x):
     return all(x not in c.variables for c in formula.clauses)
+
+
+class TestDerivedTables:
+    """``GroupTables.narrow`` gives what a cold build of the narrowed space
+    gives."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        wide_instances(),
+        st.integers(1, 3),
+        st.lists(
+            st.tuples(st.integers(0, 50), st.integers(0, 2), st.booleans()), max_size=8
+        ),
+    )
+    def test_narrowed_tables_equal_cold_builds(self, case, group_size, moves):
+        inst, space = case
+        covering = default_covering(inst, group_size)
+        projected, _ = local._groups(inst, covering)
+        _clear_local_caches()
+        tables = local._tables(inst, covering, space).copy()
+        for pick, value, fix in moves:
+            candidates = [v for v in inst.variables if len(space.values(v)) > 1]
+            if not candidates:
+                break
+            x = candidates[pick % len(candidates)]
+            a = space.values(x)[value % len(space.values(x))]
+            space = space.assign(x, a) if fix else space.remove(x, a)
+            tables.narrow(x, space.values(x))
+            _clear_local_caches()
+            cold = local._tables(inst, covering, space)
+            for tbl, cold_tbl, group in zip(tables.tables, cold.tables, projected):
+                actives = tuple(map(space.values, group.variables))
+                enumerated = oracle._solution_rows(group, SearchSpace(tuple(zip(group.variables, actives))))
+                assert set(tbl.rows) == set(cold_tbl.rows) == set(enumerated)
+                assert len(tbl.rows) == len(cold_tbl.rows)
+                assert tbl.actives == cold_tbl.actives == actives
+            assert tables.empty == cold.empty
+            assert tables.some_empty == cold.some_empty == any(cold.empty)
+            for query in _group_queries(inst, space):
+                expected = local_check(inst, space, covering, query)
+                assert local._combine(inst, space, tables, query) == expected
+                active = space.values(query.variable)
+                assert tables.established(query, active) == expected.established
+
+    def test_one_wide_constraint_is_not_enumerated(self, monkeypatch):
+        # Three rows, against 3^17 in the scope product.  Value 2 occurs in
+        # no row, so the simplifier removes it from every variable and stops.
+        inst, space = parse_csp(data_path("wide17.csp").read_text())
+        monkeypatch.setattr(oracle, "_solution_rows", None)
+        covering = default_covering(inst)
+        assert local_check(inst, space, covering, Q.inconsistent("x1", "2")).established
+        assert not local_check(inst, space, covering, Q.fixable("x1", "0")).established
+        result = simplify_fixpoint(inst, space)
+        assert result.log().splitlines() == [
+            f"REMOVE {x}!=2 BY local-inconsistent" for x in inst.variables
+        ]
+        assert result.fixpoint and result.final_space.size() == 2**17

@@ -1,8 +1,11 @@
 import hashlib
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cspstruct import oracle
+from cspstruct import local, oracle
 from cspstruct.boolean import (
     BooleanFormula,
     Clause,
@@ -14,9 +17,11 @@ from cspstruct.boolean import (
     name_bool,
     to_extensional,
 )
+from cspstruct.instances import gen_random_boolean
 from cspstruct.local import default_covering
 from cspstruct.model import Constraint, CspInstance, Relation, SearchSpace
 from cspstruct.simplify import (
+    DETECTOR_FAMILIES,
     ProvedUnsatisfiable,
     _DetectorSet,
     _resolve_families,
@@ -25,6 +30,8 @@ from cspstruct.simplify import (
     replay,
     simplify_fixpoint,
 )
+
+from conftest import clear_caches, instances_with_spaces, reference_simplify, wide_instances
 
 
 def clause(*lits):
@@ -210,22 +217,37 @@ def corpus_slices(boolean_corpora):
 class TestIncrementalEffectiveFormula:
     @staticmethod
     def trajectory(formula):
-        """Detector set, instance and the spaces a formula-backed run sees."""
+        """Instance and the spaces a formula-backed run sees."""
         inst = to_extensional(formula)
         space = SearchSpace.full(inst)
         result = simplify_fixpoint(inst, space, formula=formula)
+        spaces = [replay(space, result.steps[:n]) for n in range(len(result.steps) + 1)]
+        return inst, spaces
+
+    @classmethod
+    def assert_follows(cls, inst, formula, spaces):
+        """A detector set built on the first space and advanced through the
+        others, each narrowing one variable or several, matches the full
+        instantiation of every pin at every space."""
         detectors = _DetectorSet(
             inst,
             _resolve_families("production", None, formula),
             formula,
             default_covering(inst),
+            spaces[0],
         )
-        spaces = [replay(space, result.steps[:n]) for n in range(len(result.steps) + 1)]
-        return detectors, inst, spaces
+        classes = []
+        previous = spaces[0]
+        for space in spaces:
+            narrowed = [v for v in inst.variables if space.values(v) != previous.values(v)]
+            detectors.advance(space, narrowed)
+            cls.assert_matches_full_assume(detectors, inst, formula, space)
+            classes.append(detectors.tractable_class)
+            previous = space
+        return classes
 
     @staticmethod
     def assert_matches_full_assume(detectors, inst, formula, space):
-        detectors.advance(space)
         pinned = {
             v: name_bool(space.values(v)[0])
             for v in inst.variables
@@ -233,21 +255,25 @@ class TestIncrementalEffectiveFormula:
         }
         expected = assume(formula, pinned)
         assert detectors.effective == expected
+        # The live clauses' counts, which decide the class, are those of
+        # the instantiated clauses.
+        live = [left for left, alive in zip(detectors._left, detectors._live) if alive]
+        assert live == [[c.negative_count, c.positive_count] for c in expected.clauses]
         primary = classify_schaefer(expected).primary
         expected_class = None if primary is SchaeferClass.UNRESTRICTED else primary
         assert detectors.tractable_class is expected_class
+        if expected.is_clausal:
+            pure = {v: detectors._pure(v) for v in expected.variables}
+            assert pure == local.pure_values(expected)
 
     def test_equals_assume_of_every_pin_at_every_step(self, boolean_corpora):
         steps = 0
         for formula in corpus_slices(boolean_corpora):
-            detectors, inst, spaces = self.trajectory(formula)
-            for space in spaces:
-                self.assert_matches_full_assume(detectors, inst, formula, space)
+            inst, spaces = self.trajectory(formula)
+            self.assert_follows(inst, formula, spaces)
             steps += len(spaces) - 1
             # Several variables pinned since the last call.
-            jumper, _, _ = self.trajectory(formula)
-            for space in spaces[::3] + spaces[-1:]:
-                self.assert_matches_full_assume(jumper, inst, formula, space)
+            self.assert_follows(inst, formula, spaces[::3] + spaces[-1:])
         assert steps > 100
 
     def test_class_follows_the_pins(self):
@@ -261,11 +287,8 @@ class TestIncrementalEffectiveFormula:
                 clause(("a", False), ("b", False), ("c", False)),
             ),
         )
-        detectors, inst, spaces = self.trajectory(f)
-        classes = []
-        for space in spaces:
-            self.assert_matches_full_assume(detectors, inst, f, space)
-            classes.append(detectors.tractable_class)
+        inst, spaces = self.trajectory(f)
+        classes = self.assert_follows(inst, f, spaces)
         assert classes[0] is None and classes[-1] is SchaeferClass.HORN
 
     def test_step_logs_are_pinned(self, boolean_corpora):
@@ -307,3 +330,147 @@ class TestIncrementalEffectiveFormula:
         result = simplify_fixpoint(inst, SearchSpace.full(inst), formula=f)
         assert compile_formula.cache_info().misses == 1
         assert result.fixpoint and result.steps
+
+
+class TestReferenceLoop:
+    """The production loop, with its derived tables, incremental formula
+    state and skipped clean variables, takes the steps of the plain loop in
+    conftest that asks every family afresh at every step."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(instances_with_spaces(), st.sampled_from(["production", "test"]), st.integers(1, 3))
+    def test_random_instances(self, case, mode, group_size):
+        inst, space = case
+        expected = reference_simplify(
+            inst, space, _resolve_families(mode, None, None), group_size=group_size
+        )
+        clear_caches()
+        assert simplify_fixpoint(inst, space, mode=mode, group_size=group_size) == expected
+
+    def test_boolean_corpora(self, boolean_corpora):
+        for formula in corpus_slices(boolean_corpora):
+            inst = to_extensional(formula)
+            space = SearchSpace.full(inst)
+            families = _resolve_families("production", None, formula)
+            expected = reference_simplify(inst, space, families, formula)
+            clear_caches()
+            assert simplify_fixpoint(inst, space, formula=formula) == expected
+
+    def test_pinned_starts_and_family_orders(self, boolean_corpora):
+        rng = random.Random(12)
+        formula_families = [f for f in DETECTOR_FAMILIES if f != "oracle"]
+        for kind in ("horn", "dual-horn", "2cnf", "affine"):
+            for formula in boolean_corpora[kind][:12]:
+                inst = to_extensional(formula)
+                pins = rng.sample(inst.variables, min(2, len(inst.variables)))
+                space = SearchSpace.over(inst, {v: [rng.choice(inst.domain)] for v in pins})
+                families = tuple(rng.sample(formula_families, rng.randint(1, 3)))
+                mode = rng.choice(["production", "test"])
+                if mode == "test":
+                    families += ("oracle",)
+                expected = reference_simplify(inst, space, families, formula)
+                clear_caches()
+                result = simplify_fixpoint(
+                    inst, space, mode=mode, formula=formula, detectors=families
+                )
+                assert result == expected, (kind, families)
+
+
+def _narrowings(space, moves):
+    """The spaces a list of (variable pick, value pick, fix?) moves leads
+    through, each narrowing one variable with two or more active values."""
+    names = space.variables
+    for pick, value, fix in moves:
+        candidates = [v for v in names if len(space.values(v)) > 1]
+        if not candidates:
+            return
+        x = candidates[pick % len(candidates)]
+        active = space.values(x)
+        a = active[value % len(active)]
+        space = space.assign(x, a) if fix else space.remove(x, a)
+        yield x, space
+
+
+_MOVES = st.lists(
+    st.tuples(st.integers(0, 50), st.integers(0, 2), st.booleans()), min_size=1, max_size=6
+)
+
+
+class TestCleanVariables:
+    """A detector set advanced through arbitrary narrowings, which skips the
+    variables it left clean, finds the first justified fix and removal a
+    fresh one built on the same space finds."""
+
+    @staticmethod
+    def assert_advanced_equals_fresh(inst, space, families, formula, group_size, moves):
+        covering = default_covering(inst, group_size)
+        detectors = _DetectorSet(inst, families, formula, covering, space)
+        for x, narrowed in [(None, space), *_narrowings(space, moves)]:
+            if x is not None:
+                detectors.advance(narrowed, (x,))
+            fresh = _DetectorSet(inst, families, formula, covering, narrowed)
+            assert detectors.first(narrowed, "fix") == fresh.first(narrowed, "fix")
+            assert detectors.first(narrowed, "remove") == fresh.first(narrowed, "remove")
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from(["horn", "dual-horn", "2cnf", "affine"]),
+        st.integers(0, 10**6),
+        st.sampled_from(
+            [("pure-value", "tractable", "local"), ("tractable",), ("local", "tractable"),
+             ("pure-value",), ("tractable", "pure-value")]
+        ),
+        st.integers(1, 3),
+        _MOVES,
+    )
+    def test_formulas(self, kind, seed, families, group_size, moves):
+        rng = random.Random(seed)
+        formula = gen_random_boolean(kind, rng.randint(3, 12), rng.randint(2, 16), seed)
+        if not formula.is_clausal:
+            families = tuple(f for f in families if f != "pure-value") or ("tractable",)
+        inst = to_extensional(formula)
+        self.assert_advanced_equals_fresh(
+            inst, SearchSpace.full(inst), families, formula, group_size, moves
+        )
+
+    def test_a_clause_the_propagation_only_lowered(self):
+        # y=true propagates v, then -w, and leaves (-y|-z|-t|w) with two
+        # open literals.  Pinning z, then t, makes y=true a conflict, though
+        # neither pin assigns a variable that y's propagation assigned.
+        f = BooleanFormula(
+            ("y", "z", "t", "w", "v"),
+            (
+                clause(("y", False), ("z", False), ("t", False), ("w", True)),
+                clause(("w", False), ("v", False)),
+                clause(("y", False), ("v", True)),
+            ),
+        )
+        inst = to_extensional(f)
+        space = SearchSpace.full(inst)
+        moves = [(1, 1, True), (1, 1, True)]  # z=true, then t=true
+        self.assert_advanced_equals_fresh(inst, space, ("tractable",), f, 1, moves)
+        detectors = _DetectorSet(inst, ("tractable",), f, default_covering(inst), space)
+        assert detectors.first(space, "fix") is None
+        for x, narrowed in _narrowings(space, moves):
+            detectors.advance(narrowed, (x,))
+            found = detectors.first(narrowed, "fix")
+        assert found[:3] == ("y", "false", "tractable-implied")
+
+    def test_a_group_turning_empty(self):
+        # a and d are scanned clean; removing 1 from b empties b's group,
+        # which makes every OR kind hold on a, outside that group.
+        same = Constraint("same", ("a", "d"), Relation.of(2, [("0", "0"), ("1", "1")]))
+        one = Constraint("one", ("b",), Relation.of(1, [("1",)]))
+        inst = CspInstance(("a", "d", "b"), ("0", "1"), (same, one))
+        space = SearchSpace.full(inst)
+        self.assert_advanced_equals_fresh(inst, space, ("local",), None, 1, [(2, 1, False)])
+        fresh = _DetectorSet(
+            inst, ("local",), None, default_covering(inst), space.remove("b", "1")
+        )
+        assert fresh.first(space.remove("b", "1"), "fix")[:3] == ("a", "0", "local-implied")
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(instances_with_spaces(), wide_instances()), st.integers(1, 3), _MOVES)
+    def test_instances(self, case, group_size, moves):
+        inst, space = case
+        self.assert_advanced_equals_fresh(inst, space, ("local",), None, group_size, moves)
