@@ -26,9 +26,9 @@ unsatisfiable; under affine, with a != b, it is inconsistency at a unless no
 equation mentions x.  determined(x) is F AND the remainders of x's clauses
 (each clause minus x's literal) being unsatisfiable; under affine it is
 some equation mentioning x.  fixable, removable, interchangeable and irrelevant
-are built from substitutable, memoised per (x, a, b).  ``pin`` turns a
-``copy`` of F's compiled form into that of F with some variables pinned,
-from F's own state.
+are built from substitutable, memoised per (x, a, b).  ``pin`` turns F's
+compiled form, in place, into that of F with some variables pinned, from
+F's own state; a form ``compile_formula`` shares is never pinned.
 """
 
 from __future__ import annotations
@@ -281,14 +281,6 @@ def _assign(value: list[bool | None], lit: int, queue: list[int]) -> bool:
     return current == (not lit & 1)
 
 
-def _shallow_copy(obj):
-    # copy.copy goes through the pickle protocol, which costs more than the
-    # rest of a simplifier step's derivation on small formulas.
-    child = object.__new__(type(obj))
-    child.__dict__.update(obj.__dict__)
-    return child
-
-
 class _UnitPropagation:
     """Clauses over integer literals (2*i for variable i, 2*i+1 for its
     negation) with occurrence lists, propagated from their unit clauses.
@@ -374,12 +366,6 @@ class _UnitPropagation:
                         return False
                     changed = True
         return True
-
-    def copy(self) -> "_UnitPropagation":
-        """A copy of the state to pin on; the clause lists are shared."""
-        child = _shallow_copy(self)
-        child.value, child.left = list(self.value), list(self.left)
-        return child
 
     def pin(self, literals: Iterable[int]) -> list[int]:
         """Propagate this state further under the literals, in place, and
@@ -627,10 +613,9 @@ class CompiledFormula:
     propagates on and undoes what it propagated; a variable the units fix
     needs no propagation at all.  Affine keeps the reduced GF(2) basis, the variables it fixes and
     the mask of the variables the equations mention, and answers every
-    query by a lookup in them.  ``pin`` derives, in place on a ``copy``,
-    the compiled form of the formula with some variables pinned from this
-    state, so a caller that pins variables one step at a time compiles
-    once and copies once.
+    query by a lookup in them.  ``pin`` derives, in place, the compiled
+    form of the formula with some variables pinned from this state, so a
+    caller that pins variables one step at a time compiles once.
 
     Propagation is exact once the formula is satisfiable.  When it meets no
     conflict, each clause it leaves unsatisfied has two or more open
@@ -645,7 +630,7 @@ class CompiledFormula:
         _require_member(formula, cls)
         self.cls = cls
         self._index = {v: i for i, v in enumerate(formula.variables)}
-        self._free = frozenset(self._index)  # the variables not pinned
+        self._free = set(self._index)  # the variables not pinned
         self._substitutable: dict[tuple[str, bool, bool], bool] = {}
         if cls is SchaeferClass.AFFINE:
             self._basis = _affine_basis(formula.equations, self._index)
@@ -743,19 +728,8 @@ class CompiledFormula:
                     extra.append(rest)
         return not units.consistent_with(assumed, extra)
 
-    def copy(self) -> "CompiledFormula":
-        """A copy to ``pin``; pinning it leaves this form as it is."""
-        child = _shallow_copy(self)
-        child._free = set(self._free)
-        if self.cls is not SchaeferClass.AFFINE:
-            child._units = self._units.copy()
-        elif self.satisfiable:
-            child._basis, child._fixed = dict(self._basis), dict(self._fixed)
-            child._holders = {bit: set(leads) for bit, leads in self._holders.items()}
-        return child
-
     def pin(self, assignments: Mapping[str, bool]) -> list[int]:
-        """Make this form, a ``copy``, the compiled form of
+        """Make this form, in place, the compiled form of
         ``assume(formula, assignments)`` in the same class: the clausal
         classes propagate the pins on from the propagated units, affine
         folds each pin into the reduced basis.  Pinning keeps a formula in

@@ -107,9 +107,9 @@ def _guard_groups(
     instance: CspInstance, space: SearchSpace, group_size: int, cap: int
 ) -> None:
     # A covering group enumerates only the active values on its own scope.
-    for group in local.default_covering(instance, group_size).groups:
-        scope = {v for i in group for v in instance.constraints[i].scope}
-        size = math.prod(len(space.values(v)) for v in scope)
+    groups, _ = local._groups(instance, local.default_covering(instance, group_size))
+    for group in groups:
+        size = math.prod(len(space.values(v)) for v in group.variables)
         if size > cap:
             raise _UsageError(
                 f"a covering group spans {size} tuples on its scope, above the cap "

@@ -9,24 +9,24 @@ anything else stays *unknown* — local reasoning never refutes.
 
 Every group, one constraint or many, is decided the same way: on the
 group's solutions over the union of its scopes.  A one-constraint group's
-first table is its relation's rows with every value active, moved into
+table is its relation's rows with every value active, moved into
 declaration order, so no group at group size 1 enumerates its scope
-product; a larger group's first table comes from the oracle's
-backtracking enumerator.  ``GroupTables.narrow`` turns a copy of the
-tables of a space into those of a space that narrows one variable: only
-the groups that hold the variable change, each keeping the rows of its
-table that take an active value there, in order.  A group verdict needs no
-witness, so it is read off the queried variable's mask signature on the
-group's table once there is one (see ``oracle._scan``), and is a scan by
-the oracle's own falsifier before that; dependence keeps the oracle's pair
-scan.  A variable outside that union is free in the group's subproblem, so
-a query on it follows from its active values alone, and only the groups
-that hold the queried variable are decided.  A group's solutions, and the
-verdicts decided on them, are kept per group and per active sets on its
-scope, so a narrowed space rebuilds and re-decides only the groups whose
-variables it touched.  ``local_checks`` decides a list of queries on one
-covering with one table lookup, and builds the signature of each variable
-it asks about more than once before it asks.
+product; a larger group's table comes from the oracle's backtracking
+enumerator.  ``_tables`` keeps the tables of the last few spaces, the
+module's one cache: every query on one space shares them.  The simplifier
+builds tables of its own and ``GroupTables.narrow`` turns them into those
+of a space that narrows one variable: only the groups that hold the
+variable change, each keeping the rows of its table that take an active
+value there, in order.  A group verdict needs no witness, so it is read
+off the queried variable's mask signature on the group's table once there
+is one (see ``oracle._scan``), and is a scan by the oracle's own falsifier
+before that; dependence keeps the oracle's pair scan.  Verdicts are kept
+on the table they were decided on.  A variable outside that union is free
+in the group's subproblem, so a query on it follows from its active values
+alone, and only the groups that hold the queried variable are decided.
+``local_checks`` decides a list of queries on one covering with one table
+lookup, and builds the signature of each variable it asks about more than
+once before it asks.
 
 Removability is the one value property this approach cannot support:
 per-constraint removability does not imply global removability, and acting
@@ -37,7 +37,7 @@ are therefore rejected outright.
 from __future__ import annotations
 
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import compress
@@ -100,15 +100,13 @@ def default_covering(instance: CspInstance, group_size: int = 1) -> Covering:
     return Covering(groups)
 
 
-@lru_cache(maxsize=8)
 def _groups(
     instance: CspInstance, covering: Covering
 ) -> tuple[tuple[CspInstance, ...], dict[str, tuple[int, ...]]]:
     """Per covering group, the subproblem projected onto the union of its
     scopes (variables in declaration order), and per variable the indices
     of the groups whose scope holds it.  Raises unless the groups index and
-    cover every constraint; only a passing covering is cached, so a bad one
-    raises every time."""
+    cover every constraint."""
     count = len(instance.constraints)
     seen: set[int] = set()
     for group in covering.groups:
@@ -134,22 +132,19 @@ class GroupTables:
     """A covering's group tables for one space: per group, its solutions on
     its own scope and whether there are none; per variable, the groups that
     hold it; and whether any group has no solutions.  ``_tables`` shares
-    one, with the tables in a tuple; ``copy`` gives one to ``narrow``."""
+    one between the queries on a space, and nothing narrows that one."""
 
     __slots__ = ("tables", "empty", "holding", "some_empty")
 
     def __init__(
         self,
-        tables: Sequence[oracle.SolutionTable],
+        tables: list[oracle.SolutionTable],
         holding: dict[str, tuple[int, ...]],
     ):
         self.tables = tables
         self.empty = [not tbl.rows for tbl in tables]
         self.holding = holding
         self.some_empty = any(self.empty)
-
-    def copy(self) -> "GroupTables":
-        return GroupTables(list(self.tables), self.holding)
 
     def narrow(self, x: str, active: tuple[str, ...]) -> None:
         """Become the tables of the space that narrows x to ``active`` and
@@ -181,33 +176,31 @@ class GroupTables:
         return free or self.some_empty or any(held)
 
 
+def _build_tables(
+    instance: CspInstance, covering: Covering, space: SearchSpace
+) -> GroupTables:
+    """The covering's group tables for the space, built afresh."""
+    groups, holding = _groups(instance, covering)
+    oracle._require_cover(instance, space)
+    return GroupTables([_group_table(group, space) for group in groups], holding)
+
+
 @lru_cache(maxsize=4)
 def _tables(
     instance: CspInstance, covering: Covering, space: SearchSpace
 ) -> GroupTables:
-    """The covering's group tables for the space.  Every query on one space
-    shares them, so only a few spaces are kept."""
-    groups, holding = _groups(instance, covering)
-    oracle._require_cover(instance, space)
-    tables = tuple(
-        _group_table(group, tuple(map(space.values, group.variables)))
-        for group in groups
-    )
-    return GroupTables(tables, holding)
+    """``_build_tables``, kept for the last few spaces: every query on one
+    space shares them."""
+    return _build_tables(instance, covering, space)
 
 
-@lru_cache(maxsize=1024)
-def _group_table(
-    group: CspInstance, actives: tuple[tuple[str, ...], ...]
-) -> oracle.SolutionTable:
-    # Keyed by the group's own active sets: a step that narrows a variable
-    # outside the group's scope rebuilds nothing here, and keeps the
-    # verdicts decided on the table.
+def _group_table(group: CspInstance, space: SearchSpace) -> oracle.SolutionTable:
+    actives = tuple(map(space.values, group.variables))
     if len(group.constraints) == 1:
         rows = _relation_rows(group, actives)
     else:
-        space = SearchSpace(tuple(zip(group.variables, actives)))
-        rows = tuple(oracle._solution_rows(group, space))
+        own = SearchSpace(tuple(zip(group.variables, actives)))
+        rows = tuple(oracle._solution_rows(group, own))
     return oracle.SolutionTable(group.variables, actives, rows)
 
 
@@ -288,13 +281,10 @@ def _combine(
     tables, empty, holding = groups.tables, groups.empty, groups.holding
     kind = query.kind
     x = query.variable
-    # The space covers the instance, so it knows exactly its variables.
+    # The space covers the instance, so it knows exactly its variables: an
+    # unknown one raises here, before the ``over`` variables and the values.
     active = space.values(x)
-    for v in query.over:
-        instance.var_index(v)
-    for value in query.values:
-        if value not in active:
-            raise ValueError(f"value {value!r} is not active for {x!r}")
+    oracle._validate(instance, space, query)
     results = [True] * len(tables) if _free(kind, active, query.values) else list(empty)
     for g in holding.get(x, ()):
         results[g] = _holds(tables[g], query)

@@ -126,12 +126,13 @@ class _DetectorSet:
     """The sound detector families, each answering: does anything justify
     fixing (x, a) or removing (x, a) in the current space?
 
-    ``advance`` brings the state below up to date with each new space, from
-    the variables it narrows alone:
+    The set owns its state: it builds it, not the module caches, so it may
+    change it in place.  ``advance`` brings it up to date with each new
+    space, from the variables it narrows alone:
 
-    - ``groups``, the covering's group tables, a copy narrowed in place
-      with ``GroupTables.narrow``: only the groups that hold a narrowed
-      variable change.
+    - ``groups``, the covering's group tables, narrowed in place with
+      ``GroupTables.narrow``: only the groups that hold a narrowed variable
+      change.
     - The effective formula (every pinned variable instantiated away) as
       its live clauses, with their literals left per polarity, occurrence
       lists, the number of live clauses outside each clausal Schaefer
@@ -141,9 +142,10 @@ class _DetectorSet:
       when it has none), read off those counts, and the pure-value rule
       off the polarity counts.  ``effective`` is ``boolean.assume`` of the
       pins, built when read: once, at the compile.
-    - ``compiled``: a copy of the effective formula compiled once, at the
-      first step where it is tractable, pinned in place from then on with
-      ``CompiledFormula.pin``.
+    - ``compiled``: the effective formula compiled once, at the first step
+      where it is tractable, pinned in place from then on with
+      ``CompiledFormula.pin``.  Its class is the one tractable evidence
+      names: a pin can move the effective formula into an earlier class.
 
     The answers on x read: for local, the tables of the groups that hold x,
     x's active values and whether any group is empty; for pure-value, x's
@@ -167,7 +169,7 @@ class _DetectorSet:
         self.instance = instance
         self.families = families
         self.groups = (
-            local._tables(instance, covering, space).copy()
+            local._build_tables(instance, covering, space)
             if "local" in families and covering.groups
             else None
         )
@@ -293,8 +295,7 @@ class _DetectorSet:
             and self.tractable_class is not None
             and "tractable" in self.families
         ):
-            cls = self.tractable_class
-            self.compiled = boolean.compile_formula(self.effective, cls).copy()
+            self.compiled = boolean.CompiledFormula(self.effective, self.tractable_class)
             self._touch_all()
 
     def _classify(self) -> SchaeferClass | None:
@@ -373,7 +374,7 @@ class _DetectorSet:
                 compiled = self.compiled
                 if compiled is not None and x in compiled:
                     if self._inconsistent(x, not boolean.name_bool(a)):
-                        return "tractable-implied", f"{self.tractable_class.value} reduction"
+                        return "tractable-implied", f"{compiled.cls.value} reduction"
             elif family == "oracle":
                 if oracle.check_fixable(self.instance, space, x, a):
                     return "oracle-fixable", "exhaustive check"
@@ -406,7 +407,7 @@ class _DetectorSet:
                     if self._inconsistent(x, boolean.name_bool(a)):
                         return (
                             "tractable-inconsistent",
-                            f"{self.tractable_class.value} reduction",
+                            f"{compiled.cls.value} reduction",
                             None,
                             True,
                         )

@@ -193,36 +193,42 @@ class TestLocality:
             assert not local_check(inst, space, covering, Q.determined("v5")).established
 
     def test_assignment_rebuilds_only_the_groups_it_touches(self, corpus, monkeypatch):
-        built = []
-        enumerate_rows = oracle._solution_rows
+        # Narrowing derives the groups that hold the variable from their
+        # tables, enumerating nothing; every other group keeps its table
+        # object and the verdicts decided on it.
+        def refuse(*args):
+            raise AssertionError("narrowing enumerated a group")
 
-        def recording(instance, space):
-            built.append(instance.constraints)
-            return enumerate_rows(instance, space)
-
-        monkeypatch.setattr(oracle, "_solution_rows", recording)
-        _clear_local_caches()
-        rebuilt = 0
+        narrowed_groups = 0
         for inst, space in corpus[:10]:
             query = Q.fixable(inst.variables[0], space.values(inst.variables[0])[0])
             for group_size in (1, 2):
                 covering = default_covering(inst, group_size)
-                local_check(inst, space, covering, query)
+                tables = local._build_tables(inst, covering, space)
+                current = space
                 for v in inst.variables[1:]:
-                    if len(space.values(v)) == 1:
+                    if len(current.values(v)) == 1:
                         continue
-                    built.clear()
-                    local_check(inst, space.assign(v, space.values(v)[0]), covering, query)
-                    touched = {
-                        tuple(inst.constraints[i] for i in group)
-                        for group in covering.groups
-                        if any(v in inst.constraints[i].scope for i in group)
-                    }
-                    # A group equal to one already built (by another instance
-                    # of the corpus, say) may be a hit: "may miss", not "must".
-                    assert set(built) <= touched, (group_size, v)
-                    rebuilt += len(built)
-        assert rebuilt > 0
+                    local._combine(inst, current, tables, query)
+                    before = list(tables.tables)
+                    verdicts = [dict(tbl.verdicts) for tbl in before]
+                    current = current.assign(v, current.values(v)[0])
+                    with monkeypatch.context() as patch:
+                        patch.setattr(oracle, "_solution_rows", refuse)
+                        tables.narrow(v, current.values(v))
+                    for old, new, decided in zip(before, tables.tables, verdicts):
+                        if v in old.index:
+                            assert new is not old and not new.verdicts, (group_size, v)
+                            narrowed_groups += 1
+                        else:
+                            assert new is old and new.verdicts == decided, (group_size, v)
+                    expected = local_check(inst, current, covering, query)
+                    assert local._combine(inst, current, tables, query) == expected
+        assert narrowed_groups > 0
+
+    def test_one_module_cache(self):
+        caches = [n for n, v in vars(local).items() if hasattr(v, "cache_clear")]
+        assert caches == ["_tables"]
 
 
 def _narrowing_chain(inst, space, rng, steps):
@@ -297,24 +303,31 @@ class TestGroupVerdictMemo:
             pinned = inst.variables[-1]
             narrowed = space.assign(pinned, space.values(pinned)[0])
             for covering in _coverings(inst):
-                for current in (space, narrowed):
-                    for query in _corpus_queries(inst, current):
-                        scanned.clear()
-                        local_check(inst, current, covering, query)
-                        assert all(query.variable in tbl.index for tbl in scanned), (
-                            covering, query.describe()
-                        )
-                        first = list(scanned)
-                        scanned.clear()
-                        local_check(inst, current, covering, query)
-                        assert scanned == [], query.describe()
-                        # Every query on the narrowed space was asked on the
-                        # full one: a group outside the assigned variable's
-                        # scope keeps its table and its verdicts.
-                        if current is narrowed:
-                            assert all(pinned in tbl.index for tbl in first), (
-                                covering, query.describe()
-                            )
+                for query in _corpus_queries(inst, space):
+                    scanned.clear()
+                    local_check(inst, space, covering, query)
+                    assert all(query.variable in tbl.index for tbl in scanned), (
+                        covering, query.describe()
+                    )
+                    scanned.clear()
+                    local_check(inst, space, covering, query)
+                    assert scanned == [], query.describe()
+                # Every query on the narrowed space is asked on the full one
+                # first: a group outside the assigned variable's scope keeps
+                # its table and its verdicts through ``narrow``.
+                tables = local._build_tables(inst, covering, space)
+                for query in _corpus_queries(inst, space):
+                    local._combine(inst, space, tables, query)
+                tables.narrow(pinned, narrowed.values(pinned))
+                for query in _corpus_queries(inst, narrowed):
+                    scanned.clear()
+                    local._combine(inst, narrowed, tables, query)
+                    assert all(
+                        query.variable in tbl.index and pinned in tbl.index for tbl in scanned
+                    ), (covering, query.describe())
+                    scanned.clear()
+                    local._combine(inst, narrowed, tables, query)
+                    assert scanned == [], query.describe()
 
 
 def _group_queries(inst, space):
@@ -542,8 +555,7 @@ class TestDerivedTables:
         inst, space = case
         covering = default_covering(inst, group_size)
         projected, _ = local._groups(inst, covering)
-        _clear_local_caches()
-        tables = local._tables(inst, covering, space).copy()
+        tables = local._build_tables(inst, covering, space)
         for pick, value, fix in moves:
             candidates = [v for v in inst.variables if len(space.values(v)) > 1]
             if not candidates:

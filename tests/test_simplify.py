@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cspstruct import local, oracle
+from cspstruct import boolean, local, oracle
 from cspstruct.boolean import (
     BooleanFormula,
     Clause,
+    CompiledFormula,
     Literal,
     SchaeferClass,
     assume,
@@ -214,6 +215,18 @@ def corpus_slices(boolean_corpora):
         yield from boolean_corpora[kind][:30]
 
 
+def counted_compiles(monkeypatch):
+    """The classes of every ``CompiledFormula`` built from now on."""
+    built = []
+
+    def counting(formula, cls):
+        built.append(cls)
+        return CompiledFormula(formula, cls)
+
+    monkeypatch.setattr(boolean, "CompiledFormula", counting)
+    return built
+
+
 class TestIncrementalEffectiveFormula:
     @staticmethod
     def trajectory(formula):
@@ -301,21 +314,22 @@ class TestIncrementalEffectiveFormula:
             digest.update(repr(outcome).encode() + b"\n")
         assert digest.hexdigest() == STEP_LOG_DIGEST
 
-    def test_one_compile_per_run(self, boolean_corpora):
-        # The tractable detectors ask a child of one compiled form per step,
-        # and the step logs stay the ones recorded above.
+    def test_one_compile_per_run(self, boolean_corpora, monkeypatch):
+        # The tractable detectors ask one compiled form, pinned at every
+        # step, and the step logs stay the ones recorded above.
+        built = counted_compiles(monkeypatch)
         digest = hashlib.sha256()
         for formula in corpus_slices(boolean_corpora):
             inst = to_extensional(formula)
-            compile_formula.cache_clear()
+            built.clear()
             result = simplify_fixpoint(inst, SearchSpace.full(inst), formula=formula)
-            assert compile_formula.cache_info().misses == 1
+            assert len(built) == 1
             outcome = (result.fixpoint, result.proved_unsatisfiable, result.conflict)
             digest.update(result.log().encode() + b"\n")
             digest.update(repr(outcome).encode() + b"\n")
         assert digest.hexdigest() == STEP_LOG_DIGEST
 
-    def test_compiled_once_it_turns_tractable(self):
+    def test_compiled_once_it_turns_tractable(self, monkeypatch):
         # As in test_class_follows_the_pins: tractable only once a is pinned.
         f = BooleanFormula(
             ("a", "b", "c"),
@@ -326,10 +340,32 @@ class TestIncrementalEffectiveFormula:
             ),
         )
         inst = to_extensional(f)
-        compile_formula.cache_clear()
+        built = counted_compiles(monkeypatch)
         result = simplify_fixpoint(inst, SearchSpace.full(inst), formula=f)
-        assert compile_formula.cache_info().misses == 1
+        assert built == [SchaeferClass.HORN]
         assert result.fixpoint and result.steps
+
+    def test_evidence_names_the_compiled_class(self):
+        # (a|b)(-a|-b)(a|c) is compiled as 2CNF.  Pinning a=false leaves
+        # (b)(c), which is Horn, but the answer still comes from the 2CNF
+        # form.
+        f = BooleanFormula(
+            ("a", "b", "c"),
+            (
+                clause(("a", True), ("b", True)),
+                clause(("a", False), ("b", False)),
+                clause(("a", True), ("c", True)),
+            ),
+        )
+        inst = to_extensional(f)
+        space = SearchSpace.full(inst)
+        detectors = _DetectorSet(inst, ("tractable",), f, default_covering(inst), space)
+        narrowed = space.assign("a", "false")
+        detectors.advance(narrowed, ("a",))
+        assert detectors.tractable_class is SchaeferClass.HORN
+        assert detectors.first(narrowed, "fix") == (
+            "b", "true", "tractable-implied", "2cnf reduction"
+        )
 
 
 class TestReferenceLoop:
@@ -399,7 +435,10 @@ _MOVES = st.lists(
 class TestCleanVariables:
     """A detector set advanced through arbitrary narrowings, which skips the
     variables it left clean, finds the first justified fix and removal a
-    fresh one built on the same space finds."""
+    fresh one built on the same space finds.  Only tractable evidence may
+    differ: it names the class each set compiled in, and the advanced set
+    may have compiled before a pin moved the formula into an earlier
+    class."""
 
     @staticmethod
     def assert_advanced_equals_fresh(inst, space, families, formula, group_size, moves):
@@ -409,8 +448,14 @@ class TestCleanVariables:
             if x is not None:
                 detectors.advance(narrowed, (x,))
             fresh = _DetectorSet(inst, families, formula, covering, narrowed)
-            assert detectors.first(narrowed, "fix") == fresh.first(narrowed, "fix")
-            assert detectors.first(narrowed, "remove") == fresh.first(narrowed, "remove")
+            for action in ("fix", "remove"):
+                found = detectors.first(narrowed, action)
+                expected = fresh.first(narrowed, action)
+                if found is not None and found[2].startswith("tractable"):
+                    assert found[3] == f"{detectors.compiled.cls.value} reduction"
+                    assert expected[3] == f"{fresh.compiled.cls.value} reduction"
+                    found, expected = found[:3] + found[4:], expected[:3] + expected[4:]
+                assert found == expected, action
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -474,3 +519,41 @@ class TestCleanVariables:
     def test_instances(self, case, group_size, moves):
         inst, space = case
         self.assert_advanced_equals_fresh(inst, space, ("local",), None, group_size, moves)
+
+
+class TestSharedCachesStayReadOnly:
+    """The simplifier changes only state it built: the forms
+    ``compile_formula`` shares and the tables ``local._tables`` shares
+    answer after a run as before it."""
+
+    @pytest.mark.parametrize("kind", ["horn", "dual-horn", "2cnf", "affine"])
+    def test_compiled_form_answers_as_a_fresh_one(self, boolean_corpora, kind):
+        for formula in boolean_corpora[kind][:10]:
+            cls = classify_schaefer(formula).primary
+            shared = compile_formula(formula, cls)
+            inst = to_extensional(formula)
+            result = simplify_fixpoint(inst, SearchSpace.full(inst), formula=formula)
+            assert result.steps
+            assert compile_formula(formula, cls) is shared
+            fresh = CompiledFormula(formula, cls)
+            assert shared.satisfiable == fresh.satisfiable
+            for x in formula.variables:
+                assert x in shared
+                assert shared.determined(x) == fresh.determined(x), x
+                for a in (False, True):
+                    assert shared.inconsistent(x, a) == fresh.inconsistent(x, a), (x, a)
+                    for b in (False, True):
+                        assert shared.substitutable(x, a, b) == fresh.substitutable(x, a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(instances_with_spaces(), wide_instances()), st.integers(1, 3))
+    def test_start_tables_keep_their_rows(self, case, group_size):
+        inst, space = case
+        covering = default_covering(inst, group_size)
+        shared = local._tables(inst, covering, space)
+        rows = [tbl.rows for tbl in shared.tables]
+        empty = list(shared.empty)
+        simplify_fixpoint(inst, space, group_size=group_size, detectors=("local",))
+        assert local._tables(inst, covering, space) is shared
+        assert [tbl.rows for tbl in shared.tables] == rows
+        assert shared.empty == empty and shared.some_empty == any(empty)
