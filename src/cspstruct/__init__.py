@@ -13,6 +13,7 @@ from .boolean import (
     BooleanFormula,
     ClassMismatchError,
     Clause,
+    CompiledFormula,
     Literal,
     SchaeferClass,
     SchaeferClassification,
@@ -53,6 +54,7 @@ from .local import (
     LocalVerdict,
     UnsoundLocalCheckError,
     default_covering,
+    group_tables,
     local_check,
     pure_value_fixable,
 )

@@ -5,8 +5,8 @@ syntactic classification, instantiate-and-project (substitute a value into
 one constraint, keeping it in its fragment), expansion into an extensional
 instance, and exact polynomial property checks.
 
-Property checks run on a ``CompiledFormula``, built once per (formula,
-class) by ``compile_formula``, the module's one cache.  Compiling checks
+Property checks run on a ``CompiledFormula``, which a caller builds once
+per (formula, class) and passes to every query on it.  Compiling checks
 class membership and decides the formula's own satisfiability once; every
 answer is then a lookup or one propagation or reduction on that state:
 
@@ -28,7 +28,7 @@ equation mentions x.  determined(x) is F AND the remainders of x's clauses
 some equation mentioning x.  fixable, removable, interchangeable and irrelevant
 are built from substitutable, memoised per (x, a, b).  ``pin`` turns F's
 compiled form, in place, into that of F with some variables pinned, from
-F's own state; a form ``compile_formula`` shares is never pinned.
+F's own state.
 """
 
 from __future__ import annotations
@@ -37,15 +37,8 @@ import enum
 import itertools
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from functools import lru_cache
 
-from .model import (
-    Constraint,
-    CspInstance,
-    Relation,
-    _hash_once,
-    _state_without_hash,
-)
+from .model import Constraint, CspInstance, Relation
 from .oracle import PropertyQuery
 
 FALSE_VALUE = "false"
@@ -188,9 +181,6 @@ class BooleanFormula:
             unknown = eq.variables - known
             if unknown:
                 raise ValueError(f"equation mentions undeclared variable(s) {sorted(unknown)}")
-
-    __hash__ = _hash_once
-    __getstate__ = _state_without_hash
 
     @property
     def is_clausal(self) -> bool:
@@ -784,15 +774,6 @@ class CompiledFormula:
         return True
 
 
-@lru_cache(maxsize=16)
-def compile_formula(
-    formula: BooleanFormula, cls: SchaeferClass | str
-) -> CompiledFormula:
-    """The compiled form of a formula in a class, built once and reused by
-    every query on it; raises ClassMismatchError outside the class."""
-    return CompiledFormula(formula, cls)
-
-
 # Each kind's answer on a compiled formula, from the variable and its values.
 _ANSWERS = {
     "inconsistent": lambda c, x, a: c.inconsistent(x, a),
@@ -808,13 +789,8 @@ _ANSWERS = {
     "removable": lambda c, x, v: c.substitutable(x, v, not v),
 }
 
-def tract_check(
-    formula: BooleanFormula,
-    cls: SchaeferClass | str,
-    query: PropertyQuery,
-) -> bool:
-    """Exact polynomial property check on the formula's compiled form."""
-    compiled = compile_formula(formula, cls)
+def tract_check(compiled: CompiledFormula, query: PropertyQuery) -> bool:
+    """Exact polynomial property check on a formula's compiled form."""
     answer = _ANSWERS.get(query.kind)
     if answer is None:
         if query.kind == "dependent":

@@ -64,6 +64,13 @@ def _positive(text: str) -> int:
     return value
 
 
+def _non_negative(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be at least 0")
+    return value
+
+
 def _write(path: str, text: str) -> None:
     try:
         Path(path).write_text(text)
@@ -164,12 +171,15 @@ def _cmd_analyze(args) -> int:
         if classify_schaefer(formula).primary is SchaeferClass.UNRESTRICTED:
             methods.remove("tractable")
     findings: list[report.Finding] = []
+    # Each method builds what answers its queries once, before the first
+    # query, so a finding's time is its own query's alone.
     for method in methods:
         if method == "oracle":
             _guard_space(space, args.max_space)
+            table = oracle.solution_table(instance, space)
             findings += _findings(
                 oracle.all_queries(instance, space, KINDS, args.dep_max),
-                lambda query: oracle.evaluate(instance, space, query),
+                lambda query: oracle.evaluate(table, query),
                 method,
                 _oracle_rendering,
             )
@@ -177,9 +187,10 @@ def _cmd_analyze(args) -> int:
             if args.group_size > 1:
                 _guard_groups(instance, space, args.group_size, args.max_space)
             covering = local.default_covering(instance, args.group_size)
+            groups = local.group_tables(instance, covering, space)
             findings += _findings(
                 oracle.all_queries(instance, space, LOCAL_KINDS, args.dep_max),
-                lambda query: local.local_check(instance, space, covering, query),
+                lambda query: local.local_check(groups, query),
                 method,
                 _local_rendering,
             )
@@ -189,9 +200,10 @@ def _cmd_analyze(args) -> int:
                 raise _UsageError(
                     "formula is in no tractable class; tractable analysis refused"
                 )
+            compiled = boolean.CompiledFormula(formula, cls)
             findings += _findings(
                 oracle.all_queries(instance, space, TRACTABLE_KINDS, args.dep_max),
-                lambda query: boolean.tract_check(formula, cls, query),
+                lambda query: boolean.tract_check(compiled, query),
                 method,
                 lambda holds: ("TRUE" if holds else "FALSE", f"{cls.value} reduction"),
             )
@@ -230,13 +242,14 @@ def _cmd_simplify(args) -> int:
 
 
 def _check_instance(instance, space, formula, group_size, dep_max, catalog):
-    # The oracle's verdicts come first: the catalog then finds most of the
-    # verdicts it asks for already decided, and the local detectors are
-    # compared with them.
+    # One solution table answers every oracle question.  Its verdicts come
+    # first: the catalog then finds most of the verdicts it asks for already
+    # decided, and the local detectors are compared with them.
+    table = oracle.solution_table(instance, space)
     queries = oracle.all_queries(instance, space, LOCAL_KINDS, dep_max)
-    truths = [oracle.evaluate(instance, space, query).holds for query in queries]
+    truths = [oracle.evaluate(table, query).holds for query in queries]
     problems = []
-    for violation in hierarchy.validate_hierarchy(instance, space, catalog, dep_max):
+    for violation in hierarchy.validate_hierarchy(table, catalog, dep_max):
         problems.append(violation.describe())
     sizes = [group_size]
     if len(instance.constraints) > group_size:
@@ -244,7 +257,8 @@ def _check_instance(instance, space, formula, group_size, dep_max, catalog):
     for size in sizes:
         covering = local.default_covering(instance, size)
         whole = size >= len(instance.constraints)
-        verdicts = local.local_checks(instance, space, covering, queries)
+        groups = local.group_tables(instance, covering, space)
+        verdicts = local.local_checks(groups, queries)
         for query, truth, verdict in zip(queries, truths, verdicts):
             if verdict.established and not truth:
                 problems.append(f"local({size}) established a false fact: {query.describe()}")
@@ -253,11 +267,12 @@ def _check_instance(instance, space, formula, group_size, dep_max, catalog):
                     f"global covering disagrees with oracle on {query.describe()}"
                 )
     if formula is not None:
-        classification = classify_schaefer(formula)
-        if classification.primary is not SchaeferClass.UNRESTRICTED:
+        cls = classify_schaefer(formula).primary
+        if cls is not SchaeferClass.UNRESTRICTED:
+            compiled = boolean.CompiledFormula(formula, cls)
             for query in oracle.all_queries(instance, space, TRACTABLE_KINDS, dep_max):
-                tract = boolean.tract_check(formula, classification.primary, query)
-                truth = oracle.evaluate(instance, space, query).holds
+                tract = boolean.tract_check(compiled, query)
+                truth = oracle.evaluate(table, query).holds
                 if tract != truth:
                     problems.append(
                         f"tractable disagrees with oracle on {query.describe()}"
@@ -413,8 +428,8 @@ def _fill_analyze(analyze: argparse.ArgumentParser) -> None:
         "--method", choices=("oracle", "local", "tractable", "all"), default="all"
     )
     analyze.add_argument("--group-size", type=_positive, default=1)
-    analyze.add_argument("--dep-max", type=int, default=2)
-    analyze.add_argument("--max-space", type=int, default=DEFAULT_MAX_SPACE)
+    analyze.add_argument("--dep-max", type=_non_negative, default=2)
+    analyze.add_argument("--max-space", type=_positive, default=DEFAULT_MAX_SPACE)
     analyze.add_argument("--json", action="store_true")
     analyze.add_argument("--all", action="store_true", help="list negative findings too")
     analyze.set_defaults(handler=_cmd_analyze)
@@ -424,7 +439,7 @@ def _fill_simplify(simp: argparse.ArgumentParser) -> None:
     simp.add_argument("file")
     simp.add_argument("--mode", choices=("production", "test"), default="production")
     simp.add_argument("--group-size", type=_positive, default=1)
-    simp.add_argument("--max-space", type=int, default=DEFAULT_MAX_SPACE)
+    simp.add_argument("--max-space", type=_positive, default=DEFAULT_MAX_SPACE)
     simp.add_argument("--out")
     simp.set_defaults(handler=_cmd_simplify)
 
@@ -433,8 +448,8 @@ def _fill_check(check: argparse.ArgumentParser) -> None:
     check.add_argument("file", nargs="?")
     check.add_argument("--corpus", help="'default' or k=v list (seeds=A..B, vars=, ...)")
     check.add_argument("--group-size", type=_positive, default=1)
-    check.add_argument("--dep-max", type=int, default=2)
-    check.add_argument("--max-space", type=int, default=DEFAULT_MAX_SPACE)
+    check.add_argument("--dep-max", type=_non_negative, default=2)
+    check.add_argument("--max-space", type=_positive, default=DEFAULT_MAX_SPACE)
     check.add_argument(
         "--reverse-edge",
         help="negative control: validate with the named implication reversed",

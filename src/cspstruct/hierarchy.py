@@ -1,10 +1,11 @@
 """Executable catalog of the semantic relationships between properties.
 
 Each edge states an implication or a biconditional between property
-formulas, evaluated through the exhaustive oracle.  The catalog doubles as
-a set of derived detectors (either side of a biconditional can stand in
-for the other) and as a cross-validation suite: on any instance small
-enough to enumerate, ``validate_hierarchy`` must come back empty.
+formulas, evaluated through the exhaustive oracle on one solution table.
+The catalog doubles as a set of derived detectors (either side of a
+biconditional can stand in for the other) and as a cross-validation suite:
+on any instance small enough to enumerate, ``validate_hierarchy`` must come
+back empty.
 """
 
 from __future__ import annotations
@@ -14,10 +15,9 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from . import oracle
-from .model import CspInstance, SearchSpace
-from .oracle import solution_table
+from .oracle import SolutionTable
 
-EdgeSide = Callable[[CspInstance, SearchSpace, tuple], bool]
+EdgeSide = Callable[[SolutionTable, tuple], bool]
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,7 +49,7 @@ class Violation:
 
 
 def forced_for_every_assignment(
-    instance: CspInstance, space: SearchSpace, group: tuple[str, ...], y: str
+    table: SolutionTable, group: tuple[str, ...], y: str
 ) -> bool:
     """True iff pinning the group variables to any combination of active
     values leaves all remaining solutions agreeing on ``y``.
@@ -58,29 +58,26 @@ def forced_for_every_assignment(
     restriction of the space, ``y`` has an implied value (vacuously, when
     the restriction kills all solutions).
     """
-    tbl = solution_table(instance, space)
-    iy = tbl.index[y]
-    positions = tuple(tbl.index[v] for v in group)
+    iy = table.index[y]
+    positions = tuple(table.index[v] for v in group)
     # Every row lies in the space, so the restrictions that keep a solution
     # are exactly the rows' projections onto the group.
     forced: dict[tuple[str, ...], str] = {}
-    for row in tbl.rows:
+    for row in table.rows:
         key = tuple(row[p] for p in positions)
         if forced.setdefault(key, row[iy]) != row[iy]:
             return False
     return True
 
 
-def _unique_solution(instance: CspInstance, space: SearchSpace, _args: tuple) -> bool:
-    return len(solution_table(instance, space).rows) == 1
+def _unique_solution(table: SolutionTable, _args: tuple) -> bool:
+    return len(table.rows) == 1
 
 
-def _all_variables_implied(
-    instance: CspInstance, space: SearchSpace, _args: tuple
-) -> bool:
+def _all_variables_implied(table: SolutionTable, _args: tuple) -> bool:
     return all(
-        any(oracle.check_implied(instance, space, x, a) for a in space.values(x))
-        for x in instance.variables
+        any(oracle.check_implied(table, x, a) for a in table.values(x))
+        for x in table.order
     )
 
 
@@ -91,40 +88,40 @@ def edge_catalog() -> tuple[RelationshipEdge, ...]:
             "dependence-determinacy",
             "iff",
             "vy",
-            lambda inst, s, a: oracle.check_dependent(inst, s, a[0], a[1]),
-            lambda inst, s, a: forced_for_every_assignment(inst, s, a[0], a[1]),
+            lambda t, a: oracle.check_dependent(t, a[0], a[1]),
+            lambda t, a: forced_for_every_assignment(t, a[0], a[1]),
         ),
         RelationshipEdge(
             "irrelevance-fixability",
             "iff",
             "x",
-            lambda inst, s, a: oracle.check_irrelevant(inst, s, a[0]),
-            lambda inst, s, a: all(
-                oracle.check_fixable(inst, s, a[0], v) for v in s.values(a[0])
+            lambda t, a: oracle.check_irrelevant(t, a[0]),
+            lambda t, a: all(
+                oracle.check_fixable(t, a[0], v) for v in t.values(a[0])
             ),
         ),
         RelationshipEdge(
             "determinacy-implication",
             "implies",
             "xa",
-            lambda inst, s, a: oracle.check_implied(inst, s, a[0], a[1]),
-            lambda inst, s, a: oracle.check_determined(inst, s, a[0]),
+            lambda t, a: oracle.check_implied(t, a[0], a[1]),
+            lambda t, a: oracle.check_determined(t, a[0]),
         ),
         RelationshipEdge(
             "implication-fixability",
             "implies",
             "xa",
-            lambda inst, s, a: oracle.check_implied(inst, s, a[0], a[1]),
-            lambda inst, s, a: oracle.check_fixable(inst, s, a[0], a[1]),
+            lambda t, a: oracle.check_implied(t, a[0], a[1]),
+            lambda t, a: oracle.check_fixable(t, a[0], a[1]),
         ),
         RelationshipEdge(
             "implication-inconsistency",
             "iff",
             "xa",
-            lambda inst, s, a: oracle.check_implied(inst, s, a[0], a[1]),
-            lambda inst, s, a: all(
-                oracle.check_inconsistent(inst, s, a[0], b)
-                for b in s.values(a[0])
+            lambda t, a: oracle.check_implied(t, a[0], a[1]),
+            lambda t, a: all(
+                oracle.check_inconsistent(t, a[0], b)
+                for b in t.values(a[0])
                 if b != a[1]
             ),
         ),
@@ -132,48 +129,48 @@ def edge_catalog() -> tuple[RelationshipEdge, ...]:
             "fixability-substitutability",
             "iff",
             "xa",
-            lambda inst, s, a: oracle.check_fixable(inst, s, a[0], a[1]),
-            lambda inst, s, a: all(
-                oracle.check_substitutable(inst, s, a[0], v, a[1])
-                for v in s.values(a[0])
+            lambda t, a: oracle.check_fixable(t, a[0], a[1]),
+            lambda t, a: all(
+                oracle.check_substitutable(t, a[0], v, a[1])
+                for v in t.values(a[0])
             ),
         ),
         RelationshipEdge(
             "inconsistency-substitutability",
             "implies",
             "xa",
-            lambda inst, s, a: oracle.check_inconsistent(inst, s, a[0], a[1]),
-            lambda inst, s, a: all(
-                oracle.check_substitutable(inst, s, a[0], a[1], b)
-                for b in s.values(a[0])
+            lambda t, a: oracle.check_inconsistent(t, a[0], a[1]),
+            lambda t, a: all(
+                oracle.check_substitutable(t, a[0], a[1], b)
+                for b in t.values(a[0])
             ),
         ),
         RelationshipEdge(
             "inconsistency-removability",
             "implies",
             "xa",
-            lambda inst, s, a: oracle.check_inconsistent(inst, s, a[0], a[1]),
-            lambda inst, s, a: oracle.check_removable(inst, s, a[0], a[1]),
+            lambda t, a: oracle.check_inconsistent(t, a[0], a[1]),
+            lambda t, a: oracle.check_removable(t, a[0], a[1]),
         ),
         RelationshipEdge(
             "substitutability-removability",
             "implies",
             "xa",
-            lambda inst, s, a: any(
-                oracle.check_substitutable(inst, s, a[0], a[1], b)
-                for b in s.values(a[0])
+            lambda t, a: any(
+                oracle.check_substitutable(t, a[0], a[1], b)
+                for b in t.values(a[0])
                 if b != a[1]
             ),
-            lambda inst, s, a: oracle.check_removable(inst, s, a[0], a[1]),
+            lambda t, a: oracle.check_removable(t, a[0], a[1]),
         ),
         RelationshipEdge(
             "interchangeability-definition",
             "iff",
             "xab",
-            lambda inst, s, a: oracle.check_interchangeable(inst, s, *a),
-            lambda inst, s, a: (
-                oracle.check_substitutable(inst, s, a[0], a[1], a[2])
-                and oracle.check_substitutable(inst, s, a[0], a[2], a[1])
+            lambda t, a: oracle.check_interchangeable(t, *a),
+            lambda t, a: (
+                oracle.check_substitutable(t, a[0], a[1], a[2])
+                and oracle.check_substitutable(t, a[0], a[2], a[1])
             ),
         ),
         RelationshipEdge(
@@ -187,7 +184,7 @@ def edge_catalog() -> tuple[RelationshipEdge, ...]:
 
 
 def find_edge(name: str, catalog: tuple[RelationshipEdge, ...] | None = None):
-    for edge in catalog or edge_catalog():
+    for edge in edge_catalog() if catalog is None else catalog:
         if edge.name == name:
             return edge
     raise ValueError(f"no relationship edge named {name!r}")
@@ -201,7 +198,8 @@ def reverse_edge(
     Useful as a negative control: validating with a reversed edge must
     produce violations on instances where the converse fails.
     """
-    catalog = catalog or edge_catalog()
+    if catalog is None:
+        catalog = edge_catalog()
     target = find_edge(name, catalog)
     if target.kind != "implies":
         raise ValueError(f"edge {name!r} is a biconditional; only implications reverse")
@@ -212,9 +210,9 @@ def reverse_edge(
 
 
 def _instantiations(
-    edge: RelationshipEdge, instance: CspInstance, space: SearchSpace, dep_max: int
+    edge: RelationshipEdge, table: SolutionTable, dep_max: int
 ) -> Iterator[tuple]:
-    names = instance.variables
+    names = table.order
     if edge.args == "none":
         yield ()
     elif edge.args == "x":
@@ -222,11 +220,11 @@ def _instantiations(
             yield (x,)
     elif edge.args == "xa":
         for x in names:
-            for a in space.values(x):
+            for a in table.values(x):
                 yield (x, a)
     elif edge.args == "xab":
         for x in names:
-            active = space.values(x)
+            active = table.values(x)
             for a in active:
                 for b in active:
                     yield (x, a, b)
@@ -239,22 +237,22 @@ def _instantiations(
 
 
 def validate_hierarchy(
-    instance: CspInstance,
-    space: SearchSpace,
+    table: SolutionTable,
     catalog: tuple[RelationshipEdge, ...] | None = None,
     dep_max: int = 2,
 ) -> list[Violation]:
-    """Instantiate every edge over all admissible arguments and collect the
-    failures; an empty list is the expected outcome."""
+    """Instantiate every edge over all admissible arguments on the table's
+    space and collect the failures; an empty list is the expected outcome.
+    ``catalog`` None means the full catalog; an empty one checks nothing."""
     violations = []
-    for edge in catalog or edge_catalog():
-        for args in _instantiations(edge, instance, space, dep_max):
-            lhs = edge.lhs(instance, space, args)
+    for edge in edge_catalog() if catalog is None else catalog:
+        for args in _instantiations(edge, table, dep_max):
+            lhs = edge.lhs(table, args)
             if edge.kind == "implies":
-                if lhs and not edge.rhs(instance, space, args):
+                if lhs and not edge.rhs(table, args):
                     violations.append(Violation(edge.name, edge.kind, args, lhs, False))
             else:
-                rhs = edge.rhs(instance, space, args)
+                rhs = edge.rhs(table, args)
                 if lhs != rhs:
                     violations.append(Violation(edge.name, edge.kind, args, lhs, rhs))
     return violations

@@ -12,10 +12,10 @@ group's solutions over the union of its scopes.  A one-constraint group's
 table is its relation's rows with every value active, moved into
 declaration order, so no group at group size 1 enumerates its scope
 product; a larger group's table comes from the oracle's backtracking
-enumerator.  ``_tables`` keeps the tables of the last few spaces, the
-module's one cache: every query on one space shares them.  The simplifier
-builds tables of its own and ``GroupTables.narrow`` turns them into those
-of a space that narrows one variable: only the groups that hold the
+enumerator.  A caller builds a covering's ``GroupTables`` for a space once
+with ``group_tables`` and passes it to every query on that space.  The
+simplifier turns its tables into those of a space that narrows one
+variable with ``GroupTables.narrow``: only the groups that hold the
 variable change, each keeping the rows of its table that take an active
 value there, in order.  A group verdict needs no witness, so it is read
 off the queried variable's mask signature on the group's table once there
@@ -24,9 +24,9 @@ before that; dependence keeps the oracle's pair scan.  Verdicts are kept
 on the table they were decided on.  A variable outside that union is free
 in the group's subproblem, so a query on it follows from its active values
 alone, and only the groups that hold the queried variable are decided.
-``local_checks`` decides a list of queries on one covering with one table
-lookup, and builds the signature of each variable it asks about more than
-once before it asks.
+``local_checks`` decides a list of queries on one covering's tables, and
+builds the signature of each variable it asks about more than once before
+it asks.
 
 Removability is the one value property this approach cannot support:
 per-constraint removability does not imply global removability, and acting
@@ -39,14 +39,13 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import compress
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from . import oracle
 from .boolean import BooleanFormula
-from .model import CspInstance, SearchSpace, _hash_once, _state_without_hash
+from .model import CspInstance, SearchSpace
 from .oracle import PropertyQuery
 
 AND_KINDS = frozenset({"substitutable", "interchangeable", "fixable", "irrelevant"})
@@ -70,9 +69,6 @@ class Covering:
         for group in self.groups:
             if not group:
                 raise ValueError("covering subsets must be nonempty")
-
-    __hash__ = _hash_once
-    __getstate__ = _state_without_hash
 
 
 class LocalVerdict(NamedTuple):
@@ -129,28 +125,31 @@ def _groups(
 
 
 class GroupTables:
-    """A covering's group tables for one space: per group, its solutions on
-    its own scope and whether there are none; per variable, the groups that
-    hold it; and whether any group has no solutions.  ``_tables`` shares
-    one between the queries on a space, and nothing narrows that one."""
+    """A covering's group tables for one space: the space; per group, its
+    solutions on its own scope and whether there are none; per variable,
+    the groups that hold it; and whether any group has no solutions."""
 
-    __slots__ = ("tables", "empty", "holding", "some_empty")
+    __slots__ = ("space", "tables", "empty", "holding", "some_empty")
 
     def __init__(
         self,
+        space: SearchSpace,
         tables: list[oracle.SolutionTable],
         holding: dict[str, tuple[int, ...]],
     ):
+        self.space = space
         self.tables = tables
         self.empty = [not tbl.rows for tbl in tables]
         self.holding = holding
         self.some_empty = any(self.empty)
 
-    def narrow(self, x: str, active: tuple[str, ...]) -> None:
-        """Become the tables of the space that narrows x to ``active`` and
-        changes nothing else.  Each group that holds x keeps the rows of its
-        table whose x value is still active, in order: the rows a cold build
+    def narrow(self, space: SearchSpace, x: str) -> None:
+        """Become the tables of ``space``, which narrows x and changes
+        nothing else.  Each group that holds x keeps the rows of its table
+        whose x value is still active, in order: the rows a cold build
         finds, so every verdict decided on them is the same too."""
+        self.space = space
+        active = space.values(x)
         keep = frozenset(active).__contains__
         for g in self.holding.get(x, ()):
             tbl = self.tables[g]
@@ -161,37 +160,28 @@ class GroupTables:
             self.empty[g] = not rows
             self.some_empty = self.some_empty or not rows
 
-    def established(self, query: PropertyQuery, active: tuple[str, ...]) -> bool:
-        """``local_check(...).established`` for a valid query whose variable
-        has the active values ``active``, without the per-group verdicts:
-        an AND kind needs every group that holds the variable, an OR kind
-        any group at all.  An empty group makes every OR kind hold, the
-        groups holding the variable included."""
+    def established(self, query: PropertyQuery) -> bool:
+        """``local_check(...).established`` for a valid query, without the
+        per-group verdicts: an AND kind needs every group that holds the
+        variable, an OR kind any group at all.  An empty group makes every
+        OR kind hold, the groups holding the variable included."""
         tables = self.tables
         holding = self.holding.get(query.variable, ())
         held = (_holds(tables[g], query) for g in holding)
         if query.kind in AND_KINDS:
             return all(held)
+        active = self.space.values(query.variable)
         free = _free(query.kind, active, query.values) and len(holding) < len(tables)
         return free or self.some_empty or any(held)
 
 
-def _build_tables(
+def group_tables(
     instance: CspInstance, covering: Covering, space: SearchSpace
 ) -> GroupTables:
-    """The covering's group tables for the space, built afresh."""
+    """The covering's group tables for the space, for every query on it."""
     groups, holding = _groups(instance, covering)
     oracle._require_cover(instance, space)
-    return GroupTables([_group_table(group, space) for group in groups], holding)
-
-
-@lru_cache(maxsize=4)
-def _tables(
-    instance: CspInstance, covering: Covering, space: SearchSpace
-) -> GroupTables:
-    """``_build_tables``, kept for the last few spaces: every query on one
-    space shares them."""
-    return _build_tables(instance, covering, space)
+    return GroupTables(space, [_group_table(group, space) for group in groups], holding)
 
 
 def _group_table(group: CspInstance, space: SearchSpace) -> oracle.SolutionTable:
@@ -222,12 +212,7 @@ def _relation_rows(
     )
 
 
-def local_check(
-    instance: CspInstance,
-    space: SearchSpace,
-    covering: Covering,
-    query: PropertyQuery,
-) -> LocalVerdict:
+def local_check(groups: GroupTables, query: PropertyQuery) -> LocalVerdict:
     """Combine exact per-subset verdicts into an established/unknown answer.
 
     Only the groups whose scope holds the queried variable are decided; in
@@ -235,34 +220,29 @@ def local_check(
     its active values and the group's emptiness alone."""
     if query.kind not in _KINDS:
         _reject(query.kind)
-    return _combine(instance, space, _tables(instance, covering, space), query)
+    return _combine(groups, query)
 
 
 def local_checks(
-    instance: CspInstance,
-    space: SearchSpace,
-    covering: Covering,
-    queries: Iterable[PropertyQuery],
+    groups: GroupTables, queries: Iterable[PropertyQuery]
 ) -> list[LocalVerdict]:
-    """``local_check`` for each query in turn, with one lookup of the
-    covering's group tables for the space.  Every kind is checked before
-    the covering and the space, and each query's variable and values just
-    before it is decided, as ``local_check`` does for one query."""
+    """``local_check`` for each query in turn.  Every kind is checked
+    first, and each query's variable and values just before it is decided,
+    as ``local_check`` does for one query."""
     queries = tuple(queries)
     for query in queries:
         if query.kind not in _KINDS:
             _reject(query.kind)
-    tables = _tables(instance, covering, space)
     # The pass knows how often it asks about each variable: where it asks
     # more than once, every group table holding the variable answers from
     # its signature from the start.
-    group_tables, holding = tables.tables, tables.holding
+    tables, holding = groups.tables, groups.holding
     asked = Counter(map(attrgetter("variable"), queries))
     for x, count in asked.items():
         if count > 1:
             for g in holding.get(x, ()):
-                oracle._sign(group_tables[g], x)
-    return [_combine(instance, space, tables, query) for query in queries]
+                oracle._sign(tables[g], x)
+    return [_combine(groups, query) for query in queries]
 
 
 def _reject(kind: str) -> None:
@@ -275,16 +255,12 @@ def _reject(kind: str) -> None:
     raise ValueError(f"unsupported property kind {kind!r}")
 
 
-def _combine(
-    instance: CspInstance, space: SearchSpace, groups: GroupTables, query: PropertyQuery
-) -> LocalVerdict:
+def _combine(groups: GroupTables, query: PropertyQuery) -> LocalVerdict:
     tables, empty, holding = groups.tables, groups.empty, groups.holding
     kind = query.kind
     x = query.variable
-    # The space covers the instance, so it knows exactly its variables: an
-    # unknown one raises here, before the ``over`` variables and the values.
-    active = space.values(x)
-    oracle._validate(instance, space, query)
+    # The space covers the instance, so it knows exactly its variables.
+    active = oracle._validate(groups.space, query)
     results = [True] * len(tables) if _free(kind, active, query.values) else list(empty)
     for g in holding.get(x, ()):
         results[g] = _holds(tables[g], query)

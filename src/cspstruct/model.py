@@ -8,16 +8,13 @@ value active for every variable.
 
 Everything here is an immutable value and every operation is a pure
 function, so instances, spaces and assignment tuples can be shared freely
-between threads.  Instances and spaces compute their hash once, on first
-use, and leave it out of equality, ``repr`` and pickled state.  Iteration
-always follows declaration order (variables as declared, values in domain
-order), which keeps enumeration, counterexamples and emitted files
-reproducible from run to run.
+between threads.  Iteration always follows declaration order (variables
+as declared, values in domain order), which keeps enumeration,
+counterexamples and emitted files reproducible from run to run.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
@@ -69,26 +66,6 @@ class AssignmentTuple(Mapping[str, str]):
     def __repr__(self) -> str:
         inner = ", ".join(f"{v}={a}" for v, a in self._bindings.items())
         return "{" + inner + "}"
-
-
-def _hash_once(self) -> int:
-    """The generated dataclass hash (over the fields), computed on first use
-    and kept on the instance; instances and spaces are cache keys, hashed
-    on every lookup."""
-    try:
-        return self._hash  # type: ignore[attr-defined]
-    except AttributeError:
-        cached = hash(tuple(getattr(self, f.name) for f in dataclasses.fields(self)))
-        object.__setattr__(self, "_hash", cached)
-        return cached
-
-
-def _state_without_hash(self) -> dict:
-    # String hashes differ between processes, so a pickled hash would be
-    # wrong where it is loaded.
-    state = dict(self.__dict__)
-    state.pop("_hash", None)
-    return state
 
 
 @dataclass(frozen=True)
@@ -196,9 +173,6 @@ class CspInstance:
         except KeyError:
             raise ValueError(f"unknown variable {variable!r}") from None
 
-    __hash__ = _hash_once
-    __getstate__ = _state_without_hash
-
 
 @dataclass(frozen=True)
 class SearchSpace:
@@ -299,6 +273,3 @@ class SearchSpace:
         for _, values in self.entries:
             total *= len(values)
         return total
-
-    __hash__ = _hash_once
-    __getstate__ = _state_without_hash

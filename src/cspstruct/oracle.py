@@ -7,9 +7,11 @@ The answers are trustworthy (if exponential) and every faster detector in
 this package is validated against them.  Checks stop at the first
 counterexample; since enumeration follows declaration order, a reported
 counterexample is always the lexicographically least one.
-Each query is decided once per cached solution table: the verdict is kept
-on the table under a plain tuple key, and the query object is built and
-validated only when it is first decided.
+A caller builds one ``SolutionTable`` per (instance, space) with
+``solution_table`` and passes it to every query on that space.  Each query
+is decided once per table: the verdict is kept on the table under a plain
+tuple key, and the query object is built and validated only when it is
+first decided.
 Every property but dependence compares the cofactors of one variable x
 (the solutions with x fixed to a, to b, ...), so it is a relation on x's
 mask signature: the set of distinct masks of x's values that the solution
@@ -28,7 +30,6 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from functools import lru_cache
 from operator import itemgetter
 
 from .model import AssignmentTuple, CspInstance, Row, SearchSpace
@@ -128,7 +129,7 @@ class PropertyQuery:
 
 
 class SolutionTable:
-    """Cached exhaustive enumeration of Sol(C) within a search space, plus
+    """The exhaustive enumeration of Sol(C) within a search space, plus
     the verdicts decided on it so far, keyed by (kind, variable, values,
     over): ``evaluate`` keeps an OracleVerdict there, and the local checks
     keep a bool on a covering group's table.  ``answers`` maps a variable
@@ -153,6 +154,13 @@ class SolutionTable:
         self.verdicts: dict[tuple, OracleVerdict | bool] = {}
         self.answers: dict[str, dict[tuple, bool]] = {}
         self.scanned: dict[str, int] = {}
+
+    def values(self, variable: str) -> tuple[str, ...]:
+        """The active values of a variable, as ``SearchSpace.values``."""
+        try:
+            return self.actives[self.index[variable]]
+        except KeyError:
+            raise ValueError(f"unknown variable {variable!r}") from None
 
     def wrap(self, row: Row) -> AssignmentTuple:
         return AssignmentTuple(zip(self.order, row))
@@ -207,9 +215,8 @@ def _solution_rows(instance: CspInstance, space: SearchSpace) -> Iterator[Row]:
             stack.pop()
 
 
-@lru_cache(maxsize=512)
 def solution_table(instance: CspInstance, space: SearchSpace) -> SolutionTable:
-    """Enumerate all solutions inside the space once and cache the result."""
+    """Enumerate all solutions inside the space, for every query on it."""
     rows = tuple(_solution_rows(instance, space))
     actives = tuple(space.values(v) for v in instance.variables)
     return SolutionTable(instance.variables, actives, rows)
@@ -373,15 +380,18 @@ def _dependence_pair(
     return ()
 
 
-def _validate(instance: CspInstance, space: SearchSpace, query: PropertyQuery) -> None:
-    # The space covers the instance and query.variable is known: check the
-    # conditioning variables, then the values.
+def _validate(table, query: PropertyQuery) -> tuple[str, ...]:
+    """Check the query's variable, then its conditioning variables, then its
+    values against ``table``: a SolutionTable, or any object whose
+    ``values`` raises for an unknown variable as the table does.  Returns
+    the variable's active values."""
+    active = table.values(query.variable)
     for v in query.over:
-        instance.var_index(v)
-    active = space.values(query.variable)
+        table.values(v)
     for value in query.values:
         if value not in active:
             raise ValueError(f"value {value!r} is not active for {query.variable!r}")
+    return active
 
 
 @dataclass(frozen=True)
@@ -406,95 +416,72 @@ def _decide(tbl: SolutionTable, query: PropertyQuery) -> OracleVerdict:
     return OracleVerdict(query, False, (tbl.wrap(witness),))
 
 
-def evaluate(
-    instance: CspInstance, space: SearchSpace, query: PropertyQuery
-) -> OracleVerdict:
-    """Decide one property query exhaustively, with counterexample evidence:
-    the first falsifying solution row in enumeration order (the first
-    falsifying pair, for dependence).
+def evaluate(table: SolutionTable, query: PropertyQuery) -> OracleVerdict:
+    """Decide one property query exhaustively on the table, with
+    counterexample evidence: the first falsifying solution row in
+    enumeration order (the first falsifying pair, for dependence).
 
-    The verdict is kept on the cached solution table under the plain key
-    ``(kind, variable, values, over)``, so an equal query on the same
-    (instance, space) costs the table lookup plus one dict lookup and skips
-    validation: the stored query was validated against that key.
+    The verdict is kept on the table under the plain key
+    ``(kind, variable, values, over)``, so an equal query on the same table
+    costs one dict lookup and skips validation: the stored query was
+    validated against that key.
     """
     key = (query.kind, query.variable, query.values, query.over)
-    return _verdict(instance, space, key, query)
+    return _verdict(table, key, query)
 
 
 def _verdict(
-    instance: CspInstance,
-    space: SearchSpace,
-    key: tuple,
-    query: PropertyQuery | None = None,
+    table: SolutionTable, key: tuple, query: PropertyQuery | None = None
 ) -> OracleVerdict:
     """The verdict stored under ``key``, deciding it on a miss.  The check_*
     helpers pass the key alone, so a repeated ask builds no query object:
     only a miss builds (and so checks) one."""
-    x = key[1]
-    if x not in instance.variables:
-        # Fail before any enumeration, with the cover error first.
-        _require_cover(instance, space)
-        instance.var_index(x)
-    tbl = solution_table(instance, space)  # checks the cover on a miss
-    verdict = tbl.verdicts.get(key)
+    verdict = table.verdicts.get(key)
     if verdict is None:
         if query is None:
             query = PropertyQuery(*key)
-        _validate(instance, space, query)
-        verdict = tbl.verdicts[key] = _decide(tbl, query)
+        _validate(table, query)
+        verdict = table.verdicts[key] = _decide(table, query)
     return verdict
 
 
-def check_fixable(
-    instance: CspInstance, space: SearchSpace, x: str, a: str
-) -> bool:
-    return _verdict(instance, space, ("fixable", x, (a,), ())).holds
+def check_fixable(table: SolutionTable, x: str, a: str) -> bool:
+    return _verdict(table, ("fixable", x, (a,), ())).holds
 
 
-def check_substitutable(
-    instance: CspInstance, space: SearchSpace, x: str, a: str, b: str
-) -> bool:
-    return _verdict(instance, space, ("substitutable", x, (a, b), ())).holds
+def check_substitutable(table: SolutionTable, x: str, a: str, b: str) -> bool:
+    return _verdict(table, ("substitutable", x, (a, b), ())).holds
 
 
-def check_interchangeable(
-    instance: CspInstance, space: SearchSpace, x: str, a: str, b: str
-) -> bool:
-    return _verdict(instance, space, ("interchangeable", x, (a, b), ())).holds
+def check_interchangeable(table: SolutionTable, x: str, a: str, b: str) -> bool:
+    return _verdict(table, ("interchangeable", x, (a, b), ())).holds
 
 
-def check_removable(
-    instance: CspInstance, space: SearchSpace, x: str, a: str
-) -> bool:
-    return _verdict(instance, space, ("removable", x, (a,), ())).holds
+def check_removable(table: SolutionTable, x: str, a: str) -> bool:
+    return _verdict(table, ("removable", x, (a,), ())).holds
 
 
-def check_inconsistent(
-    instance: CspInstance, space: SearchSpace, x: str, a: str
-) -> bool:
-    return _verdict(instance, space, ("inconsistent", x, (a,), ())).holds
+def check_inconsistent(table: SolutionTable, x: str, a: str) -> bool:
+    return _verdict(table, ("inconsistent", x, (a,), ())).holds
 
 
-def check_implied(instance: CspInstance, space: SearchSpace, x: str, a: str) -> bool:
-    return _verdict(instance, space, ("implied", x, (a,), ())).holds
+def check_implied(table: SolutionTable, x: str, a: str) -> bool:
+    return _verdict(table, ("implied", x, (a,), ())).holds
 
 
-def check_determined(instance: CspInstance, space: SearchSpace, x: str) -> bool:
-    return _verdict(instance, space, ("determined", x, (), ())).holds
+def check_determined(table: SolutionTable, x: str) -> bool:
+    return _verdict(table, ("determined", x, (), ())).holds
 
 
-def check_dependent(
-    instance: CspInstance, space: SearchSpace, over: Iterable[str], y: str
-) -> bool:
+def check_dependent(table: SolutionTable, over: Iterable[str], y: str) -> bool:
     over = tuple(over)
     if y in over:
         PropertyQuery.dependent(over, y)  # raises, before any other check
-    return _verdict(instance, space, ("dependent", y, (), over)).holds
+    return _verdict(table, ("dependent", y, (), over)).holds
 
 
-def check_irrelevant(instance: CspInstance, space: SearchSpace, x: str) -> bool:
-    return _verdict(instance, space, ("irrelevant", x, (), ())).holds
+def check_irrelevant(table: SolutionTable, x: str) -> bool:
+    return _verdict(table, ("irrelevant", x, (), ())).holds
 
 
 def all_queries(

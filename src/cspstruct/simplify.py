@@ -126,13 +126,15 @@ class _DetectorSet:
     """The sound detector families, each answering: does anything justify
     fixing (x, a) or removing (x, a) in the current space?
 
-    The set owns its state: it builds it, not the module caches, so it may
-    change it in place.  ``advance`` brings it up to date with each new
-    space, from the variables it narrows alone:
+    The set owns its state, so it may change it in place.  ``advance``
+    brings it up to date with each new space, from the variables it
+    narrows alone:
 
     - ``groups``, the covering's group tables, narrowed in place with
       ``GroupTables.narrow``: only the groups that hold a narrowed variable
       change.
+    - ``_table``, the oracle's solution table of the current space, built
+      at the first oracle ask in a space and dropped by ``advance``.
     - The effective formula (every pinned variable instantiated away) as
       its live clauses, with their literals left per polarity, occurrence
       lists, the number of live clauses outside each clausal Schaefer
@@ -169,7 +171,7 @@ class _DetectorSet:
         self.instance = instance
         self.families = families
         self.groups = (
-            local._build_tables(instance, covering, space)
+            local.group_tables(instance, covering, space)
             if "local" in families and covering.groups
             else None
         )
@@ -179,6 +181,7 @@ class _DetectorSet:
         self._fix_dirty = bytearray(b"\x01") * len(instance.variables)
         self._removal_dirty = bytearray(self._fix_dirty)
         self._stays_dirty = "oracle" in families
+        self._table: oracle.SolutionTable | None = None
         # Per compiled variable index, the positions of the variables whose
         # tractable answers read it.
         self._watchers: dict[int, list[int]] = {}
@@ -226,13 +229,14 @@ class _DetectorSet:
         original formula.  Pinning never takes a formula out of a class, so
         the compiled form stays in the class it was compiled in.
         """
+        self._table = None
         pins = {}
         for x in narrowed:
             active = space.values(x)
             self._touch(x)
             if self.groups is not None:
                 some_empty = self.groups.some_empty
-                self.groups.narrow(x, active)
+                self.groups.narrow(space, x)
                 if self.groups.some_empty and not some_empty:
                     self._touch_all()
                 for g in self.groups.holding.get(x, ()):
@@ -320,6 +324,12 @@ class _DetectorSet:
             return None
         return local.pure_value(*self._polarity[x])
 
+    def _oracle(self, space: SearchSpace) -> oracle.SolutionTable:
+        # The current space's table, built at its first oracle ask.
+        if self._table is None:
+            self._table = oracle.solution_table(self.instance, space)
+        return self._table
+
     def _inconsistent(self, x: str, value: bool) -> bool:
         # The compiled form's answer; a false one watches the variables it
         # read, which a later pin may change.
@@ -365,10 +375,9 @@ class _DetectorSet:
                 # acting on; steps need evidence from at least one subset.
                 if self.groups is None:
                     continue
-                active = space.values(x)
-                if self.groups.established(PropertyQuery.fixable(x, a), active):
+                if self.groups.established(PropertyQuery.fixable(x, a)):
                     return "local-fixable", "established on every covering subset"
-                if self.groups.established(PropertyQuery.implied(x, a), active):
+                if self.groups.established(PropertyQuery.implied(x, a)):
                     return "local-implied", "established on some covering subset"
             elif family == "tractable":
                 compiled = self.compiled
@@ -376,7 +385,7 @@ class _DetectorSet:
                     if self._inconsistent(x, not boolean.name_bool(a)):
                         return "tractable-implied", f"{compiled.cls.value} reduction"
             elif family == "oracle":
-                if oracle.check_fixable(self.instance, space, x, a):
+                if oracle.check_fixable(self._oracle(space), x, a):
                     return "oracle-fixable", "exhaustive check"
         return None
 
@@ -388,13 +397,11 @@ class _DetectorSet:
                 if self.groups is None:
                     continue
                 established = self.groups.established
-                if established(PropertyQuery.inconsistent(x, a), active):
+                if established(PropertyQuery.inconsistent(x, a)):
                     return "local-inconsistent", "established on some subset", None, True
                 if len(active) >= 2:
                     for b in active:
-                        if b != a and established(
-                            PropertyQuery.substitutable(x, a, b), active
-                        ):
+                        if b != a and established(PropertyQuery.substitutable(x, a, b)):
                             return (
                                 "local-substitutable",
                                 "established on every covering subset",
@@ -412,11 +419,10 @@ class _DetectorSet:
                             True,
                         )
             elif family == "oracle":
-                if oracle.check_inconsistent(self.instance, space, x, a):
+                table = self._oracle(space)
+                if oracle.check_inconsistent(table, x, a):
                     return "oracle-inconsistent", "exhaustive check", None, True
-                if len(active) >= 2 and oracle.check_removable(
-                    self.instance, space, x, a
-                ):
+                if len(active) >= 2 and oracle.check_removable(table, x, a):
                     return "oracle-removable", "exhaustive check", None, False
         return None
 

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from cspstruct import boolean, boolean_corpus, local, oracle, parse_csp, parse_dimacs, standard_corpus
 from cspstruct.model import AssignmentTuple, Constraint, CspInstance, Relation, SearchSpace
-from cspstruct.oracle import PropertyQuery, solution_table
+from cspstruct.oracle import PropertyQuery
 from cspstruct.simplify import SimplificationResult, SimplificationStep
 
 DATA = Path(__file__).parent / "data"
@@ -165,14 +165,13 @@ def subproblem(instance, indices):
     )
 
 
-def forced_by_product(instance, space, group, y):
+def forced_by_product(tbl, group, y):
     """The dependence edge's right-hand side by its definition: for every
-    combination of the group's active values, the solutions that agree with
-    it share one value of ``y``."""
-    tbl = solution_table(instance, space)
+    combination of the group's active values, the solutions on the table
+    that agree with it share one value of ``y``."""
     iy = tbl.index[y]
     positions = tuple(tbl.index[v] for v in group)
-    for combo in itertools.product(*(space.values(v) for v in group)):
+    for combo in itertools.product(*(tbl.values(v) for v in group)):
         ys = {row[iy] for row in tbl.rows if tuple(row[p] for p in positions) == combo}
         if len(ys) > 1:
             return False
@@ -180,26 +179,17 @@ def forced_by_product(instance, space, group, y):
 
 
 
-def clear_caches():
-    """Empty every functools cache of the package's detectors."""
-    for module in (local, oracle, boolean):
-        for value in vars(module).values():
-            if hasattr(value, "cache_clear"):
-                value.cache_clear()
-
-
 def reference_simplify(instance, space, families, formula=None, group_size=1):
     """The simplifier by its definition, for comparison with
-    ``simplify_fixpoint``: every step scans from the first variable, asks
-    every family in order on cold caches, and takes the first justified
-    fix, else the first justified removal.  The effective formula is
-    ``assume`` of every pin."""
+    ``simplify_fixpoint``: every step builds each family's state afresh,
+    scans from the first variable, asks every family in order, and takes
+    the first justified fix, else the first justified removal.  The
+    effective formula is ``assume`` of every pin."""
     covering = local.default_covering(instance, group_size)
     steps = []
     size = space.size()
     while True:
-        clear_caches()
-        effective = cls = None
+        effective = compiled = None
         pure = {}
         if formula is not None:
             pins = {
@@ -211,19 +201,19 @@ def reference_simplify(instance, space, families, formula=None, group_size=1):
             cls = boolean.classify_schaefer(effective).primary
             if "pure-value" in families and effective.is_clausal:
                 pure = local.pure_values(effective)
+            if "tractable" in families and cls is not boolean.SchaeferClass.UNRESTRICTED:
+                compiled = boolean.CompiledFormula(effective, cls)
+        groups = local.group_tables(instance, covering, space)
+        table = oracle.solution_table(instance, space) if "oracle" in families else None
 
         def locally(query):
-            return bool(covering.groups) and local.local_check(
-                instance, space, covering, query
-            ).established
+            return bool(covering.groups) and local.local_check(groups, query).established
 
         def tractably(query):
             return (
-                "tractable" in families
-                and cls is not None
-                and cls is not boolean.SchaeferClass.UNRESTRICTED
+                compiled is not None
                 and query.variable in effective.variables
-                and boolean.tract_check(effective, cls, query)
+                and boolean.tract_check(compiled, query)
             )
 
         def fix_detector(x, a):
@@ -238,7 +228,7 @@ def reference_simplify(instance, space, families, formula=None, group_size=1):
                         return "local-implied"
                 elif family == "tractable" and tractably(PropertyQuery.implied(x, a)):
                     return "tractable-implied"
-                elif family == "oracle" and oracle.check_fixable(instance, space, x, a):
+                elif family == "oracle" and oracle.check_fixable(table, x, a):
                     return "oracle-fixable"
             return None
 
@@ -255,9 +245,9 @@ def reference_simplify(instance, space, families, formula=None, group_size=1):
                 elif family == "tractable" and tractably(PropertyQuery.inconsistent(x, a)):
                     return "tractable-inconsistent", None, True
                 elif family == "oracle":
-                    if oracle.check_inconsistent(instance, space, x, a):
+                    if oracle.check_inconsistent(table, x, a):
                         return "oracle-inconsistent", None, True
-                    if len(active) > 1 and oracle.check_removable(instance, space, x, a):
+                    if len(active) > 1 and oracle.check_removable(table, x, a):
                         return "oracle-removable", None, False
             return None
 

@@ -26,13 +26,14 @@ def _report(number: int, name: str) -> None:
 def test_criterion_01_coloring_oracle_verdicts(coloring):
     start = time.perf_counter()
     inst, space = coloring
-    assert oracle.check_fixable(inst, space, "x1", "R") is True
-    assert oracle.check_substitutable(inst, space, "x1", "R", "G") is True
-    assert oracle.check_interchangeable(inst, space, "x1", "R", "G") is True
-    assert oracle.check_removable(inst, space, "x1", "G") is True
-    assert oracle.check_irrelevant(inst, space, "x1") is True
-    assert oracle.check_removable(inst, space, "x5", "G") is True
-    assert oracle.check_determined(inst, space, "x1") is False
+    table = oracle.solution_table(inst, space)
+    assert oracle.check_fixable(table, "x1", "R") is True
+    assert oracle.check_substitutable(table, "x1", "R", "G") is True
+    assert oracle.check_interchangeable(table, "x1", "R", "G") is True
+    assert oracle.check_removable(table, "x1", "G") is True
+    assert oracle.check_irrelevant(table, "x1") is True
+    assert oracle.check_removable(table, "x5", "G") is True
+    assert oracle.check_determined(table, "x1") is False
     assert time.perf_counter() - start < 1.0
     _report(1, "coloring example, exact oracle verdicts under 1s")
 
@@ -56,17 +57,18 @@ def test_criterion_02_boolean_backbone_properties(backbone):
         Q.dependent(("z", "y"), "r"),
     ]
     assert len(expected_true) == 13
+    table = oracle.solution_table(inst, space)
     for query in expected_true:
-        assert oracle.evaluate(inst, space, query).holds, query.describe()
+        assert oracle.evaluate(table, query).holds, query.describe()
     assert time.perf_counter() - start < 1.0
     _report(2, "boolean example, all 13 properties under 1s")
 
 
 def test_criterion_03_local_establishment(triple_tables):
     inst, space = triple_tables
-    covering = default_covering(inst, 1)
-    assert local_check(inst, space, covering, Q.substitutable("x", "1", "2")).established
-    assert local_check(inst, space, covering, Q.fixable("z", "2")).established
+    groups = local.group_tables(inst, default_covering(inst, 1), space)
+    assert local_check(groups, Q.substitutable("x", "1", "2")).established
+    assert local_check(groups, Q.fixable("z", "2")).established
     _report(3, "local reasoning establishes the two worked facts")
 
 
@@ -74,7 +76,7 @@ def test_criterion_04_pure_value_rule(pure_literal_cnf):
     assert local.pure_value_fixable(pure_literal_cnf, "x") is True
     inst = to_extensional(pure_literal_cnf)
     space = SearchSpace.full(inst)
-    assert oracle.check_fixable(inst, space, "x", "true")
+    assert oracle.check_fixable(oracle.solution_table(inst, space), "x", "true")
     result = simplify.simplify_fixpoint(inst, space, formula=pure_literal_cnf)
     assert "FIX x=true BY pure-value" in result.log().splitlines()
     _report(4, "pure-value rule fires and the simplifier logs it")
@@ -84,10 +86,13 @@ def test_criterion_05_unsound_removability_regression(removability_trap):
     inst, space = removability_trap
     # (a) the local check refuses the removability query
     with pytest.raises(UnsoundLocalCheckError):
-        local_check(inst, space, default_covering(inst, 1), Q.removable("x", "2"))
+        local_check(
+            local.group_tables(inst, default_covering(inst, 1), space), Q.removable("x", "2")
+        )
     # (b) every singleton subproblem satisfies the removability condition
     for index in range(len(inst.constraints)):
-        assert oracle.check_removable(subproblem(inst, (index,)), space, "x", "2")
+        table = oracle.solution_table(subproblem(inst, (index,)), space)
+        assert oracle.check_removable(table, "x", "2")
     # (c) removing the value flips satisfiability
     assert oracle.satisfiable(inst, space) is True
     assert oracle.satisfiable(inst, space.remove("x", "2")) is False
@@ -102,7 +107,8 @@ def test_criterion_06_schaefer_exactness(boolean_corpora):
         assert len(formulas) == 500
         for formula in formulas:
             expanded = to_extensional(formula)
-            space = SearchSpace.full(expanded)
+            compiled = boolean.CompiledFormula(formula, kind)
+            table = oracle.solution_table(expanded, SearchSpace.full(expanded))
             queries = []
             for x in formula.variables:
                 for a in values:
@@ -116,8 +122,8 @@ def test_criterion_06_schaefer_exactness(boolean_corpora):
                 queries.append(Q.determined(x))
                 queries.append(Q.irrelevant(x))
             for query in queries:
-                fast = boolean.tract_check(formula, kind, query)
-                slow = oracle.evaluate(expanded, space, query).holds
+                fast = boolean.tract_check(compiled, query)
+                slow = oracle.evaluate(table, query).holds
                 if fast != slow:
                     disagreements += 1
     elapsed = time.perf_counter() - start
@@ -130,7 +136,7 @@ def test_criterion_07_hierarchy_validation(corpus):
     assert len(corpus) == 1000
     total = 0
     for inst, space in corpus:
-        total += len(validate_hierarchy(inst, space, dep_max=2))
+        total += len(validate_hierarchy(oracle.solution_table(inst, space), dep_max=2))
     assert total == 0
     _report(7, "1000 instances, zero violations over all 11 edges")
 
@@ -139,12 +145,13 @@ def test_criterion_08_local_soundness(corpus):
     kinds = tuple(local.AND_KINDS | local.OR_KINDS)
     for inst, space in corpus:
         queries = oracle.all_queries(inst, space, kinds, dep_max=2)
-        truths = {q: oracle.evaluate(inst, space, q).holds for q in queries}
+        table = oracle.solution_table(inst, space)
+        truths = {q: oracle.evaluate(table, q).holds for q in queries}
         for group_size in (1, 2, len(inst.constraints)):
-            covering = default_covering(inst, group_size)
+            groups = local.group_tables(inst, default_covering(inst, group_size), space)
             global_covering = group_size >= len(inst.constraints)
             for query in queries:
-                established = local_check(inst, space, covering, query).established
+                established = local_check(groups, query).established
                 if established:
                     assert truths[query], (inst, group_size, query.describe())
                 if global_covering:
@@ -184,11 +191,12 @@ def test_criterion_10_factoring():
     solutions = list(oracle.enumerate_solutions(inst, space))
     assert len(solutions) == 1
     assert decode_factors(ordered, solutions[0]) == (3, 5)
+    table = oracle.solution_table(inst, space)
     for x in inst.variables:
-        assert any(oracle.check_implied(inst, space, x, a) for a in space.values(x))
+        assert any(oracle.check_implied(table, x, a) for a in space.values(x))
     digits = tuple(v for v in inst.variables if v[0] in "xy")
     for carry in (v for v in inst.variables if v.startswith("c")):
-        assert oracle.check_dependent(inst, space, digits, carry)
+        assert oracle.check_dependent(table, digits, carry)
     unordered = FactoringSpec(15, 2, ordering=False)
     inst2 = gen_factoring(unordered)
     sols2 = list(oracle.enumerate_solutions(inst2, factoring_space(unordered)))

@@ -18,7 +18,6 @@ from cspstruct.boolean import (
     assume,
     classify_schaefer,
     clause_of,
-    compile_formula,
     instantiate_project,
     to_extensional,
     tract_check,
@@ -48,6 +47,11 @@ def brute_force_models(formula):
         if satisfies(formula, model):
             models.append(model)
     return models
+
+
+def tract(formula, kind, query):
+    """``tract_check`` on a compiled form built for this query alone."""
+    return tract_check(CompiledFormula(formula, kind), query)
 
 
 def pinned(formula, kind, *rounds):
@@ -123,7 +127,7 @@ class TestSatRestricted:
             ("a", "b"),
             (clause(("a", False), ("b", True)), clause(("a", True)), clause(("b", False))),
         )
-        assert not compile_formula(f, SchaeferClass.HORN).satisfiable
+        assert not CompiledFormula(f, SchaeferClass.HORN).satisfiable
 
     def test_two_cnf_model(self):
         f = BooleanFormula(
@@ -135,7 +139,7 @@ class TestSatRestricted:
             ),
         )
         assert brute_force_models(f) == [{"a": True, "b": True}]
-        compiled = compile_formula(f, "2cnf")
+        compiled = CompiledFormula(f, "2cnf")
         assert compiled.satisfiable
         assert not pinned(f, "2cnf", {"a": False}).satisfiable
         assert pinned(f, "2cnf", {"b": True}).satisfiable
@@ -146,36 +150,36 @@ class TestSatRestricted:
             (),
             (AffineEquation(frozenset("ab"), True), AffineEquation(frozenset("ab"), False)),
         )
-        assert not compile_formula(f, "affine").satisfiable
+        assert not CompiledFormula(f, "affine").satisfiable
 
     def test_class_mismatch(self):
         f = BooleanFormula(("a", "b", "c"), (clause(("a", True), ("b", True), ("c", True)),))
         for cls in (SchaeferClass.HORN, "2cnf", "affine", SchaeferClass.UNRESTRICTED):
             with pytest.raises(ClassMismatchError):
-                compile_formula(f, cls)
+                CompiledFormula(f, cls)
 
     def test_empty_formula_is_satisfiable(self):
         f = BooleanFormula(("a",))
         for cls in ("horn", "dual-horn", "2cnf", "affine"):
-            assert compile_formula(f, cls).satisfiable
+            assert CompiledFormula(f, cls).satisfiable
 
     def test_empty_clause_is_unsatisfiable(self):
         f = BooleanFormula(("a",), (Clause(frozenset()),))
         for cls in ("horn", "dual-horn", "2cnf"):
-            assert not compile_formula(f, cls).satisfiable
+            assert not CompiledFormula(f, cls).satisfiable
 
     @pytest.mark.parametrize("kind", ["horn", "dual-horn", "2cnf", "affine"])
     def test_agrees_with_brute_force(self, kind):
         for seed in range(1, 80):
             formula = gen_random_boolean(kind, 5, 8, seed)
-            assert compile_formula(formula, kind).satisfiable == bool(
+            assert CompiledFormula(formula, kind).satisfiable == bool(
                 brute_force_models(formula)
             ), (kind, seed)
 
     @pytest.mark.parametrize("kind", ["horn", "dual-horn", "2cnf", "affine"])
     def test_agrees_with_brute_force_on_corpus_slice(self, kind):
         for formula in itertools.islice(boolean_corpus(kind), 60):
-            assert compile_formula(formula, kind).satisfiable == bool(
+            assert CompiledFormula(formula, kind).satisfiable == bool(
                 brute_force_models(formula)
             )
 
@@ -228,41 +232,42 @@ class TestTractCheck:
         f = BooleanFormula(
             ("x", "y"), (clause(("x", True)), clause(("x", False), ("y", True)))
         )
-        assert tract_check(f, "horn", Q.implied("x", "true"))
-        assert tract_check(f, "horn", Q.implied("y", "true"))
-        assert tract_check(f, "horn", Q.determined("y"))
-        assert tract_check(f, "horn", Q.inconsistent("x", "false"))
-        assert tract_check(f, "horn", Q.fixable("x", "true"))
-        assert not tract_check(f, "horn", Q.fixable("x", "false"))
+        assert tract(f, "horn", Q.implied("x", "true"))
+        assert tract(f, "horn", Q.implied("y", "true"))
+        assert tract(f, "horn", Q.determined("y"))
+        assert tract(f, "horn", Q.inconsistent("x", "false"))
+        assert tract(f, "horn", Q.fixable("x", "true"))
+        assert not tract(f, "horn", Q.fixable("x", "false"))
 
     def test_identity_substitution(self):
         f = BooleanFormula(("x",), (clause(("x", True)),))
-        assert tract_check(f, "horn", Q.substitutable("x", "true", "true"))
-        assert tract_check(f, "horn", Q.substitutable("x", "false", "false"))
+        assert tract(f, "horn", Q.substitutable("x", "true", "true"))
+        assert tract(f, "horn", Q.substitutable("x", "false", "false"))
 
     def test_dependence_unsupported(self):
         f = BooleanFormula(("x", "y"), (clause(("x", True)),))
         with pytest.raises(UnsupportedQueryError, match="dependence"):
-            tract_check(f, "horn", Q.dependent(("x",), "y"))
+            tract(f, "horn", Q.dependent(("x",), "y"))
 
     def test_class_mismatch(self):
         f = BooleanFormula(("a", "b", "c"), (clause(("a", True), ("b", True), ("c", True)),))
         with pytest.raises(ClassMismatchError):
-            tract_check(f, "horn", Q.implied("a", "true"))
+            tract(f, "horn", Q.implied("a", "true"))
 
     def test_non_boolean_values_rejected(self):
         f = BooleanFormula(("x",), (clause(("x", True)),))
         with pytest.raises(ValueError, match="boolean"):
-            tract_check(f, "horn", Q.implied("x", "maybe"))
+            tract(f, "horn", Q.implied("x", "maybe"))
 
     @pytest.mark.parametrize("kind", ["horn", "dual-horn", "2cnf", "affine"])
     def test_agrees_with_oracle_on_sample(self, kind):
         for formula in itertools.islice(boolean_corpus(kind), 30):
             expanded = to_extensional(formula)
-            space = SearchSpace.full(expanded)
+            table = oracle.solution_table(expanded, SearchSpace.full(expanded))
+            compiled = CompiledFormula(formula, kind)
             for query in _boolean_queries(formula):
-                assert tract_check(formula, kind, query) == oracle.evaluate(
-                    expanded, space, query
+                assert tract_check(compiled, query) == oracle.evaluate(
+                    table, query
                 ).holds, (kind, formula, query)
 
 
@@ -354,7 +359,7 @@ class TestCompiledEngine:
     @given(formulas_with_unit_pins())
     def test_sat_under_assumptions_matches_brute_force(self, case):
         kind, formula, pins = case
-        compiled = compile_formula(formula, kind)
+        compiled = CompiledFormula(formula, kind)
         models = brute_force_models(formula)
         assert compiled.satisfiable == bool(models)
         assert pinned(formula, kind, pins).satisfiable == any(
@@ -368,11 +373,10 @@ class TestCompiledEngine:
     def test_every_query_matches_oracle(self, case):
         kind, formula = case
         expanded = to_extensional(formula)
-        space = SearchSpace.full(expanded)
+        table = oracle.solution_table(expanded, SearchSpace.full(expanded))
+        compiled = CompiledFormula(formula, kind)
         for query in _boolean_queries(formula):
-            assert tract_check(formula, kind, query) == oracle.evaluate(
-                expanded, space, query
-            ).holds, query
+            assert tract_check(compiled, query) == oracle.evaluate(table, query).holds, query
 
     def test_unsatisfiable_two_cnf_without_propagation_conflict(self):
         a, b = ("a", True), ("b", True)
@@ -380,65 +384,76 @@ class TestCompiledEngine:
         f = BooleanFormula(
             ("a", "b"), (clause(a, b), clause(a, nb), clause(na, b), clause(na, nb))
         )
-        compiled = compile_formula(f, "2cnf")
+        compiled = CompiledFormula(f, "2cnf")
         assert not compiled.satisfiable
         assert not pinned(f, "2cnf", {"a": True}).satisfiable
         for value in ("false", "true"):
-            assert tract_check(f, "2cnf", Q.inconsistent("a", value))
-            assert tract_check(f, "2cnf", Q.implied("b", value))
-        assert tract_check(f, "2cnf", Q.determined("a"))
+            assert tract(f, "2cnf", Q.inconsistent("a", value))
+            assert tract(f, "2cnf", Q.implied("b", value))
+        assert tract(f, "2cnf", Q.determined("a"))
 
     @pytest.mark.parametrize("kind", CLAUSAL_KINDS)
     def test_empty_clause(self, kind):
         f = BooleanFormula(("a", "b"), (Clause(frozenset()), clause(("a", True))))
-        compiled = compile_formula(f, kind)
+        compiled = CompiledFormula(f, kind)
         assert not compiled.satisfiable
-        assert tract_check(f, kind, Q.inconsistent("a", "true"))
-        assert tract_check(f, kind, Q.substitutable("b", "true", "false"))
+        assert tract(f, kind, Q.inconsistent("a", "true"))
+        assert tract(f, kind, Q.substitutable("b", "true", "false"))
 
     def test_false_equation(self):
         f = BooleanFormula(("a",), (), (AffineEquation(frozenset(), True),))
-        compiled = compile_formula(f, "affine")
+        compiled = CompiledFormula(f, "affine")
         assert not compiled.satisfiable
-        assert tract_check(f, "affine", Q.inconsistent("a", "false"))
-        assert tract_check(f, "affine", Q.determined("a"))
+        assert tract(f, "affine", Q.inconsistent("a", "false"))
+        assert tract(f, "affine", Q.determined("a"))
 
     @pytest.mark.parametrize("kind", CLAUSAL_KINDS)
     def test_unit_only_formula(self, kind):
         f = BooleanFormula(("a", "b", "c"), (clause(("a", True)), clause(("b", False))))
-        compiled = compile_formula(f, kind)
+        compiled = CompiledFormula(f, kind)
         assert compiled.satisfiable
         assert pinned(f, kind, {"a": True, "c": False}).satisfiable
         assert not pinned(f, kind, {"a": False}).satisfiable
-        assert tract_check(f, kind, Q.implied("a", "true"))
-        assert tract_check(f, kind, Q.implied("b", "false"))
-        assert tract_check(f, kind, Q.irrelevant("c"))
-        assert not tract_check(f, kind, Q.determined("c"))
-        assert tract_check(f, kind, Q.fixable("a", "true"))
-        assert not tract_check(f, kind, Q.removable("a", "true"))
+        assert tract(f, kind, Q.implied("a", "true"))
+        assert tract(f, kind, Q.implied("b", "false"))
+        assert tract(f, kind, Q.irrelevant("c"))
+        assert not tract(f, kind, Q.determined("c"))
+        assert tract(f, kind, Q.fixable("a", "true"))
+        assert not tract(f, kind, Q.removable("a", "true"))
 
     @pytest.mark.parametrize("kind", CLAUSAL_KINDS + ("affine",))
     def test_zero_constraint_formula(self, kind):
         f = BooleanFormula(("a", "b"))
-        compiled = compile_formula(f, kind)
+        compiled = CompiledFormula(f, kind)
         assert compiled.satisfiable
         for x in f.variables:
-            assert tract_check(f, kind, Q.irrelevant(x))
-            assert not tract_check(f, kind, Q.determined(x))
-            assert not tract_check(f, kind, Q.inconsistent(x, "true"))
-            assert tract_check(f, kind, Q.interchangeable(x, "false", "true"))
+            assert tract(f, kind, Q.irrelevant(x))
+            assert not tract(f, kind, Q.determined(x))
+            assert not tract(f, kind, Q.inconsistent(x, "true"))
+            assert tract(f, kind, Q.interchangeable(x, "false", "true"))
 
-    def test_compiled_once_per_formula(self):
+    def test_compiled_once_per_formula(self, monkeypatch):
+        # Every query reads the state the caller compiled: none builds the
+        # propagation state or the basis again.
+        builds = []
+        for name in ("_UnitPropagation", "_affine_basis"):
+            build = getattr(boolean, name)
+
+            def counting(*args, build=build):
+                builds.append(build)
+                return build(*args)
+
+            monkeypatch.setattr(boolean, name, counting)
         f = BooleanFormula(("x", "y"), (clause(("x", False), ("y", True)),))
-        compile_formula.cache_clear()
+        compiled = CompiledFormula(f, "horn")
+        assert len(builds) == 1
         for query in _boolean_queries(f):
-            tract_check(f, "horn", query)
-        info = compile_formula.cache_info()
-        assert info.misses == 1 and info.hits == len(list(_boolean_queries(f))) - 1
+            tract_check(compiled, query)
+        assert len(builds) == 1
 
     def test_no_other_module_cache(self):
         caches = [n for n, v in vars(boolean).items() if hasattr(v, "cache_clear")]
-        assert caches == ["compile_formula"]
+        assert caches == []
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +570,8 @@ class TestReadOffAnswers:
     def test_width_3_remainders_decide_determinacy(self):
         for kind, mirror in (("horn", lambda f: f), ("dual-horn", mirrored)):
             for name in ("width 3, determined", "width 3, chained"):
-                assert tract_check(mirror(HORN_CASES[name]), kind, Q.determined("x"))
-            assert not tract_check(mirror(HORN_CASES["width 3, free"]), kind, Q.determined("x"))
+                assert tract(mirror(HORN_CASES[name]), kind, Q.determined("x"))
+            assert not tract(mirror(HORN_CASES["width 3, free"]), kind, Q.determined("x"))
 
 
 @st.composite
@@ -699,22 +714,22 @@ class TestTractCheckErrorOrder:
     def test_class_mismatch_first(self):
         for kind in ("dependent", "bogus", "implied"):
             with pytest.raises(ClassMismatchError):
-                tract_check(self.not_horn, "horn", self.query(kind))
+                tract(self.not_horn, "horn", self.query(kind))
         with pytest.raises(ClassMismatchError):
-            tract_check(self.horn, "unrestricted", self.query("dependent"))
+            tract(self.horn, "unrestricted", self.query("dependent"))
 
     def test_dependence_before_kind_variable_and_value(self):
         with pytest.raises(UnsupportedQueryError, match="dependence"):
-            tract_check(self.horn, "horn", self.query("dependent"))
+            tract(self.horn, "horn", self.query("dependent"))
 
     def test_kind_before_variable_and_value(self):
         with pytest.raises(UnsupportedQueryError, match="unsupported property kind"):
-            tract_check(self.horn, "horn", self.query("bogus"))
+            tract(self.horn, "horn", self.query("bogus"))
 
     def test_variable_before_value(self):
         with pytest.raises(ValueError, match="unknown variable"):
-            tract_check(self.horn, "horn", self.query("implied"))
+            tract(self.horn, "horn", self.query("implied"))
 
     def test_value_last(self):
         with pytest.raises(ValueError, match="boolean"):
-            tract_check(self.horn, "horn", self.query("implied", variable="x"))
+            tract(self.horn, "horn", self.query("implied", variable="x"))

@@ -1,8 +1,9 @@
 import json
+import time
 
 import pytest
 
-from cspstruct import boolean, cli
+from cspstruct import boolean, cli, local, oracle
 from cspstruct.cli import main
 from cspstruct.instances import parse_csp
 from cspstruct.report import AnalysisReport, Finding, from_json, make_report, to_json
@@ -79,6 +80,33 @@ class TestAnalyze:
         )
         assert code == 0
         assert "fixable x true ESTABLISHED" in out.splitlines()
+
+
+class TestFindingTime:
+    """A finding's ``elapsed_ms`` covers its own query alone: what answers
+    the queries is built before the first one is timed."""
+
+    @pytest.mark.parametrize(
+        "method, module, builder",
+        [("oracle", oracle, "solution_table"), ("local", local, "group_tables")],
+    )
+    def test_the_build_is_not_charged_to_a_finding(
+        self, capsys, monkeypatch, method, module, builder
+    ):
+        build = getattr(module, builder)
+
+        def slow(*args):
+            time.sleep(0.2)
+            return build(*args)
+
+        monkeypatch.setattr(module, builder, slow)
+        code, out, _ = run(
+            capsys, "analyze", str(data_path("triple_tables.csp")),
+            "--method", method, "--all", "--json",
+        )
+        assert code == 0
+        times = [finding.elapsed_ms for finding in from_json(out).findings]
+        assert times and max(times) < 200
 
 
 class TestSimplify:
@@ -370,6 +398,30 @@ class TestExitCodes:
             main([command, str(data_path("coloring_isolated.csp")), "--group-size", "0"])
         assert exit_info.value.code == 2
         assert "--group-size: must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("analyze", "--dep-max", "-1"), "--dep-max: must be at least 0"),
+            (("check", "--dep-max", "-1"), "--dep-max: must be at least 0"),
+            (("analyze", "--max-space", "-1"), "--max-space: must be at least 1"),
+            (("analyze", "--max-space", "0"), "--max-space: must be at least 1"),
+            (("simplify", "--max-space", "0"), "--max-space: must be at least 1"),
+            (("check", "--max-space", "-1"), "--max-space: must be at least 1"),
+        ],
+    )
+    def test_work_disabling_option_values_are_usage(self, capsys, argv, message):
+        # A negative --dep-max used to skip every dependence instantiation
+        # and pass, and a --max-space below 1 refused every space.
+        command, *options = argv
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, str(data_path("triple_tables.csp")), *options])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
+    def test_zero_dep_max_still_checks(self, capsys):
+        code, out, _ = run(capsys, "check", str(data_path("triple_tables.csp")), "--dep-max", "0")
+        assert (code, out) == (0, "all checks passed\n")
 
     def test_formula_without_variables(self, capsys, tmp_path):
         empty = tmp_path / "empty.cnf"

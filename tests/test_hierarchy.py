@@ -4,6 +4,7 @@ import random
 import pytest
 
 from cspstruct import oracle
+from cspstruct.oracle import solution_table
 from cspstruct.hierarchy import (
     edge_catalog,
     find_edge,
@@ -48,34 +49,32 @@ def test_catalog_names_and_kinds():
 
 
 def test_coloring_validates_clean(coloring):
-    inst, space = coloring
-    assert validate_hierarchy(inst, space) == []
+    assert validate_hierarchy(solution_table(*coloring)) == []
 
 
 def test_backbone_validates_clean(backbone):
-    inst, space = backbone
-    assert validate_hierarchy(inst, space) == []
+    assert validate_hierarchy(solution_table(*backbone)) == []
 
 
 def test_edge_instantiations_on_fixtures(coloring, backbone):
-    inst4, space4 = backbone
+    table4 = solution_table(*backbone)
     edge5 = find_edge("implication-inconsistency")
-    assert edge5.lhs(inst4, space4, ("x", "true"))
-    assert edge5.rhs(inst4, space4, ("x", "true"))
-    inst2, space2 = coloring
+    assert edge5.lhs(table4, ("x", "true"))
+    assert edge5.rhs(table4, ("x", "true"))
+    table2 = solution_table(*coloring)
     edge2 = find_edge("irrelevance-fixability")
-    assert edge2.lhs(inst2, space2, ("x1",))
-    assert edge2.rhs(inst2, space2, ("x1",))
+    assert edge2.lhs(table2, ("x1",))
+    assert edge2.rhs(table2, ("x1",))
 
 
 def test_reversed_edge_is_violated_on_coloring(coloring):
-    inst, space = coloring
+    table = solution_table(*coloring)
     # x1 is fixable to every color yet has no implied value
-    violations = validate_hierarchy(inst, space, reverse_edge("implication-fixability"))
+    violations = validate_hierarchy(table, reverse_edge("implication-fixability"))
     assert violations
     assert all(v.edge == "implication-fixability-reversed" for v in violations)
     # x2 is determined but has no implied value
-    violations = validate_hierarchy(inst, space, reverse_edge("determinacy-implication"))
+    violations = validate_hierarchy(table, reverse_edge("determinacy-implication"))
     assert any(v.args[0] == "x2" for v in violations)
 
 
@@ -89,10 +88,10 @@ def test_only_implications_reverse():
 def test_unique_solution_edge_on_factoring():
     spec = FactoringSpec(15, 2, ordering=True)
     inst = gen_factoring(spec)
-    space = factoring_space(spec)
+    table = solution_table(inst, factoring_space(spec))
     edge = find_edge("unique-solution")
-    assert edge.lhs(inst, space, ())
-    assert edge.rhs(inst, space, ())
+    assert edge.lhs(table, ())
+    assert edge.rhs(table, ())
 
 
 def test_forced_for_every_assignment_matches_naive_route(corpus):
@@ -102,17 +101,19 @@ def test_forced_for_every_assignment_matches_naive_route(corpus):
         space = full
         if number % 2:  # exercise restricted spaces too
             space = full.remove(inst.variables[3], inst.domain[1])
+        table = solution_table(inst, space)
         for y in inst.variables[:2]:
             others = tuple(v for v in inst.variables if v != y)
             for group in ((), others[:1], others[:2]):
-                fast = forced_for_every_assignment(inst, space, group, y)
+                fast = forced_for_every_assignment(table, group, y)
                 naive = True
                 for combo in itertools.product(*(space.values(v) for v in group)):
                     restricted = space
                     for v, a in zip(group, combo):
                         restricted = restricted.assign(v, a)
+                    restricted_table = solution_table(inst, restricted)
                     if not any(
-                        oracle.check_implied(inst, restricted, y, a)
+                        oracle.check_implied(restricted_table, y, a)
                         for a in space.values(y)
                     ):
                         naive = False
@@ -133,12 +134,13 @@ def test_forced_for_every_assignment_matches_product_definition(seed):
             if rng.random() < 0.4:
                 narrowed = narrowed.remove(v, rng.choice(narrowed.values(v)))
         for space in (full, narrowed):
+            table = solution_table(inst, space)
             for y in inst.variables:
                 for size in range(len(inst.variables)):
                     group = tuple(rng.sample(inst.variables, size))
                     assert forced_for_every_assignment(
-                        inst, space, group, y
-                    ) == forced_by_product(inst, space, group, y)
+                        table, group, y
+                    ) == forced_by_product(table, group, y)
 
 
 def test_dependence_edge_rejects_the_determined_reading():
@@ -147,52 +149,56 @@ def test_dependence_edge_rejects_the_determined_reading():
     # the "all solutions share one y value" reading.
     eq = Constraint("eq", ("y", "z"), Relation.of(2, [("0", "0"), ("1", "1")]))
     inst = CspInstance(("v", "y", "z"), ("0", "1"), (eq,))
-    space = SearchSpace.full(inst)
-    assert oracle.check_determined(inst, space, "y")
-    assert not oracle.check_dependent(inst, space, ("v",), "y")
-    assert not forced_for_every_assignment(inst, space, ("v",), "y")
-    assert validate_hierarchy(inst, space) == []
+    table = solution_table(inst, SearchSpace.full(inst))
+    assert oracle.check_determined(table, "y")
+    assert not oracle.check_dependent(table, ("v",), "y")
+    assert not forced_for_every_assignment(table, ("v",), "y")
+    assert validate_hierarchy(table) == []
 
 
 def test_fixability_edge_as_derived_detector(corpus):
     edge = find_edge("fixability-substitutability")
     for inst, space in corpus[:40]:
+        table = solution_table(inst, space)
         for x in inst.variables:
             for b in space.values(x):
-                derived = edge.rhs(inst, space, (x, b))
-                assert derived == oracle.check_fixable(inst, space, x, b)
+                derived = edge.rhs(table, (x, b))
+                assert derived == oracle.check_fixable(table, x, b)
 
 
 def test_validation_on_corpus_sample(corpus):
     for inst, space in corpus[:60]:
-        assert validate_hierarchy(inst, space) == []
+        assert validate_hierarchy(solution_table(inst, space)) == []
 
 
 def test_warm_validation_builds_no_query_object_and_reuses_every_table(
     coloring, monkeypatch
 ):
-    # The catalog asks through the check_* helpers: a memo hit builds no
-    # PropertyQuery, and each ask makes one table lookup, hit or miss.
+    # The catalog asks through the check_* helpers: once every verdict it
+    # asks for is on the table, validating again builds no PropertyQuery
+    # and decides nothing new.
     inst, full = coloring
     catalog = reverse_edge("implication-fixability")
-    calls = []
-    cached = oracle.solution_table
-
-    def counting(instance, space):
-        calls.append(space)
-        return cached(instance, space)
-
-    monkeypatch.setattr(oracle, "solution_table", counting)
-    spaces = (full, full.remove("x2", "G"))
-    cached.cache_clear()
-    cold = [validate_hierarchy(inst, space, catalog) for space in spaces]
-    cold_calls = len(calls)
+    tables = [solution_table(inst, space) for space in (full, full.remove("x2", "G"))]
+    cold = [validate_hierarchy(table, catalog) for table in tables]
+    decided = [dict(table.verdicts) for table in tables]
     assert cold[0]
 
     def refuse(self):
         raise AssertionError(f"built a query object for {self.describe()}")
 
     monkeypatch.setattr(oracle.PropertyQuery, "__post_init__", refuse)
-    calls.clear()
-    assert [validate_hierarchy(inst, space, catalog) for space in spaces] == cold
-    assert len(calls) == cold_calls
+    assert [validate_hierarchy(table, catalog) for table in tables] == cold
+    assert [table.verdicts for table in tables] == decided
+
+
+def test_an_empty_catalog_checks_nothing(coloring):
+    # An empty catalog is not the full one: nothing is instantiated, so
+    # nothing is decided on the table.
+    table = solution_table(*coloring)
+    assert validate_hierarchy(table, catalog=()) == []
+    assert table.verdicts == {}
+    with pytest.raises(ValueError, match="no relationship edge"):
+        reverse_edge("implication-fixability", ())
+    with pytest.raises(ValueError, match="no relationship edge"):
+        find_edge("unique-solution", ())

@@ -14,11 +14,13 @@ from cspstruct.local import (
     Covering,
     UnsoundLocalCheckError,
     default_covering,
+    group_tables,
     local_check,
     pure_value_fixable,
 )
 from cspstruct.model import Constraint, CspInstance, Relation, SearchSpace
 from cspstruct.oracle import PropertyQuery as Q
+from cspstruct.oracle import solution_table
 from cspstruct.simplify import simplify_fixpoint
 
 from conftest import (
@@ -59,29 +61,34 @@ class TestDefaultCovering:
             default_covering(inst, 0)
 
 
+def ask(inst, space, covering, query):
+    """One local query on group tables built for it alone."""
+    return local_check(group_tables(inst, covering, space), query)
+
+
 class TestLocalCheck:
     def test_substitutable_across_tables(self, triple_tables):
         inst, space = triple_tables
-        verdict = local_check(inst, space, default_covering(inst), Q.substitutable("x", "1", "2"))
+        verdict = ask(inst, space, default_covering(inst), Q.substitutable("x", "1", "2"))
         assert verdict.established
         assert verdict.per_group == (True, True, True)
         assert verdict.verdict == "established"
 
     def test_fixable_in_every_table(self, triple_tables):
         inst, space = triple_tables
-        verdict = local_check(inst, space, default_covering(inst), Q.fixable("z", "2"))
+        verdict = ask(inst, space, default_covering(inst), Q.fixable("z", "2"))
         assert verdict.established
         assert verdict.per_group == (True, True, True)
 
     def test_removable_rejected(self, triple_tables):
         inst, space = triple_tables
         with pytest.raises(UnsoundLocalCheckError, match="not sound|cannot establish"):
-            local_check(inst, space, default_covering(inst), Q.removable("x", "1"))
+            ask(inst, space, default_covering(inst), Q.removable("x", "1"))
 
     def test_unknown_value_rejected(self, triple_tables):
         inst, space = triple_tables
         with pytest.raises(ValueError, match="not active"):
-            local_check(inst, space, default_covering(inst), Q.fixable("x", "9"))
+            ask(inst, space, default_covering(inst), Q.fixable("x", "9"))
 
     def test_covering_must_cover(self, triple_tables):
         inst, space = triple_tables
@@ -89,13 +96,13 @@ class TestLocalCheck:
             (Covering(((0,), (1,))), "cover every constraint"),
             (Covering(((0,), (1,), (2, 7))), "covering index 7 out of range"),
         ]
-        # A passing covering check is cached; a failing one must raise on
-        # every call, also once a valid covering of the instance was used.
+        # A failing covering must raise on every build, also once a valid
+        # covering of the instance was used.
         for _ in range(2):
             for covering, message in bad:
                 with pytest.raises(ValueError, match=message):
-                    local_check(inst, space, covering, Q.fixable("z", "2"))
-            local_check(inst, space, default_covering(inst), Q.fixable("z", "2"))
+                    group_tables(inst, covering, space)
+            ask(inst, space, default_covering(inst), Q.fixable("z", "2"))
         with pytest.raises(ValueError, match="nonempty"):
             Covering(((0,), ()))
 
@@ -109,16 +116,17 @@ class TestLocalCheck:
         extra = SearchSpace(space.entries + (("w", ("0",)),))
         for bad in (lacking, extra):
             with pytest.raises(ValueError, match="must cover exactly the instance variables"):
-                local_check(inst, bad, covering, Q.fixable("z", "2"))
+                group_tables(inst, covering, bad)
+        groups = group_tables(inst, covering, space)
         with pytest.raises(ValueError, match="unknown variable 'w'"):
-            local_check(inst, space, covering, Q.dependent(("w",), "x"))
+            local_check(groups, Q.dependent(("w",), "x"))
         with pytest.raises(ValueError, match="unknown variable 'w'"):
-            local_check(inst, space, covering, Q.fixable("w", "0"))
+            local_check(groups, Q.fixable("w", "0"))
 
     def test_overlapping_covering_accepted(self, triple_tables):
         inst, space = triple_tables
         overlapping = Covering(((0, 1), (1, 2), (0, 2)))
-        verdict = local_check(inst, space, overlapping, Q.substitutable("x", "1", "2"))
+        verdict = ask(inst, space, overlapping, Q.substitutable("x", "1", "2"))
         assert verdict.established
 
     def test_empty_constraint_set_combinator_identities(self):
@@ -126,8 +134,9 @@ class TestLocalCheck:
         space = SearchSpace.full(inst)
         covering = default_covering(inst)
         assert covering.groups == ()
-        assert local_check(inst, space, covering, Q.fixable("a", "0")).established
-        assert not local_check(inst, space, covering, Q.implied("a", "0")).established
+        groups = group_tables(inst, covering, space)
+        assert local_check(groups, Q.fixable("a", "0")).established
+        assert not local_check(groups, Q.implied("a", "0")).established
 
 
 def _corpus_queries(inst, space):
@@ -145,10 +154,11 @@ def _coverings(inst):
 
 def _assert_groups_exact(inst, space):
     for covering in _coverings(inst):
-        subs = [subproblem(inst, group) for group in covering.groups]
+        groups = group_tables(inst, covering, space)
+        subs = [solution_table(subproblem(inst, group), space) for group in covering.groups]
         for query in _corpus_queries(inst, space):
-            verdict = local_check(inst, space, covering, query)
-            expected = tuple(oracle.evaluate(sub, space, query).holds for sub in subs)
+            verdict = local_check(groups, query)
+            expected = tuple(oracle.evaluate(sub, query).holds for sub in subs)
             assert verdict.per_group == expected, (covering, query.describe())
 
 
@@ -166,12 +176,6 @@ class TestExactnessOfFastPaths:
             _assert_groups_exact(inst, narrowed)
 
 
-def _clear_local_caches():
-    for value in vars(local).values():
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
-
-
 class TestLocality:
     def test_free_variables_are_never_enumerated(self, monkeypatch):
         # Twenty variables, two binary constraints: each group is decided on
@@ -183,14 +187,13 @@ class TestLocality:
 
         monkeypatch.setattr(oracle, "solution_table", refuse)
         monkeypatch.setattr(oracle, "evaluate", refuse)
-        _clear_local_caches()
         for group_size in (1, 2):
-            covering = default_covering(inst, group_size)
+            groups = group_tables(inst, default_covering(inst, group_size), space)
             for query in _corpus_queries(inst, space):
-                local_check(inst, space, covering, query)
-            assert local_check(inst, space, covering, Q.irrelevant("v5")).established
-            assert local_check(inst, space, covering, Q.fixable("v2", "1")).established
-            assert not local_check(inst, space, covering, Q.determined("v5")).established
+                local_check(groups, query)
+            assert local_check(groups, Q.irrelevant("v5")).established
+            assert local_check(groups, Q.fixable("v2", "1")).established
+            assert not local_check(groups, Q.determined("v5")).established
 
     def test_assignment_rebuilds_only_the_groups_it_touches(self, corpus, monkeypatch):
         # Narrowing derives the groups that hold the variable from their
@@ -204,37 +207,35 @@ class TestLocality:
             query = Q.fixable(inst.variables[0], space.values(inst.variables[0])[0])
             for group_size in (1, 2):
                 covering = default_covering(inst, group_size)
-                tables = local._build_tables(inst, covering, space)
+                tables = group_tables(inst, covering, space)
                 current = space
                 for v in inst.variables[1:]:
                     if len(current.values(v)) == 1:
                         continue
-                    local._combine(inst, current, tables, query)
+                    local._combine(tables, query)
                     before = list(tables.tables)
                     verdicts = [dict(tbl.verdicts) for tbl in before]
                     current = current.assign(v, current.values(v)[0])
                     with monkeypatch.context() as patch:
                         patch.setattr(oracle, "_solution_rows", refuse)
-                        tables.narrow(v, current.values(v))
+                        tables.narrow(current, v)
+                    assert tables.space is current
                     for old, new, decided in zip(before, tables.tables, verdicts):
                         if v in old.index:
                             assert new is not old and not new.verdicts, (group_size, v)
                             narrowed_groups += 1
                         else:
                             assert new is old and new.verdicts == decided, (group_size, v)
-                    expected = local_check(inst, current, covering, query)
-                    assert local._combine(inst, current, tables, query) == expected
+                    expected = ask(inst, current, covering, query)
+                    assert local._combine(tables, query) == expected
         assert narrowed_groups > 0
-
-    def test_one_module_cache(self):
-        caches = [n for n, v in vars(local).items() if hasattr(v, "cache_clear")]
-        assert caches == ["_tables"]
 
 
 def _narrowing_chain(inst, space, rng, steps):
-    """Spaces the simplifier could visit: each one assigns a variable or
-    removes one of its values, so the spaces only shrink."""
-    chain = [space]
+    """Spaces the simplifier could visit, each with the variable it narrows
+    (None for the first): each one assigns a variable or removes one of
+    its values, so the spaces only shrink."""
+    chain = [(space, None)]
     for _ in range(steps):
         open_vars = [v for v in inst.variables if len(space.values(v)) > 1]
         if not open_vars:
@@ -242,7 +243,7 @@ def _narrowing_chain(inst, space, rng, steps):
         v = rng.choice(open_vars)
         value = rng.choice(space.values(v))
         space = space.assign(v, value) if rng.random() < 0.5 else space.remove(v, value)
-        chain.append(space)
+        chain.append((space, v))
     return chain
 
 
@@ -253,7 +254,6 @@ class TestGroupVerdictMemo:
         # that a step left untouched; each must still be the exact verdict
         # on the group's subproblem in the narrowed space.
         rng = random.Random(f"chain/{seed}")
-        _clear_local_caches()
         checked = 0
         for number in range(8):
             inst, space = gen_random(
@@ -267,14 +267,18 @@ class TestGroupVerdictMemo:
                 )
             )
             coverings = _coverings(inst)
-            for narrowed in _narrowing_chain(inst, space, rng, 4):
-                for covering in coverings:
-                    subs = [subproblem(inst, group) for group in covering.groups]
+            warm = [group_tables(inst, covering, space) for covering in coverings]
+            for narrowed, v in _narrowing_chain(inst, space, rng, 4):
+                for covering, groups in zip(coverings, warm):
+                    if v is not None:
+                        groups.narrow(narrowed, v)
+                    subs = [
+                        solution_table(subproblem(inst, group), narrowed)
+                        for group in covering.groups
+                    ]
                     for query in _corpus_queries(inst, narrowed):
-                        verdict = local_check(inst, narrowed, covering, query)
-                        expected = tuple(
-                            oracle.evaluate(sub, narrowed, query).holds for sub in subs
-                        )
+                        verdict = local_check(groups, query)
+                        expected = tuple(oracle.evaluate(sub, query).holds for sub in subs)
                         assert verdict.per_group == expected, (
                             seed, number, narrowed, covering, query.describe()
                         )
@@ -298,35 +302,32 @@ class TestGroupVerdictMemo:
 
         monkeypatch.setattr(oracle, "_falsifying_rows", recording_rows)
         monkeypatch.setattr(oracle, "_dependence_pair", recording_pair)
-        _clear_local_caches()
         for inst, space in corpus[:12]:
             pinned = inst.variables[-1]
             narrowed = space.assign(pinned, space.values(pinned)[0])
             for covering in _coverings(inst):
+                groups = group_tables(inst, covering, space)
                 for query in _corpus_queries(inst, space):
                     scanned.clear()
-                    local_check(inst, space, covering, query)
+                    local_check(groups, query)
                     assert all(query.variable in tbl.index for tbl in scanned), (
                         covering, query.describe()
                     )
                     scanned.clear()
-                    local_check(inst, space, covering, query)
+                    local_check(groups, query)
                     assert scanned == [], query.describe()
                 # Every query on the narrowed space is asked on the full one
                 # first: a group outside the assigned variable's scope keeps
                 # its table and its verdicts through ``narrow``.
-                tables = local._build_tables(inst, covering, space)
-                for query in _corpus_queries(inst, space):
-                    local._combine(inst, space, tables, query)
-                tables.narrow(pinned, narrowed.values(pinned))
+                groups.narrow(narrowed, pinned)
                 for query in _corpus_queries(inst, narrowed):
                     scanned.clear()
-                    local._combine(inst, narrowed, tables, query)
+                    local._combine(groups, query)
                     assert all(
                         query.variable in tbl.index and pinned in tbl.index for tbl in scanned
                     ), (covering, query.describe())
                     scanned.clear()
-                    local._combine(inst, narrowed, tables, query)
+                    local._combine(groups, query)
                     assert scanned == [], query.describe()
 
 
@@ -357,11 +358,11 @@ def _assert_group_answers_match_references(inst, space, rng):
         subs = [subproblem(inst, group) for group in covering.groups]
         solutions = [reference_solutions(sub, space) for sub in subs]
         order = rng.sample(queries, len(queries))
-        _clear_local_caches()
-        tables = local._tables(inst, covering, space).tables
+        groups = group_tables(inst, covering, space)
+        tables = groups.tables
         singles = []
         for query in order + order[: len(order) // 2]:
-            verdict = local_check(inst, space, covering, query)
+            verdict = local_check(groups, query)
             singles.append(verdict)
             expected = tuple(
                 reference_verdict(sub, space, sols, query)[0]
@@ -378,9 +379,9 @@ def _assert_group_answers_match_references(inst, space, rng):
             for x in tbl.order:
                 signed = tbl.scanned.get(x, 0) >= len(tbl.rows) + oracle._SIGNATURE_FILL_ROWS
                 assert (x in tbl.answers) is signed, (covering, x)
-        _clear_local_caches()
-        assert local.local_checks(inst, space, covering, order) == singles[: len(order)]
-        for tbl in local._tables(inst, covering, space).tables:
+        fresh = group_tables(inst, covering, space)
+        assert local.local_checks(fresh, order) == singles[: len(order)]
+        for tbl in fresh.tables:
             # Read off signatures built before the first query: no scans.
             assert set(tbl.answers) == set(tbl.order) and not tbl.scanned, covering
 
@@ -420,9 +421,9 @@ class TestGroupAnswers:
         covering = default_covering(inst)
         once = [Q.determined(x) for x in inst.variables]
         for queries, signed in ((once, False), (once + once[:1], True)):
-            _clear_local_caches()
-            local.local_checks(inst, space, covering, queries)
-            for tbl in local._tables(inst, covering, space).tables:
+            groups = group_tables(inst, covering, space)
+            local.local_checks(groups, queries)
+            for tbl in groups.tables:
                 x = inst.variables[0]
                 if x in tbl.index:
                     assert (x in tbl.answers) is signed
@@ -433,32 +434,35 @@ class TestGroupAnswers:
         covering = default_covering(inst)
         x = inst.variables[0]
         good = Q.fixable(x, space.values(x)[0])
-        # Every kind is checked first, then the covering and the space.
+        groups = group_tables(inst, covering, space)
+        # Every kind is checked first, then each query's variable and values.
         with pytest.raises(UnsoundLocalCheckError):
-            local.local_checks(inst, space, Covering(((0,),)), [good, Q.removable(x, "1")])
-        with pytest.raises(ValueError, match="jointly cover"):
-            local.local_checks(inst, space, Covering(((0,),)), [good, Q.fixable("nope", "1")])
+            local.local_checks(groups, [good, Q.fixable("nope", "1"), Q.removable(x, "1")])
         with pytest.raises(ValueError, match="unknown variable 'nope'"):
-            local.local_checks(inst, space, covering, [good, Q.fixable("nope", "1")])
+            local.local_checks(groups, [good, Q.fixable("nope", "1")])
+        with pytest.raises(ValueError, match="not active"):
+            local.local_checks(groups, [good, Q.fixable(x, "9")])
 
 
 class TestSoundness:
     def test_on_corpus_sample(self, corpus):
         for inst, space in corpus[:50]:
             queries = _corpus_queries(inst, space)
+            table = solution_table(inst, space)
             for group_size in (1, 2):
-                covering = default_covering(inst, group_size)
+                groups = group_tables(inst, default_covering(inst, group_size), space)
                 for query in queries:
-                    if local_check(inst, space, covering, query).established:
-                        assert oracle.evaluate(inst, space, query).holds
+                    if local_check(groups, query).established:
+                        assert oracle.evaluate(table, query).holds
 
     def test_global_covering_equals_oracle(self, corpus):
         for inst, space in corpus[:50]:
-            covering = default_covering(inst, len(inst.constraints))
+            groups = group_tables(inst, default_covering(inst, len(inst.constraints)), space)
+            table = solution_table(inst, space)
             for query in _corpus_queries(inst, space):
                 assert (
-                    local_check(inst, space, covering, query).established
-                    == oracle.evaluate(inst, space, query).holds
+                    local_check(groups, query).established
+                    == oracle.evaluate(table, query).holds
                 )
 
 
@@ -467,12 +471,12 @@ class TestRemovabilityTrapRegression:
         inst, space = removability_trap
         # (a) the removability query is rejected outright
         with pytest.raises(UnsoundLocalCheckError):
-            local_check(inst, space, default_covering(inst), Q.removable("x", "2"))
+            ask(inst, space, default_covering(inst), Q.removable("x", "2"))
         # (b) yet every singleton subproblem satisfies the removability
         # condition for (x, 2)
         for index in range(len(inst.constraints)):
             sub = subproblem(inst, (index,))
-            assert oracle.check_removable(sub, space, "x", "2")
+            assert oracle.check_removable(solution_table(sub, space), "x", "2")
         # (c) and removing 2 from x flips satisfiability
         assert oracle.satisfiable(inst, space)
         assert not oracle.satisfiable(inst, space.remove("x", "2"))
@@ -519,20 +523,17 @@ class TestPureValue:
             )
             inst = to_extensional(formula)
             space = SearchSpace.full(inst)
-            covering = default_covering(inst, 1)
+            groups = group_tables(inst, default_covering(inst, 1), space)
+            table = solution_table(inst, space)
             for x in formula.variables:
                 value = pure_value_fixable(formula, x)
                 for candidate, name in ((True, "true"), (False, "false")):
-                    local_says = local_check(
-                        inst, space, covering, Q.fixable(x, name)
-                    ).established
+                    local_says = local_check(groups, Q.fixable(x, name)).established
                     assert local_says == (
                         value is candidate or _pure_both_ways(formula, x)
                     ), (seed, x, candidate)
                 if value is not None:
-                    assert oracle.check_fixable(
-                        inst, space, x, "true" if value else "false"
-                    )
+                    assert oracle.check_fixable(table, x, "true" if value else "false")
 
 
 def _pure_both_ways(formula, x):
@@ -555,7 +556,7 @@ class TestDerivedTables:
         inst, space = case
         covering = default_covering(inst, group_size)
         projected, _ = local._groups(inst, covering)
-        tables = local._build_tables(inst, covering, space)
+        tables = group_tables(inst, covering, space)
         for pick, value, fix in moves:
             candidates = [v for v in inst.variables if len(space.values(v)) > 1]
             if not candidates:
@@ -563,9 +564,8 @@ class TestDerivedTables:
             x = candidates[pick % len(candidates)]
             a = space.values(x)[value % len(space.values(x))]
             space = space.assign(x, a) if fix else space.remove(x, a)
-            tables.narrow(x, space.values(x))
-            _clear_local_caches()
-            cold = local._tables(inst, covering, space)
+            tables.narrow(space, x)
+            cold = group_tables(inst, covering, space)
             for tbl, cold_tbl, group in zip(tables.tables, cold.tables, projected):
                 actives = tuple(map(space.values, group.variables))
                 enumerated = oracle._solution_rows(group, SearchSpace(tuple(zip(group.variables, actives))))
@@ -575,19 +575,18 @@ class TestDerivedTables:
             assert tables.empty == cold.empty
             assert tables.some_empty == cold.some_empty == any(cold.empty)
             for query in _group_queries(inst, space):
-                expected = local_check(inst, space, covering, query)
-                assert local._combine(inst, space, tables, query) == expected
-                active = space.values(query.variable)
-                assert tables.established(query, active) == expected.established
+                expected = local_check(cold, query)
+                assert local._combine(tables, query) == expected
+                assert tables.established(query) == expected.established
 
     def test_one_wide_constraint_is_not_enumerated(self, monkeypatch):
         # Three rows, against 3^17 in the scope product.  Value 2 occurs in
         # no row, so the simplifier removes it from every variable and stops.
         inst, space = parse_csp(data_path("wide17.csp").read_text())
         monkeypatch.setattr(oracle, "_solution_rows", None)
-        covering = default_covering(inst)
-        assert local_check(inst, space, covering, Q.inconsistent("x1", "2")).established
-        assert not local_check(inst, space, covering, Q.fixable("x1", "0")).established
+        groups = group_tables(inst, default_covering(inst), space)
+        assert local_check(groups, Q.inconsistent("x1", "2")).established
+        assert not local_check(groups, Q.fixable("x1", "0")).established
         result = simplify_fixpoint(inst, space)
         assert result.log().splitlines() == [
             f"REMOVE {x}!=2 BY local-inconsistent" for x in inst.variables

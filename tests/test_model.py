@@ -1,7 +1,9 @@
 import dataclasses
+import importlib
 import itertools
 import os
 import pickle
+import pkgutil
 import subprocess
 import sys
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cspstruct
 from cspstruct.local import Covering, default_covering
 from cspstruct.model import (
     AssignmentTuple,
@@ -184,6 +187,9 @@ def build_instance(extra=()):
 
 
 class TestCachedHash:
+    """Instances, spaces and coverings hash by their fields, so equal values
+    hash equal, also after a pickle round trip into another process."""
+
     def test_equal_builds_hash_equal(self):
         a, b = build_instance(), build_instance()
         assert a is not b and a == b and hash(a) == hash(b)
@@ -212,33 +218,11 @@ class TestCachedHash:
         assert space.assign("z", "1") == pinned and hash(space.assign("z", "1")) == hash(pinned)
         assert space.remove("x", "0") == narrowed and hash(space.remove("x", "0")) == hash(narrowed)
 
-    def test_cache_stays_out_of_repr_and_equality(self):
-        for hashed, fresh in (
-            (build_instance(), build_instance()),
-            (SearchSpace.full(build_instance()), SearchSpace.full(build_instance())),
-        ):
-            hash(hashed)
-            assert repr(hashed) == repr(fresh)
-            object.__setattr__(fresh, "_hash", hash(hashed) + 1)
-            assert hashed == fresh
-
-    def test_pickle_drops_the_cached_hash(self):
-        inst = build_instance()
-        space = SearchSpace.full(inst).remove("y", "1")
-        for value in (inst, space):
-            hash(value)
-            loaded = pickle.loads(pickle.dumps(value))
-            assert "_hash" not in loaded.__dict__
-            assert loaded == value and hash(loaded) == hash(value)
-
     def test_covering_keeps_its_field_hash(self):
         covering = default_covering(build_instance(), 1)
-        assert "_hash" not in covering.__dict__
         assert hash(covering) == hash((covering.groups,))
-        assert covering.__dict__["_hash"] == hash(covering)
         assert covering == Covering([[0]]) and hash(Covering([[0]])) == hash(covering)
         loaded = pickle.loads(pickle.dumps(covering))
-        assert "_hash" not in loaded.__dict__
         assert loaded == covering and hash(loaded) == hash(covering)
 
     def test_pickled_values_hash_right_under_another_hash_seed(self):
@@ -261,3 +245,17 @@ class TestCachedHash:
             capture_output=True,
         )
         assert done.returncode == 0, done.stderr.decode()
+
+
+def test_no_module_holds_a_cache():
+    # Every command builds what answers its queries and passes it down, so
+    # no module keeps anything between calls.
+    names = [info.name for info in pkgutil.iter_modules(cspstruct.__path__, "cspstruct.")]
+    assert {"cspstruct.oracle", "cspstruct.local", "cspstruct.boolean"} <= set(names)
+    caches = [
+        f"{name}.{attribute}"
+        for name in names
+        for attribute, value in vars(importlib.import_module(name)).items()
+        if hasattr(value, "cache_clear")
+    ]
+    assert caches == []

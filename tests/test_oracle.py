@@ -145,15 +145,15 @@ class TestEnumerator:
 
 class TestColoringProperties:
     def test_isolated_node_claims(self, coloring):
-        inst, space = coloring
-        assert check_fixable(inst, space, "x1", "R")
-        assert check_substitutable(inst, space, "x1", "R", "G")
-        assert check_interchangeable(inst, space, "x1", "R", "G")
-        assert check_removable(inst, space, "x1", "G")
-        assert check_irrelevant(inst, space, "x1")
-        assert check_removable(inst, space, "x5", "G")
-        assert not check_determined(inst, space, "x1")
-        assert not check_irrelevant(inst, space, "x4")
+        tbl = solution_table(*coloring)
+        assert check_fixable(tbl, "x1", "R")
+        assert check_substitutable(tbl, "x1", "R", "G")
+        assert check_interchangeable(tbl, "x1", "R", "G")
+        assert check_removable(tbl, "x1", "G")
+        assert check_irrelevant(tbl, "x1")
+        assert check_removable(tbl, "x5", "G")
+        assert not check_determined(tbl, "x1")
+        assert not check_irrelevant(tbl, "x4")
 
     def test_reassigning_x1_keeps_solutions(self, coloring):
         inst, space = coloring
@@ -163,20 +163,20 @@ class TestColoringProperties:
 
 class TestBackboneProperties:
     def test_all_thirteen(self, backbone):
-        inst, space = backbone
-        assert check_inconsistent(inst, space, "x", "false")
-        assert check_inconsistent(inst, space, "y", "false")
-        assert check_fixable(inst, space, "x", "true")
-        assert check_fixable(inst, space, "q", "true")
-        assert check_fixable(inst, space, "r", "true")
-        assert check_implied(inst, space, "x", "true")
-        assert check_implied(inst, space, "y", "true")
-        assert check_implied(inst, space, "q", "true")
-        assert check_implied(inst, space, "r", "true")
-        assert check_determined(inst, space, "y")
-        assert check_dependent(inst, space, ("z", "w"), "p")
-        assert check_dependent(inst, space, ("z", "y"), "q")
-        assert check_dependent(inst, space, ("z", "y"), "r")
+        tbl = solution_table(*backbone)
+        assert check_inconsistent(tbl, "x", "false")
+        assert check_inconsistent(tbl, "y", "false")
+        assert check_fixable(tbl, "x", "true")
+        assert check_fixable(tbl, "q", "true")
+        assert check_fixable(tbl, "r", "true")
+        assert check_implied(tbl, "x", "true")
+        assert check_implied(tbl, "y", "true")
+        assert check_implied(tbl, "q", "true")
+        assert check_implied(tbl, "r", "true")
+        assert check_determined(tbl, "y")
+        assert check_dependent(tbl, ("z", "w"), "p")
+        assert check_dependent(tbl, ("z", "y"), "q")
+        assert check_dependent(tbl, ("z", "y"), "r")
 
 
 class TestVacuity:
@@ -184,78 +184,81 @@ class TestVacuity:
         inst = unsat_instance()
         space = SearchSpace.full(inst)
         assert not satisfiable(inst, space)
+        tbl = solution_table(inst, space)
         for x in inst.variables:
-            assert check_determined(inst, space, x)
-            assert check_irrelevant(inst, space, x)
+            assert check_determined(tbl, x)
+            assert check_irrelevant(tbl, x)
             for a in inst.domain:
-                assert check_fixable(inst, space, x, a)
-                assert check_removable(inst, space, x, a)
-                assert check_inconsistent(inst, space, x, a)
-                assert check_implied(inst, space, x, a)
+                assert check_fixable(tbl, x, a)
+                assert check_removable(tbl, x, a)
+                assert check_inconsistent(tbl, x, a)
+                assert check_implied(tbl, x, a)
                 for b in inst.domain:
-                    assert check_substitutable(inst, space, x, a, b)
-                    assert check_interchangeable(inst, space, x, a, b)
-        assert check_dependent(inst, space, ("a",), "b")
+                    assert check_substitutable(tbl, x, a, b)
+                    assert check_interchangeable(tbl, x, a, b)
+        assert check_dependent(tbl, ("a",), "b")
 
     def test_implied_everywhere_simultaneously(self):
         inst = unsat_instance()
-        space = SearchSpace.full(inst)
-        assert all(check_implied(inst, space, "a", a) for a in inst.domain)
+        tbl = solution_table(inst, SearchSpace.full(inst))
+        assert all(check_implied(tbl, "a", a) for a in inst.domain)
 
 
 class TestFreeInstance:
     def test_every_tuple_is_solution(self):
         inst = free_instance()
-        space = SearchSpace.full(inst)
+        tbl = solution_table(inst, SearchSpace.full(inst))
         for x in inst.variables:
-            assert check_irrelevant(inst, space, x)
+            assert check_irrelevant(tbl, x)
             for a in inst.domain:
-                assert not check_inconsistent(inst, space, x, a)
+                assert not check_inconsistent(tbl, x, a)
 
 
 class TestRemovable:
     def test_pinned_equality_counterexample(self, removability_trap):
         inst, space = removability_trap
         core = dataclasses.replace(inst, constraints=inst.constraints[:2])  # x<=y and x>=y only
-        assert not check_removable(core, space, "x", "2")
+        assert not check_removable(solution_table(core, space), "x", "2")
 
     def test_single_active_value_requires_inconsistency(self):
         inst = free_instance()
         space = SearchSpace.over(inst, {"a": ["0"]})
         # a=0 appears in solutions and no alternative exists
-        assert not check_removable(inst, space, "a", "0")
+        assert not check_removable(solution_table(inst, space), "a", "0")
         dead = unsat_instance()
         space = SearchSpace.over(dead, {"a": ["0"]})
-        assert check_removable(dead, space, "a", "0")
+        assert check_removable(solution_table(dead, space), "a", "0")
 
     def test_identity_substitution_always_holds(self, triple_tables):
         inst, space = triple_tables
+        tbl = solution_table(inst, space)
         for x in inst.variables:
             for a in inst.domain:
-                assert check_substitutable(inst, space, x, a, a)
+                assert check_substitutable(tbl, x, a, a)
 
 
 class TestDependence:
     def test_substitutable_across_tables(self, triple_tables):
-        inst, space = triple_tables
-        assert check_substitutable(inst, space, "x", "1", "2")
+        assert check_substitutable(solution_table(*triple_tables), "x", "1", "2")
 
     def test_unique_solution_instance_fully_dependent(self, removability_trap):
         inst, space = removability_trap
-        assert len(solution_table(inst, space).rows) == 1
+        tbl = solution_table(inst, space)
+        assert len(tbl.rows) == 1
         for y in inst.variables:
             rest = tuple(v for v in inst.variables if v != y)
-            assert check_dependent(inst, space, rest, y)
+            assert check_dependent(tbl, rest, y)
 
 
 class TestImpliedInconsistentLink:
     def test_on_corpus_sample(self, corpus):
         for inst, space in corpus[:60]:
+            tbl = solution_table(inst, space)
             for x in inst.variables:
                 for a in space.values(x):
-                    lhs = check_implied(inst, space, x, a)
+                    lhs = check_implied(tbl, x, a)
                     rhs = all(
-                        check_inconsistent(inst, space, x, b)
+                        check_inconsistent(tbl, x, b)
                         for b in space.values(x)
                         if b != a
                     )
@@ -268,25 +271,25 @@ class TestMonotonicity:
         for inst, space in corpus[:60]:
             x = inst.variables[0]
             a = inst.domain[0]
-            if not check_inconsistent(inst, space, x, a):
+            if not check_inconsistent(solution_table(inst, space), x, a):
                 continue
             y = rng.choice([v for v in inst.variables if v != x])
             keep = rng.sample(space.values(y), 2)
             narrowed = SearchSpace.over(inst, {y: keep})
-            assert check_inconsistent(inst, narrowed, x, a)
+            assert check_inconsistent(solution_table(inst, narrowed), x, a)
 
 
 class TestEvidence:
     def test_counterexample_is_lexicographically_least(self, coloring):
         inst, space = coloring
-        verdict = evaluate(inst, space, PropertyQuery.irrelevant("x4"))
+        verdict = evaluate(solution_table(inst, space), PropertyQuery.irrelevant("x4"))
         assert not verdict.holds
         first_solution = next(enumerate_solutions(inst, space))
         assert verdict.counterexamples[0] == first_solution
 
     def test_dependent_counterexample_is_a_pair(self, coloring):
         inst, space = coloring
-        verdict = evaluate(inst, space, PropertyQuery.dependent(("x2",), "x5"))
+        verdict = evaluate(solution_table(inst, space), PropertyQuery.dependent(("x2",), "x5"))
         assert not verdict.holds
         assert len(verdict.counterexamples) == 2
 
@@ -299,8 +302,9 @@ class TestEvidence:
                     narrowed = narrowed.remove(x, rng.choice(narrowed.values(x)))
             for space in (full, narrowed):
                 solutions = reference_solutions(inst, space)
+                tbl = solution_table(inst, space)
                 for query in all_queries(inst, space, dep_max=2):
-                    verdict = evaluate(inst, space, query)
+                    verdict = evaluate(tbl, query)
                     expected = reference_verdict(inst, space, solutions, query)
                     assert (verdict.holds, verdict.counterexamples) == expected, query
 
@@ -365,14 +369,13 @@ def assert_asks_match_references(inst, space, rng):
         for kind, values in signature_keys(space.values(x))
     ]
     rng.shuffle(queries)
-    solution_table.cache_clear()
     tbl = solution_table(inst, space)
     rows = len(tbl.rows)
     spent = {}
     for query in queries:
         x = query.variable
         scanned = x not in tbl.answers
-        verdict = evaluate(inst, space, query)
+        verdict = evaluate(tbl, query)
         expected = reference_verdict(inst, space, solutions, query)
         assert (verdict.holds, verdict.counterexamples) == expected, query.describe()
         if scanned and verdict.holds:
@@ -403,13 +406,11 @@ class TestSignatureAnswers:
         # signature at the second scan, 3 rows only at the fourth.
         for names, needed in (("abcde", 2), ("a", 4)):
             inst = CspInstance(tuple(names), ("0", "1", "2"))
-            space = SearchSpace.full(inst)
-            solution_table.cache_clear()
-            tbl = solution_table(inst, space)
+            tbl = solution_table(inst, SearchSpace.full(inst))
             asks = [PropertyQuery.fixable("a", v) for v in "012"]
             asks += [PropertyQuery.irrelevant("a"), PropertyQuery.determined("a")]
             for count, query in enumerate(asks, 1):
-                assert evaluate(inst, space, query).holds is (query.kind != "determined")
+                assert evaluate(tbl, query).holds is (query.kind != "determined")
                 assert ("a" in tbl.answers) is (count >= needed), (names, count)
 
     def test_empty_table_holds_everything(self):
@@ -425,22 +426,26 @@ class TestPreconditions:
         inst, space = coloring
         narrowed = space.remove("x1", "B")
         with pytest.raises(ValueError, match="not active"):
-            check_fixable(inst, narrowed, "x1", "B")
+            check_fixable(solution_table(inst, narrowed), "x1", "B")
 
     def test_unknown_variable(self, coloring):
         inst, space = coloring
         with pytest.raises(ValueError, match="unknown variable"):
-            check_determined(inst, space, "nope")
+            check_determined(solution_table(inst, space), "nope")
 
     def test_dependent_target_in_set(self):
         with pytest.raises(ValueError, match="must not occur"):
             PropertyQuery.dependent(("x", "y"), "x")
 
     def test_space_must_cover_instance(self, coloring):
-        inst, _space = coloring
-        other = CspInstance(("q",), ("0",))
-        with pytest.raises(ValueError, match="cover"):
-            check_irrelevant(inst, SearchSpace.full(other), "q")
+        inst, space = coloring
+        partial = SearchSpace(space.entries[:3])
+        other = SearchSpace.full(CspInstance(("q",), ("0",)))
+        for bad in (partial, other):
+            with pytest.raises(
+                ValueError, match="search space must cover exactly the instance variables"
+            ):
+                solution_table(inst, bad)
 
     def test_query_arity_validation(self):
         with pytest.raises(ValueError, match="value argument"):
@@ -450,8 +455,7 @@ class TestPreconditions:
 
 
 def fresh_verdict(inst, space, query):
-    solution_table.cache_clear()
-    return evaluate(inst, space, query)
+    return evaluate(solution_table(inst, space), query)
 
 
 def same_verdict(got, want):
@@ -475,57 +479,47 @@ class TestVerdictMemo:
             for q in rng.sample(queries, len(queries) // 3)
         ]
         rng.shuffle(asked)
-        solution_table.cache_clear()
-        answers = [evaluate(inst, space, q) for q in asked]
+        tbl = solution_table(inst, space)
+        answers = [evaluate(tbl, q) for q in asked]
         for query, got in zip(asked, answers):
             assert same_verdict(got, fresh_verdict(inst, space, query)), query
 
     def test_invalid_queries_raise_on_every_call(self, coloring):
         inst, space = coloring
         narrowed = space.remove("x1", "B")
-        partial = SearchSpace(space.entries[:3])
-        other = SearchSpace.full(CspInstance(("q",), ("0",)))
+        tables = {valid: solution_table(inst, valid) for valid in (space, narrowed)}
         cases = [
             (
-                lambda: evaluate(inst, narrowed, PropertyQuery.fixable("x1", "B")),
+                lambda: evaluate(tables[narrowed], PropertyQuery.fixable("x1", "B")),
                 "value 'B' is not active for 'x1'",
             ),
             (
-                lambda: evaluate(inst, space, PropertyQuery.determined("nope")),
+                lambda: evaluate(tables[space], PropertyQuery.determined("nope")),
                 "unknown variable 'nope'",
             ),
             (
-                lambda: evaluate(inst, space, PropertyQuery.dependent(("x2", "nope"), "x5")),
+                lambda: evaluate(
+                    tables[space], PropertyQuery.dependent(("x2", "nope"), "x5")
+                ),
                 "unknown variable 'nope'",
             ),
             (
-                lambda: evaluate(inst, space, PropertyQuery.dependent(("x2", "x5"), "x5")),
+                lambda: evaluate(
+                    tables[space], PropertyQuery.dependent(("x2", "x5"), "x5")
+                ),
                 "dependence target must not occur in the variable set",
             ),
-            (
-                lambda: evaluate(inst, partial, PropertyQuery.irrelevant("x1")),
-                "search space must cover exactly the instance variables",
-            ),
-            # The cover error comes before the unknown variable.
-            (
-                lambda: evaluate(inst, other, PropertyQuery.irrelevant("q")),
-                "search space must cover exactly the instance variables",
-            ),
         ]
-        solution_table.cache_clear()
-        with pytest.raises(ValueError, match="unknown variable 'nope'"):
-            evaluate(inst, space, PropertyQuery.determined("nope"))
-        assert solution_table.cache_info().currsize == 0  # nothing enumerated
         for _ in range(2):
             for ask, message in cases:
                 for _ in range(2):
                     with pytest.raises(ValueError, match=re.escape(message)):
                         ask()
             # Fill the memos of both valid spaces, then ask again.
-            for valid in (space, narrowed):
+            for valid, tbl in tables.items():
                 for query in all_queries(inst, valid, dep_max=1):
-                    evaluate(inst, valid, query)
-            assert solution_table(inst, narrowed).verdicts
+                    evaluate(tbl, query)
+            assert tables[narrowed].verdicts
 
     def test_each_space_keeps_its_own_verdict(self, coloring):
         inst, full = coloring
@@ -536,23 +530,9 @@ class TestVerdictMemo:
         }
         assert not expected[full].holds and expected[pinned].holds
         for order in ((full, pinned), (pinned, full)):
-            solution_table.cache_clear()
+            tables = {space: solution_table(inst, space) for space in order}
             for space in order * 2:
-                assert same_verdict(evaluate(inst, space, query), expected[space])
-
-    def test_cache_clear_drops_every_verdict(self, coloring):
-        inst, space = coloring
-        query = PropertyQuery.fixable("x1", "R")
-        # Verdicts are kept under the plain key (kind, variable, values, over).
-        key = ("fixable", "x1", ("R",), ())
-        evaluate(inst, space, query)
-        before = solution_table(inst, space)
-        assert key in before.verdicts
-        solution_table.cache_clear()
-        after = solution_table(inst, space)
-        assert after is not before and after.verdicts == {}
-        assert same_verdict(evaluate(inst, space, query), before.verdicts[key])
-        assert key in after.verdicts
+                assert same_verdict(evaluate(tables[space], query), expected[space])
 
 
 def every_ask(inst, space, dep_max=2):
@@ -578,87 +558,78 @@ def every_ask(inst, space, dep_max=2):
 
 class TestAskPath:
     """The check_* helpers ask the table's verdict memo with a plain key:
-    one table lookup per ask, and a query object only on a miss."""
+    a query object only on a miss, and a hit is one dict lookup."""
 
-    def test_each_ask_looks_the_table_up_once_and_matches_evaluate(
-        self, coloring, monkeypatch
-    ):
+    def test_each_ask_looks_the_table_up_once_and_matches_evaluate(self, coloring):
         inst, full = coloring
-        calls = []
-        cached = oracle.solution_table
-
-        def counting(instance, space):
-            calls.append(space)
-            return cached(instance, space)
-
-        monkeypatch.setattr(oracle, "solution_table", counting)
         for space in (full, full.remove("x1", "B").assign("x4", "G")):
             expected = {
                 query: fresh_verdict(inst, space, PropertyQuery(*query)).holds
                 for _, _, query in every_ask(inst, space)
             }
-            cached.cache_clear()
+            tbl = solution_table(inst, space)
             for _ in range(2):  # a miss, then a memo hit
                 for check, args, query in every_ask(inst, space):
-                    calls.clear()
-                    assert check(inst, space, *args) == expected[query], query
-                    assert calls == [space], query
+                    assert check(tbl, *args) == expected[query], query
+                    assert tbl.verdicts[query].holds == expected[query], query
+            assert set(tbl.verdicts) == set(expected)
 
     def test_warm_asks_build_no_query_object(self, coloring, monkeypatch):
         inst, full = coloring
-        spaces = (full, full.assign("x2", "R"))
-        solution_table.cache_clear()
-        answers = [
-            check(inst, space, *args)
-            for space in spaces
-            for check, args, _ in every_ask(inst, space)
-        ]
+        tables = [solution_table(inst, space) for space in (full, full.assign("x2", "R"))]
+
+        def asks():
+            return [
+                check(tbl, *args)
+                for tbl, space in zip(tables, (full, full.assign("x2", "R")))
+                for check, args, _ in every_ask(inst, space)
+            ]
+
+        answers = asks()
 
         def refuse(self):
             raise AssertionError(f"built a query object for {self.describe()}")
 
         monkeypatch.setattr(PropertyQuery, "__post_init__", refuse)
-        assert answers == [
-            check(inst, space, *args)
-            for space in spaces
-            for check, args, _ in every_ask(inst, space)
-        ]
+        assert answers == asks()
 
     def test_invalid_asks_raise_in_order_on_every_call(self, coloring):
         inst, space = coloring
         narrowed = space.remove("x1", "B")
-        partial = SearchSpace(space.entries[:3])
-        other = SearchSpace.full(CspInstance(("q",), ("0",)))
+        tbl, narrow_tbl = solution_table(inst, space), solution_table(inst, narrowed)
         target = "dependence target must not occur in the variable set"
-        cover = "search space must cover exactly the instance variables"
         cases = [
-            (lambda: check_fixable(inst, narrowed, "x1", "B"), "value 'B' is not active for 'x1'"),
-            (lambda: check_substitutable(inst, narrowed, "x1", "R", "B"), "value 'B' is not active"),
-            (lambda: check_determined(inst, space, "nope"), "unknown variable 'nope'"),
+            (lambda: check_fixable(narrow_tbl, "x1", "B"), "value 'B' is not active for 'x1'"),
+            (lambda: check_substitutable(narrow_tbl, "x1", "R", "B"), "value 'B' is not active"),
+            (lambda: check_determined(tbl, "nope"), "unknown variable 'nope'"),
             # The unknown variable comes before the inactive value.
-            (lambda: check_fixable(inst, space, "nope", "Z"), "unknown variable 'nope'"),
-            (lambda: check_dependent(inst, space, ("x2", "nope"), "x5"), "unknown variable 'nope'"),
-            (lambda: check_dependent(inst, space, ("x2", "x5"), "x5"), target),
-            # The dependence target error comes first of all, then the cover.
-            (lambda: check_dependent(inst, partial, ("x2", "x5"), "x5"), target),
-            (lambda: check_dependent(inst, partial, ("nope",), "x1"), cover),
-            (lambda: check_irrelevant(inst, partial, "x1"), cover),
-            (lambda: check_irrelevant(inst, other, "q"), cover),
+            (lambda: check_fixable(tbl, "nope", "Z"), "unknown variable 'nope'"),
+            # The variable comes before the conditioning set.
+            (lambda: check_dependent(tbl, ("nope",), "gone"), "unknown variable 'gone'"),
+            (lambda: check_dependent(tbl, ("x2", "nope"), "x5"), "unknown variable 'nope'"),
+            (lambda: check_dependent(tbl, ("x2", "x5"), "x5"), target),
+            (lambda: check_dependent(tbl, ("nope", "x5"), "x5"), target),
         ]
-        solution_table.cache_clear()
-        with pytest.raises(ValueError, match="unknown variable 'nope'"):
-            check_determined(inst, space, "nope")
-        assert solution_table.cache_info().currsize == 0  # nothing enumerated
         for _ in range(2):
             for ask, message in cases:
                 for _ in range(2):
                     with pytest.raises(ValueError, match=re.escape(message)):
                         ask()
             # Fill the memos of both valid spaces, then ask again.
-            for valid in (space, narrowed):
+            for valid, table in ((space, tbl), (narrowed, narrow_tbl)):
                 for check, args, _ in every_ask(inst, valid, dep_max=1):
-                    check(inst, valid, *args)
-            assert solution_table(inst, narrowed).verdicts
+                    check(table, *args)
+            assert narrow_tbl.verdicts
+
+    def test_table_values_match_the_space(self, coloring):
+        inst, space = coloring
+        narrowed = space.remove("x1", "B").assign("x4", "G")
+        tbl = solution_table(inst, narrowed)
+        assert [tbl.values(x) for x in inst.variables] == [
+            narrowed.values(x) for x in inst.variables
+        ]
+        with pytest.raises(ValueError, match="unknown variable 'nope'"):
+            tbl.values("nope")
 
 
 class TestAllQueries:

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import random
 
@@ -14,7 +15,6 @@ from cspstruct.boolean import (
     SchaeferClass,
     assume,
     classify_schaefer,
-    compile_formula,
     name_bool,
     to_extensional,
 )
@@ -32,7 +32,7 @@ from cspstruct.simplify import (
     simplify_fixpoint,
 )
 
-from conftest import clear_caches, instances_with_spaces, reference_simplify, wide_instances
+from conftest import instances_with_spaces, reference_simplify, wide_instances
 
 
 def clause(*lits):
@@ -380,7 +380,6 @@ class TestReferenceLoop:
         expected = reference_simplify(
             inst, space, _resolve_families(mode, None, None), group_size=group_size
         )
-        clear_caches()
         assert simplify_fixpoint(inst, space, mode=mode, group_size=group_size) == expected
 
     def test_boolean_corpora(self, boolean_corpora):
@@ -389,7 +388,6 @@ class TestReferenceLoop:
             space = SearchSpace.full(inst)
             families = _resolve_families("production", None, formula)
             expected = reference_simplify(inst, space, families, formula)
-            clear_caches()
             assert simplify_fixpoint(inst, space, formula=formula) == expected
 
     def test_pinned_starts_and_family_orders(self, boolean_corpora):
@@ -405,7 +403,6 @@ class TestReferenceLoop:
                 if mode == "test":
                     families += ("oracle",)
                 expected = reference_simplify(inst, space, families, formula)
-                clear_caches()
                 result = simplify_fixpoint(
                     inst, space, mode=mode, formula=formula, detectors=families
                 )
@@ -522,19 +519,18 @@ class TestCleanVariables:
 
 
 class TestSharedCachesStayReadOnly:
-    """The simplifier changes only state it built: the forms
-    ``compile_formula`` shares and the tables ``local._tables`` shares
-    answer after a run as before it."""
+    """The simplifier changes only state it built: a compiled form or group
+    tables a caller built for the same formula or space answer after a run
+    as before it."""
 
     @pytest.mark.parametrize("kind", ["horn", "dual-horn", "2cnf", "affine"])
     def test_compiled_form_answers_as_a_fresh_one(self, boolean_corpora, kind):
         for formula in boolean_corpora[kind][:10]:
             cls = classify_schaefer(formula).primary
-            shared = compile_formula(formula, cls)
+            shared = CompiledFormula(formula, cls)
             inst = to_extensional(formula)
             result = simplify_fixpoint(inst, SearchSpace.full(inst), formula=formula)
             assert result.steps
-            assert compile_formula(formula, cls) is shared
             fresh = CompiledFormula(formula, cls)
             assert shared.satisfiable == fresh.satisfiable
             for x in formula.variables:
@@ -549,11 +545,46 @@ class TestSharedCachesStayReadOnly:
     @given(st.one_of(instances_with_spaces(), wide_instances()), st.integers(1, 3))
     def test_start_tables_keep_their_rows(self, case, group_size):
         inst, space = case
-        covering = default_covering(inst, group_size)
-        shared = local._tables(inst, covering, space)
+        shared = local.group_tables(inst, default_covering(inst, group_size), space)
         rows = [tbl.rows for tbl in shared.tables]
         empty = list(shared.empty)
         simplify_fixpoint(inst, space, group_size=group_size, detectors=("local",))
-        assert local._tables(inst, covering, space) is shared
+        assert shared.space is space
         assert [tbl.rows for tbl in shared.tables] == rows
         assert shared.empty == empty and shared.some_empty == any(empty)
+
+
+class TestOracleTable:
+    """In test mode the oracle family asks one solution table per space,
+    built at its first ask there and dropped at the next step."""
+
+    def test_at_most_one_whole_space_table_is_alive(self, monkeypatch):
+        # A chain of equalities from a pinned first variable: the oracle
+        # fixes one variable per step.
+        names = ("w0", "w1", "w2", "w3")
+        equal = Relation.of(2, [(a, a) for a in "012"])
+        constraints = tuple(
+            Constraint(f"eq{i}", names[i : i + 2], equal) for i in range(3)
+        ) + (Constraint("zero", ("w0",), Relation.of(1, [("0",)])),)
+        inst = CspInstance(names, ("0", "1", "2"), constraints)
+        build = oracle.solution_table
+        alive = []
+
+        def counting(instance, space):
+            table = build(instance, space)
+            gc.collect()
+            alive.append(
+                sum(
+                    isinstance(o, oracle.SolutionTable) and o.order == names
+                    for o in gc.get_objects()
+                )
+            )
+            return table
+
+        monkeypatch.setattr(oracle, "solution_table", counting)
+        result = simplify_fixpoint(
+            inst, SearchSpace.full(inst), mode="test", detectors=("oracle",)
+        )
+        assert len(result.steps) >= 3
+        assert len(alive) >= 3
+        assert max(alive) == 1
