@@ -126,25 +126,15 @@ def _guard_groups(
 
 def _findings(queries, decide, method, render) -> list[report.Finding]:
     """One finding per query: ``decide`` answers it, timed on its own, and
-    ``render`` turns the answer into the verdict and the evidence."""
+    ``render`` turns the answer into the verdict and the evidence.  A query
+    is the tuple (kind, variable, values, over) that starts its finding."""
     findings = []
     for query in queries:
         start = time.perf_counter()
         answer = decide(query)
         elapsed = (time.perf_counter() - start) * 1000.0
         verdict, evidence = render(answer)
-        findings.append(
-            report.Finding(
-                query.kind,
-                query.variable,
-                query.values,
-                query.over,
-                verdict,
-                method,
-                evidence,
-                elapsed,
-            )
-        )
+        findings.append(report.Finding._make((*query, verdict, method, evidence, elapsed)))
     return findings
 
 
@@ -277,13 +267,16 @@ def _check_instance(instance, space, formula, group_size, dep_max, catalog):
                     problems.append(
                         f"tractable disagrees with oracle on {query.describe()}"
                     )
-    before = oracle.satisfiable(instance, space)
+    # The table holds every solution in the space, and the simplified space
+    # narrows it, so both satisfiability answers are read off its rows.
+    before = bool(table.rows)
     result = simplify.simplify_fixpoint(instance, space, mode="production", formula=formula)
     if result.proved_unsatisfiable:
         if before:
             problems.append("simplifier proved a satisfiable instance unsatisfiable")
     else:
-        after = oracle.satisfiable(instance, result.final_space)
+        final = [set(result.final_space.values(v)) for v in table.order]
+        after = any(all(map(set.__contains__, final, row)) for row in table.rows)
         if before != after:
             problems.append("simplification changed satisfiability")
     return problems

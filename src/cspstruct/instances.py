@@ -144,14 +144,15 @@ def parse_csp(text: str) -> tuple[CspInstance, SearchSpace]:
                 f"constraint {name!r} has stray text {leftovers!r}", line_no
             )
         groups = pieces[1::2]
-        joined = "".join(groups)
+        arity = len(scope)
+        # Every tuple's values in one list, ``arity`` per tuple of arity - 1
+        # commas.  An empty tuple gives "", which no domain value equals.
+        joined = ",".join(groups)
+        cells = joined.split(",") if groups else []
         if joined.split(None, 1) != [joined]:  # whitespace inside a tuple
-            rows = {tuple(map(str.strip, group.split(","))) for group in groups}
-        else:
-            rows = set(map(tuple, map(str.split, groups, itertools.repeat(","))))
-        # An empty tuple splits to ("",), which no domain value equals.
-        cells = itertools.chain.from_iterable(rows)
-        if not (set(map(len, rows)) <= {len(scope)} and domain_set.issuperset(cells)):
+            cells = list(map(str.strip, cells))
+        commas = set(map(str.count, groups, itertools.repeat(",")))
+        if not (commas <= {arity - 1} and domain_set.issuperset(cells)):
             for group in groups:  # name the first bad tuple in text order
                 items = tuple(s.strip() for s in group.split(",")) if group.strip() else ()
                 if len(items) != len(scope):
@@ -166,12 +167,13 @@ def parse_csp(text: str) -> tuple[CspInstance, SearchSpace]:
                             f"constraint {name!r}: value {value!r} is outside the domain",
                             line_no,
                         )
-        constraints.append(Constraint(name, scope, Relation(len(scope), frozenset(rows))))
+        rows = frozenset(zip(*[iter(cells)] * arity))
+        constraints.append(Constraint(name, scope, Relation(arity, rows)))
     if not header_seen:
         raise ParseError("empty input: expected header 'csp 1'", 1)
     if variables is None or domain is None:
         raise ParseError("missing vars or domain declaration", 1)
-    instance = CspInstance(variables, domain, tuple(constraints))
+    instance = CspInstance._checked(variables, domain, tuple(constraints))
     space = SearchSpace.over(instance, active)
     return instance, space
 

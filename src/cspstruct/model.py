@@ -18,6 +18,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
+from functools import cached_property
 
 Row = tuple[str, ...]
 
@@ -153,23 +154,29 @@ class CspInstance:
                             raise ValueError(
                                 f"constraint {c.name!r} uses value {a!r} outside the domain"
                             )
-        object.__setattr__(self, "_vindex", {v: i for i, v in enumerate(self.variables)})
-        object.__setattr__(
-            self,
-            "_positions",
-            tuple(
-                tuple(self._vindex[v] for v in c.scope) for c in self.constraints
-            ),
-        )
 
-    @property
+    @classmethod
+    def _checked(cls, variables, domain, constraints) -> "CspInstance":
+        """The instance of three tuples its caller has checked as
+        ``__post_init__`` would (the parser checks each line, to name the
+        line), so no relation value is checked twice."""
+        instance = object.__new__(cls)
+        vars(instance).update(variables=variables, domain=domain, constraints=constraints)
+        return instance
+
+    @cached_property
     def scope_positions(self) -> tuple[tuple[int, ...], ...]:
         """Per-constraint positions of scope variables in declaration order."""
-        return self._positions  # type: ignore[attr-defined]
+        index = self._vindex
+        return tuple(tuple(index[v] for v in c.scope) for c in self.constraints)
+
+    @cached_property
+    def _vindex(self) -> dict[str, int]:
+        return {v: i for i, v in enumerate(self.variables)}
 
     def var_index(self, variable: str) -> int:
         try:
-            return self._vindex[variable]  # type: ignore[attr-defined]
+            return self._vindex[variable]
         except KeyError:
             raise ValueError(f"unknown variable {variable!r}") from None
 

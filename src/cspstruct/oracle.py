@@ -9,9 +9,10 @@ counterexample; since enumeration follows declaration order, a reported
 counterexample is always the lexicographically least one.
 A caller builds one ``SolutionTable`` per (instance, space) with
 ``solution_table`` and passes it to every query on that space.  Each query
-is decided once per table: the verdict is kept on the table under a plain
-tuple key, and the query object is built and validated only when it is
-first decided.
+is decided once per table: the verdict is kept on the table under the
+query itself, a (kind, variable, values, over) tuple checked once when it
+is built, and a ``check_*`` ask looks that up with a plain tuple, building
+a query object only when it is first decided.
 Every property but dependence compares the cofactors of one variable x
 (the solutions with x fixed to a, to b, ...), so it is a relation on x's
 mask signature: the set of distinct masks of x's values that the solution
@@ -28,9 +29,10 @@ variable's active values.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from operator import itemgetter
+from typing import NamedTuple
 
 from .model import AssignmentTuple, CspInstance, Row, SearchSpace
 
@@ -59,31 +61,30 @@ _VALUE_COUNTS = {
 }
 
 
-@dataclass(frozen=True)
-class PropertyQuery:
+class PropertyQuery(namedtuple("PropertyQuery", ("kind", "variable", "values", "over"))):
     """One property question: a kind plus its variable/value arguments.
 
     ``variable`` is the queried variable (the target y for dependence) and
     ``over`` is the conditioning variable set, used by dependence only.
+    A query is the tuple (kind, variable, values, over), checked once when
+    built, and so is its own key in a table's verdict memo.
     """
 
-    kind: str
-    variable: str
-    values: tuple[str, ...] = ()
-    over: tuple[str, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown property kind {self.kind!r}")
-        expected = _VALUE_COUNTS[self.kind]
-        if len(self.values) != expected:
+    def __new__(cls, kind: str, variable: str, values=(), over=()) -> "PropertyQuery":
+        if kind not in KINDS:
+            raise ValueError(f"unknown property kind {kind!r}")
+        expected = _VALUE_COUNTS[kind]
+        if len(values) != expected:
             raise ValueError(
-                f"{self.kind} takes {expected} value argument(s), got {len(self.values)}"
+                f"{kind} takes {expected} value argument(s), got {len(values)}"
             )
-        if self.over and self.kind != "dependent":
-            raise ValueError(f"{self.kind} does not take a variable set")
-        if self.kind == "dependent" and self.variable in self.over:
+        if over and kind != "dependent":
+            raise ValueError(f"{kind} does not take a variable set")
+        if kind == "dependent" and variable in over:
             raise ValueError("dependence target must not occur in the variable set")
+        return tuple.__new__(cls, (kind, variable, values, over))
 
     @classmethod
     def fixable(cls, x: str, a: str) -> "PropertyQuery":
@@ -131,10 +132,10 @@ class PropertyQuery:
 class SolutionTable:
     """The exhaustive enumeration of Sol(C) within a search space, plus
     the verdicts decided on it so far, keyed by (kind, variable, values,
-    over): ``evaluate`` keeps an OracleVerdict there, and the local checks
-    keep a bool on a covering group's table.  ``answers`` maps a variable
-    to its signature answers, and ``scanned`` the cost, in rows, of the
-    scans about it that held (see ``_scan``)."""
+    over), the tuple a PropertyQuery is: ``evaluate`` keeps an OracleVerdict
+    there, and the local checks keep a bool on a covering group's table.
+    ``answers`` maps a variable to its signature answers, and ``scanned``
+    the cost, in rows, of the scans about it that held (see ``_scan``)."""
 
     __slots__ = (
         "order", "index", "actives", "rows", "members", "verdicts", "answers", "scanned"
@@ -366,11 +367,16 @@ def _signature_answers(tbl: SolutionTable, x: str) -> dict[tuple, bool]:
 def _dependence_pair(
     tbl: SolutionTable, over: tuple[str, ...], y: str
 ) -> tuple[Row, ...]:
-    """The first two solution rows that agree on ``over`` but not on y."""
+    """The first two solution rows that agree on ``over`` but not on y:
+    none, with no pair scan, when y takes at most one value over the rows
+    (as on every table of 0 or 1 rows)."""
     iy = tbl.index[y]
+    rows = tbl.rows
+    if len(rows) < 2 or all(row[iy] == rows[0][iy] for row in rows):
+        return ()
     positions = tuple(tbl.index[v] for v in over)
     seen: dict[Row, Row] = {}
-    for row in tbl.rows:
+    for row in rows:
         key = tuple(row[p] for p in positions)
         first = seen.get(key)
         if first is None:
@@ -394,26 +400,27 @@ def _validate(table, query: PropertyQuery) -> tuple[str, ...]:
     return active
 
 
-@dataclass(frozen=True)
-class OracleVerdict:
+class OracleVerdict(NamedTuple):
     query: PropertyQuery
     holds: bool
     counterexamples: tuple[AssignmentTuple, ...] = ()
 
 
-def _decide(tbl: SolutionTable, query: PropertyQuery) -> OracleVerdict:
+def _decided(tbl: SolutionTable, query: PropertyQuery) -> OracleVerdict:
+    """Validate and decide a query the table holds no verdict for, and keep
+    its verdict there."""
+    _validate(tbl, query)
     if query.kind == "dependent":
         witness = _dependence_pair(tbl, query.over, query.variable)
-        return OracleVerdict(query, not witness, tuple(map(tbl.wrap, witness)))
-    answers = tbl.answers.get(query.variable)
-    if answers is not None and answers[query.kind, query.values]:
-        return OracleVerdict(query, True)
-    # A false verdict, or no signature yet: scan, for the least falsifying
-    # row.
-    witness = _scan(tbl, query)
-    if witness is None:
-        return OracleVerdict(query, True)
-    return OracleVerdict(query, False, (tbl.wrap(witness),))
+        verdict = OracleVerdict(query, not witness, tuple(map(tbl.wrap, witness)))
+    else:
+        answers = tbl.answers.get(query.variable)
+        # A false verdict, or no signature yet: scan for the least falsifying row.
+        held = answers is not None and answers[query.kind, query.values]
+        row = None if held else _scan(tbl, query)
+        verdict = OracleVerdict(query, row is None, () if row is None else (tbl.wrap(row),))
+    tbl.verdicts[query] = verdict
+    return verdict
 
 
 def evaluate(table: SolutionTable, query: PropertyQuery) -> OracleVerdict:
@@ -421,28 +428,18 @@ def evaluate(table: SolutionTable, query: PropertyQuery) -> OracleVerdict:
     counterexample evidence: the first falsifying solution row in
     enumeration order (the first falsifying pair, for dependence).
 
-    The verdict is kept on the table under the plain key
-    ``(kind, variable, values, over)``, so an equal query on the same table
-    costs one dict lookup and skips validation: the stored query was
-    validated against that key.
+    The verdict is kept on the table under the query itself, so an equal
+    query on the same table costs one dict lookup and skips validation: the
+    stored query was validated against that table.
     """
-    key = (query.kind, query.variable, query.values, query.over)
-    return _verdict(table, key, query)
+    return table.verdicts.get(query) or _decided(table, query)
 
 
-def _verdict(
-    table: SolutionTable, key: tuple, query: PropertyQuery | None = None
-) -> OracleVerdict:
-    """The verdict stored under ``key``, deciding it on a miss.  The check_*
-    helpers pass the key alone, so a repeated ask builds no query object:
-    only a miss builds (and so checks) one."""
-    verdict = table.verdicts.get(key)
-    if verdict is None:
-        if query is None:
-            query = PropertyQuery(*key)
-        _validate(table, query)
-        verdict = table.verdicts[key] = _decide(table, query)
-    return verdict
+def _verdict(table: SolutionTable, key: tuple) -> OracleVerdict:
+    """The verdict stored under ``key``, the plain tuple of a query: a
+    repeated ask builds no query object, only a miss builds (and so checks)
+    one."""
+    return table.verdicts.get(key) or _decided(table, PropertyQuery(*key))
 
 
 def check_fixable(table: SolutionTable, x: str, a: str) -> bool:
@@ -498,6 +495,8 @@ def all_queries(
     conditioning sets of up to ``dep_max`` other variables.
     """
     queries: list[PropertyQuery] = []
+    # Valid by construction, so built by ``_make``, skipping ``__new__``'s checks.
+    make = PropertyQuery._make
     names = instance.variables
     for kind in kinds:
         if kind not in KINDS:
@@ -505,27 +504,24 @@ def all_queries(
         for x in names:
             active = space.values(x)
             if kind in ("fixable", "removable", "inconsistent", "implied"):
-                queries.extend(PropertyQuery(kind, x, (a,)) for a in active)
+                queries.extend(make((kind, x, (a,), ())) for a in active)
             elif kind == "substitutable":
                 queries.extend(
-                    PropertyQuery(kind, x, (a, b))
-                    for a in active
-                    for b in active
-                    if a != b
+                    make((kind, x, (a, b), ())) for a in active for b in active if a != b
                 )
             elif kind == "interchangeable":
                 queries.extend(
-                    PropertyQuery(kind, x, (a, b))
+                    make((kind, x, (a, b), ()))
                     for pos, a in enumerate(active)
                     for b in active[pos + 1 :]
                 )
             elif kind in ("determined", "irrelevant"):
-                queries.append(PropertyQuery(kind, x))
+                queries.append(make((kind, x, (), ())))
             else:
                 others = tuple(v for v in names if v != x)
                 for size in range(1, dep_max + 1):
                     queries.extend(
-                        PropertyQuery.dependent(combo, x)
+                        make((kind, x, (), combo))
                         for combo in itertools.combinations(others, size)
                     )
     return queries

@@ -13,10 +13,12 @@ from collections import Counter
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from math import isfinite
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Finding:
+class Finding(NamedTuple):
+    """One query's answer, as a tuple: ``analyze`` builds one per query."""
+
     kind: str
     variable: str
     values: tuple[str, ...]
@@ -94,26 +96,51 @@ def _array(items) -> str:
     return "[\n        " + inner + "\n      ]"
 
 
+class _Strings(dict):
+    """Each string a report writes, encoded at its first use; a value of any
+    other type raises TypeError (an unhashable one on lookup)."""
+
+    def __missing__(self, value):
+        if type(value) is not str:
+            raise TypeError(value)
+        text = self[value] = encode_basestring_ascii(value)
+        return text
+
+
+class _Arrays(dict):
+    """Each ``values`` or ``over`` tuple of strings, as ``_array`` writes it,
+    encoded at its first use; any other value raises TypeError."""
+
+    def __missing__(self, items):
+        if type(items) is not tuple or not all(type(item) is str for item in items):
+            raise TypeError(items)
+        text = self[items] = _array(items)
+        return text
+
+
 def to_json(report: AnalysisReport) -> str:
     """The report as ``json.dumps(payload, indent=2)`` writes it, byte for
-    byte, where the payload lists each finding's fields in declaration order."""
+    byte, where the payload lists each finding's fields in declaration order.
+    Each distinct string and ``values``/``over`` array is encoded once; a
+    finding holding any other type takes the generic path, ``_value``."""
     pad = "      "
     parts = [
         '{\n  "digest": %s,\n  "method": %s,\n  "findings": '
         % (_value(report.digest, "  "), _value(report.method, "  ")),
         "[\n" if report.findings else "[]",
     ]
-    for f in report.findings:
-        finding = (
-            _value(f.kind, pad),
-            _value(f.variable, pad),
-            _array(f.values),
-            _array(f.over),
-            _value(f.verdict, pad),
-            _value(f.method, pad),
-            _value(f.evidence, pad),
-            _value(f.elapsed_ms, pad),
-        )
+    strings, arrays = _Strings({None: "null"}), _Arrays()
+    for kind, variable, values, over, verdict, method, evidence, elapsed in report.findings:
+        try:
+            finding = (
+                strings[kind], strings[variable], arrays[values], arrays[over],
+                strings[verdict], strings[method], strings[evidence], _value(elapsed, pad),
+            )
+        except TypeError:
+            finding = (
+                _value(kind, pad), _value(variable, pad), _array(values), _array(over),
+                *(_value(field, pad) for field in (verdict, method, evidence, elapsed)),
+            )
         parts += (_FINDING % finding, ",\n")
     if report.findings:
         parts[-1] = "\n  ]"
@@ -123,17 +150,9 @@ def to_json(report: AnalysisReport) -> str:
 
 def from_json(text: str) -> AnalysisReport:
     payload = json.loads(text)
+    arrays = ("values", "over")
     findings = tuple(
-        Finding(
-            kind=f["kind"],
-            variable=f["variable"],
-            values=tuple(f["values"]),
-            over=tuple(f["over"]),
-            verdict=f["verdict"],
-            method=f["method"],
-            evidence=f["evidence"],
-            elapsed_ms=f["elapsed_ms"],
-        )
+        Finding._make(tuple(f[name]) if name in arrays else f[name] for name in Finding._fields)
         for f in payload["findings"]
     )
     return AnalysisReport(payload["digest"], payload["method"], findings, payload["summary"])

@@ -1,14 +1,19 @@
+import contextlib
+import io
 import json
 import time
 
 import pytest
+from hypothesis import given, settings
 
 from cspstruct import boolean, cli, local, oracle
 from cspstruct.cli import main
-from cspstruct.instances import parse_csp
+from cspstruct.instances import emit_csp, emit_dimacs, parse_csp, parse_dimacs
+from cspstruct.model import SearchSpace
 from cspstruct.report import AnalysisReport, Finding, from_json, make_report, to_json
+from cspstruct.simplify import SimplificationResult
 
-from conftest import data_path
+from conftest import data_path, instances_with_spaces, reference_solutions, reference_verdict
 
 
 def run(capsys, *argv):
@@ -80,6 +85,80 @@ class TestAnalyze:
         )
         assert code == 0
         assert "fixable x true ESTABLISHED" in out.splitlines()
+
+
+def analyze_findings(path, method, *options):
+    """The findings of ``analyze --all --json``, without their times."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(["analyze", str(path), "--method", method, "--all", "--json", *options]) == 0
+    return [
+        (f.kind, f.variable, f.values, f.over, f.verdict, f.method, f.evidence)
+        for f in from_json(out.getvalue()).findings
+    ]
+
+
+def expected_findings(inst, space, method, dep_max, formula=None):
+    """What ``analyze --all`` should find with one method: the reference
+    verdict and its first counterexample for the oracle, ``local_check``
+    for local coverings and ``tract_check`` for the tractable route."""
+    kinds = {"oracle": oracle.KINDS, "local": cli.LOCAL_KINDS, "tractable": cli.TRACTABLE_KINDS}
+    solutions = reference_solutions(inst, space)
+    groups = local.group_tables(inst, local.default_covering(inst), space)
+    if method == "tractable":
+        cls = boolean.classify_schaefer(formula).primary
+        compiled = boolean.CompiledFormula(formula, cls)
+    expected = []
+    for query in oracle.all_queries(inst, space, kinds[method], dep_max):
+        if method == "oracle":
+            holds, witness = reference_verdict(inst, space, solutions, query)
+            verdict = "TRUE" if holds else "FALSE"
+            evidence = "counterexample " + ", ".join(map(repr, witness)) if witness else None
+        elif method == "local":
+            answer = local.local_check(groups, query)
+            verdict = "ESTABLISHED" if answer.established else "UNKNOWN"
+            evidence = "subsets " + "".join("+" if ok else "-" for ok in answer.per_group)
+        else:
+            verdict = "TRUE" if boolean.tract_check(compiled, query) else "FALSE"
+            evidence = f"{cls.value} reduction"
+        expected.append(
+            (query.kind, query.variable, query.values, query.over, verdict, method, evidence)
+        )
+    return expected
+
+
+class TestFindingsMatchReferences:
+    """Every ``analyze --all --json`` finding, for each ``--method``, says
+    of its query what the reference or the route's own check says, evidence
+    text included, in ``all_queries`` order."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(instances_with_spaces().filter(lambda case: case[0].variables))
+    def test_extensional_instances(self, tmp_path_factory, case):
+        inst, space = case
+        path = tmp_path_factory.getbasetemp() / "findings.csp"
+        path.write_text(emit_csp(inst, space))
+        expected = {m: expected_findings(inst, space, m, 2) for m in ("oracle", "local")}
+        for method in ("oracle", "local"):
+            assert analyze_findings(path, method) == expected[method]
+        assert analyze_findings(path, "all") == expected["oracle"] + expected["local"]
+
+    @pytest.mark.parametrize("kind", ["horn", "dual-horn", "2cnf", "affine"])
+    def test_boolean_corpora(self, boolean_corpora, tmp_path, kind):
+        small = [formula for formula in boolean_corpora[kind] if len(formula.variables) <= 7]
+        for number, written in enumerate(small[:6]):
+            path = tmp_path / f"{kind}-{number}.cnf"
+            path.write_text(emit_dimacs(written))
+            formula = parse_dimacs(path.read_text())
+            inst = boolean.to_extensional(formula)
+            space = SearchSpace.full(inst)
+            methods = ("oracle", "local", "tractable")
+            expected = {m: expected_findings(inst, space, m, 1, formula) for m in methods}
+            for method in methods:
+                assert analyze_findings(path, method, "--dep-max", "1") == expected[method]
+            assert analyze_findings(path, "all", "--dep-max", "1") == [
+                finding for method in methods for finding in expected[method]
+            ]
 
 
 class TestFindingTime:
@@ -248,6 +327,24 @@ class TestCheck:
         )
         assert code == 1
         assert "violation" in out
+
+    def test_a_simplifier_that_changes_satisfiability_is_caught(
+        self, capsys, monkeypatch, coloring
+    ):
+        _, full = coloring
+        dead = full.assign("x2", "R").assign("x3", "R")  # x2 and x3 are adjacent
+        faults = {
+            "simplification changed satisfiability": SimplificationResult(
+                dead, (), True, False
+            ),
+            "simplifier proved a satisfiable instance unsatisfiable": SimplificationResult(
+                full, (), False, True, ("x1", "R", "oracle-inconsistent")
+            ),
+        }
+        for message, result in faults.items():
+            monkeypatch.setattr(cli.simplify, "simplify_fixpoint", lambda *a, **k: result)
+            code, out, _ = run(capsys, "check", str(data_path("coloring_isolated.csp")))
+            assert code == 1 and message in out.splitlines()
 
     def test_corpus_slice(self, capsys):
         code, out, _ = run(capsys, "check", "--corpus", "seeds=1..40")

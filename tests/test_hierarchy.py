@@ -184,10 +184,10 @@ def test_warm_validation_builds_no_query_object_and_reuses_every_table(
     decided = [dict(table.verdicts) for table in tables]
     assert cold[0]
 
-    def refuse(self):
-        raise AssertionError(f"built a query object for {self.describe()}")
+    def refuse(cls, *fields):
+        raise AssertionError(f"built a query object for {fields}")
 
-    monkeypatch.setattr(oracle.PropertyQuery, "__post_init__", refuse)
+    monkeypatch.setattr(oracle.PropertyQuery, "__new__", refuse)
     assert [validate_hierarchy(table, catalog) for table in tables] == cold
     assert [table.verdicts for table in tables] == decided
 

@@ -24,7 +24,7 @@ from cspstruct.instances import (
     parse_dimacs,
     standard_corpus,
 )
-from cspstruct.model import AssignmentTuple, SearchSpace
+from cspstruct.model import AssignmentTuple, CspInstance, SearchSpace
 
 from conftest import data_path, is_solution
 
@@ -93,6 +93,9 @@ class TestParseErrors:
             ("(0,1) (0, 8) (9,0)", "value '8' is outside the domain"),
             ("(0,1) () (1,1)", "tuple '' does not match arity 2"),
             ("(0,1) ( ) (1,1)", "tuple ' ' does not match arity 2"),
+            # As many values as two good tuples hold, split wrongly.
+            ("(0,1,1) (0)", "tuple '0,1,1' does not match arity 2"),
+            ("(0,1) ( 1 , 7 )", "value '7' is outside the domain"),
         ],
     )
     def test_first_bad_tuple_in_text_order_is_named(self, tuples, message):
@@ -100,6 +103,30 @@ class TestParseErrors:
         with pytest.raises(ParseError) as error:
             parse_csp(text)
         assert str(error.value) == f"line 4: constraint 'c': {message}"
+
+    def test_a_bad_value_is_named_before_a_later_bad_line(self):
+        text = "csp 1\nvars: x\ndomain: 0 1\ncon c(x): (0) (2)\nnonsense\n"
+        with pytest.raises(ParseError) as error:
+            parse_csp(text)
+        assert str(error.value) == "line 4: constraint 'c': value '2' is outside the domain"
+        assert error.value.line == 4
+
+    def test_a_unary_empty_tuple_is_an_arity_error(self):
+        text = "csp 1\nvars: x\ndomain: 0 1\ncon c(x): (0) ()\n"
+        with pytest.raises(ParseError) as error:
+            parse_csp(text)
+        assert str(error.value) == "line 4: constraint 'c': tuple '' does not match arity 1"
+
+    def test_parsed_instance_equals_a_checked_build(self):
+        text = "csp 1\nvars: x y z\ndomain: 0 1 2\ncon c(z,x): (0,1) (2,2)\ncon d(y): (1)\n"
+        inst, _ = parse_csp(text)
+        built = CspInstance(inst.variables, inst.domain, inst.constraints)
+        assert built == inst and hash(built) == hash(inst)
+        assert built.scope_positions == inst.scope_positions == ((2, 0), (1,))
+        assert built.var_index("z") == inst.var_index("z") == 2
+        # Built by hand, the same constraints still have every value checked.
+        with pytest.raises(ValueError, match="uses value '2' outside the domain"):
+            CspInstance(inst.variables, ("0", "1"), inst.constraints)
 
     def test_arity_error_wins_over_domain_error_within_a_tuple(self):
         text = "csp 1\nvars: x y\ndomain: 0 1\ncon c(x,y): (0,1) (7,8,9)\n"

@@ -466,6 +466,43 @@ def same_verdict(got, want):
     )
 
 
+class TestDependenceOnOneTargetValue:
+    """A target that takes at most one value over the solutions depends on
+    every set, so dependence holds with no counterexamples on tables of 0
+    and 1 rows and with a constant target, as the reference says; a target
+    that varies still gets the reference's first falsifying pair."""
+
+    @staticmethod
+    def cases():
+        one = Constraint("one", ("a", "b"), Relation.of(2, [("0", "1")]))
+        pinned = Constraint("pinned", ("c",), Relation.of(1, [("1",)]))
+        free3 = CspInstance(("a", "b", "c"), ("0", "1", "2"), (pinned,))
+        return [
+            (unsat_instance(), SearchSpace.full(unsat_instance()), 0),
+            (CspInstance(("a", "b"), ("0", "1"), (one,)), None, 1),
+            (free_instance(), SearchSpace.full(free_instance()).assign("a", "1").assign("b", "0"), 1),
+            (free3, SearchSpace.full(free3), 9),
+        ]
+
+    def test_verdicts_match_the_reference(self):
+        for inst, space, rows in self.cases():
+            space = space or SearchSpace.full(inst)
+            tbl = solution_table(inst, space)
+            assert len(tbl.rows) == rows
+            solutions = reference_solutions(inst, space)
+            for y in inst.variables:
+                others = [v for v in inst.variables if v != y]
+                constant = len({row[tbl.index[y]] for row in tbl.rows}) <= 1
+                for size in range(len(others) + 1):
+                    for over in itertools.combinations(others, size):
+                        query = PropertyQuery.dependent(over, y)
+                        verdict = evaluate(tbl, query)
+                        expected = reference_verdict(inst, space, solutions, query)
+                        assert (verdict.holds, verdict.counterexamples) == expected, query
+                        if constant:
+                            assert expected == (True, ())
+
+
 class TestVerdictMemo:
     @settings(max_examples=80, deadline=None)
     @given(instances_with_spaces(), st.randoms(use_true_random=False))
@@ -587,10 +624,10 @@ class TestAskPath:
 
         answers = asks()
 
-        def refuse(self):
-            raise AssertionError(f"built a query object for {self.describe()}")
+        def refuse(cls, *fields):
+            raise AssertionError(f"built a query object for {fields}")
 
-        monkeypatch.setattr(PropertyQuery, "__post_init__", refuse)
+        monkeypatch.setattr(PropertyQuery, "__new__", refuse)
         assert answers == asks()
 
     def test_invalid_asks_raise_in_order_on_every_call(self, coloring):
