@@ -56,7 +56,6 @@ from .local import (
     default_covering,
     group_tables,
     local_check,
-    pure_value_fixable,
 )
 from .model import (
     AssignmentTuple,
@@ -79,7 +78,6 @@ from .oracle import (
     check_irrelevant,
     check_removable,
     check_substitutable,
-    enumerate_solutions,
     evaluate,
     satisfiable,
     solution_table,

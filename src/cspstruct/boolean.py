@@ -99,17 +99,7 @@ class Clause:
 
     @property
     def variables(self) -> frozenset[str]:
-        # Built on first use and kept off the fields, so equality, the hash
-        # and the pickled state stay those of the literals alone.
-        try:
-            return self._variables  # type: ignore[attr-defined]
-        except AttributeError:
-            variables = frozenset(lit.variable for lit in self.literals)
-            object.__setattr__(self, "_variables", variables)
-            return variables
-
-    def __getstate__(self) -> dict:
-        return {"literals": self.literals}
+        return frozenset(lit.variable for lit in self.literals)
 
     @property
     def positive_count(self) -> int:

@@ -232,15 +232,18 @@ def _cmd_simplify(args) -> int:
 
 
 def _check_instance(instance, space, formula, group_size, dep_max, catalog):
-    # One solution table answers every oracle question.  Its verdicts come
-    # first: the catalog then finds most of the verdicts it asks for already
-    # decided, and the local detectors are compared with them.
+    # One solution table answers every oracle question: each variable's
+    # answer row is built on it first, and the catalog and the other routes
+    # are compared with the rows.
     table = oracle.solution_table(instance, space)
-    queries = oracle.all_queries(instance, space, LOCAL_KINDS, dep_max)
-    truths = [oracle.evaluate(table, query).holds for query in queries]
-    problems = []
-    for violation in hierarchy.validate_hierarchy(table, catalog, dep_max):
-        problems.append(violation.describe())
+    truths = oracle.answer_rows(table, dep_max)
+    catalog_found = hierarchy.validate_hierarchy(table, catalog, dep_max)
+    problems = [violation.describe() for violation in catalog_found]
+    names = instance.variables
+    keyed = [
+        (query, query.variable, (query.kind, query.values or query.over))
+        for query in oracle.all_queries(instance, space, LOCAL_KINDS, dep_max)
+    ]
     sizes = [group_size]
     if len(instance.constraints) > group_size:
         sizes.append(len(instance.constraints))
@@ -248,11 +251,12 @@ def _check_instance(instance, space, formula, group_size, dep_max, catalog):
         covering = local.default_covering(instance, size)
         whole = size >= len(instance.constraints)
         groups = local.group_tables(instance, covering, space)
-        verdicts = local.local_checks(groups, queries)
-        for query, truth, verdict in zip(queries, truths, verdicts):
-            if verdict.established and not truth:
+        rows = {x: groups.row(x, oracle.conditioning_sets(names, x, 1, dep_max)) for x in names}
+        for query, x, key in keyed:
+            established, truth = rows[x][key], truths[x][key]
+            if established and not truth:
                 problems.append(f"local({size}) established a false fact: {query.describe()}")
-            if whole and verdict.established != truth:
+            if whole and established != truth:
                 problems.append(
                     f"global covering disagrees with oracle on {query.describe()}"
                 )
@@ -261,9 +265,8 @@ def _check_instance(instance, space, formula, group_size, dep_max, catalog):
         if cls is not SchaeferClass.UNRESTRICTED:
             compiled = boolean.CompiledFormula(formula, cls)
             for query in oracle.all_queries(instance, space, TRACTABLE_KINDS, dep_max):
-                tract = boolean.tract_check(compiled, query)
-                truth = oracle.evaluate(table, query).holds
-                if tract != truth:
+                truth = truths[query.variable][query.kind, query.values]
+                if boolean.tract_check(compiled, query) != truth:
                     problems.append(
                         f"tractable disagrees with oracle on {query.describe()}"
                     )
@@ -490,23 +493,22 @@ _SUBCOMMANDS = {
 
 
 def _build_parser(argv, formatter=argparse.HelpFormatter) -> argparse.ArgumentParser:
-    """The parser for one command line.  Every subcommand is listed, so
-    usage lines and choice errors read the same, but only the subcommand
-    that ``argv`` names gets its arguments (all do when it names none):
-    building the others' arguments would cost a command more than its
-    own parse.  ``formatter`` is the help formatter class of the parser and
-    of every subparser."""
+    """The parser for one command line.  When ``argv`` names a subcommand,
+    only that subcommand's parser is built (the others would cost more than
+    the parse), and usage lines spell out the list of subcommands; else all
+    are built, so help and choice errors list them.  ``formatter`` is the
+    help formatter class of the parser and of every subparser."""
     parser = argparse.ArgumentParser(
         prog="cspstruct",
         description="Structural-property engine for finite-domain CSPs",
         formatter_class=formatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
     named = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
+    metavar = "{" + ",".join(_SUBCOMMANDS) + "}" if named else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name, (help_line, fill) in _SUBCOMMANDS.items():
-        sub_parser = sub.add_parser(name, help=help_line, formatter_class=formatter)
         if named is None or name == named:
-            fill(sub_parser)
+            fill(sub.add_parser(name, help=help_line, formatter_class=formatter))
     return parser
 
 

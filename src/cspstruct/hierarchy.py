@@ -1,7 +1,9 @@
 """Executable catalog of the semantic relationships between properties.
 
 Each edge states an implication or a biconditional between property
-formulas, evaluated through the exhaustive oracle on one solution table.
+formulas, evaluated through the exhaustive oracle on one solution table:
+each side reads the answer rows of the table when it has them (see
+``oracle.answer_rows``), and the table's verdict memo when it does not.
 The catalog doubles as a set of derived detectors (either side of a
 biconditional can stand in for the other) and as a cross-validation suite:
 on any instance small enough to enumerate, ``validate_hierarchy`` must come
@@ -10,7 +12,6 @@ back empty.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
@@ -59,13 +60,12 @@ def forced_for_every_assignment(
     the restriction kills all solutions).
     """
     iy = table.index[y]
-    positions = tuple(table.index[v] for v in group)
+    project = oracle._projection(tuple(table.index[v] for v in group))
     # Every row lies in the space, so the restrictions that keep a solution
     # are exactly the rows' projections onto the group.
-    forced: dict[tuple[str, ...], str] = {}
+    forced: dict = {}
     for row in table.rows:
-        key = tuple(row[p] for p in positions)
-        if forced.setdefault(key, row[iy]) != row[iy]:
+        if forced.setdefault(project(row), row[iy]) != row[iy]:
             return False
     return True
 
@@ -230,10 +230,8 @@ def _instantiations(
                     yield (x, a, b)
     else:  # "vy": conditioning sets up to dep_max, including the empty set
         for y in names:
-            others = tuple(v for v in names if v != y)
-            for size in range(0, dep_max + 1):
-                for combo in itertools.combinations(others, size):
-                    yield (combo, y)
+            for over in oracle.conditioning_sets(names, y, 0, dep_max):
+                yield (over, y)
 
 
 def validate_hierarchy(

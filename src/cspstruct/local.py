@@ -17,16 +17,14 @@ with ``group_tables`` and passes it to every query on that space.  The
 simplifier turns its tables into those of a space that narrows one
 variable with ``GroupTables.narrow``: only the groups that hold the
 variable change, each keeping the rows of its table that take an active
-value there, in order.  A group verdict needs no witness, so it is read
-off the queried variable's mask signature on the group's table once there
-is one (see ``oracle._scan``), and is a scan by the oracle's own falsifier
-before that; dependence keeps the oracle's pair scan.  Verdicts are kept
-on the table they were decided on.  A variable outside that union is free
-in the group's subproblem, so a query on it follows from its active values
-alone, and only the groups that hold the queried variable are decided.
-``local_checks`` decides a list of queries on one covering's tables, and
-builds the signature of each variable it asks about more than once before
-it asks.
+value there, in order.  A group verdict is asked of the group's table as
+the oracle asks its own (see ``oracle._ask``); dependence is decided once
+per group on the conditioning variables in the group's scope.  A variable
+outside that union is free in the group's subproblem, so a query on it
+follows from its active values alone, and only the groups that hold the
+queried variable are decided.  ``local_check`` answers one query with its
+per-group verdicts; ``GroupTables.row`` answers every question on one
+variable at once, from its signatures on the groups that hold it.
 
 Removability is the one value property this approach cannot support:
 per-constraint removability does not imply global removability, and acting
@@ -36,15 +34,13 @@ are therefore rejected outright.
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import compress
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import oracle
-from .boolean import BooleanFormula
 from .model import CspInstance, SearchSpace
 from .oracle import PropertyQuery
 
@@ -118,7 +114,8 @@ def _groups(
         constraints = tuple(instance.constraints[i] for i in group)
         scope = {v for c in constraints for v in c.scope}
         names = tuple(sorted(scope, key=instance.var_index))
-        projected.append(CspInstance(names, instance.domain, constraints))
+        # The constraints of a valid instance, on the variables they name.
+        projected.append(CspInstance._checked(names, instance.domain, constraints))
         for v in names:
             holding.setdefault(v, []).append(g)
     return tuple(projected), {v: tuple(gs) for v, gs in holding.items()}
@@ -160,19 +157,27 @@ class GroupTables:
             self.empty[g] = not rows
             self.some_empty = self.some_empty or not rows
 
-    def established(self, query: PropertyQuery) -> bool:
-        """``local_check(...).established`` for a valid query, without the
-        per-group verdicts: an AND kind needs every group that holds the
-        variable, an OR kind any group at all.  An empty group makes every
-        OR kind hold, the groups holding the variable included."""
+    def row(self, x: str, overs: Iterable[tuple[str, ...]] = ()) -> dict[tuple, bool]:
+        """``local_check(...).established`` for every question on x but
+        removability, keyed as the oracle's answer rows: (kind, values),
+        and ("dependent", over) for each set in ``overs``.  x's signatures
+        on the groups that hold it combine by AND or OR, as ``local_check``
+        combines their verdicts."""
         tables = self.tables
-        holding = self.holding.get(query.variable, ())
-        held = (_holds(tables[g], query) for g in holding)
-        if query.kind in AND_KINDS:
-            return all(held)
-        active = self.space.values(query.variable)
-        free = _free(query.kind, active, query.values) and len(holding) < len(tables)
-        return free or self.some_empty or any(held)
+        holding = self.holding.get(x, ())
+        active = self.space.values(x)
+        empty = self.some_empty
+        # x free in some group, with one active value, is determined there
+        # (see ``_combine``).
+        given = len(holding) < len(tables) and len(active) == 1
+        signatures = [oracle._signature(tables[g], x) for g in holding]
+        answers = oracle._answers(active, signatures, empty, given)
+        for over in overs:
+            answers["dependent", over] = (
+                empty or given or oracle._inherits(answers, over)
+                or any(_depends(tables[g], over, x) for g in holding)
+            )
+        return answers
 
 
 def group_tables(
@@ -200,16 +205,17 @@ def _relation_rows(
     # A one-constraint group's solutions are its relation's rows with every
     # value active, columns moved from scope order into declaration order.
     # No witness is read off a group table, so the rows' order is free.
-    relation = group.constraints[0].relation
+    # Relation values lie in the domain, so only a column whose active
+    # values leave part of the domain out filters the rows.
+    rows = group.constraints[0].relation.rows
     (positions,) = group.scope_positions
-    allowed = tuple(frozenset(actives[p]) for p in positions)
+    for k, p in enumerate(positions):
+        allowed = frozenset(actives[p])
+        if not allowed.issuperset(group.domain):
+            rows = [row for row in rows if row[k] in allowed]
     columns = sorted(range(len(positions)), key=positions.__getitem__)
     order = itemgetter(*columns) if len(columns) > 1 else tuple
-    return tuple(
-        order(row)
-        for row in relation.rows
-        if all(a in ok for a, ok in zip(row, allowed))
-    )
+    return tuple(map(order, rows))
 
 
 def local_check(groups: GroupTables, query: PropertyQuery) -> LocalVerdict:
@@ -221,28 +227,6 @@ def local_check(groups: GroupTables, query: PropertyQuery) -> LocalVerdict:
     if query.kind not in _KINDS:
         _reject(query.kind)
     return _combine(groups, query)
-
-
-def local_checks(
-    groups: GroupTables, queries: Iterable[PropertyQuery]
-) -> list[LocalVerdict]:
-    """``local_check`` for each query in turn.  Every kind is checked
-    first, and each query's variable and values just before it is decided,
-    as ``local_check`` does for one query."""
-    queries = tuple(queries)
-    for query in queries:
-        if query.kind not in _KINDS:
-            _reject(query.kind)
-    # The pass knows how often it asks about each variable: where it asks
-    # more than once, every group table holding the variable answers from
-    # its signature from the start.
-    tables, holding = groups.tables, groups.holding
-    asked = Counter(map(attrgetter("variable"), queries))
-    for x, count in asked.items():
-        if count > 1:
-            for g in holding.get(x, ()):
-                oracle._sign(tables[g], x)
-    return [_combine(groups, query) for query in queries]
 
 
 def _reject(kind: str) -> None:
@@ -261,7 +245,11 @@ def _combine(groups: GroupTables, query: PropertyQuery) -> LocalVerdict:
     x = query.variable
     # The space covers the instance, so it knows exactly its variables.
     active = oracle._validate(groups.space, query)
-    results = [True] * len(tables) if _free(kind, active, query.values) else list(empty)
+    # In a group that leaves x free, the AND kinds hold, inconsistency
+    # fails, and the other OR kinds hold iff x has one active value (or the
+    # group is empty, which makes every OR kind hold).
+    free = kind in AND_KINDS or (kind != "inconsistent" and len(active) == 1)
+    results = [True] * len(tables) if free else list(empty)
     for g in holding.get(x, ()):
         results[g] = _holds(tables[g], query)
     per_group = tuple(results)
@@ -269,71 +257,24 @@ def _combine(groups: GroupTables, query: PropertyQuery) -> LocalVerdict:
     return LocalVerdict(query, established, per_group)
 
 
-def _free(kind: str, active: tuple[str, ...], values: tuple[str, ...]) -> bool:
-    """The verdict of a group whose scope leaves the queried variable free,
-    unless its table is empty, which makes every OR kind hold: the AND
-    kinds hold, inconsistency fails, implication holds iff a is the only
-    active value, and determinacy and dependence hold iff one value is
-    active."""
-    if kind in AND_KINDS:
-        return True
-    if kind == "inconsistent":
-        return False
-    if kind == "implied":
-        return active == values
-    return len(active) == 1  # determined, dependent
-
-
 def _holds(tbl: oracle.SolutionTable, query: PropertyQuery) -> bool:
     """Decide the query exactly on the solutions of a group whose scope
-    holds the queried variable.  A verdict needs no witness, so once the
-    variable has a signature it is read off that; before, each verdict is
-    decided once per table and kept there under (kind, variable, values,
-    the ``over`` variables in scope)."""
-    if query.kind != "dependent":
-        answers = tbl.answers.get(query.variable)
-        if answers is not None:
-            return answers[query.kind, query.values]
-    over = query.over
-    if over:
-        over = tuple(v for v in over if v in tbl.index)
-    key = (query.kind, query.variable, query.values, over)
+    holds the queried variable."""
+    if query.kind == "dependent":
+        return _depends(tbl, query.over, query.variable)
+    return oracle._ask(tbl, query.kind, query.variable, query.values)
+
+
+def _depends(tbl: oracle.SolutionTable, over: tuple[str, ...], y: str) -> bool:
+    """Dependence of y on ``over`` on a group's table that holds y: on the
+    variables of ``over`` in the group's scope, decided once per table and
+    kept there under (kind, y, (), those variables)."""
+    over = tuple(filter(tbl.index.__contains__, over))
+    key = ("dependent", y, (), over)
     holds = tbl.verdicts.get(key)
     if holds is None:
-        if query.kind == "dependent":
-            holds = not oracle._dependence_pair(tbl, over, query.variable)
-        else:
-            holds = oracle._scan(tbl, query) is None
-        tbl.verdicts[key] = holds
+        holds = tbl.verdicts[key] = not oracle._dependence_pair(tbl, over, y)
     return holds
-
-
-def pure_value_fixable(formula: BooleanFormula, x: str) -> bool | None:
-    """The pure-occurrence rule: a variable whose negation never occurs is
-    fixable to true, one that never occurs positively is fixable to false.
-
-    Returns the fixable value, or None when both polarities occur.  A
-    variable absent from every clause is fixable either way and reports
-    true.  Equivalent to the per-clause local fixability check on the
-    clausal encoding.
-    """
-    if not formula.is_clausal:
-        raise ValueError("the pure value rule applies to clausal formulas only")
-    if x not in formula.variables:
-        raise ValueError(f"unknown variable {x!r}")
-    return pure_values(formula)[x]
-
-
-def pure_values(formula: BooleanFormula) -> dict[str, bool | None]:
-    """``pure_value_fixable`` for every variable of a clausal formula, in
-    one pass over its clauses."""
-    if not formula.is_clausal:
-        raise ValueError("the pure value rule applies to clausal formulas only")
-    polarity = {v: [0, 0] for v in formula.variables}
-    for clause in formula.clauses:
-        for lit in clause.literals:
-            polarity[lit.variable][lit.positive] += 1
-    return {v: pure_value(*counts) for v, counts in polarity.items()}
 
 
 def pure_value(negative: int, positive: int) -> bool | None:

@@ -8,20 +8,19 @@ this package is validated against them.  Checks stop at the first
 counterexample; since enumeration follows declaration order, a reported
 counterexample is always the lexicographically least one.
 A caller builds one ``SolutionTable`` per (instance, space) with
-``solution_table`` and passes it to every query on that space.  Each query
-is decided once per table: the verdict is kept on the table under the
-query itself, a (kind, variable, values, over) tuple checked once when it
-is built, and a ``check_*`` ask looks that up with a plain tuple, building
-a query object only when it is first decided.
+``solution_table`` and passes it to every query on that space.
 Every property but dependence compares the cofactors of one variable x
 (the solutions with x fixed to a, to b, ...), so it is a relation on x's
 mask signature: the set of distinct masks of x's values that the solution
-rows take once x is left out.  Questions about x on a table are decided
-by scans that stop at the first falsifying row until the scans that held
-(each a pass over every row) have cost about as much as the signature;
-then it is built in one pass and every value and variable answer on x
-filled in, so each later question is a dict lookup.  Rows are scanned
-after that only for the witness of a false verdict.
+rows take once x is left out.  x's answer row, read off the signature in
+one pass, maps (kind, values) to every value and variable answer on x,
+and ("dependent", over) to dependence on ``over`` once decided.
+``answer_rows`` builds every row up front; the ``check_*`` helpers read a
+row when there is one.  Otherwise a verdict is kept on the table under
+its query, a (kind, variable, values, over) tuple checked once when
+built, and questions about x are scans that stop at the first falsifying
+row until the scans that held have cost about as much as x's row; then
+the row is built.  Rows are scanned after that only for witnesses.
 Value quantifiers ("some other value b", "every value a") range over the
 variable's active values.
 """
@@ -30,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -132,10 +131,10 @@ class PropertyQuery(namedtuple("PropertyQuery", ("kind", "variable", "values", "
 class SolutionTable:
     """The exhaustive enumeration of Sol(C) within a search space, plus
     the verdicts decided on it so far, keyed by (kind, variable, values,
-    over), the tuple a PropertyQuery is: ``evaluate`` keeps an OracleVerdict
-    there, and the local checks keep a bool on a covering group's table.
-    ``answers`` maps a variable to its signature answers, and ``scanned``
-    the cost, in rows, of the scans about it that held (see ``_scan``)."""
+    over), the tuple a PropertyQuery is: an OracleVerdict, or a bool for
+    local dependence on a covering group's table.
+    ``answers`` maps a variable to its answer row, and ``scanned`` the
+    cost, in rows, of the scans about it that held (see ``_scan``)."""
 
     __slots__ = (
         "order", "index", "actives", "rows", "members", "verdicts", "answers", "scanned"
@@ -223,15 +222,6 @@ def solution_table(instance: CspInstance, space: SearchSpace) -> SolutionTable:
     return SolutionTable(instance.variables, actives, rows)
 
 
-def enumerate_solutions(
-    instance: CspInstance, space: SearchSpace
-) -> Iterator[AssignmentTuple]:
-    """Stream the solutions inside the space, in enumeration order."""
-    names = instance.variables
-    for raw in _solution_rows(instance, space):
-        yield AssignmentTuple(zip(names, raw))
-
-
 def satisfiable(instance: CspInstance, space: SearchSpace) -> bool:
     """Brute-force satisfiability inside the space (early exit on success)."""
     return next(_solution_rows(instance, space), None) is not None
@@ -309,58 +299,113 @@ def _scan(tbl: SolutionTable, query: PropertyQuery) -> Row | None:
     return witness
 
 
-def _sign(tbl: SolutionTable, x: str) -> None:
-    """Build x's signature on the table unless it has one."""
-    if x not in tbl.answers:
-        tbl.answers[x] = _signature_answers(tbl, x)
+def _sign(tbl: SolutionTable, x: str) -> dict[tuple, bool]:
+    """x's answer row on the table, built from its signature unless the
+    table has one: removable(a) holds when no mask is a alone, and every
+    other kind as ``_answers`` reads it off the one signature."""
+    row = tbl.answers.get(x)
+    if row is None:
+        active = tbl.actives[tbl.index[x]]
+        masks = _signature(tbl, x)
+        row = tbl.answers[x] = _answers(active, (masks,))
+        for k, a in enumerate(active):
+            row["removable", (a,)] = 1 << k not in masks
+    return row
 
 
-def _signature_answers(tbl: SolutionTable, x: str) -> dict[tuple, bool]:
-    """Every value and variable answer on x, keyed by (kind, values), from
-    one pass over the rows.  Grouping the rows by the rest of the row (x
-    left out) gives each group the mask of x's values that extend it, and
-    only the set of distinct masks is kept: at most 2**|active(x)| small
-    ints.  On those masks:
-    fixable(a): every mask holds a; removable(a): no mask is a alone;
-    inconsistent(a): no mask holds a; implied(a): every mask is a alone;
-    substitutable(a, b): every mask holding a holds b; interchangeable:
-    substitutable both ways; determined: every mask has one bit;
-    irrelevant: every mask is full."""
+def answer_rows(tbl: SolutionTable, dep_max: int = 2) -> dict[str, dict[tuple, bool]]:
+    """Every variable's answer row on the table: the signature answers,
+    keyed (kind, values), and, keyed ("dependent", over), whether it
+    depends on each set ``over`` of up to ``dep_max`` other variables, the
+    empty set included.  Each dependence verdict is decided once, by a
+    pair scan unless y depends on a smaller set inside ``over``."""
+    for y in tbl.order:
+        row = _sign(tbl, y)
+        for over in conditioning_sets(tbl.order, y, 0, dep_max):
+            key = "dependent", over
+            if key not in row:
+                row[key] = _inherits(row, over) or not _dependence_pair(tbl, over, y)
+    return tbl.answers
+
+
+def _inherits(row: dict[tuple, bool], over: tuple[str, ...]) -> bool:
+    """Whether the row has y depend on ``over`` less one variable, and so
+    on ``over``."""
+    for k in range(len(over)):
+        if row.get(("dependent", over[:k] + over[k + 1 :])):
+            return True
+    return False
+
+
+def _signature(tbl: SolutionTable, x: str) -> set[int]:
+    """x's mask signature, from one pass over the rows.  Grouping the rows
+    by the rest of the row (x left out) gives each group the mask of x's
+    values that extend it (bit k for the k-th active value), and only the
+    set of distinct masks is kept: at most 2**|active(x)| small ints."""
     i = tbl.index[x]
-    active = tbl.actives[i]
-    bits = {a: 1 << k for k, a in enumerate(active)}
-    full = (1 << len(active)) - 1
-    rest = (*range(i), *range(i + 1, len(tbl.order)))
-    project = itemgetter(*rest) if rest else (lambda row: ())
+    bits = {a: 1 << k for k, a in enumerate(tbl.actives[i])}
+    project = _projection((*range(i), *range(i + 1, len(tbl.order))))
     by_rest: dict = {}
     get = by_rest.get
     for row in tbl.rows:
         key = project(row)
         by_rest[key] = get(key, 0) | bits[row[i]]
-    masks = set(by_rest.values())
-    union, common = 0, full
-    # holding[a]: the bits every mask that holds a also holds.
-    holding = dict.fromkeys(active, full)
-    for mask in masks:
-        union |= mask
-        common &= mask
-        for a, bit in bits.items():
-            if mask & bit:
-                holding[a] &= mask
+    return set(by_rest.values())
+
+
+def _projection(positions: tuple[int, ...]):
+    """A function from a row to a key that two rows share iff they agree
+    at ``positions``."""
+    return itemgetter(*positions) if positions else (lambda row: ())
+
+
+def _answers(
+    active: tuple[str, ...],
+    signatures: Iterable[set[int]],
+    empty: bool = False,
+    given: bool = False,
+) -> dict[tuple, bool]:
+    """Every answer on x but removability, keyed by (kind, values), on
+    x's signatures (one per table) combined as local reasoning combines
+    kinds.  On one: fixable(a): every mask holds a; inconsistent(a): no
+    mask holds a; implied(a): every mask is a alone; substitutable(a, b):
+    every mask holding a holds b; interchangeable: both ways; determined:
+    every mask has one bit; irrelevant: every mask is full.  ``empty``
+    makes every OR kind hold, ``given`` implication and determinacy."""
+    n = len(active)
+    full = (1 << n) - 1
+    # common: the bits every mask holds; meet: the bits some mask holds on
+    # every table; holding[k]: the bits every mask that holds bit k holds.
+    common = meet = full
+    holding = [full] * n
+    unions = []
+    irrelevant, determined = True, False
+    for masks in signatures:
+        union = 0
+        for mask in masks:
+            union |= mask
+            common &= mask
+            for k in range(n):
+                if mask >> k & 1:
+                    holding[k] &= mask
+        meet &= union
+        unions.append(union)
+        irrelevant = irrelevant and masks <= {full}
+        determined = determined or all(mask & (mask - 1) == 0 for mask in masks)
     answers: dict[tuple, bool] = {
-        ("determined", ()): all(mask & (mask - 1) == 0 for mask in masks),
-        ("irrelevant", ()): masks <= {full},
+        ("determined", ()): given or empty or determined,
+        ("irrelevant", ()): irrelevant,
     }
-    for a, bit in bits.items():
+    for k, a in enumerate(active):
+        bit = 1 << k
         one = (a,)
         answers["fixable", one] = bool(common & bit)
-        answers["removable", one] = bit not in masks
-        answers["inconsistent", one] = not union & bit
-        answers["implied", one] = union | bit == bit
-        for b, other in bits.items():
+        answers["inconsistent", one] = empty or not meet & bit
+        answers["implied", one] = given or empty or any(u | bit == bit for u in unions)
+        for j, b in enumerate(active):
             pair = (a, b)
-            answers["substitutable", pair] = sub = bool(holding[a] & other)
-            answers["interchangeable", pair] = sub and bool(holding[b] & bit)
+            answers["substitutable", pair] = sub = bool(holding[k] >> j & 1)
+            answers["interchangeable", pair] = sub and bool(holding[j] & bit)
     return answers
 
 
@@ -374,10 +419,10 @@ def _dependence_pair(
     rows = tbl.rows
     if len(rows) < 2 or all(row[iy] == rows[0][iy] for row in rows):
         return ()
-    positions = tuple(tbl.index[v] for v in over)
-    seen: dict[Row, Row] = {}
+    project = _projection(tuple(tbl.index[v] for v in over))
+    seen: dict = {}
     for row in rows:
-        key = tuple(row[p] for p in positions)
+        key = project(row)
         first = seen.get(key)
         if first is None:
             seen[key] = row
@@ -435,50 +480,63 @@ def evaluate(table: SolutionTable, query: PropertyQuery) -> OracleVerdict:
     return table.verdicts.get(query) or _decided(table, query)
 
 
-def _verdict(table: SolutionTable, key: tuple) -> OracleVerdict:
-    """The verdict stored under ``key``, the plain tuple of a query: a
-    repeated ask builds no query object, only a miss builds (and so checks)
-    one."""
-    return table.verdicts.get(key) or _decided(table, PropertyQuery(*key))
+def _ask(table: SolutionTable, kind: str, x: str, values=(), over=()) -> bool:
+    """The answer on x's row if it has one, else the verdict stored under
+    the plain tuple of the query: only a miss builds (and so checks) a
+    query object, so an invalid ask, which no row holds, raises."""
+    row = table.answers.get(x)
+    if row is not None:
+        holds = row.get((kind, values or over))
+        if holds is not None:
+            return holds
+    key = (kind, x, values, over)
+    return (table.verdicts.get(key) or _decided(table, PropertyQuery(*key))).holds
 
 
 def check_fixable(table: SolutionTable, x: str, a: str) -> bool:
-    return _verdict(table, ("fixable", x, (a,), ())).holds
+    return _ask(table, "fixable", x, (a,))
 
 
 def check_substitutable(table: SolutionTable, x: str, a: str, b: str) -> bool:
-    return _verdict(table, ("substitutable", x, (a, b), ())).holds
+    return _ask(table, "substitutable", x, (a, b))
 
 
 def check_interchangeable(table: SolutionTable, x: str, a: str, b: str) -> bool:
-    return _verdict(table, ("interchangeable", x, (a, b), ())).holds
+    return _ask(table, "interchangeable", x, (a, b))
 
 
 def check_removable(table: SolutionTable, x: str, a: str) -> bool:
-    return _verdict(table, ("removable", x, (a,), ())).holds
+    return _ask(table, "removable", x, (a,))
 
 
 def check_inconsistent(table: SolutionTable, x: str, a: str) -> bool:
-    return _verdict(table, ("inconsistent", x, (a,), ())).holds
+    return _ask(table, "inconsistent", x, (a,))
 
 
 def check_implied(table: SolutionTable, x: str, a: str) -> bool:
-    return _verdict(table, ("implied", x, (a,), ())).holds
+    return _ask(table, "implied", x, (a,))
 
 
 def check_determined(table: SolutionTable, x: str) -> bool:
-    return _verdict(table, ("determined", x, (), ())).holds
+    return _ask(table, "determined", x)
 
 
 def check_dependent(table: SolutionTable, over: Iterable[str], y: str) -> bool:
     over = tuple(over)
     if y in over:
         PropertyQuery.dependent(over, y)  # raises, before any other check
-    return _verdict(table, ("dependent", y, (), over)).holds
+    return _ask(table, "dependent", y, (), over)
 
 
 def check_irrelevant(table: SolutionTable, x: str) -> bool:
-    return _verdict(table, ("irrelevant", x, (), ())).holds
+    return _ask(table, "irrelevant", x)
+
+
+def conditioning_sets(names: Sequence[str], y: str, low: int, high: int) -> list[tuple]:
+    """The sets of ``low`` to ``high`` variables of ``names`` other than y,
+    by size and then in declaration order."""
+    others = tuple(v for v in names if v != y)
+    return [c for size in range(low, high + 1) for c in itertools.combinations(others, size)]
 
 
 def all_queries(
@@ -518,11 +576,9 @@ def all_queries(
             elif kind in ("determined", "irrelevant"):
                 queries.append(make((kind, x, (), ())))
             else:
-                others = tuple(v for v in names if v != x)
-                for size in range(1, dep_max + 1):
-                    queries.extend(
-                        make((kind, x, (), combo))
-                        for combo in itertools.combinations(others, size)
-                    )
+                queries.extend(
+                    make((kind, x, (), over))
+                    for over in conditioning_sets(names, x, 1, dep_max)
+                )
     return queries
 

@@ -31,7 +31,6 @@ from . import boolean, local, oracle
 from .boolean import BOOL_VALUES, BooleanFormula, SchaeferClass
 from .local import Covering, default_covering
 from .model import CspInstance, SearchSpace
-from .oracle import PropertyQuery
 
 DETECTOR_FAMILIES = ("pure-value", "local", "tractable", "oracle")
 
@@ -132,7 +131,8 @@ class _DetectorSet:
 
     - ``groups``, the covering's group tables, narrowed in place with
       ``GroupTables.narrow``: only the groups that hold a narrowed variable
-      change.
+      change.  ``_rows`` keeps each variable's established row on them
+      (``GroupTables.row``) until the variable is touched.
     - ``_table``, the oracle's solution table of the current space, built
       at the first oracle ask in a space and dropped by ``advance``.
     - The effective formula (every pinned variable instantiated away) as
@@ -180,6 +180,7 @@ class _DetectorSet:
         # removal, scan has to ask about it.
         self._fix_dirty = bytearray(b"\x01") * len(instance.variables)
         self._removal_dirty = bytearray(self._fix_dirty)
+        self._rows: dict[str, dict[tuple, bool]] = {}
         self._stays_dirty = "oracle" in families
         self._table: oracle.SolutionTable | None = None
         # Per compiled variable index, the positions of the variables whose
@@ -250,10 +251,18 @@ class _DetectorSet:
     def _touch(self, v: str) -> None:
         p = self._position[v]
         self._fix_dirty[p] = self._removal_dirty[p] = 1
+        self._rows.pop(v, None)
 
     def _touch_all(self) -> None:
         self._fix_dirty[:] = self._removal_dirty[:] = b"\x01" * len(self._fix_dirty)
         self._watchers.clear()
+        self._rows.clear()
+
+    def _local(self, x: str) -> dict[tuple, bool]:
+        row = self._rows.get(x)
+        if row is None:
+            row = self._rows[x] = self.groups.row(x)
+        return row
 
     def _count(self, left: list[int], delta: int) -> None:
         outside = self._outside
@@ -375,9 +384,10 @@ class _DetectorSet:
                 # acting on; steps need evidence from at least one subset.
                 if self.groups is None:
                     continue
-                if self.groups.established(PropertyQuery.fixable(x, a)):
+                row = self._local(x)
+                if row["fixable", (a,)]:
                     return "local-fixable", "established on every covering subset"
-                if self.groups.established(PropertyQuery.implied(x, a)):
+                if row["implied", (a,)]:
                     return "local-implied", "established on some covering subset"
             elif family == "tractable":
                 compiled = self.compiled
@@ -396,12 +406,12 @@ class _DetectorSet:
             if family == "local":
                 if self.groups is None:
                     continue
-                established = self.groups.established
-                if established(PropertyQuery.inconsistent(x, a)):
+                row = self._local(x)
+                if row["inconsistent", (a,)]:
                     return "local-inconsistent", "established on some subset", None, True
                 if len(active) >= 2:
                     for b in active:
-                        if b != a and established(PropertyQuery.substitutable(x, a, b)):
+                        if b != a and row["substitutable", (a, b)]:
                             return (
                                 "local-substitutable",
                                 "established on every covering subset",

@@ -5,7 +5,17 @@ from pathlib import Path
 import pytest
 from hypothesis import strategies as st
 
-from cspstruct import boolean, boolean_corpus, local, oracle, parse_csp, parse_dimacs, standard_corpus
+from cspstruct import (
+    boolean,
+    boolean_corpus,
+    hierarchy,
+    local,
+    oracle,
+    parse_csp,
+    parse_dimacs,
+    simplify,
+    standard_corpus,
+)
 from cspstruct.model import AssignmentTuple, Constraint, CspInstance, Relation, SearchSpace
 from cspstruct.oracle import PropertyQuery
 from cspstruct.simplify import SimplificationResult, SimplificationStep
@@ -71,6 +81,23 @@ def reference_solutions(inst, space):
     names = space.variables
     tuples = (AssignmentTuple(zip(names, row)) for row in iter_rows(space))
     return [t for t in tuples if is_solution(inst, t)]
+
+
+def table_solutions(inst, space):
+    """The solutions on the oracle's table, as assignments in enumeration
+    order."""
+    table = oracle.solution_table(inst, space)
+    return [table.wrap(row) for row in table.rows]
+
+
+def pure_values(formula):
+    """The pure-value rule (``local.pure_value``) for every variable of a
+    clausal formula, from its polarity counts over the clauses."""
+    polarity = {v: [0, 0] for v in formula.variables}
+    for clause in formula.clauses:
+        for lit in clause.literals:
+            polarity[lit.variable][lit.positive] += 1
+    return {v: local.pure_value(*counts) for v, counts in polarity.items()}
 
 
 def reference_verdict(inst, space, solutions, query):
@@ -157,6 +184,26 @@ def wide_instances(draw):
     return inst, SearchSpace.full(inst)
 
 
+def edge_instances():
+    """Edge cases for every route: a covering group with an empty table (and
+    so no solutions), one active value, an active value with no support, a
+    variable in no constraint, and dependence on variables outside a
+    group's scope."""
+    less = Constraint(
+        "less", ("a", "b"), Relation.of(2, [("0", "1"), ("0", "2"), ("1", "2")])
+    )
+    same = Constraint("same", ("b", "c"), Relation.of(2, [(v, v) for v in "0123"]))
+    dead = Constraint("dead", ("c",), Relation.of(1, []))
+    inst = CspInstance(("a", "b", "c", "d"), ("0", "1", "2", "3"), (less, same))
+    full = SearchSpace.full(inst)
+    return [
+        (inst, full),
+        (inst, full.assign("a", "0")),
+        (inst, full.remove("b", "1").assign("d", "2")),
+        (dataclasses.replace(inst, constraints=(less, same, dead)), full),
+    ]
+
+
 def subproblem(instance, indices):
     """The instance restricted to a constraint subset, every variable kept:
     the subproblem whose exact verdict a covering group must report."""
@@ -177,6 +224,48 @@ def forced_by_product(tbl, group, y):
             return False
     return True
 
+
+
+def reference_check(instance, space, formula, group_size, dep_max, catalog):
+    """The problems ``cli._check_instance`` reports, found query by query:
+    each truth is ``oracle.evaluate`` on one table, each local verdict
+    ``local_check`` on its covering, the catalog runs on a table of its own
+    that has no answer rows (so it asks through the verdict memo), and the
+    tractable route is asked per query."""
+    local_kinds = tuple(k for k in oracle.KINDS if k != "removable")
+    table = oracle.solution_table(instance, space)
+    queries = oracle.all_queries(instance, space, local_kinds, dep_max)
+    truths = [oracle.evaluate(table, query).holds for query in queries]
+    fresh = oracle.solution_table(instance, space)
+    problems = [v.describe() for v in hierarchy.validate_hierarchy(fresh, catalog, dep_max)]
+    sizes = [group_size]
+    if len(instance.constraints) > group_size:
+        sizes.append(len(instance.constraints))
+    for size in sizes:
+        whole = size >= len(instance.constraints)
+        groups = local.group_tables(instance, local.default_covering(instance, size), space)
+        for query, truth in zip(queries, truths):
+            established = local.local_check(groups, query).established
+            if established and not truth:
+                problems.append(f"local({size}) established a false fact: {query.describe()}")
+            if whole and established != truth:
+                problems.append(f"global covering disagrees with oracle on {query.describe()}")
+    if formula is not None:
+        cls = boolean.classify_schaefer(formula).primary
+        if cls is not boolean.SchaeferClass.UNRESTRICTED:
+            compiled = boolean.CompiledFormula(formula, cls)
+            kinds = tuple(k for k in oracle.KINDS if k != "dependent")
+            for query in oracle.all_queries(instance, space, kinds, dep_max):
+                if boolean.tract_check(compiled, query) != oracle.evaluate(table, query).holds:
+                    problems.append(f"tractable disagrees with oracle on {query.describe()}")
+    before = oracle.satisfiable(instance, space)
+    result = simplify.simplify_fixpoint(instance, space, mode="production", formula=formula)
+    if result.proved_unsatisfiable:
+        if before:
+            problems.append("simplifier proved a satisfiable instance unsatisfiable")
+    elif before != oracle.satisfiable(instance, result.final_space):
+        problems.append("simplification changed satisfiability")
+    return problems
 
 
 def reference_simplify(instance, space, families, formula=None, group_size=1):
@@ -200,7 +289,7 @@ def reference_simplify(instance, space, families, formula=None, group_size=1):
             effective = boolean.assume(formula, pins)
             cls = boolean.classify_schaefer(effective).primary
             if "pure-value" in families and effective.is_clausal:
-                pure = local.pure_values(effective)
+                pure = pure_values(effective)
             if "tractable" in families and cls is not boolean.SchaeferClass.UNRESTRICTED:
                 compiled = boolean.CompiledFormula(effective, cls)
         groups = local.group_tables(instance, covering, space)

@@ -16,7 +16,7 @@ from cspstruct.local import UnsoundLocalCheckError, default_covering, local_chec
 from cspstruct.model import SearchSpace
 from cspstruct.oracle import PropertyQuery as Q
 
-from conftest import subproblem
+from conftest import pure_values, subproblem, table_solutions
 
 
 def _report(number: int, name: str) -> None:
@@ -73,7 +73,7 @@ def test_criterion_03_local_establishment(triple_tables):
 
 
 def test_criterion_04_pure_value_rule(pure_literal_cnf):
-    assert local.pure_value_fixable(pure_literal_cnf, "x") is True
+    assert pure_values(pure_literal_cnf)["x"] is True
     inst = to_extensional(pure_literal_cnf)
     space = SearchSpace.full(inst)
     assert oracle.check_fixable(oracle.solution_table(inst, space), "x", "true")
@@ -188,7 +188,7 @@ def test_criterion_10_factoring():
     ordered = FactoringSpec(15, 2, ordering=True)
     inst = gen_factoring(ordered)
     space = factoring_space(ordered)
-    solutions = list(oracle.enumerate_solutions(inst, space))
+    solutions = table_solutions(inst, space)
     assert len(solutions) == 1
     assert decode_factors(ordered, solutions[0]) == (3, 5)
     table = oracle.solution_table(inst, space)
@@ -199,7 +199,7 @@ def test_criterion_10_factoring():
         assert oracle.check_dependent(table, digits, carry)
     unordered = FactoringSpec(15, 2, ordering=False)
     inst2 = gen_factoring(unordered)
-    sols2 = list(oracle.enumerate_solutions(inst2, factoring_space(unordered)))
+    sols2 = table_solutions(inst2, factoring_space(unordered))
     assert sorted(decode_factors(unordered, t) for t in sols2) == [(3, 5), (5, 3)]
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0

@@ -5,15 +5,23 @@ import time
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cspstruct import boolean, cli, local, oracle
+from cspstruct import boolean, cli, hierarchy, local, oracle
 from cspstruct.cli import main
 from cspstruct.instances import emit_csp, emit_dimacs, parse_csp, parse_dimacs
 from cspstruct.model import SearchSpace
 from cspstruct.report import AnalysisReport, Finding, from_json, make_report, to_json
 from cspstruct.simplify import SimplificationResult
 
-from conftest import data_path, instances_with_spaces, reference_solutions, reference_verdict
+from conftest import (
+    data_path,
+    edge_instances,
+    instances_with_spaces,
+    reference_check,
+    reference_solutions,
+    reference_verdict,
+)
 
 
 def run(capsys, *argv):
@@ -159,6 +167,51 @@ class TestFindingsMatchReferences:
             assert analyze_findings(path, "all", "--dep-max", "1") == [
                 finding for method in methods for finding in expected[method]
             ]
+
+
+# The full catalog, then each catalog with one implication reversed.
+CATALOGS = [None] + [
+    hierarchy.reverse_edge(edge.name)
+    for edge in hierarchy.edge_catalog()
+    if edge.kind == "implies"
+]
+
+
+class TestCheckMatchesReference:
+    """``check`` compares answer rows; its problems, in order, are those a
+    query-by-query loop over the same routes finds."""
+
+    @staticmethod
+    def assert_same(inst, space, formula=None, group_size=1, dep_max=2):
+        for catalog in CATALOGS:
+            expected = reference_check(inst, space, formula, group_size, dep_max, catalog)
+            got = cli._check_instance(inst, space, formula, group_size, dep_max, catalog)
+            assert got == expected, catalog and [e.name for e in catalog]
+
+    @settings(max_examples=60, deadline=None)
+    @given(instances_with_spaces(), st.integers(1, 2), st.integers(0, 2))
+    def test_extensional_instances(self, case, group_size, dep_max):
+        self.assert_same(*case, group_size=group_size, dep_max=dep_max)
+
+    def test_edge_instances(self):
+        for inst, space in edge_instances():
+            for group_size in (1, 2):
+                self.assert_same(inst, space, group_size=group_size)
+
+    def test_negative_controls_find_violations(self, corpus):
+        # Each reversed implication fails somewhere in the corpus sample.
+        for catalog in CATALOGS[1:]:
+            assert any(
+                cli._check_instance(inst, space, None, 1, 2, catalog)
+                for inst, space in corpus[:100]
+            ), [edge.name for edge in catalog if edge.name.endswith("-reversed")]
+
+    @pytest.mark.parametrize("kind", ["horn", "dual-horn", "2cnf", "affine"])
+    def test_boolean_corpora(self, boolean_corpora, kind):
+        small = [f for f in boolean_corpora[kind] if len(f.variables) <= 7][:4]
+        for formula in small:
+            inst = boolean.to_extensional(formula)
+            self.assert_same(inst, SearchSpace.full(inst), formula, dep_max=1)
 
 
 class TestFindingTime:

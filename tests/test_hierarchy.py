@@ -174,22 +174,27 @@ def test_validation_on_corpus_sample(corpus):
 def test_warm_validation_builds_no_query_object_and_reuses_every_table(
     coloring, monkeypatch
 ):
-    # The catalog asks through the check_* helpers: once every verdict it
-    # asks for is on the table, validating again builds no PropertyQuery
-    # and decides nothing new.
+    # The catalog asks through the check_* helpers, which read the answer
+    # rows: on tables with rows, validating builds no PropertyQuery and
+    # decides nothing new, and finds what it finds through the memo.
     inst, full = coloring
     catalog = reverse_edge("implication-fixability")
-    tables = [solution_table(inst, space) for space in (full, full.remove("x2", "G"))]
-    cold = [validate_hierarchy(table, catalog) for table in tables]
-    decided = [dict(table.verdicts) for table in tables]
+    spaces = (full, full.remove("x2", "G"))
+    cold = [validate_hierarchy(solution_table(inst, space), catalog) for space in spaces]
     assert cold[0]
+    tables = [solution_table(inst, space) for space in spaces]
+    rows = [
+        {x: dict(row) for x, row in oracle.answer_rows(table).items()} for table in tables
+    ]
 
     def refuse(cls, *fields):
         raise AssertionError(f"built a query object for {fields}")
 
     monkeypatch.setattr(oracle.PropertyQuery, "__new__", refuse)
-    assert [validate_hierarchy(table, catalog) for table in tables] == cold
-    assert [table.verdicts for table in tables] == decided
+    for _ in range(2):
+        assert [validate_hierarchy(table, catalog) for table in tables] == cold
+        assert [table.answers for table in tables] == rows
+        assert all(table.verdicts == {} for table in tables)
 
 
 def test_an_empty_catalog_checks_nothing(coloring):
@@ -197,7 +202,7 @@ def test_an_empty_catalog_checks_nothing(coloring):
     # nothing is decided on the table.
     table = solution_table(*coloring)
     assert validate_hierarchy(table, catalog=()) == []
-    assert table.verdicts == {}
+    assert table.verdicts == {} and table.answers == {}
     with pytest.raises(ValueError, match="no relationship edge"):
         reverse_edge("implication-fixability", ())
     with pytest.raises(ValueError, match="no relationship edge"):

@@ -26,7 +26,7 @@ from cspstruct.instances import (
 )
 from cspstruct.model import AssignmentTuple, CspInstance, SearchSpace
 
-from conftest import data_path, is_solution
+from conftest import data_path, is_solution, table_solutions
 
 
 class TestCspRoundTrip:
@@ -239,21 +239,21 @@ class TestFactoring:
         spec = FactoringSpec(15, 2, ordering=True)
         instance = gen_factoring(spec)
         space = factoring_space(spec)
-        solutions = list(oracle.enumerate_solutions(instance, space))
+        solutions = table_solutions(instance, space)
         assert len(solutions) == 1
         assert decode_factors(spec, solutions[0]) == (3, 5)
 
     def test_z15_without_ordering_two_solutions(self):
         spec = FactoringSpec(15, 2)
         instance = gen_factoring(spec)
-        sols = list(oracle.enumerate_solutions(instance, factoring_space(spec)))
+        sols = table_solutions(instance, factoring_space(spec))
         assert sorted(decode_factors(spec, t) for t in sols) == [(3, 5), (5, 3)]
 
     @pytest.mark.parametrize("z", [6, 15, 21, 35])
     def test_solutions_always_factor(self, z):
         spec = FactoringSpec(z, 2)
         instance = gen_factoring(spec)
-        for t in oracle.enumerate_solutions(instance, factoring_space(spec)):
+        for t in table_solutions(instance, factoring_space(spec)):
             x, y = decode_factors(spec, t)
             assert x * y == z and x != 1 and y != 1
 
@@ -265,11 +265,11 @@ class TestFactoring:
         tight = factoring_space(spec)
         broad_rows = {
             tuple(t[v] for v in instance.variables)
-            for t in oracle.enumerate_solutions(instance, broad)
+            for t in table_solutions(instance, broad)
         }
         tight_rows = {
             tuple(t[v] for v in instance.variables)
-            for t in oracle.enumerate_solutions(instance, tight)
+            for t in table_solutions(instance, tight)
         }
         assert broad_rows == tight_rows
 

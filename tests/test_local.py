@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -16,7 +15,6 @@ from cspstruct.local import (
     default_covering,
     group_tables,
     local_check,
-    pure_value_fixable,
 )
 from cspstruct.model import Constraint, CspInstance, Relation, SearchSpace
 from cspstruct.oracle import PropertyQuery as Q
@@ -25,7 +23,9 @@ from cspstruct.simplify import simplify_fixpoint
 
 from conftest import (
     data_path,
+    edge_instances,
     instances_with_spaces,
+    pure_values,
     reference_solutions,
     reference_verdict,
     subproblem,
@@ -348,10 +348,9 @@ def _assert_group_answers_match_references(inst, space, rng):
     held have cost as much as its signature, and later ones read it),
     equals the product-enumerating
     reference on the group's subproblem; every value and variable verdict
-    also equals the falsifier scan on the group's table.  One
-    ``local_checks`` pass per covering, on fresh tables, builds the
-    signature of every variable it asks about twice before it asks, and
-    returns the same verdicts."""
+    also equals the falsifier scan on the group's table.  On fresh tables,
+    each variable's established row (``GroupTables.row``) holds the same
+    verdicts, read off the variable's signatures with no scan."""
     queries = _group_queries(inst, space)
     coverings = _coverings(inst) if inst.constraints else [default_covering(inst)]
     for covering in coverings:
@@ -380,29 +379,17 @@ def _assert_group_answers_match_references(inst, space, rng):
                 signed = tbl.scanned.get(x, 0) >= len(tbl.rows) + oracle._SIGNATURE_FILL_ROWS
                 assert (x in tbl.answers) is signed, (covering, x)
         fresh = group_tables(inst, covering, space)
-        assert local.local_checks(fresh, order) == singles[: len(order)]
+        overs = {x: [q.over for q in queries if q.variable == x and q.over] for x in inst.variables}
+        for x in inst.variables:
+            row = fresh.row(x, overs[x])
+            for query, verdict in zip(order, singles):
+                if query.variable == x:
+                    key = (query.kind, query.values or query.over)
+                    assert row[key] == verdict.established, (covering, query.describe())
         for tbl in fresh.tables:
-            # Read off signatures built before the first query: no scans.
-            assert set(tbl.answers) == set(tbl.order) and not tbl.scanned, covering
-
-
-def _group_answer_cases():
-    """Edge groups: an empty table, one active value, an active value with
-    no support, a variable in no constraint, and dependence on variables
-    outside a group's scope."""
-    less = Constraint(
-        "less", ("a", "b"), Relation.of(2, [("0", "1"), ("0", "2"), ("1", "2")])
-    )
-    same = Constraint("same", ("b", "c"), Relation.of(2, [(v, v) for v in "0123"]))
-    dead = Constraint("dead", ("c",), Relation.of(1, []))
-    inst = CspInstance(("a", "b", "c", "d"), ("0", "1", "2", "3"), (less, same))
-    full = SearchSpace.full(inst)
-    return [
-        (inst, full),
-        (inst, full.assign("a", "0")),
-        (inst, full.remove("b", "1").assign("d", "2")),
-        (dataclasses.replace(inst, constraints=(less, same, dead)), full),
-    ]
+            # Read off the signatures, with no scan, and only dependence kept.
+            assert not tbl.scanned and not tbl.answers, covering
+            assert all(key[0] == "dependent" for key in tbl.verdicts), covering
 
 
 class TestGroupAnswers:
@@ -413,21 +400,22 @@ class TestGroupAnswers:
 
     def test_edge_groups(self):
         rng = random.Random(3)
-        for inst, space in _group_answer_cases():
+        for inst, space in edge_instances():
             _assert_group_answers_match_references(inst, space, rng)
 
     def test_a_pass_builds_signatures_only_for_repeated_variables(self, triple_tables):
+        # One local_check per variable scans and builds no answer row; a row
+        # reads its variable's signatures and keeps nothing on the tables.
         inst, space = triple_tables
-        covering = default_covering(inst)
-        once = [Q.determined(x) for x in inst.variables]
-        for queries, signed in ((once, False), (once + once[:1], True)):
-            groups = group_tables(inst, covering, space)
-            local.local_checks(groups, queries)
-            for tbl in groups.tables:
-                x = inst.variables[0]
-                if x in tbl.index:
-                    assert (x in tbl.answers) is signed
-                assert set(tbl.answers) <= {x}
+        groups = group_tables(inst, default_covering(inst), space)
+        for y in inst.variables:
+            local_check(groups, Q.determined(y))
+        assert not any(tbl.answers for tbl in groups.tables)
+        scanned = [dict(tbl.scanned) for tbl in groups.tables]
+        for y in inst.variables:
+            groups.row(y)
+        assert not any(tbl.answers for tbl in groups.tables)
+        assert [tbl.scanned for tbl in groups.tables] == scanned
 
     def test_errors_come_in_local_check_order(self, triple_tables):
         inst, space = triple_tables
@@ -435,13 +423,58 @@ class TestGroupAnswers:
         x = inst.variables[0]
         good = Q.fixable(x, space.values(x)[0])
         groups = group_tables(inst, covering, space)
-        # Every kind is checked first, then each query's variable and values.
+        # The kind is checked first, then the variable, then its values; a
+        # row checks its variable.
+        assert local_check(groups, good).established in (True, False)
         with pytest.raises(UnsoundLocalCheckError):
-            local.local_checks(groups, [good, Q.fixable("nope", "1"), Q.removable(x, "1")])
+            local_check(groups, Q.removable("nope", "1"))
         with pytest.raises(ValueError, match="unknown variable 'nope'"):
-            local.local_checks(groups, [good, Q.fixable("nope", "1")])
+            local_check(groups, Q.fixable("nope", "9"))
         with pytest.raises(ValueError, match="not active"):
-            local.local_checks(groups, [good, Q.fixable(x, "9")])
+            local_check(groups, Q.fixable(x, "9"))
+        with pytest.raises(ValueError, match="unknown variable 'nope'"):
+            groups.row("nope")
+
+
+def assert_rows_match_local_check(inst, space, dep_max=2):
+    """Every entry of each variable's established row equals
+    ``local_check(...).established`` at group sizes 1, 2 and whole."""
+    names = inst.variables
+    queries = oracle.all_queries(inst, space, tuple(AND_KINDS | OR_KINDS), dep_max)
+    for size in sorted({1, 2, max(len(inst.constraints), 1)}):
+        covering = default_covering(inst, size)
+        groups = group_tables(inst, covering, space)
+        rows = {x: groups.row(x, oracle.conditioning_sets(names, x, 1, dep_max)) for x in names}
+        asked = group_tables(inst, covering, space)
+        for query in queries:
+            established = local_check(asked, query).established
+            key = (query.kind, query.values or query.over)
+            assert rows[query.variable][key] == established, (size, query.describe())
+        for x in names:
+            active = space.values(x)
+            pairs = [(a, b) for a in active for b in active]
+            for a, b in pairs:
+                for kind in ("substitutable", "interchangeable"):
+                    query = Q(kind, x, (a, b))
+                    assert rows[x][kind, (a, b)] == local_check(asked, query).established
+            assert not any(kind == "removable" for kind, _ in rows[x]), x
+
+
+class TestEstablishedRows:
+    @settings(max_examples=150, deadline=None)
+    @given(instances_with_spaces())
+    def test_every_entry_matches_local_check(self, case):
+        assert_rows_match_local_check(*case)
+
+    def test_edge_instances(self):
+        for inst, space in edge_instances():
+            assert_rows_match_local_check(inst, space)
+
+    def test_boolean_corpora(self, boolean_corpora):
+        for formulas in boolean_corpora.values():
+            for formula in [f for f in formulas if len(f.variables) <= 8][:8]:
+                inst = to_extensional(formula)
+                assert_rows_match_local_check(inst, SearchSpace.full(inst), 1)
 
 
 class TestSoundness:
@@ -484,13 +517,13 @@ class TestRemovabilityTrapRegression:
 
 class TestPureValue:
     def test_pure_literal_cnf_fixture(self, pure_literal_cnf):
-        assert pure_value_fixable(pure_literal_cnf, "x") is True
-        assert pure_value_fixable(pure_literal_cnf, "y") is None
-        assert pure_value_fixable(pure_literal_cnf, "z") is None
+        assert pure_values(pure_literal_cnf)["x"] is True
+        assert pure_values(pure_literal_cnf)["y"] is None
+        assert pure_values(pure_literal_cnf)["z"] is None
 
     def test_absent_variable_reports_true(self):
         f = BooleanFormula(("a", "b"), (Clause(frozenset({Literal("a", True)})),))
-        assert pure_value_fixable(f, "b") is True
+        assert pure_values(f)["b"] is True
 
     def test_both_polarities_give_none(self):
         f = BooleanFormula(
@@ -500,18 +533,23 @@ class TestPureValue:
                 Clause(frozenset({Literal("a", False)})),
             ),
         )
-        assert pure_value_fixable(f, "a") is None
+        assert pure_values(f)["a"] is None
 
     def test_negative_only_gives_false(self):
         f = BooleanFormula(("a",), (Clause(frozenset({Literal("a", False)})),))
-        assert pure_value_fixable(f, "a") is False
+        assert pure_values(f)["a"] is False
 
     def test_requires_clausal_formula(self):
+        # The rule reads clause polarities, so it never acts on a formula
+        # with equations, where a variable occurs in neither polarity.
         from cspstruct.boolean import AffineEquation
 
         f = BooleanFormula(("a",), (), (AffineEquation(frozenset({"a"}), True),))
-        with pytest.raises(ValueError, match="clausal"):
-            pure_value_fixable(f, "a")
+        inst = to_extensional(f)
+        result = simplify_fixpoint(
+            inst, SearchSpace.full(inst), formula=f, detectors=("pure-value",)
+        )
+        assert result.steps == () and result.fixpoint
 
     def test_matches_local_fixability_and_oracle_on_random_cnfs(self):
         import random
@@ -526,7 +564,7 @@ class TestPureValue:
             groups = group_tables(inst, default_covering(inst, 1), space)
             table = solution_table(inst, space)
             for x in formula.variables:
-                value = pure_value_fixable(formula, x)
+                value = pure_values(formula)[x]
                 for candidate, name in ((True, "true"), (False, "false")):
                     local_says = local_check(groups, Q.fixable(x, name)).established
                     assert local_says == (
@@ -574,10 +612,14 @@ class TestDerivedTables:
                 assert tbl.actives == cold_tbl.actives == actives
             assert tables.empty == cold.empty
             assert tables.some_empty == cold.some_empty == any(cold.empty)
+            rows = {}
             for query in _group_queries(inst, space):
                 expected = local_check(cold, query)
                 assert local._combine(tables, query) == expected
-                assert tables.established(query) == expected.established
+                x = query.variable
+                if x not in rows:
+                    rows[x] = tables.row(x, oracle.conditioning_sets(inst.variables, x, 1, 2))
+                assert rows[x][query.kind, query.values or query.over] == expected.established
 
     def test_one_wide_constraint_is_not_enumerated(self, monkeypatch):
         # Three rows, against 3^17 in the scope product.  Value 2 occurs in

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cspstruct import oracle
+from cspstruct.boolean import to_extensional
 from cspstruct.model import (
     Constraint,
     CspInstance,
@@ -26,17 +27,18 @@ from cspstruct.oracle import (
     check_irrelevant,
     check_removable,
     check_substitutable,
-    enumerate_solutions,
     evaluate,
     satisfiable,
     solution_table,
 )
 
 from conftest import (
+    edge_instances,
     instances_with_spaces,
     is_solution,
     reference_solutions,
     reference_verdict,
+    table_solutions,
 )
 
 
@@ -63,27 +65,27 @@ def independent_coloring_count():
 class TestEnumerateSolutions:
     def test_coloring_count_against_independent_enumeration(self, coloring):
         inst, space = coloring
-        sols = list(enumerate_solutions(inst, space))
+        sols = table_solutions(inst, space)
         assert len(sols) == 3 * independent_coloring_count() == 36
         assert len(solution_table(inst, space).rows) == 36
 
     def test_no_constraints_yields_whole_space(self):
         inst = free_instance()
         space = SearchSpace.full(inst)
-        assert len(list(enumerate_solutions(inst, space))) == 4
+        assert len(table_solutions(inst, space)) == 4
 
     def test_backbone_values_in_every_solution(self, backbone):
         inst, space = backbone
-        for t in enumerate_solutions(inst, space):
+        for t in table_solutions(inst, space):
             assert t["x"] == t["y"] == t["q"] == t["r"] == "true"
 
 
 def assert_enumerator_matches_product(inst, space):
-    """Table rows, streamed solutions and satisfiability all agree with the
-    plain product scan, order included."""
+    """Table rows, the assignments they wrap and satisfiability all agree
+    with the plain product scan, order included."""
     expected = [tuple(t[v] for v in inst.variables) for t in reference_solutions(inst, space)]
     assert list(solution_table(inst, space).rows) == expected
-    streamed = list(enumerate_solutions(inst, space))
+    streamed = table_solutions(inst, space)
     assert [tuple(t[v] for v in inst.variables) for t in streamed] == expected
     assert all(t.variables == inst.variables for t in streamed)
     assert satisfiable(inst, space) is bool(expected)
@@ -157,7 +159,7 @@ class TestColoringProperties:
 
     def test_reassigning_x1_keeps_solutions(self, coloring):
         inst, space = coloring
-        for t in enumerate_solutions(inst, space):
+        for t in table_solutions(inst, space):
             assert is_solution(inst, {**t, "x1": "G"})
 
 
@@ -284,7 +286,7 @@ class TestEvidence:
         inst, space = coloring
         verdict = evaluate(solution_table(inst, space), PropertyQuery.irrelevant("x4"))
         assert not verdict.holds
-        first_solution = next(enumerate_solutions(inst, space))
+        first_solution = table_solutions(inst, space)[0]
         assert verdict.counterexamples[0] == first_solution
 
     def test_dependent_counterexample_is_a_pair(self, coloring):
@@ -345,7 +347,7 @@ def assert_signature_matches_references(inst, space):
     solutions = reference_solutions(inst, space)
     tbl = solution_table(inst, space)
     for x in inst.variables:
-        answers = oracle._signature_answers(tbl, x)
+        answers = oracle._sign(solution_table(inst, space), x)
         assert sorted(answers) == sorted(signature_keys(space.values(x)))
         for (kind, values), holds in answers.items():
             query = PropertyQuery(kind, x, values)
@@ -418,7 +420,7 @@ class TestSignatureAnswers:
         tbl = solution_table(inst, SearchSpace.full(inst))
         assert not tbl.rows
         for x in inst.variables:
-            assert all(oracle._signature_answers(tbl, x).values())
+            assert all(oracle._sign(tbl, x).values())
 
 
 class TestPreconditions:
@@ -594,8 +596,10 @@ def every_ask(inst, space, dep_max=2):
 
 
 class TestAskPath:
-    """The check_* helpers ask the table's verdict memo with a plain key:
-    a query object only on a miss, and a hit is one dict lookup."""
+    """The check_* helpers read the variable's answer row when the table
+    has one: no query object, nothing decided.  Without a row they ask the
+    table's verdict memo with a plain key: a query object only on a miss,
+    and a hit is one dict lookup."""
 
     def test_each_ask_looks_the_table_up_once_and_matches_evaluate(self, coloring):
         inst, full = coloring
@@ -604,31 +608,49 @@ class TestAskPath:
                 query: fresh_verdict(inst, space, PropertyQuery(*query)).holds
                 for _, _, query in every_ask(inst, space)
             }
-            tbl = solution_table(inst, space)
+            rowed, memo = solution_table(inst, space), solution_table(inst, space)
+            rows = oracle.answer_rows(rowed, dep_max=2)
+            assert set(rows) == set(inst.variables)
             for _ in range(2):  # a miss, then a memo hit
                 for check, args, query in every_ask(inst, space):
-                    assert check(tbl, *args) == expected[query], query
-                    assert tbl.verdicts[query].holds == expected[query], query
-            assert set(tbl.verdicts) == set(expected)
+                    kind, x, values, over = query
+                    assert check(rowed, *args) == expected[query], query
+                    assert rows[x][kind, values or over] == expected[query], query
+                    assert check(memo, *args) == expected[query], query
+            # Every ask was read off a row; the memo holds only what was
+            # asked before the scans that held built the variable's row.
+            assert rowed.verdicts == {}
+            for query, verdict in memo.verdicts.items():
+                assert verdict.holds == expected[query], query
+                if query[0] != "dependent" and query[1] in memo.answers:
+                    assert memo.answers[query[1]][query[0], query[2]] == verdict.holds
 
     def test_warm_asks_build_no_query_object(self, coloring, monkeypatch):
         inst, full = coloring
-        tables = [solution_table(inst, space) for space in (full, full.assign("x2", "R"))]
+        spaces = (full, full.assign("x2", "R"))
+        tables = [solution_table(inst, space) for space in spaces]
+        rowed = [solution_table(inst, space) for space in spaces]
+        for tbl in rowed:
+            oracle.answer_rows(tbl, dep_max=2)
 
-        def asks():
+        def asks(tables):
             return [
                 check(tbl, *args)
-                for tbl, space in zip(tables, (full, full.assign("x2", "R")))
+                for tbl, space in zip(tables, spaces)
                 for check, args, _ in every_ask(inst, space)
             ]
 
-        answers = asks()
+        answers = asks(tables)
+        rows = [dict(tbl.answers) for tbl in rowed]
 
         def refuse(cls, *fields):
             raise AssertionError(f"built a query object for {fields}")
 
         monkeypatch.setattr(PropertyQuery, "__new__", refuse)
-        assert answers == asks()
+        assert answers == asks(tables) == asks(rowed)
+        # The rows answered every ask: nothing was decided on them.
+        assert [tbl.answers for tbl in rowed] == rows
+        assert all(tbl.verdicts == {} for tbl in rowed)
 
     def test_invalid_asks_raise_in_order_on_every_call(self, coloring):
         inst, space = coloring
@@ -652,11 +674,10 @@ class TestAskPath:
                 for _ in range(2):
                     with pytest.raises(ValueError, match=re.escape(message)):
                         ask()
-            # Fill the memos of both valid spaces, then ask again.
-            for valid, table in ((space, tbl), (narrowed, narrow_tbl)):
-                for check, args, _ in every_ask(inst, valid, dep_max=1):
-                    check(table, *args)
-            assert narrow_tbl.verdicts
+            # Build the rows of both valid spaces, then ask again.
+            for table in (tbl, narrow_tbl):
+                oracle.answer_rows(table, dep_max=2)
+            assert set(narrow_tbl.answers) == set(inst.variables)
 
     def test_table_values_match_the_space(self, coloring):
         inst, space = coloring
@@ -667,6 +688,67 @@ class TestAskPath:
         ]
         with pytest.raises(ValueError, match="unknown variable 'nope'"):
             tbl.values("nope")
+
+
+def row_queries(row, x):
+    """The query each entry of x's answer row answers."""
+    for kind, values in row:
+        if kind == "dependent":
+            yield (kind, values), PropertyQuery.dependent(values, x)
+        else:
+            yield (kind, values), PropertyQuery(kind, x, values)
+
+
+def assert_rows_match_reference(inst, space, dep_max):
+    """Every entry of every answer row equals the reference verdict, and
+    the rows answer every value and variable question (substitutability and
+    interchangeability over every ordered pair, a == b included) and
+    dependence on every set of up to ``dep_max`` other variables."""
+    solutions = reference_solutions(inst, space)
+    rows = oracle.answer_rows(solution_table(inst, space), dep_max)
+    assert list(rows) == list(inst.variables)
+    for x, row in rows.items():
+        active = space.values(x)
+        others = [v for v in inst.variables if v != x]
+        assert set(row) == {
+            ("determined", ()),
+            ("irrelevant", ()),
+            *((kind, (a,)) for kind in ("fixable", "removable", "inconsistent", "implied")
+              for a in active),
+            *((kind, (a, b)) for kind in ("substitutable", "interchangeable")
+              for a in active for b in active),
+            *(("dependent", over) for size in range(dep_max + 1)
+              for over in itertools.combinations(others, size)),
+        }
+        for key, query in row_queries(row, x):
+            expected = reference_verdict(inst, space, solutions, query)[0]
+            assert row[key] == expected, query.describe()
+
+
+class TestAnswerRows:
+    @settings(max_examples=150, deadline=None)
+    @given(instances_with_spaces(), st.integers(0, 2))
+    def test_every_entry_matches_the_reference(self, case, dep_max):
+        assert_rows_match_reference(*case, dep_max)
+
+    def test_edge_instances(self):
+        for inst, space in edge_instances():
+            assert_rows_match_reference(inst, space, 2)
+
+    def test_boolean_corpora(self, boolean_corpora):
+        for formulas in boolean_corpora.values():
+            for formula in [f for f in formulas if len(f.variables) <= 6][:8]:
+                inst = to_extensional(formula)
+                assert_rows_match_reference(inst, SearchSpace.full(inst), 1)
+
+    def test_a_row_is_built_once(self, coloring):
+        inst, space = coloring
+        tbl = solution_table(inst, space)
+        rows = oracle.answer_rows(tbl, 1)
+        built = {x: row for x, row in rows.items()}
+        assert oracle.answer_rows(tbl, 2) is rows
+        assert all(rows[x] is built[x] for x in inst.variables)
+        assert tbl.verdicts == {}
 
 
 class TestAllQueries:

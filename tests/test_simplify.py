@@ -32,7 +32,7 @@ from cspstruct.simplify import (
     simplify_fixpoint,
 )
 
-from conftest import instances_with_spaces, reference_simplify, wide_instances
+from conftest import instances_with_spaces, pure_values, reference_simplify, wide_instances
 
 
 def clause(*lits):
@@ -277,7 +277,7 @@ class TestIncrementalEffectiveFormula:
         assert detectors.tractable_class is expected_class
         if expected.is_clausal:
             pure = {v: detectors._pure(v) for v in expected.variables}
-            assert pure == local.pure_values(expected)
+            assert pure == pure_values(expected)
 
     def test_equals_assume_of_every_pin_at_every_step(self, boolean_corpora):
         steps = 0
