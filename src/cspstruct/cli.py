@@ -28,6 +28,7 @@ import shutil
 import sys
 import time
 import traceback
+from itertools import compress
 from pathlib import Path
 
 from . import boolean, hierarchy, local, oracle, report, simplify
@@ -240,19 +241,30 @@ def _check_instance(instance, space, formula, group_size, dep_max, catalog):
     catalog_found = hierarchy.validate_hierarchy(table, catalog, dep_max)
     problems = [violation.describe() for violation in catalog_found]
     names = instance.variables
-    keyed = [
-        (query, query.variable, (query.kind, query.values or query.over))
-        for query in oracle.all_queries(instance, space, LOCAL_KINDS, dep_max)
-    ]
+    overs = {x: oracle.conditioning_sets(names, x, 1, dep_max) for x in names}
+    inherited = None
     sizes = [group_size]
     if len(instance.constraints) > group_size:
         sizes.append(len(instance.constraints))
     for size in sizes:
         covering = local.default_covering(instance, size)
-        whole = size >= len(instance.constraints)
+        # A covering of no groups (no constraints) is not the global one.
+        whole = bool(covering.groups) and size >= len(instance.constraints)
         groups = local.group_tables(instance, covering, space)
-        rows = {x: groups.row(x, oracle.conditioning_sets(names, x, 1, dep_max)) for x in names}
-        for query, x, key in keyed:
+        rows = {x: groups.row(x, overs[x]) for x in names}
+        if size == 1:  # the simplifier's covering: it takes the tables over
+            inherited = groups
+        # Row against row: a whole covering agrees with every truth, any other
+        # establishes only true ones; a disagreement is named query by query.
+        if all(
+            rows[x].items() <= truths[x].items() if whole
+            else all(map(truths[x].__getitem__, compress(rows[x], rows[x].values())))
+            for x in names
+        ):
+            continue
+        for query in oracle.all_queries(instance, space, LOCAL_KINDS, dep_max):
+            x = query.variable
+            key = query.kind, query.values or query.over
             established, truth = rows[x][key], truths[x][key]
             if established and not truth:
                 problems.append(f"local({size}) established a false fact: {query.describe()}")
@@ -273,7 +285,9 @@ def _check_instance(instance, space, formula, group_size, dep_max, catalog):
     # The table holds every solution in the space, and the simplified space
     # narrows it, so both satisfiability answers are read off its rows.
     before = bool(table.rows)
-    result = simplify.simplify_fixpoint(instance, space, mode="production", formula=formula)
+    result = simplify.simplify_fixpoint(
+        instance, space, mode="production", formula=formula, groups=inherited
+    )
     if result.proved_unsatisfiable:
         if before:
             problems.append("simplifier proved a satisfiable instance unsatisfiable")

@@ -2,8 +2,11 @@
 
 Each edge states an implication or a biconditional between property
 formulas, evaluated through the exhaustive oracle on one solution table:
-each side reads the answer rows of the table when it has them (see
-``oracle.answer_rows``), and the table's verdict memo when it does not.
+each side reads the answer row of its variable (see
+``oracle.answer_rows``), and builds the row when the table has none.  The
+right-hand side of the dependence edge is its own code, not the oracle's
+pair scan: it counts the rows' distinct projections, one pass per
+variable set, and every (V, y) that names the set reads the count.
 The catalog doubles as a set of derived detectors (either side of a
 biconditional can stand in for the other) and as a cross-validation suite:
 on any instance small enough to enumerate, ``validate_hierarchy`` must come
@@ -19,6 +22,9 @@ from . import oracle
 from .oracle import SolutionTable
 
 EdgeSide = Callable[[SolutionTable, tuple], bool]
+
+# x's answer row on a table, built from its signature if the table has none.
+_row = oracle._sign
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,25 +55,30 @@ class Violation:
         return f"{self.edge} {arrow} violated at {self.args!r}: lhs={self.lhs} rhs={self.rhs}"
 
 
-def forced_for_every_assignment(
-    table: SolutionTable, group: tuple[str, ...], y: str
-) -> bool:
-    """True iff pinning the group variables to any combination of active
-    values leaves all remaining solutions agreeing on ``y``.
+def _forced(table: SolutionTable, args: tuple) -> bool:
+    """The dependence edge's right-hand side: pinning V to any active values
+    leaves the solutions agreeing on y.  That is the partition test of
+    functional-dependency discovery (TANE): the rows take as many distinct
+    projections on V as on V and y together."""
+    over, y = args
+    return len(table.rows) < 2 or _classes(table, over) == _classes(table, (*over, y))
 
-    This is the right-hand side of the dependence edge: within every
-    restriction of the space, ``y`` has an implied value (vacuously, when
-    the restriction kills all solutions).
-    """
-    iy = table.index[y]
-    project = oracle._projection(tuple(table.index[v] for v in group))
-    # Every row lies in the space, so the restrictions that keep a solution
-    # are exactly the rows' projections onto the group.
-    forced: dict = {}
-    for row in table.rows:
-        if forced.setdefault(project(row), row[iy]) != row[iy]:
-            return False
-    return True
+
+def _classes(table: SolutionTable, names: tuple[str, ...]) -> int:
+    """The number of distinct projections of the rows on the variables
+    ``names``, from one pass per set of variables, kept on the table."""
+    key = frozenset(names)
+    count = table.classes.get(key)
+    if count is None:
+        project = oracle._projection(tuple(map(table.index.__getitem__, key)))
+        count = table.classes[key] = len(set(map(project, table.rows)))
+    return count
+
+
+def _is(kind: str) -> EdgeSide:
+    """The side that reads ``kind`` of the instantiation's variable and
+    values off the variable's answer row."""
+    return lambda t, a: _row(t, a[0])[kind, a[1:]]
 
 
 def _unique_solution(table: SolutionTable, _args: tuple) -> bool:
@@ -76,8 +87,7 @@ def _unique_solution(table: SolutionTable, _args: tuple) -> bool:
 
 def _all_variables_implied(table: SolutionTable, _args: tuple) -> bool:
     return all(
-        any(oracle.check_implied(table, x, a) for a in table.values(x))
-        for x in table.order
+        any(_row(table, x)["implied", (a,)] for a in table.values(x)) for x in table.order
     )
 
 
@@ -88,89 +98,79 @@ def edge_catalog() -> tuple[RelationshipEdge, ...]:
             "dependence-determinacy",
             "iff",
             "vy",
-            lambda t, a: oracle.check_dependent(t, a[0], a[1]),
-            lambda t, a: forced_for_every_assignment(t, a[0], a[1]),
+            lambda t, a: oracle._dependent(t, *a),
+            _forced,
         ),
         RelationshipEdge(
             "irrelevance-fixability",
             "iff",
             "x",
-            lambda t, a: oracle.check_irrelevant(t, a[0]),
-            lambda t, a: all(
-                oracle.check_fixable(t, a[0], v) for v in t.values(a[0])
-            ),
+            _is("irrelevant"),
+            lambda t, a: all(_row(t, a[0])["fixable", (v,)] for v in t.values(a[0])),
         ),
         RelationshipEdge(
             "determinacy-implication",
             "implies",
             "xa",
-            lambda t, a: oracle.check_implied(t, a[0], a[1]),
-            lambda t, a: oracle.check_determined(t, a[0]),
+            _is("implied"),
+            lambda t, a: _row(t, a[0])["determined", ()],
         ),
         RelationshipEdge(
-            "implication-fixability",
-            "implies",
-            "xa",
-            lambda t, a: oracle.check_implied(t, a[0], a[1]),
-            lambda t, a: oracle.check_fixable(t, a[0], a[1]),
+            "implication-fixability", "implies", "xa", _is("implied"), _is("fixable")
         ),
         RelationshipEdge(
             "implication-inconsistency",
             "iff",
             "xa",
-            lambda t, a: oracle.check_implied(t, a[0], a[1]),
+            _is("implied"),
             lambda t, a: all(
-                oracle.check_inconsistent(t, a[0], b)
-                for b in t.values(a[0])
-                if b != a[1]
+                _row(t, a[0])["inconsistent", (b,)] for b in t.values(a[0]) if b != a[1]
             ),
         ),
         RelationshipEdge(
             "fixability-substitutability",
             "iff",
             "xa",
-            lambda t, a: oracle.check_fixable(t, a[0], a[1]),
+            _is("fixable"),
             lambda t, a: all(
-                oracle.check_substitutable(t, a[0], v, a[1])
-                for v in t.values(a[0])
+                _row(t, a[0])["substitutable", (v, a[1])] for v in t.values(a[0])
             ),
         ),
         RelationshipEdge(
             "inconsistency-substitutability",
             "implies",
             "xa",
-            lambda t, a: oracle.check_inconsistent(t, a[0], a[1]),
+            _is("inconsistent"),
             lambda t, a: all(
-                oracle.check_substitutable(t, a[0], a[1], b)
-                for b in t.values(a[0])
+                _row(t, a[0])["substitutable", (a[1], b)] for b in t.values(a[0])
             ),
         ),
         RelationshipEdge(
             "inconsistency-removability",
             "implies",
             "xa",
-            lambda t, a: oracle.check_inconsistent(t, a[0], a[1]),
-            lambda t, a: oracle.check_removable(t, a[0], a[1]),
+            _is("inconsistent"),
+            _is("removable"),
         ),
         RelationshipEdge(
             "substitutability-removability",
             "implies",
             "xa",
             lambda t, a: any(
-                oracle.check_substitutable(t, a[0], a[1], b)
+                _row(t, a[0])["substitutable", (a[1], b)]
                 for b in t.values(a[0])
                 if b != a[1]
             ),
-            lambda t, a: oracle.check_removable(t, a[0], a[1]),
+            _is("removable"),
         ),
         RelationshipEdge(
             "interchangeability-definition",
             "iff",
             "xab",
-            lambda t, a: oracle.check_interchangeable(t, *a),
+            _is("interchangeable"),
             lambda t, a: (
-                oracle.check_substitutable(t, a[0], a[1], a[2])
-                and oracle.check_substitutable(t, a[0], a[2], a[1])
+                _row(t, a[0])["substitutable", a[1:]]
+                and _row(t, a[0])["substitutable", (a[2], a[1])]
             ),
         ),
         RelationshipEdge(

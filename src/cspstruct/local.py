@@ -34,9 +34,9 @@ are therefore rejected outright.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -124,9 +124,10 @@ def _groups(
 class GroupTables:
     """A covering's group tables for one space: the space; per group, its
     solutions on its own scope and whether there are none; per variable,
-    the groups that hold it; and whether any group has no solutions."""
+    the groups that hold it and its established row once asked for (see
+    ``row``); and whether any group has no solutions."""
 
-    __slots__ = ("space", "tables", "empty", "holding", "some_empty")
+    __slots__ = ("space", "tables", "empty", "holding", "some_empty", "rows")
 
     def __init__(
         self,
@@ -139,15 +140,18 @@ class GroupTables:
         self.empty = [not tbl.rows for tbl in tables]
         self.holding = holding
         self.some_empty = any(self.empty)
+        self.rows: dict[str, dict[tuple, bool]] = {}
 
     def narrow(self, space: SearchSpace, x: str) -> None:
         """Become the tables of ``space``, which narrows x and changes
         nothing else.  Each group that holds x keeps the rows of its table
         whose x value is still active, in order: the rows a cold build
-        finds, so every verdict decided on them is the same too."""
+        finds, so every verdict decided on them is the same too.  Every row
+        (see ``row``) that reads a changed table or x's values is dropped."""
         self.space = space
         active = space.values(x)
         keep = frozenset(active).__contains__
+        self.rows.pop(x, None)
         for g in self.holding.get(x, ()):
             tbl = self.tables[g]
             i = tbl.index[x]
@@ -155,28 +159,43 @@ class GroupTables:
             actives = (*tbl.actives[:i], active, *tbl.actives[i + 1 :])
             self.tables[g] = oracle.SolutionTable(tbl.order, actives, rows)
             self.empty[g] = not rows
-            self.some_empty = self.some_empty or not rows
+            for v in tbl.order:
+                self.rows.pop(v, None)
+            if not rows and not self.some_empty:
+                self.some_empty = True
+                self.rows.clear()
 
-    def row(self, x: str, overs: Iterable[tuple[str, ...]] = ()) -> dict[tuple, bool]:
+    def row(self, x: str, overs: Sequence[tuple[str, ...]] = ()) -> dict[tuple, bool]:
         """``local_check(...).established`` for every question on x but
         removability, keyed as the oracle's answer rows: (kind, values),
         and ("dependent", over) for each set in ``overs``.  x's signatures
         on the groups that hold it combine by AND or OR, as ``local_check``
-        combines their verdicts."""
+        combines their verdicts; the row is kept (see ``narrow``)."""
         tables = self.tables
         holding = self.holding.get(x, ())
         active = self.space.values(x)
-        empty = self.some_empty
-        # x free in some group, with one active value, is determined there
-        # (see ``_combine``).
-        given = len(holding) < len(tables) and len(active) == 1
-        signatures = [oracle._signature(tables[g], x) for g in holding]
-        answers = oracle._answers(active, signatures, empty, given)
+        answers = self.rows.get(x)
+        if answers is None:
+            # x free in some group, with one active value, is determined
+            # there (see ``_combine``).
+            given = len(holding) < len(tables) and len(active) == 1
+            signatures = [oracle._signature(tables[g], x) for g in holding]
+            answers = oracle._answers(active, signatures, self.some_empty, given)
+            self.rows[x] = answers
+        if not overs:
+            return answers
+        # x depends on a set iff the set holds a part of some group's scope
+        # that x depends on there, each part decided once.  An implied value
+        # (x constant on some group's rows, a group empty, or x given) makes
+        # the empty set such a part.
+        parts = [frozenset()] if any(answers["implied", (a,)] for a in active) else [
+            part
+            for g in holding
+            for part in set(map(frozenset(tables[g].order).intersection, overs))
+            if part and not oracle._dependence_pair(tables[g], tuple(part), x)
+        ]
         for over in overs:
-            answers["dependent", over] = (
-                empty or given or oracle._inherits(answers, over)
-                or any(_depends(tables[g], over, x) for g in holding)
-            )
+            answers["dependent", over] = any(map(frozenset.issubset, parts, repeat(over)))
         return answers
 
 

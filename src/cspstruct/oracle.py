@@ -134,10 +134,13 @@ class SolutionTable:
     over), the tuple a PropertyQuery is: an OracleVerdict, or a bool for
     local dependence on a covering group's table.
     ``answers`` maps a variable to its answer row, and ``scanned`` the
-    cost, in rows, of the scans about it that held (see ``_scan``)."""
+    cost, in rows, of the scans about it that held (see ``_scan``).
+    ``classes`` is the relationship catalog's: per set of variables, the
+    number of distinct projections of the rows on them."""
 
     __slots__ = (
-        "order", "index", "actives", "rows", "members", "verdicts", "answers", "scanned"
+        "order", "index", "actives", "rows", "members", "verdicts", "answers", "scanned",
+        "classes",
     )
 
     def __init__(
@@ -154,6 +157,7 @@ class SolutionTable:
         self.verdicts: dict[tuple, OracleVerdict | bool] = {}
         self.answers: dict[str, dict[tuple, bool]] = {}
         self.scanned: dict[str, int] = {}
+        self.classes: dict[frozenset[str], int] = {}
 
     def values(self, variable: str) -> tuple[str, ...]:
         """The active values of a variable, as ``SearchSpace.values``."""
@@ -320,12 +324,19 @@ def answer_rows(tbl: SolutionTable, dep_max: int = 2) -> dict[str, dict[tuple, b
     empty set included.  Each dependence verdict is decided once, by a
     pair scan unless y depends on a smaller set inside ``over``."""
     for y in tbl.order:
-        row = _sign(tbl, y)
         for over in conditioning_sets(tbl.order, y, 0, dep_max):
-            key = "dependent", over
-            if key not in row:
-                row[key] = _inherits(row, over) or not _dependence_pair(tbl, over, y)
+            _dependent(tbl, over, y)
     return tbl.answers
+
+
+def _dependent(tbl: SolutionTable, over: tuple[str, ...], y: str) -> bool:
+    """Whether y depends on ``over``, decided once and kept on y's answer
+    row, which is built if the table has none."""
+    row = _sign(tbl, y)
+    key = "dependent", over
+    if key not in row:
+        row[key] = _inherits(row, over) or not _dependence_pair(tbl, over, y)
+    return row[key]
 
 
 def _inherits(row: dict[tuple, bool], over: tuple[str, ...]) -> bool:
@@ -374,11 +385,13 @@ def _answers(
     makes every OR kind hold, ``given`` implication and determinacy."""
     n = len(active)
     full = (1 << n) - 1
+    bits = [1 << k for k in range(n)]
     # common: the bits every mask holds; meet: the bits some mask holds on
-    # every table; holding[k]: the bits every mask that holds bit k holds.
+    # every table; holding[k]: the bits every mask that holds bit k holds;
+    # unions: per table, the bits some mask holds.
     common = meet = full
     holding = [full] * n
-    unions = []
+    unions = set()
     irrelevant, determined = True, False
     for masks in signatures:
         union = 0
@@ -389,23 +402,24 @@ def _answers(
                 if mask >> k & 1:
                     holding[k] &= mask
         meet &= union
-        unions.append(union)
+        unions.add(union)
         irrelevant = irrelevant and masks <= {full}
-        determined = determined or all(mask & (mask - 1) == 0 for mask in masks)
+        determined = determined or masks.issubset(bits)
+    # implied(a): some table's union is a alone, or empty.
+    vacuous = given or empty or 0 in unions
     answers: dict[tuple, bool] = {
         ("determined", ()): given or empty or determined,
         ("irrelevant", ()): irrelevant,
     }
-    for k, a in enumerate(active):
-        bit = 1 << k
+    for a, bit, held in zip(active, bits, holding):
         one = (a,)
-        answers["fixable", one] = bool(common & bit)
+        answers["fixable", one] = common & bit != 0
         answers["inconsistent", one] = empty or not meet & bit
-        answers["implied", one] = given or empty or any(u | bit == bit for u in unions)
-        for j, b in enumerate(active):
+        answers["implied", one] = vacuous or bit in unions
+        for b, other, back in zip(active, bits, holding):
             pair = (a, b)
-            answers["substitutable", pair] = sub = bool(holding[k] >> j & 1)
-            answers["interchangeable", pair] = sub and bool(holding[j] & bit)
+            answers["substitutable", pair] = sub = held & other != 0
+            answers["interchangeable", pair] = sub and back & bit != 0
     return answers
 
 

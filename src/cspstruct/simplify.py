@@ -131,8 +131,9 @@ class _DetectorSet:
 
     - ``groups``, the covering's group tables, narrowed in place with
       ``GroupTables.narrow``: only the groups that hold a narrowed variable
-      change.  ``_rows`` keeps each variable's established row on them
-      (``GroupTables.row``) until the variable is touched.
+      change, and only the established rows (``GroupTables.row``) that
+      read them are dropped.  A caller that built the tables for the
+      first space may hand them, and the rows it read, to the set.
     - ``_table``, the oracle's solution table of the current space, built
       at the first oracle ask in a space and dropped by ``advance``.
     - The effective formula (every pinned variable instantiated away) as
@@ -167,20 +168,18 @@ class _DetectorSet:
         formula: BooleanFormula | None,
         covering: Covering,
         space: SearchSpace,
+        groups: local.GroupTables | None = None,
     ):
         self.instance = instance
         self.families = families
-        self.groups = (
-            local.group_tables(instance, covering, space)
-            if "local" in families and covering.groups
-            else None
-        )
+        self.groups = None
+        if "local" in families and covering.groups:
+            self.groups = groups or local.group_tables(instance, covering, space)
         self._position = {v: p for p, v in enumerate(instance.variables)}
         # 1 at a variable's declaration position while the fix, or the
         # removal, scan has to ask about it.
         self._fix_dirty = bytearray(b"\x01") * len(instance.variables)
         self._removal_dirty = bytearray(self._fix_dirty)
-        self._rows: dict[str, dict[tuple, bool]] = {}
         self._stays_dirty = "oracle" in families
         self._table: oracle.SolutionTable | None = None
         # Per compiled variable index, the positions of the variables whose
@@ -251,18 +250,10 @@ class _DetectorSet:
     def _touch(self, v: str) -> None:
         p = self._position[v]
         self._fix_dirty[p] = self._removal_dirty[p] = 1
-        self._rows.pop(v, None)
 
     def _touch_all(self) -> None:
         self._fix_dirty[:] = self._removal_dirty[:] = b"\x01" * len(self._fix_dirty)
         self._watchers.clear()
-        self._rows.clear()
-
-    def _local(self, x: str) -> dict[tuple, bool]:
-        row = self._rows.get(x)
-        if row is None:
-            row = self._rows[x] = self.groups.row(x)
-        return row
 
     def _count(self, left: list[int], delta: int) -> None:
         outside = self._outside
@@ -384,7 +375,7 @@ class _DetectorSet:
                 # acting on; steps need evidence from at least one subset.
                 if self.groups is None:
                     continue
-                row = self._local(x)
+                row = self.groups.row(x)
                 if row["fixable", (a,)]:
                     return "local-fixable", "established on every covering subset"
                 if row["implied", (a,)]:
@@ -406,7 +397,7 @@ class _DetectorSet:
             if family == "local":
                 if self.groups is None:
                     continue
-                row = self._local(x)
+                row = self.groups.row(x)
                 if row["inconsistent", (a,)]:
                     return "local-inconsistent", "established on some subset", None, True
                 if len(active) >= 2:
@@ -473,12 +464,14 @@ def simplify_fixpoint(
     formula: BooleanFormula | None = None,
     group_size: int = 1,
     detectors: tuple[str, ...] | None = None,
+    groups: local.GroupTables | None = None,
 ) -> SimplificationResult:
     """Apply justified fixes and removals until nothing changes.
 
     Every logged step strictly shrinks the product of active-domain sizes,
     so the loop terminates after at most sum(|active(x)| - 1) steps.  The
-    final space is equi-satisfiable with the initial one.
+    final space is equi-satisfiable with the initial one.  ``groups`` may
+    hand over the covering's tables for ``space``, to be narrowed in place.
     """
     if formula is not None:
         if set(formula.variables) != set(instance.variables):
@@ -487,7 +480,7 @@ def simplify_fixpoint(
             raise ValueError("formula-backed simplification needs a boolean domain")
     families = _resolve_families(mode, detectors, formula)
     covering = default_covering(instance, group_size)
-    detector_set = _DetectorSet(instance, families, formula, covering, space)
+    detector_set = _DetectorSet(instance, families, formula, covering, space, groups)
 
     steps: list[SimplificationStep] = []
     current = space

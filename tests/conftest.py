@@ -187,8 +187,8 @@ def wide_instances(draw):
 def edge_instances():
     """Edge cases for every route: a covering group with an empty table (and
     so no solutions), one active value, an active value with no support, a
-    variable in no constraint, and dependence on variables outside a
-    group's scope."""
+    variable in no constraint, dependence on variables outside a group's
+    scope, and an instance with no constraints (a covering of no groups)."""
     less = Constraint(
         "less", ("a", "b"), Relation.of(2, [("0", "1"), ("0", "2"), ("1", "2")])
     )
@@ -201,6 +201,7 @@ def edge_instances():
         (inst, full.assign("a", "0")),
         (inst, full.remove("b", "1").assign("d", "2")),
         (dataclasses.replace(inst, constraints=(less, same, dead)), full),
+        parse_csp((DATA / "no_constraints.csp").read_text()),
     ]
 
 
@@ -225,24 +226,140 @@ def forced_by_product(tbl, group, y):
     return True
 
 
+def _holds(table, kind, x, values=(), over=()):
+    return oracle.evaluate(table, PropertyQuery(kind, x, values, over)).holds
+
+
+# Each catalog edge by its definition, query by query: (kind, argument
+# shape, left-hand side, right-hand side), as ``hierarchy.edge_catalog``.
+REFERENCE_EDGES = {
+    "dependence-determinacy": (
+        "iff",
+        "vy",
+        lambda t, V, y: _holds(t, "dependent", y, over=V),
+        lambda t, V, y: forced_by_product(t, V, y),
+    ),
+    "irrelevance-fixability": (
+        "iff",
+        "x",
+        lambda t, x: _holds(t, "irrelevant", x),
+        lambda t, x: all(_holds(t, "fixable", x, (v,)) for v in t.values(x)),
+    ),
+    "determinacy-implication": (
+        "implies",
+        "xa",
+        lambda t, x, a: _holds(t, "implied", x, (a,)),
+        lambda t, x, a: _holds(t, "determined", x),
+    ),
+    "implication-fixability": (
+        "implies",
+        "xa",
+        lambda t, x, a: _holds(t, "implied", x, (a,)),
+        lambda t, x, a: _holds(t, "fixable", x, (a,)),
+    ),
+    "implication-inconsistency": (
+        "iff",
+        "xa",
+        lambda t, x, a: _holds(t, "implied", x, (a,)),
+        lambda t, x, a: all(
+            _holds(t, "inconsistent", x, (b,)) for b in t.values(x) if b != a
+        ),
+    ),
+    "fixability-substitutability": (
+        "iff",
+        "xa",
+        lambda t, x, a: _holds(t, "fixable", x, (a,)),
+        lambda t, x, a: all(_holds(t, "substitutable", x, (v, a)) for v in t.values(x)),
+    ),
+    "inconsistency-substitutability": (
+        "implies",
+        "xa",
+        lambda t, x, a: _holds(t, "inconsistent", x, (a,)),
+        lambda t, x, a: all(_holds(t, "substitutable", x, (a, b)) for b in t.values(x)),
+    ),
+    "inconsistency-removability": (
+        "implies",
+        "xa",
+        lambda t, x, a: _holds(t, "inconsistent", x, (a,)),
+        lambda t, x, a: _holds(t, "removable", x, (a,)),
+    ),
+    "substitutability-removability": (
+        "implies",
+        "xa",
+        lambda t, x, a: any(
+            _holds(t, "substitutable", x, (a, b)) for b in t.values(x) if b != a
+        ),
+        lambda t, x, a: _holds(t, "removable", x, (a,)),
+    ),
+    "interchangeability-definition": (
+        "iff",
+        "xab",
+        lambda t, x, a, b: _holds(t, "interchangeable", x, (a, b)),
+        lambda t, x, a, b: (
+            _holds(t, "substitutable", x, (a, b)) and _holds(t, "substitutable", x, (b, a))
+        ),
+    ),
+    "unique-solution": (
+        "implies",
+        "none",
+        lambda t: len(t.rows) == 1,
+        lambda t: all(
+            any(_holds(t, "implied", x, (a,)) for a in t.values(x)) for x in t.order
+        ),
+    ),
+}
+
+
+def reference_catalog(table, catalog, dep_max):
+    """``hierarchy.validate_hierarchy``'s violations, as described lines,
+    from ``REFERENCE_EDGES``: each side decided per instantiation through
+    ``oracle.evaluate`` and ``forced_by_product``, never read off a row.
+    A ``-reversed`` edge swaps its sides."""
+    names = table.order
+    shapes = {
+        "none": [()],
+        "x": [(x,) for x in names],
+        "xa": [(x, a) for x in names for a in table.values(x)],
+        "xab": [(x, a, b) for x in names for a in table.values(x) for b in table.values(x)],
+        "vy": [
+            (V, y)
+            for y in names
+            for size in range(dep_max + 1)
+            for V in itertools.combinations([v for v in names if v != y], size)
+        ],
+    }
+    problems = []
+    for edge in hierarchy.edge_catalog() if catalog is None else catalog:
+        base = edge.name.removesuffix("-reversed")
+        kind, shape, lhs, rhs = REFERENCE_EDGES[base]
+        if base != edge.name:
+            lhs, rhs = rhs, lhs
+        for args in shapes[shape]:
+            left = lhs(table, *args)
+            right = rhs(table, *args) if left or kind == "iff" else False
+            if (left and not right) if kind == "implies" else left != right:
+                violation = hierarchy.Violation(edge.name, kind, args, left, right)
+                problems.append(violation.describe())
+    return problems
+
 
 def reference_check(instance, space, formula, group_size, dep_max, catalog):
     """The problems ``cli._check_instance`` reports, found query by query:
     each truth is ``oracle.evaluate`` on one table, each local verdict
-    ``local_check`` on its covering, the catalog runs on a table of its own
-    that has no answer rows (so it asks through the verdict memo), and the
-    tractable route is asked per query."""
+    ``local_check`` on its covering, the catalog is ``reference_catalog``
+    on a table of its own, and the tractable route is asked per query.  A
+    covering of no groups is not the global one."""
     local_kinds = tuple(k for k in oracle.KINDS if k != "removable")
     table = oracle.solution_table(instance, space)
     queries = oracle.all_queries(instance, space, local_kinds, dep_max)
     truths = [oracle.evaluate(table, query).holds for query in queries]
     fresh = oracle.solution_table(instance, space)
-    problems = [v.describe() for v in hierarchy.validate_hierarchy(fresh, catalog, dep_max)]
+    problems = reference_catalog(fresh, catalog, dep_max)
     sizes = [group_size]
     if len(instance.constraints) > group_size:
         sizes.append(len(instance.constraints))
     for size in sizes:
-        whole = size >= len(instance.constraints)
+        whole = 0 < len(instance.constraints) <= size
         groups = local.group_tables(instance, local.default_covering(instance, size), space)
         for query, truth in zip(queries, truths):
             established = local.local_check(groups, query).established

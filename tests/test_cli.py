@@ -2,12 +2,13 @@ import contextlib
 import io
 import json
 import time
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cspstruct import boolean, cli, hierarchy, local, oracle
+from cspstruct import boolean, cli, hierarchy, local, oracle, simplify
 from cspstruct.cli import main
 from cspstruct.instances import emit_csp, emit_dimacs, parse_csp, parse_dimacs
 from cspstruct.model import SearchSpace
@@ -19,6 +20,7 @@ from conftest import (
     edge_instances,
     instances_with_spaces,
     reference_check,
+    reference_simplify,
     reference_solutions,
     reference_verdict,
 )
@@ -198,6 +200,57 @@ class TestCheckMatchesReference:
             for group_size in (1, 2):
                 self.assert_same(inst, space, group_size=group_size)
 
+    def test_agreeing_rows_ask_no_query(self, corpus, monkeypatch):
+        # Rows that agree with the truths are compared whole: no query list
+        # is built for the local comparison.
+        kinds = []
+        queries = oracle.all_queries
+        monkeypatch.setattr(
+            oracle, "all_queries", lambda *args: kinds.append(args[2]) or queries(*args)
+        )
+        for inst, space in corpus[:20]:
+            for group_size in (1, 2):
+                assert cli._check_instance(inst, space, None, group_size, 2, None) == []
+        assert kinds == []
+
+    def test_disagreeing_rows_are_named_in_query_order(self, triple_tables, monkeypatch):
+        # Two false facts established and one true fact not: each covering
+        # names what it gets wrong query by query.  The flipped kinds are
+        # ones the simplifier does not read.
+        inst, space = triple_tables
+        truths = oracle.answer_rows(oracle.solution_table(inst, space), 2)
+        queries = [
+            q
+            for q in oracle.all_queries(inst, space, cli.LOCAL_KINDS, 2)
+            if q.kind in ("interchangeable", "determined", "dependent", "irrelevant")
+        ]
+
+        def key(q):
+            return q.kind, q.values or q.over
+
+        false = [q for q in queries if not truths[q.variable][key(q)]]
+        true = [q for q in queries if truths[q.variable][key(q)]]
+        flips = {false[0], false[-1], true[0]}
+        build = local.GroupTables.row
+
+        def flipped(self, x, overs=()):
+            row = dict(build(self, x, overs))
+            for q in flips:
+                if q.variable == x:
+                    row[key(q)] = not truths[x][key(q)]
+            return row
+
+        monkeypatch.setattr(local.GroupTables, "row", flipped)
+        expected = []
+        for size in (1, len(inst.constraints)):
+            for q in oracle.all_queries(inst, space, cli.LOCAL_KINDS, 2):
+                if q in flips and not truths[q.variable][key(q)]:
+                    expected.append(f"local({size}) established a false fact: {q.describe()}")
+                if q in flips and size > 1:
+                    expected.append(f"global covering disagrees with oracle on {q.describe()}")
+        assert cli._check_instance(inst, space, None, 1, 2, None) == expected
+        assert len(expected) == 7
+
     def test_negative_controls_find_violations(self, corpus):
         # Each reversed implication fails somewhere in the corpus sample.
         for catalog in CATALOGS[1:]:
@@ -212,6 +265,49 @@ class TestCheckMatchesReference:
         for formula in small:
             inst = boolean.to_extensional(formula)
             self.assert_same(inst, SearchSpace.full(inst), formula, dep_max=1)
+
+
+class TestCheckInheritsSimplifier:
+    """At group size 1 the simplifier inside ``check`` starts from the
+    covering's tables and the rows ``check`` read on them; its result is
+    that of a cold run and of the reference loop."""
+
+    @staticmethod
+    def assert_same(inst, space, formula=None, group_size=1):
+        cold = simplify.simplify_fixpoint(inst, space, mode="production", formula=formula)
+        families = simplify._resolve_families("production", None, formula)
+        expected = reference_simplify(inst, space, families, formula)
+        calls = []
+        run_fixpoint = simplify.simplify_fixpoint
+
+        def recorded(*args, **kwargs):
+            result = run_fixpoint(*args, **kwargs)
+            calls.append((kwargs.get("groups"), result))
+            return result
+
+        with mock.patch.object(simplify, "simplify_fixpoint", recorded):
+            cli._check_instance(inst, space, formula, group_size, 2, None)
+        ((groups, result),) = calls
+        assert (groups is not None) == (group_size == 1)
+        assert result == cold == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(instances_with_spaces(), st.integers(1, 2))
+    def test_extensional_instances(self, case, group_size):
+        self.assert_same(*case, group_size=group_size)
+
+    def test_edge_instances(self):
+        for inst, space in edge_instances():
+            for group_size in (1, 2):
+                self.assert_same(inst, space, group_size=group_size)
+
+    @pytest.mark.parametrize("kind", ["horn", "dual-horn", "2cnf", "affine"])
+    def test_boolean_corpora(self, boolean_corpora, kind):
+        small = [f for f in boolean_corpora[kind] if len(f.variables) <= 7][:6]
+        for formula in small:
+            inst = boolean.to_extensional(formula)
+            for group_size in (1, 2):
+                self.assert_same(inst, SearchSpace.full(inst), formula, group_size)
 
 
 class TestFindingTime:

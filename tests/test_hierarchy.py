@@ -8,7 +8,6 @@ from cspstruct.oracle import solution_table
 from cspstruct.hierarchy import (
     edge_catalog,
     find_edge,
-    forced_for_every_assignment,
     reverse_edge,
     validate_hierarchy,
 )
@@ -22,6 +21,13 @@ from cspstruct.instances import (
 from cspstruct.model import Constraint, CspInstance, Relation, SearchSpace
 
 from conftest import forced_by_product
+
+
+def forced_for_every_assignment(table, group, y):
+    """The dependence edge's right-hand side, read off the table's counts
+    of distinct projections, one per variable set."""
+    return find_edge("dependence-determinacy").rhs(table, (tuple(group), y))
+
 
 EDGE_NAMES = [
     "dependence-determinacy",
@@ -96,15 +102,15 @@ def test_unique_solution_edge_on_factoring():
 
 def test_forced_for_every_assignment_matches_naive_route(corpus):
     # Dual-route check for the dependence edge's right-hand side: compare
-    # the filtered scan with literally restricting the space per assignment.
+    # the projection counts with literally restricting the space per
+    # assignment, for every target and every set of up to two others.
     for number, (inst, full) in enumerate(corpus[:25]):
         space = full
         if number % 2:  # exercise restricted spaces too
             space = full.remove(inst.variables[3], inst.domain[1])
         table = solution_table(inst, space)
-        for y in inst.variables[:2]:
-            others = tuple(v for v in inst.variables if v != y)
-            for group in ((), others[:1], others[:2]):
+        for y in inst.variables:
+            for group in oracle.conditioning_sets(inst.variables, y, 0, 2):
                 fast = forced_for_every_assignment(table, group, y)
                 naive = True
                 for combo in itertools.product(*(space.values(v) for v in group)):
@@ -141,6 +147,61 @@ def test_forced_for_every_assignment_matches_product_definition(seed):
                     assert forced_for_every_assignment(
                         table, group, y
                     ) == forced_by_product(table, group, y)
+
+
+def _determinacy_tables():
+    """Tables on random instances over full and narrowed spaces, a table of
+    no rows and a table of one row."""
+    rng = random.Random(3)
+    for number in range(20):
+        spec = RandomSpec(rng.randint(2, 5), rng.randint(2, 3), rng.randint(1, 5), 3, 0.6, number)
+        inst, full = gen_random(spec)
+        narrowed = full
+        for v in inst.variables:
+            if rng.random() < 0.4:
+                narrowed = narrowed.remove(v, rng.choice(narrowed.values(v)))
+        yield solution_table(inst, full)
+        yield solution_table(inst, narrowed)
+    less = Constraint("less", ("a", "b"), Relation.of(2, [("0", "1")]))
+    inst = CspInstance(("a", "b", "c"), ("0", "1"), (less,))
+    space = SearchSpace.full(inst)
+    yield solution_table(inst, space.assign("b", "0"))  # no rows
+    yield solution_table(inst, space.assign("c", "1"))  # one row
+
+
+def test_determinacy_is_one_pass_per_variable_set(monkeypatch):
+    # On a table with answer rows, validating makes one pass per variable
+    # set: each conditioning set V of up to two variables, and each V with
+    # a target y (none on a table of fewer than two rows).  Every (V, y)
+    # reads its answer off those passes, and each answer is the product
+    # definition's.
+    passes = []
+    projection = oracle._projection
+
+    def counted(positions):
+        passes.append(positions)
+        return projection(positions)
+
+    sizes = set()
+    for table in _determinacy_tables():
+        sizes.add(len(table.rows))
+        names = table.order
+        oracle.answer_rows(table, 2)
+        passes.clear()
+        monkeypatch.setattr(oracle, "_projection", counted)
+        assert validate_hierarchy(table) == []
+        monkeypatch.setattr(oracle, "_projection", projection)
+        asked = [(over, y) for y in names for over in oracle.conditioning_sets(names, y, 0, 2)]
+        counted_sets = {frozenset(over) for over, _ in asked}
+        counted_sets |= {frozenset((*over, y)) for over, y in asked}
+        if len(table.rows) < 2:
+            counted_sets = set()
+        assert len(passes) == len(table.classes) == len(counted_sets)
+        for over, y in asked:
+            assert forced_for_every_assignment(table, over, y) == forced_by_product(
+                table, over, y
+            )
+    assert {0, 1} <= sizes
 
 
 def test_dependence_edge_rejects_the_determined_reading():
