@@ -69,15 +69,6 @@ from .oracle import (
     OracleVerdict,
     PropertyQuery,
     all_queries,
-    check_dependent,
-    check_determined,
-    check_fixable,
-    check_implied,
-    check_inconsistent,
-    check_interchangeable,
-    check_irrelevant,
-    check_removable,
-    check_substitutable,
     evaluate,
     satisfiable,
     solution_table,

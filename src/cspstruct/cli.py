@@ -163,11 +163,15 @@ def _cmd_analyze(args) -> int:
             methods.remove("tractable")
     findings: list[report.Finding] = []
     # Each method builds what answers its queries once, before the first
-    # query, so a finding's time is its own query's alone.
+    # query, so a finding's time is its own query's alone: its lookup and,
+    # for a false oracle verdict, its counterexample scan.  The answer rows
+    # are built here too, not by whichever query asks first.
     for method in methods:
         if method == "oracle":
             _guard_space(space, args.max_space)
             table = oracle.solution_table(instance, space)
+            for x in table.order:
+                oracle.answer_row(table, x)
             findings += _findings(
                 oracle.all_queries(instance, space, KINDS, args.dep_max),
                 lambda query: oracle.evaluate(table, query),
@@ -179,6 +183,9 @@ def _cmd_analyze(args) -> int:
                 _guard_groups(instance, space, args.group_size, args.max_space)
             covering = local.default_covering(instance, args.group_size)
             groups = local.group_tables(instance, covering, space)
+            for tbl in groups.tables:
+                for x in tbl.order:
+                    oracle.answer_row(tbl, x)
             findings += _findings(
                 oracle.all_queries(instance, space, LOCAL_KINDS, args.dep_max),
                 lambda query: local.local_check(groups, query),

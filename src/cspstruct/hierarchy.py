@@ -2,11 +2,11 @@
 
 Each edge states an implication or a biconditional between property
 formulas, evaluated through the exhaustive oracle on one solution table:
-each side reads the answer row of its variable (see
-``oracle.answer_rows``), and builds the row when the table has none.  The
-right-hand side of the dependence edge is its own code, not the oracle's
-pair scan: it counts the rows' distinct projections, one pass per
-variable set, and every (V, y) that names the set reads the count.
+each side reads the answer row of its variable (``oracle.answer_row``),
+which is built when the table has none.  The right-hand side of the
+dependence edge is its own code, not the oracle's pair scan: it counts
+the rows' distinct projections, one pass per variable set, and every
+(V, y) that names the set reads the count.
 The catalog doubles as a set of derived detectors (either side of a
 biconditional can stand in for the other) and as a cross-validation suite:
 on any instance small enough to enumerate, ``validate_hierarchy`` must come
@@ -19,12 +19,9 @@ from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 
 from . import oracle
-from .oracle import SolutionTable
+from .oracle import SolutionTable, answer_row
 
 EdgeSide = Callable[[SolutionTable, tuple], bool]
-
-# x's answer row on a table, built from its signature if the table has none.
-_row = oracle._sign
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +75,7 @@ def _classes(table: SolutionTable, names: tuple[str, ...]) -> int:
 def _is(kind: str) -> EdgeSide:
     """The side that reads ``kind`` of the instantiation's variable and
     values off the variable's answer row."""
-    return lambda t, a: _row(t, a[0])[kind, a[1:]]
+    return lambda t, a: answer_row(t, a[0])[kind, a[1:]]
 
 
 def _unique_solution(table: SolutionTable, _args: tuple) -> bool:
@@ -87,7 +84,8 @@ def _unique_solution(table: SolutionTable, _args: tuple) -> bool:
 
 def _all_variables_implied(table: SolutionTable, _args: tuple) -> bool:
     return all(
-        any(_row(table, x)["implied", (a,)] for a in table.values(x)) for x in table.order
+        any(answer_row(table, x)["implied", (a,)] for a in table.values(x))
+        for x in table.order
     )
 
 
@@ -106,14 +104,14 @@ def edge_catalog() -> tuple[RelationshipEdge, ...]:
             "iff",
             "x",
             _is("irrelevant"),
-            lambda t, a: all(_row(t, a[0])["fixable", (v,)] for v in t.values(a[0])),
+            lambda t, a: all(answer_row(t, a[0])["fixable", (v,)] for v in t.values(a[0])),
         ),
         RelationshipEdge(
             "determinacy-implication",
             "implies",
             "xa",
             _is("implied"),
-            lambda t, a: _row(t, a[0])["determined", ()],
+            lambda t, a: answer_row(t, a[0])["determined", ()],
         ),
         RelationshipEdge(
             "implication-fixability", "implies", "xa", _is("implied"), _is("fixable")
@@ -124,7 +122,9 @@ def edge_catalog() -> tuple[RelationshipEdge, ...]:
             "xa",
             _is("implied"),
             lambda t, a: all(
-                _row(t, a[0])["inconsistent", (b,)] for b in t.values(a[0]) if b != a[1]
+                answer_row(t, a[0])["inconsistent", (b,)]
+                for b in t.values(a[0])
+                if b != a[1]
             ),
         ),
         RelationshipEdge(
@@ -133,7 +133,7 @@ def edge_catalog() -> tuple[RelationshipEdge, ...]:
             "xa",
             _is("fixable"),
             lambda t, a: all(
-                _row(t, a[0])["substitutable", (v, a[1])] for v in t.values(a[0])
+                answer_row(t, a[0])["substitutable", (v, a[1])] for v in t.values(a[0])
             ),
         ),
         RelationshipEdge(
@@ -142,7 +142,7 @@ def edge_catalog() -> tuple[RelationshipEdge, ...]:
             "xa",
             _is("inconsistent"),
             lambda t, a: all(
-                _row(t, a[0])["substitutable", (a[1], b)] for b in t.values(a[0])
+                answer_row(t, a[0])["substitutable", (a[1], b)] for b in t.values(a[0])
             ),
         ),
         RelationshipEdge(
@@ -157,7 +157,7 @@ def edge_catalog() -> tuple[RelationshipEdge, ...]:
             "implies",
             "xa",
             lambda t, a: any(
-                _row(t, a[0])["substitutable", (a[1], b)]
+                answer_row(t, a[0])["substitutable", (a[1], b)]
                 for b in t.values(a[0])
                 if b != a[1]
             ),
@@ -169,8 +169,8 @@ def edge_catalog() -> tuple[RelationshipEdge, ...]:
             "xab",
             _is("interchangeable"),
             lambda t, a: (
-                _row(t, a[0])["substitutable", a[1:]]
-                and _row(t, a[0])["substitutable", (a[2], a[1])]
+                answer_row(t, a[0])["substitutable", a[1:]]
+                and answer_row(t, a[0])["substitutable", (a[2], a[1])]
             ),
         ),
         RelationshipEdge(

@@ -17,14 +17,15 @@ with ``group_tables`` and passes it to every query on that space.  The
 simplifier turns its tables into those of a space that narrows one
 variable with ``GroupTables.narrow``: only the groups that hold the
 variable change, each keeping the rows of its table that take an active
-value there, in order.  A group verdict is asked of the group's table as
-the oracle asks its own (see ``oracle._ask``); dependence is decided once
-per group on the conditioning variables in the group's scope.  A variable
-outside that union is free in the group's subproblem, so a query on it
-follows from its active values alone, and only the groups that hold the
-queried variable are decided.  ``local_check`` answers one query with its
-per-group verdicts; ``GroupTables.row`` answers every question on one
-variable at once, from its signatures on the groups that hold it.
+value there, in order.  A group verdict is read off the variable's answer
+row on the group's table (``oracle.answer_row``); dependence is decided
+once per group on the conditioning variables in the group's scope, and
+kept on that row.  A variable outside that union is free in the group's
+subproblem, so a query on it follows from its active values alone, and
+only the groups that hold the queried variable are decided.
+``local_check`` answers one query with its per-group verdicts;
+``GroupTables.row`` answers every question on one variable at once, from
+its signatures on the groups that hold it.
 
 Removability is the one value property this approach cannot support:
 per-constraint removability does not imply global removability, and acting
@@ -278,22 +279,12 @@ def _combine(groups: GroupTables, query: PropertyQuery) -> LocalVerdict:
 
 def _holds(tbl: oracle.SolutionTable, query: PropertyQuery) -> bool:
     """Decide the query exactly on the solutions of a group whose scope
-    holds the queried variable."""
+    holds the queried variable: dependence on the variables of ``over`` in
+    the group's scope."""
     if query.kind == "dependent":
-        return _depends(tbl, query.over, query.variable)
-    return oracle._ask(tbl, query.kind, query.variable, query.values)
-
-
-def _depends(tbl: oracle.SolutionTable, over: tuple[str, ...], y: str) -> bool:
-    """Dependence of y on ``over`` on a group's table that holds y: on the
-    variables of ``over`` in the group's scope, decided once per table and
-    kept there under (kind, y, (), those variables)."""
-    over = tuple(filter(tbl.index.__contains__, over))
-    key = ("dependent", y, (), over)
-    holds = tbl.verdicts.get(key)
-    if holds is None:
-        holds = tbl.verdicts[key] = not oracle._dependence_pair(tbl, over, y)
-    return holds
+        over = tuple(filter(tbl.index.__contains__, query.over))
+        return oracle._dependent(tbl, over, query.variable)
+    return oracle.answer_row(tbl, query.variable)[query.kind, query.values]
 
 
 def pure_value(negative: int, positive: int) -> bool | None:

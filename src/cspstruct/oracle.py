@@ -12,15 +12,13 @@ A caller builds one ``SolutionTable`` per (instance, space) with
 Every property but dependence compares the cofactors of one variable x
 (the solutions with x fixed to a, to b, ...), so it is a relation on x's
 mask signature: the set of distinct masks of x's values that the solution
-rows take once x is left out.  x's answer row, read off the signature in
-one pass, maps (kind, values) to every value and variable answer on x,
-and ("dependent", over) to dependence on ``over`` once decided.
-``answer_rows`` builds every row up front; the ``check_*`` helpers read a
-row when there is one.  Otherwise a verdict is kept on the table under
-its query, a (kind, variable, values, over) tuple checked once when
-built, and questions about x are scans that stop at the first falsifying
-row until the scans that held have cost about as much as x's row; then
-the row is built.  Rows are scanned after that only for witnesses.
+rows take once x is left out.  x's answer row (``answer_row``), read off
+the signature in one pass and kept on the table, maps (kind, values) to
+every value and variable answer on x, and ("dependent", over) to
+dependence on ``over`` once decided.  ``evaluate`` reads a verdict off
+the row and scans the rows only for a false verdict's counterexample;
+``_falsifying_rows`` alone answers a caller that asks a few questions of
+a table it soon drops (the test-mode simplifier).
 Value quantifiers ("some other value b", "every value a") range over the
 variable's active values.
 """
@@ -66,7 +64,7 @@ class PropertyQuery(namedtuple("PropertyQuery", ("kind", "variable", "values", "
     ``variable`` is the queried variable (the target y for dependence) and
     ``over`` is the conditioning variable set, used by dependence only.
     A query is the tuple (kind, variable, values, over), checked once when
-    built, and so is its own key in a table's verdict memo.
+    built.
     """
 
     __slots__ = ()
@@ -129,19 +127,12 @@ class PropertyQuery(namedtuple("PropertyQuery", ("kind", "variable", "values", "
 
 
 class SolutionTable:
-    """The exhaustive enumeration of Sol(C) within a search space, plus
-    the verdicts decided on it so far, keyed by (kind, variable, values,
-    over), the tuple a PropertyQuery is: an OracleVerdict, or a bool for
-    local dependence on a covering group's table.
-    ``answers`` maps a variable to its answer row, and ``scanned`` the
-    cost, in rows, of the scans about it that held (see ``_scan``).
-    ``classes`` is the relationship catalog's: per set of variables, the
-    number of distinct projections of the rows on them."""
+    """The exhaustive enumeration of Sol(C) within a search space.
+    ``answers`` maps a variable to its answer row once built (see
+    ``answer_row``).  ``classes`` is the relationship catalog's: per set of
+    variables, the number of distinct projections of the rows on them."""
 
-    __slots__ = (
-        "order", "index", "actives", "rows", "members", "verdicts", "answers", "scanned",
-        "classes",
-    )
+    __slots__ = ("order", "index", "actives", "rows", "members", "answers", "classes")
 
     def __init__(
         self,
@@ -154,9 +145,7 @@ class SolutionTable:
         self.actives = actives
         self.rows = rows
         self.members = frozenset(rows)
-        self.verdicts: dict[tuple, OracleVerdict | bool] = {}
         self.answers: dict[str, dict[tuple, bool]] = {}
-        self.scanned: dict[str, int] = {}
         self.classes: dict[frozenset[str], int] = {}
 
     def values(self, variable: str) -> tuple[str, ...]:
@@ -274,36 +263,7 @@ def _falsifying_rows(tbl: SolutionTable, query: PropertyQuery) -> Iterator[Row]:
     return (row for row in rows if row[i] != a)  # implied
 
 
-# The signature pays off only when enough questions about x follow: it costs
-# about a pass over the rows plus filling in every answer, while a false
-# verdict's scan mostly stops a few rows in.  So only the scans that held
-# (each a pass over every row, plus its set-up) are counted, in rows, and
-# the signature is built once they have cost as much as it would: on a
-# table of more than a few dozen rows, at the second scan that holds; on
-# a table of a few rows, or for a variable asked about a few times or
-# mostly falsely (the test-mode simplifier's covering groups, say), later
-# or never.
-_SCAN_SETUP_ROWS = 16
-_SIGNATURE_FILL_ROWS = 64
-
-
-def _scan(tbl: SolutionTable, query: PropertyQuery) -> Row | None:
-    """The first falsifying row of a non-dependence query, None when it
-    holds.  Callers scan only while ``tbl.answers`` has no signature for the
-    query's variable, or for a false verdict's witness.  A scan that holds
-    adds its cost to ``tbl.scanned``, and the one that brings it to the
-    signature's cost builds the signature."""
-    witness = next(_falsifying_rows(tbl, query), None)
-    if witness is None:
-        x = query.variable
-        rows = len(tbl.rows)
-        spent = tbl.scanned[x] = tbl.scanned.get(x, 0) + rows + _SCAN_SETUP_ROWS
-        if spent >= rows + _SIGNATURE_FILL_ROWS:
-            _sign(tbl, x)
-    return witness
-
-
-def _sign(tbl: SolutionTable, x: str) -> dict[tuple, bool]:
+def answer_row(tbl: SolutionTable, x: str) -> dict[tuple, bool]:
     """x's answer row on the table, built from its signature unless the
     table has one: removable(a) holds when no mask is a alone, and every
     other kind as ``_answers`` reads it off the one signature."""
@@ -332,7 +292,7 @@ def answer_rows(tbl: SolutionTable, dep_max: int = 2) -> dict[str, dict[tuple, b
 def _dependent(tbl: SolutionTable, over: tuple[str, ...], y: str) -> bool:
     """Whether y depends on ``over``, decided once and kept on y's answer
     row, which is built if the table has none."""
-    row = _sign(tbl, y)
+    row = answer_row(tbl, y)
     key = "dependent", over
     if key not in row:
         row[key] = _inherits(row, over) or not _dependence_pair(tbl, over, y)
@@ -465,85 +425,20 @@ class OracleVerdict(NamedTuple):
     counterexamples: tuple[AssignmentTuple, ...] = ()
 
 
-def _decided(tbl: SolutionTable, query: PropertyQuery) -> OracleVerdict:
-    """Validate and decide a query the table holds no verdict for, and keep
-    its verdict there."""
-    _validate(tbl, query)
-    if query.kind == "dependent":
-        witness = _dependence_pair(tbl, query.over, query.variable)
-        verdict = OracleVerdict(query, not witness, tuple(map(tbl.wrap, witness)))
-    else:
-        answers = tbl.answers.get(query.variable)
-        # A false verdict, or no signature yet: scan for the least falsifying row.
-        held = answers is not None and answers[query.kind, query.values]
-        row = None if held else _scan(tbl, query)
-        verdict = OracleVerdict(query, row is None, () if row is None else (tbl.wrap(row),))
-    tbl.verdicts[query] = verdict
-    return verdict
-
-
 def evaluate(table: SolutionTable, query: PropertyQuery) -> OracleVerdict:
     """Decide one property query exhaustively on the table, with
     counterexample evidence: the first falsifying solution row in
-    enumeration order (the first falsifying pair, for dependence).
-
-    The verdict is kept on the table under the query itself, so an equal
-    query on the same table costs one dict lookup and skips validation: the
-    stored query was validated against that table.
-    """
-    return table.verdicts.get(query) or _decided(table, query)
-
-
-def _ask(table: SolutionTable, kind: str, x: str, values=(), over=()) -> bool:
-    """The answer on x's row if it has one, else the verdict stored under
-    the plain tuple of the query: only a miss builds (and so checks) a
-    query object, so an invalid ask, which no row holds, raises."""
-    row = table.answers.get(x)
-    if row is not None:
-        holds = row.get((kind, values or over))
-        if holds is not None:
-            return holds
-    key = (kind, x, values, over)
-    return (table.verdicts.get(key) or _decided(table, PropertyQuery(*key))).holds
-
-
-def check_fixable(table: SolutionTable, x: str, a: str) -> bool:
-    return _ask(table, "fixable", x, (a,))
-
-
-def check_substitutable(table: SolutionTable, x: str, a: str, b: str) -> bool:
-    return _ask(table, "substitutable", x, (a, b))
-
-
-def check_interchangeable(table: SolutionTable, x: str, a: str, b: str) -> bool:
-    return _ask(table, "interchangeable", x, (a, b))
-
-
-def check_removable(table: SolutionTable, x: str, a: str) -> bool:
-    return _ask(table, "removable", x, (a,))
-
-
-def check_inconsistent(table: SolutionTable, x: str, a: str) -> bool:
-    return _ask(table, "inconsistent", x, (a,))
-
-
-def check_implied(table: SolutionTable, x: str, a: str) -> bool:
-    return _ask(table, "implied", x, (a,))
-
-
-def check_determined(table: SolutionTable, x: str) -> bool:
-    return _ask(table, "determined", x)
-
-
-def check_dependent(table: SolutionTable, over: Iterable[str], y: str) -> bool:
-    over = tuple(over)
-    if y in over:
-        PropertyQuery.dependent(over, y)  # raises, before any other check
-    return _ask(table, "dependent", y, (), over)
-
-
-def check_irrelevant(table: SolutionTable, x: str) -> bool:
-    return _ask(table, "irrelevant", x)
+    enumeration order (the first falsifying pair, for dependence).  A
+    non-dependence verdict is read off the variable's answer row, and only
+    a false one scans the rows, for its counterexample."""
+    _validate(table, query)
+    if query.kind == "dependent":
+        witness = _dependence_pair(table, query.over, query.variable)
+        return OracleVerdict(query, not witness, tuple(map(table.wrap, witness)))
+    if answer_row(table, query.variable)[query.kind, query.values]:
+        return OracleVerdict(query, True)
+    witness = next(_falsifying_rows(table, query))
+    return OracleVerdict(query, False, (table.wrap(witness),))
 
 
 def conditioning_sets(names: Sequence[str], y: str, low: int, high: int) -> list[tuple]:

@@ -324,11 +324,15 @@ class _DetectorSet:
             return None
         return local.pure_value(*self._polarity[x])
 
-    def _oracle(self, space: SearchSpace) -> oracle.SolutionTable:
-        # The current space's table, built at its first oracle ask.
+    def _oracle(self, space: SearchSpace, kind: str, x: str, a: str) -> bool:
+        # Whether no row of the current space's table, built at its first
+        # oracle ask, falsifies the query: a step asks its table a few
+        # questions, mostly false, so a scan that stops at the first
+        # falsifying row costs less than x's answer row.
         if self._table is None:
             self._table = oracle.solution_table(self.instance, space)
-        return self._table
+        query = oracle.PropertyQuery(kind, x, (a,))
+        return next(oracle._falsifying_rows(self._table, query), None) is None
 
     def _inconsistent(self, x: str, value: bool) -> bool:
         # The compiled form's answer; a false one watches the variables it
@@ -386,7 +390,7 @@ class _DetectorSet:
                     if self._inconsistent(x, not boolean.name_bool(a)):
                         return "tractable-implied", f"{compiled.cls.value} reduction"
             elif family == "oracle":
-                if oracle.check_fixable(self._oracle(space), x, a):
+                if self._oracle(space, "fixable", x, a):
                     return "oracle-fixable", "exhaustive check"
         return None
 
@@ -420,10 +424,9 @@ class _DetectorSet:
                             True,
                         )
             elif family == "oracle":
-                table = self._oracle(space)
-                if oracle.check_inconsistent(table, x, a):
+                if self._oracle(space, "inconsistent", x, a):
                     return "oracle-inconsistent", "exhaustive check", None, True
-                if len(active) >= 2 and oracle.check_removable(table, x, a):
+                if len(active) >= 2 and self._oracle(space, "removable", x, a):
                     return "oracle-removable", "exhaustive check", None, False
         return None
 

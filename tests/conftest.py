@@ -415,6 +415,9 @@ def reference_simplify(instance, space, families, formula=None, group_size=1):
         def locally(query):
             return bool(covering.groups) and local.local_check(groups, query).established
 
+        def exhaustively(query):
+            return oracle.evaluate(table, query).holds
+
         def tractably(query):
             return (
                 compiled is not None
@@ -434,7 +437,7 @@ def reference_simplify(instance, space, families, formula=None, group_size=1):
                         return "local-implied"
                 elif family == "tractable" and tractably(PropertyQuery.implied(x, a)):
                     return "tractable-implied"
-                elif family == "oracle" and oracle.check_fixable(table, x, a):
+                elif family == "oracle" and exhaustively(PropertyQuery.fixable(x, a)):
                     return "oracle-fixable"
             return None
 
@@ -451,9 +454,9 @@ def reference_simplify(instance, space, families, formula=None, group_size=1):
                 elif family == "tractable" and tractably(PropertyQuery.inconsistent(x, a)):
                     return "tractable-inconsistent", None, True
                 elif family == "oracle":
-                    if oracle.check_inconsistent(table, x, a):
+                    if exhaustively(PropertyQuery.inconsistent(x, a)):
                         return "oracle-inconsistent", None, True
-                    if len(active) > 1 and oracle.check_removable(table, x, a):
+                    if len(active) > 1 and exhaustively(PropertyQuery.removable(x, a)):
                         return "oracle-removable", None, False
             return None
 

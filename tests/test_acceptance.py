@@ -27,13 +27,13 @@ def test_criterion_01_coloring_oracle_verdicts(coloring):
     start = time.perf_counter()
     inst, space = coloring
     table = oracle.solution_table(inst, space)
-    assert oracle.check_fixable(table, "x1", "R") is True
-    assert oracle.check_substitutable(table, "x1", "R", "G") is True
-    assert oracle.check_interchangeable(table, "x1", "R", "G") is True
-    assert oracle.check_removable(table, "x1", "G") is True
-    assert oracle.check_irrelevant(table, "x1") is True
-    assert oracle.check_removable(table, "x5", "G") is True
-    assert oracle.check_determined(table, "x1") is False
+    assert oracle.evaluate(table, Q.fixable("x1", "R")).holds is True
+    assert oracle.evaluate(table, Q.substitutable("x1", "R", "G")).holds is True
+    assert oracle.evaluate(table, Q.interchangeable("x1", "R", "G")).holds is True
+    assert oracle.evaluate(table, Q.removable("x1", "G")).holds is True
+    assert oracle.evaluate(table, Q.irrelevant("x1")).holds is True
+    assert oracle.evaluate(table, Q.removable("x5", "G")).holds is True
+    assert oracle.evaluate(table, Q.determined("x1")).holds is False
     assert time.perf_counter() - start < 1.0
     _report(1, "coloring example, exact oracle verdicts under 1s")
 
@@ -76,7 +76,7 @@ def test_criterion_04_pure_value_rule(pure_literal_cnf):
     assert pure_values(pure_literal_cnf)["x"] is True
     inst = to_extensional(pure_literal_cnf)
     space = SearchSpace.full(inst)
-    assert oracle.check_fixable(oracle.solution_table(inst, space), "x", "true")
+    assert oracle.evaluate(oracle.solution_table(inst, space), Q.fixable("x", "true")).holds
     result = simplify.simplify_fixpoint(inst, space, formula=pure_literal_cnf)
     assert "FIX x=true BY pure-value" in result.log().splitlines()
     _report(4, "pure-value rule fires and the simplifier logs it")
@@ -92,7 +92,7 @@ def test_criterion_05_unsound_removability_regression(removability_trap):
     # (b) every singleton subproblem satisfies the removability condition
     for index in range(len(inst.constraints)):
         table = oracle.solution_table(subproblem(inst, (index,)), space)
-        assert oracle.check_removable(table, "x", "2")
+        assert oracle.evaluate(table, Q.removable("x", "2")).holds
     # (c) removing the value flips satisfiability
     assert oracle.satisfiable(inst, space) is True
     assert oracle.satisfiable(inst, space.remove("x", "2")) is False
@@ -193,10 +193,10 @@ def test_criterion_10_factoring():
     assert decode_factors(ordered, solutions[0]) == (3, 5)
     table = oracle.solution_table(inst, space)
     for x in inst.variables:
-        assert any(oracle.check_implied(table, x, a) for a in space.values(x))
+        assert any(oracle.evaluate(table, Q.implied(x, a)).holds for a in space.values(x))
     digits = tuple(v for v in inst.variables if v[0] in "xy")
     for carry in (v for v in inst.variables if v.startswith("c")):
-        assert oracle.check_dependent(table, digits, carry)
+        assert oracle.evaluate(table, Q.dependent(digits, carry)).holds
     unordered = FactoringSpec(15, 2, ordering=False)
     inst2 = gen_factoring(unordered)
     sols2 = table_solutions(inst2, factoring_space(unordered))

@@ -336,6 +336,34 @@ class TestFindingTime:
         times = [finding.elapsed_ms for finding in from_json(out).findings]
         assert times and max(times) < 200
 
+    @pytest.mark.parametrize("method", ["oracle", "local"])
+    def test_no_answer_row_is_built_inside_a_finding(self, capsys, monkeypatch, method):
+        # Every answer row is built before the timed loop, so no query pays
+        # for a signature that a later query reads.
+        findings = cli._findings
+        calls = []
+
+        def refuse(*args):
+            raise AssertionError("a finding built a signature")
+
+        def guarded(queries, decide, *rest):
+            def checked(query):
+                with monkeypatch.context() as patch:
+                    patch.setattr(oracle, "_signature", refuse)
+                    calls.append(query)
+                    return decide(query)
+
+            return findings(queries, checked, *rest)
+
+        monkeypatch.setattr(cli, "_findings", guarded)
+        for name in ("triple_tables.csp", "boolean_backbone.csp", "coloring_isolated.csp"):
+            calls.clear()
+            code, _, _ = run(
+                capsys, "analyze", str(data_path(name)), "--method", method, "--all",
+                "--json",
+            )
+            assert code == 0 and calls, name
+
 
 class TestSimplify:
     def test_pure_value_step_logged(self, capsys):

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from cspstruct import oracle
-from cspstruct.oracle import solution_table
+from cspstruct.oracle import PropertyQuery, solution_table
 from cspstruct.hierarchy import (
     edge_catalog,
     find_edge,
@@ -119,7 +119,7 @@ def test_forced_for_every_assignment_matches_naive_route(corpus):
                         restricted = restricted.assign(v, a)
                     restricted_table = solution_table(inst, restricted)
                     if not any(
-                        oracle.check_implied(restricted_table, y, a)
+                        oracle.evaluate(restricted_table, PropertyQuery.implied(y, a)).holds
                         for a in space.values(y)
                     ):
                         naive = False
@@ -211,8 +211,8 @@ def test_dependence_edge_rejects_the_determined_reading():
     eq = Constraint("eq", ("y", "z"), Relation.of(2, [("0", "0"), ("1", "1")]))
     inst = CspInstance(("v", "y", "z"), ("0", "1"), (eq,))
     table = solution_table(inst, SearchSpace.full(inst))
-    assert oracle.check_determined(table, "y")
-    assert not oracle.check_dependent(table, ("v",), "y")
+    assert oracle.evaluate(table, PropertyQuery.determined("y")).holds
+    assert not oracle.evaluate(table, PropertyQuery.dependent(("v",), "y")).holds
     assert not forced_for_every_assignment(table, ("v",), "y")
     assert validate_hierarchy(table) == []
 
@@ -224,7 +224,7 @@ def test_fixability_edge_as_derived_detector(corpus):
         for x in inst.variables:
             for b in space.values(x):
                 derived = edge.rhs(table, (x, b))
-                assert derived == oracle.check_fixable(table, x, b)
+                assert derived == oracle.evaluate(table, PropertyQuery.fixable(x, b)).holds
 
 
 def test_validation_on_corpus_sample(corpus):
@@ -235,9 +235,9 @@ def test_validation_on_corpus_sample(corpus):
 def test_warm_validation_builds_no_query_object_and_reuses_every_table(
     coloring, monkeypatch
 ):
-    # The catalog asks through the check_* helpers, which read the answer
-    # rows: on tables with rows, validating builds no PropertyQuery and
-    # decides nothing new, and finds what it finds through the memo.
+    # The catalog reads the answer rows: on tables with rows, validating
+    # builds no PropertyQuery and decides nothing new, and finds what a
+    # cold validation finds.
     inst, full = coloring
     catalog = reverse_edge("implication-fixability")
     spaces = (full, full.remove("x2", "G"))
@@ -255,7 +255,6 @@ def test_warm_validation_builds_no_query_object_and_reuses_every_table(
     for _ in range(2):
         assert [validate_hierarchy(table, catalog) for table in tables] == cold
         assert [table.answers for table in tables] == rows
-        assert all(table.verdicts == {} for table in tables)
 
 
 def test_an_empty_catalog_checks_nothing(coloring):
@@ -263,7 +262,7 @@ def test_an_empty_catalog_checks_nothing(coloring):
     # nothing is decided on the table.
     table = solution_table(*coloring)
     assert validate_hierarchy(table, catalog=()) == []
-    assert table.verdicts == {} and table.answers == {}
+    assert table.answers == {}
     with pytest.raises(ValueError, match="no relationship edge"):
         reverse_edge("implication-fixability", ())
     with pytest.raises(ValueError, match="no relationship edge"):

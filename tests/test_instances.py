@@ -25,6 +25,7 @@ from cspstruct.instances import (
     standard_corpus,
 )
 from cspstruct.model import AssignmentTuple, CspInstance, SearchSpace
+from cspstruct.oracle import PropertyQuery
 
 from conftest import data_path, is_solution, table_solutions
 
@@ -221,7 +222,7 @@ class TestColoring:
         assert instance.constraints == ()
         table = oracle.solution_table(instance, SearchSpace.full(instance))
         for x in instance.variables:
-            assert oracle.check_irrelevant(table, x)
+            assert oracle.evaluate(table, PropertyQuery.irrelevant(x)).holds
 
     def test_triangle_two_colors_unsat(self):
         instance = gen_coloring(Graph(3, ((1, 2), (2, 3), (1, 3))), 2)
@@ -280,7 +281,7 @@ class TestFactoring:
         table = oracle.solution_table(instance, space)
         digits = tuple(v for v in instance.variables if v[0] in "xy")
         for carry in (v for v in instance.variables if v.startswith("c")):
-            assert oracle.check_dependent(table, digits, carry)
+            assert oracle.evaluate(table, PropertyQuery.dependent(digits, carry)).holds
 
     def test_desk_scale_cap(self):
         with pytest.raises(ValueError, match="desk-scale"):
@@ -317,7 +318,7 @@ class TestRandomGeneration:
             assert len(c.relation.rows) == len(instance.domain) ** c.relation.arity
         table = oracle.solution_table(instance, space)
         for x in instance.variables:
-            assert oracle.check_irrelevant(table, x)
+            assert oracle.evaluate(table, PropertyQuery.irrelevant(x)).holds
 
     def test_standard_corpus_shape(self):
         instance, space = next(iter(standard_corpus()))

@@ -198,7 +198,7 @@ class TestLocality:
     def test_assignment_rebuilds_only_the_groups_it_touches(self, corpus, monkeypatch):
         # Narrowing derives the groups that hold the variable from their
         # tables, enumerating nothing; every other group keeps its table
-        # object and the verdicts decided on it.
+        # object and the answer rows built on it.
         def refuse(*args):
             raise AssertionError("narrowing enumerated a group")
 
@@ -214,18 +214,18 @@ class TestLocality:
                         continue
                     local._combine(tables, query)
                     before = list(tables.tables)
-                    verdicts = [dict(tbl.verdicts) for tbl in before]
+                    rows = [dict(tbl.answers) for tbl in before]
                     current = current.assign(v, current.values(v)[0])
                     with monkeypatch.context() as patch:
                         patch.setattr(oracle, "_solution_rows", refuse)
                         tables.narrow(current, v)
                     assert tables.space is current
-                    for old, new, decided in zip(before, tables.tables, verdicts):
+                    for old, new, built in zip(before, tables.tables, rows):
                         if v in old.index:
-                            assert new is not old and not new.verdicts, (group_size, v)
+                            assert new is not old and not new.answers, (group_size, v)
                             narrowed_groups += 1
                         else:
-                            assert new is old and new.verdicts == decided, (group_size, v)
+                            assert new is old and new.answers == built, (group_size, v)
                     expected = ask(inst, current, covering, query)
                     assert local._combine(tables, query) == expected
         assert narrowed_groups > 0
@@ -289,19 +289,23 @@ class TestGroupVerdictMemo:
         self, corpus, monkeypatch
     ):
         scanned = []
-        falsifying_rows = oracle._falsifying_rows
+        signature = oracle._signature
         dependence_pair = oracle._dependence_pair
 
-        def recording_rows(tbl, query):
+        def recording_signature(tbl, x):
             scanned.append(tbl)
-            return falsifying_rows(tbl, query)
+            return signature(tbl, x)
 
         def recording_pair(tbl, over, y):
             scanned.append(tbl)
             return dependence_pair(tbl, over, y)
 
-        monkeypatch.setattr(oracle, "_falsifying_rows", recording_rows)
+        def refuse(*args):
+            raise AssertionError("a group verdict scanned for a falsifying row")
+
+        monkeypatch.setattr(oracle, "_signature", recording_signature)
         monkeypatch.setattr(oracle, "_dependence_pair", recording_pair)
+        monkeypatch.setattr(oracle, "_falsifying_rows", refuse)
         for inst, space in corpus[:12]:
             pinned = inst.variables[-1]
             narrowed = space.assign(pinned, space.values(pinned)[0])
@@ -318,7 +322,7 @@ class TestGroupVerdictMemo:
                     assert scanned == [], query.describe()
                 # Every query on the narrowed space is asked on the full one
                 # first: a group outside the assigned variable's scope keeps
-                # its table and its verdicts through ``narrow``.
+                # its table and its answer rows through ``narrow``.
                 groups.narrow(narrowed, pinned)
                 for query in _corpus_queries(inst, narrowed):
                     scanned.clear()
@@ -344,13 +348,12 @@ def _group_queries(inst, space):
 
 def _assert_group_answers_match_references(inst, space, rng):
     """Every group verdict, asked query by query in a shuffled order on
-    fresh tables (so the asks about a variable scan until the scans that
-    held have cost as much as its signature, and later ones read it),
-    equals the product-enumerating
-    reference on the group's subproblem; every value and variable verdict
-    also equals the falsifier scan on the group's table.  On fresh tables,
-    each variable's established row (``GroupTables.row``) holds the same
-    verdicts, read off the variable's signatures with no scan."""
+    fresh tables (each read off the variable's answer row on the group's
+    table), equals the product-enumerating reference on the group's
+    subproblem; every value and variable verdict also equals the falsifier
+    scan on the group's table.  On fresh tables, each variable's
+    established row (``GroupTables.row``) holds the same verdicts, read off
+    the variable's signatures and kept on no table."""
     queries = _group_queries(inst, space)
     coverings = _coverings(inst) if inst.constraints else [default_covering(inst)]
     for covering in coverings:
@@ -374,10 +377,6 @@ def _assert_group_answers_match_references(inst, space, rng):
                 if query.variable in tbl.index:
                     scanned = next(oracle._falsifying_rows(tbl, query), None) is None
                     assert holds == scanned, (covering, query.describe())
-        for tbl in tables:
-            for x in tbl.order:
-                signed = tbl.scanned.get(x, 0) >= len(tbl.rows) + oracle._SIGNATURE_FILL_ROWS
-                assert (x in tbl.answers) is signed, (covering, x)
         fresh = group_tables(inst, covering, space)
         overs = {x: [q.over for q in queries if q.variable == x and q.over] for x in inst.variables}
         for x in inst.variables:
@@ -386,10 +385,7 @@ def _assert_group_answers_match_references(inst, space, rng):
                 if query.variable == x:
                     key = (query.kind, query.values or query.over)
                     assert row[key] == verdict.established, (covering, query.describe())
-        for tbl in fresh.tables:
-            # Read off the signatures, with no scan, and only dependence kept.
-            assert not tbl.scanned and not tbl.answers, covering
-            assert all(key[0] == "dependent" for key in tbl.verdicts), covering
+        assert not any(tbl.answers for tbl in fresh.tables), covering
 
 
 class TestGroupAnswers:
@@ -402,20 +398,6 @@ class TestGroupAnswers:
         rng = random.Random(3)
         for inst, space in edge_instances():
             _assert_group_answers_match_references(inst, space, rng)
-
-    def test_a_pass_builds_signatures_only_for_repeated_variables(self, triple_tables):
-        # One local_check per variable scans and builds no answer row; a row
-        # reads its variable's signatures and keeps nothing on the tables.
-        inst, space = triple_tables
-        groups = group_tables(inst, default_covering(inst), space)
-        for y in inst.variables:
-            local_check(groups, Q.determined(y))
-        assert not any(tbl.answers for tbl in groups.tables)
-        scanned = [dict(tbl.scanned) for tbl in groups.tables]
-        for y in inst.variables:
-            groups.row(y)
-        assert not any(tbl.answers for tbl in groups.tables)
-        assert [tbl.scanned for tbl in groups.tables] == scanned
 
     def test_errors_come_in_local_check_order(self, triple_tables):
         inst, space = triple_tables
@@ -509,7 +491,7 @@ class TestRemovabilityTrapRegression:
         # condition for (x, 2)
         for index in range(len(inst.constraints)):
             sub = subproblem(inst, (index,))
-            assert oracle.check_removable(solution_table(sub, space), "x", "2")
+            assert oracle.evaluate(solution_table(sub, space), Q.removable("x", "2")).holds
         # (c) and removing 2 from x flips satisfiability
         assert oracle.satisfiable(inst, space)
         assert not oracle.satisfiable(inst, space.remove("x", "2"))
@@ -571,7 +553,8 @@ class TestPureValue:
                         value is candidate or _pure_both_ways(formula, x)
                     ), (seed, x, candidate)
                 if value is not None:
-                    assert oracle.check_fixable(table, x, "true" if value else "false")
+                    pure = Q.fixable(x, "true" if value else "false")
+                    assert oracle.evaluate(table, pure).holds
 
 
 def _pure_both_ways(formula, x):

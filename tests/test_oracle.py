@@ -18,15 +18,6 @@ from cspstruct.model import (
 from cspstruct.oracle import (
     PropertyQuery,
     all_queries,
-    check_dependent,
-    check_determined,
-    check_fixable,
-    check_implied,
-    check_inconsistent,
-    check_interchangeable,
-    check_irrelevant,
-    check_removable,
-    check_substitutable,
     evaluate,
     satisfiable,
     solution_table,
@@ -148,14 +139,14 @@ class TestEnumerator:
 class TestColoringProperties:
     def test_isolated_node_claims(self, coloring):
         tbl = solution_table(*coloring)
-        assert check_fixable(tbl, "x1", "R")
-        assert check_substitutable(tbl, "x1", "R", "G")
-        assert check_interchangeable(tbl, "x1", "R", "G")
-        assert check_removable(tbl, "x1", "G")
-        assert check_irrelevant(tbl, "x1")
-        assert check_removable(tbl, "x5", "G")
-        assert not check_determined(tbl, "x1")
-        assert not check_irrelevant(tbl, "x4")
+        assert evaluate(tbl, PropertyQuery.fixable("x1", "R")).holds
+        assert evaluate(tbl, PropertyQuery.substitutable("x1", "R", "G")).holds
+        assert evaluate(tbl, PropertyQuery.interchangeable("x1", "R", "G")).holds
+        assert evaluate(tbl, PropertyQuery.removable("x1", "G")).holds
+        assert evaluate(tbl, PropertyQuery.irrelevant("x1")).holds
+        assert evaluate(tbl, PropertyQuery.removable("x5", "G")).holds
+        assert not evaluate(tbl, PropertyQuery.determined("x1")).holds
+        assert not evaluate(tbl, PropertyQuery.irrelevant("x4")).holds
 
     def test_reassigning_x1_keeps_solutions(self, coloring):
         inst, space = coloring
@@ -166,19 +157,19 @@ class TestColoringProperties:
 class TestBackboneProperties:
     def test_all_thirteen(self, backbone):
         tbl = solution_table(*backbone)
-        assert check_inconsistent(tbl, "x", "false")
-        assert check_inconsistent(tbl, "y", "false")
-        assert check_fixable(tbl, "x", "true")
-        assert check_fixable(tbl, "q", "true")
-        assert check_fixable(tbl, "r", "true")
-        assert check_implied(tbl, "x", "true")
-        assert check_implied(tbl, "y", "true")
-        assert check_implied(tbl, "q", "true")
-        assert check_implied(tbl, "r", "true")
-        assert check_determined(tbl, "y")
-        assert check_dependent(tbl, ("z", "w"), "p")
-        assert check_dependent(tbl, ("z", "y"), "q")
-        assert check_dependent(tbl, ("z", "y"), "r")
+        assert evaluate(tbl, PropertyQuery.inconsistent("x", "false")).holds
+        assert evaluate(tbl, PropertyQuery.inconsistent("y", "false")).holds
+        assert evaluate(tbl, PropertyQuery.fixable("x", "true")).holds
+        assert evaluate(tbl, PropertyQuery.fixable("q", "true")).holds
+        assert evaluate(tbl, PropertyQuery.fixable("r", "true")).holds
+        assert evaluate(tbl, PropertyQuery.implied("x", "true")).holds
+        assert evaluate(tbl, PropertyQuery.implied("y", "true")).holds
+        assert evaluate(tbl, PropertyQuery.implied("q", "true")).holds
+        assert evaluate(tbl, PropertyQuery.implied("r", "true")).holds
+        assert evaluate(tbl, PropertyQuery.determined("y")).holds
+        assert evaluate(tbl, PropertyQuery.dependent(("z", "w"), "p")).holds
+        assert evaluate(tbl, PropertyQuery.dependent(("z", "y"), "q")).holds
+        assert evaluate(tbl, PropertyQuery.dependent(("z", "y"), "r")).holds
 
 
 class TestVacuity:
@@ -188,22 +179,22 @@ class TestVacuity:
         assert not satisfiable(inst, space)
         tbl = solution_table(inst, space)
         for x in inst.variables:
-            assert check_determined(tbl, x)
-            assert check_irrelevant(tbl, x)
+            assert evaluate(tbl, PropertyQuery.determined(x)).holds
+            assert evaluate(tbl, PropertyQuery.irrelevant(x)).holds
             for a in inst.domain:
-                assert check_fixable(tbl, x, a)
-                assert check_removable(tbl, x, a)
-                assert check_inconsistent(tbl, x, a)
-                assert check_implied(tbl, x, a)
+                assert evaluate(tbl, PropertyQuery.fixable(x, a)).holds
+                assert evaluate(tbl, PropertyQuery.removable(x, a)).holds
+                assert evaluate(tbl, PropertyQuery.inconsistent(x, a)).holds
+                assert evaluate(tbl, PropertyQuery.implied(x, a)).holds
                 for b in inst.domain:
-                    assert check_substitutable(tbl, x, a, b)
-                    assert check_interchangeable(tbl, x, a, b)
-        assert check_dependent(tbl, ("a",), "b")
+                    assert evaluate(tbl, PropertyQuery.substitutable(x, a, b)).holds
+                    assert evaluate(tbl, PropertyQuery.interchangeable(x, a, b)).holds
+        assert evaluate(tbl, PropertyQuery.dependent(("a",), "b")).holds
 
     def test_implied_everywhere_simultaneously(self):
         inst = unsat_instance()
         tbl = solution_table(inst, SearchSpace.full(inst))
-        assert all(check_implied(tbl, "a", a) for a in inst.domain)
+        assert all(evaluate(tbl, PropertyQuery.implied("a", a)).holds for a in inst.domain)
 
 
 class TestFreeInstance:
@@ -211,37 +202,41 @@ class TestFreeInstance:
         inst = free_instance()
         tbl = solution_table(inst, SearchSpace.full(inst))
         for x in inst.variables:
-            assert check_irrelevant(tbl, x)
+            assert evaluate(tbl, PropertyQuery.irrelevant(x)).holds
             for a in inst.domain:
-                assert not check_inconsistent(tbl, x, a)
+                assert not evaluate(tbl, PropertyQuery.inconsistent(x, a)).holds
 
 
 class TestRemovable:
     def test_pinned_equality_counterexample(self, removability_trap):
         inst, space = removability_trap
         core = dataclasses.replace(inst, constraints=inst.constraints[:2])  # x<=y and x>=y only
-        assert not check_removable(solution_table(core, space), "x", "2")
+        tbl = solution_table(core, space)
+        assert not evaluate(tbl, PropertyQuery.removable("x", "2")).holds
 
     def test_single_active_value_requires_inconsistency(self):
         inst = free_instance()
         space = SearchSpace.over(inst, {"a": ["0"]})
         # a=0 appears in solutions and no alternative exists
-        assert not check_removable(solution_table(inst, space), "a", "0")
+        tbl = solution_table(inst, space)
+        assert not evaluate(tbl, PropertyQuery.removable("a", "0")).holds
         dead = unsat_instance()
         space = SearchSpace.over(dead, {"a": ["0"]})
-        assert check_removable(solution_table(dead, space), "a", "0")
+        tbl = solution_table(dead, space)
+        assert evaluate(tbl, PropertyQuery.removable("a", "0")).holds
 
     def test_identity_substitution_always_holds(self, triple_tables):
         inst, space = triple_tables
         tbl = solution_table(inst, space)
         for x in inst.variables:
             for a in inst.domain:
-                assert check_substitutable(tbl, x, a, a)
+                assert evaluate(tbl, PropertyQuery.substitutable(x, a, a)).holds
 
 
 class TestDependence:
     def test_substitutable_across_tables(self, triple_tables):
-        assert check_substitutable(solution_table(*triple_tables), "x", "1", "2")
+        tbl = solution_table(*triple_tables)
+        assert evaluate(tbl, PropertyQuery.substitutable("x", "1", "2")).holds
 
     def test_unique_solution_instance_fully_dependent(self, removability_trap):
         inst, space = removability_trap
@@ -249,7 +244,7 @@ class TestDependence:
         assert len(tbl.rows) == 1
         for y in inst.variables:
             rest = tuple(v for v in inst.variables if v != y)
-            assert check_dependent(tbl, rest, y)
+            assert evaluate(tbl, PropertyQuery.dependent(rest, y)).holds
 
 
 class TestImpliedInconsistentLink:
@@ -258,9 +253,9 @@ class TestImpliedInconsistentLink:
             tbl = solution_table(inst, space)
             for x in inst.variables:
                 for a in space.values(x):
-                    lhs = check_implied(tbl, x, a)
+                    lhs = evaluate(tbl, PropertyQuery.implied(x, a)).holds
                     rhs = all(
-                        check_inconsistent(tbl, x, b)
+                        evaluate(tbl, PropertyQuery.inconsistent(x, b)).holds
                         for b in space.values(x)
                         if b != a
                     )
@@ -273,12 +268,13 @@ class TestMonotonicity:
         for inst, space in corpus[:60]:
             x = inst.variables[0]
             a = inst.domain[0]
-            if not check_inconsistent(solution_table(inst, space), x, a):
+            query = PropertyQuery.inconsistent(x, a)
+            if not evaluate(solution_table(inst, space), query).holds:
                 continue
             y = rng.choice([v for v in inst.variables if v != x])
             keep = rng.sample(space.values(y), 2)
             narrowed = SearchSpace.over(inst, {y: keep})
-            assert check_inconsistent(solution_table(inst, narrowed), x, a)
+            assert evaluate(solution_table(inst, narrowed), query).holds
 
 
 class TestEvidence:
@@ -347,7 +343,7 @@ def assert_signature_matches_references(inst, space):
     solutions = reference_solutions(inst, space)
     tbl = solution_table(inst, space)
     for x in inst.variables:
-        answers = oracle._sign(solution_table(inst, space), x)
+        answers = oracle.answer_row(solution_table(inst, space), x)
         assert sorted(answers) == sorted(signature_keys(space.values(x)))
         for (kind, values), holds in answers.items():
             query = PropertyQuery(kind, x, values)
@@ -359,11 +355,9 @@ def assert_signature_matches_references(inst, space):
 
 def assert_asks_match_references(inst, space, rng):
     """Each value and variable query, asked through ``evaluate`` in a
-    shuffled order on a fresh table: asks about a variable scan until the
-    scans that held (each a pass over every row plus its set-up) have cost
-    a pass plus the filling-in of answers, later ones read its signature,
-    and every verdict (counterexample included) equals the
-    product-enumerating reference."""
+    shuffled order on a fresh table: every verdict (counterexample
+    included) equals the product-enumerating reference, and the first ask
+    about a variable builds its answer row."""
     solutions = reference_solutions(inst, space)
     queries = [
         PropertyQuery(kind, x, values)
@@ -372,18 +366,11 @@ def assert_asks_match_references(inst, space, rng):
     ]
     rng.shuffle(queries)
     tbl = solution_table(inst, space)
-    rows = len(tbl.rows)
-    spent = {}
     for query in queries:
-        x = query.variable
-        scanned = x not in tbl.answers
         verdict = evaluate(tbl, query)
         expected = reference_verdict(inst, space, solutions, query)
         assert (verdict.holds, verdict.counterexamples) == expected, query.describe()
-        if scanned and verdict.holds:
-            spent[x] = spent.get(x, 0) + rows + oracle._SCAN_SETUP_ROWS
-        signed = spent.get(x, 0) >= rows + oracle._SIGNATURE_FILL_ROWS
-        assert (x in tbl.answers) is signed, query.describe()
+        assert query.variable in tbl.answers, query.describe()
 
 
 class TestSignatureAnswers:
@@ -403,24 +390,12 @@ class TestSignatureAnswers:
             assert_signature_matches_references(inst, space)
             assert_asks_match_references(inst, space, rng)
 
-    def test_scans_that_held_pay_for_the_signature(self):
-        # No constraints, so every question holds: 3**5 = 243 rows build the
-        # signature at the second scan, 3 rows only at the fourth.
-        for names, needed in (("abcde", 2), ("a", 4)):
-            inst = CspInstance(tuple(names), ("0", "1", "2"))
-            tbl = solution_table(inst, SearchSpace.full(inst))
-            asks = [PropertyQuery.fixable("a", v) for v in "012"]
-            asks += [PropertyQuery.irrelevant("a"), PropertyQuery.determined("a")]
-            for count, query in enumerate(asks, 1):
-                assert evaluate(tbl, query).holds is (query.kind != "determined")
-                assert ("a" in tbl.answers) is (count >= needed), (names, count)
-
     def test_empty_table_holds_everything(self):
         inst = unsat_instance()
         tbl = solution_table(inst, SearchSpace.full(inst))
         assert not tbl.rows
         for x in inst.variables:
-            assert all(oracle._sign(tbl, x).values())
+            assert all(oracle.answer_row(tbl, x).values())
 
 
 class TestPreconditions:
@@ -428,12 +403,12 @@ class TestPreconditions:
         inst, space = coloring
         narrowed = space.remove("x1", "B")
         with pytest.raises(ValueError, match="not active"):
-            check_fixable(solution_table(inst, narrowed), "x1", "B")
+            evaluate(solution_table(inst, narrowed), PropertyQuery.fixable("x1", "B"))
 
     def test_unknown_variable(self, coloring):
         inst, space = coloring
         with pytest.raises(ValueError, match="unknown variable"):
-            check_determined(solution_table(inst, space), "nope")
+            evaluate(solution_table(inst, space), PropertyQuery.determined("nope"))
 
     def test_dependent_target_in_set(self):
         with pytest.raises(ValueError, match="must not occur"):
@@ -506,6 +481,9 @@ class TestDependenceOnOneTargetValue:
 
 
 class TestVerdictMemo:
+    """An ask on a table whose answer rows earlier asks built gets the
+    verdict a fresh table gives."""
+
     @settings(max_examples=80, deadline=None)
     @given(instances_with_spaces(), st.randoms(use_true_random=False))
     def test_repeated_queries_match_fresh_evaluation(self, case, rng):
@@ -554,11 +532,11 @@ class TestVerdictMemo:
                 for _ in range(2):
                     with pytest.raises(ValueError, match=re.escape(message)):
                         ask()
-            # Fill the memos of both valid spaces, then ask again.
+            # Build the rows of both valid spaces by asking, then ask again.
             for valid, tbl in tables.items():
                 for query in all_queries(inst, valid, dep_max=1):
                     evaluate(tbl, query)
-            assert tables[narrowed].verdicts
+            assert set(tables[narrowed].answers) == set(inst.variables)
 
     def test_each_space_keeps_its_own_verdict(self, coloring):
         inst, full = coloring
@@ -574,106 +552,89 @@ class TestVerdictMemo:
                 assert same_verdict(evaluate(tables[space], query), expected[space])
 
 
-def every_ask(inst, space, dep_max=2):
-    """Every check_* helper call on the space, with the query it asks as a
-    plain (kind, variable, values, over) tuple."""
-    for x in inst.variables:
-        active = space.values(x)
-        yield check_determined, (x,), ("determined", x, (), ())
-        yield check_irrelevant, (x,), ("irrelevant", x, (), ())
-        for a in active:
-            yield check_fixable, (x, a), ("fixable", x, (a,), ())
-            yield check_removable, (x, a), ("removable", x, (a,), ())
-            yield check_inconsistent, (x, a), ("inconsistent", x, (a,), ())
-            yield check_implied, (x, a), ("implied", x, (a,), ())
-            for b in active:
-                yield check_substitutable, (x, a, b), ("substitutable", x, (a, b), ())
-                yield check_interchangeable, (x, a, b), ("interchangeable", x, (a, b), ())
-        others = [v for v in inst.variables if v != x]
-        for size in range(dep_max + 1):
-            for combo in itertools.combinations(others, size):
-                yield check_dependent, (combo, x), ("dependent", x, (), combo)
+def falsifying_positions(tbl, query):
+    """The table positions of the rows that falsify the query."""
+    position = {row: k for k, row in enumerate(tbl.rows)}
+    return sorted({position[row] for row in oracle._falsifying_rows(tbl, query)})
 
 
 class TestAskPath:
-    """The check_* helpers read the variable's answer row when the table
-    has one: no query object, nothing decided.  Without a row they ask the
-    table's verdict memo with a plain key: a query object only on a miss,
-    and a hit is one dict lookup."""
+    """Every oracle question is ``evaluate``: a non-dependence verdict is
+    read off the variable's answer row, and only a false one scans the
+    rows, for its least counterexample."""
 
-    def test_each_ask_looks_the_table_up_once_and_matches_evaluate(self, coloring):
-        inst, full = coloring
-        for space in (full, full.remove("x1", "B").assign("x4", "G")):
-            expected = {
-                query: fresh_verdict(inst, space, PropertyQuery(*query)).holds
-                for _, _, query in every_ask(inst, space)
-            }
-            rowed, memo = solution_table(inst, space), solution_table(inst, space)
-            rows = oracle.answer_rows(rowed, dep_max=2)
-            assert set(rows) == set(inst.variables)
-            for _ in range(2):  # a miss, then a memo hit
-                for check, args, query in every_ask(inst, space):
-                    kind, x, values, over = query
-                    assert check(rowed, *args) == expected[query], query
-                    assert rows[x][kind, values or over] == expected[query], query
-                    assert check(memo, *args) == expected[query], query
-            # Every ask was read off a row; the memo holds only what was
-            # asked before the scans that held built the variable's row.
-            assert rowed.verdicts == {}
-            for query, verdict in memo.verdicts.items():
-                assert verdict.holds == expected[query], query
-                if query[0] != "dependent" and query[1] in memo.answers:
-                    assert memo.answers[query[1]][query[0], query[2]] == verdict.holds
+    @settings(max_examples=100, deadline=None)
+    @given(instances_with_spaces())
+    def test_a_true_verdict_scans_no_row(self, case):
+        inst, space = case
+        solutions = reference_solutions(inst, space)
+        queries = [
+            PropertyQuery(kind, x, values)
+            for x in inst.variables
+            for kind, values in signature_keys(space.values(x))
+        ]
+        true = [q for q in queries if reference_verdict(inst, space, solutions, q)[0]]
+        tbl = solution_table(inst, space)
 
-    def test_warm_asks_build_no_query_object(self, coloring, monkeypatch):
-        inst, full = coloring
-        spaces = (full, full.assign("x2", "R"))
-        tables = [solution_table(inst, space) for space in spaces]
-        rowed = [solution_table(inst, space) for space in spaces]
-        for tbl in rowed:
-            oracle.answer_rows(tbl, dep_max=2)
+        def refuse(*args):
+            raise AssertionError("a true verdict scanned the rows")
 
-        def asks(tables):
-            return [
-                check(tbl, *args)
-                for tbl, space in zip(tables, spaces)
-                for check, args, _ in every_ask(inst, space)
-            ]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(oracle, "_falsifying_rows", refuse)
+            for query in true:
+                assert evaluate(tbl, query) == (query, True, ()), query.describe()
 
-        answers = asks(tables)
-        rows = [dict(tbl.answers) for tbl in rowed]
-
-        def refuse(cls, *fields):
-            raise AssertionError(f"built a query object for {fields}")
-
-        monkeypatch.setattr(PropertyQuery, "__new__", refuse)
-        assert answers == asks(tables) == asks(rowed)
-        # The rows answered every ask: nothing was decided on them.
-        assert [tbl.answers for tbl in rowed] == rows
-        assert all(tbl.verdicts == {} for tbl in rowed)
+    @settings(max_examples=100, deadline=None)
+    @given(instances_with_spaces())
+    def test_a_false_verdict_names_the_least_falsifying_row(self, case):
+        # Least in table order; for interchangeability, a failure of a->b
+        # comes before any failure of b->a.
+        inst, space = case
+        solutions = reference_solutions(inst, space)
+        tbl = solution_table(inst, space)
+        for x in inst.variables:
+            for kind, values in signature_keys(space.values(x)):
+                query = PropertyQuery(kind, x, values)
+                verdict = evaluate(tbl, query)
+                expected = reference_verdict(inst, space, solutions, query)
+                assert (verdict.holds, verdict.counterexamples) == expected, query
+                if verdict.holds:
+                    continue
+                if kind == "interchangeable":
+                    a, b = values
+                    there = PropertyQuery.substitutable(x, a, b)
+                    back = PropertyQuery.substitutable(x, b, a)
+                    positions = falsifying_positions(tbl, there) or falsifying_positions(
+                        tbl, back
+                    )
+                else:
+                    positions = falsifying_positions(tbl, query)
+                assert verdict.counterexamples == (tbl.wrap(tbl.rows[positions[0]]),)
 
     def test_invalid_asks_raise_in_order_on_every_call(self, coloring):
         inst, space = coloring
         narrowed = space.remove("x1", "B")
         tbl, narrow_tbl = solution_table(inst, space), solution_table(inst, narrowed)
         target = "dependence target must not occur in the variable set"
+        Q = PropertyQuery
+        # Each query is built inside the ask: the target check raises there.
         cases = [
-            (lambda: check_fixable(narrow_tbl, "x1", "B"), "value 'B' is not active for 'x1'"),
-            (lambda: check_substitutable(narrow_tbl, "x1", "R", "B"), "value 'B' is not active"),
-            (lambda: check_determined(tbl, "nope"), "unknown variable 'nope'"),
+            (narrow_tbl, lambda: Q.fixable("x1", "B"), "value 'B' is not active for 'x1'"),
+            (narrow_tbl, lambda: Q.substitutable("x1", "R", "B"), "value 'B' is not active"),
+            (tbl, lambda: Q.determined("nope"), "unknown variable 'nope'"),
             # The unknown variable comes before the inactive value.
-            (lambda: check_fixable(tbl, "nope", "Z"), "unknown variable 'nope'"),
+            (tbl, lambda: Q.fixable("nope", "Z"), "unknown variable 'nope'"),
             # The variable comes before the conditioning set.
-            (lambda: check_dependent(tbl, ("nope",), "gone"), "unknown variable 'gone'"),
-            (lambda: check_dependent(tbl, ("x2", "nope"), "x5"), "unknown variable 'nope'"),
-            (lambda: check_dependent(tbl, ("x2", "x5"), "x5"), target),
-            (lambda: check_dependent(tbl, ("nope", "x5"), "x5"), target),
+            (tbl, lambda: Q.dependent(("nope",), "gone"), "unknown variable 'gone'"),
+            (tbl, lambda: Q.dependent(("x2", "nope"), "x5"), "unknown variable 'nope'"),
+            (tbl, lambda: Q.dependent(("x2", "x5"), "x5"), target),
+            (tbl, lambda: Q.dependent(("nope", "x5"), "x5"), target),
         ]
         for _ in range(2):
-            for ask, message in cases:
+            for table, query, message in cases:
                 for _ in range(2):
                     with pytest.raises(ValueError, match=re.escape(message)):
-                        ask()
+                        evaluate(table, query())
             # Build the rows of both valid spaces, then ask again.
             for table in (tbl, narrow_tbl):
                 oracle.answer_rows(table, dep_max=2)
@@ -748,7 +709,6 @@ class TestAnswerRows:
         built = {x: row for x, row in rows.items()}
         assert oracle.answer_rows(tbl, 2) is rows
         assert all(rows[x] is built[x] for x in inst.variables)
-        assert tbl.verdicts == {}
 
 
 class TestAllQueries:

@@ -203,6 +203,23 @@ class TestOracleDetectors:
         assert oracle.satisfiable(inst, result.final_space)
         assert result.steps[0].render() == "FIX x1=R BY oracle-fixable"
 
+    def test_a_step_table_never_holds_an_answer_row(self, corpus, monkeypatch):
+        # The oracle family asks each step's table a few questions, mostly
+        # false, by scanning for a falsifying row: no answer row is built.
+        build = oracle.solution_table
+        tables = []
+
+        def recording(*args):
+            tables.append(build(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(oracle, "solution_table", recording)
+        for inst, space in corpus[:30]:
+            for group_size in (1, 2):
+                simplify_fixpoint(inst, space, mode="test", group_size=group_size)
+        assert len(tables) > 30
+        assert not any(tbl.answers for tbl in tables)
+
 
 # sha256 of the step logs and outcomes below, recorded when the simplifier
 # still re-instantiated every pinned variable of the original formula on
