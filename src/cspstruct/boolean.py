@@ -271,8 +271,10 @@ class _UnitPropagation:
     """
 
     def __init__(self, clauses: Iterable[Clause], index: Mapping[str, int]):
-        self.index = index
-        self.clauses = [tuple(map(self.code, c.literals)) for c in clauses]
+        self.clauses = [
+            tuple([2 * index[lit.variable] + (not lit.positive) for lit in c.literals])
+            for c in clauses
+        ]
         self.occurs: list[list[int]] = [[] for _ in range(2 * len(index))]
         for k, lits in enumerate(self.clauses):
             for lit in lits:
@@ -283,9 +285,6 @@ class _UnitPropagation:
         self.consistent = all(self.clauses) and self._propagate(
             self.value, self.left, units, []
         )
-
-    def code(self, lit: Literal) -> int:
-        return 2 * self.index[lit.variable] + (not lit.positive)
 
     def consistent_with(
         self,
@@ -394,86 +393,52 @@ class _UnitPropagation:
         return True
 
 
-def _solve_two_cnf(
-    clauses: Sequence[Clause], variables: Sequence[str]
-) -> dict[str, bool] | None:
-    index = {v: i for i, v in enumerate(variables)}
-    n = len(variables)
+def _two_cnf_satisfiable(units: _UnitPropagation) -> bool:
+    """Whether 2CNF clauses whose units propagated with no conflict have a
+    model: iff no open variable's two literals share a strongly connected
+    component (Aspvall, Plass and Tarjan 1979) of the implication graph of
+    the clauses left open (all their literals open), where a literal implies
+    the other literal of each that holds its negation.  One linear pass."""
+    value, clauses, occurs = units.value, units.clauses, units.occurs
+    number = [0] * len(occurs)  # visit order from 1, 0 until visited
+    low = [0] * len(occurs)
+    component = [-1] * len(occurs)  # its root literal, once assigned
+    order = itertools.count(1)
+    stack, path = [], []  # Tarjan's stack; the search path with its iterators
 
-    def node(lit: Literal) -> int:
-        return 2 * index[lit.variable] + (0 if lit.positive else 1)
+    def enter(lit: int) -> None:
+        number[lit] = low[lit] = next(order)
+        stack.append(lit)
+        neg = lit ^ 1
+        implied = (
+            b for k in occurs[neg] for b in clauses[k] if b != neg and value[b >> 1] is None
+        )
+        path.append((lit, implied))
 
-    def negation(node_id: int) -> int:
-        return node_id ^ 1
-
-    adjacency: list[list[int]] = [[] for _ in range(2 * n)]
-    for clause in clauses:
-        lits = list(clause.literals)
-        if not lits:
-            return None
-        if len(lits) == 1:
-            adjacency[negation(node(lits[0]))].append(node(lits[0]))
-        else:
-            u, v = node(lits[0]), node(lits[1])
-            adjacency[negation(u)].append(v)
-            adjacency[negation(v)].append(u)
-
-    # Iterative Tarjan; components are numbered in reverse topological order.
-    comp = [-1] * (2 * n)
-    low = [0] * (2 * n)
-    num = [-1] * (2 * n)
-    on_stack = [False] * (2 * n)
-    stack: list[int] = []
-    counter = itertools.count()
-    comp_counter = itertools.count()
-    for root in range(2 * n):
-        if num[root] != -1:
+    for root in range(len(occurs)):
+        if number[root] or value[root >> 1] is not None:
             continue
-        call_stack: list[tuple[int, int]] = [(root, 0)]
-        while call_stack:
-            v, edge_pos = call_stack[-1]
-            if edge_pos == 0:
-                num[v] = low[v] = next(counter)
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            while edge_pos < len(adjacency[v]):
-                w = adjacency[v][edge_pos]
-                edge_pos += 1
-                if num[w] == -1:
-                    call_stack[-1] = (v, edge_pos)
-                    call_stack.append((w, 0))
-                    advanced = True
+        enter(root)
+        while path:
+            lit, implied = path[-1]
+            for other in implied:
+                if not number[other]:
+                    enter(other)
                     break
-                if on_stack[w]:
-                    low[v] = min(low[v], num[w])
-            if advanced:
-                continue
-            call_stack.pop()
-            if low[v] == num[v]:
-                cid = next(comp_counter)
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp[w] = cid
-                    if w == v:
-                        break
-            if call_stack:
-                parent = call_stack[-1][0]
-                low[parent] = min(low[parent], low[v])
-
-    model = {}
-    for v, i in index.items():
-        pos, neg = comp[2 * i], comp[2 * i + 1]
-        if pos == neg:
-            return None
-        # Lower component id means later in topological order: truth goes to
-        # the literal whose component its negation can reach.
-        model[v] = pos < neg
-    for clause in clauses:
-        if not any(model[l.variable] == l.positive for l in clause.literals):
-            return None
-    return model
+                if component[other] < 0:  # still on the stack
+                    low[lit] = min(low[lit], number[other])
+            else:
+                path.pop()
+                if path:
+                    parent = path[-1][0]
+                    low[parent] = min(low[parent], low[lit])
+                if low[lit] == number[lit]:
+                    while component[lit] < 0:
+                        member = stack.pop()
+                        component[member] = lit
+                        if component[member ^ 1] == lit:
+                            return False
+    return True
 
 
 # A reduced basis over GF(2): per lead bit, the one row that holds it, as
@@ -622,11 +587,10 @@ class CompiledFormula:
                 self._mentioned |= _equation_mask(eq, self._index)
             return
         self._units = _UnitPropagation(formula.clauses, self._index)
-        satisfiable = self._units.consistent
-        if satisfiable and cls is SchaeferClass.TWO_CNF:
+        self.satisfiable = self._units.consistent
+        if self.satisfiable and cls is SchaeferClass.TWO_CNF:
             # Propagation misses 2CNF conflicts like (a|b)(a|-b)(-a|b)(-a|-b).
-            satisfiable = _solve_two_cnf(formula.clauses, formula.variables) is not None
-        self.satisfiable = satisfiable
+            self.satisfiable = _two_cnf_satisfiable(self._units)
 
     def __contains__(self, x: str) -> bool:
         """Whether x is a variable of the formula and not pinned."""

@@ -15,7 +15,9 @@ Exit codes:
   analysis with ``--group-size`` above 1, a covering group's space) over
   ``--max-space``;
 - 3: internal error, reported as ``internal error:`` and a traceback on
-  stderr.
+  stderr;
+- 141 (128 + SIGPIPE): stdout was closed before the output was written,
+  with nothing on stderr.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import argparse
 import dataclasses
 import functools
 import math
+import os
 import shutil
 import sys
 import time
@@ -211,7 +214,7 @@ def _cmd_analyze(args) -> int:
     if args.json:
         print(report.to_json(analysis))
     else:
-        print(analysis.render(positives_only=False))
+        print(analysis.render())
     return 0
 
 
@@ -542,7 +545,13 @@ def main(argv=None) -> int:
     formatter = functools.partial(argparse.HelpFormatter, width=width)
     args = _build_parser(argv, formatter).parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # A reader closed stdout; fd 1 to devnull quiets the flush at exit.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+        return 141
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

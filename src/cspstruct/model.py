@@ -55,10 +55,6 @@ class AssignmentTuple(Mapping[str, str]):
             return self._bindings == dict(other)
         return NotImplemented
 
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
     def __hash__(self) -> int:
         if self._hash is None:
             self._hash = hash(frozenset(self._bindings.items()))

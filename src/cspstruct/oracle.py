@@ -18,7 +18,7 @@ every value and variable answer on x, and ("dependent", over) to
 dependence on ``over`` once decided.  ``evaluate`` reads a verdict off
 the row and scans the rows only for a false verdict's counterexample;
 ``_falsifying_rows`` alone answers a caller that asks a few questions of
-a table it soon drops (the test-mode simplifier).
+a table it narrows at every step (the test-mode simplifier).
 Value quantifiers ("some other value b", "every value a") range over the
 variable's active values.
 """

@@ -43,12 +43,8 @@ class AnalysisReport:
     findings: tuple[Finding, ...]
     summary: dict[str, int]
 
-    def render(self, positives_only: bool = True) -> str:
-        lines = []
-        for finding in self.findings:
-            if positives_only and finding.verdict not in ("TRUE", "ESTABLISHED"):
-                continue
-            lines.append(finding.line())
+    def render(self) -> str:
+        lines = [finding.line() for finding in self.findings]
         counted = ", ".join(f"{k}={v}" for k, v in sorted(self.summary.items()))
         lines.append(f"# instance {self.digest}: {counted}")
         return "\n".join(lines)

@@ -14,8 +14,9 @@ fixpoint or when an inconsistency proof would empty a domain, which is
 reported as a proof of unsatisfiability instead of an invalid space.
 
 A step costs what it changes.  The detectors keep their state from step to
-step (the covering's group tables, the effective formula's counts, the
-compiled tractable form) and update it from the variable a step narrows.
+step (the covering's group tables, and the global covering's for the
+oracle; the effective formula's counts; the compiled tractable form) and
+update it from the variable a step narrows.
 Each detector answer on a variable reads a known set of inputs, so a
 variable a scan found nothing to justify on is skipped by later scans
 until one of those inputs changes: the AC-3 idea (Mackworth 1977) applied
@@ -134,8 +135,8 @@ class _DetectorSet:
       change, and only the established rows (``GroupTables.row``) that
       read them are dropped.  A caller that built the tables for the
       first space may hand them, and the rows it read, to the set.
-    - ``_table``, the oracle's solution table of the current space, built
-      at the first oracle ask in a space and dropped by ``advance``.
+    - ``exact``, the oracle's: the global covering's group tables, narrowed
+      the same way.  Sol(C) is their rows times the free variables' values.
     - The effective formula (every pinned variable instantiated away) as
       its live clauses, with their literals left per polarity, occurrence
       lists, the number of live clauses outside each clausal Schaefer
@@ -150,15 +151,14 @@ class _DetectorSet:
       ``CompiledFormula.pin``.  Its class is the one tractable evidence
       names: a pin can move the effective formula into an earlier class.
 
-    The answers on x read: for local, the tables of the groups that hold x,
-    x's active values and whether any group is empty; for pure-value, x's
-    polarity counts; for tractable, the compiled variables its propagation
-    read (see ``CompiledFormula.inconsistent``) and whether the formula is
-    satisfiable.  ``first`` scans in declaration order but skips the clean
-    variables: those a scan found nothing to justify on, whose inputs have
-    not changed since.  A change to any input of x makes it dirty again for
-    the fix and the removal scan.  The oracle reads the whole space, so
-    with it among the families no variable stays clean.
+    The answers on x read: for local and the oracle, the tables of the
+    groups that hold x, x's active values and whether any group is empty;
+    for pure-value, x's polarity counts; for tractable, the compiled
+    variables its propagation read (see ``CompiledFormula.inconsistent``)
+    and whether the formula is satisfiable.  ``first`` scans in declaration
+    order but skips the clean variables: those a scan found nothing to
+    justify on, whose inputs have not changed since.  A change to any input
+    of x makes it dirty again for the fix and the removal scan.
     """
 
     def __init__(
@@ -172,16 +172,17 @@ class _DetectorSet:
     ):
         self.instance = instance
         self.families = families
-        self.groups = None
+        self.groups = self.exact = None
         if "local" in families and covering.groups:
             self.groups = groups or local.group_tables(instance, covering, space)
+        if "oracle" in families:
+            whole = default_covering(instance, len(instance.constraints) or 1)
+            self.exact = local.group_tables(instance, whole, space)
         self._position = {v: p for p, v in enumerate(instance.variables)}
         # 1 at a variable's declaration position while the fix, or the
         # removal, scan has to ask about it.
         self._fix_dirty = bytearray(b"\x01") * len(instance.variables)
         self._removal_dirty = bytearray(self._fix_dirty)
-        self._stays_dirty = "oracle" in families
-        self._table: oracle.SolutionTable | None = None
         # Per compiled variable index, the positions of the variables whose
         # tractable answers read it.
         self._watchers: dict[int, list[int]] = {}
@@ -229,18 +230,17 @@ class _DetectorSet:
         original formula.  Pinning never takes a formula out of a class, so
         the compiled form stays in the class it was compiled in.
         """
-        self._table = None
         pins = {}
         for x in narrowed:
             active = space.values(x)
             self._touch(x)
-            if self.groups is not None:
-                some_empty = self.groups.some_empty
-                self.groups.narrow(space, x)
-                if self.groups.some_empty and not some_empty:
+            for tables in filter(None, (self.groups, self.exact)):
+                some_empty = tables.some_empty
+                tables.narrow(space, x)
+                if tables.some_empty and not some_empty:
                     self._touch_all()
-                for g in self.groups.holding.get(x, ()):
-                    for v in self.groups.tables[g].order:
+                for g in tables.holding.get(x, ()):
+                    for v in tables.tables[g].order:
                         self._touch(v)
             if self._formula is not None and len(active) == 1 and x not in self._pinned:
                 pins[x] = boolean.name_bool(active[0])
@@ -324,15 +324,17 @@ class _DetectorSet:
             return None
         return local.pure_value(*self._polarity[x])
 
-    def _oracle(self, space: SearchSpace, kind: str, x: str, a: str) -> bool:
-        # Whether no row of the current space's table, built at its first
-        # oracle ask, falsifies the query: a step asks its table a few
-        # questions, mostly false, so a scan that stops at the first
-        # falsifying row costs less than x's answer row.
-        if self._table is None:
-            self._table = oracle.solution_table(self.instance, space)
+    def _oracle(self, kind: str, x: str, a: str) -> bool:
+        # Whether no solution falsifies the query.  With none, all hold; on a
+        # free x only inconsistency fails (removability is asked with another
+        # value active); else a scan of x's group, stopping at the first
+        # falsifying row, costs less than x's answer row for a few questions.
+        exact = self.exact
+        holding = exact.holding.get(x)
+        if exact.some_empty or holding is None:
+            return exact.some_empty or kind != "inconsistent"
         query = oracle.PropertyQuery(kind, x, (a,))
-        return next(oracle._falsifying_rows(self._table, query), None) is None
+        return next(oracle._falsifying_rows(exact.tables[holding[0]], query), None) is None
 
     def _inconsistent(self, x: str, value: bool) -> bool:
         # The compiled form's answer; a false one watches the variables it
@@ -358,13 +360,11 @@ class _DetectorSet:
         while p >= 0:
             x = variables[p]
             active = space.values(x)
-            pinned = fixing and len(active) == 1
-            for a in () if pinned else active:
+            for a in () if fixing and len(active) == 1 else active:
                 found = justify(space, x, a)
                 if found is not None:
                     return (x, a, *found)
-            if pinned or not self._stays_dirty:
-                dirty[p] = 0
+            dirty[p] = 0
             p = dirty.find(1, p + 1)
         return None
 
@@ -390,7 +390,7 @@ class _DetectorSet:
                     if self._inconsistent(x, not boolean.name_bool(a)):
                         return "tractable-implied", f"{compiled.cls.value} reduction"
             elif family == "oracle":
-                if self._oracle(space, "fixable", x, a):
+                if self._oracle("fixable", x, a):
                     return "oracle-fixable", "exhaustive check"
         return None
 
@@ -424,9 +424,9 @@ class _DetectorSet:
                             True,
                         )
             elif family == "oracle":
-                if self._oracle(space, "inconsistent", x, a):
+                if self._oracle("inconsistent", x, a):
                     return "oracle-inconsistent", "exhaustive check", None, True
-                if len(active) >= 2 and self._oracle(space, "removable", x, a):
+                if len(active) >= 2 and self._oracle("removable", x, a):
                     return "oracle-removable", "exhaustive check", None, False
         return None
 

@@ -1,4 +1,5 @@
 import itertools
+import random
 from types import SimpleNamespace
 
 import pytest
@@ -175,6 +176,25 @@ class TestSatRestricted:
             assert CompiledFormula(formula, kind).satisfiable == bool(
                 brute_force_models(formula)
             ), (kind, seed)
+
+    def test_two_cnf_agrees_with_brute_force(self):
+        # Random 2CNFs of up to 7 variables, units included: propagation
+        # alone misses the conflicts of some unsatisfiable ones, which the
+        # component pass over the clauses left open must find.
+        rng = random.Random(20)
+        missed_by_propagation = 0
+        for _ in range(3000):
+            names = tuple(f"v{i}" for i in range(rng.randint(1, 7)))
+            clauses = set()
+            for _ in range(rng.randint(0, 3 * len(names))):
+                chosen = rng.sample(names, min(len(names), rng.choice((1, 2, 2, 2))))
+                clauses.add(clause(*((v, rng.random() < 0.5) for v in chosen)))
+            formula = BooleanFormula(names, tuple(clauses))
+            compiled = CompiledFormula(formula, "2cnf")
+            assert compiled.satisfiable == bool(brute_force_models(formula)), formula
+            if not compiled.satisfiable and compiled._units.consistent:
+                missed_by_propagation += 1
+        assert missed_by_propagation >= 10
 
     @pytest.mark.parametrize("kind", ["horn", "dual-horn", "2cnf", "affine"])
     def test_agrees_with_brute_force_on_corpus_slice(self, kind):

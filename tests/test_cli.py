@@ -1,6 +1,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import time
 from unittest import mock
 
@@ -758,3 +761,23 @@ class TestExitCodes:
         assert err.startswith(f"internal error: {fault.__name__}: ")
         assert "engine fault" in err.splitlines()[0]
         assert "Traceback" in err
+
+    @pytest.mark.parametrize("options", [(), ("--all", "--json")])
+    def test_closed_stdout_is_not_a_fault(self, options):
+        # The reader closed the pipe before the command wrote a byte: exit
+        # 128 + SIGPIPE, quietly, whether the write happens in the command
+        # (a large report) or at its final flush (a short one).
+        read, write = os.pipe()
+        os.close(read)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        argv = ["analyze", str(data_path("coloring_isolated.csp")), *options]
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "cspstruct.cli", *argv],
+                stdout=write,
+                stderr=subprocess.PIPE,
+                env=env,
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (141, b"")

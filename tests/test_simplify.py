@@ -1,4 +1,3 @@
-import gc
 import hashlib
 import random
 
@@ -32,7 +31,13 @@ from cspstruct.simplify import (
     simplify_fixpoint,
 )
 
-from conftest import instances_with_spaces, pure_values, reference_simplify, wide_instances
+from conftest import (
+    edge_instances,
+    instances_with_spaces,
+    pure_values,
+    reference_simplify,
+    wide_instances,
+)
 
 
 def clause(*lits):
@@ -204,21 +209,57 @@ class TestOracleDetectors:
         assert result.steps[0].render() == "FIX x1=R BY oracle-fixable"
 
     def test_a_step_table_never_holds_an_answer_row(self, corpus, monkeypatch):
-        # The oracle family asks each step's table a few questions, mostly
-        # false, by scanning for a falsifying row: no answer row is built.
-        build = oracle.solution_table
-        tables = []
+        # The oracle family narrows the global covering's tables from step to
+        # step: it never enumerates the whole space, and it scans each step's
+        # tables for a counterexample without building an answer row.
+        def refuse(*args):
+            raise AssertionError("a whole-space table or an answer row was built")
 
-        def recording(*args):
-            tables.append(build(*args))
-            return tables[-1]
-
-        monkeypatch.setattr(oracle, "solution_table", recording)
+        monkeypatch.setattr(oracle, "solution_table", refuse)
         for inst, space in corpus[:30]:
             for group_size in (1, 2):
                 simplify_fixpoint(inst, space, mode="test", group_size=group_size)
-        assert len(tables) > 30
-        assert not any(tbl.answers for tbl in tables)
+        monkeypatch.setattr(oracle, "_signature", refuse)
+        for inst, space in corpus[:30]:
+            simplify_fixpoint(inst, space, mode="test", detectors=("oracle",))
+
+
+class TestOracleTable:
+    """In test mode the oracle family builds no whole-space solution table:
+    it builds the global covering's tables once per run and narrows them
+    at each step."""
+
+    def test_at_most_one_whole_space_table_is_alive(self, corpus, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a whole-space table was built")
+
+        build, built = local.group_tables, []
+
+        def recording(instance, covering, space):
+            built.append(covering)
+            return build(instance, covering, space)
+
+        monkeypatch.setattr(oracle, "solution_table", refuse)
+        monkeypatch.setattr(local, "group_tables", recording)
+        longest = 0
+        for inst, space in [_equality_chain(), *corpus[:30]]:
+            built.clear()
+            result = simplify_fixpoint(inst, space, mode="test", detectors=("oracle",))
+            assert built == [default_covering(inst, len(inst.constraints) or 1)]
+            longest = max(longest, len(result.steps))
+        assert longest >= 3
+
+
+def _equality_chain():
+    """A chain of equalities from a pinned first variable: the oracle fixes
+    one variable per step."""
+    names = ("w0", "w1", "w2", "w3")
+    equal = Relation.of(2, [(a, a) for a in "012"])
+    constraints = tuple(
+        Constraint(f"eq{i}", names[i : i + 2], equal) for i in range(3)
+    ) + (Constraint("zero", ("w0",), Relation.of(1, [("0",)])),)
+    inst = CspInstance(names, ("0", "1", "2"), constraints)
+    return inst, SearchSpace.full(inst)
 
 
 # sha256 of the step logs and outcomes below, recorded when the simplifier
@@ -391,7 +432,11 @@ class TestReferenceLoop:
     conftest that asks every family afresh at every step."""
 
     @settings(max_examples=80, deadline=None)
-    @given(instances_with_spaces(), st.sampled_from(["production", "test"]), st.integers(1, 3))
+    @given(
+        st.one_of(instances_with_spaces(), st.sampled_from(edge_instances())),
+        st.sampled_from(["production", "test"]),
+        st.integers(1, 3),
+    )
     def test_random_instances(self, case, mode, group_size):
         inst, space = case
         expected = reference_simplify(
@@ -529,10 +574,15 @@ class TestCleanVariables:
         assert fresh.first(space.remove("b", "1"), "fix")[:3] == ("a", "0", "local-implied")
 
     @settings(max_examples=200, deadline=None)
-    @given(st.one_of(instances_with_spaces(), wide_instances()), st.integers(1, 3), _MOVES)
-    def test_instances(self, case, group_size, moves):
+    @given(
+        st.one_of(instances_with_spaces(), wide_instances(), st.sampled_from(edge_instances())),
+        st.sampled_from([("local",), ("oracle",), ("local", "oracle")]),
+        st.integers(1, 3),
+        _MOVES,
+    )
+    def test_instances(self, case, families, group_size, moves):
         inst, space = case
-        self.assert_advanced_equals_fresh(inst, space, ("local",), None, group_size, moves)
+        self.assert_advanced_equals_fresh(inst, space, families, None, group_size, moves)
 
 
 class TestSharedCachesStayReadOnly:
@@ -569,39 +619,3 @@ class TestSharedCachesStayReadOnly:
         assert shared.space is space
         assert [tbl.rows for tbl in shared.tables] == rows
         assert shared.empty == empty and shared.some_empty == any(empty)
-
-
-class TestOracleTable:
-    """In test mode the oracle family asks one solution table per space,
-    built at its first ask there and dropped at the next step."""
-
-    def test_at_most_one_whole_space_table_is_alive(self, monkeypatch):
-        # A chain of equalities from a pinned first variable: the oracle
-        # fixes one variable per step.
-        names = ("w0", "w1", "w2", "w3")
-        equal = Relation.of(2, [(a, a) for a in "012"])
-        constraints = tuple(
-            Constraint(f"eq{i}", names[i : i + 2], equal) for i in range(3)
-        ) + (Constraint("zero", ("w0",), Relation.of(1, [("0",)])),)
-        inst = CspInstance(names, ("0", "1", "2"), constraints)
-        build = oracle.solution_table
-        alive = []
-
-        def counting(instance, space):
-            table = build(instance, space)
-            gc.collect()
-            alive.append(
-                sum(
-                    isinstance(o, oracle.SolutionTable) and o.order == names
-                    for o in gc.get_objects()
-                )
-            )
-            return table
-
-        monkeypatch.setattr(oracle, "solution_table", counting)
-        result = simplify_fixpoint(
-            inst, SearchSpace.full(inst), mode="test", detectors=("oracle",)
-        )
-        assert len(result.steps) >= 3
-        assert len(alive) >= 3
-        assert max(alive) == 1
