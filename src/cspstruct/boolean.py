@@ -25,10 +25,10 @@ x=not b, whether F AND x=a AND the negated rest of that clause is
 unsatisfiable; under affine, with a != b, it is inconsistency at a unless no
 equation mentions x.  determined(x) is F AND the remainders of x's clauses
 (each clause minus x's literal) being unsatisfiable; under affine it is
-some equation mentioning x.  fixable, removable, interchangeable and irrelevant
-are built from substitutable, memoised per (x, a, b).  ``pin`` turns F's
-compiled form, in place, into that of F with some variables pinned, from
-F's own state.
+some equation mentioning x.  ``row(x)`` holds every answer on x but
+dependence, read off x's two substitutabilities and determinacy as the
+oracle reads its answer rows.  ``pin`` turns F's compiled form, in place,
+into that of F with some variables pinned, from F's own state.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 from .model import Constraint, CspInstance, Relation
-from .oracle import PropertyQuery
+from .oracle import KINDS, PropertyQuery, signature_row
 
 FALSE_VALUE = "false"
 TRUE_VALUE = "true"
@@ -558,9 +558,11 @@ class CompiledFormula:
     propagates on and undoes what it propagated; a variable the units fix
     needs no propagation at all.  Affine keeps the reduced GF(2) basis, the variables it fixes and
     the mask of the variables the equations mention, and answers every
-    query by a lookup in them.  ``pin`` derives, in place, the compiled
-    form of the formula with some variables pinned from this state, so a
-    caller that pins variables one step at a time compiles once.
+    query by a lookup in them.  ``row`` answers every question on one
+    variable at once and keeps the answers until the next ``pin``.  ``pin``
+    derives, in place, the compiled form of the formula with some variables
+    pinned from this state, so a caller that pins variables one step at a
+    time compiles once.
 
     Propagation is exact once the formula is satisfiable.  When it meets no
     conflict, each clause it leaves unsatisfied has two or more open
@@ -576,7 +578,7 @@ class CompiledFormula:
         self.cls = cls
         self._index = {v: i for i, v in enumerate(formula.variables)}
         self._free = set(self._index)  # the variables not pinned
-        self._substitutable: dict[tuple[str, bool, bool], bool] = {}
+        self._rows: dict[str, dict[tuple, bool]] = {}
         if cls is SchaeferClass.AFFINE:
             self._basis = _affine_basis(formula.equations, self._index)
             self.satisfiable = self._basis is not None
@@ -617,13 +619,6 @@ class CompiledFormula:
         """Every model with x=a stays a model with x=b: flipping x to b can
         break only a constraint holding x's literal at not b, so none of
         those has a model of formula AND x=a that violates it with x=b."""
-        key = (x, a, b)
-        memo = self._substitutable.get(key)
-        if memo is None:
-            memo = self._substitutable[key] = self._decide_substitutable(x, a, b)
-        return memo
-
-    def _decide_substitutable(self, x: str, a: bool, b: bool) -> bool:
         i = self._index[x]
         if self.cls is SchaeferClass.AFFINE:
             # With a != b every equation on x breaks, so only a model with
@@ -672,6 +667,22 @@ class CompiledFormula:
                     extra.append(rest)
         return not units.consistent_with(assumed, extra)
 
+    def row(self, x: str) -> dict[tuple, bool]:
+        """Every answer on x but dependence, as ``oracle.answer_row`` reads
+        it off x's mask signature: a model that cannot flip x away from a
+        gives the mask of a alone, two models that differ at x alone give
+        the full mask.  The row is kept until the next ``pin``."""
+        row = self._rows.get(x)
+        if row is None:
+            absent = (
+                self.substitutable(x, False, True),
+                self.substitutable(x, True, False),
+                self.determined(x),
+            )
+            masks = {mask for mask, gone in zip((1, 2, 3), absent) if not gone}
+            row = self._rows[x] = signature_row(BOOL_VALUES, masks)
+        return row
+
     def pin(self, assignments: Mapping[str, bool]) -> list[int]:
         """Make this form, in place, the compiled form of
         ``assume(formula, assignments)`` in the same class: the clausal
@@ -688,7 +699,7 @@ class CompiledFormula:
             if v not in self._free:
                 raise ValueError(f"unknown or pinned variable {v!r}")
         self._free.difference_update(assignments)
-        self._substitutable = {}
+        self._rows = {}
         if self.cls is not SchaeferClass.AFFINE:
             changed = self._units.pin(
                 [2 * self._index[v] + (not value) for v, value in assignments.items()]
@@ -728,32 +739,19 @@ class CompiledFormula:
         return True
 
 
-# Each kind's answer on a compiled formula, from the variable and its values.
-_ANSWERS = {
-    "inconsistent": lambda c, x, a: c.inconsistent(x, a),
-    "implied": lambda c, x, a: c.inconsistent(x, not a),
-    "substitutable": lambda c, x, a, b: c.substitutable(x, a, b),
-    "interchangeable": lambda c, x, a, b: c.substitutable(x, a, b)
-    and c.substitutable(x, b, a),
-    "fixable": lambda c, x, b: c.substitutable(x, not b, b),
-    "irrelevant": lambda c, x: c.substitutable(x, False, True)
-    and c.substitutable(x, True, False),
-    "determined": lambda c, x: c.determined(x),
-    # On booleans, removable(v) iff v is substitutable by not v.
-    "removable": lambda c, x, v: c.substitutable(x, v, not v),
-}
-
 def tract_check(compiled: CompiledFormula, query: PropertyQuery) -> bool:
-    """Exact polynomial property check on a formula's compiled form."""
-    answer = _ANSWERS.get(query.kind)
-    if answer is None:
-        if query.kind == "dependent":
-            raise UnsupportedQueryError("no tractable method is known for dependence")
+    """Exact polynomial property check on a formula's compiled form: a
+    lookup in the variable's row."""
+    if query.kind == "dependent":
+        raise UnsupportedQueryError("no tractable method is known for dependence")
+    if query.kind not in KINDS:
         raise UnsupportedQueryError(f"unsupported property kind {query.kind!r}")
     x = query.variable
-    if x not in compiled._free:
+    if x not in compiled:
         raise ValueError(f"unknown variable {x!r}")
-    return answer(compiled, x, *map(name_bool, query.values))
+    for value in query.values:
+        name_bool(value)  # refuses a value that is not boolean
+    return compiled.row(x)[query.kind, query.values]
 
 
 # ---------------------------------------------------------------------------

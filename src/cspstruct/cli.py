@@ -202,6 +202,8 @@ def _cmd_analyze(args) -> int:
                     "formula is in no tractable class; tractable analysis refused"
                 )
             compiled = boolean.CompiledFormula(formula, cls)
+            for x in formula.variables:
+                compiled.row(x)
             findings += _findings(
                 oracle.all_queries(instance, space, TRACTABLE_KINDS, args.dep_max),
                 lambda query: boolean.tract_check(compiled, query),
@@ -252,6 +254,10 @@ def _check_instance(instance, space, formula, group_size, dep_max, catalog):
     problems = [violation.describe() for violation in catalog_found]
     names = instance.variables
     overs = {x: oracle.conditioning_sets(names, x, 1, dep_max) for x in names}
+    # Each route gives one row per variable: (rows, kinds, sound, exact).  A
+    # sound route (a covering) establishes only true facts; an exact one (the
+    # whole covering, the tractable route) agrees with every truth.
+    routes = []
     inherited = None
     sizes = [group_size]
     if len(instance.constraints) > group_size:
@@ -264,34 +270,30 @@ def _check_instance(instance, space, formula, group_size, dep_max, catalog):
         rows = {x: groups.row(x, overs[x]) for x in names}
         if size == 1:  # the simplifier's covering: it takes the tables over
             inherited = groups
-        # Row against row: a whole covering agrees with every truth, any other
-        # establishes only true ones; a disagreement is named query by query.
-        if all(
-            rows[x].items() <= truths[x].items() if whole
-            else all(map(truths[x].__getitem__, compress(rows[x], rows[x].values())))
-            for x in names
-        ):
-            continue
-        for query in oracle.all_queries(instance, space, LOCAL_KINDS, dep_max):
-            x = query.variable
-            key = query.kind, query.values or query.over
-            established, truth = rows[x][key], truths[x][key]
-            if established and not truth:
-                problems.append(f"local({size}) established a false fact: {query.describe()}")
-            if whole and established != truth:
-                problems.append(
-                    f"global covering disagrees with oracle on {query.describe()}"
-                )
+        exact = "global covering" if whole else None
+        routes.append((rows, LOCAL_KINDS, f"local({size})", exact))
     if formula is not None:
         cls = classify_schaefer(formula).primary
         if cls is not SchaeferClass.UNRESTRICTED:
             compiled = boolean.CompiledFormula(formula, cls)
-            for query in oracle.all_queries(instance, space, TRACTABLE_KINDS, dep_max):
-                truth = truths[query.variable][query.kind, query.values]
-                if boolean.tract_check(compiled, query) != truth:
-                    problems.append(
-                        f"tractable disagrees with oracle on {query.describe()}"
-                    )
+            rows = {x: compiled.row(x) for x in names}
+            routes.append((rows, TRACTABLE_KINDS, None, "tractable"))
+    # Row against row; a disagreement is named query by query.
+    for rows, kinds, sound, exact in routes:
+        if all(
+            rows[x].items() <= truths[x].items() if exact
+            else all(map(truths[x].__getitem__, compress(rows[x], rows[x].values())))
+            for x in names
+        ):
+            continue
+        for query in oracle.all_queries(instance, space, kinds, dep_max):
+            x = query.variable
+            key = query.kind, query.values or query.over
+            answer, truth = rows[x][key], truths[x][key]
+            if sound and answer and not truth:
+                problems.append(f"{sound} established a false fact: {query.describe()}")
+            if exact and answer != truth:
+                problems.append(f"{exact} disagrees with oracle on {query.describe()}")
     # The table holds every solution in the space, and the simplified space
     # narrows it, so both satisfiability answers are read off its rows.
     before = bool(table.rows)

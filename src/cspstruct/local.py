@@ -75,10 +75,6 @@ class LocalVerdict(NamedTuple):
     established: bool
     per_group: tuple[bool, ...]
 
-    @property
-    def verdict(self) -> str:
-        return "established" if self.established else "unknown"
-
 
 def default_covering(instance: CspInstance, group_size: int = 1) -> Covering:
     """Partition the constraints into consecutive groups of at most
@@ -244,19 +240,15 @@ def local_check(groups: GroupTables, query: PropertyQuery) -> LocalVerdict:
     Only the groups whose scope holds the queried variable are decided; in
     every other group that variable is free, so the verdict follows from
     its active values and the group's emptiness alone."""
-    if query.kind not in _KINDS:
-        _reject(query.kind)
-    return _combine(groups, query)
-
-
-def _reject(kind: str) -> None:
-    if kind == "removable":
+    if query.kind == "removable":
         raise UnsoundLocalCheckError(
             "local reasoning cannot establish removability: a value can be "
             "removable in every constraint taken alone yet required globally, "
             "and removing it may make a satisfiable instance unsatisfiable"
         )
-    raise ValueError(f"unsupported property kind {kind!r}")
+    if query.kind not in _KINDS:
+        raise ValueError(f"unsupported property kind {query.kind!r}")
+    return _combine(groups, query)
 
 
 def _combine(groups: GroupTables, query: PropertyQuery) -> LocalVerdict:

@@ -265,15 +265,21 @@ def _falsifying_rows(tbl: SolutionTable, query: PropertyQuery) -> Iterator[Row]:
 
 def answer_row(tbl: SolutionTable, x: str) -> dict[tuple, bool]:
     """x's answer row on the table, built from its signature unless the
-    table has one: removable(a) holds when no mask is a alone, and every
-    other kind as ``_answers`` reads it off the one signature."""
+    table has one."""
     row = tbl.answers.get(x)
     if row is None:
         active = tbl.actives[tbl.index[x]]
-        masks = _signature(tbl, x)
-        row = tbl.answers[x] = _answers(active, (masks,))
-        for k, a in enumerate(active):
-            row["removable", (a,)] = 1 << k not in masks
+        row = tbl.answers[x] = signature_row(active, _signature(tbl, x))
+    return row
+
+
+def signature_row(active: tuple[str, ...], masks: set[int]) -> dict[tuple, bool]:
+    """Every answer on x but dependence, off x's one signature: removable(a)
+    holds when no mask is a alone, and every other kind as ``_answers``
+    reads it."""
+    row = _answers(active, (masks,))
+    for k, a in enumerate(active):
+        row["removable", (a,)] = 1 << k not in masks
     return row
 
 

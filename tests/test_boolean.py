@@ -57,9 +57,13 @@ def tract(formula, kind, query):
 
 def pinned(formula, kind, *rounds):
     """A fresh compiled form of the formula with each round of pins applied
-    in turn."""
+    in turn.  Every free variable's row is read before each round, so a row
+    that a pin keeps shows in its answers after."""
     compiled = CompiledFormula(formula, kind)
     for pins in rounds:
+        for x in formula.variables:
+            if x in compiled:
+                compiled.row(x)
         compiled.pin(pins)
     return compiled
 
@@ -594,6 +598,35 @@ class TestReadOffAnswers:
             assert not tract(mirror(HORN_CASES["width 3, free"]), kind, Q.determined("x"))
 
 
+def assert_rows_match_oracle(kind, formula):
+    expanded = to_extensional(formula)
+    table = oracle.solution_table(expanded, SearchSpace.full(expanded))
+    compiled = CompiledFormula(formula, kind)
+    for x in formula.variables:
+        assert compiled.row(x) == oracle.answer_row(table, x), x
+
+
+class TestRow:
+    """``CompiledFormula.row`` holds, entry for entry, the oracle's answer
+    row on the expanded formula, satisfiable or not."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_formulas())
+    def test_random_formulas(self, case):
+        assert_rows_match_oracle(*case)
+
+    @pytest.mark.parametrize("kind, formula", fixed_cases())
+    def test_fixed_cases(self, kind, formula):
+        assert_rows_match_oracle(kind, formula)
+
+    def test_kept_until_the_next_pin(self):
+        compiled = CompiledFormula(BooleanFormula(("a", "b"), (clause(_na, _b),)), "horn")
+        row = compiled.row("b")
+        assert compiled.row("b") is row and not row["implied", ("true",)]
+        compiled.pin({"a": True})
+        assert compiled.row("b") is not row and compiled.row("b")["implied", ("true",)]
+
+
 @st.composite
 def formulas_with_pins(draw):
     """A formula, and pins on some of its variables in two rounds."""
@@ -619,6 +652,7 @@ class TestPinnedChild:
         for x in formula.variables:
             assert (x in child) == (x not in pins) == (x in direct)
         for x in assumed.variables:
+            assert child.row(x) == direct.row(x), x
             assert child.determined(x) == direct.determined(x), x
             for a in BOOLS:
                 assert child.inconsistent(x, a) == direct.inconsistent(x, a), (x, a)

@@ -254,6 +254,49 @@ class TestCheckMatchesReference:
         assert cli._check_instance(inst, space, None, 1, 2, None) == expected
         assert len(expected) == 7
 
+    def test_agreeing_tractable_rows_ask_no_query(self, boolean_corpora, monkeypatch):
+        # On formula inputs the compiled form's rows are compared whole too.
+        kinds = []
+        queries = oracle.all_queries
+        monkeypatch.setattr(
+            oracle, "all_queries", lambda *args: kinds.append(args[2]) or queries(*args)
+        )
+        for kind in ("horn", "dual-horn", "2cnf", "affine"):
+            for formula in [f for f in boolean_corpora[kind] if len(f.variables) <= 6][:3]:
+                inst = boolean.to_extensional(formula)
+                space = SearchSpace.full(inst)
+                assert cli._check_instance(inst, space, formula, 1, 1, None) == []
+        assert kinds == []
+
+    def test_disagreeing_tractable_rows_are_named_in_query_order(
+        self, boolean_corpora, monkeypatch
+    ):
+        # One true answer and two false ones flipped in the compiled form's
+        # rows; only the tractable route names them, in query order.
+        formula = next(f for f in boolean_corpora["horn"] if 3 <= len(f.variables) <= 6)
+        inst = boolean.to_extensional(formula)
+        space = SearchSpace.full(inst)
+        truths = oracle.answer_rows(oracle.solution_table(inst, space), 1)
+        queries = oracle.all_queries(inst, space, cli.TRACTABLE_KINDS, 1)
+        false = [q for q in queries if not truths[q.variable][q.kind, q.values]]
+        true = [q for q in queries if truths[q.variable][q.kind, q.values]]
+        flips = {false[0], false[-1], true[0]}
+        build = boolean.CompiledFormula.row
+
+        def flipped(self, x):
+            row = dict(build(self, x))
+            for q in flips:
+                if q.variable == x:
+                    row[q.kind, q.values] = not row[q.kind, q.values]
+            return row
+
+        monkeypatch.setattr(boolean.CompiledFormula, "row", flipped)
+        expected = [
+            f"tractable disagrees with oracle on {q.describe()}" for q in queries if q in flips
+        ]
+        assert cli._check_instance(inst, space, formula, 1, 1, None) == expected
+        assert len(expected) == 3
+
     def test_negative_controls_find_violations(self, corpus):
         # Each reversed implication fails somewhere in the corpus sample.
         for catalog in CATALOGS[1:]:
@@ -313,6 +356,9 @@ class TestCheckInheritsSimplifier:
                 self.assert_same(inst, SearchSpace.full(inst), formula, group_size)
 
 
+CSP_INPUTS = ("triple_tables.csp", "boolean_backbone.csp", "coloring_isolated.csp")
+
+
 class TestFindingTime:
     """A finding's ``elapsed_ms`` covers its own query alone: what answers
     the queries is built before the first one is timed."""
@@ -339,27 +385,41 @@ class TestFindingTime:
         times = [finding.elapsed_ms for finding in from_json(out).findings]
         assert times and max(times) < 200
 
-    @pytest.mark.parametrize("method", ["oracle", "local"])
+    # Per method: the inputs, and what builds a part of an answer row.
+    BUILDERS = {
+        "oracle": (CSP_INPUTS, [(oracle, "_signature")]),
+        "local": (CSP_INPUTS, [(oracle, "_signature")]),
+        "tractable": (
+            [f"planted_{kind}.cnf" for kind in ("horn", "2cnf", "affine")],
+            [(boolean.CompiledFormula, name)
+             for name in ("inconsistent", "substitutable", "determined")],
+        ),
+    }
+
+    @pytest.mark.parametrize("method", ["oracle", "local", "tractable"])
     def test_no_answer_row_is_built_inside_a_finding(self, capsys, monkeypatch, method):
         # Every answer row is built before the timed loop, so no query pays
-        # for a signature that a later query reads.
+        # for a signature, or a compiled form's decision, that a later query
+        # reads.
+        names, deciders = self.BUILDERS[method]
         findings = cli._findings
         calls = []
 
         def refuse(*args):
-            raise AssertionError("a finding built a signature")
+            raise AssertionError("a finding built part of an answer row")
 
         def guarded(queries, decide, *rest):
             def checked(query):
                 with monkeypatch.context() as patch:
-                    patch.setattr(oracle, "_signature", refuse)
+                    for holder, name in deciders:
+                        patch.setattr(holder, name, refuse)
                     calls.append(query)
                     return decide(query)
 
             return findings(queries, checked, *rest)
 
         monkeypatch.setattr(cli, "_findings", guarded)
-        for name in ("triple_tables.csp", "boolean_backbone.csp", "coloring_isolated.csp"):
+        for name in names:
             calls.clear()
             code, _, _ = run(
                 capsys, "analyze", str(data_path(name)), "--method", method, "--all",

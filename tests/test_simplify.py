@@ -595,6 +595,7 @@ class TestSharedCachesStayReadOnly:
         for formula in boolean_corpora[kind][:10]:
             cls = classify_schaefer(formula).primary
             shared = CompiledFormula(formula, cls)
+            rows = {x: shared.row(x) for x in formula.variables}
             inst = to_extensional(formula)
             result = simplify_fixpoint(inst, SearchSpace.full(inst), formula=formula)
             assert result.steps
@@ -602,6 +603,7 @@ class TestSharedCachesStayReadOnly:
             assert shared.satisfiable == fresh.satisfiable
             for x in formula.variables:
                 assert x in shared
+                assert shared.row(x) == rows[x] == fresh.row(x), x
                 assert shared.determined(x) == fresh.determined(x), x
                 for a in (False, True):
                     assert shared.inconsistent(x, a) == fresh.inconsistent(x, a), (x, a)
