@@ -246,14 +246,14 @@ def _cmd_simplify(args) -> int:
 
 def _check_instance(instance, space, formula, group_size, dep_max, catalog):
     # One solution table answers every oracle question: each variable's
-    # answer row is built on it first, and the catalog and the other routes
-    # are compared with the rows.
-    table = oracle.solution_table(instance, space)
-    truths = oracle.answer_rows(table, dep_max)
-    catalog_found = hierarchy.validate_hierarchy(table, catalog, dep_max)
-    problems = [violation.describe() for violation in catalog_found]
+    # conditioning sets (the empty set first) and answer row are built
+    # first, once, and the catalog and the other routes are compared with them.
     names = instance.variables
-    overs = {x: oracle.conditioning_sets(names, x, 1, dep_max) for x in names}
+    overs = {x: oracle.conditioning_sets(names, x, 0, dep_max) for x in names}
+    table = oracle.solution_table(instance, space)
+    truths = oracle.answer_rows(table, dep_max, overs)
+    catalog_found = hierarchy.validate_hierarchy(table, catalog, dep_max, overs)
+    problems = [violation.describe() for violation in catalog_found]
     # Each route gives one row per variable: (rows, kinds, sound, exact).  A
     # sound route (a covering) establishes only true facts; an exact one (the
     # whole covering, the tractable route) agrees with every truth.
@@ -267,7 +267,7 @@ def _check_instance(instance, space, formula, group_size, dep_max, catalog):
         # A covering of no groups (no constraints) is not the global one.
         whole = bool(covering.groups) and size >= len(instance.constraints)
         groups = local.group_tables(instance, covering, space)
-        rows = {x: groups.row(x, overs[x]) for x in names}
+        rows = {x: groups.row(x, overs[x][1:]) for x in names}
         if size == 1:  # the simplifier's covering: it takes the tables over
             inherited = groups
         exact = "global covering" if whole else None

@@ -1,12 +1,18 @@
 """Executable catalog of the semantic relationships between properties.
 
 Each edge states an implication or a biconditional between property
-formulas, evaluated through the exhaustive oracle on one solution table:
-each side reads the answer row of its variable (``oracle.answer_row``),
-which is built when the table has none.  The right-hand side of the
-dependence edge is its own code, not the oracle's pair scan: it counts
-the rows' distinct projections, one pass per variable set, and every
-(V, y) that names the set reads the count.
+formulas, evaluated through the exhaustive oracle on one solution table.
+An edge is checked per variable x, not per instantiation: each side is a
+set expression over x's answer row (``oracle.settled_row``), which is read
+once per variable and grouped by kind (``_held``), and gives the keys of
+x's instantiations where the side holds: (a,) on an "xa" edge, (a, b) on
+"xab", () on "x" and "none" (x None), the conditioning set on "vy".  An
+implication fails at lhs - rhs, a biconditional at lhs ^ rhs, and only a
+nonempty difference walks x's instantiations, in instantiation order.
+The right-hand side of the dependence edge is its own code, not the
+oracle's pair scan: it counts the rows' distinct projections, one pass
+per variable set, and every (V, y) that names the set reads the count;
+when y takes one value over the rows it holds on every set at once.
 The catalog doubles as a set of derived detectors (either side of a
 biconditional can stand in for the other) and as a cross-validation suite:
 on any instance small enough to enumerate, ``validate_hierarchy`` must come
@@ -15,13 +21,14 @@ back empty.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
+from itertools import compress
 
 from . import oracle
 from .oracle import SolutionTable, answer_row
 
-EdgeSide = Callable[[SolutionTable, tuple], bool]
+EdgeSide = Callable[[SolutionTable, "str | None", dict], set]
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,7 +36,9 @@ class RelationshipEdge:
     """One implication (lhs -> rhs) or biconditional (lhs <-> rhs).
 
     ``args`` names the instantiation shape: "x", "xa", "xab", "vy" (a
-    conditioning variable set plus target) or "none".
+    conditioning variable set plus target) or "none".  A side maps the
+    table, x and x's grouped answers (``_held``) to the keys of x's
+    instantiations where it holds.
     """
 
     name: str
@@ -52,13 +61,34 @@ class Violation:
         return f"{self.edge} {arrow} violated at {self.args!r}: lhs={self.lhs} rhs={self.rhs}"
 
 
-def _forced(table: SolutionTable, args: tuple) -> bool:
-    """The dependence edge's right-hand side: pinning V to any active values
-    leaves the solutions agreeing on y.  That is the partition test of
-    functional-dependency discovery (TANE): the rows take as many distinct
-    projections on V as on V and y together."""
-    over, y = args
-    return len(table.rows) < 2 or _classes(table, over) == _classes(table, (*over, y))
+def _held(table: SolutionTable, x: str, overs: list[tuple]) -> dict:
+    """x's answer row, dependence settled on ``overs``, grouped by kind: per
+    kind, the set of keys where x's answer holds; per argument shape, every
+    key of x's instantiations, in instantiation order."""
+    row = oracle.settled_row(table, x, overs)
+    held = {kind: set() for kind in oracle.KINDS}
+    for kind, key in compress(row, row.values()):
+        held[kind].add(key)
+    active = table.values(x)
+    held.update(x=[()], xa=[(a,) for a in active], vy=overs)
+    held["xab"] = [(a, b) for a in active for b in active]
+    return held
+
+
+# The view of a "none" edge, which has no variable: its one key.
+_NONE = {"none": [()]}
+
+
+def _forced(table: SolutionTable, y: str, held: dict) -> set:
+    """The dependence edge's right-hand side: the sets V such that pinning V
+    to any active values leaves the solutions agreeing on y.  That is the
+    partition test of functional-dependency discovery (TANE): the rows take
+    as many distinct projections on V as on V and y together.  When y takes
+    at most one value over the rows, every set passes."""
+    overs = held["vy"]
+    if len(table.rows) < 2 or _classes(table, (y,)) == 1:
+        return set(overs)
+    return {over for over in overs if _classes(table, over) == _classes(table, (*over, y))}
 
 
 def _classes(table: SolutionTable, names: tuple[str, ...]) -> int:
@@ -73,114 +103,97 @@ def _classes(table: SolutionTable, names: tuple[str, ...]) -> int:
 
 
 def _is(kind: str) -> EdgeSide:
-    """The side that reads ``kind`` of the instantiation's variable and
-    values off the variable's answer row."""
-    return lambda t, a: answer_row(t, a[0])[kind, a[1:]]
+    """The side that holds where x's answer of ``kind`` does."""
+    return lambda t, x, h: h[kind]
 
 
-def _unique_solution(table: SolutionTable, _args: tuple) -> bool:
-    return len(table.rows) == 1
+def _others_inconsistent(table: SolutionTable, x: str, held: dict) -> set:
+    """The values whose every other value is inconsistent: every value when
+    none is consistent, the one consistent value when one is, else none."""
+    consistent = set(held["xa"]) - held["inconsistent"]
+    return consistent if len(consistent) == 1 else set() if consistent else set(held["xa"])
 
 
-def _all_variables_implied(table: SolutionTable, _args: tuple) -> bool:
+def _missing(held: dict) -> set:
+    """The pairs (a, b) where b is not substitutable for a."""
+    return set(held["xab"]) - held["substitutable"]
+
+
+def _all_variables_implied(table: SolutionTable) -> bool:
     return all(
         any(answer_row(table, x)["implied", (a,)] for a in table.values(x))
         for x in table.order
     )
 
 
+# The eleven relationship edges, in catalog order; edges are immutable, so
+# one tuple serves every caller.
+_CATALOG = (
+    RelationshipEdge("dependence-determinacy", "iff", "vy", _is("dependent"), _forced),
+    RelationshipEdge(
+        "irrelevance-fixability",
+        "iff",
+        "x",
+        _is("irrelevant"),
+        lambda t, x, h: {()} if h["fixable"].issuperset(h["xa"]) else set(),
+    ),
+    RelationshipEdge(
+        "determinacy-implication",
+        "implies",
+        "xa",
+        _is("implied"),
+        lambda t, x, h: set(h["xa"]) if h["determined"] else set(),
+    ),
+    RelationshipEdge(
+        "implication-fixability", "implies", "xa", _is("implied"), _is("fixable")
+    ),
+    RelationshipEdge(
+        "implication-inconsistency", "iff", "xa", _is("implied"), _others_inconsistent
+    ),
+    RelationshipEdge(
+        "fixability-substitutability",
+        "iff",
+        "xa",
+        _is("fixable"),
+        lambda t, x, h: set(h["xa"]) - {(b,) for _, b in _missing(h)},
+    ),
+    RelationshipEdge(
+        "inconsistency-substitutability",
+        "implies",
+        "xa",
+        _is("inconsistent"),
+        lambda t, x, h: set(h["xa"]) - {(a,) for a, _ in _missing(h)},
+    ),
+    RelationshipEdge(
+        "inconsistency-removability", "implies", "xa", _is("inconsistent"), _is("removable")
+    ),
+    RelationshipEdge(
+        "substitutability-removability",
+        "implies",
+        "xa",
+        lambda t, x, h: {(a,) for a, b in h["substitutable"] if a != b},
+        _is("removable"),
+    ),
+    RelationshipEdge(
+        "interchangeability-definition",
+        "iff",
+        "xab",
+        _is("interchangeable"),
+        lambda t, x, h: h["substitutable"] & {(b, a) for a, b in h["substitutable"]},
+    ),
+    RelationshipEdge(
+        "unique-solution",
+        "implies",
+        "none",
+        lambda t, x, h: {()} if len(t.rows) == 1 else set(),
+        lambda t, x, h: {()} if _all_variables_implied(t) else set(),
+    ),
+)
+
+
 def edge_catalog() -> tuple[RelationshipEdge, ...]:
     """The eleven relationship edges, in catalog order."""
-    return (
-        RelationshipEdge(
-            "dependence-determinacy",
-            "iff",
-            "vy",
-            lambda t, a: oracle._dependent(t, *a),
-            _forced,
-        ),
-        RelationshipEdge(
-            "irrelevance-fixability",
-            "iff",
-            "x",
-            _is("irrelevant"),
-            lambda t, a: all(answer_row(t, a[0])["fixable", (v,)] for v in t.values(a[0])),
-        ),
-        RelationshipEdge(
-            "determinacy-implication",
-            "implies",
-            "xa",
-            _is("implied"),
-            lambda t, a: answer_row(t, a[0])["determined", ()],
-        ),
-        RelationshipEdge(
-            "implication-fixability", "implies", "xa", _is("implied"), _is("fixable")
-        ),
-        RelationshipEdge(
-            "implication-inconsistency",
-            "iff",
-            "xa",
-            _is("implied"),
-            lambda t, a: all(
-                answer_row(t, a[0])["inconsistent", (b,)]
-                for b in t.values(a[0])
-                if b != a[1]
-            ),
-        ),
-        RelationshipEdge(
-            "fixability-substitutability",
-            "iff",
-            "xa",
-            _is("fixable"),
-            lambda t, a: all(
-                answer_row(t, a[0])["substitutable", (v, a[1])] for v in t.values(a[0])
-            ),
-        ),
-        RelationshipEdge(
-            "inconsistency-substitutability",
-            "implies",
-            "xa",
-            _is("inconsistent"),
-            lambda t, a: all(
-                answer_row(t, a[0])["substitutable", (a[1], b)] for b in t.values(a[0])
-            ),
-        ),
-        RelationshipEdge(
-            "inconsistency-removability",
-            "implies",
-            "xa",
-            _is("inconsistent"),
-            _is("removable"),
-        ),
-        RelationshipEdge(
-            "substitutability-removability",
-            "implies",
-            "xa",
-            lambda t, a: any(
-                answer_row(t, a[0])["substitutable", (a[1], b)]
-                for b in t.values(a[0])
-                if b != a[1]
-            ),
-            _is("removable"),
-        ),
-        RelationshipEdge(
-            "interchangeability-definition",
-            "iff",
-            "xab",
-            _is("interchangeable"),
-            lambda t, a: (
-                answer_row(t, a[0])["substitutable", a[1:]]
-                and answer_row(t, a[0])["substitutable", (a[2], a[1])]
-            ),
-        ),
-        RelationshipEdge(
-            "unique-solution",
-            "implies",
-            "none",
-            _unique_solution,
-            _all_variables_implied,
-        ),
-    )
+    return _CATALOG
 
 
 def find_edge(name: str, catalog: tuple[RelationshipEdge, ...] | None = None):
@@ -209,48 +222,32 @@ def reverse_edge(
     return tuple(flipped if e is target else e for e in catalog)
 
 
-def _instantiations(
-    edge: RelationshipEdge, table: SolutionTable, dep_max: int
-) -> Iterator[tuple]:
-    names = table.order
-    if edge.args == "none":
-        yield ()
-    elif edge.args == "x":
-        for x in names:
-            yield (x,)
-    elif edge.args == "xa":
-        for x in names:
-            for a in table.values(x):
-                yield (x, a)
-    elif edge.args == "xab":
-        for x in names:
-            active = table.values(x)
-            for a in active:
-                for b in active:
-                    yield (x, a, b)
-    else:  # "vy": conditioning sets up to dep_max, including the empty set
-        for y in names:
-            for over in oracle.conditioning_sets(names, y, 0, dep_max):
-                yield (over, y)
-
-
 def validate_hierarchy(
     table: SolutionTable,
     catalog: tuple[RelationshipEdge, ...] | None = None,
     dep_max: int = 2,
+    overs: dict[str, list[tuple]] | None = None,
 ) -> list[Violation]:
-    """Instantiate every edge over all admissible arguments on the table's
-    space and collect the failures; an empty list is the expected outcome.
-    ``catalog`` None means the full catalog; an empty one checks nothing."""
+    """Check every edge at all admissible instantiations on the table's
+    space, one set comparison per edge and variable, and collect the
+    failures in instantiation order; an empty list is the expected outcome.
+    ``catalog`` None means the full catalog; an empty one checks nothing.
+    ``overs`` maps each variable to its conditioning sets: by default every
+    set of up to ``dep_max`` other variables, the empty set included."""
+    if overs is None:
+        overs = {y: oracle.conditioning_sets(table.order, y, 0, dep_max) for y in table.order}
+    catalog = edge_catalog() if catalog is None else catalog
+    views = [(x, _held(table, x, overs[x])) for x in table.order] if catalog else []
     violations = []
-    for edge in edge_catalog() if catalog is None else catalog:
-        for args in _instantiations(edge, table, dep_max):
-            lhs = edge.lhs(table, args)
-            if edge.kind == "implies":
-                if lhs and not edge.rhs(table, args):
-                    violations.append(Violation(edge.name, edge.kind, args, lhs, False))
-            else:
-                rhs = edge.rhs(table, args)
-                if lhs != rhs:
-                    violations.append(Violation(edge.name, edge.kind, args, lhs, rhs))
+    for edge in catalog:
+        implies, lhs_of, rhs_of = edge.kind == "implies", edge.lhs, edge.rhs
+        for x, held in [(None, _NONE)] if edge.args == "none" else views:
+            lhs = lhs_of(table, x, held)
+            if implies and not lhs:
+                continue
+            rhs = rhs_of(table, x, held)
+            wrong = lhs - rhs if implies else lhs ^ rhs
+            for key in filter(wrong.__contains__, held[edge.args] if wrong else ()):
+                args = (key, x) if edge.args == "vy" else key if x is None else (x, *key)
+                violations.append(Violation(edge.name, edge.kind, args, key in lhs, key in rhs))
     return violations

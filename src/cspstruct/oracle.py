@@ -130,7 +130,9 @@ class SolutionTable:
     """The exhaustive enumeration of Sol(C) within a search space.
     ``answers`` maps a variable to its answer row once built (see
     ``answer_row``).  ``classes`` is the relationship catalog's: per set of
-    variables, the number of distinct projections of the rows on them."""
+    variables, the number of distinct projections of the rows on them.
+    ``members``, the rows as a set, is built on first use, by
+    ``_falsifying_rows``."""
 
     __slots__ = ("order", "index", "actives", "rows", "members", "answers", "classes")
 
@@ -144,7 +146,7 @@ class SolutionTable:
         self.index = {v: i for i, v in enumerate(order)}
         self.actives = actives
         self.rows = rows
-        self.members = frozenset(rows)
+        self.members: frozenset[Row] | None = None
         self.answers: dict[str, dict[tuple, bool]] = {}
         self.classes: dict[frozenset[str], int] = {}
 
@@ -228,6 +230,8 @@ def _falsifying_rows(tbl: SolutionTable, query: PropertyQuery) -> Iterator[Row]:
     i = tbl.index[query.variable]
     active = tbl.actives[i]
     rows = tbl.rows
+    if tbl.members is None:
+        tbl.members = frozenset(rows)
     members = tbl.members
 
     def solution_with(row: Row, value: str) -> bool:
@@ -283,26 +287,43 @@ def signature_row(active: tuple[str, ...], masks: set[int]) -> dict[tuple, bool]
     return row
 
 
-def answer_rows(tbl: SolutionTable, dep_max: int = 2) -> dict[str, dict[tuple, bool]]:
+def answer_rows(
+    tbl: SolutionTable, dep_max: int = 2, overs: dict[str, list[tuple]] | None = None
+) -> dict[str, dict[tuple, bool]]:
     """Every variable's answer row on the table: the signature answers,
     keyed (kind, values), and, keyed ("dependent", over), whether it
-    depends on each set ``over`` of up to ``dep_max`` other variables, the
-    empty set included.  Each dependence verdict is decided once, by a
-    pair scan unless y depends on a smaller set inside ``over``."""
+    depends on each set ``over`` of ``overs[y]`` (by default every set of
+    up to ``dep_max`` other variables, the empty set included), settled
+    once per target by ``settled_row``."""
     for y in tbl.order:
-        for over in conditioning_sets(tbl.order, y, 0, dep_max):
-            _dependent(tbl, over, y)
+        sets = conditioning_sets(tbl.order, y, 0, dep_max) if overs is None else overs[y]
+        settled_row(tbl, y, sets)
     return tbl.answers
+
+
+def settled_row(tbl: SolutionTable, y: str, overs: Sequence[tuple]) -> dict[tuple, bool]:
+    """y's answer row with dependence decided on every set of ``overs``.
+    When y has an implied value (the table has fewer than two rows, or y
+    takes one value over them) y depends on every set at once; otherwise
+    each set is decided once, by a pair scan unless y depends on a smaller
+    set inside it."""
+    row = answer_row(tbl, y)
+    keys = [("dependent", over) for over in overs]
+    if all(map(row.__contains__, keys)):
+        return row
+    if any(row["implied", (a,)] for a in tbl.values(y)):
+        row.update(dict.fromkeys(keys, True))
+        return row
+    for key, over in zip(keys, overs):
+        if key not in row:
+            row[key] = _inherits(row, over) or not _dependence_pair(tbl, over, y)
+    return row
 
 
 def _dependent(tbl: SolutionTable, over: tuple[str, ...], y: str) -> bool:
     """Whether y depends on ``over``, decided once and kept on y's answer
     row, which is built if the table has none."""
-    row = answer_row(tbl, y)
-    key = "dependent", over
-    if key not in row:
-        row[key] = _inherits(row, over) or not _dependence_pair(tbl, over, y)
-    return row[key]
+    return settled_row(tbl, y, (over,))["dependent", over]
 
 
 def _inherits(row: dict[tuple, bool], over: tuple[str, ...]) -> bool:
@@ -393,11 +414,12 @@ def _dependence_pair(
     tbl: SolutionTable, over: tuple[str, ...], y: str
 ) -> tuple[Row, ...]:
     """The first two solution rows that agree on ``over`` but not on y:
-    none, with no pair scan, when y takes at most one value over the rows
-    (as on every table of 0 or 1 rows)."""
+    none, with no pass, on a table of fewer than two rows.  A caller that
+    asks many sets settles first whether y takes one value over the rows
+    (``settled_row``, ``GroupTables.row``): then no set has a pair."""
     iy = tbl.index[y]
     rows = tbl.rows
-    if len(rows) < 2 or all(row[iy] == rows[0][iy] for row in rows):
+    if len(rows) < 2:
         return ()
     project = _projection(tuple(tbl.index[v] for v in over))
     seen: dict = {}

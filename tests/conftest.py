@@ -310,11 +310,11 @@ REFERENCE_EDGES = {
 }
 
 
-def reference_catalog(table, catalog, dep_max):
-    """``hierarchy.validate_hierarchy``'s violations, as described lines,
-    from ``REFERENCE_EDGES``: each side decided per instantiation through
-    ``oracle.evaluate`` and ``forced_by_product``, never read off a row.
-    A ``-reversed`` edge swaps its sides."""
+def reference_violations(table, catalog, dep_max):
+    """``hierarchy.validate_hierarchy``'s violations, found instantiation by
+    instantiation: each side of ``REFERENCE_EDGES`` decided through
+    ``oracle.evaluate`` and ``forced_by_product``, never read off an answer
+    row grouped by kind.  A ``-reversed`` edge swaps its sides."""
     names = table.order
     shapes = {
         "none": [()],
@@ -328,7 +328,7 @@ def reference_catalog(table, catalog, dep_max):
             for V in itertools.combinations([v for v in names if v != y], size)
         ],
     }
-    problems = []
+    violations = []
     for edge in hierarchy.edge_catalog() if catalog is None else catalog:
         base = edge.name.removesuffix("-reversed")
         kind, shape, lhs, rhs = REFERENCE_EDGES[base]
@@ -338,15 +338,14 @@ def reference_catalog(table, catalog, dep_max):
             left = lhs(table, *args)
             right = rhs(table, *args) if left or kind == "iff" else False
             if (left and not right) if kind == "implies" else left != right:
-                violation = hierarchy.Violation(edge.name, kind, args, left, right)
-                problems.append(violation.describe())
-    return problems
+                violations.append(hierarchy.Violation(edge.name, kind, args, left, right))
+    return violations
 
 
 def reference_check(instance, space, formula, group_size, dep_max, catalog):
     """The problems ``cli._check_instance`` reports, found query by query:
     each truth is ``oracle.evaluate`` on one table, each local verdict
-    ``local_check`` on its covering, the catalog is ``reference_catalog``
+    ``local_check`` on its covering, the catalog is ``reference_violations``
     on a table of its own, and the tractable route is asked per query.  A
     covering of no groups is not the global one."""
     local_kinds = tuple(k for k in oracle.KINDS if k != "removable")
@@ -354,7 +353,7 @@ def reference_check(instance, space, formula, group_size, dep_max, catalog):
     queries = oracle.all_queries(instance, space, local_kinds, dep_max)
     truths = [oracle.evaluate(table, query).holds for query in queries]
     fresh = oracle.solution_table(instance, space)
-    problems = reference_catalog(fresh, catalog, dep_max)
+    problems = [v.describe() for v in reference_violations(fresh, catalog, dep_max)]
     sizes = [group_size]
     if len(instance.constraints) > group_size:
         sizes.append(len(instance.constraints))

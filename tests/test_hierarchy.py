@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cspstruct import oracle
+from cspstruct import hierarchy, oracle
 from cspstruct.oracle import PropertyQuery, solution_table
 from cspstruct.hierarchy import (
     edge_catalog,
@@ -20,13 +20,23 @@ from cspstruct.instances import (
 )
 from cspstruct.model import Constraint, CspInstance, Relation, SearchSpace
 
-from conftest import forced_by_product
+from conftest import edge_instances, forced_by_product, reference_violations
+
+
+def holds_at(side, table, x, key):
+    """Whether an edge side holds at x's instantiation ``key`` (x None on a
+    "none" edge)."""
+    if x is None:
+        return key in side(table, x, hierarchy._NONE)
+    overs = oracle.conditioning_sets(table.order, x, 0, 2)
+    return key in side(table, x, hierarchy._held(table, x, overs))
 
 
 def forced_for_every_assignment(table, group, y):
     """The dependence edge's right-hand side, read off the table's counts
     of distinct projections, one per variable set."""
-    return find_edge("dependence-determinacy").rhs(table, (tuple(group), y))
+    group = tuple(group)
+    return group in find_edge("dependence-determinacy").rhs(table, y, {"vy": [group]})
 
 
 EDGE_NAMES = [
@@ -65,12 +75,12 @@ def test_backbone_validates_clean(backbone):
 def test_edge_instantiations_on_fixtures(coloring, backbone):
     table4 = solution_table(*backbone)
     edge5 = find_edge("implication-inconsistency")
-    assert edge5.lhs(table4, ("x", "true"))
-    assert edge5.rhs(table4, ("x", "true"))
+    assert holds_at(edge5.lhs, table4, "x", ("true",))
+    assert holds_at(edge5.rhs, table4, "x", ("true",))
     table2 = solution_table(*coloring)
     edge2 = find_edge("irrelevance-fixability")
-    assert edge2.lhs(table2, ("x1",))
-    assert edge2.rhs(table2, ("x1",))
+    assert holds_at(edge2.lhs, table2, "x1", ())
+    assert holds_at(edge2.rhs, table2, "x1", ())
 
 
 def test_reversed_edge_is_violated_on_coloring(coloring):
@@ -96,8 +106,8 @@ def test_unique_solution_edge_on_factoring():
     inst = gen_factoring(spec)
     table = solution_table(inst, factoring_space(spec))
     edge = find_edge("unique-solution")
-    assert edge.lhs(table, ())
-    assert edge.rhs(table, ())
+    assert holds_at(edge.lhs, table, None, ())
+    assert holds_at(edge.rhs, table, None, ())
 
 
 def test_forced_for_every_assignment_matches_naive_route(corpus):
@@ -171,10 +181,11 @@ def _determinacy_tables():
 
 def test_determinacy_is_one_pass_per_variable_set(monkeypatch):
     # On a table with answer rows, validating makes one pass per variable
-    # set: each conditioning set V of up to two variables, and each V with
-    # a target y (none on a table of fewer than two rows).  Every (V, y)
-    # reads its answer off those passes, and each answer is the product
-    # definition's.
+    # set: each target y alone, and, unless y takes one value over the rows
+    # (then every V forces y), each conditioning set V of up to two
+    # variables and each V with y.  None on a table of fewer than two rows.
+    # Every (V, y) reads its answer off those passes, and each answer is
+    # the product definition's.
     passes = []
     projection = oracle._projection
 
@@ -192,8 +203,10 @@ def test_determinacy_is_one_pass_per_variable_set(monkeypatch):
         assert validate_hierarchy(table) == []
         monkeypatch.setattr(oracle, "_projection", projection)
         asked = [(over, y) for y in names for over in oracle.conditioning_sets(names, y, 0, 2)]
-        counted_sets = {frozenset(over) for over, _ in asked}
-        counted_sets |= {frozenset((*over, y)) for over, y in asked}
+        varying = {y for y in names if len({row[table.index[y]] for row in table.rows}) > 1}
+        counted_sets = {frozenset((y,)) for y in names}
+        counted_sets |= {frozenset(over) for over, y in asked if y in varying}
+        counted_sets |= {frozenset((*over, y)) for over, y in asked if y in varying}
         if len(table.rows) < 2:
             counted_sets = set()
         assert len(passes) == len(table.classes) == len(counted_sets)
@@ -223,7 +236,7 @@ def test_fixability_edge_as_derived_detector(corpus):
         table = solution_table(inst, space)
         for x in inst.variables:
             for b in space.values(x):
-                derived = edge.rhs(table, (x, b))
+                derived = holds_at(edge.rhs, table, x, (b,))
                 assert derived == oracle.evaluate(table, PropertyQuery.fixable(x, b)).holds
 
 
@@ -267,3 +280,77 @@ def test_an_empty_catalog_checks_nothing(coloring):
         reverse_edge("implication-fixability", ())
     with pytest.raises(ValueError, match="no relationship edge"):
         find_edge("unique-solution", ())
+
+
+def _controls():
+    """The full catalog followed by every implication reversed, as one
+    catalog: its violations are each reversed catalog's, edge by edge."""
+    names = [e.name for e in edge_catalog() if e.kind == "implies"]
+    return edge_catalog() + tuple(reverse_edge(name)[EDGE_NAMES.index(name)] for name in names)
+
+
+@pytest.mark.parametrize("dep_max", [0, 1, 2])
+def test_validation_matches_the_reference_loop(corpus, dep_max):
+    # The per-variable set comparison against the per-instantiation loop:
+    # the same violations, in the same order, with the same sides, on the
+    # corpus's first 300 instances, on tables of 0, 1 and many rows, for
+    # the full catalog and every implication reversed.
+    catalog = _controls()
+    tables = [solution_table(inst, space) for inst, space in corpus[:300]]
+    tables += [*_determinacy_tables(), *(solution_table(*case) for case in edge_instances())]
+    found = 0
+    for table in tables:
+        want = reference_violations(table, catalog, dep_max)
+        assert validate_hierarchy(table, catalog, dep_max) == want
+        found += len(want)
+    sizes = {len(table.rows) for table in tables}
+    assert {0, 1} <= sizes and max(sizes) > 2
+    assert found > 1000
+    for name in [e.name for e in edge_catalog() if e.kind == "implies"]:
+        for table in tables[:40]:
+            reversed_catalog = reverse_edge(name)
+            assert validate_hierarchy(table, reversed_catalog, dep_max) == (
+                reference_violations(table, reversed_catalog, dep_max)
+            )
+
+
+def test_a_dropped_key_is_named_once(corpus, coloring, backbone):
+    # An edge whose right-hand side drops one key where both sides hold is
+    # violated at exactly that instantiation, once, with lhs true and rhs
+    # false: one value, one pair, one conditioning set, or the variable.  A
+    # biconditional whose left-hand side drops it is violated there with
+    # lhs false and rhs true.
+    tables = [solution_table(*coloring), solution_table(*backbone)]
+    tables += [solution_table(inst, space) for inst, space in corpus[:30]]
+    shapes = set()
+    for table in tables:
+        for edge in edge_catalog():
+            for x in (None,) if edge.args == "none" else table.order:
+                if x is None:
+                    held = hierarchy._NONE
+                else:
+                    held = hierarchy._held(table, x, oracle.conditioning_sets(table.order, x, 0, 2))
+                both = edge.lhs(table, x, held) & edge.rhs(table, x, held)
+                for key in held[edge.args]:
+                    if key not in both:
+                        continue
+
+                    def dropping(side, x=x, key=key):
+                        return lambda t, v, h: side(t, v, h) - {key} if v == x else side(t, v, h)
+
+                    args = (key, x) if edge.args == "vy" else key if x is None else (x, *key)
+                    broken = hierarchy.RelationshipEdge(
+                        edge.name, edge.kind, edge.args, edge.lhs, dropping(edge.rhs)
+                    )
+                    assert validate_hierarchy(table, (broken,)) == [
+                        hierarchy.Violation(edge.name, edge.kind, args, True, False)
+                    ]
+                    if edge.kind == "iff":
+                        broken = hierarchy.RelationshipEdge(
+                            edge.name, edge.kind, edge.args, dropping(edge.lhs), edge.rhs
+                        )
+                        assert validate_hierarchy(table, (broken,)) == [
+                            hierarchy.Violation(edge.name, edge.kind, args, False, True)
+                        ]
+                    shapes.add(edge.args)
+    assert shapes == {"none", "x", "xa", "xab", "vy"}

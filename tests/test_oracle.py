@@ -479,6 +479,38 @@ class TestDependenceOnOneTargetValue:
                         if constant:
                             assert expected == (True, ())
 
+    def test_answer_rows_settle_a_constant_target_at_once(self, monkeypatch):
+        # A target with one value over the rows (every target on a table of
+        # 0 or 1 rows) depends on every set with no pair scan; each entry,
+        # and each verdict and witness ``evaluate`` gives, is the
+        # reference's at every dep_max.
+        scanned = []
+        pair = oracle._dependence_pair
+
+        def recording_pair(tbl, over, y):
+            scanned.append(y)
+            return pair(tbl, over, y)
+
+        monkeypatch.setattr(oracle, "_dependence_pair", recording_pair)
+        for inst, space, _rows in self.cases():
+            space = space or SearchSpace.full(inst)
+            solutions = reference_solutions(inst, space)
+            for dep_max in range(3):
+                tbl = solution_table(inst, space)
+                constant = {
+                    y for y in inst.variables if len({row[tbl.index[y]] for row in tbl.rows}) <= 1
+                }
+                scanned.clear()
+                rows = oracle.answer_rows(tbl, dep_max)
+                assert constant and not constant & set(scanned)
+                for y, row in rows.items():
+                    for over in oracle.conditioning_sets(inst.variables, y, 0, dep_max):
+                        query = PropertyQuery.dependent(over, y)
+                        expected = reference_verdict(inst, space, solutions, query)
+                        assert row["dependent", over] == expected[0], query
+                        verdict = evaluate(tbl, query)
+                        assert (verdict.holds, verdict.counterexamples) == expected, query
+
 
 class TestVerdictMemo:
     """An ask on a table whose answer rows earlier asks built gets the
