@@ -84,11 +84,12 @@ def _forced(table: SolutionTable, y: str, held: dict) -> set:
     to any active values leaves the solutions agreeing on y.  That is the
     partition test of functional-dependency discovery (TANE): the rows take
     as many distinct projections on V as on V and y together.  When y takes
-    at most one value over the rows, every set passes."""
+    at most one value over the rows, every set passes; a set with fewer
+    projections than y has fewer than V and y together, and fails unread."""
     overs = held["vy"]
-    if len(table.rows) < 2 or _classes(table, (y,)) == 1:
+    if len(table.rows) < 2 or (least := _classes(table, (y,))) == 1:
         return set(overs)
-    return {over for over in overs if _classes(table, over) == _classes(table, (*over, y))}
+    return {o for o in overs if least <= _classes(table, o) == _classes(table, (*o, y))}
 
 
 def _classes(table: SolutionTable, names: tuple[str, ...]) -> int:

@@ -183,9 +183,10 @@ def test_determinacy_is_one_pass_per_variable_set(monkeypatch):
     # On a table with answer rows, validating makes one pass per variable
     # set: each target y alone, and, unless y takes one value over the rows
     # (then every V forces y), each conditioning set V of up to two
-    # variables and each V with y.  None on a table of fewer than two rows.
-    # Every (V, y) reads its answer off those passes, and each answer is
-    # the product definition's.
+    # variables, and V with y where V takes as many projections as y (else
+    # V cannot force y).  None on a table of fewer than two rows.  Every
+    # (V, y) reads its answer off those passes, and each answer is the
+    # product definition's.
     passes = []
     projection = oracle._projection
 
@@ -203,10 +204,13 @@ def test_determinacy_is_one_pass_per_variable_set(monkeypatch):
         assert validate_hierarchy(table) == []
         monkeypatch.setattr(oracle, "_projection", projection)
         asked = [(over, y) for y in names for over in oracle.conditioning_sets(names, y, 0, 2)]
-        varying = {y for y in names if len({row[table.index[y]] for row in table.rows}) > 1}
+        def count(names):
+            return len({tuple(row[table.index[v]] for v in names) for row in table.rows})
+
+        varying = [(over, y) for over, y in asked if count((y,)) > 1]
         counted_sets = {frozenset((y,)) for y in names}
-        counted_sets |= {frozenset(over) for over, y in asked if y in varying}
-        counted_sets |= {frozenset((*over, y)) for over, y in asked if y in varying}
+        counted_sets |= {frozenset(over) for over, _ in varying}
+        counted_sets |= {frozenset((*o, y)) for o, y in varying if count(o) >= count((y,))}
         if len(table.rows) < 2:
             counted_sets = set()
         assert len(passes) == len(table.classes) == len(counted_sets)
