@@ -106,10 +106,10 @@ def _load(path: str) -> tuple[CspInstance, SearchSpace, BooleanFormula | None, s
     return instance, SearchSpace.full(instance), formula, text
 
 
-def _guard_space(space: SearchSpace, cap: int) -> None:
-    if space.size() > cap:
+def _guard_space(size: int, cap: int) -> None:
+    if size > cap:
         raise _UsageError(
-            f"search space holds {space.size()} tuples, above the cap of {cap}; "
+            f"search space holds {size} tuples, above the cap of {cap}; "
             "exhaustive analysis refused (raise --max-space to override)"
         )
 
@@ -171,7 +171,7 @@ def _cmd_analyze(args) -> int:
     # are built here too, not by whichever query asks first.
     for method in methods:
         if method == "oracle":
-            _guard_space(space, args.max_space)
+            _guard_space(space.size(), args.max_space)
             table = oracle.solution_table(instance, space)
             for x in table.order:
                 oracle.answer_row(table, x)
@@ -223,7 +223,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_simplify(args) -> int:
     instance, space, formula, _text = _load(args.file)
     if args.mode == "test":
-        _guard_space(space, args.max_space)
+        _guard_space(space.size(), args.max_space)
     elif args.group_size > 1:
         _guard_groups(instance, space, args.group_size, args.max_space)
     result = simplify.simplify_fixpoint(
@@ -251,7 +251,7 @@ def _check_instance(instance, space, formula, group_size, dep_max, catalog):
     names = instance.variables
     overs = {x: oracle.conditioning_sets(names, x, 0, dep_max) for x in names}
     table = oracle.solution_table(instance, space)
-    truths = oracle.answer_rows(table, dep_max, overs)
+    truths = {x: oracle.answer_row(table, x, overs[x]) for x in names}
     catalog_found = hierarchy.validate_hierarchy(table, catalog, dep_max, overs)
     problems = [violation.describe() for violation in catalog_found]
     # Each route gives one row per variable: (rows, kinds, sound, exact).  A
@@ -311,7 +311,7 @@ def _check_instance(instance, space, formula, group_size, dep_max, catalog):
     return problems
 
 
-def _parse_corpus_spec(spec: str):
+def _parse_corpus_spec(spec: str, cap: int):
     settings = {
         "vars": 5,
         "dom": 3,
@@ -346,6 +346,8 @@ def _parse_corpus_spec(spec: str):
         )
     except ValueError as exc:
         raise _UsageError(f"bad corpus spec {spec!r}: {exc}")
+    # Every instance has the full space: refuse it before generating any.
+    _guard_space(template.domain_size**template.variable_count, cap)
     return (
         gen_random(dataclasses.replace(template, seed=seed))
         for seed in range(first, last + 1)
@@ -361,15 +363,15 @@ def _cmd_check(args) -> int:
             raise _UsageError(str(exc))
     problems = []
     if args.corpus:
-        for number, (instance, space) in enumerate(_parse_corpus_spec(args.corpus), 1):
-            _guard_space(space, args.max_space)
+        corpus = _parse_corpus_spec(args.corpus, args.max_space)
+        for number, (instance, space) in enumerate(corpus, 1):
             found = _check_instance(
                 instance, space, None, args.group_size, args.dep_max, catalog
             )
             problems.extend(f"seed {number}: {p}" for p in found)
     elif args.file:
         instance, space, formula, _text = _load(args.file)
-        _guard_space(space, args.max_space)
+        _guard_space(space.size(), args.max_space)
         problems = _check_instance(
             instance, space, formula, args.group_size, args.dep_max, catalog
         )

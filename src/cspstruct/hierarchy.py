@@ -3,7 +3,8 @@
 Each edge states an implication or a biconditional between property
 formulas, evaluated through the exhaustive oracle on one solution table.
 An edge is checked per variable x, not per instantiation: each side is a
-set expression over x's answer row (``oracle.settled_row``), which is read
+set expression over x's answer row with dependence decided on x's
+conditioning sets (``oracle.answer_row(table, x, overs)``), which is read
 once per variable and grouped by kind (``_held``), and gives the keys of
 x's instantiations where the side holds: (a,) on an "xa" edge, (a, b) on
 "xab", () on "x" and "none" (x None), the conditioning set on "vy".  An
@@ -62,10 +63,10 @@ class Violation:
 
 
 def _held(table: SolutionTable, x: str, overs: list[tuple]) -> dict:
-    """x's answer row, dependence settled on ``overs``, grouped by kind: per
+    """x's answer row, dependence decided on ``overs``, grouped by kind: per
     kind, the set of keys where x's answer holds; per argument shape, every
     key of x's instantiations, in instantiation order."""
-    row = oracle.settled_row(table, x, overs)
+    row = answer_row(table, x, overs)
     held = {kind: set() for kind in oracle.KINDS}
     for kind, key in compress(row, row.values()):
         held[kind].add(key)

@@ -17,15 +17,18 @@ with ``group_tables`` and passes it to every query on that space.  The
 simplifier turns its tables into those of a space that narrows one
 variable with ``GroupTables.narrow``: only the groups that hold the
 variable change, each keeping the rows of its table that take an active
-value there, in order.  A group verdict is read off the variable's answer
-row on the group's table (``oracle.answer_row``); dependence is decided
-once per group on the conditioning variables in the group's scope, and
-kept on that row.  A variable outside that union is free in the group's
-subproblem, so a query on it follows from its active values alone, and
-only the groups that hold the queried variable are decided.
-``local_check`` answers one query with its per-group verdicts;
-``GroupTables.row`` answers every question on one variable at once, from
-its signatures on the groups that hold it.
+value there, in order.  A variable outside that union is free in the
+group's subproblem, so a query on it follows from its active values
+alone, and only the groups that hold the queried variable are decided.
+``local_check`` answers one query with its per-group verdicts, each read
+off the variable's answer row on the group's table
+(``oracle.answer_row(tbl, x, overs)``), dependence on the conditioning
+variables in the group's scope.  ``GroupTables.row`` answers every
+question on one variable at once, from its signatures on the groups that
+hold it, and scans each group for dependence itself: ``check`` asks only
+for these rows, so routing the scans through ``oracle.answer_row`` would
+build a group answer row that nothing reads for every group and variable
+whose row is not implied (692 in a seed-1 pass of perfbench's corpus).
 
 Removability is the one value property this approach cannot support:
 per-constraint removability does not imply global removability, and acting
@@ -174,7 +177,7 @@ class GroupTables:
         answers = self.rows.get(x)
         if answers is None:
             # x free in some group, with one active value, is determined
-            # there (see ``_combine``).
+            # there (see ``local_check``).
             given = len(holding) < len(tables) and len(active) == 1
             signatures = [oracle._signature(tables[g], x) for g in holding]
             answers = oracle._answers(active, signatures, self.some_empty, given)
@@ -237,46 +240,35 @@ def _relation_rows(
 def local_check(groups: GroupTables, query: PropertyQuery) -> LocalVerdict:
     """Combine exact per-subset verdicts into an established/unknown answer.
 
-    Only the groups whose scope holds the queried variable are decided; in
-    every other group that variable is free, so the verdict follows from
-    its active values and the group's emptiness alone."""
-    if query.kind == "removable":
+    Only the groups whose scope holds the queried variable are decided, each
+    off its answer row on the group's table, dependence on the variables of
+    ``over`` in the group's scope; in every other group that variable is
+    free, so the verdict follows from its active values and the group's
+    emptiness alone."""
+    kind, x = query.kind, query.variable
+    if kind == "removable":
         raise UnsoundLocalCheckError(
             "local reasoning cannot establish removability: a value can be "
             "removable in every constraint taken alone yet required globally, "
             "and removing it may make a satisfiable instance unsatisfiable"
         )
-    if query.kind not in _KINDS:
-        raise ValueError(f"unsupported property kind {query.kind!r}")
-    return _combine(groups, query)
-
-
-def _combine(groups: GroupTables, query: PropertyQuery) -> LocalVerdict:
-    tables, empty, holding = groups.tables, groups.empty, groups.holding
-    kind = query.kind
-    x = query.variable
+    if kind not in _KINDS:
+        raise ValueError(f"unsupported property kind {kind!r}")
     # The space covers the instance, so it knows exactly its variables.
     active = oracle._validate(groups.space, query)
     # In a group that leaves x free, the AND kinds hold, inconsistency
     # fails, and the other OR kinds hold iff x has one active value (or the
     # group is empty, which makes every OR kind hold).
     free = kind in AND_KINDS or (kind != "inconsistent" and len(active) == 1)
-    results = [True] * len(tables) if free else list(empty)
-    for g in holding.get(x, ()):
-        results[g] = _holds(tables[g], query)
+    results = [True] * len(groups.tables) if free else list(groups.empty)
+    for g in groups.holding.get(x, ()):
+        tbl = groups.tables[g]
+        over = tuple(filter(tbl.index.__contains__, query.over))
+        row = oracle.answer_row(tbl, x, (over,) if kind == "dependent" else ())
+        results[g] = row[kind, query.values or over]
     per_group = tuple(results)
     established = all(per_group) if kind in AND_KINDS else any(per_group)
     return LocalVerdict(query, established, per_group)
-
-
-def _holds(tbl: oracle.SolutionTable, query: PropertyQuery) -> bool:
-    """Decide the query exactly on the solutions of a group whose scope
-    holds the queried variable: dependence on the variables of ``over`` in
-    the group's scope."""
-    if query.kind == "dependent":
-        over = tuple(filter(tbl.index.__contains__, query.over))
-        return oracle._dependent(tbl, over, query.variable)
-    return oracle.answer_row(tbl, query.variable)[query.kind, query.values]
 
 
 def pure_value(negative: int, positive: int) -> bool | None:

@@ -12,13 +12,16 @@ A caller builds one ``SolutionTable`` per (instance, space) with
 Every property but dependence compares the cofactors of one variable x
 (the solutions with x fixed to a, to b, ...), so it is a relation on x's
 mask signature: the set of distinct masks of x's values that the solution
-rows take once x is left out.  x's answer row (``answer_row``), read off
-the signature in one pass and kept on the table, maps (kind, values) to
+rows take once x is left out.  x's answer row, ``answer_row(tbl, x,
+overs)`` with the arguments of ``GroupTables.row``, is read off the
+signature in one pass and kept on the table.  It maps (kind, values) to
 every value and variable answer on x, and ("dependent", over) to
-dependence on ``over`` once decided.  ``evaluate`` reads a verdict off
-the row and scans the rows only for a false verdict's counterexample;
-``_falsifying_rows`` alone answers a caller that asks a few questions of
-a table it narrows at every step (the test-mode simplifier).
+dependence on each set of ``overs``, decided once: on every set at once
+when x has an implied value, else by one pair scan per set.
+``evaluate`` reads a verdict off the row and scans the rows only for a
+false verdict's counterexample; ``_falsifying_rows`` alone answers a
+caller that asks a few questions of a table it narrows at every step
+(the test-mode simplifier).
 Value quantifiers ("some other value b", "every value a") range over the
 variable's active values.
 """
@@ -267,13 +270,22 @@ def _falsifying_rows(tbl: SolutionTable, query: PropertyQuery) -> Iterator[Row]:
     return (row for row in rows if row[i] != a)  # implied
 
 
-def answer_row(tbl: SolutionTable, x: str) -> dict[tuple, bool]:
-    """x's answer row on the table, built from its signature unless the
-    table has one."""
+def answer_row(
+    tbl: SolutionTable, x: str, overs: Sequence[tuple[str, ...]] = ()
+) -> dict[tuple, bool]:
+    """x's answer row: its signature answers, built once and kept on the
+    table, and ("dependent", over) for each set of ``overs``, decided once:
+    true on every set when x has an implied value (the table has fewer than
+    two rows, or x takes one value over them), else by one pair scan."""
+    active = tbl.actives[tbl.index[x]]
     row = tbl.answers.get(x)
     if row is None:
-        active = tbl.actives[tbl.index[x]]
         row = tbl.answers[x] = signature_row(active, _signature(tbl, x))
+    todo = [over for over in overs if ("dependent", over) not in row]
+    if todo:
+        implied = any(row["implied", (a,)] for a in active)
+        for over in todo:
+            row["dependent", over] = implied or not _dependence_pair(tbl, over, x)
     return row
 
 
@@ -285,54 +297,6 @@ def signature_row(active: tuple[str, ...], masks: set[int]) -> dict[tuple, bool]
     for k, a in enumerate(active):
         row["removable", (a,)] = 1 << k not in masks
     return row
-
-
-def answer_rows(
-    tbl: SolutionTable, dep_max: int = 2, overs: dict[str, list[tuple]] | None = None
-) -> dict[str, dict[tuple, bool]]:
-    """Every variable's answer row on the table: the signature answers,
-    keyed (kind, values), and, keyed ("dependent", over), whether it
-    depends on each set ``over`` of ``overs[y]`` (by default every set of
-    up to ``dep_max`` other variables, the empty set included), settled
-    once per target by ``settled_row``."""
-    for y in tbl.order:
-        sets = conditioning_sets(tbl.order, y, 0, dep_max) if overs is None else overs[y]
-        settled_row(tbl, y, sets)
-    return tbl.answers
-
-
-def settled_row(tbl: SolutionTable, y: str, overs: Sequence[tuple]) -> dict[tuple, bool]:
-    """y's answer row with dependence decided on every set of ``overs``.
-    When y has an implied value (the table has fewer than two rows, or y
-    takes one value over them) y depends on every set at once; otherwise
-    each set is decided once, by a pair scan unless y depends on a smaller
-    set inside it."""
-    row = answer_row(tbl, y)
-    keys = [("dependent", over) for over in overs]
-    if all(map(row.__contains__, keys)):
-        return row
-    if any(row["implied", (a,)] for a in tbl.values(y)):
-        row.update(dict.fromkeys(keys, True))
-        return row
-    for key, over in zip(keys, overs):
-        if key not in row:
-            row[key] = _inherits(row, over) or not _dependence_pair(tbl, over, y)
-    return row
-
-
-def _dependent(tbl: SolutionTable, over: tuple[str, ...], y: str) -> bool:
-    """Whether y depends on ``over``, decided once and kept on y's answer
-    row, which is built if the table has none."""
-    return settled_row(tbl, y, (over,))["dependent", over]
-
-
-def _inherits(row: dict[tuple, bool], over: tuple[str, ...]) -> bool:
-    """Whether the row has y depend on ``over`` less one variable, and so
-    on ``over``."""
-    for k in range(len(over)):
-        if row.get(("dependent", over[:k] + over[k + 1 :])):
-            return True
-    return False
 
 
 def _signature(tbl: SolutionTable, x: str) -> set[int]:
@@ -413,10 +377,11 @@ def _answers(
 def _dependence_pair(
     tbl: SolutionTable, over: tuple[str, ...], y: str
 ) -> tuple[Row, ...]:
-    """The first two solution rows that agree on ``over`` but not on y:
-    none, with no pass, on a table of fewer than two rows.  A caller that
-    asks many sets settles first whether y takes one value over the rows
-    (``settled_row``, ``GroupTables.row``): then no set has a pair."""
+    """The first two solution rows that agree on ``over`` but not on y: none
+    when y is a function of ``over`` on the rows (the dependency that TANE's
+    partition test encodes), and no pass on a table of fewer than two rows.
+    A caller that asks many sets settles first whether y takes one value
+    over the rows (``answer_row``, ``GroupTables.row``), and then scans none."""
     iy = tbl.index[y]
     rows = tbl.rows
     if len(rows) < 2:

@@ -226,6 +226,17 @@ def forced_by_product(tbl, group, y):
     return True
 
 
+def oracle_rows(table, dep_max=2):
+    """Every variable's oracle answer row on the table, dependence decided
+    on every set of up to ``dep_max`` other variables, the empty set
+    included: the truths ``check`` compares every route with."""
+    names = table.order
+    return {
+        x: oracle.answer_row(table, x, oracle.conditioning_sets(names, x, 0, dep_max))
+        for x in names
+    }
+
+
 def _holds(table, kind, x, values=(), over=()):
     return oracle.evaluate(table, PropertyQuery(kind, x, values, over)).holds
 

@@ -22,6 +22,7 @@ from conftest import (
     data_path,
     edge_instances,
     instances_with_spaces,
+    oracle_rows,
     reference_check,
     reference_simplify,
     reference_solutions,
@@ -221,7 +222,7 @@ class TestCheckMatchesReference:
         # names what it gets wrong query by query.  The flipped kinds are
         # ones the simplifier does not read.
         inst, space = triple_tables
-        truths = oracle.answer_rows(oracle.solution_table(inst, space), 2)
+        truths = oracle_rows(oracle.solution_table(inst, space), 2)
         queries = [
             q
             for q in oracle.all_queries(inst, space, cli.LOCAL_KINDS, 2)
@@ -276,7 +277,7 @@ class TestCheckMatchesReference:
         formula = next(f for f in boolean_corpora["horn"] if 3 <= len(f.variables) <= 6)
         inst = boolean.to_extensional(formula)
         space = SearchSpace.full(inst)
-        truths = oracle.answer_rows(oracle.solution_table(inst, space), 1)
+        truths = oracle_rows(oracle.solution_table(inst, space), 1)
         queries = oracle.all_queries(inst, space, cli.TRACTABLE_KINDS, 1)
         false = [q for q in queries if not truths[q.variable][q.kind, q.values]]
         true = [q for q in queries if truths[q.variable][q.kind, q.values]]
@@ -596,11 +597,27 @@ class TestCheck:
         assert code == 2
         assert "cap" in err
 
+    def test_oversized_corpus_is_refused_before_generating(self, capsys, monkeypatch):
+        # Every corpus instance has the full space, dom ** vars tuples, so
+        # the cap refuses the spec before a relation of 3 ** 17 rows is
+        # enumerated.
+        def refuse(spec):
+            raise AssertionError("generated a corpus instance")
+
+        monkeypatch.setattr(cli, "gen_random", refuse)
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys, "check", "--corpus", "vars=17,arity=17,cons=6,seeds=1..1"
+        )
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (2, "")
+        assert "search space holds 129140163 tuples, above the cap of 10000000; " in err
+
     def test_default_corpus_spec_matches_standard_corpus(self):
         from cspstruct.cli import _parse_corpus_spec
         from cspstruct.instances import standard_corpus
 
-        first_default = next(iter(_parse_corpus_spec("default")))
+        first_default = next(iter(_parse_corpus_spec("default", cli.DEFAULT_MAX_SPACE)))
         assert first_default == next(iter(standard_corpus()))
 
     def test_malformed_file_exits_2(self, capsys, tmp_path):

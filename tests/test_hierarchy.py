@@ -20,7 +20,7 @@ from cspstruct.instances import (
 )
 from cspstruct.model import Constraint, CspInstance, Relation, SearchSpace
 
-from conftest import edge_instances, forced_by_product, reference_violations
+from conftest import edge_instances, forced_by_product, oracle_rows, reference_violations
 
 
 def holds_at(side, table, x, key):
@@ -198,7 +198,7 @@ def test_determinacy_is_one_pass_per_variable_set(monkeypatch):
     for table in _determinacy_tables():
         sizes.add(len(table.rows))
         names = table.order
-        oracle.answer_rows(table, 2)
+        oracle_rows(table, 2)
         passes.clear()
         monkeypatch.setattr(oracle, "_projection", counted)
         assert validate_hierarchy(table) == []
@@ -262,7 +262,7 @@ def test_warm_validation_builds_no_query_object_and_reuses_every_table(
     assert cold[0]
     tables = [solution_table(inst, space) for space in spaces]
     rows = [
-        {x: dict(row) for x, row in oracle.answer_rows(table).items()} for table in tables
+        {x: dict(row) for x, row in oracle_rows(table).items()} for table in tables
     ]
 
     def refuse(cls, *fields):

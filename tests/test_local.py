@@ -211,7 +211,7 @@ class TestLocality:
                 for v in inst.variables[1:]:
                     if len(current.values(v)) == 1:
                         continue
-                    local._combine(tables, query)
+                    local_check(tables, query)
                     before = list(tables.tables)
                     rows = [dict(tbl.answers) for tbl in before]
                     current = current.assign(v, current.values(v)[0])
@@ -226,7 +226,7 @@ class TestLocality:
                         else:
                             assert new is old and new.answers == built, (group_size, v)
                     expected = ask(inst, current, covering, query)
-                    assert local._combine(tables, query) == expected
+                    assert local_check(tables, query) == expected
         assert narrowed_groups > 0
 
 
@@ -325,12 +325,12 @@ class TestGroupVerdictMemo:
                 groups.narrow(narrowed, pinned)
                 for query in _corpus_queries(inst, narrowed):
                     scanned.clear()
-                    local._combine(groups, query)
+                    local_check(groups, query)
                     assert all(
                         query.variable in tbl.index and pinned in tbl.index for tbl in scanned
                     ), (covering, query.describe())
                     scanned.clear()
-                    local._combine(groups, query)
+                    local_check(groups, query)
                     assert scanned == [], query.describe()
 
 
@@ -597,7 +597,7 @@ class TestDerivedTables:
             rows = {}
             for query in _group_queries(inst, space):
                 expected = local_check(cold, query)
-                assert local._combine(tables, query) == expected
+                assert local_check(tables, query) == expected
                 x = query.variable
                 if x not in rows:
                     rows[x] = tables.row(x, oracle.conditioning_sets(inst.variables, x, 1, 2))

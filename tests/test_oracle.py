@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cspstruct import oracle
+from cspstruct import oracle, standard_corpus
 from cspstruct.boolean import to_extensional
 from cspstruct.model import (
     Constraint,
@@ -27,6 +27,7 @@ from conftest import (
     edge_instances,
     instances_with_spaces,
     is_solution,
+    oracle_rows,
     reference_solutions,
     reference_verdict,
     table_solutions,
@@ -501,7 +502,7 @@ class TestDependenceOnOneTargetValue:
                     y for y in inst.variables if len({row[tbl.index[y]] for row in tbl.rows}) <= 1
                 }
                 scanned.clear()
-                rows = oracle.answer_rows(tbl, dep_max)
+                rows = oracle_rows(tbl, dep_max)
                 assert constant and not constant & set(scanned)
                 for y, row in rows.items():
                     for over in oracle.conditioning_sets(inst.variables, y, 0, dep_max):
@@ -669,7 +670,7 @@ class TestAskPath:
                         evaluate(table, query())
             # Build the rows of both valid spaces, then ask again.
             for table in (tbl, narrow_tbl):
-                oracle.answer_rows(table, dep_max=2)
+                oracle_rows(table, dep_max=2)
             assert set(narrow_tbl.answers) == set(inst.variables)
 
     def test_table_values_match_the_space(self, coloring):
@@ -698,7 +699,7 @@ def assert_rows_match_reference(inst, space, dep_max):
     interchangeability over every ordered pair, a == b included) and
     dependence on every set of up to ``dep_max`` other variables."""
     solutions = reference_solutions(inst, space)
-    rows = oracle.answer_rows(solution_table(inst, space), dep_max)
+    rows = oracle_rows(solution_table(inst, space), dep_max)
     assert list(rows) == list(inst.variables)
     for x, row in rows.items():
         active = space.values(x)
@@ -737,10 +738,63 @@ class TestAnswerRows:
     def test_a_row_is_built_once(self, coloring):
         inst, space = coloring
         tbl = solution_table(inst, space)
-        rows = oracle.answer_rows(tbl, 1)
-        built = {x: row for x, row in rows.items()}
-        assert oracle.answer_rows(tbl, 2) is rows
-        assert all(rows[x] is built[x] for x in inst.variables)
+        rows = oracle_rows(tbl, 1)
+        again = oracle_rows(tbl, 2)
+        assert all(again[x] is rows[x] is tbl.answers[x] for x in inst.variables)
+        assert list(tbl.answers) == list(inst.variables)
+
+
+class TestAnswerRowDependence:
+    """``answer_row(tbl, x, overs)`` decides dependence by one rule: every
+    set at once when x has an implied value, else one pair scan per set
+    not yet on the row."""
+
+    def test_each_set_is_scanned_once(self, monkeypatch):
+        scanned = []
+        pair = oracle._dependence_pair
+
+        def recording_pair(tbl, over, y):
+            scanned.append((over, y))
+            return pair(tbl, over, y)
+
+        monkeypatch.setattr(oracle, "_dependence_pair", recording_pair)
+        same = Constraint("same", ("a", "x"), Relation.of(2, [("0", "0"), ("1", "1")]))
+        inst = CspInstance(("a", "b", "x"), ("0", "1"), (same,))
+        full = SearchSpace.full(inst)
+        tbl = solution_table(inst, full)
+        overs = [(), ("a",), ("b",), ("a", "b")]
+        row = oracle.answer_row(tbl, "x", overs)
+        # ("a", "b") holds ("a",), which x depends on, and gets its own scan.
+        assert scanned == [(over, "x") for over in overs]
+        assert [row["dependent", over] for over in overs] == [False, True, False, True]
+        scanned.clear()
+        assert oracle.answer_row(tbl, "x", overs) is row
+        assert oracle.answer_row(tbl, "x", overs[1:3]) is row
+        assert scanned == []
+        # A constant target, and every target on a table of 1 or 0 rows.
+        cases = [
+            (solution_table(inst, full.assign("x", "0")), 2, ("x",)),
+            (solution_table(inst, full.assign("x", "0").assign("b", "1")), 1, inst.variables),
+            (solution_table(unsat_instance(), SearchSpace.full(unsat_instance())), 0, ("a", "b")),
+        ]
+        for table, size, targets in cases:
+            assert len(table.rows) == size
+            for y in targets:
+                sets = oracle.conditioning_sets(table.order, y, 0, 2)
+                row = oracle.answer_row(table, y, sets)
+                assert all(row["dependent", over] for over in sets)
+        assert scanned == []
+
+    @pytest.mark.parametrize("dep_max", [0, 1, 2])
+    def test_every_entry_matches_the_reference_on_the_corpus(self, dep_max):
+        cases = [*standard_corpus(range(1, 301)), *edge_instances()]
+        for inst, space in cases:
+            solutions = reference_solutions(inst, space)
+            for y, row in oracle_rows(solution_table(inst, space), dep_max).items():
+                for over in oracle.conditioning_sets(inst.variables, y, 0, dep_max):
+                    query = PropertyQuery.dependent(over, y)
+                    expected = reference_verdict(inst, space, solutions, query)[0]
+                    assert row["dependent", over] == expected, query.describe()
 
 
 class TestAllQueries:
