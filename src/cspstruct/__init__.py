@@ -58,7 +58,6 @@ from .local import (
     local_check,
 )
 from .model import (
-    AssignmentTuple,
     Constraint,
     CspInstance,
     Relation,

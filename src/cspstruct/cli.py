@@ -145,7 +145,10 @@ def _findings(queries, decide, method, render) -> list[report.Finding]:
 def _oracle_rendering(verdict):
     evidence = None
     if not verdict.holds and verdict.counterexamples:
-        evidence = "counterexample " + ", ".join(map(repr, verdict.counterexamples))
+        evidence = "counterexample " + ", ".join(
+            "{" + ", ".join(f"{v}={a}" for v, a in solution.items()) + "}"
+            for solution in verdict.counterexamples
+        )
     return "TRUE" if verdict.holds else "FALSE", evidence
 
 
@@ -161,8 +164,13 @@ def _cmd_analyze(args) -> int:
         if args.method == "tractable":
             raise _UsageError("tractable analysis needs a boolean (DIMACS/XNF) input")
         methods.remove("tractable")
-    if "tractable" in methods and args.method == "all":
-        if classify_schaefer(formula).primary is SchaeferClass.UNRESTRICTED:
+    if "tractable" in methods:
+        cls = classify_schaefer(formula).primary
+        if cls is SchaeferClass.UNRESTRICTED:
+            if args.method == "tractable":
+                raise _UsageError(
+                    "formula is in no tractable class; tractable analysis refused"
+                )
             methods.remove("tractable")
     findings: list[report.Finding] = []
     # Each method builds what answers its queries once, before the first
@@ -196,11 +204,6 @@ def _cmd_analyze(args) -> int:
                 _local_rendering,
             )
         else:
-            cls = classify_schaefer(formula).primary
-            if cls is SchaeferClass.UNRESTRICTED:
-                raise _UsageError(
-                    "formula is in no tractable class; tractable analysis refused"
-                )
             compiled = boolean.CompiledFormula(formula, cls)
             for x in formula.variables:
                 compiled.row(x)

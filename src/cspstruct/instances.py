@@ -26,7 +26,7 @@ import itertools
 import logging
 import random
 import re
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
 from .boolean import (
@@ -36,7 +36,7 @@ from .boolean import (
     Literal,
     clause_of,
 )
-from .model import AssignmentTuple, Constraint, CspInstance, Relation, SearchSpace
+from .model import Constraint, CspInstance, Relation, SearchSpace
 
 logger = logging.getLogger(__name__)
 
@@ -653,7 +653,7 @@ def factoring_space(
     return SearchSpace.over(instance, active)
 
 
-def decode_factors(spec: FactoringSpec, assignment: AssignmentTuple) -> tuple[int, int]:
+def decode_factors(spec: FactoringSpec, assignment: Mapping[str, str]) -> tuple[int, int]:
     """Read the two factors out of a solution."""
     n = spec.digit_count
     b = spec.base

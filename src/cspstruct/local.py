@@ -74,7 +74,6 @@ class Covering:
 class LocalVerdict(NamedTuple):
     # A named tuple, not a dataclass: one is built per query, and a tuple
     # is built several times faster.
-    query: PropertyQuery
     established: bool
     per_group: tuple[bool, ...]
 
@@ -268,7 +267,7 @@ def local_check(groups: GroupTables, query: PropertyQuery) -> LocalVerdict:
         results[g] = row[kind, query.values or over]
     per_group = tuple(results)
     established = all(per_group) if kind in AND_KINDS else any(per_group)
-    return LocalVerdict(query, established, per_group)
+    return LocalVerdict(established, per_group)
 
 
 def pure_value(negative: int, positive: int) -> bool | None:

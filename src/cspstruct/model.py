@@ -7,62 +7,20 @@ of the domain (its "active" values); the full space keeps every domain
 value active for every variable.
 
 Everything here is an immutable value and every operation is a pure
-function, so instances, spaces and assignment tuples can be shared freely
-between threads.  Iteration always follows declaration order (variables
-as declared, values in domain order), which keeps enumeration,
-counterexamples and emitted files reproducible from run to run.
+function, so instances and spaces can be shared freely between threads.
+Iteration always follows declaration order (variables as declared, values
+in domain order), which keeps enumeration, counterexamples and emitted
+files reproducible from run to run.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
 Row = tuple[str, ...]
-
-
-class AssignmentTuple(Mapping[str, str]):
-    """A total assignment of domain values to a fixed set of variables.
-
-    Behaves as an immutable mapping.
-    """
-
-    __slots__ = ("_bindings", "_hash")
-
-    def __init__(self, bindings: Mapping[str, str] | Iterable[tuple[str, str]]):
-        self._bindings = dict(bindings)
-        self._hash: int | None = None
-
-    def __getitem__(self, variable: str) -> str:
-        return self._bindings[variable]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._bindings)
-
-    def __len__(self) -> int:
-        return len(self._bindings)
-
-    @property
-    def variables(self) -> tuple[str, ...]:
-        return tuple(self._bindings)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, AssignmentTuple):
-            return self._bindings == other._bindings
-        if isinstance(other, Mapping):
-            return self._bindings == dict(other)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash(frozenset(self._bindings.items()))
-        return self._hash
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{v}={a}" for v, a in self._bindings.items())
-        return "{" + inner + "}"
 
 
 @dataclass(frozen=True)

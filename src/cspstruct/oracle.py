@@ -34,7 +34,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from operator import itemgetter
 from typing import NamedTuple
 
-from .model import AssignmentTuple, CspInstance, Row, SearchSpace
+from .model import CspInstance, Row, SearchSpace
 
 KINDS = (
     "fixable",
@@ -86,42 +86,6 @@ class PropertyQuery(namedtuple("PropertyQuery", ("kind", "variable", "values", "
             raise ValueError("dependence target must not occur in the variable set")
         return tuple.__new__(cls, (kind, variable, values, over))
 
-    @classmethod
-    def fixable(cls, x: str, a: str) -> "PropertyQuery":
-        return cls("fixable", x, (a,))
-
-    @classmethod
-    def substitutable(cls, x: str, a: str, b: str) -> "PropertyQuery":
-        return cls("substitutable", x, (a, b))
-
-    @classmethod
-    def interchangeable(cls, x: str, a: str, b: str) -> "PropertyQuery":
-        return cls("interchangeable", x, (a, b))
-
-    @classmethod
-    def removable(cls, x: str, a: str) -> "PropertyQuery":
-        return cls("removable", x, (a,))
-
-    @classmethod
-    def inconsistent(cls, x: str, a: str) -> "PropertyQuery":
-        return cls("inconsistent", x, (a,))
-
-    @classmethod
-    def implied(cls, x: str, a: str) -> "PropertyQuery":
-        return cls("implied", x, (a,))
-
-    @classmethod
-    def determined(cls, x: str) -> "PropertyQuery":
-        return cls("determined", x)
-
-    @classmethod
-    def dependent(cls, over: Iterable[str], y: str) -> "PropertyQuery":
-        return cls("dependent", y, (), tuple(over))
-
-    @classmethod
-    def irrelevant(cls, x: str) -> "PropertyQuery":
-        return cls("irrelevant", x)
-
     def describe(self) -> str:
         bits = [self.kind, self.variable, *self.values]
         if self.kind == "dependent":
@@ -159,9 +123,6 @@ class SolutionTable:
             return self.actives[self.index[variable]]
         except KeyError:
             raise ValueError(f"unknown variable {variable!r}") from None
-
-    def wrap(self, row: Row) -> AssignmentTuple:
-        return AssignmentTuple(zip(self.order, row))
 
 
 def _require_cover(instance: CspInstance, space: SearchSpace) -> None:
@@ -413,25 +374,25 @@ def _validate(table, query: PropertyQuery) -> tuple[str, ...]:
 
 
 class OracleVerdict(NamedTuple):
-    query: PropertyQuery
     holds: bool
-    counterexamples: tuple[AssignmentTuple, ...] = ()
+    counterexamples: tuple[dict[str, str], ...] = ()
 
 
 def evaluate(table: SolutionTable, query: PropertyQuery) -> OracleVerdict:
     """Decide one property query exhaustively on the table, with
     counterexample evidence: the first falsifying solution row in
-    enumeration order (the first falsifying pair, for dependence).  A
-    non-dependence verdict is read off the variable's answer row, and only
-    a false one scans the rows, for its counterexample."""
+    enumeration order (the first falsifying pair, for dependence), as a
+    dict from each variable to its value.  A non-dependence verdict is read
+    off the variable's answer row, and only a false one scans the rows, for
+    its counterexample."""
     _validate(table, query)
     if query.kind == "dependent":
         witness = _dependence_pair(table, query.over, query.variable)
-        return OracleVerdict(query, not witness, tuple(map(table.wrap, witness)))
-    if answer_row(table, query.variable)[query.kind, query.values]:
-        return OracleVerdict(query, True)
-    witness = next(_falsifying_rows(table, query))
-    return OracleVerdict(query, False, (table.wrap(witness),))
+    elif answer_row(table, query.variable)[query.kind, query.values]:
+        return OracleVerdict(True)
+    else:
+        witness = (next(_falsifying_rows(table, query)),)
+    return OracleVerdict(not witness, tuple(dict(zip(table.order, row)) for row in witness))
 
 
 def conditioning_sets(names: Sequence[str], y: str, low: int, high: int) -> list[tuple]:

@@ -54,7 +54,6 @@ class SimplificationStep:
     variable: str
     value: str
     detector: str
-    witness: str | None
     space_before: int
     space_after: int
 
@@ -68,7 +67,6 @@ class SimplificationStep:
 class SimplificationResult:
     final_space: SearchSpace
     steps: tuple[SimplificationStep, ...]
-    fixpoint: bool
     proved_unsatisfiable: bool
     conflict: tuple[str, str, str] | None = None  # (variable, value, detector)
 
@@ -78,8 +76,6 @@ class SimplificationResult:
 
 def apply_fix(space: SearchSpace, variable: str, value: str) -> SearchSpace:
     """Pin a variable to one value (no-op when already pinned to it)."""
-    if value not in space.values(variable):
-        raise ValueError(f"value {value!r} is not active for {variable!r}")
     if space.values(variable) == (value,):
         return space
     return space.assign(variable, value)
@@ -148,8 +144,8 @@ class _DetectorSet:
       pins, built when read: once, at the compile.
     - ``compiled``: the effective formula compiled once, at the first step
       where it is tractable, pinned in place from then on with
-      ``CompiledFormula.pin``.  Its class is the one tractable evidence
-      names: a pin can move the effective formula into an earlier class.
+      ``CompiledFormula.pin``.  It keeps the class it was compiled in,
+      though a pin can move the effective formula into an earlier class.
 
     The answers on x read: for local and the oracle, the tables of the
     groups that hold x, x's active values and whether any group is empty;
@@ -349,9 +345,10 @@ class _DetectorSet:
 
     def first(self, space: SearchSpace, action: str):
         """The first justified step of ``action`` ("fix" or "remove") in
-        scan order among the dirty variables, as (variable, value, *the
-        justification), or None.  Fixes skip the pinned variables.  A
-        variable scanned without one is left clean."""
+        scan order among the dirty variables, as (variable, value, detector)
+        and, for a removal, whether it is an inconsistency proof; or None.
+        Fixes skip the pinned variables.  A variable scanned without one is
+        left clean."""
         fixing = action == "fix"
         dirty = self._fix_dirty if fixing else self._removal_dirty
         justify = self.justify_fix if fixing else self.justify_removal
@@ -363,17 +360,18 @@ class _DetectorSet:
             for a in () if fixing and len(active) == 1 else active:
                 found = justify(space, x, a)
                 if found is not None:
-                    return (x, a, *found)
+                    return (x, a, found) if fixing else (x, a, *found)
             dirty[p] = 0
             p = dirty.find(1, p + 1)
         return None
 
     def justify_fix(self, space, x, a):
+        # Returns the detector, or None.
         for family in self.families:
             if family == "pure-value":
                 value = self._pure(x)
                 if value is not None and boolean.bool_name(value) == a:
-                    return "pure-value", "opposite polarity never occurs"
+                    return "pure-value"
             elif family == "local":
                 # A vacuous AND over zero subsets establishes nothing worth
                 # acting on; steps need evidence from at least one subset.
@@ -381,21 +379,20 @@ class _DetectorSet:
                     continue
                 row = self.groups.row(x)
                 if row["fixable", (a,)]:
-                    return "local-fixable", "established on every covering subset"
+                    return "local-fixable"
                 if row["implied", (a,)]:
-                    return "local-implied", "established on some covering subset"
+                    return "local-implied"
             elif family == "tractable":
-                compiled = self.compiled
-                if compiled is not None and x in compiled:
+                if self.compiled is not None and x in self.compiled:
                     if self._inconsistent(x, not boolean.name_bool(a)):
-                        return "tractable-implied", f"{compiled.cls.value} reduction"
+                        return "tractable-implied"
             elif family == "oracle":
                 if self._oracle("fixable", x, a):
-                    return "oracle-fixable", "exhaustive check"
+                    return "oracle-fixable"
         return None
 
     def justify_removal(self, space, x, a):
-        # Returns (detector, evidence, witness, is_inconsistency_proof).
+        # Returns (detector, is_inconsistency_proof), or None.
         active = space.values(x)
         for family in self.families:
             if family == "local":
@@ -403,31 +400,18 @@ class _DetectorSet:
                     continue
                 row = self.groups.row(x)
                 if row["inconsistent", (a,)]:
-                    return "local-inconsistent", "established on some subset", None, True
-                if len(active) >= 2:
-                    for b in active:
-                        if b != a and row["substitutable", (a, b)]:
-                            return (
-                                "local-substitutable",
-                                "established on every covering subset",
-                                b,
-                                False,
-                            )
+                    return "local-inconsistent", True
+                if any(b != a and row["substitutable", (a, b)] for b in active):
+                    return "local-substitutable", False
             elif family == "tractable":
-                compiled = self.compiled
-                if compiled is not None and x in compiled:
+                if self.compiled is not None and x in self.compiled:
                     if self._inconsistent(x, boolean.name_bool(a)):
-                        return (
-                            "tractable-inconsistent",
-                            f"{compiled.cls.value} reduction",
-                            None,
-                            True,
-                        )
+                        return "tractable-inconsistent", True
             elif family == "oracle":
                 if self._oracle("inconsistent", x, a):
-                    return "oracle-inconsistent", "exhaustive check", None, True
+                    return "oracle-inconsistent", True
                 if len(active) >= 2 and self._oracle("removable", x, a):
-                    return "oracle-removable", "exhaustive check", None, False
+                    return "oracle-removable", False
         return None
 
 
@@ -491,27 +475,21 @@ def simplify_fixpoint(
     while True:
         fix = detector_set.first(current, "fix")
         if fix is not None:
-            x, a, detector, _evidence = fix
-            action, witness, child = "fix", None, apply_fix(current, x, a)
+            x, a, detector = fix
+            action, child = "fix", apply_fix(current, x, a)
         else:
             removal = detector_set.first(current, "remove")
             if removal is None:
-                return SimplificationResult(
-                    current, tuple(steps), fixpoint=True, proved_unsatisfiable=False
-                )
-            x, a, detector, _evidence, witness, is_proof = removal
+                return SimplificationResult(current, tuple(steps), proved_unsatisfiable=False)
+            x, a, detector, is_proof = removal
             try:
                 child = apply_remove(current, x, a, proved_inconsistent=is_proof)
             except ProvedUnsatisfiable:
                 return SimplificationResult(
-                    current,
-                    tuple(steps),
-                    fixpoint=False,
-                    proved_unsatisfiable=True,
-                    conflict=(x, a, detector),
+                    current, tuple(steps), proved_unsatisfiable=True, conflict=(x, a, detector)
                 )
             action = "remove"
         after = size // len(current.values(x)) * len(child.values(x))
-        steps.append(SimplificationStep(action, x, a, detector, witness, size, after))
+        steps.append(SimplificationStep(action, x, a, detector, size, after))
         current, size = child, after
         detector_set.advance(current, (x,))

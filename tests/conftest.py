@@ -16,7 +16,7 @@ from cspstruct import (
     simplify,
     standard_corpus,
 )
-from cspstruct.model import AssignmentTuple, Constraint, CspInstance, Relation, SearchSpace
+from cspstruct.model import Constraint, CspInstance, Relation, SearchSpace
 from cspstruct.oracle import PropertyQuery
 from cspstruct.simplify import SimplificationResult, SimplificationStep
 
@@ -79,7 +79,7 @@ def is_solution(inst, t):
 def reference_solutions(inst, space):
     """Sol(C) inside the space, straight from the product of active sets."""
     names = space.variables
-    tuples = (AssignmentTuple(zip(names, row)) for row in iter_rows(space))
+    tuples = (dict(zip(names, row)) for row in iter_rows(space))
     return [t for t in tuples if is_solution(inst, t)]
 
 
@@ -87,7 +87,7 @@ def table_solutions(inst, space):
     """The solutions on the oracle's table, as assignments in enumeration
     order."""
     table = oracle.solution_table(inst, space)
-    return [table.wrap(row) for row in table.rows]
+    return [dict(zip(table.order, row)) for row in table.rows]
 
 
 def pure_values(formula):
@@ -441,33 +441,32 @@ def reference_simplify(instance, space, families, formula=None, group_size=1):
                     if boolean.bool_name(pure[x]) == a:
                         return "pure-value"
                 elif family == "local":
-                    if locally(PropertyQuery.fixable(x, a)):
+                    if locally(PropertyQuery("fixable", x, (a,))):
                         return "local-fixable"
-                    if locally(PropertyQuery.implied(x, a)):
+                    if locally(PropertyQuery("implied", x, (a,))):
                         return "local-implied"
-                elif family == "tractable" and tractably(PropertyQuery.implied(x, a)):
+                elif family == "tractable" and tractably(PropertyQuery("implied", x, (a,))):
                     return "tractable-implied"
-                elif family == "oracle" and exhaustively(PropertyQuery.fixable(x, a)):
+                elif family == "oracle" and exhaustively(PropertyQuery("fixable", x, (a,))):
                     return "oracle-fixable"
             return None
 
         def removal(x, a):
-            # (detector, witness, is_proof) or None.
             active = space.values(x)
             for family in families:
                 if family == "local":
-                    if locally(PropertyQuery.inconsistent(x, a)):
-                        return "local-inconsistent", None, True
+                    if locally(PropertyQuery("inconsistent", x, (a,))):
+                        return "local-inconsistent"
                     for b in active:
-                        if b != a and locally(PropertyQuery.substitutable(x, a, b)):
-                            return "local-substitutable", b, False
-                elif family == "tractable" and tractably(PropertyQuery.inconsistent(x, a)):
-                    return "tractable-inconsistent", None, True
+                        if b != a and locally(PropertyQuery("substitutable", x, (a, b))):
+                            return "local-substitutable"
+                elif family == "tractable" and tractably(PropertyQuery("inconsistent", x, (a,))):
+                    return "tractable-inconsistent"
                 elif family == "oracle":
-                    if exhaustively(PropertyQuery.inconsistent(x, a)):
-                        return "oracle-inconsistent", None, True
-                    if len(active) > 1 and exhaustively(PropertyQuery.removable(x, a)):
-                        return "oracle-removable", None, False
+                    if exhaustively(PropertyQuery("inconsistent", x, (a,))):
+                        return "oracle-inconsistent"
+                    if len(active) > 1 and exhaustively(PropertyQuery("removable", x, (a,))):
+                        return "oracle-removable"
             return None
 
         step = None
@@ -479,24 +478,19 @@ def reference_simplify(instance, space, families, formula=None, group_size=1):
         ):
             detector = fix_detector(x, a)
             if detector is not None:
-                step = ("fix", x, a, detector, None, space.assign(x, a))
+                step = ("fix", x, a, detector, space.assign(x, a))
                 break
         else:
             for x, a in ((x, a) for x in instance.variables for a in space.values(x)):
-                found = removal(x, a)
-                if found is None:
+                detector = removal(x, a)
+                if detector is None:
                     continue
-                detector, witness, _proof = found
                 if len(space.values(x)) == 1:
-                    return SimplificationResult(
-                        space, tuple(steps), False, True, (x, a, detector)
-                    )
-                step = ("remove", x, a, detector, witness, space.remove(x, a))
+                    return SimplificationResult(space, tuple(steps), True, (x, a, detector))
+                step = ("remove", x, a, detector, space.remove(x, a))
                 break
         if step is None:
-            return SimplificationResult(space, tuple(steps), True, False)
-        action, x, a, detector, witness, space = step
-        steps.append(
-            SimplificationStep(action, x, a, detector, witness, size, space.size())
-        )
+            return SimplificationResult(space, tuple(steps), False)
+        action, x, a, detector, space = step
+        steps.append(SimplificationStep(action, x, a, detector, size, space.size()))
         size = space.size()

@@ -27,13 +27,13 @@ def test_criterion_01_coloring_oracle_verdicts(coloring):
     start = time.perf_counter()
     inst, space = coloring
     table = oracle.solution_table(inst, space)
-    assert oracle.evaluate(table, Q.fixable("x1", "R")).holds is True
-    assert oracle.evaluate(table, Q.substitutable("x1", "R", "G")).holds is True
-    assert oracle.evaluate(table, Q.interchangeable("x1", "R", "G")).holds is True
-    assert oracle.evaluate(table, Q.removable("x1", "G")).holds is True
-    assert oracle.evaluate(table, Q.irrelevant("x1")).holds is True
-    assert oracle.evaluate(table, Q.removable("x5", "G")).holds is True
-    assert oracle.evaluate(table, Q.determined("x1")).holds is False
+    assert oracle.evaluate(table, Q("fixable", "x1", ("R",))).holds is True
+    assert oracle.evaluate(table, Q("substitutable", "x1", ("R", "G"))).holds is True
+    assert oracle.evaluate(table, Q("interchangeable", "x1", ("R", "G"))).holds is True
+    assert oracle.evaluate(table, Q("removable", "x1", ("G",))).holds is True
+    assert oracle.evaluate(table, Q("irrelevant", "x1")).holds is True
+    assert oracle.evaluate(table, Q("removable", "x5", ("G",))).holds is True
+    assert oracle.evaluate(table, Q("determined", "x1")).holds is False
     assert time.perf_counter() - start < 1.0
     _report(1, "coloring example, exact oracle verdicts under 1s")
 
@@ -42,19 +42,19 @@ def test_criterion_02_boolean_backbone_properties(backbone):
     start = time.perf_counter()
     inst, space = backbone
     expected_true = [
-        Q.inconsistent("x", "false"),
-        Q.inconsistent("y", "false"),
-        Q.fixable("x", "true"),
-        Q.fixable("q", "true"),
-        Q.fixable("r", "true"),
-        Q.implied("x", "true"),
-        Q.implied("y", "true"),
-        Q.implied("q", "true"),
-        Q.implied("r", "true"),
-        Q.determined("y"),
-        Q.dependent(("z", "w"), "p"),
-        Q.dependent(("z", "y"), "q"),
-        Q.dependent(("z", "y"), "r"),
+        Q("inconsistent", "x", ("false",)),
+        Q("inconsistent", "y", ("false",)),
+        Q("fixable", "x", ("true",)),
+        Q("fixable", "q", ("true",)),
+        Q("fixable", "r", ("true",)),
+        Q("implied", "x", ("true",)),
+        Q("implied", "y", ("true",)),
+        Q("implied", "q", ("true",)),
+        Q("implied", "r", ("true",)),
+        Q("determined", "y"),
+        Q("dependent", "p", (), ("z", "w")),
+        Q("dependent", "q", (), ("z", "y")),
+        Q("dependent", "r", (), ("z", "y")),
     ]
     assert len(expected_true) == 13
     table = oracle.solution_table(inst, space)
@@ -67,8 +67,8 @@ def test_criterion_02_boolean_backbone_properties(backbone):
 def test_criterion_03_local_establishment(triple_tables):
     inst, space = triple_tables
     groups = local.group_tables(inst, default_covering(inst, 1), space)
-    assert local_check(groups, Q.substitutable("x", "1", "2")).established
-    assert local_check(groups, Q.fixable("z", "2")).established
+    assert local_check(groups, Q("substitutable", "x", ("1", "2"))).established
+    assert local_check(groups, Q("fixable", "z", ("2",))).established
     _report(3, "local reasoning establishes the two worked facts")
 
 
@@ -76,7 +76,7 @@ def test_criterion_04_pure_value_rule(pure_literal_cnf):
     assert pure_values(pure_literal_cnf)["x"] is True
     inst = to_extensional(pure_literal_cnf)
     space = SearchSpace.full(inst)
-    assert oracle.evaluate(oracle.solution_table(inst, space), Q.fixable("x", "true")).holds
+    assert oracle.evaluate(oracle.solution_table(inst, space), Q("fixable", "x", ("true",))).holds
     result = simplify.simplify_fixpoint(inst, space, formula=pure_literal_cnf)
     assert "FIX x=true BY pure-value" in result.log().splitlines()
     _report(4, "pure-value rule fires and the simplifier logs it")
@@ -87,12 +87,12 @@ def test_criterion_05_unsound_removability_regression(removability_trap):
     # (a) the local check refuses the removability query
     with pytest.raises(UnsoundLocalCheckError):
         local_check(
-            local.group_tables(inst, default_covering(inst, 1), space), Q.removable("x", "2")
+            local.group_tables(inst, default_covering(inst, 1), space), Q("removable", "x", ("2",))
         )
     # (b) every singleton subproblem satisfies the removability condition
     for index in range(len(inst.constraints)):
         table = oracle.solution_table(subproblem(inst, (index,)), space)
-        assert oracle.evaluate(table, Q.removable("x", "2")).holds
+        assert oracle.evaluate(table, Q("removable", "x", ("2",))).holds
     # (c) removing the value flips satisfiability
     assert oracle.satisfiable(inst, space) is True
     assert oracle.satisfiable(inst, space.remove("x", "2")) is False
@@ -112,15 +112,15 @@ def test_criterion_06_schaefer_exactness(boolean_corpora):
             queries = []
             for x in formula.variables:
                 for a in values:
-                    queries.append(Q.inconsistent(x, a))
-                    queries.append(Q.implied(x, a))
-                    queries.append(Q.fixable(x, a))
-                    queries.append(Q.removable(x, a))
+                    queries.append(Q("inconsistent", x, (a,)))
+                    queries.append(Q("implied", x, (a,)))
+                    queries.append(Q("fixable", x, (a,)))
+                    queries.append(Q("removable", x, (a,)))
                     for b in values:
-                        queries.append(Q.substitutable(x, a, b))
-                        queries.append(Q.interchangeable(x, a, b))
-                queries.append(Q.determined(x))
-                queries.append(Q.irrelevant(x))
+                        queries.append(Q("substitutable", x, (a, b)))
+                        queries.append(Q("interchangeable", x, (a, b)))
+                queries.append(Q("determined", x))
+                queries.append(Q("irrelevant", x))
             for query in queries:
                 fast = boolean.tract_check(compiled, query)
                 slow = oracle.evaluate(table, query).holds
@@ -193,10 +193,10 @@ def test_criterion_10_factoring():
     assert decode_factors(ordered, solutions[0]) == (3, 5)
     table = oracle.solution_table(inst, space)
     for x in inst.variables:
-        assert any(oracle.evaluate(table, Q.implied(x, a)).holds for a in space.values(x))
+        assert any(oracle.evaluate(table, Q("implied", x, (a,))).holds for a in space.values(x))
     digits = tuple(v for v in inst.variables if v[0] in "xy")
     for carry in (v for v in inst.variables if v.startswith("c")):
-        assert oracle.evaluate(table, Q.dependent(digits, carry)).holds
+        assert oracle.evaluate(table, Q("dependent", carry, (), digits)).holds
     unordered = FactoringSpec(15, 2, ordering=False)
     inst2 = gen_factoring(unordered)
     sols2 = table_solutions(inst2, factoring_space(unordered))

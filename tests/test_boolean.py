@@ -256,32 +256,32 @@ class TestTractCheck:
         f = BooleanFormula(
             ("x", "y"), (clause(("x", True)), clause(("x", False), ("y", True)))
         )
-        assert tract(f, "horn", Q.implied("x", "true"))
-        assert tract(f, "horn", Q.implied("y", "true"))
-        assert tract(f, "horn", Q.determined("y"))
-        assert tract(f, "horn", Q.inconsistent("x", "false"))
-        assert tract(f, "horn", Q.fixable("x", "true"))
-        assert not tract(f, "horn", Q.fixable("x", "false"))
+        assert tract(f, "horn", Q("implied", "x", ("true",)))
+        assert tract(f, "horn", Q("implied", "y", ("true",)))
+        assert tract(f, "horn", Q("determined", "y"))
+        assert tract(f, "horn", Q("inconsistent", "x", ("false",)))
+        assert tract(f, "horn", Q("fixable", "x", ("true",)))
+        assert not tract(f, "horn", Q("fixable", "x", ("false",)))
 
     def test_identity_substitution(self):
         f = BooleanFormula(("x",), (clause(("x", True)),))
-        assert tract(f, "horn", Q.substitutable("x", "true", "true"))
-        assert tract(f, "horn", Q.substitutable("x", "false", "false"))
+        assert tract(f, "horn", Q("substitutable", "x", ("true", "true")))
+        assert tract(f, "horn", Q("substitutable", "x", ("false", "false")))
 
     def test_dependence_unsupported(self):
         f = BooleanFormula(("x", "y"), (clause(("x", True)),))
         with pytest.raises(UnsupportedQueryError, match="dependence"):
-            tract(f, "horn", Q.dependent(("x",), "y"))
+            tract(f, "horn", Q("dependent", "y", (), ("x",)))
 
     def test_class_mismatch(self):
         f = BooleanFormula(("a", "b", "c"), (clause(("a", True), ("b", True), ("c", True)),))
         with pytest.raises(ClassMismatchError):
-            tract(f, "horn", Q.implied("a", "true"))
+            tract(f, "horn", Q("implied", "a", ("true",)))
 
     def test_non_boolean_values_rejected(self):
         f = BooleanFormula(("x",), (clause(("x", True)),))
         with pytest.raises(ValueError, match="boolean"):
-            tract(f, "horn", Q.implied("x", "maybe"))
+            tract(f, "horn", Q("implied", "x", ("maybe",)))
 
     @pytest.mark.parametrize("kind", ["horn", "dual-horn", "2cnf", "affine"])
     def test_agrees_with_oracle_on_sample(self, kind):
@@ -299,15 +299,15 @@ def _boolean_queries(formula):
     values = ("false", "true")
     for x in formula.variables:
         for a in values:
-            yield Q.inconsistent(x, a)
-            yield Q.implied(x, a)
-            yield Q.fixable(x, a)
-            yield Q.removable(x, a)
+            yield Q("inconsistent", x, (a,))
+            yield Q("implied", x, (a,))
+            yield Q("fixable", x, (a,))
+            yield Q("removable", x, (a,))
             for b in values:
-                yield Q.substitutable(x, a, b)
-                yield Q.interchangeable(x, a, b)
-        yield Q.determined(x)
-        yield Q.irrelevant(x)
+                yield Q("substitutable", x, (a, b))
+                yield Q("interchangeable", x, (a, b))
+        yield Q("determined", x)
+        yield Q("irrelevant", x)
 
 
 class TestToExtensional:
@@ -412,24 +412,24 @@ class TestCompiledEngine:
         assert not compiled.satisfiable
         assert not pinned(f, "2cnf", {"a": True}).satisfiable
         for value in ("false", "true"):
-            assert tract(f, "2cnf", Q.inconsistent("a", value))
-            assert tract(f, "2cnf", Q.implied("b", value))
-        assert tract(f, "2cnf", Q.determined("a"))
+            assert tract(f, "2cnf", Q("inconsistent", "a", (value,)))
+            assert tract(f, "2cnf", Q("implied", "b", (value,)))
+        assert tract(f, "2cnf", Q("determined", "a"))
 
     @pytest.mark.parametrize("kind", CLAUSAL_KINDS)
     def test_empty_clause(self, kind):
         f = BooleanFormula(("a", "b"), (Clause(frozenset()), clause(("a", True))))
         compiled = CompiledFormula(f, kind)
         assert not compiled.satisfiable
-        assert tract(f, kind, Q.inconsistent("a", "true"))
-        assert tract(f, kind, Q.substitutable("b", "true", "false"))
+        assert tract(f, kind, Q("inconsistent", "a", ("true",)))
+        assert tract(f, kind, Q("substitutable", "b", ("true", "false")))
 
     def test_false_equation(self):
         f = BooleanFormula(("a",), (), (AffineEquation(frozenset(), True),))
         compiled = CompiledFormula(f, "affine")
         assert not compiled.satisfiable
-        assert tract(f, "affine", Q.inconsistent("a", "false"))
-        assert tract(f, "affine", Q.determined("a"))
+        assert tract(f, "affine", Q("inconsistent", "a", ("false",)))
+        assert tract(f, "affine", Q("determined", "a"))
 
     @pytest.mark.parametrize("kind", CLAUSAL_KINDS)
     def test_unit_only_formula(self, kind):
@@ -438,12 +438,12 @@ class TestCompiledEngine:
         assert compiled.satisfiable
         assert pinned(f, kind, {"a": True, "c": False}).satisfiable
         assert not pinned(f, kind, {"a": False}).satisfiable
-        assert tract(f, kind, Q.implied("a", "true"))
-        assert tract(f, kind, Q.implied("b", "false"))
-        assert tract(f, kind, Q.irrelevant("c"))
-        assert not tract(f, kind, Q.determined("c"))
-        assert tract(f, kind, Q.fixable("a", "true"))
-        assert not tract(f, kind, Q.removable("a", "true"))
+        assert tract(f, kind, Q("implied", "a", ("true",)))
+        assert tract(f, kind, Q("implied", "b", ("false",)))
+        assert tract(f, kind, Q("irrelevant", "c"))
+        assert not tract(f, kind, Q("determined", "c"))
+        assert tract(f, kind, Q("fixable", "a", ("true",)))
+        assert not tract(f, kind, Q("removable", "a", ("true",)))
 
     @pytest.mark.parametrize("kind", CLAUSAL_KINDS + ("affine",))
     def test_zero_constraint_formula(self, kind):
@@ -451,10 +451,10 @@ class TestCompiledEngine:
         compiled = CompiledFormula(f, kind)
         assert compiled.satisfiable
         for x in f.variables:
-            assert tract(f, kind, Q.irrelevant(x))
-            assert not tract(f, kind, Q.determined(x))
-            assert not tract(f, kind, Q.inconsistent(x, "true"))
-            assert tract(f, kind, Q.interchangeable(x, "false", "true"))
+            assert tract(f, kind, Q("irrelevant", x))
+            assert not tract(f, kind, Q("determined", x))
+            assert not tract(f, kind, Q("inconsistent", x, ("true",)))
+            assert tract(f, kind, Q("interchangeable", x, ("false", "true")))
 
     def test_compiled_once_per_formula(self, monkeypatch):
         # Every query reads the state the caller compiled: none builds the
@@ -594,8 +594,8 @@ class TestReadOffAnswers:
     def test_width_3_remainders_decide_determinacy(self):
         for kind, mirror in (("horn", lambda f: f), ("dual-horn", mirrored)):
             for name in ("width 3, determined", "width 3, chained"):
-                assert tract(mirror(HORN_CASES[name]), kind, Q.determined("x"))
-            assert not tract(mirror(HORN_CASES["width 3, free"]), kind, Q.determined("x"))
+                assert tract(mirror(HORN_CASES[name]), kind, Q("determined", "x"))
+            assert not tract(mirror(HORN_CASES["width 3, free"]), kind, Q("determined", "x"))
 
 
 def assert_rows_match_oracle(kind, formula):

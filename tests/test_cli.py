@@ -127,7 +127,11 @@ def expected_findings(inst, space, method, dep_max, formula=None):
         if method == "oracle":
             holds, witness = reference_verdict(inst, space, solutions, query)
             verdict = "TRUE" if holds else "FALSE"
-            evidence = "counterexample " + ", ".join(map(repr, witness)) if witness else None
+            evidence = None
+            if witness:
+                evidence = "counterexample " + ", ".join(
+                    "{" + ", ".join(f"{v}={a}" for v, a in t.items()) + "}" for t in witness
+                )
         elif method == "local":
             answer = local.local_check(groups, query)
             verdict = "ESTABLISHED" if answer.established else "UNKNOWN"
@@ -173,6 +177,28 @@ class TestFindingsMatchReferences:
             assert analyze_findings(path, "all", "--dep-max", "1") == [
                 finding for method in methods for finding in expected[method]
             ]
+
+    def test_counterexample_text_is_pinned(self):
+        # Written as {variable=value, ...} per solution, in declaration
+        # order: one solution for a value property, the falsifying pair for
+        # dependence.  Recorded before counterexamples were plain dicts.
+        found = [
+            (kind, variable, values, over, evidence)
+            for kind, variable, values, over, _, _, evidence in analyze_findings(
+                data_path("no_constraints.csp"), "oracle"
+            )
+            if evidence is not None
+        ]
+        assert found == [
+            ("removable", "a", ("0",), (), "counterexample {a=0, b=0}"),
+            ("inconsistent", "a", ("0",), (), "counterexample {a=0, b=0}"),
+            ("inconsistent", "b", ("0",), (), "counterexample {a=0, b=0}"),
+            ("inconsistent", "b", ("1",), (), "counterexample {a=0, b=1}"),
+            ("implied", "b", ("0",), (), "counterexample {a=0, b=1}"),
+            ("implied", "b", ("1",), (), "counterexample {a=0, b=0}"),
+            ("determined", "b", (), (), "counterexample {a=0, b=0}"),
+            ("dependent", "b", (), ("a",), "counterexample {a=0, b=0}, {a=0, b=1}"),
+        ]
 
 
 # The full catalog, then each catalog with one implication reversed.
@@ -575,11 +601,9 @@ class TestCheck:
         _, full = coloring
         dead = full.assign("x2", "R").assign("x3", "R")  # x2 and x3 are adjacent
         faults = {
-            "simplification changed satisfiability": SimplificationResult(
-                dead, (), True, False
-            ),
+            "simplification changed satisfiability": SimplificationResult(dead, (), False),
             "simplifier proved a satisfiable instance unsatisfiable": SimplificationResult(
-                full, (), False, True, ("x1", "R", "oracle-inconsistent")
+                full, (), True, ("x1", "R", "oracle-inconsistent")
             ),
         }
         for message, result in faults.items():

@@ -129,7 +129,7 @@ def test_forced_for_every_assignment_matches_naive_route(corpus):
                         restricted = restricted.assign(v, a)
                     restricted_table = solution_table(inst, restricted)
                     if not any(
-                        oracle.evaluate(restricted_table, PropertyQuery.implied(y, a)).holds
+                        oracle.evaluate(restricted_table, PropertyQuery("implied", y, (a,))).holds
                         for a in space.values(y)
                     ):
                         naive = False
@@ -228,8 +228,8 @@ def test_dependence_edge_rejects_the_determined_reading():
     eq = Constraint("eq", ("y", "z"), Relation.of(2, [("0", "0"), ("1", "1")]))
     inst = CspInstance(("v", "y", "z"), ("0", "1"), (eq,))
     table = solution_table(inst, SearchSpace.full(inst))
-    assert oracle.evaluate(table, PropertyQuery.determined("y")).holds
-    assert not oracle.evaluate(table, PropertyQuery.dependent(("v",), "y")).holds
+    assert oracle.evaluate(table, PropertyQuery("determined", "y")).holds
+    assert not oracle.evaluate(table, PropertyQuery("dependent", "y", (), ("v",))).holds
     assert not forced_for_every_assignment(table, ("v",), "y")
     assert validate_hierarchy(table) == []
 
@@ -241,7 +241,7 @@ def test_fixability_edge_as_derived_detector(corpus):
         for x in inst.variables:
             for b in space.values(x):
                 derived = holds_at(edge.rhs, table, x, (b,))
-                assert derived == oracle.evaluate(table, PropertyQuery.fixable(x, b)).holds
+                assert derived == oracle.evaluate(table, PropertyQuery("fixable", x, (b,))).holds
 
 
 def test_validation_on_corpus_sample(corpus):

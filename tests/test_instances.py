@@ -24,7 +24,7 @@ from cspstruct.instances import (
     parse_dimacs,
     standard_corpus,
 )
-from cspstruct.model import AssignmentTuple, CspInstance, SearchSpace
+from cspstruct.model import CspInstance, SearchSpace
 from cspstruct.oracle import PropertyQuery
 
 from conftest import data_path, is_solution, table_solutions
@@ -222,7 +222,7 @@ class TestColoring:
         assert instance.constraints == ()
         table = oracle.solution_table(instance, SearchSpace.full(instance))
         for x in instance.variables:
-            assert oracle.evaluate(table, PropertyQuery.irrelevant(x)).holds
+            assert oracle.evaluate(table, PropertyQuery("irrelevant", x)).holds
 
     def test_triangle_two_colors_unsat(self):
         instance = gen_coloring(Graph(3, ((1, 2), (2, 3), (1, 3))), 2)
@@ -281,7 +281,7 @@ class TestFactoring:
         table = oracle.solution_table(instance, space)
         digits = tuple(v for v in instance.variables if v[0] in "xy")
         for carry in (v for v in instance.variables if v.startswith("c")):
-            assert oracle.evaluate(table, PropertyQuery.dependent(digits, carry)).holds
+            assert oracle.evaluate(table, PropertyQuery("dependent", carry, (), digits)).holds
 
     def test_desk_scale_cap(self):
         with pytest.raises(ValueError, match="desk-scale"):
@@ -293,9 +293,9 @@ class TestFactoring:
         spec = FactoringSpec(143, 2)  # 8 digits: columns 7 and 8 split
         instance = gen_factoring(spec)
         assert any(v.startswith("s") for v in instance.variables)
-        assignment = AssignmentTuple(encode_solution(spec, 11, 13))
+        assignment = encode_solution(spec, 11, 13)
         assert is_solution(instance, assignment)
-        assignment = AssignmentTuple(encode_solution(spec, 13, 11))
+        assignment = encode_solution(spec, 13, 11)
         assert is_solution(instance, assignment)
 
     def test_encode_rejects_non_factorization(self):
@@ -318,7 +318,7 @@ class TestRandomGeneration:
             assert len(c.relation.rows) == len(instance.domain) ** c.relation.arity
         table = oracle.solution_table(instance, space)
         for x in instance.variables:
-            assert oracle.evaluate(table, PropertyQuery.irrelevant(x)).holds
+            assert oracle.evaluate(table, PropertyQuery("irrelevant", x)).holds
 
     def test_standard_corpus_shape(self):
         instance, space = next(iter(standard_corpus()))

@@ -69,25 +69,25 @@ def ask(inst, space, covering, query):
 class TestLocalCheck:
     def test_substitutable_across_tables(self, triple_tables):
         inst, space = triple_tables
-        verdict = ask(inst, space, default_covering(inst), Q.substitutable("x", "1", "2"))
+        verdict = ask(inst, space, default_covering(inst), Q("substitutable", "x", ("1", "2")))
         assert verdict.established
         assert verdict.per_group == (True, True, True)
 
     def test_fixable_in_every_table(self, triple_tables):
         inst, space = triple_tables
-        verdict = ask(inst, space, default_covering(inst), Q.fixable("z", "2"))
+        verdict = ask(inst, space, default_covering(inst), Q("fixable", "z", ("2",)))
         assert verdict.established
         assert verdict.per_group == (True, True, True)
 
     def test_removable_rejected(self, triple_tables):
         inst, space = triple_tables
         with pytest.raises(UnsoundLocalCheckError, match="not sound|cannot establish"):
-            ask(inst, space, default_covering(inst), Q.removable("x", "1"))
+            ask(inst, space, default_covering(inst), Q("removable", "x", ("1",)))
 
     def test_unknown_value_rejected(self, triple_tables):
         inst, space = triple_tables
         with pytest.raises(ValueError, match="not active"):
-            ask(inst, space, default_covering(inst), Q.fixable("x", "9"))
+            ask(inst, space, default_covering(inst), Q("fixable", "x", ("9",)))
 
     def test_covering_must_cover(self, triple_tables):
         inst, space = triple_tables
@@ -101,7 +101,7 @@ class TestLocalCheck:
             for covering, message in bad:
                 with pytest.raises(ValueError, match=message):
                     group_tables(inst, covering, space)
-            ask(inst, space, default_covering(inst), Q.fixable("z", "2"))
+            ask(inst, space, default_covering(inst), Q("fixable", "z", ("2",)))
         with pytest.raises(ValueError, match="nonempty"):
             Covering(((0,), ()))
 
@@ -118,14 +118,14 @@ class TestLocalCheck:
                 group_tables(inst, covering, bad)
         groups = group_tables(inst, covering, space)
         with pytest.raises(ValueError, match="unknown variable 'w'"):
-            local_check(groups, Q.dependent(("w",), "x"))
+            local_check(groups, Q("dependent", "x", (), ("w",)))
         with pytest.raises(ValueError, match="unknown variable 'w'"):
-            local_check(groups, Q.fixable("w", "0"))
+            local_check(groups, Q("fixable", "w", ("0",)))
 
     def test_overlapping_covering_accepted(self, triple_tables):
         inst, space = triple_tables
         overlapping = Covering(((0, 1), (1, 2), (0, 2)))
-        verdict = ask(inst, space, overlapping, Q.substitutable("x", "1", "2"))
+        verdict = ask(inst, space, overlapping, Q("substitutable", "x", ("1", "2")))
         assert verdict.established
 
     def test_empty_constraint_set_combinator_identities(self):
@@ -134,8 +134,8 @@ class TestLocalCheck:
         covering = default_covering(inst)
         assert covering.groups == ()
         groups = group_tables(inst, covering, space)
-        assert local_check(groups, Q.fixable("a", "0")).established
-        assert not local_check(groups, Q.implied("a", "0")).established
+        assert local_check(groups, Q("fixable", "a", ("0",))).established
+        assert not local_check(groups, Q("implied", "a", ("0",))).established
 
 
 def _corpus_queries(inst, space):
@@ -190,9 +190,9 @@ class TestLocality:
             groups = group_tables(inst, default_covering(inst, group_size), space)
             for query in _corpus_queries(inst, space):
                 local_check(groups, query)
-            assert local_check(groups, Q.irrelevant("v5")).established
-            assert local_check(groups, Q.fixable("v2", "1")).established
-            assert not local_check(groups, Q.determined("v5")).established
+            assert local_check(groups, Q("irrelevant", "v5")).established
+            assert local_check(groups, Q("fixable", "v2", ("1",))).established
+            assert not local_check(groups, Q("determined", "v5")).established
 
     def test_assignment_rebuilds_only_the_groups_it_touches(self, corpus, monkeypatch):
         # Narrowing derives the groups that hold the variable from their
@@ -203,7 +203,7 @@ class TestLocality:
 
         narrowed_groups = 0
         for inst, space in corpus[:10]:
-            query = Q.fixable(inst.variables[0], space.values(inst.variables[0])[0])
+            query = Q("fixable", inst.variables[0], (space.values(inst.variables[0])[0],))
             for group_size in (1, 2):
                 covering = default_covering(inst, group_size)
                 tables = group_tables(inst, covering, space)
@@ -340,8 +340,8 @@ def _group_queries(inst, space):
     queries = _corpus_queries(inst, space)
     for x in inst.variables:
         for a in space.values(x):
-            queries += [Q.substitutable(x, a, b) for b in space.values(x)]
-            queries += [Q.interchangeable(x, a, b) for b in space.values(x)]
+            queries += [Q("substitutable", x, (a, b)) for b in space.values(x)]
+            queries += [Q("interchangeable", x, (a, b)) for b in space.values(x)]
     return queries
 
 
@@ -402,17 +402,17 @@ class TestGroupAnswers:
         inst, space = triple_tables
         covering = default_covering(inst)
         x = inst.variables[0]
-        good = Q.fixable(x, space.values(x)[0])
+        good = Q("fixable", x, (space.values(x)[0],))
         groups = group_tables(inst, covering, space)
         # The kind is checked first, then the variable, then its values; a
         # row checks its variable.
         assert local_check(groups, good).established in (True, False)
         with pytest.raises(UnsoundLocalCheckError):
-            local_check(groups, Q.removable("nope", "1"))
+            local_check(groups, Q("removable", "nope", ("1",)))
         with pytest.raises(ValueError, match="unknown variable 'nope'"):
-            local_check(groups, Q.fixable("nope", "9"))
+            local_check(groups, Q("fixable", "nope", ("9",)))
         with pytest.raises(ValueError, match="not active"):
-            local_check(groups, Q.fixable(x, "9"))
+            local_check(groups, Q("fixable", x, ("9",)))
         with pytest.raises(ValueError, match="unknown variable 'nope'"):
             groups.row("nope")
 
@@ -485,12 +485,12 @@ class TestRemovabilityTrapRegression:
         inst, space = removability_trap
         # (a) the removability query is rejected outright
         with pytest.raises(UnsoundLocalCheckError):
-            ask(inst, space, default_covering(inst), Q.removable("x", "2"))
+            ask(inst, space, default_covering(inst), Q("removable", "x", ("2",)))
         # (b) yet every singleton subproblem satisfies the removability
         # condition for (x, 2)
         for index in range(len(inst.constraints)):
             sub = subproblem(inst, (index,))
-            assert oracle.evaluate(solution_table(sub, space), Q.removable("x", "2")).holds
+            assert oracle.evaluate(solution_table(sub, space), Q("removable", "x", ("2",))).holds
         # (c) and removing 2 from x flips satisfiability
         assert oracle.satisfiable(inst, space)
         assert not oracle.satisfiable(inst, space.remove("x", "2"))
@@ -530,7 +530,7 @@ class TestPureValue:
         result = simplify_fixpoint(
             inst, SearchSpace.full(inst), formula=f, detectors=("pure-value",)
         )
-        assert result.steps == () and result.fixpoint
+        assert result.steps == () and not result.proved_unsatisfiable
 
     def test_matches_local_fixability_and_oracle_on_random_cnfs(self):
         import random
@@ -547,12 +547,12 @@ class TestPureValue:
             for x in formula.variables:
                 value = pure_values(formula)[x]
                 for candidate, name in ((True, "true"), (False, "false")):
-                    local_says = local_check(groups, Q.fixable(x, name)).established
+                    local_says = local_check(groups, Q("fixable", x, (name,))).established
                     assert local_says == (
                         value is candidate or _pure_both_ways(formula, x)
                     ), (seed, x, candidate)
                 if value is not None:
-                    pure = Q.fixable(x, "true" if value else "false")
+                    pure = Q("fixable", x, ("true" if value else "false",))
                     assert oracle.evaluate(table, pure).holds
 
 
@@ -609,10 +609,10 @@ class TestDerivedTables:
         inst, space = parse_csp(data_path("wide17.csp").read_text())
         monkeypatch.setattr(oracle, "_solution_rows", None)
         groups = group_tables(inst, default_covering(inst), space)
-        assert local_check(groups, Q.inconsistent("x1", "2")).established
-        assert not local_check(groups, Q.fixable("x1", "0")).established
+        assert local_check(groups, Q("inconsistent", "x1", ("2",))).established
+        assert not local_check(groups, Q("fixable", "x1", ("0",))).established
         result = simplify_fixpoint(inst, space)
         assert result.log().splitlines() == [
             f"REMOVE {x}!=2 BY local-inconsistent" for x in inst.variables
         ]
-        assert result.fixpoint and result.final_space.size() == 2**17
+        assert not result.proved_unsatisfiable and result.final_space.size() == 2**17

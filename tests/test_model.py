@@ -13,13 +13,7 @@ from hypothesis import strategies as st
 
 import cspstruct
 from cspstruct.local import Covering, default_covering
-from cspstruct.model import (
-    AssignmentTuple,
-    Constraint,
-    CspInstance,
-    Relation,
-    SearchSpace,
-)
+from cspstruct.model import Constraint, CspInstance, Relation, SearchSpace
 from cspstruct.oracle import solution_table
 
 from conftest import iter_rows
@@ -33,13 +27,6 @@ def make_constraint(name, scope, rows):
 def c1():
     # first table of the substitutability fixture
     return make_constraint("c1", "xy", [("0", "1"), ("1", "2"), ("2", "1"), ("2", "2")])
-
-
-class TestAssignmentTuple:
-    def test_hash_ignores_order(self):
-        a = AssignmentTuple({"x": "1", "y": "2"})
-        b = AssignmentTuple({"y": "2", "x": "1"})
-        assert a == b and hash(a) == hash(b)
 
 
 class TestSatisfies:

@@ -73,13 +73,13 @@ class TestEnumerateSolutions:
 
 
 def assert_enumerator_matches_product(inst, space):
-    """Table rows, the assignments they wrap and satisfiability all agree
+    """Table rows, the assignments made of them and satisfiability all agree
     with the plain product scan, order included."""
     expected = [tuple(t[v] for v in inst.variables) for t in reference_solutions(inst, space)]
     assert list(solution_table(inst, space).rows) == expected
     streamed = table_solutions(inst, space)
     assert [tuple(t[v] for v in inst.variables) for t in streamed] == expected
-    assert all(t.variables == inst.variables for t in streamed)
+    assert all(tuple(t) == inst.variables for t in streamed)
     assert satisfiable(inst, space) is bool(expected)
 
 
@@ -140,14 +140,14 @@ class TestEnumerator:
 class TestColoringProperties:
     def test_isolated_node_claims(self, coloring):
         tbl = solution_table(*coloring)
-        assert evaluate(tbl, PropertyQuery.fixable("x1", "R")).holds
-        assert evaluate(tbl, PropertyQuery.substitutable("x1", "R", "G")).holds
-        assert evaluate(tbl, PropertyQuery.interchangeable("x1", "R", "G")).holds
-        assert evaluate(tbl, PropertyQuery.removable("x1", "G")).holds
-        assert evaluate(tbl, PropertyQuery.irrelevant("x1")).holds
-        assert evaluate(tbl, PropertyQuery.removable("x5", "G")).holds
-        assert not evaluate(tbl, PropertyQuery.determined("x1")).holds
-        assert not evaluate(tbl, PropertyQuery.irrelevant("x4")).holds
+        assert evaluate(tbl, PropertyQuery("fixable", "x1", ("R",))).holds
+        assert evaluate(tbl, PropertyQuery("substitutable", "x1", ("R", "G"))).holds
+        assert evaluate(tbl, PropertyQuery("interchangeable", "x1", ("R", "G"))).holds
+        assert evaluate(tbl, PropertyQuery("removable", "x1", ("G",))).holds
+        assert evaluate(tbl, PropertyQuery("irrelevant", "x1")).holds
+        assert evaluate(tbl, PropertyQuery("removable", "x5", ("G",))).holds
+        assert not evaluate(tbl, PropertyQuery("determined", "x1")).holds
+        assert not evaluate(tbl, PropertyQuery("irrelevant", "x4")).holds
 
     def test_reassigning_x1_keeps_solutions(self, coloring):
         inst, space = coloring
@@ -158,19 +158,19 @@ class TestColoringProperties:
 class TestBackboneProperties:
     def test_all_thirteen(self, backbone):
         tbl = solution_table(*backbone)
-        assert evaluate(tbl, PropertyQuery.inconsistent("x", "false")).holds
-        assert evaluate(tbl, PropertyQuery.inconsistent("y", "false")).holds
-        assert evaluate(tbl, PropertyQuery.fixable("x", "true")).holds
-        assert evaluate(tbl, PropertyQuery.fixable("q", "true")).holds
-        assert evaluate(tbl, PropertyQuery.fixable("r", "true")).holds
-        assert evaluate(tbl, PropertyQuery.implied("x", "true")).holds
-        assert evaluate(tbl, PropertyQuery.implied("y", "true")).holds
-        assert evaluate(tbl, PropertyQuery.implied("q", "true")).holds
-        assert evaluate(tbl, PropertyQuery.implied("r", "true")).holds
-        assert evaluate(tbl, PropertyQuery.determined("y")).holds
-        assert evaluate(tbl, PropertyQuery.dependent(("z", "w"), "p")).holds
-        assert evaluate(tbl, PropertyQuery.dependent(("z", "y"), "q")).holds
-        assert evaluate(tbl, PropertyQuery.dependent(("z", "y"), "r")).holds
+        assert evaluate(tbl, PropertyQuery("inconsistent", "x", ("false",))).holds
+        assert evaluate(tbl, PropertyQuery("inconsistent", "y", ("false",))).holds
+        assert evaluate(tbl, PropertyQuery("fixable", "x", ("true",))).holds
+        assert evaluate(tbl, PropertyQuery("fixable", "q", ("true",))).holds
+        assert evaluate(tbl, PropertyQuery("fixable", "r", ("true",))).holds
+        assert evaluate(tbl, PropertyQuery("implied", "x", ("true",))).holds
+        assert evaluate(tbl, PropertyQuery("implied", "y", ("true",))).holds
+        assert evaluate(tbl, PropertyQuery("implied", "q", ("true",))).holds
+        assert evaluate(tbl, PropertyQuery("implied", "r", ("true",))).holds
+        assert evaluate(tbl, PropertyQuery("determined", "y")).holds
+        assert evaluate(tbl, PropertyQuery("dependent", "p", (), ("z", "w"))).holds
+        assert evaluate(tbl, PropertyQuery("dependent", "q", (), ("z", "y"))).holds
+        assert evaluate(tbl, PropertyQuery("dependent", "r", (), ("z", "y"))).holds
 
 
 class TestVacuity:
@@ -180,22 +180,22 @@ class TestVacuity:
         assert not satisfiable(inst, space)
         tbl = solution_table(inst, space)
         for x in inst.variables:
-            assert evaluate(tbl, PropertyQuery.determined(x)).holds
-            assert evaluate(tbl, PropertyQuery.irrelevant(x)).holds
+            assert evaluate(tbl, PropertyQuery("determined", x)).holds
+            assert evaluate(tbl, PropertyQuery("irrelevant", x)).holds
             for a in inst.domain:
-                assert evaluate(tbl, PropertyQuery.fixable(x, a)).holds
-                assert evaluate(tbl, PropertyQuery.removable(x, a)).holds
-                assert evaluate(tbl, PropertyQuery.inconsistent(x, a)).holds
-                assert evaluate(tbl, PropertyQuery.implied(x, a)).holds
+                assert evaluate(tbl, PropertyQuery("fixable", x, (a,))).holds
+                assert evaluate(tbl, PropertyQuery("removable", x, (a,))).holds
+                assert evaluate(tbl, PropertyQuery("inconsistent", x, (a,))).holds
+                assert evaluate(tbl, PropertyQuery("implied", x, (a,))).holds
                 for b in inst.domain:
-                    assert evaluate(tbl, PropertyQuery.substitutable(x, a, b)).holds
-                    assert evaluate(tbl, PropertyQuery.interchangeable(x, a, b)).holds
-        assert evaluate(tbl, PropertyQuery.dependent(("a",), "b")).holds
+                    assert evaluate(tbl, PropertyQuery("substitutable", x, (a, b))).holds
+                    assert evaluate(tbl, PropertyQuery("interchangeable", x, (a, b))).holds
+        assert evaluate(tbl, PropertyQuery("dependent", "b", (), ("a",))).holds
 
     def test_implied_everywhere_simultaneously(self):
         inst = unsat_instance()
         tbl = solution_table(inst, SearchSpace.full(inst))
-        assert all(evaluate(tbl, PropertyQuery.implied("a", a)).holds for a in inst.domain)
+        assert all(evaluate(tbl, PropertyQuery("implied", "a", (a,))).holds for a in inst.domain)
 
 
 class TestFreeInstance:
@@ -203,9 +203,9 @@ class TestFreeInstance:
         inst = free_instance()
         tbl = solution_table(inst, SearchSpace.full(inst))
         for x in inst.variables:
-            assert evaluate(tbl, PropertyQuery.irrelevant(x)).holds
+            assert evaluate(tbl, PropertyQuery("irrelevant", x)).holds
             for a in inst.domain:
-                assert not evaluate(tbl, PropertyQuery.inconsistent(x, a)).holds
+                assert not evaluate(tbl, PropertyQuery("inconsistent", x, (a,))).holds
 
 
 class TestRemovable:
@@ -213,31 +213,31 @@ class TestRemovable:
         inst, space = removability_trap
         core = dataclasses.replace(inst, constraints=inst.constraints[:2])  # x<=y and x>=y only
         tbl = solution_table(core, space)
-        assert not evaluate(tbl, PropertyQuery.removable("x", "2")).holds
+        assert not evaluate(tbl, PropertyQuery("removable", "x", ("2",))).holds
 
     def test_single_active_value_requires_inconsistency(self):
         inst = free_instance()
         space = SearchSpace.over(inst, {"a": ["0"]})
         # a=0 appears in solutions and no alternative exists
         tbl = solution_table(inst, space)
-        assert not evaluate(tbl, PropertyQuery.removable("a", "0")).holds
+        assert not evaluate(tbl, PropertyQuery("removable", "a", ("0",))).holds
         dead = unsat_instance()
         space = SearchSpace.over(dead, {"a": ["0"]})
         tbl = solution_table(dead, space)
-        assert evaluate(tbl, PropertyQuery.removable("a", "0")).holds
+        assert evaluate(tbl, PropertyQuery("removable", "a", ("0",))).holds
 
     def test_identity_substitution_always_holds(self, triple_tables):
         inst, space = triple_tables
         tbl = solution_table(inst, space)
         for x in inst.variables:
             for a in inst.domain:
-                assert evaluate(tbl, PropertyQuery.substitutable(x, a, a)).holds
+                assert evaluate(tbl, PropertyQuery("substitutable", x, (a, a))).holds
 
 
 class TestDependence:
     def test_substitutable_across_tables(self, triple_tables):
         tbl = solution_table(*triple_tables)
-        assert evaluate(tbl, PropertyQuery.substitutable("x", "1", "2")).holds
+        assert evaluate(tbl, PropertyQuery("substitutable", "x", ("1", "2"))).holds
 
     def test_unique_solution_instance_fully_dependent(self, removability_trap):
         inst, space = removability_trap
@@ -245,7 +245,7 @@ class TestDependence:
         assert len(tbl.rows) == 1
         for y in inst.variables:
             rest = tuple(v for v in inst.variables if v != y)
-            assert evaluate(tbl, PropertyQuery.dependent(rest, y)).holds
+            assert evaluate(tbl, PropertyQuery("dependent", y, (), rest)).holds
 
 
 class TestImpliedInconsistentLink:
@@ -254,9 +254,9 @@ class TestImpliedInconsistentLink:
             tbl = solution_table(inst, space)
             for x in inst.variables:
                 for a in space.values(x):
-                    lhs = evaluate(tbl, PropertyQuery.implied(x, a)).holds
+                    lhs = evaluate(tbl, PropertyQuery("implied", x, (a,))).holds
                     rhs = all(
-                        evaluate(tbl, PropertyQuery.inconsistent(x, b)).holds
+                        evaluate(tbl, PropertyQuery("inconsistent", x, (b,))).holds
                         for b in space.values(x)
                         if b != a
                     )
@@ -269,7 +269,7 @@ class TestMonotonicity:
         for inst, space in corpus[:60]:
             x = inst.variables[0]
             a = inst.domain[0]
-            query = PropertyQuery.inconsistent(x, a)
+            query = PropertyQuery("inconsistent", x, (a,))
             if not evaluate(solution_table(inst, space), query).holds:
                 continue
             y = rng.choice([v for v in inst.variables if v != x])
@@ -281,14 +281,15 @@ class TestMonotonicity:
 class TestEvidence:
     def test_counterexample_is_lexicographically_least(self, coloring):
         inst, space = coloring
-        verdict = evaluate(solution_table(inst, space), PropertyQuery.irrelevant("x4"))
+        verdict = evaluate(solution_table(inst, space), PropertyQuery("irrelevant", "x4"))
         assert not verdict.holds
         first_solution = table_solutions(inst, space)[0]
         assert verdict.counterexamples[0] == first_solution
 
     def test_dependent_counterexample_is_a_pair(self, coloring):
         inst, space = coloring
-        verdict = evaluate(solution_table(inst, space), PropertyQuery.dependent(("x2",), "x5"))
+        query = PropertyQuery("dependent", "x5", (), ("x2",))
+        verdict = evaluate(solution_table(inst, space), query)
         assert not verdict.holds
         assert len(verdict.counterexamples) == 2
 
@@ -404,16 +405,16 @@ class TestPreconditions:
         inst, space = coloring
         narrowed = space.remove("x1", "B")
         with pytest.raises(ValueError, match="not active"):
-            evaluate(solution_table(inst, narrowed), PropertyQuery.fixable("x1", "B"))
+            evaluate(solution_table(inst, narrowed), PropertyQuery("fixable", "x1", ("B",)))
 
     def test_unknown_variable(self, coloring):
         inst, space = coloring
         with pytest.raises(ValueError, match="unknown variable"):
-            evaluate(solution_table(inst, space), PropertyQuery.determined("nope"))
+            evaluate(solution_table(inst, space), PropertyQuery("determined", "nope"))
 
     def test_dependent_target_in_set(self):
         with pytest.raises(ValueError, match="must not occur"):
-            PropertyQuery.dependent(("x", "y"), "x")
+            PropertyQuery("dependent", "x", (), ("x", "y"))
 
     def test_space_must_cover_instance(self, coloring):
         inst, space = coloring
@@ -434,14 +435,6 @@ class TestPreconditions:
 
 def fresh_verdict(inst, space, query):
     return evaluate(solution_table(inst, space), query)
-
-
-def same_verdict(got, want):
-    return (got.query, got.holds, got.counterexamples) == (
-        want.query,
-        want.holds,
-        want.counterexamples,
-    )
 
 
 class TestDependenceOnOneTargetValue:
@@ -473,7 +466,7 @@ class TestDependenceOnOneTargetValue:
                 constant = len({row[tbl.index[y]] for row in tbl.rows}) <= 1
                 for size in range(len(others) + 1):
                     for over in itertools.combinations(others, size):
-                        query = PropertyQuery.dependent(over, y)
+                        query = PropertyQuery("dependent", y, (), over)
                         verdict = evaluate(tbl, query)
                         expected = reference_verdict(inst, space, solutions, query)
                         assert (verdict.holds, verdict.counterexamples) == expected, query
@@ -506,7 +499,7 @@ class TestDependenceOnOneTargetValue:
                 assert constant and not constant & set(scanned)
                 for y, row in rows.items():
                     for over in oracle.conditioning_sets(inst.variables, y, 0, dep_max):
-                        query = PropertyQuery.dependent(over, y)
+                        query = PropertyQuery("dependent", y, (), over)
                         expected = reference_verdict(inst, space, solutions, query)
                         assert row["dependent", over] == expected[0], query
                         verdict = evaluate(tbl, query)
@@ -532,7 +525,7 @@ class TestVerdictMemo:
         tbl = solution_table(inst, space)
         answers = [evaluate(tbl, q) for q in asked]
         for query, got in zip(asked, answers):
-            assert same_verdict(got, fresh_verdict(inst, space, query)), query
+            assert got == fresh_verdict(inst, space, query), query
 
     def test_invalid_queries_raise_on_every_call(self, coloring):
         inst, space = coloring
@@ -540,22 +533,22 @@ class TestVerdictMemo:
         tables = {valid: solution_table(inst, valid) for valid in (space, narrowed)}
         cases = [
             (
-                lambda: evaluate(tables[narrowed], PropertyQuery.fixable("x1", "B")),
+                lambda: evaluate(tables[narrowed], PropertyQuery("fixable", "x1", ("B",))),
                 "value 'B' is not active for 'x1'",
             ),
             (
-                lambda: evaluate(tables[space], PropertyQuery.determined("nope")),
+                lambda: evaluate(tables[space], PropertyQuery("determined", "nope")),
                 "unknown variable 'nope'",
             ),
             (
                 lambda: evaluate(
-                    tables[space], PropertyQuery.dependent(("x2", "nope"), "x5")
+                    tables[space], PropertyQuery("dependent", "x5", (), ("x2", "nope"))
                 ),
                 "unknown variable 'nope'",
             ),
             (
                 lambda: evaluate(
-                    tables[space], PropertyQuery.dependent(("x2", "x5"), "x5")
+                    tables[space], PropertyQuery("dependent", "x5", (), ("x2", "x5"))
                 ),
                 "dependence target must not occur in the variable set",
             ),
@@ -574,7 +567,7 @@ class TestVerdictMemo:
     def test_each_space_keeps_its_own_verdict(self, coloring):
         inst, full = coloring
         pinned = full.assign("x1", "G")
-        query = PropertyQuery.implied("x1", "G")
+        query = PropertyQuery("implied", "x1", ("G",))
         expected = {
             space: fresh_verdict(inst, space, query) for space in (full, pinned)
         }
@@ -582,7 +575,7 @@ class TestVerdictMemo:
         for order in ((full, pinned), (pinned, full)):
             tables = {space: solution_table(inst, space) for space in order}
             for space in order * 2:
-                assert same_verdict(evaluate(tables[space], query), expected[space])
+                assert evaluate(tables[space], query) == expected[space]
 
 
 def falsifying_positions(tbl, query):
@@ -615,7 +608,7 @@ class TestAskPath:
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(oracle, "_falsifying_rows", refuse)
             for query in true:
-                assert evaluate(tbl, query) == (query, True, ()), query.describe()
+                assert evaluate(tbl, query) == (True, ()), query.describe()
 
     @settings(max_examples=100, deadline=None)
     @given(instances_with_spaces())
@@ -635,14 +628,14 @@ class TestAskPath:
                     continue
                 if kind == "interchangeable":
                     a, b = values
-                    there = PropertyQuery.substitutable(x, a, b)
-                    back = PropertyQuery.substitutable(x, b, a)
+                    there = PropertyQuery("substitutable", x, (a, b))
+                    back = PropertyQuery("substitutable", x, (b, a))
                     positions = falsifying_positions(tbl, there) or falsifying_positions(
                         tbl, back
                     )
                 else:
                     positions = falsifying_positions(tbl, query)
-                assert verdict.counterexamples == (tbl.wrap(tbl.rows[positions[0]]),)
+                assert verdict.counterexamples == (dict(zip(tbl.order, tbl.rows[positions[0]])),)
 
     def test_invalid_asks_raise_in_order_on_every_call(self, coloring):
         inst, space = coloring
@@ -652,16 +645,16 @@ class TestAskPath:
         Q = PropertyQuery
         # Each query is built inside the ask: the target check raises there.
         cases = [
-            (narrow_tbl, lambda: Q.fixable("x1", "B"), "value 'B' is not active for 'x1'"),
-            (narrow_tbl, lambda: Q.substitutable("x1", "R", "B"), "value 'B' is not active"),
-            (tbl, lambda: Q.determined("nope"), "unknown variable 'nope'"),
+            (narrow_tbl, lambda: Q("fixable", "x1", ("B",)), "value 'B' is not active for 'x1'"),
+            (narrow_tbl, lambda: Q("substitutable", "x1", ("R", "B")), "value 'B' is not active"),
+            (tbl, lambda: Q("determined", "nope"), "unknown variable 'nope'"),
             # The unknown variable comes before the inactive value.
-            (tbl, lambda: Q.fixable("nope", "Z"), "unknown variable 'nope'"),
+            (tbl, lambda: Q("fixable", "nope", ("Z",)), "unknown variable 'nope'"),
             # The variable comes before the conditioning set.
-            (tbl, lambda: Q.dependent(("nope",), "gone"), "unknown variable 'gone'"),
-            (tbl, lambda: Q.dependent(("x2", "nope"), "x5"), "unknown variable 'nope'"),
-            (tbl, lambda: Q.dependent(("x2", "x5"), "x5"), target),
-            (tbl, lambda: Q.dependent(("nope", "x5"), "x5"), target),
+            (tbl, lambda: Q("dependent", "gone", (), ("nope",)), "unknown variable 'gone'"),
+            (tbl, lambda: Q("dependent", "x5", (), ("x2", "nope")), "unknown variable 'nope'"),
+            (tbl, lambda: Q("dependent", "x5", (), ("x2", "x5")), target),
+            (tbl, lambda: Q("dependent", "x5", (), ("nope", "x5")), target),
         ]
         for _ in range(2):
             for table, query, message in cases:
@@ -688,7 +681,7 @@ def row_queries(row, x):
     """The query each entry of x's answer row answers."""
     for kind, values in row:
         if kind == "dependent":
-            yield (kind, values), PropertyQuery.dependent(values, x)
+            yield (kind, values), PropertyQuery("dependent", x, (), values)
         else:
             yield (kind, values), PropertyQuery(kind, x, values)
 
@@ -792,7 +785,7 @@ class TestAnswerRowDependence:
             solutions = reference_solutions(inst, space)
             for y, row in oracle_rows(solution_table(inst, space), dep_max).items():
                 for over in oracle.conditioning_sets(inst.variables, y, 0, dep_max):
-                    query = PropertyQuery.dependent(over, y)
+                    query = PropertyQuery("dependent", y, (), over)
                     expected = reference_verdict(inst, space, solutions, query)[0]
                     assert row["dependent", over] == expected, query.describe()
 
