@@ -73,12 +73,8 @@ from .oracle import (
     solution_table,
 )
 from .simplify import (
-    ProvedUnsatisfiable,
     SimplificationResult,
     SimplificationStep,
-    apply_fix,
-    apply_remove,
-    replay,
     simplify_fixpoint,
 )
 

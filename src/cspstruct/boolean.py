@@ -80,7 +80,7 @@ class Clause:
     """A disjunction of literals; the empty clause is the false marker.
 
     Clauses holding a complementary literal pair are tautologies and are
-    rejected here; parsers drop them before construction.
+    rejected here; the DIMACS parser drops them on this refusal.
     """
 
     literals: frozenset[Literal]
@@ -116,15 +116,6 @@ class Clause:
         if self.is_empty:
             return "(false)"
         return "(" + " | ".join(map(repr, self.sorted_literals())) + ")"
-
-
-def clause_of(literals: Iterable[Literal]) -> Clause | None:
-    """Build a clause, or return None for a tautology (dropped upstream)."""
-    lits = frozenset(literals)
-    variables = {lit.variable for lit in lits}
-    if len(variables) != len(lits):
-        return None
-    return Clause(lits)
 
 
 @dataclass(frozen=True)
@@ -472,15 +463,6 @@ def _reduce(basis: Basis, mask: int, rhs: bool) -> tuple[int, bool]:
     return mask, rhs
 
 
-def _holders_of(basis: Basis | None) -> dict[int, set[int]]:
-    """Per bit, the leads of the rows that hold it besides their own."""
-    holders: dict[int, set[int]] = {}
-    for lead, (mask, _) in (basis or {}).items():
-        for bit in _bits(mask ^ (1 << lead)):
-            holders.setdefault(bit, set()).add(lead)
-    return holders
-
-
 def _affine_basis(
     equations: Iterable[AffineEquation], index: Mapping[str, int]
 ) -> Basis | None:
@@ -583,7 +565,6 @@ class CompiledFormula:
             self._basis = _affine_basis(formula.equations, self._index)
             self.satisfiable = self._basis is not None
             self._fixed = _fixed_values(self._basis)
-            self._holders = _holders_of(self._basis)
             self._mentioned = 0
             for eq in formula.equations:
                 self._mentioned |= _equation_mask(eq, self._index)
@@ -715,25 +696,22 @@ class CompiledFormula:
     def _add_unit(self, i: int, value: bool, changed: list[int]) -> bool:
         """Fold the equation x_i = value into the reduced basis in place,
         adding the leads it newly fixes to ``changed``; False when it
-        contradicts the basis.  Only the rows that hold the new row's lead
-        change, found through ``_holders``."""
-        basis, holders, fixed = self._basis, self._holders, self._fixed
+        contradicts the basis.  One pass over the basis adds the new row
+        into each row that holds its lead."""
+        basis, fixed = self._basis, self._fixed
         mask, rhs = _reduce(basis, 1 << i, value)
         if not mask:
             return not rhs
-        lead, *rest = _bits(mask)
-        for other in holders.pop(lead, ()):
-            row_mask, row_rhs = basis[other]
-            basis[other] = row_mask, row_rhs = row_mask ^ mask, row_rhs ^ rhs
-            for bit in rest:
-                holders.setdefault(bit, set()).symmetric_difference_update((other,))
-            if row_mask == 1 << other:
-                fixed[other] = row_rhs
-                changed.append(other)
+        low = mask & -mask
+        for other, (row_mask, row_rhs) in basis.items():
+            if row_mask & low:
+                basis[other] = row_mask, row_rhs = row_mask ^ mask, row_rhs ^ rhs
+                if row_mask == 1 << other:
+                    fixed[other] = row_rhs
+                    changed.append(other)
+        lead = low.bit_length() - 1
         basis[lead] = mask, rhs
-        for bit in rest:
-            holders.setdefault(bit, set()).add(lead)
-        if not rest:
+        if mask == low:
             fixed[lead] = rhs
             changed.append(lead)
         return True

@@ -255,7 +255,7 @@ def _check_instance(instance, space, formula, group_size, dep_max, catalog):
     overs = {x: oracle.conditioning_sets(names, x, 0, dep_max) for x in names}
     table = oracle.solution_table(instance, space)
     truths = {x: oracle.answer_row(table, x, overs[x]) for x in names}
-    catalog_found = hierarchy.validate_hierarchy(table, catalog, dep_max, overs)
+    catalog_found = hierarchy.validate_hierarchy(table, catalog, dep_max)
     problems = [violation.describe() for violation in catalog_found]
     # Each route gives one row per variable: (rows, kinds, sound, exact).  A
     # sound route (a covering) establishes only true facts; an exact one (the

@@ -228,18 +228,18 @@ def validate_hierarchy(
     table: SolutionTable,
     catalog: tuple[RelationshipEdge, ...] | None = None,
     dep_max: int = 2,
-    overs: dict[str, list[tuple]] | None = None,
 ) -> list[Violation]:
     """Check every edge at all admissible instantiations on the table's
     space, one set comparison per edge and variable, and collect the
     failures in instantiation order; an empty list is the expected outcome.
     ``catalog`` None means the full catalog; an empty one checks nothing.
-    ``overs`` maps each variable to its conditioning sets: by default every
-    set of up to ``dep_max`` other variables, the empty set included."""
-    if overs is None:
-        overs = {y: oracle.conditioning_sets(table.order, y, 0, dep_max) for y in table.order}
+    Each variable's conditioning sets are every set of up to ``dep_max``
+    other variables, the empty set included."""
     catalog = edge_catalog() if catalog is None else catalog
-    views = [(x, _held(table, x, overs[x])) for x in table.order] if catalog else []
+    views = [
+        (x, _held(table, x, oracle.conditioning_sets(table.order, x, 0, dep_max)))
+        for x in (table.order if catalog else ())
+    ]
     violations = []
     for edge in catalog:
         implies, lhs_of, rhs_of = edge.kind == "implies", edge.lhs, edge.rhs

@@ -34,7 +34,6 @@ from .boolean import (
     BooleanFormula,
     Clause,
     Literal,
-    clause_of,
 )
 from .model import Constraint, CspInstance, Relation, SearchSpace
 
@@ -255,14 +254,14 @@ def parse_dimacs(text: str) -> BooleanFormula:
                 except ValueError:
                     raise ParseError(f"clause token {token!r} is not an integer", line_no)
                 if lit == 0:
-                    built = clause_of(
+                    literals = frozenset(
                         Literal(_dimacs_name(abs(l), names), l > 0)
                         for l in clause_tokens
                     )
-                    if built is None:
+                    try:
+                        clauses.append(Clause(literals))
+                    except ValueError:  # a tautology
                         dropped += 1
-                    else:
-                        clauses.append(built)
                     clause_tokens = []
                 else:
                     if abs(lit) > var_count:
@@ -388,7 +387,7 @@ def gen_coloring(graph: Graph, colors: int) -> CspInstance:
 # search spaces enumerable.
 MAX_COLUMN_PRODUCTS = 6
 
-DEFAULT_MAX_DIGITS = 8
+MAX_DIGITS = 8
 
 
 @dataclass(frozen=True)
@@ -467,9 +466,7 @@ def _factoring_variables(layout: _FactoringLayout) -> tuple[str, ...]:
     )
 
 
-def gen_factoring(
-    spec: FactoringSpec, max_digits: int = DEFAULT_MAX_DIGITS
-) -> CspInstance:
+def gen_factoring(spec: FactoringSpec) -> CspInstance:
     """Long-multiplication circuit for z = X * Y with X, Y != 1.
 
     Digit variables x1..xn / y1..yn (least significant first) and carries
@@ -479,9 +476,9 @@ def gen_factoring(
     beyond column n forced to zero so the result fits z exactly.
     """
     n = spec.digit_count
-    if n > max_digits:
+    if n > MAX_DIGITS:
         raise ValueError(
-            f"z has {n} digits in base {spec.base}; the desk-scale cap is {max_digits}"
+            f"z has {n} digits in base {spec.base}; the desk-scale cap is {MAX_DIGITS}"
         )
     b = spec.base
     layout = _factoring_layout(spec)
@@ -515,17 +512,12 @@ def gen_factoring(
         target = zdigits[j - 1]
         if not chunks:
             scope = tuple(x for x, _ in terms) + tuple(y for _, y in terms) + (c_in, c_out)
-            width = len(terms)
-            rows = set()
-            for digits in itertools.product(range(b), repeat=2 * width):
-                total = sum(digits[t] * digits[width + t] for t in range(width))
-                for carry in range(spec.carry_bound + 1):
-                    out, digit = divmod(total + carry, b)
-                    if digit == target and out <= spec.carry_bound:
-                        rows.add(tuple(map(str, digits + (carry, out))))
-            constraints.append(
-                Constraint(f"col{j}", scope, Relation(len(scope), frozenset(rows)))
+            rows = frozenset(
+                tuple(map(str, digits + closing))
+                for digits, total in _products(b, len(terms))
+                for closing in _closings(spec, total, target)
             )
+            constraints.append(Constraint(f"col{j}", scope, Relation(len(scope), rows)))
         else:
             constraints.extend(
                 _split_column(spec, j, terms, chunks, c_in, c_out, target)
@@ -574,63 +566,52 @@ def gen_factoring(
     return CspInstance(variables, domain, tuple(constraints))
 
 
+def _products(b: int, width: int):
+    # Each vector of width x digits then width y digits, with its sum of
+    # products.
+    for digits in itertools.product(range(b), repeat=2 * width):
+        yield digits, sum(digits[t] * digits[width + t] for t in range(width))
+
+
+def _closings(spec: FactoringSpec, total: int, target: int):
+    # The (carry in, carry out) pairs that close a column summing to total.
+    for carry in range(spec.carry_bound + 1):
+        out, digit = divmod(total + carry, spec.base)
+        if digit == target and out <= spec.carry_bound:
+            yield carry, out
+
+
 def _split_column(spec, j, terms, chunks, c_in, c_out, target):
-    # Partial sums: s_{j,1} holds the first chunk of products, each later
-    # aux adds another chunk, and the final constraint closes the column.
-    b = spec.base
+    # Partial sums: s_{j,k} holds the sum carried in s_{j,k-1} (none for
+    # the first chunk) plus the k-th chunk of products, and the final
+    # constraint closes the column.
     out: list[Constraint] = []
-    prev: tuple[str, int] | None = None
-    for t in range(0, len(terms), MAX_COLUMN_PRODUCTS):
-        chunk_terms = terms[t : t + MAX_COLUMN_PRODUCTS]
-        aux_name, aux_bound = chunks[t // MAX_COLUMN_PRODUCTS]
-        width = len(chunk_terms)
-        scope = tuple(x for x, _ in chunk_terms) + tuple(y for _, y in chunk_terms)
-        rows = set()
-        if prev is None:
-            for digits in itertools.product(range(b), repeat=2 * width):
-                total = sum(digits[t2] * digits[width + t2] for t2 in range(width))
-                rows.add(tuple(map(str, digits + (total,))))
-            out.append(
-                Constraint(
-                    f"col{j}_sum1",
-                    scope + (aux_name,),
-                    Relation(2 * width + 1, frozenset(rows)),
-                )
-            )
-        else:
-            prev_name, prev_bound = prev
-            for digits in itertools.product(range(b), repeat=2 * width):
-                total = sum(digits[t2] * digits[width + t2] for t2 in range(width))
-                for carried in range(prev_bound + 1):
-                    rows.add(tuple(map(str, (carried,) + digits + (carried + total,))))
-            out.append(
-                Constraint(
-                    f"col{j}_sum{t // MAX_COLUMN_PRODUCTS + 1}",
-                    (prev_name,) + scope + (aux_name,),
-                    Relation(2 * width + 2, frozenset(rows)),
-                )
-            )
-        prev = (aux_name, aux_bound)
-    last_name, last_bound = prev
-    rows = set()
-    for total in range(last_bound + 1):
-        for carry in range(spec.carry_bound + 1):
-            quotient, digit = divmod(total + carry, b)
-            if digit == target and quotient <= spec.carry_bound:
-                rows.add((str(total), str(carry), str(quotient)))
-    out.append(
-        Constraint(f"col{j}_close", (last_name, c_in, c_out), Relation(3, frozenset(rows)))
+    head: tuple[str, ...] = ()
+    carried = range(1)
+    for k, (name, bound) in enumerate(chunks, 1):
+        chunk = terms[(k - 1) * MAX_COLUMN_PRODUCTS : k * MAX_COLUMN_PRODUCTS]
+        scope = head + tuple(x for x, _ in chunk) + tuple(y for _, y in chunk) + (name,)
+        rows = frozenset(
+            tuple(map(str, (c,) * len(head) + digits + (c + total,)))
+            for digits, total in _products(spec.base, len(chunk))
+            for c in carried
+        )
+        out.append(Constraint(f"col{j}_sum{k}", scope, Relation(len(scope), rows)))
+        head, carried = (name,), range(bound + 1)
+    rows = frozenset(
+        (str(total), str(carry), str(quotient))
+        for total in carried
+        for carry, quotient in _closings(spec, total, target)
     )
+    out.append(Constraint(f"col{j}_close", head + (c_in, c_out), Relation(3, rows)))
     return out
 
 
-def factoring_space(
-    spec: FactoringSpec, max_digits: int = DEFAULT_MAX_DIGITS
-) -> SearchSpace:
+def factoring_space(spec: FactoringSpec) -> SearchSpace:
     """Search space with per-column carry bounds tightened by the column
     recurrence and the fact that the product equals z; every solution of the
     generated instance lies inside it."""
-    instance = gen_factoring(spec, max_digits)
+    instance = gen_factoring(spec)
     n = spec.digit_count
     b = spec.base
     layout = _factoring_layout(spec)

@@ -67,7 +67,7 @@ class PropertyQuery(namedtuple("PropertyQuery", ("kind", "variable", "values", "
     ``variable`` is the queried variable (the target y for dependence) and
     ``over`` is the conditioning variable set, used by dependence only.
     A query is the tuple (kind, variable, values, over), checked once when
-    built.
+    built; ``values`` and ``over`` are stored as tuples.
     """
 
     __slots__ = ()
@@ -75,6 +75,10 @@ class PropertyQuery(namedtuple("PropertyQuery", ("kind", "variable", "values", "
     def __new__(cls, kind: str, variable: str, values=(), over=()) -> "PropertyQuery":
         if kind not in KINDS:
             raise ValueError(f"unknown property kind {kind!r}")
+        for name, arg in (("values", values), ("over", over)):
+            if isinstance(arg, str):
+                raise ValueError(f"{name} must be a sequence of names, not the string {arg!r}")
+        values, over = tuple(values), tuple(over)
         expected = _VALUE_COUNTS[kind]
         if len(values) != expected:
             raise ValueError(

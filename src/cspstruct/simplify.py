@@ -8,10 +8,13 @@ the tractable reductions, and (in test mode) the exhaustive oracle.  Local
 removability is never a justification.
 
 The loop scans variables in declaration order and values in domain order,
-applies the first justified fix, else the first justified removal, and
-scans again from the first variable after every change; it stops at a
-fixpoint or when an inconsistency proof would empty a domain, which is
-reported as a proof of unsatisfiability instead of an invalid space.
+applies the first justified fix (``SearchSpace.assign``), else the first
+justified removal (``SearchSpace.remove``), and scans again from the first
+variable after every change; it stops at a fixpoint or when an
+inconsistency proof would empty a domain, which is reported as a proof of
+unsatisfiability instead of an invalid space.  Any other removal of a last
+value is refused by ``SearchSpace.remove``, so a faulty detector raises.
+A step log replays by the same two calls.
 
 A step costs what it changes.  The detectors keep their state from step to
 step (the covering's group tables, and the global covering's for the
@@ -34,18 +37,6 @@ from .local import Covering, default_covering
 from .model import CspInstance, SearchSpace
 
 DETECTOR_FAMILIES = ("pure-value", "local", "tractable", "oracle")
-
-
-class ProvedUnsatisfiable(Exception):
-    """An inconsistency proof removed the last value of some variable."""
-
-    def __init__(self, variable: str, value: str):
-        super().__init__(
-            f"removing {value!r} from {variable!r} empties its domain: "
-            "the instance is unsatisfiable"
-        )
-        self.variable = variable
-        self.value = value
 
 
 @dataclass(frozen=True)
@@ -72,50 +63,6 @@ class SimplificationResult:
 
     def log(self) -> str:
         return "\n".join(step.render() for step in self.steps)
-
-
-def apply_fix(space: SearchSpace, variable: str, value: str) -> SearchSpace:
-    """Pin a variable to one value (no-op when already pinned to it)."""
-    if space.values(variable) == (value,):
-        return space
-    return space.assign(variable, value)
-
-
-def apply_remove(
-    space: SearchSpace,
-    variable: str,
-    value: str,
-    proved_inconsistent: bool = False,
-) -> SearchSpace:
-    """Drop one active value (no-op when already absent).
-
-    Removing the last value is refused unless the caller holds an
-    inconsistency proof, in which case the instance is unsatisfiable and
-    :class:`ProvedUnsatisfiable` is raised.
-    """
-    values = space.values(variable)
-    if value not in values:
-        return space
-    if len(values) == 1:
-        if proved_inconsistent:
-            raise ProvedUnsatisfiable(variable, value)
-        raise ValueError(
-            f"refusing to remove the last value {value!r} of {variable!r} "
-            "without an inconsistency proof"
-        )
-    return space.remove(variable, value)
-
-
-def replay(
-    space: SearchSpace, steps: tuple[SimplificationStep, ...]
-) -> SearchSpace:
-    """Re-apply a step log to a space; used to audit logs."""
-    for step in steps:
-        if step.action == "fix":
-            space = apply_fix(space, step.variable, step.value)
-        else:
-            space = apply_remove(space, step.variable, step.value)
-    return space
 
 
 class _DetectorSet:
@@ -476,19 +423,19 @@ def simplify_fixpoint(
         fix = detector_set.first(current, "fix")
         if fix is not None:
             x, a, detector = fix
-            action, child = "fix", apply_fix(current, x, a)
+            action, child = "fix", current.assign(x, a)
         else:
             removal = detector_set.first(current, "remove")
             if removal is None:
                 return SimplificationResult(current, tuple(steps), proved_unsatisfiable=False)
             x, a, detector, is_proof = removal
-            try:
-                child = apply_remove(current, x, a, proved_inconsistent=is_proof)
-            except ProvedUnsatisfiable:
+            # A proof at x's last value empties its domain: the instance is
+            # unsatisfiable.  Without one, remove refuses to empty x.
+            if is_proof and current.values(x) == (a,):
                 return SimplificationResult(
                     current, tuple(steps), proved_unsatisfiable=True, conflict=(x, a, detector)
                 )
-            action = "remove"
+            action, child = "remove", current.remove(x, a)
         after = size // len(current.values(x)) * len(child.values(x))
         steps.append(SimplificationStep(action, x, a, detector, size, after))
         current, size = child, after

@@ -494,3 +494,14 @@ def reference_simplify(instance, space, families, formula=None, group_size=1):
         action, x, a, detector, space = step
         steps.append(SimplificationStep(action, x, a, detector, size, space.size()))
         size = space.size()
+
+
+def replay(space, steps):
+    """The space a step log leaves: each fix is ``SearchSpace.assign``,
+    each removal ``SearchSpace.remove``."""
+    for step in steps:
+        if step.action == "fix":
+            space = space.assign(step.variable, step.value)
+        else:
+            space = space.remove(step.variable, step.value)
+    return space

@@ -18,7 +18,6 @@ from cspstruct.boolean import (
     UnsupportedQueryError,
     assume,
     classify_schaefer,
-    clause_of,
     instantiate_project,
     to_extensional,
     tract_check,
@@ -114,10 +113,6 @@ class TestClauseInvariants:
     def test_tautology_rejected(self):
         with pytest.raises(ValueError, match="tautological"):
             clause(("a", True), ("a", False))
-
-    def test_clause_of_returns_none_for_tautology(self):
-        assert clause_of([Literal("a", True), Literal("a", False)]) is None
-        assert clause_of([Literal("a", True)]) is not None
 
     def test_formula_variable_discipline(self):
         with pytest.raises(ValueError, match="undeclared"):

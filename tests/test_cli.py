@@ -470,6 +470,38 @@ class TestSimplify:
         instance, space = parse_csp(target.read_text())
         assert space.values("x") == ("true",)
 
+    UNSAT_CNF = "p cnf 2 3\n1 0\n-1 2 0\n-2 0\n"
+    UNSAT_CSP = (
+        "csp 1\nvars: a b\ndomain: 0 1\n"
+        "con EQ(a,b): (0,0) (1,1)\ncon NE(a,b): (0,1) (1,0)\n"
+    )
+    CNF_LOG = (
+        "FIX v1=false BY tractable-implied\n"
+        "FIX v2=false BY pure-value\n"
+        "UNSAT proved by local-inconsistent at v1=false\n"
+    )
+
+    @pytest.mark.parametrize(
+        "name, text, mode, expected",
+        [
+            ("unsat.cnf", UNSAT_CNF, "production", CNF_LOG),
+            ("unsat.cnf", UNSAT_CNF, "test", CNF_LOG),
+            (
+                "unsat.csp",
+                UNSAT_CSP,
+                "test",
+                "FIX a=0 BY oracle-fixable\n"
+                "FIX b=0 BY local-implied\n"
+                "UNSAT proved by local-inconsistent at a=0\n",
+            ),
+            ("unsat.csp", UNSAT_CSP, "production", "fixpoint after 0 step(s); space 4 -> 4\n"),
+        ],
+    )
+    def test_unsat_output_is_pinned(self, capsys, tmp_path, name, text, mode, expected):
+        path = tmp_path / name
+        path.write_text(text)
+        assert run(capsys, "simplify", str(path), "--mode", mode) == (0, expected, "")
+
 
 class TestSpaceBudget:
     """Every route that can run the oracle over the whole space honours

@@ -432,6 +432,25 @@ class TestPreconditions:
         with pytest.raises(ValueError, match="unknown property kind"):
             PropertyQuery("magic", "x")
 
+    def test_lists_give_the_tuple_verdict(self, coloring):
+        inst, space = coloring
+        table = solution_table(inst, space)
+        for as_tuple, as_list in [
+            (PropertyQuery("fixable", "x1", ("R",)), PropertyQuery("fixable", "x1", ["R"])),
+            (
+                PropertyQuery("dependent", "x2", (), ("x3", "x4")),
+                PropertyQuery("dependent", "x2", [], ["x3", "x4"]),
+            ),
+        ]:
+            assert as_list == as_tuple
+            assert evaluate(table, as_list) == evaluate(table, as_tuple)
+
+    def test_a_string_is_refused(self):
+        with pytest.raises(ValueError, match="^values must be a sequence of names"):
+            PropertyQuery("fixable", "x1", "R")
+        with pytest.raises(ValueError, match="^over must be a sequence of names"):
+            PropertyQuery("dependent", "x2", (), "x3")
+
 
 def fresh_verdict(inst, space, query):
     return evaluate(solution_table(inst, space), query)

@@ -22,12 +22,8 @@ from cspstruct.local import default_covering
 from cspstruct.model import Constraint, CspInstance, Relation, SearchSpace
 from cspstruct.simplify import (
     DETECTOR_FAMILIES,
-    ProvedUnsatisfiable,
     _DetectorSet,
     _resolve_families,
-    apply_fix,
-    apply_remove,
-    replay,
     simplify_fixpoint,
 )
 
@@ -36,52 +32,13 @@ from conftest import (
     instances_with_spaces,
     pure_values,
     reference_simplify,
+    replay,
     wide_instances,
 )
 
 
 def clause(*lits):
     return Clause(frozenset(Literal(v, positive) for v, positive in lits))
-
-
-class TestApplyFix:
-    def test_basic(self):
-        inst = CspInstance(("a", "b"), ("0", "1"))
-        space = SearchSpace.full(inst)
-        fixed = apply_fix(space, "a", "1")
-        assert fixed.values("a") == ("1",) and fixed.values("b") == ("0", "1")
-
-    def test_idempotent_on_singleton(self):
-        inst = CspInstance(("a",), ("0", "1"))
-        space = SearchSpace.over(inst, {"a": ["1"]})
-        assert apply_fix(space, "a", "1") is space
-
-    def test_inactive_value_rejected(self):
-        inst = CspInstance(("a",), ("0", "1"))
-        space = SearchSpace.over(inst, {"a": ["1"]})
-        with pytest.raises(ValueError, match="not active"):
-            apply_fix(space, "a", "0")
-
-
-class TestApplyRemove:
-    def test_basic_and_noop(self):
-        inst = CspInstance(("a",), ("0", "1", "2"))
-        space = SearchSpace.full(inst)
-        removed = apply_remove(space, "a", "1")
-        assert removed.values("a") == ("0", "2")
-        assert apply_remove(removed, "a", "1") is removed  # already absent
-
-    def test_last_value_refused_without_proof(self):
-        inst = CspInstance(("a",), ("0",))
-        space = SearchSpace.full(inst)
-        with pytest.raises(ValueError, match="refusing"):
-            apply_remove(space, "a", "0")
-
-    def test_last_value_with_proof_is_unsat(self):
-        inst = CspInstance(("a",), ("0",))
-        space = SearchSpace.full(inst)
-        with pytest.raises(ProvedUnsatisfiable):
-            apply_remove(space, "a", "0", proved_inconsistent=True)
 
 
 class TestPureValueFlow:
@@ -141,6 +98,22 @@ class TestFixpointBehaviour:
         assert result.conflict is not None
         # the surviving space is still well formed
         assert all(result.final_space.values(v) for v in inst.variables)
+
+    def test_only_a_proof_may_empty_a_domain(self, monkeypatch):
+        # A removal at a variable's last value proves unsatisfiability only
+        # with an inconsistency proof; without one it is a detector fault.
+        inst = CspInstance(("a",), ("0", "1"))
+        space = SearchSpace.over(inst, {"a": ["1"]})
+        for is_proof in (True, False):
+            monkeypatch.setattr(
+                _DetectorSet, "justify_removal", lambda self, space, x, a: ("stub", is_proof)
+            )
+            if is_proof:
+                result = simplify_fixpoint(inst, space)
+                assert result.proved_unsatisfiable and result.conflict == ("a", "1", "stub")
+            else:
+                with pytest.raises(ValueError, match="no active values"):
+                    simplify_fixpoint(inst, space)
 
     def test_steps_strictly_shrink_and_replay(self, corpus):
         for inst, space in corpus[:40]:
