@@ -60,7 +60,6 @@ from .local import (
 from .model import (
     Constraint,
     CspInstance,
-    Relation,
     SearchSpace,
 )
 from .oracle import (

@@ -38,7 +38,7 @@ import itertools
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
-from .model import Constraint, CspInstance, Relation
+from .model import Constraint, CspInstance
 from .oracle import KINDS, PropertyQuery, signature_row
 
 FALSE_VALUE = "false"
@@ -777,33 +777,24 @@ def to_extensional(formula: BooleanFormula) -> CspInstance:
     constraints = []
     position = {v: i for i, v in enumerate(formula.variables)}.__getitem__
     for number, item in enumerate(formula.constraints, 1):
-        name = f"c{number}"
+        scope = tuple(sorted(item.variables, key=position))
+        combos = itertools.product(BOOL_VALUES, repeat=len(scope))
         if isinstance(item, Clause):
-            if item.is_empty:
-                # The false marker: an unsatisfiable unary constraint.
-                scope = (formula.variables[0],)
-                constraints.append(Constraint(name, scope, Relation(1, frozenset())))
-                continue
-            scope = tuple(sorted(item.variables, key=position))
             wanted = {lit.variable: lit.positive for lit in item.literals}
             rows = frozenset(
                 combo
-                for combo in itertools.product(BOOL_VALUES, repeat=len(scope))
-                if any(name_bool(combo[i]) == wanted[v] for i, v in enumerate(scope))
+                for combo in combos
+                if any(name_bool(a) == wanted[v] for a, v in zip(combo, scope))
             )
         else:
-            scope = tuple(sorted(item.variables, key=position))
-            if not scope:
-                if item.parity:
-                    scope = (formula.variables[0],)
-                    constraints.append(Constraint(name, scope, Relation(1, frozenset())))
+            rows = frozenset(combo for combo in combos if _parity_of(combo) == item.parity)
+        if not scope:
+            if rows:  # 0 = 0
                 continue
-            rows = frozenset(
-                combo
-                for combo in itertools.product(BOOL_VALUES, repeat=len(scope))
-                if _parity_of(combo) == item.parity
-            )
-        constraints.append(Constraint(name, scope, Relation(len(scope), rows)))
+            # The empty clause or 0 = 1: the false marker, an unsatisfiable
+            # unary constraint.
+            scope = (formula.variables[0],)
+        constraints.append(Constraint(f"c{number}", scope, rows))
     return CspInstance(formula.variables, BOOL_VALUES, tuple(constraints))
 
 

@@ -35,7 +35,7 @@ from .boolean import (
     Clause,
     Literal,
 )
-from .model import Constraint, CspInstance, Relation, SearchSpace
+from .model import Constraint, CspInstance, SearchSpace
 
 logger = logging.getLogger(__name__)
 
@@ -167,7 +167,7 @@ def parse_csp(text: str) -> tuple[CspInstance, SearchSpace]:
                             line_no,
                         )
         rows = frozenset(zip(*[iter(cells)] * arity))
-        constraints.append(Constraint(name, scope, Relation(arity, rows)))
+        constraints.append(Constraint(name, scope, rows))
     if not header_seen:
         raise ParseError("empty input: expected header 'csp 1'", 1)
     if variables is None or domain is None:
@@ -197,7 +197,7 @@ def emit_csp(
             if values != instance.domain:
                 lines.append(f"active: {name} = " + " ".join(values))
     for c in instance.constraints:
-        rows = sorted(c.relation.rows, key=lambda row: tuple(order[v] for v in row))
+        rows = sorted(c.rows, key=lambda row: tuple(order[v] for v in row))
         rendered = " ".join("(" + ",".join(row) + ")" for row in rows)
         lines.append(f"con {c.name}({','.join(c.scope)}):" + (" " + rendered if rendered else ""))
     return "\n".join(lines) + "\n"
@@ -274,7 +274,7 @@ def parse_dimacs(text: str) -> BooleanFormula:
             right = right.strip()
             if right not in ("0", "1"):
                 raise ParseError(f"equation parity must be 0 or 1, got {right!r}", line_no)
-            members = []
+            indices = []
             for token in left.split():
                 try:
                     idx = int(token)
@@ -282,10 +282,13 @@ def parse_dimacs(text: str) -> BooleanFormula:
                     raise ParseError(f"equation token {token!r} is not an index", line_no)
                 if not 1 <= idx <= var_count:
                     raise ParseError(f"equation index {idx} is out of range", line_no)
-                members.append(_dimacs_name(idx, names))
-            if not members:
+                if idx in indices:
+                    raise ParseError(f"equation repeats index {idx}", line_no)
+                indices.append(idx)
+            if not indices:
                 raise ParseError("equation has no variables", line_no)
-            equations.append(AffineEquation(frozenset(members), right == "1"))
+            members = frozenset(_dimacs_name(idx, names) for idx in indices)
+            equations.append(AffineEquation(members, right == "1"))
         else:
             raise ParseError("content before any problem line", line_no)
     if clause_tokens:
@@ -368,9 +371,7 @@ def gen_coloring(graph: Graph, colors: int) -> CspInstance:
     if colors < 1:
         raise ValueError("need at least one color")
     palette = _palette(colors)
-    not_equal = Relation(
-        2, frozenset((a, b) for a in palette for b in palette if a != b)
-    )
+    not_equal = frozenset((a, b) for a in palette for b in palette if a != b)
     constraints = tuple(
         Constraint("NE", (f"x{u}", f"x{v}"), not_equal) for u, v in graph.edges
     )
@@ -492,20 +493,16 @@ def gen_factoring(spec: FactoringSpec) -> CspInstance:
     if len(digit_values) < len(domain):
         digit_rows = frozenset((v,) for v in digit_values)
         for v in layout.xs + layout.ys:
-            constraints.append(Constraint(f"dom_{v}", (v,), Relation(1, digit_rows)))
+            constraints.append(Constraint(f"dom_{v}", (v,), digit_rows))
     if len(carry_values) < len(domain):
         carry_rows = frozenset((v,) for v in carry_values)
         for v in layout.carries:
-            constraints.append(Constraint(f"dom_{v}", (v,), Relation(1, carry_rows)))
+            constraints.append(Constraint(f"dom_{v}", (v,), carry_rows))
     for name, bound in layout.aux_bounds:
         rows = frozenset((str(v),) for v in range(bound + 1))
-        constraints.append(Constraint(f"dom_{name}", (name,), Relation(1, rows)))
-    constraints.append(
-        Constraint("carry_in", (layout.carries[0],), Relation(1, frozenset({("0",)})))
-    )
-    constraints.append(
-        Constraint("carry_out", (layout.carries[-1],), Relation(1, frozenset({("0",)})))
-    )
+        constraints.append(Constraint(f"dom_{name}", (name,), rows))
+    constraints.append(Constraint("carry_in", (layout.carries[0],), {("0",)}))
+    constraints.append(Constraint("carry_out", (layout.carries[-1],), {("0",)}))
 
     for j, (terms, chunks) in enumerate(layout.columns, 1):
         c_in, c_out = layout.carries[j - 1], layout.carries[j]
@@ -517,7 +514,7 @@ def gen_factoring(spec: FactoringSpec) -> CspInstance:
                 for digits, total in _products(b, len(terms))
                 for closing in _closings(spec, total, target)
             )
-            constraints.append(Constraint(f"col{j}", scope, Relation(len(scope), rows)))
+            constraints.append(Constraint(f"col{j}", scope, rows))
         else:
             constraints.extend(
                 _split_column(spec, j, terms, chunks, c_in, c_out, target)
@@ -533,11 +530,7 @@ def gen_factoring(spec: FactoringSpec) -> CspInstance:
                     if p * q == 0
                 )
                 constraints.append(
-                    Constraint(
-                        f"hz_x{i}y{k}",
-                        (layout.xs[i - 1], layout.ys[k - 1]),
-                        Relation(2, rows),
-                    )
+                    Constraint(f"hz_x{i}y{k}", (layout.xs[i - 1], layout.ys[k - 1]), rows)
                 )
 
     one = ("1",) + ("0",) * (n - 1)
@@ -546,8 +539,8 @@ def gen_factoring(spec: FactoringSpec) -> CspInstance:
         for combo in itertools.product(digit_values, repeat=n)
         if combo != one
     )
-    constraints.append(Constraint("x_not_1", layout.xs, Relation(n, factor_rows)))
-    constraints.append(Constraint("y_not_1", layout.ys, Relation(n, factor_rows)))
+    constraints.append(Constraint("x_not_1", layout.xs, factor_rows))
+    constraints.append(Constraint("y_not_1", layout.ys, factor_rows))
 
     if spec.ordering:
         rows = set()
@@ -557,11 +550,7 @@ def gen_factoring(spec: FactoringSpec) -> CspInstance:
                 yval = sum(d * b**i for i, d in enumerate(ycombo))
                 if xval < yval:
                     rows.add(tuple(map(str, xcombo + ycombo)))
-        constraints.append(
-            Constraint(
-                "x_below_y", layout.xs + layout.ys, Relation(2 * n, frozenset(rows))
-            )
-        )
+        constraints.append(Constraint("x_below_y", layout.xs + layout.ys, rows))
 
     return CspInstance(variables, domain, tuple(constraints))
 
@@ -596,14 +585,14 @@ def _split_column(spec, j, terms, chunks, c_in, c_out, target):
             for digits, total in _products(spec.base, len(chunk))
             for c in carried
         )
-        out.append(Constraint(f"col{j}_sum{k}", scope, Relation(len(scope), rows)))
+        out.append(Constraint(f"col{j}_sum{k}", scope, rows))
         head, carried = (name,), range(bound + 1)
     rows = frozenset(
         (str(total), str(carry), str(quotient))
         for total in carried
         for carry, quotient in _closings(spec, total, target)
     )
-    out.append(Constraint(f"col{j}_close", head + (c_in, c_out), Relation(3, rows)))
+    out.append(Constraint(f"col{j}_close", head + (c_in, c_out), rows))
     return out
 
 
@@ -718,7 +707,7 @@ def gen_random(spec: RandomSpec) -> tuple[CspInstance, SearchSpace]:
             )
             if rows or spec.density <= 0.5:
                 break
-        constraints.append(Constraint(f"c{number}", scope, Relation(arity, rows)))
+        constraints.append(Constraint(f"c{number}", scope, rows))
     instance = CspInstance(variables, domain, tuple(constraints))
     return instance, SearchSpace.full(instance)
 

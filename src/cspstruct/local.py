@@ -9,7 +9,7 @@ anything else stays *unknown* — local reasoning never refutes.
 
 Every group, one constraint or many, is decided the same way: on the
 group's solutions over the union of its scopes.  A one-constraint group's
-table is its relation's rows with every value active, moved into
+table is its constraint's rows with every value active, moved into
 declaration order, so no group at group size 1 enumerates its scope
 product; a larger group's table comes from the oracle's backtracking
 enumerator.  A caller builds a covering's ``GroupTables`` for a space once
@@ -122,11 +122,11 @@ def _groups(
 
 class GroupTables:
     """A covering's group tables for one space: the space; per group, its
-    solutions on its own scope and whether there are none; per variable,
-    the groups that hold it and its established row once asked for (see
-    ``row``); and whether any group has no solutions."""
+    solutions on its own scope; per variable, the groups that hold it and
+    its established row once asked for (see ``row``); and whether any group
+    has no solutions."""
 
-    __slots__ = ("space", "tables", "empty", "holding", "some_empty", "rows")
+    __slots__ = ("space", "tables", "holding", "some_empty", "rows")
 
     def __init__(
         self,
@@ -136,9 +136,8 @@ class GroupTables:
     ):
         self.space = space
         self.tables = tables
-        self.empty = [not tbl.rows for tbl in tables]
         self.holding = holding
-        self.some_empty = any(self.empty)
+        self.some_empty = not all(tbl.rows for tbl in tables)
         self.rows: dict[str, dict[tuple, bool]] = {}
 
     def narrow(self, space: SearchSpace, x: str) -> None:
@@ -157,7 +156,6 @@ class GroupTables:
             rows = tuple(compress(tbl.rows, map(keep, map(itemgetter(i), tbl.rows))))
             actives = (*tbl.actives[:i], active, *tbl.actives[i + 1 :])
             self.tables[g] = oracle.SolutionTable(tbl.order, actives, rows)
-            self.empty[g] = not rows
             for v in tbl.order:
                 self.rows.pop(v, None)
             if not rows and not self.some_empty:
@@ -220,12 +218,12 @@ def _group_table(group: CspInstance, space: SearchSpace) -> oracle.SolutionTable
 def _relation_rows(
     group: CspInstance, actives: tuple[tuple[str, ...], ...]
 ) -> tuple[tuple[str, ...], ...]:
-    # A one-constraint group's solutions are its relation's rows with every
+    # A one-constraint group's solutions are its constraint's rows with every
     # value active, columns moved from scope order into declaration order.
     # No witness is read off a group table, so the rows' order is free.
-    # Relation values lie in the domain, so only a column whose active
+    # Row values lie in the domain, so only a column whose active
     # values leave part of the domain out filters the rows.
-    rows = group.constraints[0].relation.rows
+    rows = group.constraints[0].rows
     (positions,) = group.scope_positions
     for k, p in enumerate(positions):
         allowed = frozenset(actives[p])
@@ -259,7 +257,7 @@ def local_check(groups: GroupTables, query: PropertyQuery) -> LocalVerdict:
     # fails, and the other OR kinds hold iff x has one active value (or the
     # group is empty, which makes every OR kind hold).
     free = kind in AND_KINDS or (kind != "inconsistent" and len(active) == 1)
-    results = [True] * len(groups.tables) if free else list(groups.empty)
+    results = [free or not tbl.rows for tbl in groups.tables]
     for g in groups.holding.get(x, ()):
         tbl = groups.tables[g]
         over = tuple(filter(tbl.index.__contains__, query.over))

@@ -1,10 +1,10 @@
 """Core data model for finite-domain CSPs with extensional constraints.
 
 An instance is a triple <variables, domain, constraints>: a shared ordered
-value domain plus constraints stored as explicit row sets over ordered
-scopes.  A :class:`SearchSpace` narrows each variable to a nonempty subset
-of the domain (its "active" values); the full space keeps every domain
-value active for every variable.
+value domain plus constraints, each an ordered scope with the explicit set
+of value rows it allows.  A :class:`SearchSpace` narrows each variable to a
+nonempty subset of the domain (its "active" values); the full space keeps
+every domain value active for every variable.
 
 Everything here is an immutable value and every operation is a pure
 function, so instances and spaces can be shared freely between threads.
@@ -24,52 +24,31 @@ Row = tuple[str, ...]
 
 
 @dataclass(frozen=True)
-class Relation:
-    """A finite set of fixed-length value rows."""
-
-    arity: int
-    rows: frozenset[Row]
-
-    def __post_init__(self) -> None:
-        if self.arity < 0:
-            raise ValueError("relation arity cannot be negative")
-        if not isinstance(self.rows, frozenset):
-            object.__setattr__(self, "rows", frozenset(self.rows))
-        if not set(map(len, self.rows)) <= {self.arity}:
-            for row in self.rows:
-                if len(row) != self.arity:
-                    raise ValueError(f"row {row!r} does not match arity {self.arity}")
-
-    @classmethod
-    def of(cls, arity: int, rows: Iterable[Iterable[str]]) -> "Relation":
-        return cls(arity, frozenset(tuple(row) for row in rows))
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-
-@dataclass(frozen=True)
 class Constraint:
-    """A relation attached to an ordered list of scope variables.
+    """An ordered scope and the set of value rows it allows.
 
-    The scope may not repeat variables.  An empty scope is legal here, but
+    ``rows`` may be any iterable of row iterables and is stored as a
+    frozenset of tuples.  The scope may not repeat variables and each row has
+    one value per scope variable.  An empty scope is legal here, but
     instances only ever hold constraints with at least one scope variable.
     """
 
     name: str
     scope: tuple[str, ...]
-    relation: Relation
+    rows: frozenset[Row]
 
     def __post_init__(self) -> None:
         if not isinstance(self.scope, tuple):
             object.__setattr__(self, "scope", tuple(self.scope))
         if len(set(self.scope)) != len(self.scope):
             raise ValueError(f"constraint {self.name!r} repeats a scope variable")
-        if self.relation.arity != len(self.scope):
-            raise ValueError(
-                f"constraint {self.name!r}: relation arity {self.relation.arity} "
-                f"does not match scope size {len(self.scope)}"
-            )
+        if not isinstance(self.rows, frozenset):
+            object.__setattr__(self, "rows", frozenset(map(tuple, self.rows)))
+        arity = len(self.scope)
+        if not set(map(len, self.rows)) <= {arity}:
+            for row in self.rows:
+                if len(row) != arity:
+                    raise ValueError(f"row {row!r} does not match arity {arity}")
 
 
 @dataclass(frozen=True)
@@ -101,8 +80,8 @@ class CspInstance:
                     raise ValueError(
                         f"constraint {c.name!r} mentions unknown variable {v!r}"
                     )
-            if not dom.issuperset(itertools.chain.from_iterable(c.relation.rows)):
-                for row in c.relation.rows:
+            if not dom.issuperset(itertools.chain.from_iterable(c.rows)):
+                for row in c.rows:
                     for a in row:
                         if a not in dom:
                             raise ValueError(
@@ -113,7 +92,7 @@ class CspInstance:
     def _checked(cls, variables, domain, constraints) -> "CspInstance":
         """The instance of three tuples its caller has checked as
         ``__post_init__`` would (the parser checks each line, to name the
-        line), so no relation value is checked twice."""
+        line), so no row value is checked twice."""
         instance = object.__new__(cls)
         vars(instance).update(variables=variables, domain=domain, constraints=constraints)
         return instance

@@ -36,18 +36,7 @@ from typing import NamedTuple
 
 from .model import CspInstance, Row, SearchSpace
 
-KINDS = (
-    "fixable",
-    "substitutable",
-    "interchangeable",
-    "removable",
-    "inconsistent",
-    "implied",
-    "determined",
-    "dependent",
-    "irrelevant",
-)
-
+# Each property kind, in canonical order, with the number of values it takes.
 _VALUE_COUNTS = {
     "fixable": 1,
     "substitutable": 2,
@@ -59,6 +48,8 @@ _VALUE_COUNTS = {
     "dependent": 0,
     "irrelevant": 0,
 }
+
+KINDS = tuple(_VALUE_COUNTS)
 
 
 class PropertyQuery(namedtuple("PropertyQuery", ("kind", "variable", "values", "over"))):
@@ -153,7 +144,7 @@ def _solution_rows(instance: CspInstance, space: SearchSpace) -> Iterator[Row]:
     # variable is k; a unary projection gives a value, not a 1-tuple.
     tests: list[list[tuple[itemgetter, frozenset]]] = [[] for _ in domains]
     for c, pos in zip(instance.constraints, instance.scope_positions):
-        allowed = c.relation.rows
+        allowed = c.rows
         if len(pos) == 1:
             allowed = frozenset(row[0] for row in allowed)
         tests[max(pos)].append((itemgetter(*pos), allowed))
@@ -428,7 +419,7 @@ def all_queries(
             raise ValueError(f"unknown property kind {kind!r}")
         for x in names:
             active = space.values(x)
-            if kind in ("fixable", "removable", "inconsistent", "implied"):
+            if _VALUE_COUNTS[kind] == 1:
                 queries.extend(make((kind, x, (a,), ())) for a in active)
             elif kind == "substitutable":
                 queries.extend(
@@ -440,7 +431,7 @@ def all_queries(
                     for pos, a in enumerate(active)
                     for b in active[pos + 1 :]
                 )
-            elif kind in ("determined", "irrelevant"):
+            elif kind != "dependent":
                 queries.append(make((kind, x, (), ())))
             else:
                 queries.extend(

@@ -15,6 +15,8 @@ from json.encoder import encode_basestring_ascii
 from math import isfinite
 from typing import NamedTuple
 
+from .oracle import PropertyQuery
+
 
 class Finding(NamedTuple):
     """One query's answer, as a tuple: ``analyze`` builds one per query."""
@@ -29,11 +31,7 @@ class Finding(NamedTuple):
     elapsed_ms: float
 
     def line(self) -> str:
-        bits = [self.kind, self.variable, *self.values]
-        if self.over:
-            bits.append("on(" + ",".join(self.over) + ")")
-        bits.append(self.verdict)
-        return " ".join(bits)
+        return PropertyQuery.describe(self) + " " + self.verdict
 
 
 @dataclass(frozen=True)

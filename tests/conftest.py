@@ -16,7 +16,7 @@ from cspstruct import (
     simplify,
     standard_corpus,
 )
-from cspstruct.model import Constraint, CspInstance, Relation, SearchSpace
+from cspstruct.model import Constraint, CspInstance, SearchSpace
 from cspstruct.oracle import PropertyQuery
 from cspstruct.simplify import SimplificationResult, SimplificationStep
 
@@ -73,7 +73,7 @@ def iter_rows(space):
 
 def is_solution(inst, t):
     """Every constraint holds the scope-ordered projection of ``t`` as a row."""
-    return all(tuple(t[v] for v in c.scope) in c.relation.rows for c in inst.constraints)
+    return all(tuple(t[v] for v in c.scope) in c.rows for c in inst.constraints)
 
 
 def reference_solutions(inst, space):
@@ -154,7 +154,7 @@ def instances_with_spaces(draw):
             scope = draw(st.permutations(names))[: draw(st.integers(1, min(3, len(names))))]
             rows = list(itertools.product(domain, repeat=len(scope)))
             kept = draw(st.lists(st.sampled_from(rows), unique=True)) if rows else []
-            constraints.append(Constraint(f"c{k}", tuple(scope), Relation.of(len(scope), kept)))
+            constraints.append(Constraint(f"c{k}", tuple(scope), kept))
     inst = CspInstance(names, domain, tuple(constraints))
     active = {
         v: draw(st.sets(st.sampled_from(domain), min_size=1)) for v in names
@@ -179,7 +179,7 @@ def wide_instances(draw):
             for row in itertools.product(domain, repeat=len(scope))
             if rng.random() < density
         ]
-        constraints.append(Constraint(f"c{k}", scope, Relation.of(len(scope), rows)))
+        constraints.append(Constraint(f"c{k}", scope, rows))
     inst = CspInstance(names, domain, tuple(constraints))
     return inst, SearchSpace.full(inst)
 
@@ -189,11 +189,9 @@ def edge_instances():
     so no solutions), one active value, an active value with no support, a
     variable in no constraint, dependence on variables outside a group's
     scope, and an instance with no constraints (a covering of no groups)."""
-    less = Constraint(
-        "less", ("a", "b"), Relation.of(2, [("0", "1"), ("0", "2"), ("1", "2")])
-    )
-    same = Constraint("same", ("b", "c"), Relation.of(2, [(v, v) for v in "0123"]))
-    dead = Constraint("dead", ("c",), Relation.of(1, []))
+    less = Constraint("less", ("a", "b"), [("0", "1"), ("0", "2"), ("1", "2")])
+    same = Constraint("same", ("b", "c"), [(v, v) for v in "0123"])
+    dead = Constraint("dead", ("c",), [])
     inst = CspInstance(("a", "b", "c", "d"), ("0", "1", "2", "3"), (less, same))
     full = SearchSpace.full(inst)
     return [

@@ -310,7 +310,7 @@ class TestToExtensional:
         f = BooleanFormula(("x", "y"), (clause(("x", False), ("y", True)),))
         inst = to_extensional(f)
         assert inst.domain == ("false", "true")
-        assert inst.constraints[0].relation.rows == {
+        assert inst.constraints[0].rows == {
             ("false", "false"),
             ("false", "true"),
             ("true", "true"),
@@ -324,10 +324,25 @@ class TestToExtensional:
     def test_equation_expansion(self):
         f = BooleanFormula(("x", "y"), (), (AffineEquation(frozenset("xy"), True),))
         inst = to_extensional(f)
-        assert inst.constraints[0].relation.rows == {
+        assert inst.constraints[0].rows == {
             ("false", "true"),
             ("true", "false"),
         }
+
+    def test_items_without_variables(self):
+        # The empty clause and 0 = 1 become the false marker on the first
+        # variable; 0 = 0 is dropped and its number, c3, is not reused.
+        f = BooleanFormula(
+            ("x", "y"),
+            (Clause(frozenset()), clause(("y", True), ("x", False))),
+            (AffineEquation(frozenset(), False), AffineEquation(frozenset(), True)),
+        )
+        inst = to_extensional(f)
+        assert [(c.name, c.scope, c.rows) for c in inst.constraints] == [
+            ("c1", ("x",), frozenset()),
+            ("c2", ("x", "y"), {("false", "false"), ("false", "true"), ("true", "true")}),
+            ("c4", ("x",), frozenset()),
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from cspstruct.instances import (
     gen_factoring,
     gen_random,
 )
-from cspstruct.model import Constraint, CspInstance, Relation, SearchSpace
+from cspstruct.model import Constraint, CspInstance, SearchSpace
 
 from conftest import edge_instances, forced_by_product, oracle_rows, reference_violations
 
@@ -172,7 +172,7 @@ def _determinacy_tables():
                 narrowed = narrowed.remove(v, rng.choice(narrowed.values(v)))
         yield solution_table(inst, full)
         yield solution_table(inst, narrowed)
-    less = Constraint("less", ("a", "b"), Relation.of(2, [("0", "1")]))
+    less = Constraint("less", ("a", "b"), [("0", "1")])
     inst = CspInstance(("a", "b", "c"), ("0", "1"), (less,))
     space = SearchSpace.full(inst)
     yield solution_table(inst, space.assign("b", "0"))  # no rows
@@ -225,7 +225,7 @@ def test_dependence_edge_rejects_the_determined_reading():
     # Equality plus a free variable: y stays determined under every
     # restriction, but dependent(S, {v}, y) is false, so the edge must use
     # the "all solutions share one y value" reading.
-    eq = Constraint("eq", ("y", "z"), Relation.of(2, [("0", "0"), ("1", "1")]))
+    eq = Constraint("eq", ("y", "z"), [("0", "0"), ("1", "1")])
     inst = CspInstance(("v", "y", "z"), ("0", "1"), (eq,))
     table = solution_table(inst, SearchSpace.full(inst))
     assert oracle.evaluate(table, PropertyQuery("determined", "y")).holds

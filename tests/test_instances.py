@@ -3,7 +3,7 @@ import itertools
 import pytest
 
 from cspstruct import oracle
-from cspstruct.boolean import SchaeferClass, classify_schaefer
+from cspstruct.boolean import AffineEquation, SchaeferClass, classify_schaefer
 from cspstruct.instances import (
     ISOLATED_NODE_GRAPH,
     FactoringSpec,
@@ -53,7 +53,7 @@ class TestCspRoundTrip:
     def test_empty_relation_round_trip(self):
         text = "csp 1\nvars: x\ndomain: 0 1\ncon dead(x):\n"
         instance, space = parse_csp(text)
-        assert instance.constraints[0].relation.rows == frozenset()
+        assert instance.constraints[0].rows == frozenset()
         assert parse_csp(emit_csp(instance, space)) == (instance, space)
 
     def test_comments_are_preserved_semantically(self):
@@ -196,6 +196,17 @@ class TestDimacs:
         assert len(formula.equations) == 2
         assert classify_schaefer(formula).primary is SchaeferClass.AFFINE
 
+    @pytest.mark.parametrize("equation", ["1 1 = 1", "1 1 2 = 1"])
+    def test_repeated_equation_index_is_refused(self, equation):
+        # x ^ x is 0, so reading a repeat as one occurrence changes the
+        # equation: 1 1 = 1 would read as v1 = 1, where it says 0 = 1.
+        with pytest.raises(ParseError) as error:
+            parse_dimacs(f"p xnf 2 1\n{equation}\n")
+        assert str(error.value) == "line 2: equation repeats index 1"
+        assert error.value.line == 2
+        (parsed,) = parse_dimacs("p xnf 2 1\n1 2 = 1\n").equations
+        assert parsed == AffineEquation(frozenset({"v1", "v2"}), True)
+
     def test_combined_sections_round_trip(self):
         text = "p cnf 3 1\n1 -2 0\np xnf 3 1\n2 3 = 1\n"
         formula = parse_dimacs(text)
@@ -210,7 +221,7 @@ class TestColoring:
         instance, _ = coloring
         generated = gen_coloring(ISOLATED_NODE_GRAPH, 3)
         assert generated == instance
-        assert generated.constraints[0].relation.rows == {
+        assert generated.constraints[0].rows == {
             ("R", "G"), ("R", "B"), ("G", "R"), ("G", "B"), ("B", "R"), ("B", "G"),
         }
         assert [c.scope for c in generated.constraints] == [
@@ -315,7 +326,7 @@ class TestRandomGeneration:
     def test_density_one_gives_full_relations(self):
         instance, space = gen_random(RandomSpec(4, 2, 5, 2, 1.0, seed=3))
         for c in instance.constraints:
-            assert len(c.relation.rows) == len(instance.domain) ** c.relation.arity
+            assert len(c.rows) == len(instance.domain) ** len(c.scope)
         table = oracle.solution_table(instance, space)
         for x in instance.variables:
             assert oracle.evaluate(table, PropertyQuery("irrelevant", x)).holds

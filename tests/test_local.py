@@ -16,7 +16,7 @@ from cspstruct.local import (
     group_tables,
     local_check,
 )
-from cspstruct.model import Constraint, CspInstance, Relation, SearchSpace
+from cspstruct.model import Constraint, CspInstance, SearchSpace
 from cspstruct.oracle import PropertyQuery as Q
 from cspstruct.oracle import solution_table
 from cspstruct.simplify import simplify_fixpoint
@@ -43,12 +43,12 @@ class TestDefaultCovering:
         assert default_covering(inst, 3).groups == ((0, 1, 2),)
 
     def test_uneven_chunks(self):
-        unary = Constraint("c", ("a",), Relation.of(1, [("0",)]))
+        unary = Constraint("c", ("a",), [("0",)])
         five = CspInstance(
             ("a", "b"),
             ("0",),
             tuple(
-                Constraint(f"c{i}", ("a",), unary.relation) for i in range(5)
+                Constraint(f"c{i}", ("a",), unary.rows) for i in range(5)
             ),
         )
         assert default_covering(five, 2).groups == ((0, 1), (2, 3), (4,))
@@ -592,8 +592,9 @@ class TestDerivedTables:
                 assert set(tbl.rows) == set(cold_tbl.rows) == set(enumerated)
                 assert len(tbl.rows) == len(cold_tbl.rows)
                 assert tbl.actives == cold_tbl.actives == actives
-            assert tables.empty == cold.empty
-            assert tables.some_empty == cold.some_empty == any(cold.empty)
+            empty = [not tbl.rows for tbl in cold.tables]
+            assert [not tbl.rows for tbl in tables.tables] == empty
+            assert tables.some_empty == cold.some_empty == any(empty)
             rows = {}
             for query in _group_queries(inst, space):
                 expected = local_check(cold, query)

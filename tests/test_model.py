@@ -13,14 +13,14 @@ from hypothesis import strategies as st
 
 import cspstruct
 from cspstruct.local import Covering, default_covering
-from cspstruct.model import Constraint, CspInstance, Relation, SearchSpace
+from cspstruct.model import Constraint, CspInstance, SearchSpace
 from cspstruct.oracle import solution_table
 
 from conftest import iter_rows
 
 
 def make_constraint(name, scope, rows):
-    return Constraint(name, tuple(scope), Relation.of(len(scope), rows))
+    return Constraint(name, tuple(scope), rows)
 
 
 @pytest.fixture
@@ -41,7 +41,7 @@ class TestSatisfies:
     def test_example_rows(self, c1):
         solutions = self.solutions(c1, "012")
         assert ("1", "2") in solutions and ("0", "0") not in solutions
-        assert solutions == c1.relation.rows
+        assert solutions == c1.rows
 
     def test_empty_relation_never_satisfied(self):
         empty = make_constraint("none", "xy", [])
@@ -142,13 +142,21 @@ class TestInstanceValidation:
 
     def test_arity_mismatch(self):
         with pytest.raises(ValueError, match="arity"):
-            Constraint("c", ("a", "b"), Relation.of(1, [("0",)]))
+            Constraint("c", ("a", "b"), [("0",)])
+
+    def test_rows_are_stored_as_a_frozenset_of_tuples(self):
+        rows = {("0", "1"), ("1", "1")}
+        for given in ([["0", "1"], ["1", "1"]], (iter(row) for row in sorted(rows))):
+            c = Constraint("c", ["a", "b"], given)
+            assert type(c.rows) is frozenset and c.rows == rows
+            assert all(type(row) is tuple for row in c.rows)
+            assert c == Constraint("c", ("a", "b"), frozenset(rows))
 
 
 class TestRelationMessages:
     def test_wrong_arity_row_is_named(self):
         with pytest.raises(ValueError) as error:
-            Relation.of(2, [("0", "1"), ("0", "1", "2")])
+            Constraint("c", ("a", "b"), [("0", "1"), ("0", "1", "2")])
         assert str(error.value) == "row ('0', '1', '2') does not match arity 2"
 
     def test_out_of_domain_value_is_named(self):
@@ -160,7 +168,7 @@ class TestRelationMessages:
     def test_bad_rows_are_caught_among_many_good_ones(self):
         good = list(itertools.product("01", repeat=3))
         with pytest.raises(ValueError, match=r"row \('1',\) does not match arity 3"):
-            Relation.of(3, [*good, ("1",)])
+            Constraint("c", ("x", "y", "z"), [*good, ("1",)])
         c = make_constraint("c", "xyz", [*good, ("1", "1", "2")])
         with pytest.raises(ValueError, match="value '2' outside the domain"):
             CspInstance(("x", "y", "z"), ("0", "1"), (c,))

@@ -12,7 +12,6 @@ from cspstruct.boolean import to_extensional
 from cspstruct.model import (
     Constraint,
     CspInstance,
-    Relation,
     SearchSpace,
 )
 from cspstruct.oracle import (
@@ -35,7 +34,7 @@ from conftest import (
 
 
 def unsat_instance():
-    dead = Constraint("dead", ("a",), Relation.of(1, []))
+    dead = Constraint("dead", ("a",), [])
     return CspInstance(("a", "b"), ("0", "1"), (dead,))
 
 
@@ -96,18 +95,18 @@ class TestEnumerator:
         assert solution_table(inst, space).rows == ((),)
 
     def test_out_of_order_scopes_unary_and_empty_relations(self):
-        lt = Constraint("lt", ("c", "a"), Relation.of(2, [("1", "0"), ("2", "0"), ("2", "1")]))
-        odd = Constraint("odd", ("b",), Relation.of(1, [("1",)]))
+        lt = Constraint("lt", ("c", "a"), [("1", "0"), ("2", "0"), ("2", "1")])
+        odd = Constraint("odd", ("b",), [("1",)])
         wide = Constraint(
             "wide",
             ("c", "b", "a"),
-            Relation.of(3, [r for r in itertools.product("012", repeat=3) if r[0] != r[2]]),
+            [r for r in itertools.product("012", repeat=3) if r[0] != r[2]],
         )
         inst = CspInstance(("a", "b", "c"), ("0", "1", "2"), (lt, odd, wide))
         space = SearchSpace.full(inst)
         assert_enumerator_matches_product(inst, space)
         assert_enumerator_matches_product(inst, space.remove("c", "2"))
-        dead = Constraint("dead", ("c",), Relation.of(1, []))
+        dead = Constraint("dead", ("c",), [])
         assert_enumerator_matches_product(dataclasses.replace(inst, constraints=(lt, dead)), space)
 
     def test_restricted_and_fully_pinned_spaces(self, coloring, removability_trap):
@@ -126,8 +125,8 @@ class TestEnumerator:
         # The product scan meets 2**39 rows with x1=0 before any solution;
         # the enumerator rejects x1=0 at once and follows the chain.
         names = tuple(f"x{i}" for i in range(1, 41))
-        not_zero = Constraint("not0", ("x1",), Relation.of(1, [("1",)]))
-        equal = Relation.of(2, [("0", "0"), ("1", "1")])
+        not_zero = Constraint("not0", ("x1",), [("1",)])
+        equal = [("0", "0"), ("1", "1")]
         chain = tuple(
             Constraint(f"eq{i}", (names[i], names[i + 1]), equal) for i in range(39)
         )
@@ -323,9 +322,7 @@ def signature_keys(active):
 def signature_cases():
     """Tables the signature must get right at the edges: empty, one active
     value, an active value with no support, a variable in no constraint."""
-    less = Constraint(
-        "less", ("a", "b"), Relation.of(2, [("0", "1"), ("0", "2"), ("1", "2")])
-    )
+    less = Constraint("less", ("a", "b"), [("0", "1"), ("0", "2"), ("1", "2")])
     inst = CspInstance(("a", "b", "c"), ("0", "1", "2", "3"), (less,))
     full = SearchSpace.full(inst)
     return [
@@ -464,8 +461,8 @@ class TestDependenceOnOneTargetValue:
 
     @staticmethod
     def cases():
-        one = Constraint("one", ("a", "b"), Relation.of(2, [("0", "1")]))
-        pinned = Constraint("pinned", ("c",), Relation.of(1, [("1",)]))
+        one = Constraint("one", ("a", "b"), [("0", "1")])
+        pinned = Constraint("pinned", ("c",), [("1",)])
         free3 = CspInstance(("a", "b", "c"), ("0", "1", "2"), (pinned,))
         return [
             (unsat_instance(), SearchSpace.full(unsat_instance()), 0),
@@ -770,7 +767,7 @@ class TestAnswerRowDependence:
             return pair(tbl, over, y)
 
         monkeypatch.setattr(oracle, "_dependence_pair", recording_pair)
-        same = Constraint("same", ("a", "x"), Relation.of(2, [("0", "0"), ("1", "1")]))
+        same = Constraint("same", ("a", "x"), [("0", "0"), ("1", "1")])
         inst = CspInstance(("a", "b", "x"), ("0", "1"), (same,))
         full = SearchSpace.full(inst)
         tbl = solution_table(inst, full)

@@ -19,7 +19,7 @@ from cspstruct.boolean import (
 )
 from cspstruct.instances import gen_random_boolean
 from cspstruct.local import default_covering
-from cspstruct.model import Constraint, CspInstance, Relation, SearchSpace
+from cspstruct.model import Constraint, CspInstance, SearchSpace
 from cspstruct.simplify import (
     DETECTOR_FAMILIES,
     _DetectorSet,
@@ -90,7 +90,7 @@ class TestFixpointBehaviour:
         assert oracle.satisfiable(inst, result.final_space)
 
     def test_proved_unsatisfiable_outcome(self):
-        dead = Constraint("dead", ("a",), Relation.of(1, []))
+        dead = Constraint("dead", ("a",), [])
         inst = CspInstance(("a", "b"), ("0", "1"), (dead,))
         space = SearchSpace.full(inst)
         result = simplify_fixpoint(inst, space, mode="production")
@@ -226,10 +226,10 @@ def _equality_chain():
     """A chain of equalities from a pinned first variable: the oracle fixes
     one variable per step."""
     names = ("w0", "w1", "w2", "w3")
-    equal = Relation.of(2, [(a, a) for a in "012"])
+    equal = [(a, a) for a in "012"]
     constraints = tuple(
         Constraint(f"eq{i}", names[i : i + 2], equal) for i in range(3)
-    ) + (Constraint("zero", ("w0",), Relation.of(1, [("0",)])),)
+    ) + (Constraint("zero", ("w0",), [("0",)]),)
     inst = CspInstance(names, ("0", "1", "2"), constraints)
     return inst, SearchSpace.full(inst)
 
@@ -533,8 +533,8 @@ class TestCleanVariables:
     def test_a_group_turning_empty(self):
         # a and d are scanned clean; removing 1 from b empties b's group,
         # which makes every OR kind hold on a, outside that group.
-        same = Constraint("same", ("a", "d"), Relation.of(2, [("0", "0"), ("1", "1")]))
-        one = Constraint("one", ("b",), Relation.of(1, [("1",)]))
+        same = Constraint("same", ("a", "d"), [("0", "0"), ("1", "1")])
+        one = Constraint("one", ("b",), [("1",)])
         inst = CspInstance(("a", "d", "b"), ("0", "1"), (same, one))
         space = SearchSpace.full(inst)
         self.assert_advanced_equals_fresh(inst, space, ("local",), None, 1, [(2, 1, False)])
@@ -586,8 +586,7 @@ class TestSharedCachesStayReadOnly:
         inst, space = case
         shared = local.group_tables(inst, default_covering(inst, group_size), space)
         rows = [tbl.rows for tbl in shared.tables]
-        empty = list(shared.empty)
         simplify_fixpoint(inst, space, group_size=group_size, detectors=("local",))
         assert shared.space is space
         assert [tbl.rows for tbl in shared.tables] == rows
-        assert shared.empty == empty and shared.some_empty == any(empty)
+        assert shared.some_empty == (not all(rows))
