@@ -719,12 +719,17 @@ class CompiledFormula:
 
 def tract_check(compiled: CompiledFormula, query: PropertyQuery) -> bool:
     """Exact polynomial property check on a formula's compiled form: a
-    lookup in the variable's row."""
+    lookup in the variable's row.  A query that hits the row is valid; only
+    a miss is checked, to name its error."""
+    x = query.variable
+    if x in compiled:
+        holds = compiled.row(x).get((query.kind, query.values))
+        if holds is not None:
+            return holds
     if query.kind == "dependent":
         raise UnsupportedQueryError("no tractable method is known for dependence")
     if query.kind not in KINDS:
         raise UnsupportedQueryError(f"unsupported property kind {query.kind!r}")
-    x = query.variable
     if x not in compiled:
         raise ValueError(f"unknown variable {x!r}")
     for value in query.values:

@@ -133,23 +133,23 @@ def _findings(queries, decide, method, render) -> list[report.Finding]:
     ``render`` turns the answer into the verdict and the evidence.  A query
     is the tuple (kind, variable, values, over) that starts its finding."""
     findings = []
+    new = tuple.__new__  # a Finding's fields are known, so no length check
     for query in queries:
         start = time.perf_counter()
         answer = decide(query)
         elapsed = (time.perf_counter() - start) * 1000.0
         verdict, evidence = render(answer)
-        findings.append(report.Finding._make((*query, verdict, method, evidence, elapsed)))
+        findings.append(new(report.Finding, (*query, verdict, method, evidence, elapsed)))
     return findings
 
 
 def _oracle_rendering(verdict):
-    evidence = None
-    if not verdict.holds and verdict.counterexamples:
-        evidence = "counterexample " + ", ".join(
-            "{" + ", ".join(f"{v}={a}" for v, a in solution.items()) + "}"
-            for solution in verdict.counterexamples
-        )
-    return "TRUE" if verdict.holds else "FALSE", evidence
+    if verdict.holds:
+        return "TRUE", None
+    return "FALSE", "counterexample " + ", ".join(
+        "{" + ", ".join(f"{v}={a}" for v, a in solution.items()) + "}"
+        for solution in verdict.counterexamples
+    )
 
 
 def _local_rendering(verdict):
@@ -185,7 +185,7 @@ def _cmd_analyze(args) -> int:
                 oracle.answer_row(table, x)
             findings += _findings(
                 oracle.all_queries(instance, space, KINDS, args.dep_max),
-                lambda query: oracle.evaluate(table, query),
+                functools.partial(oracle.evaluate, table),
                 method,
                 _oracle_rendering,
             )
@@ -209,7 +209,7 @@ def _cmd_analyze(args) -> int:
                 compiled.row(x)
             findings += _findings(
                 oracle.all_queries(instance, space, TRACTABLE_KINDS, args.dep_max),
-                lambda query: boolean.tract_check(compiled, query),
+                functools.partial(boolean.tract_check, compiled),
                 method,
                 lambda holds: ("TRUE" if holds else "FALSE", f"{cls.value} reduction"),
             )

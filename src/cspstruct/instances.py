@@ -134,15 +134,20 @@ def parse_csp(text: str) -> tuple[CspInstance, SearchSpace]:
                 )
         if len(set(scope)) != len(scope):
             raise ParseError(f"constraint {name!r} repeats a scope variable", line_no)
-        # One pass: the tuples' contents sit at the odd places, the text
-        # between them at the even places.
-        pieces = _TUPLE.split(rows_part)
-        leftovers = "".join(pieces[::2]).strip()
-        if leftovers:
-            raise ParseError(
-                f"constraint {name!r} has stray text {leftovers!r}", line_no
-            )
-        groups = pieces[1::2]
+        # emit_csp's layout "(..) (..)" splits on ") (": when each parenthesis
+        # counts one per piece, no piece holds one, so the pieces are the
+        # regex's tuples.  Other text takes the regex, in one pass: tuples'
+        # contents at the odd places, the text between them at the even.
+        groups = rows_part[1:-1].split(") (")
+        canonical = rows_part[:1] + rows_part[-1:] == "()"
+        if not (canonical and rows_part.count("(") == len(groups) == rows_part.count(")")):
+            pieces = _TUPLE.split(rows_part)
+            leftovers = "".join(pieces[::2]).strip()
+            if leftovers:
+                raise ParseError(
+                    f"constraint {name!r} has stray text {leftovers!r}", line_no
+                )
+            groups = pieces[1::2]
         arity = len(scope)
         # Every tuple's values in one list, ``arity`` per tuple of arity - 1
         # commas.  An empty tuple gives "", which no domain value equals.

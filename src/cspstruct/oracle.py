@@ -18,16 +18,18 @@ signature in one pass and kept on the table.  It maps (kind, values) to
 every value and variable answer on x, and ("dependent", over) to
 dependence on each set of ``overs``, decided once: on every set at once
 when x has an implied value, else by one pair scan per set.
-``evaluate`` reads a verdict off the row and scans the rows only for a
-false verdict's counterexample; ``_falsifying_rows`` alone answers a
-caller that asks a few questions of a table it narrows at every step
-(the test-mode simplifier).
+``evaluate`` reads a verdict off the row, validates a query only when it
+misses the row, and scans the rows only for a false verdict's
+counterexample; ``_falsifying_rows`` alone answers a caller that asks a
+few questions of a table it narrows at every step (the test-mode
+simplifier).
 Value quantifiers ("some other value b", "every value a") range over the
 variable's active values.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
@@ -373,21 +375,32 @@ class OracleVerdict(NamedTuple):
     counterexamples: tuple[dict[str, str], ...] = ()
 
 
+_HOLDS = OracleVerdict(True)
+
+
 def evaluate(table: SolutionTable, query: PropertyQuery) -> OracleVerdict:
     """Decide one property query exhaustively on the table, with
     counterexample evidence: the first falsifying solution row in
     enumeration order (the first falsifying pair, for dependence), as a
     dict from each variable to its value.  A non-dependence verdict is read
     off the variable's answer row, and only a false one scans the rows, for
-    its counterexample."""
-    _validate(table, query)
-    if query.kind == "dependent":
-        witness = _dependence_pair(table, query.over, query.variable)
-    elif answer_row(table, query.variable)[query.kind, query.values]:
-        return OracleVerdict(True)
+    its counterexample.  A query that hits the row (for dependence, names
+    only the table's variables) is valid; only a miss is validated, to name
+    its error.  Every true verdict is the one ``OracleVerdict(True)``."""
+    kind, x, values, over = query
+    if kind == "dependent":
+        if not table.index.keys() >= {x, *over}:
+            _validate(table, query)
+        witness = _dependence_pair(table, over, x)
     else:
-        witness = (next(_falsifying_rows(table, query)),)
-    return OracleVerdict(not witness, tuple(dict(zip(table.order, row)) for row in witness))
+        holds = table.answers.get(x, {}).get((kind, values))
+        if holds is None:
+            _validate(table, query)
+            holds = answer_row(table, x)[kind, values]
+        witness = () if holds else (next(_falsifying_rows(table, query)),)
+    if not witness:
+        return _HOLDS
+    return OracleVerdict(False, tuple(dict(zip(table.order, row)) for row in witness))
 
 
 def conditioning_sets(names: Sequence[str], y: str, low: int, high: int) -> list[tuple]:
@@ -411,8 +424,8 @@ def all_queries(
     conditioning sets of up to ``dep_max`` other variables.
     """
     queries: list[PropertyQuery] = []
-    # Valid by construction, so built by ``_make``, skipping ``__new__``'s checks.
-    make = PropertyQuery._make
+    # Valid by construction, so built as bare tuples, skipping ``__new__``'s checks.
+    make = functools.partial(tuple.__new__, PropertyQuery)
     names = instance.variables
     for kind in kinds:
         if kind not in KINDS:

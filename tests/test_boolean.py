@@ -797,3 +797,15 @@ class TestTractCheckErrorOrder:
     def test_value_last(self):
         with pytest.raises(ValueError, match="boolean"):
             tract(self.horn, "horn", self.query("implied", variable="x"))
+
+    @pytest.mark.parametrize("kind", ALL_KINDS)
+    def test_a_variable_pinned_after_its_row_was_read_is_unknown(self, kind):
+        # The lookup comes first, but a pinned variable's row is not read.
+        compiled = CompiledFormula(BooleanFormula(("a", "b")), kind)
+        implied = Q("implied", "a", ("true",))
+        assert tract_check(compiled, implied) is False
+        compiled.pin({"a": True})
+        for _ in range(2):
+            with pytest.raises(ValueError, match="unknown variable 'a'"):
+                tract_check(compiled, implied)
+        assert tract_check(compiled, Q("implied", "b", ("true",))) is False

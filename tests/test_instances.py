@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cspstruct import oracle
 from cspstruct.boolean import AffineEquation, SchaeferClass, classify_schaefer
@@ -27,7 +29,7 @@ from cspstruct.instances import (
 from cspstruct.model import CspInstance, SearchSpace
 from cspstruct.oracle import PropertyQuery
 
-from conftest import data_path, is_solution, table_solutions
+from conftest import data_path, instances_with_spaces, is_solution, table_solutions
 
 
 class TestCspRoundTrip:
@@ -78,6 +80,46 @@ class TestTupleWhitespace:
     def test_spacing_inside_and_between_tuples(self, tuples):
         text = self.COMPACT.replace("(0,1) (1,2) (2,0)", tuples)
         assert parse_csp(text) == parse_csp(self.COMPACT)
+
+
+class TestCanonicalTupleSplit:
+    """A tuple list in emit_csp's layout splits on ") (" and any other text
+    takes the regex; both give the same instance or the same error.  The
+    expected outcomes were recorded from the regex alone."""
+
+    HEAD = "csp 1\nvars: x y\ndomain: 0 1\ncon c(x,y): "
+
+    @pytest.mark.parametrize(
+        "tuples, expected",
+        [
+            ("(0,1)(1,0)", {("0", "1"), ("1", "0")}),
+            ("(0,1) ((1,0))", "constraint 'c' has stray text '()'"),
+            ("((0,1)) (1,0)", "constraint 'c' has stray text '()'"),
+            ("(0,1) (1,0) )", "constraint 'c' has stray text ')'"),
+            ("( (0,1) (1,0)", "constraint 'c' has stray text '('"),
+            ("(0,1) x (1,0)", "constraint 'c' has stray text 'x'"),
+            ("()", "constraint 'c': tuple '' does not match arity 2"),
+            ("(0,1) () (1,0)", "constraint 'c': tuple '' does not match arity 2"),
+            ("", set()),
+        ],
+    )
+    def test_edges_of_the_parenthesis_count(self, tuples, expected):
+        text = self.HEAD + tuples + "\n"
+        if isinstance(expected, set):
+            assert parse_csp(text)[0].constraints[0].rows == expected
+        else:
+            with pytest.raises(ParseError) as error:
+                parse_csp(text)
+            assert str(error.value) == f"line 4: {expected}"
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        instances_with_spaces().filter(lambda case: case[0].variables),
+        st.sampled_from([")\t(", ")  ("]),
+    )
+    def test_emitted_text_parses_alike_with_other_gaps(self, case, gap):
+        text = emit_csp(*case)
+        assert parse_csp(text.replace(") (", gap)) == parse_csp(text) == case
 
 
 class TestParseErrors:

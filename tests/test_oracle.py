@@ -527,6 +527,23 @@ class TestVerdictMemo:
     verdict a fresh table gives."""
 
     @settings(max_examples=80, deadline=None)
+    @given(instances_with_spaces())
+    def test_verdicts_after_the_rows_are_built(self, case):
+        # As analyze asks: every answer row first, then each query once.  A
+        # true verdict is the bare OracleVerdict(True), a false one still
+        # carries the least counterexample (the first pair, for dependence).
+        inst, space = case
+        solutions = reference_solutions(inst, space)
+        tbl = solution_table(inst, space)
+        oracle_rows(tbl, 1)
+        for query in all_queries(inst, space, dep_max=1):
+            verdict = evaluate(tbl, query)
+            expected = reference_verdict(inst, space, solutions, query)
+            assert (verdict.holds, verdict.counterexamples) == expected, query
+            if verdict.holds:
+                assert verdict == oracle.OracleVerdict(True, ())
+
+    @settings(max_examples=80, deadline=None)
     @given(instances_with_spaces(), st.randoms(use_true_random=False))
     def test_repeated_queries_match_fresh_evaluation(self, case, rng):
         inst, space = case
