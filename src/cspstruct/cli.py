@@ -6,6 +6,11 @@ arguments), ``simplify`` (run the reduction loop and print its step log),
 relationship catalog; nonzero exit on violations), ``gen`` (emit generated
 instances) and ``classify`` (Schaefer classification of a boolean file).
 
+A command line of exact long options, with values that do not start with
+``-``, is read from the option table ``_OPTIONS``; argparse reads any other
+and writes all help, usage and error text.  The cyclic collector waits
+while a command runs: a command leaves no cyclic garbage.
+
 Exit codes:
 
 - 0: success;
@@ -25,6 +30,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import gc
 import math
 import os
 import shutil
@@ -449,39 +455,21 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _fill_analyze(analyze: argparse.ArgumentParser) -> None:
-    analyze.add_argument("file")
-    analyze.add_argument(
-        "--method", choices=("oracle", "local", "tractable", "all"), default="all"
-    )
-    analyze.add_argument("--group-size", type=_positive, default=1)
-    analyze.add_argument("--dep-max", type=_non_negative, default=2)
-    analyze.add_argument("--max-space", type=_positive, default=DEFAULT_MAX_SPACE)
-    analyze.add_argument("--json", action="store_true")
-    analyze.add_argument("--all", action="store_true", help="list negative findings too")
-    analyze.set_defaults(handler=_cmd_analyze)
-
-
-def _fill_simplify(simp: argparse.ArgumentParser) -> None:
-    simp.add_argument("file")
-    simp.add_argument("--mode", choices=("production", "test"), default="production")
-    simp.add_argument("--group-size", type=_positive, default=1)
-    simp.add_argument("--max-space", type=_positive, default=DEFAULT_MAX_SPACE)
-    simp.add_argument("--out")
-    simp.set_defaults(handler=_cmd_simplify)
-
-
-def _fill_check(check: argparse.ArgumentParser) -> None:
-    check.add_argument("file", nargs="?")
-    check.add_argument("--corpus", help="'default' or k=v list (seeds=A..B, vars=, ...)")
-    check.add_argument("--group-size", type=_positive, default=1)
-    check.add_argument("--dep-max", type=_non_negative, default=2)
-    check.add_argument("--max-space", type=_positive, default=DEFAULT_MAX_SPACE)
-    check.add_argument(
-        "--reverse-edge",
-        help="negative control: validate with the named implication reversed",
-    )
-    check.set_defaults(handler=_cmd_check)
+# Each option of analyze, simplify, check and classify, declared once as
+# ``add_argument``'s keywords.  ``_build_parser`` adds them for argparse, and
+# ``_plain_args`` reads a plain command line from them without argparse.
+_OPTIONS = {
+    "--method": {"choices": ("oracle", "local", "tractable", "all"), "default": "all"},
+    "--mode": {"choices": ("production", "test"), "default": "production"},
+    "--corpus": {"help": "'default' or k=v list (seeds=A..B, vars=, ...)"},
+    "--group-size": {"type": _positive, "default": 1},
+    "--dep-max": {"type": _non_negative, "default": 2},
+    "--max-space": {"type": _positive, "default": DEFAULT_MAX_SPACE},
+    "--json": {"action": "store_true", "default": False},
+    "--all": {"action": "store_true", "default": False, "help": "list negative findings too"},
+    "--out": {},
+    "--reverse-edge": {"help": "negative control: validate with the named implication reversed"},
+}
 
 
 def _fill_gen(gen: argparse.ArgumentParser) -> None:
@@ -505,21 +493,19 @@ def _fill_gen(gen: argparse.ArgumentParser) -> None:
     rand.add_argument("--seed", type=int, required=True)
     for sub_parser in (coloring, factoring, rand):
         sub_parser.add_argument("--out")
-    gen.set_defaults(handler=_cmd_gen)
 
 
-def _fill_classify(classify: argparse.ArgumentParser) -> None:
-    classify.add_argument("file")
-    classify.set_defaults(handler=_cmd_classify)
-
-
-# Subcommand name: (help line, function that adds its arguments).
+# Subcommand name: (help line, handler, nargs of its file, its options in
+# help order); gen's options are None, as ``_fill_gen`` adds its families.
 _SUBCOMMANDS = {
-    "analyze": ("evaluate properties on an instance", _fill_analyze),
-    "simplify": ("apply satisfiability-preserving reductions", _fill_simplify),
-    "check": ("cross-validate detectors against the oracle", _fill_check),
-    "gen": ("generate an instance", _fill_gen),
-    "classify": ("Schaefer classification of a boolean file", _fill_classify),
+    "analyze": ("evaluate properties on an instance", _cmd_analyze, None, (
+        "--method", "--group-size", "--dep-max", "--max-space", "--json", "--all")),
+    "simplify": ("apply satisfiability-preserving reductions", _cmd_simplify, None, (
+        "--mode", "--group-size", "--max-space", "--out")),
+    "check": ("cross-validate detectors against the oracle", _cmd_check, "?", (
+        "--corpus", "--group-size", "--dep-max", "--max-space", "--reverse-edge")),
+    "gen": ("generate an instance", _cmd_gen, None, None),
+    "classify": ("Schaefer classification of a boolean file", _cmd_classify, None, ()),
 }
 
 
@@ -537,20 +523,67 @@ def _build_parser(argv, formatter=argparse.HelpFormatter) -> argparse.ArgumentPa
     named = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
     metavar = "{" + ",".join(_SUBCOMMANDS) + "}" if named else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, (help_line, fill) in _SUBCOMMANDS.items():
+    for name, (help_line, handler, nargs, options) in _SUBCOMMANDS.items():
         if named is None or name == named:
-            fill(sub.add_parser(name, help=help_line, formatter_class=formatter))
+            command = sub.add_parser(name, help=help_line, formatter_class=formatter)
+            if options is None:
+                _fill_gen(command)
+            else:
+                command.add_argument("file", nargs=nargs)
+                for flag in options:
+                    command.add_argument(flag, **_OPTIONS[flag])
+            command.set_defaults(handler=handler)
     return parser
+
+
+def _plain_args(argv) -> argparse.Namespace | None:
+    """The namespace ``_build_parser(argv).parse_args(argv)`` returns, read
+    from the option table, when ``argv`` is a subcommand other than gen
+    followed by the files it takes and by exact long options of its own,
+    each value not starting with '-' and accepted by the option's type and
+    choices; else None, and argparse reads ``argv``."""
+    _, handler, nargs, options = _SUBCOMMANDS.get(argv[0] if argv else None, (None,) * 4)
+    if options is None:
+        return None
+    given, files = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            files.append(token)
+        elif token not in options:
+            return None
+        elif "action" in _OPTIONS[token]:
+            given[token] = True
+        else:
+            spec, text = _OPTIONS[token], next(tokens, "-")
+            try:
+                given[token] = value = spec.get("type", str)(text)
+            except Exception:
+                return None
+            if text.startswith("-") or value not in spec.get("choices", (value,)):
+                return None
+    if len(files) > 1 or (nargs is None and not files):
+        return None
+    values = {"command": argv[0], "file": files[0] if files else None, "handler": handler}
+    for flag in options:
+        values[flag[2:].replace("-", "_")] = given.get(flag, _OPTIONS[flag].get("default"))
+    return argparse.Namespace(**values)
 
 
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # argparse builds a formatter for every argument it adds, and each one
-    # asks for the terminal width; ask once, with the same correction.
-    width = shutil.get_terminal_size().columns - 2
-    formatter = functools.partial(argparse.HelpFormatter, width=width)
-    args = _build_parser(argv, formatter).parse_args(argv)
+    args = _plain_args(argv)
+    if args is None:
+        # argparse builds a formatter for every argument it adds, and each
+        # one asks for the terminal width; ask once, with the same correction.
+        width = shutil.get_terminal_size().columns - 2
+        formatter = functools.partial(argparse.HelpFormatter, width=width)
+        args = _build_parser(argv, formatter).parse_args(argv)
+    # A command leaves no cyclic garbage (tests/test_cli.py), so a collection
+    # while it runs would scan the heap and free nothing.
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         status = args.handler(args)
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit
@@ -571,6 +604,9 @@ def main(argv=None) -> int:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         traceback.print_exc()
         return 3
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

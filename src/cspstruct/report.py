@@ -79,6 +79,13 @@ def _value(value, pad: str) -> str:
         return "null"
     if type(value) is float and isfinite(value):
         return float.__repr__(value)
+    if type(value) is dict and all(type(k) is str and type(n) is int for k, n in value.items()):
+        # A summary: json's pure-Python encoder would leave its closures as
+        # the only cyclic garbage of a command.
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(k) + ": " + int.__repr__(n) for k, n in value.items()]
+        return "{\n  " + pad + (",\n  " + pad).join(items) + "\n" + pad + "}"
     return json.dumps(value, indent=2).replace("\n", "\n" + pad)
 
 

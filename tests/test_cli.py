@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -762,6 +763,16 @@ PARSER_ARGVS = [
     ["bogus"],
     ["-h"],
     [],
+    # Lines argparse reads, some of them without an error: an abbreviation,
+    # an attached value, a negative-number file, a "--" and a missing or
+    # extra file.
+    ["analyze", "f", "--dep", "1"],
+    ["check", "f", "--dep-max=1"],
+    ["check", "-1"],
+    ["simplify", "--", "f"],
+    ["analyze", "f", "--json=1"],
+    ["check", "a", "b"],
+    ["classify"],
 ]
 
 
@@ -771,32 +782,217 @@ class TestParser:
     as with every subcommand filled in by argparse's own formatter."""
 
     @staticmethod
-    def outcome(capsys, parse, argv):
-        with pytest.raises(SystemExit) as exit_info:
-            parse(argv)
+    def outcome(capsys, run, argv):
+        """How ``run(argv)`` ends (by SystemExit or by returning), its exit
+        code, stdout and stderr."""
+        try:
+            ended, code = "return", run(argv)
+        except SystemExit as exc:
+            ended, code = "exit", exc.code
         captured = capsys.readouterr()
-        return exit_info.value.code, captured.out, captured.err
+        return ended, code, captured.out, captured.err
+
+    @staticmethod
+    def full(argv):
+        """``main`` on the namespace of the parser with every subcommand
+        filled in; its usage and errors exit from ``parse_args``."""
+        args = cli._build_parser([]).parse_args(argv)
+        with mock.patch.object(cli, "_plain_args", lambda argv: args):
+            return main(argv)
 
     @pytest.mark.parametrize("argv", PARSER_ARGVS)
     def test_usage_and_errors_match_the_full_parser(self, capsys, argv):
-        full = self.outcome(capsys, cli._build_parser([]).parse_args, argv)
+        assert cli._plain_args(argv) is None
+        full = self.outcome(capsys, self.full, argv)
         assert self.outcome(capsys, main, argv) == full
-        assert full[0] in (0, 2) and (full[1] or full[2])
+        assert full[1] in (0, 2) and (full[2] or full[3])
 
     @pytest.mark.parametrize("columns", ["40", "200"])
     @pytest.mark.parametrize("argv", PARSER_ARGVS)
     def test_same_bytes_at_any_terminal_width(self, capsys, monkeypatch, columns, argv):
         monkeypatch.setenv("COLUMNS", columns)
-        full = self.outcome(capsys, cli._build_parser([]).parse_args, argv)
+        full = self.outcome(capsys, self.full, argv)
         assert self.outcome(capsys, main, argv) == full
 
     def test_the_width_is_honoured(self, capsys, monkeypatch):
         helps = []
         for columns in ("40", "200"):
             monkeypatch.setenv("COLUMNS", columns)
-            helps.append(self.outcome(capsys, main, ["check", "-h"])[1])
+            helps.append(self.outcome(capsys, main, ["check", "-h"])[2])
         narrow, wide = (max(map(len, text.splitlines())) for text in helps)
         assert narrow < wide
+
+
+FLAGS = [
+    "--method", "--mode", "--corpus", "--group-size", "--dep-max", "--max-space",
+    "--json", "--all", "--out", "--reverse-edge",
+]
+VALUES = [
+    "0", "1", "2", "-1", "x", "", "oracle", "local", "tractable", "all",
+    "production", "test", "nope",
+]
+TOKENS = [
+    "analyze", "simplify", "check", "classify", "gen", "bogus",
+    *FLAGS,
+    *(flag[:end] for flag in FLAGS for end in range(3, len(flag))),
+    *(f"{flag}={value}" for flag in FLAGS for value in ("1", "oracle", "")),
+    *VALUES,
+    "a.csp", "b", "-", "--", "-h", "--help",
+]
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand, its files, options (its own twice as often) with
+    values, and up to two stray tokens anywhere after the subcommand."""
+    command = draw(st.sampled_from(["analyze", "simplify", "check", "classify", "gen", "bogus"]))
+    own = list(cli._SUBCOMMANDS.get(command, (None,) * 4)[3] or ())
+    argv = [command, *draw(st.sampled_from([["a.csp"], ["a.csp"], [], ["a.csp", "b"]]))]
+    for _ in range(draw(st.integers(0, 3))):
+        flag = draw(st.sampled_from(own * 2 + FLAGS))
+        argv.append(flag)
+        if flag not in ("--json", "--all"):
+            argv.append(draw(st.sampled_from(VALUES) | st.sampled_from(["1", "2", "oracle", "test"])))
+    for _ in range(draw(st.sampled_from([0, 0, 0, 1, 2]))):
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(TOKENS)))
+    return argv
+
+
+class TestPlainArgs:
+    """A plain command line is read from the option table without argparse,
+    into the namespace argparse would return."""
+
+    @settings(max_examples=1000, deadline=None)
+    @given(command_lines())
+    def test_the_table_reads_what_argparse_reads(self, argv):
+        plain = cli._plain_args(argv)
+        if plain is not None:
+            assert vars(plain) == vars(cli._build_parser([]).parse_args(argv))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "triple_tables.csp"],
+            ["analyze", "coloring_isolated.csp", "--method", "oracle", "--all", "--json"],
+            ["analyze", "planted_horn.cnf", "--method", "tractable", "--all", "--json"],
+            ["simplify", "coloring_isolated.csp", "--mode", "test"],
+            ["simplify", "coloring_isolated.csp"],
+        ],
+    )
+    def test_the_bench_command_lines_build_no_parser(self, capsys, monkeypatch, argv):
+        command, name, *options = argv
+        argv = [command, str(data_path(name)), *options]
+        expected = vars(cli._build_parser([]).parse_args(argv))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a plain command line built a parser")
+
+        monkeypatch.setattr(cli, "_build_parser", refuse)
+        assert vars(cli._plain_args(argv)) == expected
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and out
+
+
+class TestCollector:
+    """``main`` runs a command with the cyclic collector paused, which costs
+    no memory because a command leaves no cyclic garbage, and gives the
+    caller's collector state back however the command ends."""
+
+    @pytest.fixture
+    def collecting(self):
+        gc.enable()
+        yield
+        gc.enable()
+
+    @pytest.mark.parametrize(
+        "argv, status",
+        [
+            (("check", "coloring_isolated.csp"), 0),
+            (("check", "coloring_isolated.csp", "--reverse-edge", "implication-fixability"), 1),
+            (("analyze", "triple_tables.csp", "--max-space", "1"), 2),
+            (("analyze", "planted_horn.cnf", "--method", "tractable"), 3),
+            (("analyze", "coloring_isolated.csp", "--json=1"), SystemExit),
+            (("check", "coloring_isolated.csp"), KeyboardInterrupt),
+        ],
+    )
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_caller_state_is_restored(
+        self, capsys, monkeypatch, collecting, argv, status, enabled
+    ):
+        during = []
+
+        def raise_(exc):
+            def broken(*args, **kwargs):
+                during.append(gc.isenabled())
+                raise exc
+
+            return broken
+
+        if status == 3:
+            monkeypatch.setattr(boolean, "tract_check", raise_(RuntimeError("engine fault")))
+        if status is KeyboardInterrupt:
+            monkeypatch.setattr(cli.simplify, "simplify_fixpoint", raise_(KeyboardInterrupt()))
+        command, name, *options = argv
+        argv = [command, str(data_path(name)), *options]
+        if not enabled:
+            gc.disable()
+        if isinstance(status, int):
+            assert run(capsys, *argv)[0] == status
+        else:
+            with pytest.raises(status):
+                main(argv)
+        assert gc.isenabled() is enabled
+        assert during == ([False] if status in (3, KeyboardInterrupt) else [])
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_the_caller_state_is_restored_after_a_closed_stdout(self, enabled):
+        read, write = os.pipe()
+        os.close(read)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        script = (
+            "import gc, sys\n"
+            "from cspstruct import cli\n"
+            f"{'' if enabled else 'gc.disable()'}\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "sys.stderr.write(f'{code} {gc.isenabled()}')\n"
+        )
+        argv = ["analyze", str(data_path("coloring_isolated.csp")), "--all", "--json"]
+        try:
+            done = subprocess.run(
+                [sys.executable, "-c", script, *argv], stdout=write, stderr=subprocess.PIPE, env=env
+            )
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr.decode()) == (0, f"141 {enabled}")
+
+    @staticmethod
+    def garbage_free_argv():
+        for path in sorted(data_path(".").iterdir()):
+            if path.name.startswith("."):
+                continue
+            # free20's oracle, and local dependence on the 400-variable planted
+            # formulas, take seconds each; they differ from the rest in size.
+            free20 = path.name == "free20.csp"
+            dep = ("--dep-max", "0") if free20 or path.name.startswith("planted_") else ()
+            for method in ("local", "tractable") if free20 else ("oracle", "local", "tractable", "all"):
+                yield ["analyze", str(path), "--method", method, *dep]
+                yield ["analyze", str(path), "--method", method, "--all", "--json", *dep]
+            yield ["simplify", str(path)]
+            yield ["simplify", str(path), "--mode", "test"]
+            if not free20:
+                yield ["check", str(path), *dep]
+
+    def test_a_command_leaves_no_cyclic_garbage(self, capsys, collecting):
+        left = {}
+        for argv in self.garbage_free_argv():
+            gc.collect()
+            gc.disable()
+            main(argv)
+            left[" ".join(argv)] = gc.collect()
+            gc.enable()
+            capsys.readouterr()
+        assert len(left) > 100
+        assert {argv: n for argv, n in left.items() if n} == {}
 
 
 class TestExitCodes:
