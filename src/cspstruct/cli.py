@@ -7,9 +7,12 @@ relationship catalog; nonzero exit on violations), ``gen`` (emit generated
 instances) and ``classify`` (Schaefer classification of a boolean file).
 
 A command line of exact long options, with values that do not start with
-``-``, is read from the option table ``_OPTIONS``; argparse reads any other
-and writes all help, usage and error text.  The cyclic collector waits
-while a command runs: a command leaves no cyclic garbage.
+``-``, is read from the option table ``_OPTIONS`` without argparse.  Any
+other line (help, an abbreviation, ``--opt=value``, ``--``, a file named
+``-`` or ``-1``, ``gen`` and every usage error) goes to the parser of every
+subcommand that ``_build_parser`` builds from the same table; it writes all
+help, usage and error text.  The cyclic collector waits while a command
+runs: a command leaves no cyclic garbage.
 
 Exit codes:
 
@@ -33,7 +36,6 @@ import functools
 import gc
 import math
 import os
-import shutil
 import sys
 import time
 import traceback
@@ -46,6 +48,8 @@ from .instances import (
     Graph,
     FactoringSpec,
     ParseError,
+    STANDARD_CORPUS_SEEDS,
+    STANDARD_CORPUS_SPEC,
     RandomSpec,
     emit_csp,
     gen_coloring,
@@ -320,15 +324,21 @@ def _check_instance(instance, space, formula, group_size, dep_max, catalog):
     return problems
 
 
+# Each key of a ``--corpus`` spec but seeds: the RandomSpec field it sets
+# and that field's type.
+_CORPUS_KEYS = {
+    "vars": ("variable_count", int),
+    "dom": ("domain_size", int),
+    "cons": ("constraint_count", int),
+    "arity": ("max_arity", int),
+    "density": ("density", float),
+}
+
+
 def _parse_corpus_spec(spec: str, cap: int):
-    settings = {
-        "vars": 5,
-        "dom": 3,
-        "cons": 6,
-        "arity": 2,
-        "density": 0.5,
-        "seeds": (1, 1000),
-    }
+    """The standard corpus with the keys of ``spec`` applied, a later key
+    replacing an earlier one."""
+    changes, seeds = {}, STANDARD_CORPUS_SEEDS
     try:
         if spec != "default":
             for part in spec.split(","):
@@ -336,34 +346,25 @@ def _parse_corpus_spec(spec: str, cap: int):
                 key = key.strip()
                 if key == "seeds":
                     first, _, last = value.partition("..")
-                    settings["seeds"] = (int(first), int(last))
-                elif key in ("vars", "dom", "cons", "arity"):
-                    settings[key] = int(value)
-                elif key == "density":
-                    settings["density"] = float(value)
+                    seeds = range(int(first), int(last) + 1)
+                elif key in _CORPUS_KEYS:
+                    field, kind = _CORPUS_KEYS[key]
+                    changes[field] = kind(value)
                 else:
                     raise _UsageError(f"unknown corpus setting {key!r}")
-        first, last = settings["seeds"]
-        if last < first:
-            raise ValueError(f"seed range {first}..{last} is empty")
-        template = RandomSpec(
-            settings["vars"],
-            settings["dom"],
-            settings["cons"],
-            settings["arity"],
-            settings["density"],
-        )
+        if not seeds:
+            raise ValueError(f"seed range {seeds.start}..{seeds.stop - 1} is empty")
+        template = dataclasses.replace(STANDARD_CORPUS_SPEC, **changes)
     except ValueError as exc:
         raise _UsageError(f"bad corpus spec {spec!r}: {exc}")
     # Every instance has the full space: refuse it before generating any.
     _guard_space(template.domain_size**template.variable_count, cap)
-    return (
-        gen_random(dataclasses.replace(template, seed=seed))
-        for seed in range(first, last + 1)
-    )
+    return (gen_random(dataclasses.replace(template, seed=seed)) for seed in seeds)
 
 
 def _cmd_check(args) -> int:
+    if args.file and args.corpus:
+        raise _UsageError("check takes a file or --corpus, not both")
     catalog = None
     if args.reverse_edge:
         try:
@@ -474,17 +475,15 @@ _OPTIONS = {
 
 def _fill_gen(gen: argparse.ArgumentParser) -> None:
     gen_sub = gen.add_subparsers(dest="family", required=True)
-    # Subparsers do not inherit the formatter; hand the parent's on.
-    formatter = gen.formatter_class
-    coloring = gen_sub.add_parser("coloring", formatter_class=formatter)
+    coloring = gen_sub.add_parser("coloring")
     coloring.add_argument("--nodes", type=int, required=True)
     coloring.add_argument("--edges", default="", help="comma list like 2-3,3-4")
     coloring.add_argument("--colors", type=int, default=3)
-    factoring = gen_sub.add_parser("factoring", formatter_class=formatter)
+    factoring = gen_sub.add_parser("factoring")
     factoring.add_argument("--number", type=int, required=True)
     factoring.add_argument("--base", type=int, default=2)
     factoring.add_argument("--ordering", action="store_true")
-    rand = gen_sub.add_parser("random", formatter_class=formatter)
+    rand = gen_sub.add_parser("random")
     rand.add_argument("--vars", type=int, required=True)
     rand.add_argument("--domain-size", type=int, required=True)
     rand.add_argument("--constraints", type=int, required=True)
@@ -509,35 +508,27 @@ _SUBCOMMANDS = {
 }
 
 
-def _build_parser(argv, formatter=argparse.HelpFormatter) -> argparse.ArgumentParser:
-    """The parser for one command line.  When ``argv`` names a subcommand,
-    only that subcommand's parser is built (the others would cost more than
-    the parse), and usage lines spell out the list of subcommands; else all
-    are built, so help and choice errors list them.  ``formatter`` is the
-    help formatter class of the parser and of every subparser."""
+def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, from ``_SUBCOMMANDS`` and ``_OPTIONS``."""
     parser = argparse.ArgumentParser(
         prog="cspstruct",
         description="Structural-property engine for finite-domain CSPs",
-        formatter_class=formatter,
     )
-    named = argv[0] if argv and argv[0] in _SUBCOMMANDS else None
-    metavar = "{" + ",".join(_SUBCOMMANDS) + "}" if named else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, handler, nargs, options) in _SUBCOMMANDS.items():
-        if named is None or name == named:
-            command = sub.add_parser(name, help=help_line, formatter_class=formatter)
-            if options is None:
-                _fill_gen(command)
-            else:
-                command.add_argument("file", nargs=nargs)
-                for flag in options:
-                    command.add_argument(flag, **_OPTIONS[flag])
-            command.set_defaults(handler=handler)
+        command = sub.add_parser(name, help=help_line)
+        if options is None:
+            _fill_gen(command)
+        else:
+            command.add_argument("file", nargs=nargs)
+            for flag in options:
+                command.add_argument(flag, **_OPTIONS[flag])
+        command.set_defaults(handler=handler)
     return parser
 
 
 def _plain_args(argv) -> argparse.Namespace | None:
-    """The namespace ``_build_parser(argv).parse_args(argv)`` returns, read
+    """The namespace ``_build_parser().parse_args(argv)`` returns, read
     from the option table, when ``argv`` is a subcommand other than gen
     followed by the files it takes and by exact long options of its own,
     each value not starting with '-' and accepted by the option's type and
@@ -575,11 +566,7 @@ def main(argv=None) -> int:
         argv = sys.argv[1:]
     args = _plain_args(argv)
     if args is None:
-        # argparse builds a formatter for every argument it adds, and each
-        # one asks for the terminal width; ask once, with the same correction.
-        width = shutil.get_terminal_size().columns - 2
-        formatter = functools.partial(argparse.HelpFormatter, width=width)
-        args = _build_parser(argv, formatter).parse_args(argv)
+        args = _build_parser().parse_args(argv)
     # A command leaves no cyclic garbage (tests/test_cli.py), so a collection
     # while it runs would scan the heap and free nothing.
     collecting = gc.isenabled()

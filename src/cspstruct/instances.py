@@ -27,7 +27,7 @@ import logging
 import random
 import re
 from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .boolean import (
     AffineEquation,
@@ -717,6 +717,7 @@ def gen_random(spec: RandomSpec) -> tuple[CspInstance, SearchSpace]:
     return instance, SearchSpace.full(instance)
 
 
+STANDARD_CORPUS_SPEC = RandomSpec(5, 3, 6, 2, 0.5)
 STANDARD_CORPUS_SEEDS = range(1, 1001)
 
 
@@ -726,7 +727,7 @@ def standard_corpus(
     """The fixed test corpus: 5 variables, 3 values, 6 constraints of arity
     at most 2, density 0.5, seeds 1..1000."""
     for seed in seeds:
-        yield gen_random(RandomSpec(5, 3, 6, 2, 0.5, seed))
+        yield gen_random(replace(STANDARD_CORPUS_SPEC, seed=seed))
 
 
 BOOLEAN_KINDS = ("horn", "dual-horn", "2cnf", "affine", "cnf")

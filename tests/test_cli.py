@@ -777,9 +777,10 @@ PARSER_ARGVS = [
 
 
 class TestParser:
-    """A command fills in only its own subcommand's arguments and asks for
-    the terminal width once; what argparse prints and returns is the same
-    as with every subcommand filled in by argparse's own formatter."""
+    """A command line that ``_plain_args`` declines goes to the parser of
+    every subcommand with argparse's own formatter, which reads the
+    terminal width when it prints: ``main`` prints and returns what that
+    parser's namespace gives."""
 
     @staticmethod
     def outcome(capsys, run, argv):
@@ -796,7 +797,7 @@ class TestParser:
     def full(argv):
         """``main`` on the namespace of the parser with every subcommand
         filled in; its usage and errors exit from ``parse_args``."""
-        args = cli._build_parser([]).parse_args(argv)
+        args = cli._build_parser().parse_args(argv)
         with mock.patch.object(cli, "_plain_args", lambda argv: args):
             return main(argv)
 
@@ -867,7 +868,7 @@ class TestPlainArgs:
     def test_the_table_reads_what_argparse_reads(self, argv):
         plain = cli._plain_args(argv)
         if plain is not None:
-            assert vars(plain) == vars(cli._build_parser([]).parse_args(argv))
+            assert vars(plain) == vars(cli._build_parser().parse_args(argv))
 
     @pytest.mark.parametrize(
         "argv",
@@ -882,7 +883,7 @@ class TestPlainArgs:
     def test_the_bench_command_lines_build_no_parser(self, capsys, monkeypatch, argv):
         command, name, *options = argv
         argv = [command, str(data_path(name)), *options]
-        expected = vars(cli._build_parser([]).parse_args(argv))
+        expected = vars(cli._build_parser().parse_args(argv))
 
         def refuse(*args, **kwargs):
             raise AssertionError("a plain command line built a parser")
@@ -1057,6 +1058,52 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ("seeds=a..b", "bad corpus spec 'seeds=a..b': "
+             "invalid literal for int() with base 10: 'a'"),
+            ("seeds=1", "bad corpus spec 'seeds=1': invalid literal for int() with base 10: ''"),
+            ("seeds=3..1", "bad corpus spec 'seeds=3..1': seed range 3..1 is empty"),
+            ("vars=0,seeds=1..2", "bad corpus spec 'vars=0,seeds=1..2': "
+             "need at least one variable and one domain value"),
+            ("dom=x", "bad corpus spec 'dom=x': invalid literal for int() with base 10: 'x'"),
+            ("cons=-1", "bad corpus spec 'cons=-1': bad constraint count or arity bound"),
+            ("arity=0", "bad corpus spec 'arity=0': bad constraint count or arity bound"),
+            ("density=2", "bad corpus spec 'density=2': density must be in (0, 1]"),
+            ("density=nan", "bad corpus spec 'density=nan': density must be in (0, 1]"),
+            ("colour=3", "unknown corpus setting 'colour'"),
+            ("vars=3,,dom=2", "unknown corpus setting ''"),
+            ("vars=17,arity=17,cons=6,seeds=1..1", "search space holds 129140163 tuples, "
+             "above the cap of 10000000; exhaustive analysis refused "
+             "(raise --max-space to override)"),
+            # A malformed key or value is named before an empty seed range,
+            # and an empty seed range before a bad setting.
+            ("vars=0,seeds=3..1", "bad corpus spec 'vars=0,seeds=3..1': seed range 3..1 is empty"),
+            ("seeds=3..1,dom=x", "bad corpus spec 'seeds=3..1,dom=x': "
+             "invalid literal for int() with base 10: 'x'"),
+            ("vars=0,colour=3", "unknown corpus setting 'colour'"),
+        ],
+    )
+    def test_corpus_spec_refusals(self, capsys, spec, message):
+        assert run(capsys, "check", "--corpus", spec) == (2, "", f"error: {message}\n")
+
+    def test_a_later_corpus_key_replaces_an_earlier_one(self, capsys):
+        for spec in ("seeds=4..3,seeds=1..2", "vars=0,vars=3,seeds=1..1"):
+            assert run(capsys, "check", "--corpus", spec) == (0, "all checks passed\n", "")
+
+    def test_check_takes_a_file_or_a_corpus(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("read the file or the spec")
+
+        monkeypatch.setattr(cli, "_read", refuse)
+        monkeypatch.setattr(cli, "_parse_corpus_spec", refuse)
+        path = str(data_path("triple_tables.csp"))
+        for spec in ("seeds=1..1", "seeds=3..1"):
+            assert run(capsys, "check", path, "--corpus", spec) == (
+                2, "", "error: check takes a file or --corpus, not both\n"
+            )
 
     @pytest.mark.parametrize("command", ["analyze", "simplify", "check", "classify"])
     def test_undecodable_file_is_usage(self, capsys, tmp_path, command):
