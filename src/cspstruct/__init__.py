@@ -19,7 +19,6 @@ from .boolean import (
     SchaeferClassification,
     UnsupportedQueryError,
     classify_schaefer,
-    instantiate_project,
     to_extensional,
     tract_check,
 )
@@ -35,19 +34,14 @@ from .instances import (
     Graph,
     ParseError,
     RandomSpec,
-    boolean_corpus,
-    decode_factors,
     emit_csp,
     emit_dimacs,
-    encode_solution,
     factoring_space,
     gen_coloring,
     gen_factoring,
     gen_random,
-    gen_random_boolean,
     parse_csp,
     parse_dimacs,
-    standard_corpus,
 )
 from .local import (
     Covering,
@@ -68,7 +62,6 @@ from .oracle import (
     PropertyQuery,
     all_queries,
     evaluate,
-    satisfiable,
     solution_table,
 )
 from .simplify import (

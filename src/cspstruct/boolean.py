@@ -1,9 +1,10 @@
 """Boolean formulas in the tractable Schaefer fragments.
 
 Supports clause sets (Horn, dual Horn, 2CNF) and affine XOR-equation sets:
-syntactic classification, instantiate-and-project (substitute a value into
-one constraint, keeping it in its fragment), expansion into an extensional
-instance, and exact polynomial property checks.
+syntactic classification, instantiate-and-project (``assume`` substitutes
+values and drops their variables, keeping the formula in its fragment),
+expansion into an extensional instance, and exact polynomial property
+checks.
 
 Property checks run on a ``CompiledFormula``, which a caller builds once
 per (formula, class) and passes to every query on it.  Compiling checks
@@ -502,31 +503,6 @@ def _fixed_values(basis: Basis | None) -> dict[int, bool]:
 
 
 # ---------------------------------------------------------------------------
-# Instantiate-and-project
-# ---------------------------------------------------------------------------
-
-
-def instantiate_project(
-    constraint: BooleanConstraint, variable: str, value: bool
-) -> tuple[BooleanConstraint, ...]:
-    """Substitute a value and drop the variable; the result is an equivalent
-    conjunction (possibly empty) in the same class."""
-    if isinstance(constraint, Clause):
-        hit = Literal(variable, value)
-        if hit in constraint.literals:
-            return ()
-        miss = Literal(variable, not value)
-        if miss in constraint.literals:
-            return (Clause(constraint.literals - {miss}),)
-        return (constraint,)
-    if variable in constraint.variables:
-        return (
-            AffineEquation(constraint.variables - {variable}, constraint.parity ^ value),
-        )
-    return (constraint,)
-
-
-# ---------------------------------------------------------------------------
 # Tractable property checks
 # ---------------------------------------------------------------------------
 
@@ -743,12 +719,12 @@ def tract_check(compiled: CompiledFormula, query: PropertyQuery) -> bool:
 
 
 def assume(formula: BooleanFormula, assignments: Mapping[str, bool]) -> BooleanFormula:
-    """Instantiate several variables away, keeping the same class: the
-    result of ``instantiate_project`` for each assignment in turn, in one
-    pass over the constraints.  A clause holding a literal made true goes,
-    one holding a literal made false loses it (the last one lost leaves the
-    false marker), and an equation drops the assigned variables and flips
-    its parity once per true one."""
+    """Instantiate several variables away in one pass over the constraints,
+    keeping the same class: substitute each value and drop its variable.
+    A clause holding a literal made true goes, one holding a literal made
+    false loses it (the last one lost leaves the false marker), and an
+    equation drops the assigned variables and flips its parity once per
+    true one."""
     known = set(formula.variables)
     for variable in assignments:
         if variable not in known:

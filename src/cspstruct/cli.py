@@ -104,7 +104,8 @@ def _load(path: str) -> tuple[CspInstance, SearchSpace, BooleanFormula | None, s
     meaningful = (line.split("#", 1)[0].strip() for line in text.splitlines())
     first = next(filter(None, meaningful), "")
     try:
-        if first.startswith("csp"):
+        # DIMACS reads any line that starts with "c" as a comment.
+        if first.split(None, 1)[:1] == ["csp"]:
             instance, space = parse_csp(text)
             return instance, space, None, text
         formula = parse_dimacs(text)

@@ -16,8 +16,8 @@ nonzero integers terminated by 0) with an optional companion XOR section
 named v1..vn unless ``c var <idx> <name>`` comments rename them.
 
 Generators cover the worked example families (graph coloring, integer
-factoring) and seeded random corpora for both extensional and boolean
-instances.
+factoring) and seeded random extensional instances.  The standard corpus
+is ``STANDARD_CORPUS_SPEC`` at each of ``STANDARD_CORPUS_SEEDS``.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ import itertools
 import logging
 import random
 import re
-from collections.abc import Iterable, Iterator, Mapping
-from dataclasses import dataclass, replace
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 from .boolean import (
     AffineEquation,
@@ -362,9 +362,6 @@ class Graph:
                 raise ValueError(f"edge ({u},{v}) leaves the node range 1..{self.nodes}")
 
 
-ISOLATED_NODE_GRAPH = Graph(5, ((2, 3), (3, 4), (2, 4), (4, 5)))
-
-
 def _palette(k: int) -> tuple[str, ...]:
     if k <= 3:
         return ("R", "G", "B")[:k]
@@ -628,51 +625,8 @@ def factoring_space(spec: FactoringSpec) -> SearchSpace:
     return SearchSpace.over(instance, active)
 
 
-def decode_factors(spec: FactoringSpec, assignment: Mapping[str, str]) -> tuple[int, int]:
-    """Read the two factors out of a solution."""
-    n = spec.digit_count
-    b = spec.base
-    x = sum(int(assignment[f"x{i}"]) * b ** (i - 1) for i in range(1, n + 1))
-    y = sum(int(assignment[f"y{i}"]) * b ** (i - 1) for i in range(1, n + 1))
-    return x, y
-
-
-def encode_solution(spec: FactoringSpec, x: int, y: int) -> dict[str, str]:
-    """The full assignment (digits, carries, partial sums) for a known
-    factorization; raises when x * y != z."""
-    if x * y != spec.z:
-        raise ValueError(f"{x} * {y} != {spec.z}")
-    n = spec.digit_count
-    b = spec.base
-    layout = _factoring_layout(spec)
-    xd = [(x // b**i) % b for i in range(n)]
-    yd = [(y // b**i) % b for i in range(n)]
-    values: dict[str, str] = {}
-    for i in range(n):
-        values[f"x{i+1}"] = str(xd[i])
-        values[f"y{i+1}"] = str(yd[i])
-    carry = 0
-    values["c1"] = "0"
-    for j, (terms, chunks) in enumerate(layout.columns, 1):
-        total = sum(xd[i - 1] * yd[j - i] for i in range(1, j + 1))
-        running = 0
-        for t, (aux_name, _) in enumerate(chunks):
-            begin = t * MAX_COLUMN_PRODUCTS
-            running += sum(
-                xd[i - 1] * yd[j - i]
-                for i in range(begin + 1, min(begin + MAX_COLUMN_PRODUCTS, j) + 1)
-            )
-            values[aux_name] = str(running)
-        out, digit = divmod(total + carry, b)
-        if digit != spec.digits[j - 1]:
-            raise ValueError("factorization does not reproduce the digits")
-        values[f"c{j+1}"] = str(out)
-        carry = out
-    return values
-
-
 # ---------------------------------------------------------------------------
-# Random corpora
+# Random instances
 # ---------------------------------------------------------------------------
 
 
@@ -719,63 +673,3 @@ def gen_random(spec: RandomSpec) -> tuple[CspInstance, SearchSpace]:
 
 STANDARD_CORPUS_SPEC = RandomSpec(5, 3, 6, 2, 0.5)
 STANDARD_CORPUS_SEEDS = range(1, 1001)
-
-
-def standard_corpus(
-    seeds: Iterable[int] = STANDARD_CORPUS_SEEDS,
-) -> Iterator[tuple[CspInstance, SearchSpace]]:
-    """The fixed test corpus: 5 variables, 3 values, 6 constraints of arity
-    at most 2, density 0.5, seeds 1..1000."""
-    for seed in seeds:
-        yield gen_random(replace(STANDARD_CORPUS_SPEC, seed=seed))
-
-
-BOOLEAN_KINDS = ("horn", "dual-horn", "2cnf", "affine", "cnf")
-
-
-def gen_random_boolean(
-    kind: str, variable_count: int, constraint_count: int, seed: int | str
-) -> BooleanFormula:
-    """Seeded random formula inside one fragment ("cnf" = unrestricted)."""
-    if kind not in BOOLEAN_KINDS:
-        raise ValueError(f"unknown boolean kind {kind!r}")
-    rng = random.Random(f"{kind}/{variable_count}/{constraint_count}/{seed}")
-    variables = tuple(f"v{i}" for i in range(1, variable_count + 1))
-    clauses = []
-    equations = []
-    for _ in range(constraint_count):
-        if kind == "affine":
-            width = rng.randint(1, min(3, variable_count))
-            members = frozenset(rng.sample(variables, width))
-            equations.append(AffineEquation(members, rng.random() < 0.5))
-            continue
-        width = rng.randint(1, min(2 if kind == "2cnf" else 3, variable_count))
-        chosen = rng.sample(variables, width)
-        if kind == "horn":
-            positives = rng.randrange(width + 1)  # index of the positive slot, or none
-            literals = [
-                Literal(v, i == positives) for i, v in enumerate(chosen)
-            ]
-        elif kind == "dual-horn":
-            negatives = rng.randrange(width + 1)
-            literals = [
-                Literal(v, i != negatives) for i, v in enumerate(chosen)
-            ]
-        else:
-            literals = [Literal(v, rng.random() < 0.5) for v in chosen]
-        clauses.append(Clause(frozenset(literals)))
-    return BooleanFormula(variables, tuple(clauses), tuple(equations))
-
-
-def boolean_corpus(
-    kind: str,
-    count: int = 500,
-    max_variables: int = 12,
-    max_constraints: int = 20,
-) -> Iterator[BooleanFormula]:
-    """Seeded corpus of one fragment with sizes drawn per seed."""
-    sizes = random.Random(f"{kind}-corpus-sizes")
-    for seed in range(1, count + 1):
-        n = sizes.randint(3, max_variables)
-        m = sizes.randint(1, max_constraints)
-        yield gen_random_boolean(kind, n, m, seed)

@@ -1,5 +1,6 @@
 import dataclasses
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -7,14 +8,21 @@ from hypothesis import strategies as st
 
 from cspstruct import (
     boolean,
-    boolean_corpus,
     hierarchy,
     local,
     oracle,
     parse_csp,
     parse_dimacs,
     simplify,
-    standard_corpus,
+)
+from cspstruct.boolean import AffineEquation, BooleanFormula, Clause, Literal
+from cspstruct.instances import (
+    MAX_COLUMN_PRODUCTS,
+    STANDARD_CORPUS_SEEDS,
+    STANDARD_CORPUS_SPEC,
+    Graph,
+    _factoring_layout,
+    gen_random,
 )
 from cspstruct.model import Constraint, CspInstance, SearchSpace
 from cspstruct.oracle import PropertyQuery
@@ -503,3 +511,123 @@ def replay(space, steps):
         else:
             space = space.remove(step.variable, step.value)
     return space
+
+
+# ---------------------------------------------------------------------------
+# Reference helpers that no command needs
+# ---------------------------------------------------------------------------
+
+
+def instantiate_project(constraint, variable, value):
+    """Substitute a value and drop the variable; the result is an equivalent
+    conjunction (possibly empty) in the same class."""
+    if isinstance(constraint, Clause):
+        hit = Literal(variable, value)
+        if hit in constraint.literals:
+            return ()
+        miss = Literal(variable, not value)
+        if miss in constraint.literals:
+            return (Clause(constraint.literals - {miss}),)
+        return (constraint,)
+    if variable in constraint.variables:
+        return (
+            AffineEquation(constraint.variables - {variable}, constraint.parity ^ value),
+        )
+    return (constraint,)
+
+
+ISOLATED_NODE_GRAPH = Graph(5, ((2, 3), (3, 4), (2, 4), (4, 5)))
+
+
+def decode_factors(spec, assignment):
+    """Read the two factors out of a solution."""
+    n = spec.digit_count
+    b = spec.base
+    x = sum(int(assignment[f"x{i}"]) * b ** (i - 1) for i in range(1, n + 1))
+    y = sum(int(assignment[f"y{i}"]) * b ** (i - 1) for i in range(1, n + 1))
+    return x, y
+
+
+def encode_solution(spec, x, y):
+    """The full assignment (digits, carries, partial sums) for a known
+    factorization; raises when x * y != z."""
+    if x * y != spec.z:
+        raise ValueError(f"{x} * {y} != {spec.z}")
+    n = spec.digit_count
+    b = spec.base
+    layout = _factoring_layout(spec)
+    xd = [(x // b**i) % b for i in range(n)]
+    yd = [(y // b**i) % b for i in range(n)]
+    values = {}
+    for i in range(n):
+        values[f"x{i+1}"] = str(xd[i])
+        values[f"y{i+1}"] = str(yd[i])
+    carry = 0
+    values["c1"] = "0"
+    for j, (terms, chunks) in enumerate(layout.columns, 1):
+        total = sum(xd[i - 1] * yd[j - i] for i in range(1, j + 1))
+        running = 0
+        for t, (aux_name, _) in enumerate(chunks):
+            begin = t * MAX_COLUMN_PRODUCTS
+            running += sum(
+                xd[i - 1] * yd[j - i]
+                for i in range(begin + 1, min(begin + MAX_COLUMN_PRODUCTS, j) + 1)
+            )
+            values[aux_name] = str(running)
+        out, digit = divmod(total + carry, b)
+        if digit != spec.digits[j - 1]:
+            raise ValueError("factorization does not reproduce the digits")
+        values[f"c{j+1}"] = str(out)
+        carry = out
+    return values
+
+
+def standard_corpus(seeds=STANDARD_CORPUS_SEEDS):
+    """The fixed test corpus: 5 variables, 3 values, 6 constraints of arity
+    at most 2, density 0.5, seeds 1..1000."""
+    for seed in seeds:
+        yield gen_random(dataclasses.replace(STANDARD_CORPUS_SPEC, seed=seed))
+
+
+BOOLEAN_KINDS = ("horn", "dual-horn", "2cnf", "affine", "cnf")
+
+
+def gen_random_boolean(kind, variable_count, constraint_count, seed):
+    """Seeded random formula inside one fragment ("cnf" = unrestricted)."""
+    if kind not in BOOLEAN_KINDS:
+        raise ValueError(f"unknown boolean kind {kind!r}")
+    rng = random.Random(f"{kind}/{variable_count}/{constraint_count}/{seed}")
+    variables = tuple(f"v{i}" for i in range(1, variable_count + 1))
+    clauses = []
+    equations = []
+    for _ in range(constraint_count):
+        if kind == "affine":
+            width = rng.randint(1, min(3, variable_count))
+            members = frozenset(rng.sample(variables, width))
+            equations.append(AffineEquation(members, rng.random() < 0.5))
+            continue
+        width = rng.randint(1, min(2 if kind == "2cnf" else 3, variable_count))
+        chosen = rng.sample(variables, width)
+        if kind == "horn":
+            positives = rng.randrange(width + 1)  # index of the positive slot, or none
+            literals = [
+                Literal(v, i == positives) for i, v in enumerate(chosen)
+            ]
+        elif kind == "dual-horn":
+            negatives = rng.randrange(width + 1)
+            literals = [
+                Literal(v, i != negatives) for i, v in enumerate(chosen)
+            ]
+        else:
+            literals = [Literal(v, rng.random() < 0.5) for v in chosen]
+        clauses.append(Clause(frozenset(literals)))
+    return BooleanFormula(variables, tuple(clauses), tuple(equations))
+
+
+def boolean_corpus(kind, count=500, max_variables=12, max_constraints=20):
+    """Seeded corpus of one fragment with sizes drawn per seed."""
+    sizes = random.Random(f"{kind}-corpus-sizes")
+    for seed in range(1, count + 1):
+        n = sizes.randint(3, max_variables)
+        m = sizes.randint(1, max_constraints)
+        yield gen_random_boolean(kind, n, m, seed)

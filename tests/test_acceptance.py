@@ -11,12 +11,12 @@ import pytest
 from cspstruct import boolean, local, oracle, simplify
 from cspstruct.boolean import to_extensional
 from cspstruct.hierarchy import validate_hierarchy
-from cspstruct.instances import FactoringSpec, decode_factors, factoring_space, gen_factoring
+from cspstruct.instances import FactoringSpec, factoring_space, gen_factoring
 from cspstruct.local import UnsoundLocalCheckError, default_covering, local_check
 from cspstruct.model import SearchSpace
 from cspstruct.oracle import PropertyQuery as Q
 
-from conftest import pure_values, subproblem, table_solutions
+from conftest import decode_factors, pure_values, subproblem, table_solutions
 
 
 def _report(number: int, name: str) -> None:

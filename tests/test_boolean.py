@@ -18,13 +18,13 @@ from cspstruct.boolean import (
     UnsupportedQueryError,
     assume,
     classify_schaefer,
-    instantiate_project,
     to_extensional,
     tract_check,
 )
-from cspstruct.instances import boolean_corpus, gen_random_boolean
 from cspstruct.model import SearchSpace
 from cspstruct.oracle import PropertyQuery as Q
+
+from conftest import boolean_corpus, gen_random_boolean, instantiate_project
 
 
 def clause(*lits):

@@ -7,29 +7,34 @@ from hypothesis import strategies as st
 from cspstruct import oracle
 from cspstruct.boolean import AffineEquation, SchaeferClass, classify_schaefer
 from cspstruct.instances import (
-    ISOLATED_NODE_GRAPH,
     FactoringSpec,
     Graph,
     ParseError,
     RandomSpec,
-    boolean_corpus,
-    decode_factors,
     emit_csp,
     emit_dimacs,
-    encode_solution,
     factoring_space,
     gen_coloring,
     gen_factoring,
     gen_random,
-    gen_random_boolean,
     parse_csp,
     parse_dimacs,
-    standard_corpus,
 )
 from cspstruct.model import CspInstance, SearchSpace
 from cspstruct.oracle import PropertyQuery
 
-from conftest import data_path, instances_with_spaces, is_solution, table_solutions
+from conftest import (
+    ISOLATED_NODE_GRAPH,
+    boolean_corpus,
+    data_path,
+    decode_factors,
+    encode_solution,
+    gen_random_boolean,
+    instances_with_spaces,
+    is_solution,
+    standard_corpus,
+    table_solutions,
+)
 
 
 class TestCspRoundTrip:

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from cspstruct import local, oracle
 from cspstruct.boolean import BooleanFormula, Clause, Literal, to_extensional
-from cspstruct.instances import RandomSpec, gen_random, gen_random_boolean, parse_csp
+from cspstruct.instances import RandomSpec, gen_random, parse_csp
 from cspstruct.local import (
     AND_KINDS,
     OR_KINDS,
@@ -24,6 +24,7 @@ from cspstruct.simplify import simplify_fixpoint
 from conftest import (
     data_path,
     edge_instances,
+    gen_random_boolean,
     instances_with_spaces,
     pure_values,
     reference_solutions,

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cspstruct import oracle, standard_corpus
+from cspstruct import oracle
 from cspstruct.boolean import to_extensional
 from cspstruct.model import (
     Constraint,
@@ -29,6 +29,7 @@ from conftest import (
     oracle_rows,
     reference_solutions,
     reference_verdict,
+    standard_corpus,
     table_solutions,
 )
 

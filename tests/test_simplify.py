@@ -17,7 +17,6 @@ from cspstruct.boolean import (
     name_bool,
     to_extensional,
 )
-from cspstruct.instances import gen_random_boolean
 from cspstruct.local import default_covering
 from cspstruct.model import Constraint, CspInstance, SearchSpace
 from cspstruct.simplify import (
@@ -29,6 +28,7 @@ from cspstruct.simplify import (
 
 from conftest import (
     edge_instances,
+    gen_random_boolean,
     instances_with_spaces,
     pure_values,
     reference_simplify,
