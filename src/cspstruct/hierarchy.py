@@ -198,30 +198,26 @@ def edge_catalog() -> tuple[RelationshipEdge, ...]:
     return _CATALOG
 
 
-def find_edge(name: str, catalog: tuple[RelationshipEdge, ...] | None = None):
-    for edge in edge_catalog() if catalog is None else catalog:
+def find_edge(name: str) -> RelationshipEdge:
+    for edge in _CATALOG:
         if edge.name == name:
             return edge
     raise ValueError(f"no relationship edge named {name!r}")
 
 
-def reverse_edge(
-    name: str, catalog: tuple[RelationshipEdge, ...] | None = None
-) -> tuple[RelationshipEdge, ...]:
-    """A catalog with one implication edge deliberately flipped.
+def reverse_edge(name: str) -> tuple[RelationshipEdge, ...]:
+    """The catalog with one implication edge deliberately flipped.
 
     Useful as a negative control: validating with a reversed edge must
     produce violations on instances where the converse fails.
     """
-    if catalog is None:
-        catalog = edge_catalog()
-    target = find_edge(name, catalog)
+    target = find_edge(name)
     if target.kind != "implies":
         raise ValueError(f"edge {name!r} is a biconditional; only implications reverse")
     flipped = RelationshipEdge(
         target.name + "-reversed", "implies", target.args, target.rhs, target.lhs
     )
-    return tuple(flipped if e is target else e for e in catalog)
+    return tuple(flipped if e is target else e for e in _CATALOG)
 
 
 def validate_hierarchy(

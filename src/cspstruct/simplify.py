@@ -3,9 +3,10 @@
 Fixing a fixable value and removing a removable value both leave an
 instance equi-satisfiable, so a loop of soundly justified fixes and
 removals shrinks the space without losing the answer.  Only sound
-detectors may justify steps: the local combinators, the pure-value rule,
-the tractable reductions, and (in test mode) the exhaustive oracle.  Local
-removability is never a justification.
+detectors may justify steps, and the input fixes which families run, asked
+in this order: the pure-value rule on a clausal formula, the tractable
+reductions on any formula, the local combinators always, and the exhaustive
+oracle in test mode.  Local removability is never a justification.
 
 The loop scans variables in declaration order and values in domain order,
 applies the first justified fix (``SearchSpace.assign``), else the first
@@ -28,15 +29,12 @@ to the detector loop.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 from . import boolean, local, oracle
 from .boolean import BOOL_VALUES, BooleanFormula, SchaeferClass
 from .local import Covering, default_covering
 from .model import CspInstance, SearchSpace
-
-DETECTOR_FAMILIES = ("pure-value", "local", "tractable", "oracle")
 
 
 @dataclass(frozen=True)
@@ -66,20 +64,27 @@ class SimplificationResult:
 
 
 class _DetectorSet:
-    """The sound detector families, each answering: does anything justify
-    fixing (x, a) or removing (x, a) in the current space?
+    """The sound detector families the input calls for, each answering:
+    does anything justify fixing (x, a) or removing (x, a) in the current
+    space?  A fix is asked of pure-value (on a clausal formula), tractable
+    (on any formula), local (when the covering has groups) and the oracle
+    (in test mode), in that order; a removal of local and the oracle.  The
+    tractable route proves no removal: an inconsistency at a is its implied
+    fix at the other value, which the fix scan, run first on the same state,
+    has already taken (a change to x's inputs makes x dirty for both scans).
 
     The set owns its state, so it may change it in place.  ``advance``
-    brings it up to date with each new space, from the variables it
-    narrows alone:
+    brings it up to date with each new space, from the variable it narrows
+    alone:
 
     - ``groups``, the covering's group tables, narrowed in place with
-      ``GroupTables.narrow``: only the groups that hold a narrowed variable
-      change, and only the established rows (``GroupTables.row``) that
-      read them are dropped.  A caller that built the tables for the
+      ``GroupTables.narrow``: only the groups that hold the narrowed
+      variable change, and only the established rows (``GroupTables.row``)
+      that read them are dropped.  A caller that built the tables for the
       first space may hand them, and the rows it read, to the set.
-    - ``exact``, the oracle's: the global covering's group tables, narrowed
-      the same way.  Sol(C) is their rows times the free variables' values.
+    - ``exact``, the oracle's in test mode: the global covering's group
+      tables, narrowed the same way.  Sol(C) is their rows times the free
+      variables' values.
     - The effective formula (every pinned variable instantiated away) as
       its live clauses, with their literals left per polarity, occurrence
       lists, the number of live clauses outside each clausal Schaefer
@@ -107,18 +112,17 @@ class _DetectorSet:
     def __init__(
         self,
         instance: CspInstance,
-        families: tuple[str, ...],
+        test: bool,
         formula: BooleanFormula | None,
         covering: Covering,
         space: SearchSpace,
         groups: local.GroupTables | None = None,
     ):
         self.instance = instance
-        self.families = families
         self.groups = self.exact = None
-        if "local" in families and covering.groups:
+        if covering.groups:
             self.groups = groups or local.group_tables(instance, covering, space)
-        if "oracle" in families:
+        if test:
             whole = default_covering(instance, len(instance.constraints) or 1)
             self.exact = local.group_tables(instance, whole, space)
         self._position = {v: p for p, v in enumerate(instance.variables)}
@@ -151,7 +155,7 @@ class _DetectorSet:
             self._outside = [0] * len(boolean.CLAUSAL_CLASSES)
             for left in self._left:
                 self._count(left, 1)
-            if "pure-value" in families and formula.is_clausal:
+            if formula.is_clausal:
                 self._polarity = {v: [0, 0] for v in formula.variables}
                 for signs in self._signs:
                     for v, positive in signs.items():
@@ -164,31 +168,27 @@ class _DetectorSet:
             }
         )
 
-    def advance(self, space: SearchSpace, narrowed: Iterable[str]) -> None:
-        """Catch up with a space that narrows the variables ``narrowed``
-        since the last call and no others.
+    def advance(self, space: SearchSpace, x: str) -> None:
+        """Catch up with a space that narrows x since the last call and no
+        other variable.
 
         Spaces only shrink and instantiation commutes, so pinning one
         variable at a time equals instantiating every pinned variable of the
         original formula.  Pinning never takes a formula out of a class, so
         the compiled form stays in the class it was compiled in.
         """
-        pins = {}
-        for x in narrowed:
-            active = space.values(x)
-            self._touch(x)
-            for tables in filter(None, (self.groups, self.exact)):
-                some_empty = tables.some_empty
-                tables.narrow(space, x)
-                if tables.some_empty and not some_empty:
-                    self._touch_all()
-                for g in tables.holding.get(x, ()):
-                    for v in tables.tables[g].order:
-                        self._touch(v)
-            if self._formula is not None and len(active) == 1 and x not in self._pinned:
-                pins[x] = boolean.name_bool(active[0])
-        if pins:
-            self._pin(pins)
+        active = space.values(x)
+        self._touch(x)
+        for tables in filter(None, (self.groups, self.exact)):
+            some_empty = tables.some_empty
+            tables.narrow(space, x)
+            if tables.some_empty and not some_empty:
+                self._touch_all()
+            for g in tables.holding.get(x, ()):
+                for v in tables.tables[g].order:
+                    self._touch(v)
+        if self._formula is not None and len(active) == 1 and x not in self._pinned:
+            self._pin({x: boolean.name_bool(active[0])})
 
     def _touch(self, v: str) -> None:
         p = self._position[v]
@@ -237,11 +237,7 @@ class _DetectorSet:
                 for p in self._watchers.pop(i, ()):
                     self._fix_dirty[p] = self._removal_dirty[p] = 1
         self.tractable_class = self._classify()
-        if (
-            self.compiled is None
-            and self.tractable_class is not None
-            and "tractable" in self.families
-        ):
+        if self.compiled is None and self.tractable_class is not None:
             self.compiled = boolean.CompiledFormula(self.effective, self.tractable_class)
             self._touch_all()
 
@@ -260,12 +256,6 @@ class _DetectorSet:
         if self._formula is None or not self._pinned:
             return self._formula
         return boolean.assume(self._formula, self._pinned)
-
-    def _pure(self, x: str) -> bool | None:
-        # The pure-value rule on the effective formula.
-        if self._polarity is None:
-            return None
-        return local.pure_value(*self._polarity[x])
 
     def _oracle(self, kind: str, x: str, a: str) -> bool:
         # Whether no solution falsifies the query.  With none, all hold; on a
@@ -314,81 +304,41 @@ class _DetectorSet:
 
     def justify_fix(self, space, x, a):
         # Returns the detector, or None.
-        for family in self.families:
-            if family == "pure-value":
-                value = self._pure(x)
-                if value is not None and boolean.bool_name(value) == a:
-                    return "pure-value"
-            elif family == "local":
-                # A vacuous AND over zero subsets establishes nothing worth
-                # acting on; steps need evidence from at least one subset.
-                if self.groups is None:
-                    continue
-                row = self.groups.row(x)
-                if row["fixable", (a,)]:
-                    return "local-fixable"
-                if row["implied", (a,)]:
-                    return "local-implied"
-            elif family == "tractable":
-                if self.compiled is not None and x in self.compiled:
-                    if self._inconsistent(x, not boolean.name_bool(a)):
-                        return "tractable-implied"
-            elif family == "oracle":
-                if self._oracle("fixable", x, a):
-                    return "oracle-fixable"
+        if self._polarity is not None:
+            # The pure-value rule on the effective formula.
+            value = local.pure_value(*self._polarity[x])
+            if value is not None and boolean.bool_name(value) == a:
+                return "pure-value"
+        if self.compiled is not None and x in self.compiled:
+            if self._inconsistent(x, not boolean.name_bool(a)):
+                return "tractable-implied"
+        # A vacuous AND over zero subsets establishes nothing worth acting
+        # on; steps need evidence from at least one subset.
+        if self.groups is not None:
+            row = self.groups.row(x)
+            if row["fixable", (a,)]:
+                return "local-fixable"
+            if row["implied", (a,)]:
+                return "local-implied"
+        if self.exact is not None and self._oracle("fixable", x, a):
+            return "oracle-fixable"
         return None
 
     def justify_removal(self, space, x, a):
         # Returns (detector, is_inconsistency_proof), or None.
         active = space.values(x)
-        for family in self.families:
-            if family == "local":
-                if self.groups is None:
-                    continue
-                row = self.groups.row(x)
-                if row["inconsistent", (a,)]:
-                    return "local-inconsistent", True
-                if any(b != a and row["substitutable", (a, b)] for b in active):
-                    return "local-substitutable", False
-            elif family == "tractable":
-                if self.compiled is not None and x in self.compiled:
-                    if self._inconsistent(x, boolean.name_bool(a)):
-                        return "tractable-inconsistent", True
-            elif family == "oracle":
-                if self._oracle("inconsistent", x, a):
-                    return "oracle-inconsistent", True
-                if len(active) >= 2 and self._oracle("removable", x, a):
-                    return "oracle-removable", False
+        if self.groups is not None:
+            row = self.groups.row(x)
+            if row["inconsistent", (a,)]:
+                return "local-inconsistent", True
+            if any(b != a and row["substitutable", (a, b)] for b in active):
+                return "local-substitutable", False
+        if self.exact is not None:
+            if self._oracle("inconsistent", x, a):
+                return "oracle-inconsistent", True
+            if len(active) >= 2 and self._oracle("removable", x, a):
+                return "oracle-removable", False
         return None
-
-
-def _resolve_families(
-    mode: str, detectors, formula: BooleanFormula | None
-) -> tuple[str, ...]:
-    if mode not in ("production", "test"):
-        raise ValueError(f"mode must be 'production' or 'test', got {mode!r}")
-    if detectors is None:
-        families = []
-        if formula is not None and formula.is_clausal:
-            families.append("pure-value")
-        if formula is not None:
-            families.append("tractable")
-        families.append("local")
-        if mode == "test":
-            families.append("oracle")
-        return tuple(families)
-    families = tuple(detectors)
-    for family in families:
-        if family not in DETECTOR_FAMILIES:
-            raise ValueError(
-                f"unknown or unsound detector family {family!r}; "
-                f"sound families are {DETECTOR_FAMILIES}"
-            )
-    if "oracle" in families and mode != "test":
-        raise ValueError("the oracle detector is only available in test mode")
-    if ("pure-value" in families or "tractable" in families) and formula is None:
-        raise ValueError("formula-based detectors need the boolean formula")
-    return families
 
 
 def simplify_fixpoint(
@@ -397,7 +347,6 @@ def simplify_fixpoint(
     mode: str = "production",
     formula: BooleanFormula | None = None,
     group_size: int = 1,
-    detectors: tuple[str, ...] | None = None,
     groups: local.GroupTables | None = None,
 ) -> SimplificationResult:
     """Apply justified fixes and removals until nothing changes.
@@ -412,9 +361,10 @@ def simplify_fixpoint(
             raise ValueError("formula and instance disagree on variables")
         if instance.domain != BOOL_VALUES:
             raise ValueError("formula-backed simplification needs a boolean domain")
-    families = _resolve_families(mode, detectors, formula)
+    if mode not in ("production", "test"):
+        raise ValueError(f"mode must be 'production' or 'test', got {mode!r}")
     covering = default_covering(instance, group_size)
-    detector_set = _DetectorSet(instance, families, formula, covering, space, groups)
+    detector_set = _DetectorSet(instance, mode == "test", formula, covering, space, groups)
 
     steps: list[SimplificationStep] = []
     current = space
@@ -439,4 +389,4 @@ def simplify_fixpoint(
         after = size // len(current.values(x)) * len(child.values(x))
         steps.append(SimplificationStep(action, x, a, detector, size, after))
         current, size = child, after
-        detector_set.advance(current, (x,))
+        detector_set.advance(current, x)

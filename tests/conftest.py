@@ -401,12 +401,22 @@ def reference_check(instance, space, formula, group_size, dep_max, catalog):
     return problems
 
 
-def reference_simplify(instance, space, families, formula=None, group_size=1):
+def reference_simplify(instance, space, mode="production", formula=None, group_size=1):
     """The simplifier by its definition, for comparison with
     ``simplify_fixpoint``: every step builds each family's state afresh,
     scans from the first variable, asks every family in order, and takes
     the first justified fix, else the first justified removal.  The
-    effective formula is ``assume`` of every pin."""
+    families follow from the input: pure-value on a clausal formula,
+    tractable on any formula, local always, the oracle in test mode.  The
+    effective formula is ``assume`` of every pin.
+
+    Unlike the production loop, this one also asks the tractable route for
+    removals: an inconsistency it proves at a is an implied fix at the
+    other value, which the fix scan takes first, so equal results show
+    that the production loop loses nothing by not asking."""
+    families = ["local", "oracle"] if mode == "test" else ["local"]
+    if formula is not None:
+        families[:0] = ["pure-value", "tractable"] if formula.is_clausal else ["tractable"]
     covering = local.default_covering(instance, group_size)
     steps = []
     size = space.size()
@@ -421,9 +431,9 @@ def reference_simplify(instance, space, families, formula=None, group_size=1):
             }
             effective = boolean.assume(formula, pins)
             cls = boolean.classify_schaefer(effective).primary
-            if "pure-value" in families and effective.is_clausal:
+            if effective.is_clausal:
                 pure = pure_values(effective)
-            if "tractable" in families and cls is not boolean.SchaeferClass.UNRESTRICTED:
+            if cls is not boolean.SchaeferClass.UNRESTRICTED:
                 compiled = boolean.CompiledFormula(effective, cls)
         groups = local.group_tables(instance, covering, space)
         table = oracle.solution_table(instance, space) if "oracle" in families else None

@@ -350,8 +350,7 @@ class TestCheckInheritsSimplifier:
     @staticmethod
     def assert_same(inst, space, formula=None, group_size=1):
         cold = simplify.simplify_fixpoint(inst, space, mode="production", formula=formula)
-        families = simplify._resolve_families("production", None, formula)
-        expected = reference_simplify(inst, space, families, formula)
+        expected = reference_simplify(inst, space, formula=formula)
         calls = []
         run_fixpoint = simplify.simplify_fixpoint
 

@@ -523,15 +523,14 @@ class TestPureValue:
 
     def test_requires_clausal_formula(self):
         # The rule reads clause polarities, so it never acts on a formula
-        # with equations, where a variable occurs in neither polarity.
+        # with equations, where a variable occurs in neither polarity: there
+        # the tractable route fixes a, which pure-value would fix first.
         from cspstruct.boolean import AffineEquation
 
         f = BooleanFormula(("a",), (), (AffineEquation(frozenset({"a"}), True),))
         inst = to_extensional(f)
-        result = simplify_fixpoint(
-            inst, SearchSpace.full(inst), formula=f, detectors=("pure-value",)
-        )
-        assert result.steps == () and not result.proved_unsatisfiable
+        result = simplify_fixpoint(inst, SearchSpace.full(inst), formula=f)
+        assert result.log() == "FIX a=true BY tractable-implied"
 
     def test_matches_local_fixability_and_oracle_on_random_cnfs(self):
         import random

@@ -19,14 +19,12 @@ from cspstruct.boolean import (
 )
 from cspstruct.local import default_covering
 from cspstruct.model import Constraint, CspInstance, SearchSpace
-from cspstruct.simplify import (
-    DETECTOR_FAMILIES,
-    _DetectorSet,
-    _resolve_families,
-    simplify_fixpoint,
-)
+from cspstruct.instances import RandomSpec, gen_random
+from cspstruct.simplify import _DetectorSet, simplify_fixpoint
 
 from conftest import (
+    BOOLEAN_KINDS,
+    boolean_corpus,
     edge_instances,
     gen_random_boolean,
     instances_with_spaces,
@@ -68,10 +66,11 @@ class TestHornChain:
         )
         inst = to_extensional(f)
         space = SearchSpace.full(inst)
-        result = simplify_fixpoint(inst, space, formula=f, detectors=("tractable",))
+        result = simplify_fixpoint(inst, space, formula=f)
+        # x=true is implied; once x is pinned, y occurs in (y) alone.
         assert [s.render() for s in result.steps] == [
             "FIX x=true BY tractable-implied",
-            "FIX y=true BY tractable-implied",
+            "FIX y=true BY pure-value",
         ]
         assert result.final_space.size() == 1
 
@@ -138,20 +137,10 @@ class TestFixpointBehaviour:
 
 
 class TestDetectorConfiguration:
-    def test_unknown_family_rejected(self, backbone):
+    def test_unknown_mode_rejected(self, backbone):
         inst, space = backbone
-        with pytest.raises(ValueError, match="unknown or unsound"):
-            simplify_fixpoint(inst, space, detectors=("local-removable",))
-
-    def test_oracle_needs_test_mode(self, backbone):
-        inst, space = backbone
-        with pytest.raises(ValueError, match="test mode"):
-            simplify_fixpoint(inst, space, detectors=("oracle",))
-
-    def test_formula_detectors_need_formula(self, backbone):
-        inst, space = backbone
-        with pytest.raises(ValueError, match="formula"):
-            simplify_fixpoint(inst, space, detectors=("pure-value",))
+        with pytest.raises(ValueError, match="mode must be 'production' or 'test', got 'fast'"):
+            simplify_fixpoint(inst, space, mode="fast")
 
     def test_formula_variables_must_match(self, pure_literal_cnf):
         other = CspInstance(("q",), ("false", "true"))
@@ -174,26 +163,44 @@ class TestStepRendering:
 class TestOracleDetectors:
     def test_oracle_detector_steps_on_coloring(self, coloring):
         inst, space = coloring
-        result = simplify_fixpoint(inst, space, mode="test", detectors=("oracle",))
-        # every step stays equi-satisfiable; the first fix pins x1
-        assert result.steps
+        result = simplify_fixpoint(inst, space, mode="test")
+        # every step stays equi-satisfiable; x5 keeps only what x4 forbids
         assert oracle.satisfiable(inst, result.final_space)
-        assert result.steps[0].render() == "FIX x1=R BY oracle-fixable"
+        assert result.log().splitlines() == [
+            "FIX x1=R BY local-fixable",
+            "REMOVE x5!=R BY oracle-removable",
+        ]
 
     def test_a_step_table_never_holds_an_answer_row(self, corpus, monkeypatch):
         # The oracle family narrows the global covering's tables from step to
         # step: it never enumerates the whole space, and it scans each step's
-        # tables for a counterexample without building an answer row.
+        # tables for a counterexample without building an answer row (the
+        # local family's rows are built from signatures, the oracle's not).
         def refuse(*args):
-            raise AssertionError("a whole-space table or an answer row was built")
+            raise AssertionError("a whole-space table was built")
+
+        answer, signature, asking = _DetectorSet._oracle, oracle._signature, []
+
+        def oracle_answer(self, *args):
+            asking.append(True)
+            try:
+                return answer(self, *args)
+            finally:
+                asking.pop()
+
+        def local_signature(tbl, x):
+            assert not asking, "the oracle family built an answer row"
+            return signature(tbl, x)
 
         monkeypatch.setattr(oracle, "solution_table", refuse)
+        monkeypatch.setattr(_DetectorSet, "_oracle", oracle_answer)
+        monkeypatch.setattr(oracle, "_signature", local_signature)
+        steps = 0
         for inst, space in corpus[:30]:
             for group_size in (1, 2):
-                simplify_fixpoint(inst, space, mode="test", group_size=group_size)
-        monkeypatch.setattr(oracle, "_signature", refuse)
-        for inst, space in corpus[:30]:
-            simplify_fixpoint(inst, space, mode="test", detectors=("oracle",))
+                result = simplify_fixpoint(inst, space, mode="test", group_size=group_size)
+                steps += sum(step.detector.startswith("oracle") for step in result.steps)
+        assert steps
 
 
 class TestOracleTable:
@@ -216,15 +223,16 @@ class TestOracleTable:
         longest = 0
         for inst, space in [_equality_chain(), *corpus[:30]]:
             built.clear()
-            result = simplify_fixpoint(inst, space, mode="test", detectors=("oracle",))
-            assert built == [default_covering(inst, len(inst.constraints) or 1)]
+            result = simplify_fixpoint(inst, space, mode="test")
+            # The local family's covering, then the oracle's global one.
+            assert built == [default_covering(inst), default_covering(inst, len(inst.constraints))]
             longest = max(longest, len(result.steps))
         assert longest >= 3
 
 
 def _equality_chain():
-    """A chain of equalities from a pinned first variable: the oracle fixes
-    one variable per step."""
+    """A chain of equalities from a pinned first variable: each step fixes
+    one variable."""
     names = ("w0", "w1", "w2", "w3")
     equal = [(a, a) for a in "012"]
     constraints = tuple(
@@ -270,23 +278,20 @@ class TestIncrementalEffectiveFormula:
     @classmethod
     def assert_follows(cls, inst, formula, spaces):
         """A detector set built on the first space and advanced through the
-        others, each narrowing one variable or several, matches the full
-        instantiation of every pin at every space."""
-        detectors = _DetectorSet(
-            inst,
-            _resolve_families("production", None, formula),
-            formula,
-            default_covering(inst),
-            spaces[0],
-        )
+        others, one variable at a time, matches the full instantiation of
+        every pin at every space, though several variables may narrow from
+        one space to the next."""
+        detectors = _DetectorSet(inst, False, formula, default_covering(inst), spaces[0])
         classes = []
-        previous = spaces[0]
+        current = spaces[0]
         for space in spaces:
-            narrowed = [v for v in inst.variables if space.values(v) != previous.values(v)]
-            detectors.advance(space, narrowed)
+            for v in inst.variables:
+                for a in set(current.values(v)) - set(space.values(v)):
+                    current = current.remove(v, a)
+                    detectors.advance(current, v)
+            assert current == space
             cls.assert_matches_full_assume(detectors, inst, formula, space)
             classes.append(detectors.tractable_class)
-            previous = space
         return classes
 
     @staticmethod
@@ -306,7 +311,7 @@ class TestIncrementalEffectiveFormula:
         expected_class = None if primary is SchaeferClass.UNRESTRICTED else primary
         assert detectors.tractable_class is expected_class
         if expected.is_clausal:
-            pure = {v: detectors._pure(v) for v in expected.variables}
+            pure = {v: local.pure_value(*detectors._polarity[v]) for v in expected.variables}
             assert pure == pure_values(expected)
 
     def test_equals_assume_of_every_pin_at_every_step(self, boolean_corpora):
@@ -382,22 +387,23 @@ class TestIncrementalEffectiveFormula:
         assert not result.proved_unsatisfiable and result.steps
 
     def test_a_pin_keeps_the_compiled_class(self):
-        # (a|b)(-a|-b)(a|c) is compiled as 2CNF.  Pinning a=false leaves
-        # (b)(c), which is Horn, but the answer still comes from the 2CNF
-        # form.
+        # (a|b)(-a|-b)(a|c)(-b|c) is compiled as 2CNF.  Pinning a=false
+        # leaves (b)(c)(-b|c), which is Horn, but the answer still comes from
+        # the 2CNF form.  b occurs in both polarities, so it is not pure.
         f = BooleanFormula(
             ("a", "b", "c"),
             (
                 clause(("a", True), ("b", True)),
                 clause(("a", False), ("b", False)),
                 clause(("a", True), ("c", True)),
+                clause(("b", False), ("c", True)),
             ),
         )
         inst = to_extensional(f)
         space = SearchSpace.full(inst)
-        detectors = _DetectorSet(inst, ("tractable",), f, default_covering(inst), space)
+        detectors = _DetectorSet(inst, False, f, default_covering(inst), space)
         narrowed = space.assign("a", "false")
-        detectors.advance(narrowed, ("a",))
+        detectors.advance(narrowed, "a")
         assert detectors.tractable_class is SchaeferClass.HORN
         assert detectors.compiled.cls is SchaeferClass.TWO_CNF
         assert detectors.first(narrowed, "fix") == ("b", "true", "tractable-implied")
@@ -416,36 +422,80 @@ class TestReferenceLoop:
     )
     def test_random_instances(self, case, mode, group_size):
         inst, space = case
-        expected = reference_simplify(
-            inst, space, _resolve_families(mode, None, None), group_size=group_size
-        )
+        expected = reference_simplify(inst, space, mode, group_size=group_size)
         assert simplify_fixpoint(inst, space, mode=mode, group_size=group_size) == expected
 
     def test_boolean_corpora(self, boolean_corpora):
         for formula in corpus_slices(boolean_corpora):
             inst = to_extensional(formula)
             space = SearchSpace.full(inst)
-            families = _resolve_families("production", None, formula)
-            expected = reference_simplify(inst, space, families, formula)
+            expected = reference_simplify(inst, space, formula=formula)
             assert simplify_fixpoint(inst, space, formula=formula) == expected
 
-    def test_pinned_starts_and_family_orders(self, boolean_corpora):
+    def test_pinned_starts_in_both_modes(self):
         rng = random.Random(12)
-        formula_families = [f for f in DETECTOR_FAMILIES if f != "oracle"]
-        for kind in ("horn", "dual-horn", "2cnf", "affine"):
-            for formula in boolean_corpora[kind][:12]:
+        for kind in BOOLEAN_KINDS:
+            for formula in boolean_corpus(kind, count=12):
                 inst = to_extensional(formula)
                 pins = rng.sample(inst.variables, min(2, len(inst.variables)))
                 space = SearchSpace.over(inst, {v: [rng.choice(inst.domain)] for v in pins})
-                families = tuple(rng.sample(formula_families, rng.randint(1, 3)))
-                mode = rng.choice(["production", "test"])
-                if mode == "test":
-                    families += ("oracle",)
-                expected = reference_simplify(inst, space, families, formula)
-                result = simplify_fixpoint(
-                    inst, space, mode=mode, formula=formula, detectors=families
-                )
-                assert result == expected, (kind, families)
+                for mode in ("production", "test"):
+                    expected = reference_simplify(inst, space, mode, formula)
+                    result = simplify_fixpoint(inst, space, mode=mode, formula=formula)
+                    assert result == expected, (kind, mode)
+
+
+# Every detector a step can name.  A conflict names local-inconsistent
+# alone: only an empty space makes the oracle prove x's last value
+# inconsistent, and there the oracle fixes any variable with two values
+# first, so every variable has one value and a violated constraint's
+# local group is empty.
+STEP_LABELS = {
+    "pure-value",
+    "tractable-implied",
+    "local-fixable",
+    "local-implied",
+    "local-inconsistent",
+    "local-substitutable",
+    "oracle-fixable",
+    "oracle-inconsistent",
+    "oracle-removable",
+}
+
+
+class TestStepLabels:
+    def test_each_reachable_label(self, corpus, boolean_corpora):
+        runs = [(inst, space, None) for inst, space in corpus[:60]]
+        # x2=0 is inconsistent, though every constraint holding x2 allows it.
+        runs.append((*gen_random(RandomSpec(4, 3, 4, 2, 0.6, seed=85)), None))
+        for formula in corpus_slices(boolean_corpora):
+            inst = to_extensional(formula)
+            runs.append((inst, SearchSpace.full(inst), formula))
+        steps, conflicts = set(), set()
+        for inst, space, formula in runs:
+            for mode in ("production", "test"):
+                result = simplify_fixpoint(inst, space, mode=mode, formula=formula)
+                steps.update(step.detector for step in result.steps)
+                if result.conflict is not None:
+                    conflicts.add(result.conflict[2])
+        assert steps == STEP_LABELS
+        assert conflicts == {"local-inconsistent"}
+
+    def test_no_tractable_inconsistency_on_the_boolean_corpora(self):
+        # The reference loop still asks the tractable route for removals,
+        # after the fix scan has taken every implied value it proves.
+        rng = random.Random(32)
+        for kind in BOOLEAN_KINDS:
+            for formula in boolean_corpus(kind, count=60):
+                inst = to_extensional(formula)
+                pins = rng.sample(inst.variables, min(2, len(inst.variables)))
+                pinned = SearchSpace.over(inst, {v: [rng.choice(inst.domain)] for v in pins})
+                for space in (SearchSpace.full(inst), pinned):
+                    for mode in ("production", "test"):
+                        result = reference_simplify(inst, space, mode, formula)
+                        labels = [step.detector for step in result.steps]
+                        labels += [result.conflict[2]] if result.conflict else []
+                        assert "tractable-inconsistent" not in labels, (kind, mode)
 
 
 def _narrowings(space, moves):
@@ -475,58 +525,59 @@ class TestCleanVariables:
     have compiled before a pin moved the formula into an earlier class."""
 
     @staticmethod
-    def assert_advanced_equals_fresh(inst, space, families, formula, group_size, moves):
+    def assert_advanced_equals_fresh(inst, space, test, formula, group_size, moves):
         covering = default_covering(inst, group_size)
-        detectors = _DetectorSet(inst, families, formula, covering, space)
+        detectors = _DetectorSet(inst, test, formula, covering, space)
         for x, narrowed in [(None, space), *_narrowings(space, moves)]:
             if x is not None:
-                detectors.advance(narrowed, (x,))
-            fresh = _DetectorSet(inst, families, formula, covering, narrowed)
+                detectors.advance(narrowed, x)
+            fresh = _DetectorSet(inst, test, formula, covering, narrowed)
             for action in ("fix", "remove"):
                 found = detectors.first(narrowed, action)
                 assert found == fresh.first(narrowed, action), action
 
     @settings(max_examples=200, deadline=None)
     @given(
-        st.sampled_from(["horn", "dual-horn", "2cnf", "affine"]),
+        st.sampled_from(BOOLEAN_KINDS),
         st.integers(0, 10**6),
-        st.sampled_from(
-            [("pure-value", "tractable", "local"), ("tractable",), ("local", "tractable"),
-             ("pure-value",), ("tractable", "pure-value")]
-        ),
+        st.booleans(),
         st.integers(1, 3),
         _MOVES,
     )
-    def test_formulas(self, kind, seed, families, group_size, moves):
+    def test_formulas(self, kind, seed, test, group_size, moves):
         rng = random.Random(seed)
         formula = gen_random_boolean(kind, rng.randint(3, 12), rng.randint(2, 16), seed)
-        if not formula.is_clausal:
-            families = tuple(f for f in families if f != "pure-value") or ("tractable",)
         inst = to_extensional(formula)
         self.assert_advanced_equals_fresh(
-            inst, SearchSpace.full(inst), families, formula, group_size, moves
+            inst, SearchSpace.full(inst), test, formula, group_size, moves
         )
 
     def test_a_clause_the_propagation_only_lowered(self):
-        # y=true propagates v, then -w, and leaves (-y|-z|-t|w) with two
-        # open literals.  Pinning z, then t, makes y=true a conflict, though
-        # neither pin assigns a variable that y's propagation assigned.
+        # y=true propagates v, then -w, and leaves (-z|-t|w) with two open
+        # literals.  Pinning z, then t, makes y=true a conflict, though
+        # neither pin assigns a variable that y's propagation assigned at
+        # the start.  No clause holds y with z or t, and every variable
+        # occurs in both polarities, so only the compiled form's watchers
+        # make y dirty again.
         f = BooleanFormula(
             ("y", "z", "t", "w", "v"),
             (
-                clause(("y", False), ("z", False), ("t", False), ("w", True)),
+                clause(("z", False), ("t", False), ("w", True)),
                 clause(("w", False), ("v", False)),
                 clause(("y", False), ("v", True)),
+                clause(("y", True), ("v", False)),
+                clause(("z", True), ("w", False)),
+                clause(("t", True), ("w", False)),
             ),
         )
         inst = to_extensional(f)
         space = SearchSpace.full(inst)
         moves = [(1, 1, True), (1, 1, True)]  # z=true, then t=true
-        self.assert_advanced_equals_fresh(inst, space, ("tractable",), f, 1, moves)
-        detectors = _DetectorSet(inst, ("tractable",), f, default_covering(inst), space)
+        self.assert_advanced_equals_fresh(inst, space, False, f, 1, moves)
+        detectors = _DetectorSet(inst, False, f, default_covering(inst), space)
         assert detectors.first(space, "fix") is None
         for x, narrowed in _narrowings(space, moves):
-            detectors.advance(narrowed, (x,))
+            detectors.advance(narrowed, x)
             found = detectors.first(narrowed, "fix")
         assert found == ("y", "false", "tractable-implied")
 
@@ -537,22 +588,20 @@ class TestCleanVariables:
         one = Constraint("one", ("b",), [("1",)])
         inst = CspInstance(("a", "d", "b"), ("0", "1"), (same, one))
         space = SearchSpace.full(inst)
-        self.assert_advanced_equals_fresh(inst, space, ("local",), None, 1, [(2, 1, False)])
-        fresh = _DetectorSet(
-            inst, ("local",), None, default_covering(inst), space.remove("b", "1")
-        )
+        self.assert_advanced_equals_fresh(inst, space, False, None, 1, [(2, 1, False)])
+        fresh = _DetectorSet(inst, False, None, default_covering(inst), space.remove("b", "1"))
         assert fresh.first(space.remove("b", "1"), "fix") == ("a", "0", "local-implied")
 
     @settings(max_examples=200, deadline=None)
     @given(
         st.one_of(instances_with_spaces(), wide_instances(), st.sampled_from(edge_instances())),
-        st.sampled_from([("local",), ("oracle",), ("local", "oracle")]),
+        st.booleans(),
         st.integers(1, 3),
         _MOVES,
     )
-    def test_instances(self, case, families, group_size, moves):
+    def test_instances(self, case, test, group_size, moves):
         inst, space = case
-        self.assert_advanced_equals_fresh(inst, space, families, None, group_size, moves)
+        self.assert_advanced_equals_fresh(inst, space, test, None, group_size, moves)
 
 
 class TestSharedCachesStayReadOnly:
@@ -586,7 +635,7 @@ class TestSharedCachesStayReadOnly:
         inst, space = case
         shared = local.group_tables(inst, default_covering(inst, group_size), space)
         rows = [tbl.rows for tbl in shared.tables]
-        simplify_fixpoint(inst, space, group_size=group_size, detectors=("local",))
+        simplify_fixpoint(inst, space, group_size=group_size)
         assert shared.space is space
         assert [tbl.rows for tbl in shared.tables] == rows
         assert shared.some_empty == (not all(rows))
