@@ -36,8 +36,9 @@ from __future__ import annotations
 
 import enum
 import itertools
+from collections import namedtuple
 from collections.abc import Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import Constraint, CspInstance
 from .oracle import KINDS, PropertyQuery, signature_row
@@ -67,8 +68,7 @@ def name_bool(name: str) -> bool:
     raise ValueError(f"{name!r} is not a boolean value name")
 
 
-@dataclass(frozen=True)
-class Literal:
+class Literal(NamedTuple):
     variable: str
     positive: bool
 
@@ -76,23 +76,22 @@ class Literal:
         return self.variable if self.positive else "-" + self.variable
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(namedtuple("Clause", ("literals",))):
     """A disjunction of literals; the empty clause is the false marker.
 
     Clauses holding a complementary literal pair are tautologies and are
     rejected here; the DIMACS parser drops them on this refusal.
     """
 
-    literals: frozenset[Literal]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.literals, frozenset):
-            object.__setattr__(self, "literals", frozenset(self.literals))
+    def __new__(cls, literals) -> "Clause":
+        literals = frozenset(literals)
         by_var: dict[str, bool] = {}
-        for lit in self.literals:
+        for lit in literals:
             if by_var.setdefault(lit.variable, lit.positive) != lit.positive:
                 raise ValueError("tautological clause (complementary literals)")
+        return tuple.__new__(cls, (literals,))
 
     @property
     def is_empty(self) -> bool:
@@ -119,16 +118,13 @@ class Clause:
         return "(" + " | ".join(map(repr, self.sorted_literals())) + ")"
 
 
-@dataclass(frozen=True)
-class AffineEquation:
+class AffineEquation(namedtuple("AffineEquation", ("variables", "parity"))):
     """XOR of variables equal to a parity bit over GF(2)."""
 
-    variables: frozenset[str]
-    parity: bool
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.variables, frozenset):
-            object.__setattr__(self, "variables", frozenset(self.variables))
+    def __new__(cls, variables, parity: bool) -> "AffineEquation":
+        return tuple.__new__(cls, (frozenset(variables), parity))
 
     def __repr__(self) -> str:
         if not self.variables:
@@ -139,30 +135,25 @@ class AffineEquation:
 BooleanConstraint = Clause | AffineEquation
 
 
-@dataclass(frozen=True)
-class BooleanFormula:
+class BooleanFormula(namedtuple("BooleanFormula", ("variables", "clauses", "equations"))):
     """Clause list plus affine-equation list over an ordered variable set."""
 
-    variables: tuple[str, ...]
-    clauses: tuple[Clause, ...] = ()
-    equations: tuple[AffineEquation, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for attr in ("variables", "clauses", "equations"):
-            value = getattr(self, attr)
-            if not isinstance(value, tuple):
-                object.__setattr__(self, attr, tuple(value))
-        if len(set(self.variables)) != len(self.variables):
+    def __new__(cls, variables, clauses=(), equations=()) -> "BooleanFormula":
+        variables, clauses, equations = tuple(variables), tuple(clauses), tuple(equations)
+        if len(set(variables)) != len(variables):
             raise ValueError("formula variables must be unique")
-        known = set(self.variables)
-        for clause in self.clauses:
+        known = set(variables)
+        for clause in clauses:
             unknown = clause.variables - known
             if unknown:
                 raise ValueError(f"clause mentions undeclared variable(s) {sorted(unknown)}")
-        for eq in self.equations:
+        for eq in equations:
             unknown = eq.variables - known
             if unknown:
                 raise ValueError(f"equation mentions undeclared variable(s) {sorted(unknown)}")
+        return tuple.__new__(cls, (variables, clauses, equations))
 
     @property
     def is_clausal(self) -> bool:
@@ -189,8 +180,7 @@ _CANONICAL_ORDER = (
 )
 
 
-@dataclass(frozen=True)
-class SchaeferClassification:
+class SchaeferClassification(NamedTuple):
     primary: SchaeferClass
     applicable: tuple[SchaeferClass, ...]
 

@@ -31,7 +31,6 @@ Exit codes:
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import gc
 import math
@@ -355,12 +354,12 @@ def _parse_corpus_spec(spec: str, cap: int):
                     raise _UsageError(f"unknown corpus setting {key!r}")
         if not seeds:
             raise ValueError(f"seed range {seeds.start}..{seeds.stop - 1} is empty")
-        template = dataclasses.replace(STANDARD_CORPUS_SPEC, **changes)
+        template = RandomSpec(*STANDARD_CORPUS_SPEC._replace(**changes))
     except ValueError as exc:
         raise _UsageError(f"bad corpus spec {spec!r}: {exc}")
     # Every instance has the full space: refuse it before generating any.
     _guard_space(template.domain_size**template.variable_count, cap)
-    return (gen_random(dataclasses.replace(template, seed=seed)) for seed in seeds)
+    return (gen_random(template._replace(seed=seed)) for seed in seeds)
 
 
 def _cmd_check(args) -> int:

@@ -23,8 +23,8 @@ back empty.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass
 from itertools import compress
+from typing import NamedTuple
 
 from . import oracle
 from .oracle import SolutionTable, answer_row
@@ -32,8 +32,7 @@ from .oracle import SolutionTable, answer_row
 EdgeSide = Callable[[SolutionTable, "str | None", dict], set]
 
 
-@dataclass(frozen=True, eq=False)
-class RelationshipEdge:
+class RelationshipEdge(NamedTuple):
     """One implication (lhs -> rhs) or biconditional (lhs <-> rhs).
 
     ``args`` names the instantiation shape: "x", "xa", "xab", "vy" (a
@@ -49,8 +48,7 @@ class RelationshipEdge:
     rhs: EdgeSide
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     edge: str
     kind: str
     args: tuple

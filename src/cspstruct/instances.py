@@ -26,8 +26,9 @@ import itertools
 import logging
 import random
 import re
+from collections import namedtuple
 from collections.abc import Iterable
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .boolean import (
     AffineEquation,
@@ -172,12 +173,13 @@ def parse_csp(text: str) -> tuple[CspInstance, SearchSpace]:
                             line_no,
                         )
         rows = frozenset(zip(*[iter(cells)] * arity))
-        constraints.append(Constraint(name, scope, rows))
+        # Checked above as Constraint checks it, with the line named.
+        constraints.append(Constraint._make((name, scope, rows)))
     if not header_seen:
         raise ParseError("empty input: expected header 'csp 1'", 1)
     if variables is None or domain is None:
         raise ParseError("missing vars or domain declaration", 1)
-    instance = CspInstance._checked(variables, domain, tuple(constraints))
+    instance = CspInstance._make((variables, domain, tuple(constraints)))
     space = SearchSpace.over(instance, active)
     return instance, space
 
@@ -345,21 +347,19 @@ def emit_dimacs(formula: BooleanFormula) -> str:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Graph:
-    nodes: int
-    edges: tuple[tuple[int, int], ...]
+class Graph(namedtuple("Graph", ("nodes", "edges"))):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.edges, tuple):
-            object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
-        if self.nodes < 1:
+    def __new__(cls, nodes: int, edges) -> "Graph":
+        edges = tuple(map(tuple, edges))
+        if nodes < 1:
             raise ValueError("graph needs at least one node")
-        for u, v in self.edges:
+        for u, v in edges:
             if u == v:
                 raise ValueError(f"self-loop on node {u}")
-            if not (1 <= u <= self.nodes and 1 <= v <= self.nodes):
-                raise ValueError(f"edge ({u},{v}) leaves the node range 1..{self.nodes}")
+            if not (1 <= u <= nodes and 1 <= v <= nodes):
+                raise ValueError(f"edge ({u},{v}) leaves the node range 1..{nodes}")
+        return tuple.__new__(cls, (nodes, edges))
 
 
 def _palette(k: int) -> tuple[str, ...]:
@@ -393,19 +393,17 @@ MAX_COLUMN_PRODUCTS = 6
 MAX_DIGITS = 8
 
 
-@dataclass(frozen=True)
-class FactoringSpec:
+class FactoringSpec(namedtuple("FactoringSpec", ("z", "base", "ordering"))):
     """Factor z into two nontrivial factors, digit by digit in a base."""
 
-    z: int
-    base: int = 2
-    ordering: bool = False
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.z < 4:
+    def __new__(cls, z: int, base: int = 2, ordering: bool = False) -> "FactoringSpec":
+        if z < 4:
             raise ValueError("z must be at least 4 to have nontrivial factors")
-        if self.base < 2:
+        if base < 2:
             raise ValueError("base must be at least 2")
+        return tuple.__new__(cls, (z, base, ordering))
 
     @property
     def digits(self) -> tuple[int, ...]:
@@ -425,8 +423,7 @@ class FactoringSpec:
         return (self.base - 1) ** 2 * self.digit_count // self.base
 
 
-@dataclass(frozen=True)
-class _FactoringLayout:
+class _FactoringLayout(NamedTuple):
     xs: tuple[str, ...]
     ys: tuple[str, ...]
     carries: tuple[str, ...]
@@ -630,24 +627,34 @@ def factoring_space(spec: FactoringSpec) -> SearchSpace:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RandomSpec:
+class RandomSpec(
+    namedtuple(
+        "RandomSpec",
+        ("variable_count", "domain_size", "constraint_count", "max_arity", "density", "seed"),
+    )
+):
     """Reproducible random extensional instance: same spec, same instance."""
 
-    variable_count: int
-    domain_size: int
-    constraint_count: int
-    max_arity: int = 2
-    density: float = 0.5
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.variable_count < 1 or self.domain_size < 1:
+    def __new__(
+        cls,
+        variable_count: int,
+        domain_size: int,
+        constraint_count: int,
+        max_arity: int = 2,
+        density: float = 0.5,
+        seed: int = 0,
+    ) -> "RandomSpec":
+        if variable_count < 1 or domain_size < 1:
             raise ValueError("need at least one variable and one domain value")
-        if self.constraint_count < 0 or self.max_arity < 1:
+        if constraint_count < 0 or max_arity < 1:
             raise ValueError("bad constraint count or arity bound")
-        if not 0 < self.density <= 1:
+        if not 0 < density <= 1:
             raise ValueError("density must be in (0, 1]")
+        return tuple.__new__(
+            cls, (variable_count, domain_size, constraint_count, max_arity, density, seed)
+        )
 
 
 def gen_random(spec: RandomSpec) -> tuple[CspInstance, SearchSpace]:

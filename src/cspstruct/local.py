@@ -38,8 +38,8 @@ are therefore rejected outright.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from itertools import compress, repeat
 from operator import itemgetter
 from typing import NamedTuple
@@ -57,23 +57,20 @@ class UnsoundLocalCheckError(ValueError):
     """Raised for removability: local reasoning is not sound for it."""
 
 
-@dataclass(frozen=True)
-class Covering:
+class Covering(namedtuple("Covering", ("groups",))):
     """Constraint subsets, as index groups into the instance constraint list."""
 
-    groups: tuple[tuple[int, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.groups, tuple):
-            object.__setattr__(self, "groups", tuple(map(tuple, self.groups)))
-        for group in self.groups:
+    def __new__(cls, groups) -> "Covering":
+        groups = tuple(map(tuple, groups))
+        for group in groups:
             if not group:
                 raise ValueError("covering subsets must be nonempty")
+        return tuple.__new__(cls, (groups,))
 
 
 class LocalVerdict(NamedTuple):
-    # A named tuple, not a dataclass: one is built per query, and a tuple
-    # is built several times faster.
     established: bool
     per_group: tuple[bool, ...]
 
@@ -114,7 +111,7 @@ def _groups(
         scope = {v for c in constraints for v in c.scope}
         names = tuple(sorted(scope, key=instance.var_index))
         # The constraints of a valid instance, on the variables they name.
-        projected.append(CspInstance._checked(names, instance.domain, constraints))
+        projected.append(CspInstance._make((names, instance.domain, constraints)))
         for v in names:
             holding.setdefault(v, []).append(g)
     return tuple(projected), {v: tuple(gs) for v, gs in holding.items()}

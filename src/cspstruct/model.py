@@ -16,15 +16,14 @@ files reproducible from run to run.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass
 from functools import cached_property
 
 Row = tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(namedtuple("Constraint", ("name", "scope", "rows"))):
     """An ordered scope and the set of value rows it allows.
 
     ``rows`` may be any iterable of row iterables and is stored as a
@@ -33,46 +32,42 @@ class Constraint:
     instances only ever hold constraints with at least one scope variable.
     """
 
-    name: str
-    scope: tuple[str, ...]
-    rows: frozenset[Row]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.scope, tuple):
-            object.__setattr__(self, "scope", tuple(self.scope))
-        if len(set(self.scope)) != len(self.scope):
-            raise ValueError(f"constraint {self.name!r} repeats a scope variable")
-        if not isinstance(self.rows, frozenset):
-            object.__setattr__(self, "rows", frozenset(map(tuple, self.rows)))
-        arity = len(self.scope)
-        if not set(map(len, self.rows)) <= {arity}:
-            for row in self.rows:
+    def __new__(cls, name: str, scope, rows) -> "Constraint":
+        scope = tuple(scope)
+        if len(set(scope)) != len(scope):
+            raise ValueError(f"constraint {name!r} repeats a scope variable")
+        if not (isinstance(rows, frozenset) and set(map(type, rows)) <= {tuple}):
+            rows = frozenset(map(tuple, rows))
+        arity = len(scope)
+        if not set(map(len, rows)) <= {arity}:
+            for row in rows:
                 if len(row) != arity:
                     raise ValueError(f"row {row!r} does not match arity {arity}")
+        return tuple.__new__(cls, (name, scope, rows))
 
 
-@dataclass(frozen=True)
-class CspInstance:
-    """A finite-domain CSP: variables, one shared domain, constraints."""
+class CspInstance(namedtuple("CspInstance", ("variables", "domain", "constraints"))):
+    """A finite-domain CSP: variables, one shared domain, constraints.
 
-    variables: tuple[str, ...]
-    domain: tuple[str, ...]
-    constraints: tuple[Constraint, ...] = ()
+    ``_make`` builds one from three tuples its caller has checked as
+    ``__new__`` would (the parser checks each line, to name the line), so no
+    row value is checked twice.  The class keeps a ``__dict__`` for its
+    cached properties.
+    """
 
-    def __post_init__(self) -> None:
-        for attr in ("variables", "domain", "constraints"):
-            value = getattr(self, attr)
-            if not isinstance(value, tuple):
-                object.__setattr__(self, attr, tuple(value))
-        if len(set(self.variables)) != len(self.variables):
+    def __new__(cls, variables, domain, constraints=()) -> "CspInstance":
+        variables, domain, constraints = tuple(variables), tuple(domain), tuple(constraints)
+        if len(set(variables)) != len(variables):
             raise ValueError("variable names must be unique")
-        if not self.domain:
+        if not domain:
             raise ValueError("domain must contain at least one value")
-        if len(set(self.domain)) != len(self.domain):
+        if len(set(domain)) != len(domain):
             raise ValueError("domain values must be unique")
-        known = set(self.variables)
-        dom = set(self.domain)
-        for c in self.constraints:
+        known = set(variables)
+        dom = set(domain)
+        for c in constraints:
             if not c.scope:
                 raise ValueError(f"constraint {c.name!r} has an empty scope")
             for v in c.scope:
@@ -87,15 +82,7 @@ class CspInstance:
                             raise ValueError(
                                 f"constraint {c.name!r} uses value {a!r} outside the domain"
                             )
-
-    @classmethod
-    def _checked(cls, variables, domain, constraints) -> "CspInstance":
-        """The instance of three tuples its caller has checked as
-        ``__post_init__`` would (the parser checks each line, to name the
-        line), so no row value is checked twice."""
-        instance = object.__new__(cls)
-        vars(instance).update(variables=variables, domain=domain, constraints=constraints)
-        return instance
+        return tuple.__new__(cls, (variables, domain, constraints))
 
     @cached_property
     def scope_positions(self) -> tuple[tuple[int, ...], ...]:
@@ -114,24 +101,25 @@ class CspInstance:
             raise ValueError(f"unknown variable {variable!r}") from None
 
 
-@dataclass(frozen=True)
-class SearchSpace:
-    """Active value sets per variable, kept in declaration order."""
+class SearchSpace(namedtuple("SearchSpace", ("entries",))):
+    """Active value sets per variable, kept in declaration order.  The class
+    keeps a ``__dict__`` for the active sets by name."""
 
-    entries: tuple[tuple[str, tuple[str, ...]], ...]
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.entries, tuple):
-            object.__setattr__(self, "entries", tuple(self.entries))
-        names = [name for name, _ in self.entries]
+    def __new__(cls, entries) -> "SearchSpace":
+        entries = tuple((name, tuple(values)) for name, values in entries)
+        names = [name for name, _ in entries]
         if len(set(names)) != len(names):
             raise ValueError("search space repeats a variable")
-        for name, values in self.entries:
+        for name, values in entries:
             if not values:
                 raise ValueError(f"active set for {name!r} is empty")
             if len(set(values)) != len(values):
                 raise ValueError(f"active set for {name!r} repeats a value")
-        object.__setattr__(self, "_active", dict(self.entries))
+        return tuple.__new__(cls, (entries,))
+
+    @cached_property
+    def _active(self) -> dict[str, tuple[str, ...]]:
+        return dict(self.entries)
 
     @classmethod
     def full(cls, instance: CspInstance) -> "SearchSpace":
@@ -170,7 +158,7 @@ class SearchSpace:
 
     def values(self, variable: str) -> tuple[str, ...]:
         try:
-            return self._active[variable]  # type: ignore[attr-defined]
+            return self._active[variable]
         except KeyError:
             raise ValueError(f"unknown variable {variable!r}") from None
 
@@ -200,12 +188,10 @@ class SearchSpace:
             positions = {name: i for i, (name, _) in enumerate(self.entries)}
         entries = list(self.entries)
         entries[positions[variable]] = (variable, values)
-        active = dict(self._active)  # type: ignore[attr-defined]
+        active = dict(self._active)
         active[variable] = values
-        child = object.__new__(SearchSpace)
-        object.__setattr__(child, "entries", tuple(entries))
-        object.__setattr__(child, "_active", active)
-        object.__setattr__(child, "_positions", positions)
+        child = tuple.__new__(SearchSpace, (tuple(entries),))
+        vars(child).update(_active=active, _positions=positions)
         return child
 
     def size(self) -> int:

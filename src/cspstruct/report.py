@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 from collections import Counter
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii
 from math import isfinite
 from typing import NamedTuple
@@ -34,8 +33,7 @@ class Finding(NamedTuple):
         return PropertyQuery.describe(self) + " " + self.verdict
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(NamedTuple):
     digest: str
     method: str
     findings: tuple[Finding, ...]

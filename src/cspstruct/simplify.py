@@ -29,7 +29,7 @@ to the detector loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import boolean, local, oracle
 from .boolean import BOOL_VALUES, BooleanFormula, SchaeferClass
@@ -37,8 +37,7 @@ from .local import Covering, default_covering
 from .model import CspInstance, SearchSpace
 
 
-@dataclass(frozen=True)
-class SimplificationStep:
+class SimplificationStep(NamedTuple):
     action: str  # "fix" | "remove"
     variable: str
     value: str
@@ -52,8 +51,7 @@ class SimplificationStep:
         return f"REMOVE {self.variable}!={self.value} BY {self.detector}"
 
 
-@dataclass(frozen=True)
-class SimplificationResult:
+class SimplificationResult(NamedTuple):
     final_space: SearchSpace
     steps: tuple[SimplificationStep, ...]
     proved_unsatisfiable: bool

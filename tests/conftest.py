@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 from pathlib import Path
@@ -206,7 +205,7 @@ def edge_instances():
         (inst, full),
         (inst, full.assign("a", "0")),
         (inst, full.remove("b", "1").assign("d", "2")),
-        (dataclasses.replace(inst, constraints=(less, same, dead)), full),
+        (inst._replace(constraints=(less, same, dead)), full),
         parse_csp((DATA / "no_constraints.csp").read_text()),
     ]
 
@@ -214,9 +213,7 @@ def edge_instances():
 def subproblem(instance, indices):
     """The instance restricted to a constraint subset, every variable kept:
     the subproblem whose exact verdict a covering group must report."""
-    return dataclasses.replace(
-        instance, constraints=tuple(instance.constraints[i] for i in indices)
-    )
+    return instance._replace(constraints=tuple(instance.constraints[i] for i in indices))
 
 
 def forced_by_product(tbl, group, y):
@@ -596,7 +593,7 @@ def standard_corpus(seeds=STANDARD_CORPUS_SEEDS):
     """The fixed test corpus: 5 variables, 3 values, 6 constraints of arity
     at most 2, density 0.5, seeds 1..1000."""
     for seed in seeds:
-        yield gen_random(dataclasses.replace(STANDARD_CORPUS_SPEC, seed=seed))
+        yield gen_random(STANDARD_CORPUS_SPEC._replace(seed=seed))
 
 
 BOOLEAN_KINDS = ("horn", "dual-horn", "2cnf", "affine", "cnf")

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib
 import itertools
 import os
@@ -91,6 +90,12 @@ class TestSearchSpace:
         with pytest.raises(ValueError, match="no active values"):
             space.remove("a", "0").remove("a", "1")
 
+    def test_active_sets_are_stored_as_tuples(self):
+        built = SearchSpace([("a", ["0", "1"]), ["b", iter("1")]])
+        assert all(type(values) is tuple for _, values in built.entries)
+        same = SearchSpace((("a", ("0", "1")), ("b", ("1",))))
+        assert built == same and hash(built) == hash(same)
+
     def test_empty_active_set_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             SearchSpace((("a", ()),))
@@ -146,7 +151,9 @@ class TestInstanceValidation:
 
     def test_rows_are_stored_as_a_frozenset_of_tuples(self):
         rows = {("0", "1"), ("1", "1")}
-        for given in ([["0", "1"], ["1", "1"]], (iter(row) for row in sorted(rows))):
+        # A frozenset of strings is rows too: "01" is the row ("0", "1").
+        strings = frozenset({"01", "11"})
+        for given in ([["0", "1"], ["1", "1"]], (iter(row) for row in sorted(rows)), strings):
             c = Constraint("c", ["a", "b"], given)
             assert type(c.rows) is frozenset and c.rows == rows
             assert all(type(row) is tuple for row in c.rows)
@@ -201,22 +208,24 @@ class TestCachedHash:
         inst = build_instance()
         hash(inst)
         unary = make_constraint("one", "z", [("1",)])
-        extended = dataclasses.replace(inst, constraints=(*inst.constraints, unary))
+        extended = inst._replace(constraints=(*inst.constraints, unary))
         assert hash(extended) == hash(build_instance((unary,)))
-        assert hash(dataclasses.replace(inst, constraints=())) == hash(
+        assert hash(inst._replace(constraints=())) == hash(
             CspInstance(("x", "y", "z"), ("0", "1"))
         )
         space = SearchSpace.full(inst)
         hash(space)
         pinned = SearchSpace.over(inst, {"z": ["1"]})
         narrowed = SearchSpace.over(inst, {"x": ["1"]})
+        assert space._replace(entries=pinned.entries).values("z") == ("1",)
         assert space.assign("z", "1") == pinned and hash(space.assign("z", "1")) == hash(pinned)
         assert space.remove("x", "0") == narrowed and hash(space.remove("x", "0")) == hash(narrowed)
 
     def test_covering_keeps_its_field_hash(self):
         covering = default_covering(build_instance(), 1)
         assert hash(covering) == hash((covering.groups,))
-        assert covering == Covering([[0]]) and hash(Covering([[0]])) == hash(covering)
+        for given in ([[0]], ([0],)):
+            assert covering == Covering(given) and hash(Covering(given)) == hash(covering)
         loaded = pickle.loads(pickle.dumps(covering))
         assert loaded == covering and hash(loaded) == hash(covering)
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import random
 import re
@@ -108,7 +107,7 @@ class TestEnumerator:
         assert_enumerator_matches_product(inst, space)
         assert_enumerator_matches_product(inst, space.remove("c", "2"))
         dead = Constraint("dead", ("c",), [])
-        assert_enumerator_matches_product(dataclasses.replace(inst, constraints=(lt, dead)), space)
+        assert_enumerator_matches_product(inst._replace(constraints=(lt, dead)), space)
 
     def test_restricted_and_fully_pinned_spaces(self, coloring, removability_trap):
         inst, space = coloring
@@ -211,7 +210,7 @@ class TestFreeInstance:
 class TestRemovable:
     def test_pinned_equality_counterexample(self, removability_trap):
         inst, space = removability_trap
-        core = dataclasses.replace(inst, constraints=inst.constraints[:2])  # x<=y and x>=y only
+        core = inst._replace(constraints=inst.constraints[:2])  # x<=y and x>=y only
         tbl = solution_table(core, space)
         assert not evaluate(tbl, PropertyQuery("removable", "x", ("2",))).holds
 

@@ -518,6 +518,34 @@ _MOVES = st.lists(
 )
 
 
+@st.composite
+def chained_formulas(draw):
+    """A formula in which y's propagation reaches a clause through a chain
+    of two or more clauses, the closers of that clause, and the value that
+    pins them.  y=true implies v1, ..., down to -w; once every closer is
+    pinned true, the clause (-q0 | ... | w) forces w, so y=true turns
+    inconsistent.  Each variable occurs in both polarities and no clause
+    holds y with a closer, so a pin makes y dirty again only through the
+    compiled form's watchers.  Every literal may be negated, with the
+    closers pinned false.  y comes first, so the first scan reaches it; the
+    other variables, the clauses and the closers come in a drawn order."""
+    length = draw(st.integers(2, 4))
+    closers = [f"q{i}" for i in range(draw(st.integers(1, 3)))]
+    flip = draw(st.booleans())
+    chain = ["y", *(f"v{i}" for i in range(1, length)), "w"]
+    lits = [(v, True) for v in chain[:-1]] + [("w", False)]
+    clauses = [[(u, not pu), (v, pv)] for (u, pu), (v, pv) in zip(lits, lits[1:])]
+    clauses.append([("y", True), (chain[1], False)])
+    clauses.append([*((q, False) for q in closers), ("w", True)])
+    clauses += [[(q, True), ("w", False)] for q in closers]
+    clauses = draw(st.permutations(clauses))
+    formula = BooleanFormula(
+        ("y", *draw(st.permutations([*chain[1:], *closers]))),
+        [clause(*((v, positive != flip) for v, positive in c)) for c in clauses],
+    )
+    return formula, draw(st.permutations(closers)), boolean.bool_name(not flip)
+
+
 class TestCleanVariables:
     """A detector set advanced through arbitrary narrowings, which skips the
     variables it left clean, finds the first justified fix and removal a
@@ -525,10 +553,10 @@ class TestCleanVariables:
     have compiled before a pin moved the formula into an earlier class."""
 
     @staticmethod
-    def assert_advanced_equals_fresh(inst, space, test, formula, group_size, moves):
+    def assert_advanced_equals_fresh(inst, space, test, formula, group_size, narrowings):
         covering = default_covering(inst, group_size)
         detectors = _DetectorSet(inst, test, formula, covering, space)
-        for x, narrowed in [(None, space), *_narrowings(space, moves)]:
+        for x, narrowed in [(None, space), *narrowings]:
             if x is not None:
                 detectors.advance(narrowed, x)
             fresh = _DetectorSet(inst, test, formula, covering, narrowed)
@@ -548,9 +576,24 @@ class TestCleanVariables:
         rng = random.Random(seed)
         formula = gen_random_boolean(kind, rng.randint(3, 12), rng.randint(2, 16), seed)
         inst = to_extensional(formula)
+        space = SearchSpace.full(inst)
         self.assert_advanced_equals_fresh(
-            inst, SearchSpace.full(inst), test, formula, group_size, moves
+            inst, space, test, formula, group_size, _narrowings(space, moves)
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(chained_formulas(), st.integers(1, 2))
+    def test_chained_formulas(self, drawn, group_size):
+        # Outside test mode: the oracle's global group holds every variable,
+        # so each narrowing would make y dirty again through it.
+        formula, closers, value = drawn
+        inst = to_extensional(formula)
+        start = space = SearchSpace.full(inst)
+        pins = []
+        for q in closers:
+            space = space.assign(q, value)
+            pins.append((q, space))
+        self.assert_advanced_equals_fresh(inst, start, False, formula, group_size, pins)
 
     def test_a_clause_the_propagation_only_lowered(self):
         # y=true propagates v, then -w, and leaves (-z|-t|w) with two open
@@ -573,7 +616,7 @@ class TestCleanVariables:
         inst = to_extensional(f)
         space = SearchSpace.full(inst)
         moves = [(1, 1, True), (1, 1, True)]  # z=true, then t=true
-        self.assert_advanced_equals_fresh(inst, space, False, f, 1, moves)
+        self.assert_advanced_equals_fresh(inst, space, False, f, 1, _narrowings(space, moves))
         detectors = _DetectorSet(inst, False, f, default_covering(inst), space)
         assert detectors.first(space, "fix") is None
         for x, narrowed in _narrowings(space, moves):
@@ -588,7 +631,9 @@ class TestCleanVariables:
         one = Constraint("one", ("b",), [("1",)])
         inst = CspInstance(("a", "d", "b"), ("0", "1"), (same, one))
         space = SearchSpace.full(inst)
-        self.assert_advanced_equals_fresh(inst, space, False, None, 1, [(2, 1, False)])
+        self.assert_advanced_equals_fresh(
+            inst, space, False, None, 1, _narrowings(space, [(2, 1, False)])
+        )
         fresh = _DetectorSet(inst, False, None, default_covering(inst), space.remove("b", "1"))
         assert fresh.first(space.remove("b", "1"), "fix") == ("a", "0", "local-implied")
 
@@ -601,7 +646,9 @@ class TestCleanVariables:
     )
     def test_instances(self, case, test, group_size, moves):
         inst, space = case
-        self.assert_advanced_equals_fresh(inst, space, test, None, group_size, moves)
+        self.assert_advanced_equals_fresh(
+            inst, space, test, None, group_size, _narrowings(space, moves)
+        )
 
 
 class TestSharedCachesStayReadOnly:
