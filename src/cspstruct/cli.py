@@ -21,9 +21,9 @@ Exit codes:
 - 2: bad input or usage: an unreadable or malformed file, a formula with
   no variables, an invalid option value, a search space (or, for local
   analysis with ``--group-size`` above 1, a covering group's space) over
-  ``--max-space``;
+  ``--max-space``; ``analyze`` refuses before its first byte of output;
 - 3: internal error, reported as ``internal error:`` and a traceback on
-  stderr;
+  stderr; 3 and 141 alone can end an ``analyze`` report early;
 - 141 (128 + SIGPIPE): stdout was closed before the output was written,
   with nothing on stderr.
 """
@@ -36,7 +36,6 @@ import gc
 import math
 import os
 import sys
-import time
 import traceback
 from itertools import compress
 from pathlib import Path
@@ -138,21 +137,6 @@ def _guard_groups(
             )
 
 
-def _findings(queries, decide, method, render) -> list[report.Finding]:
-    """One finding per query: ``decide`` answers it, timed on its own, and
-    ``render`` turns the answer into the verdict and the evidence.  A query
-    is the tuple (kind, variable, values, over) that starts its finding."""
-    findings = []
-    new = tuple.__new__  # a Finding's fields are known, so no length check
-    for query in queries:
-        start = time.perf_counter()
-        answer = decide(query)
-        elapsed = (time.perf_counter() - start) * 1000.0
-        verdict, evidence = render(answer)
-        findings.append(new(report.Finding, (*query, verdict, method, evidence, elapsed)))
-    return findings
-
-
 def _oracle_rendering(verdict):
     if verdict.holds:
         return "TRUE", None
@@ -182,23 +166,20 @@ def _cmd_analyze(args) -> int:
                     "formula is in no tractable class; tractable analysis refused"
                 )
             methods.remove("tractable")
-    findings: list[report.Finding] = []
-    # Each method builds what answers its queries once, before the first
-    # query, so a finding's time is its own query's alone: its lookup and,
-    # for a false oracle verdict, its counterexample scan.  The answer rows
-    # are built here too, not by whichever query asks first.
+    # Each method builds what answers its queries, answer rows included,
+    # before the first byte is written: every refusal comes first, and a
+    # finding's time is its own query's alone (its lookup and, for a false
+    # oracle verdict, its counterexample scan).
+    shown = ("TRUE", "ESTABLISHED", "FALSE", "UNKNOWN") if args.all else ("TRUE", "ESTABLISHED")
+    routes = []
     for method in methods:
         if method == "oracle":
             _guard_space(space.size(), args.max_space)
             table = oracle.solution_table(instance, space)
             for x in table.order:
                 oracle.answer_row(table, x)
-            findings += _findings(
-                oracle.all_queries(instance, space, KINDS, args.dep_max),
-                functools.partial(oracle.evaluate, table),
-                method,
-                _oracle_rendering,
-            )
+            kinds, decide = KINDS, functools.partial(oracle.evaluate, table)
+            render = _oracle_rendering
         elif method == "local":
             if args.group_size > 1:
                 _guard_groups(instance, space, args.group_size, args.max_space)
@@ -207,29 +188,18 @@ def _cmd_analyze(args) -> int:
             for tbl in groups.tables:
                 for x in tbl.order:
                     oracle.answer_row(tbl, x)
-            findings += _findings(
-                oracle.all_queries(instance, space, LOCAL_KINDS, args.dep_max),
-                lambda query: local.local_check(groups, query),
-                method,
-                _local_rendering,
-            )
+            kinds, decide = LOCAL_KINDS, functools.partial(local.local_check, groups)
+            render = _local_rendering
         else:
             compiled = boolean.CompiledFormula(formula, cls)
             for x in formula.variables:
                 compiled.row(x)
-            findings += _findings(
-                oracle.all_queries(instance, space, TRACTABLE_KINDS, args.dep_max),
-                functools.partial(boolean.tract_check, compiled),
-                method,
-                lambda holds: ("TRUE" if holds else "FALSE", f"{cls.value} reduction"),
-            )
-    if not args.all:
-        findings = [f for f in findings if f.verdict in ("TRUE", "ESTABLISHED")]
-    analysis = report.make_report(report.digest_text(text), args.method, findings)
-    if args.json:
-        print(report.to_json(analysis))
-    else:
-        print(analysis.render())
+            kinds, decide = TRACTABLE_KINDS, functools.partial(boolean.tract_check, compiled)
+            evidence = f"{cls.value} reduction"
+            render = lambda holds: ("TRUE" if holds else "FALSE", evidence)  # noqa: E731
+        runs = oracle.query_groups(instance, space, kinds, args.dep_max)
+        routes.append((method, runs, decide, render, shown))
+    report.write_report(sys.stdout.write, report.digest_text(text), args.method, routes, args.json)
     return 0
 
 
@@ -262,7 +232,7 @@ def _check_instance(instance, space, formula, group_size, dep_max, catalog):
     # conditioning sets (the empty set first) and answer row are built
     # first, once, and the catalog and the other routes are compared with them.
     names = instance.variables
-    overs = {x: oracle.conditioning_sets(names, x, 0, dep_max) for x in names}
+    overs = {x: [*oracle.conditioning_sets(names, x, 0, dep_max)] for x in names}
     table = oracle.solution_table(instance, space)
     truths = {x: oracle.answer_row(table, x, overs[x]) for x in names}
     catalog_found = hierarchy.validate_hierarchy(table, catalog, dep_max)

@@ -231,7 +231,7 @@ def validate_hierarchy(
     other variables, the empty set included."""
     catalog = edge_catalog() if catalog is None else catalog
     views = [
-        (x, _held(table, x, oracle.conditioning_sets(table.order, x, 0, dep_max)))
+        (x, _held(table, x, [*oracle.conditioning_sets(table.order, x, 0, dep_max)]))
         for x in (table.order if catalog else ())
     ]
     violations = []

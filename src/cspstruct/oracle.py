@@ -29,10 +29,10 @@ variable's active values.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from collections import namedtuple
 from collections.abc import Iterable, Iterator, Sequence
+from itertools import repeat
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -403,53 +403,44 @@ def evaluate(table: SolutionTable, query: PropertyQuery) -> OracleVerdict:
     return OracleVerdict(False, tuple(dict(zip(table.order, row)) for row in witness))
 
 
-def conditioning_sets(names: Sequence[str], y: str, low: int, high: int) -> list[tuple]:
+def conditioning_sets(names: Sequence[str], y: str, low: int, high: int) -> Iterator[tuple]:
     """The sets of ``low`` to ``high`` variables of ``names`` other than y,
-    by size and then in declaration order."""
+    by size and then in declaration order, lazily."""
     others = tuple(v for v in names if v != y)
-    return [c for size in range(low, high + 1) for c in itertools.combinations(others, size)]
+    return itertools.chain(*(itertools.combinations(others, k) for k in range(low, high + 1)))
 
 
-def all_queries(
-    instance: CspInstance,
-    space: SearchSpace,
-    kinds: Iterable[str] = KINDS,
-    dep_max: int = 2,
-) -> list[PropertyQuery]:
-    """Every admissible query in canonical order: kind, then variable
-    declaration order, then active value order.
-
-    Substitutability queries cover ordered pairs of distinct active values,
-    interchangeability unordered pairs; dependence ranges over nonempty
-    conditioning sets of up to ``dep_max`` other variables.
-    """
-    queries: list[PropertyQuery] = []
-    # Valid by construction, so built as bare tuples, skipping ``__new__``'s checks.
-    make = functools.partial(tuple.__new__, PropertyQuery)
+def query_groups(
+    instance: CspInstance, space: SearchSpace, kinds: Iterable[str], dep_max: int
+) -> Iterator[tuple[str, str, Iterator[PropertyQuery]]]:
+    """Every admissible query in canonical order (kind, then variable
+    declaration order, then active value order), lazily, as runs (kind, x,
+    queries) of one kind and variable.  Substitutability queries cover
+    ordered pairs of distinct active values, interchangeability unordered
+    pairs; dependence ranges over nonempty conditioning sets of up to
+    ``dep_max`` other variables."""
     names = instance.variables
     for kind in kinds:
         if kind not in KINDS:
             raise ValueError(f"unknown property kind {kind!r}")
         for x in names:
             active = space.values(x)
+            values, overs = [()], repeat(())
             if _VALUE_COUNTS[kind] == 1:
-                queries.extend(make((kind, x, (a,), ())) for a in active)
+                values = [(a,) for a in active]
             elif kind == "substitutable":
-                queries.extend(
-                    make((kind, x, (a, b), ())) for a in active for b in active if a != b
-                )
+                values = [(a, b) for a in active for b in active if a != b]
             elif kind == "interchangeable":
-                queries.extend(
-                    make((kind, x, (a, b), ()))
-                    for pos, a in enumerate(active)
-                    for b in active[pos + 1 :]
-                )
-            elif kind != "dependent":
-                queries.append(make((kind, x, (), ())))
-            else:
-                queries.extend(
-                    make((kind, x, (), over))
-                    for over in conditioning_sets(names, x, 1, dep_max)
-                )
-    return queries
+                values = [(a, b) for k, a in enumerate(active) for b in active[k + 1 :]]
+            elif kind == "dependent":
+                values, overs = repeat(()), conditioning_sets(names, x, 1, dep_max)
+            # Valid by construction, so built as bare tuples, skipping ``__new__``'s checks.
+            fields = zip(repeat(kind), repeat(x), values, overs)
+            yield kind, x, map(tuple.__new__, repeat(PropertyQuery), fields)
 
+
+def all_queries(
+    instance: CspInstance, space: SearchSpace, kinds: Iterable[str] = KINDS, dep_max: int = 2
+) -> list[PropertyQuery]:
+    """Every admissible query, in ``query_groups`` order."""
+    return [q for _, _, run in query_groups(instance, space, kinds, dep_max) for q in run]

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ from cspstruct.instances import (
 )
 from cspstruct.model import Constraint, CspInstance, SearchSpace
 from cspstruct.oracle import PropertyQuery
+from cspstruct.report import AnalysisReport
 from cspstruct.simplify import SimplificationResult, SimplificationStep
 
 DATA = Path(__file__).parent / "data"
@@ -70,6 +72,13 @@ def boolean_corpora():
 
 def data_path(name: str) -> Path:
     return DATA / name
+
+
+def make_report(digest, method, findings):
+    """The report of ``findings``, summarized by their verdict counts in
+    first-seen order, as ``analyze`` counts them."""
+    findings = tuple(findings)
+    return AnalysisReport(digest, method, findings, dict(Counter(f.verdict for f in findings)))
 
 
 def iter_rows(space):

@@ -7,23 +7,27 @@ import os
 import subprocess
 import sys
 import time
+from collections import Counter
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cspstruct import boolean, cli, hierarchy, local, oracle, simplify
+from cspstruct import boolean, cli, hierarchy, local, oracle, report, simplify
 from cspstruct.cli import main
 from cspstruct.instances import emit_csp, emit_dimacs, parse_csp, parse_dimacs
 from cspstruct.model import SearchSpace
-from cspstruct.report import AnalysisReport, Finding, from_json, make_report, to_json
+from cspstruct.report import AnalysisReport, Finding, from_json, to_json
 from cspstruct.simplify import SimplificationResult
 
 from conftest import (
+    BOOLEAN_KINDS,
     data_path,
     edge_instances,
+    gen_random_boolean,
     instances_with_spaces,
+    make_report,
     oracle_rows,
     reference_check,
     reference_simplify,
@@ -413,12 +417,14 @@ class TestFindingTime:
         times = [finding.elapsed_ms for finding in from_json(out).findings]
         assert times and max(times) < 200
 
-    # Per method: the inputs, and what builds a part of an answer row.
+    # Per method: the inputs, the decider each finding calls, and what
+    # builds a part of an answer row.
     BUILDERS = {
-        "oracle": (CSP_INPUTS, [(oracle, "_signature")]),
-        "local": (CSP_INPUTS, [(oracle, "_signature")]),
+        "oracle": (CSP_INPUTS, (oracle, "evaluate"), [(oracle, "_signature")]),
+        "local": (CSP_INPUTS, (local, "local_check"), [(oracle, "_signature")]),
         "tractable": (
             [f"planted_{kind}.cnf" for kind in ("horn", "2cnf", "affine")],
+            (boolean, "tract_check"),
             [(boolean.CompiledFormula, name)
              for name in ("inconsistent", "substitutable", "determined")],
         ),
@@ -429,24 +435,21 @@ class TestFindingTime:
         # Every answer row is built before the timed loop, so no query pays
         # for a signature, or a compiled form's decision, that a later query
         # reads.
-        names, deciders = self.BUILDERS[method]
-        findings = cli._findings
+        names, (module, decider), builders = self.BUILDERS[method]
+        decide = getattr(module, decider)
         calls = []
 
         def refuse(*args):
             raise AssertionError("a finding built part of an answer row")
 
-        def guarded(queries, decide, *rest):
-            def checked(query):
-                with monkeypatch.context() as patch:
-                    for holder, name in deciders:
-                        patch.setattr(holder, name, refuse)
-                    calls.append(query)
-                    return decide(query)
+        def checked(answers, query):
+            with monkeypatch.context() as patch:
+                for holder, name in builders:
+                    patch.setattr(holder, name, refuse)
+                calls.append(query)
+                return decide(answers, query)
 
-            return findings(queries, checked, *rest)
-
-        monkeypatch.setattr(cli, "_findings", guarded)
+        monkeypatch.setattr(module, decider, checked)
         for name in names:
             calls.clear()
             code, _, _ = run(
@@ -454,6 +457,147 @@ class TestFindingTime:
                 "--json",
             )
             assert code == 0 and calls, name
+
+
+class TestStreamedReport:
+    """``analyze`` writes its report as it decides the queries, in chunks:
+    the bytes of one report written whole, with every refusal and every
+    route's build before the first byte."""
+
+    KINDS = {"oracle": oracle.KINDS, "local": cli.LOCAL_KINDS, "tractable": cli.TRACTABLE_KINDS}
+
+    @staticmethod
+    def analyze(path, *options):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(["analyze", str(path), *options])
+        return code, out.getvalue()
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.one_of(
+            instances_with_spaces().filter(lambda case: case[0].variables),
+            st.builds(
+                gen_random_boolean,
+                st.sampled_from(BOOLEAN_KINDS), st.integers(1, 4), st.integers(0, 5),
+                st.integers(0, 999),
+            ),
+        ),
+        st.sampled_from(["oracle", "local", "tractable", "all"]),
+        st.booleans(),
+    )
+    def test_both_layouts_list_the_queries_in_order(self, tmp_path_factory, case, method, every):
+        if isinstance(case, boolean.BooleanFormula):
+            path = tmp_path_factory.getbasetemp() / "streamed.cnf"
+            path.write_text(emit_dimacs(case))
+            formula = parse_dimacs(path.read_text())
+            inst = boolean.to_extensional(formula)
+            space = SearchSpace.full(inst)
+            primary = boolean.classify_schaefer(formula).primary
+            tractable = primary is not boolean.SchaeferClass.UNRESTRICTED
+        else:
+            inst, space = case
+            path = tmp_path_factory.getbasetemp() / "streamed.csp"
+            path.write_text(emit_csp(inst, space))
+            tractable = False
+        methods = ["oracle", "local", "tractable"] if method == "all" else [method]
+        if not tractable:
+            methods = [m for m in methods if m != "tractable"]
+        options = ("--method", method, "--all") if every else ("--method", method)
+        code, out = self.analyze(path, *options, "--json")
+        plain_code, plain = self.analyze(path, *options)
+        if not methods:
+            assert (code, out, plain_code, plain) == (2, "", 2, "")
+            return
+        assert (code, plain_code) == (0, 0)
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        analysis = from_json(out)
+        found = [(tuple(f[:4]), f.method) for f in analysis.findings]
+        queries = [(q, m) for m in methods for q in oracle.all_queries(inst, space, self.KINDS[m])]
+        assert found == (queries if every else [q for q in queries if q in set(found)])
+        verdicts = [f.verdict for f in analysis.findings]
+        assert every or set(verdicts) <= {"TRUE", "ESTABLISHED"}
+        assert list(analysis.summary.items()) == list(Counter(verdicts).items())
+        counted = ", ".join(f"{k}={v}" for k, v in sorted(analysis.summary.items()))
+        assert plain.splitlines()[-1] == f"# instance {analysis.digest}: {counted}"
+        assert plain == analysis.render() + "\n"
+        assert to_json(analysis) + "\n" == out
+        assert from_json(to_json(analysis)) == analysis
+
+    def test_bytes_are_written_before_the_last_query_is_decided(self, monkeypatch):
+        monkeypatch.setattr(report, "_CHUNK", 4096)
+        out = io.StringIO()
+        written = []
+        evaluate = oracle.evaluate
+
+        def counted(table, query):
+            written.append(len(out.getvalue()))
+            return evaluate(table, query)
+
+        monkeypatch.setattr(oracle, "evaluate", counted)
+        argv = ["analyze", str(data_path("triple_tables.csp")), "--method", "oracle", "--all"]
+        with contextlib.redirect_stdout(out):
+            assert main([*argv, "--json"]) == 0
+        text = out.getvalue()
+        assert len(text) > 3 * 4096
+        assert written[0] == 0 and 0 < written[-1] < len(text)
+        assert text == json.dumps(json.loads(text), indent=2) + "\n"
+
+    def test_a_closed_stdout_stops_the_deciding(self):
+        # In a process of its own, as main points fd 1 at devnull: its
+        # stdout takes the first chunk and then raises, as a closed pipe does.
+        script = (
+            "import io, json, sys\n"
+            "from cspstruct import cli, oracle, report\n"
+            "report._CHUNK = 4096\n"
+            "class Closing(io.StringIO):\n"
+            "    def write(self, text):\n"
+            "        if self.tell():\n"
+            "            raise BrokenPipeError\n"
+            "        return super().write(text)\n"
+            "decided, evaluate = [], oracle.evaluate\n"
+            "oracle.evaluate = lambda *args: decided.append(1) or evaluate(*args)\n"
+            "sys.stdout, sys.stderr = Closing(), io.StringIO()\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "sys.__stderr__.write(json.dumps([code, sys.stderr.getvalue(), len(decided)]))\n"
+        )
+        path = data_path("triple_tables.csp")
+        argv = ["analyze", str(path), "--method", "oracle", "--all", "--json"]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
+        )
+        code, err, decided = json.loads(done.stderr)
+        assert (done.returncode, done.stdout, code, err) == (0, "", 141, "")
+        inst, space = parse_csp(path.read_text())
+        assert 0 < decided < len(oracle.all_queries(inst, space))
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("triple_tables.csp", "--max-space", "1"),
+            ("triple_tables.csp", "--method", "local", "--group-size", "2", "--max-space", "1"),
+            ("triple_tables.csp", "--method", "tractable"),
+            ("pure_literal.cnf", "--method", "tractable"),
+        ],
+    )
+    @pytest.mark.parametrize("layout", [(), ("--json",)])
+    def test_a_refusal_writes_no_byte(self, capsys, argv, layout):
+        name, *options = argv
+        code, out, err = run(capsys, "analyze", str(data_path(name)), *options, *layout)
+        assert (code, out) == (2, "") and err.startswith("error: ")
+
+    def test_every_route_is_built_before_the_first_byte(self, capsys, monkeypatch, tmp_path):
+        # The oracle's findings come first in the report, yet a fault in the
+        # tractable route's compile, the last build, leaves stdout empty.
+        def broken(*args):
+            raise RuntimeError("compile fault")
+
+        horn = tmp_path / "horn.cnf"
+        horn.write_text("p cnf 2 2\n-1 2 0\n1 0\n")
+        monkeypatch.setattr(boolean, "CompiledFormula", broken)
+        code, out, err = run(capsys, "analyze", str(horn), "--method", "all", "--all", "--json")
+        assert (code, out) == (3, "") and "compile fault" in err
 
 
 class TestSimplify:

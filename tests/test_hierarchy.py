@@ -28,7 +28,7 @@ def holds_at(side, table, x, key):
     "none" edge)."""
     if x is None:
         return key in side(table, x, hierarchy._NONE)
-    overs = oracle.conditioning_sets(table.order, x, 0, 2)
+    overs = list(oracle.conditioning_sets(table.order, x, 0, 2))
     return key in side(table, x, hierarchy._held(table, x, overs))
 
 
@@ -329,7 +329,8 @@ def test_a_dropped_key_is_named_once(corpus, coloring, backbone):
                 if x is None:
                     held = hierarchy._NONE
                 else:
-                    held = hierarchy._held(table, x, oracle.conditioning_sets(table.order, x, 0, 2))
+                    overs = list(oracle.conditioning_sets(table.order, x, 0, 2))
+                    held = hierarchy._held(table, x, overs)
                 both = edge.lhs(table, x, held) & edge.rhs(table, x, held)
                 for key in held[edge.args]:
                     if key not in both:

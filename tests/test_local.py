@@ -426,7 +426,7 @@ def assert_rows_match_local_check(inst, space, dep_max=2):
     for size in sorted({1, 2, max(len(inst.constraints), 1)}):
         covering = default_covering(inst, size)
         groups = group_tables(inst, covering, space)
-        rows = {x: groups.row(x, oracle.conditioning_sets(names, x, 1, dep_max)) for x in names}
+        rows = {x: groups.row(x, list(oracle.conditioning_sets(names, x, 1, dep_max))) for x in names}
         asked = group_tables(inst, covering, space)
         for query in queries:
             established = local_check(asked, query).established
@@ -601,7 +601,7 @@ class TestDerivedTables:
                 assert local_check(tables, query) == expected
                 x = query.variable
                 if x not in rows:
-                    rows[x] = tables.row(x, oracle.conditioning_sets(inst.variables, x, 1, 2))
+                    rows[x] = tables.row(x, list(oracle.conditioning_sets(inst.variables, x, 1, 2)))
                 assert rows[x][query.kind, query.values or query.over] == expected.established
 
     def test_one_wide_constraint_is_not_enumerated(self, monkeypatch):

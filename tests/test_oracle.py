@@ -806,7 +806,7 @@ class TestAnswerRowDependence:
         for table, size, targets in cases:
             assert len(table.rows) == size
             for y in targets:
-                sets = oracle.conditioning_sets(table.order, y, 0, 2)
+                sets = list(oracle.conditioning_sets(table.order, y, 0, 2))
                 row = oracle.answer_row(table, y, sets)
                 assert all(row["dependent", over] for over in sets)
         assert scanned == []

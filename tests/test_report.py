@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cspstruct.report import AnalysisReport, Finding, from_json, make_report, to_json
+from cspstruct.report import AnalysisReport, Finding, from_json, to_json
+
+from conftest import make_report
 
 
 def reference_json(report):
